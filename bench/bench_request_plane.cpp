@@ -1,21 +1,19 @@
 // Request-plane microbenchmark (DESIGN.md §16): wall-clock cost of parsing
-// and dispatching one /v1/chat/completions request, comparing the legacy
-// DOM path ("pre": json::Parse into a Value tree, then validate + submit)
-// against the zero-copy in-situ Document the router now uses ("post"), plus
-// the tree-free SAX pass for reference.
+// and dispatching one /v1/chat/completions request.
 //
-// Two layers per strategy:
-//   parse_*     the JSON layer alone, one realistic body per iteration
-//   dispatch_*  parse + validate + admission + enqueue through the real
-//               RequestHandler (queue drained synchronously so it never
-//               fills; no engines are started — Initialize is skipped, so
-//               this measures the request plane, not the simulator)
+//   parse_dom       json::Parse into a Value tree, the reference parser
+//   parse_insitu    the zero-copy in-situ Document the router uses
+//   dispatch_insitu OpenAiRouter::ChatCompletions: parse + validate +
+//                   admission + enqueue through the real RequestHandler
+//                   (queue drained synchronously so it never fills; no
+//                   engines are started — Initialize is skipped, so this
+//                   measures the request plane, not the simulator)
 //
 // Both µs/request and allocations/request are reported; the global
 // operator new override below counts every heap allocation on the path.
 // Set SWAPSERVE_BENCH_JSON=<path> for machine-readable output;
-// scripts/check_request_plane.sh gates the in-situ speedup (>= 2x over
-// DOM) and regressions against the checked-in BENCH_request_plane.json.
+// scripts/check_perf.sh gates the in-situ parse speedup (>= 2x over DOM)
+// and regressions against the checked-in BENCH_request_plane.json.
 // SWAPSERVE_BENCH_N overrides the per-benchmark iteration count.
 
 #include <algorithm>
@@ -26,7 +24,6 @@
 #include <iostream>
 #include <new>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -34,7 +31,6 @@
 #include "core/swap_serve.h"
 #include "json/document.h"
 #include "json/json.h"
-#include "json/stream_parser.h"
 #include "util/table.h"
 
 // --- allocation counting ---------------------------------------------------
@@ -97,65 +93,6 @@ Sample Measure(int n, F&& fn) {
   return s;
 }
 
-// Event-counting SAX handler: the cheapest possible full validation pass.
-class CountingHandler : public json::SaxHandler {
- public:
-  bool OnNull() override { return Tick(); }
-  bool OnBool(bool) override { return Tick(); }
-  bool OnNumber(double, bool, std::int64_t) override { return Tick(); }
-  bool OnString(std::string_view s) override {
-    chars_ += static_cast<std::int64_t>(s.size());
-    return Tick();
-  }
-  bool OnKey(std::string_view) override { return Tick(); }
-  bool OnStartObject() override { return Tick(); }
-  bool OnEndObject(std::size_t) override { return Tick(); }
-  bool OnStartArray() override { return Tick(); }
-  bool OnEndArray(std::size_t) override { return Tick(); }
-  std::int64_t events() const { return events_; }
-  std::int64_t chars() const { return chars_; }
-
- private:
-  bool Tick() {
-    ++events_;
-    return true;
-  }
-  std::int64_t events_ = 0;
-  std::int64_t chars_ = 0;
-};
-
-// The legacy dispatch path, reproduced: full DOM parse, tree validation,
-// token estimate off the Value, then Submit. This is what ChatCompletions
-// did before the in-situ rewrite, and it is measured live so pre/post come
-// from the same binary on the same machine.
-Result<core::ResponseChannelPtr> DomDispatch(core::OpenAiRouter& router,
-                                             const std::string& body_json) {
-  Result<json::Value> body = json::Parse(body_json);
-  if (!body.ok()) return body.status();
-  if (!body->is_object()) {
-    return InvalidArgument("request body must be a JSON object");
-  }
-  const std::string model = body->GetString("model", "");
-  if (model.empty()) {
-    return InvalidArgument("missing required field: model");
-  }
-  const json::Value* messages = body->Find("messages");
-  if (messages == nullptr || !messages->is_array() ||
-      messages->AsArray().empty()) {
-    return InvalidArgument("messages must be a non-empty array");
-  }
-  core::InferenceRequest request;
-  request.model = model;
-  request.prompt_tokens = core::OpenAiRouter::EstimatePromptTokens(*messages);
-  request.max_tokens = body->GetInt("max_tokens", 128);
-  request.temperature = body->GetDouble("temperature", 1.0);
-  request.seed = static_cast<std::uint64_t>(body->GetInt("seed", 0));
-  request.stream = body->GetBool("stream", true);
-  request.tenant = body->GetString("user", "");
-  request.slo_class = body->GetString("slo_class", "");
-  return router.Submit(std::move(request));
-}
-
 }  // namespace
 }  // namespace swapserve::bench
 
@@ -164,10 +101,10 @@ int main() {
   using namespace swapserve::bench;
 
   PrintHeader("Request plane: parse + dispatch cost per request",
-              "pre = DOM Value tree (legacy router path), post = in-situ "
-              "Document (zero-copy views, recycled arena), sax = tree-free "
-              "event pass. Dispatch rows add validation, admission, and the "
-              "handler enqueue on top of the parse.");
+              "dom = Value tree (the reference parser), insitu = Document "
+              "(zero-copy views, recycled arena). The dispatch row adds "
+              "validation, admission, and the handler enqueue on top of the "
+              "in-situ parse.");
 
   int n = 1000000;
   if (const char* env = std::getenv("SWAPSERVE_BENCH_N"); env != nullptr) {
@@ -192,11 +129,6 @@ int main() {
                 : 0;
   });
 
-  const Sample parse_sax = Measure(n, [&] {
-    CountingHandler handler;
-    sink += json::ParseSax(kBody, handler).ok() ? handler.events() : 0;
-  });
-
   // --- dispatch layer ------------------------------------------------------
   // Real handler + router + backend queue, engines never initialized: the
   // queue is drained synchronously after every accept so dispatch cost is
@@ -210,33 +142,24 @@ int main() {
   core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
   core::Backend* backend = serve.backends()[0];
 
-  const Sample dispatch_dom = Measure(n, [&] {
-    Result<core::ResponseChannelPtr> r = DomDispatch(serve.router(), kBody);
-    sink += r.ok() ? 1 : 0;
-    if (auto item = backend->queue->TryRecv()) sink += 1;
-  });
-
   const Sample dispatch_insitu = Measure(n, [&] {
     Result<core::ResponseChannelPtr> r = serve.router().ChatCompletions(kBody);
     sink += r.ok() ? 1 : 0;
     if (auto item = backend->queue->TryRecv()) sink += 1;
   });
 
-  TablePrinter table({"path", "us/request", "allocs/request",
-                      "speedup vs dom"});
-  const auto row = [&table](const char* name, const Sample& s,
-                            double baseline_us) {
+  TablePrinter table({"path", "us/request", "allocs/request"});
+  const auto row = [&table](const char* name, const Sample& s) {
     table.AddRow({name, TablePrinter::Num(s.us_per_request, 3),
-                  TablePrinter::Num(s.allocs_per_request, 2),
-                  TablePrinter::Num(baseline_us / s.us_per_request, 2) + "x"});
+                  TablePrinter::Num(s.allocs_per_request, 2)});
   };
-  row("parse_dom (pre)", parse_dom, parse_dom.us_per_request);
-  row("parse_insitu (post)", parse_insitu, parse_dom.us_per_request);
-  row("parse_sax", parse_sax, parse_dom.us_per_request);
-  row("dispatch_dom (pre)", dispatch_dom, dispatch_dom.us_per_request);
-  row("dispatch_insitu (post)", dispatch_insitu, dispatch_dom.us_per_request);
+  row("parse_dom", parse_dom);
+  row("parse_insitu", parse_insitu);
+  row("dispatch_insitu", dispatch_insitu);
   table.Print(std::cout);
-  std::printf("\n(%d iterations per row; sink=%lld)\n", n,
+  std::printf("\nin-situ parse speedup over DOM: %.2fx\n",
+              parse_dom.us_per_request / parse_insitu.us_per_request);
+  std::printf("(%d iterations per row; sink=%lld)\n", n,
               static_cast<long long>(sink));
 
   if (const char* path = std::getenv("SWAPSERVE_BENCH_JSON");
@@ -248,16 +171,11 @@ int main() {
             {"parse_dom_allocs", parse_dom.allocs_per_request},
             {"parse_insitu_us", parse_insitu.us_per_request},
             {"parse_insitu_allocs", parse_insitu.allocs_per_request},
-            {"parse_sax_us", parse_sax.us_per_request},
-            {"parse_sax_allocs", parse_sax.allocs_per_request},
-            {"dispatch_dom_us", dispatch_dom.us_per_request},
-            {"dispatch_dom_allocs", dispatch_dom.allocs_per_request},
             {"dispatch_insitu_us", dispatch_insitu.us_per_request},
             {"dispatch_insitu_allocs", dispatch_insitu.allocs_per_request},
         },
-        "Request-plane cost per request (microseconds / heap allocations); "
-        "pre = DOM path, post = in-situ path. See BENCH_request_plane.json "
-        "for the gated baseline.");
+        "Request-plane cost per request (microseconds / heap allocations). "
+        "See BENCH_request_plane.json for the gated baseline.");
   }
   return 0;
 }

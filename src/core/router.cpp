@@ -1,38 +1,8 @@
 #include "core/router.h"
 
 #include <algorithm>
-#include <vector>
-
-#include "json/stream_parser.h"
 
 namespace swapserve::core {
-
-std::int64_t OpenAiRouter::EstimatePromptTokens(const json::Value& messages) {
-  if (!messages.is_array()) return 1;
-  std::int64_t chars = 0;
-  std::int64_t message_count = 0;
-  for (const json::Value& msg : messages.AsArray()) {
-    if (!msg.is_object()) continue;
-    ++message_count;
-    const json::Value* content = msg.Find("content");
-    if (content == nullptr) continue;
-    if (content->is_string()) {
-      chars += static_cast<std::int64_t>(content->AsString().size());
-    } else if (content->is_array()) {
-      // OpenAI content-part form: [{"type":"text","text":"..."}, ...].
-      // Non-text parts (image_url, audio) carry no countable characters.
-      for (const json::Value& part : content->AsArray()) {
-        if (!part.is_object()) continue;
-        const json::Value* text = part.Find("text");
-        if (text != nullptr && text->is_string()) {
-          chars += static_cast<std::int64_t>(text->AsString().size());
-        }
-      }
-    }
-    // Numbers, booleans, null, bare objects: nothing countable.
-  }
-  return std::max<std::int64_t>(1, chars / 4 + message_count * 4);
-}
 
 std::int64_t OpenAiRouter::EstimatePromptTokens(json::Document::View messages) {
   if (!messages.is_array()) return 1;
@@ -47,6 +17,8 @@ std::int64_t OpenAiRouter::EstimatePromptTokens(json::Document::View messages) {
     if (content.is_string()) {
       chars += static_cast<std::int64_t>(content.AsString().size());
     } else if (content.is_array()) {
+      // OpenAI content-part form: [{"type":"text","text":"..."}, ...].
+      // Non-text parts (image_url, audio) carry no countable characters.
       for (json::Document::View part = content.FirstChild(); part;
            part = part.NextSibling()) {
         if (!part.is_object()) continue;
@@ -58,97 +30,6 @@ std::int64_t OpenAiRouter::EstimatePromptTokens(json::Document::View messages) {
     }
   }
   return std::max<std::int64_t>(1, chars / 4 + message_count * 4);
-}
-
-namespace {
-
-// SAX estimator: walks the messages array as an event stream, tracking
-// just enough context (root array -> message object -> content array ->
-// part object) to count the same characters the DOM walk counts.
-class EstimateHandler : public json::SaxHandler {
- public:
-  bool root_is_array() const { return saw_root_array_; }
-  std::int64_t chars() const { return chars_; }
-  std::int64_t message_count() const { return message_count_; }
-
-  bool OnNull() override { return true; }
-  bool OnBool(bool) override { return true; }
-  bool OnNumber(double, bool, std::int64_t) override { return true; }
-
-  bool OnKey(std::string_view key) override {
-    frames_.back().key.assign(key);
-    return true;
-  }
-
-  bool OnString(std::string_view s) override {
-    if (frames_.empty()) return true;  // root scalar: nothing to count
-    const Frame& top = frames_.back();
-    const bool msg_content = top.ctx == Ctx::kMessage && top.key == "content";
-    const bool part_text = top.ctx == Ctx::kPart && top.key == "text";
-    if (msg_content || part_text) {
-      chars_ += static_cast<std::int64_t>(s.size());
-    }
-    return true;
-  }
-
-  bool OnStartObject() override {
-    Ctx ctx = Ctx::kOther;
-    if (!frames_.empty()) {
-      if (frames_.back().ctx == Ctx::kRoot) {
-        ctx = Ctx::kMessage;
-        ++message_count_;
-      } else if (frames_.back().ctx == Ctx::kContent) {
-        ctx = Ctx::kPart;
-      }
-    }
-    frames_.push_back(Frame{ctx, {}});
-    return true;
-  }
-  bool OnEndObject(std::size_t) override {
-    frames_.pop_back();
-    return true;
-  }
-
-  bool OnStartArray() override {
-    Ctx ctx = Ctx::kOther;
-    if (frames_.empty()) {
-      ctx = Ctx::kRoot;
-      saw_root_array_ = true;
-    } else if (frames_.back().ctx == Ctx::kMessage &&
-               frames_.back().key == "content") {
-      ctx = Ctx::kContent;
-    }
-    frames_.push_back(Frame{ctx, {}});
-    return true;
-  }
-  bool OnEndArray(std::size_t) override {
-    frames_.pop_back();
-    return true;
-  }
-
- private:
-  enum class Ctx { kRoot, kMessage, kContent, kPart, kOther };
-  struct Frame {
-    Ctx ctx = Ctx::kOther;
-    std::string key;  // last key seen in this frame ("content", "text")
-  };
-  std::vector<Frame> frames_;
-  bool saw_root_array_ = false;
-  std::int64_t chars_ = 0;
-  std::int64_t message_count_ = 0;
-};
-
-}  // namespace
-
-std::int64_t OpenAiRouter::EstimatePromptTokensText(
-    std::string_view messages_json) {
-  EstimateHandler handler;
-  if (!json::ParseSax(messages_json, handler).ok() ||
-      !handler.root_is_array()) {
-    return 1;
-  }
-  return std::max<std::int64_t>(
-      1, handler.chars() / 4 + handler.message_count() * 4);
 }
 
 Result<ResponseChannelPtr> OpenAiRouter::ChatCompletions(

@@ -10,14 +10,14 @@
 // for model names, roles, and prompt text) are pure borrows.
 //
 // Object members keep *insertion order* in the arena (iteration is
-// first-to-last as written), but Dump() serializes members sorted by key,
-// byte-identical to the DOM Value::Dump() of the same document — the
-// deterministic-serialization contract the golden traces rely on.
+// first-to-last as written); Find sees the first of duplicate keys.
+// Serialization is the DOM's job: ToValue().Dump() gives the key-sorted,
+// last-duplicate-wins bytes the DOM parse of the same text dumps to.
 //
 // Number fast path: integer tokens up to 18 digits decode without strtod
 // and remember integrality exactly. Dialect (strict RFC 8259 numbers,
 // full surrogate-pair escapes, 256-level nesting cap) is shared with the
-// DOM and SAX parsers via text.h.
+// DOM parser via text.h.
 //
 // Lifetime: the Document borrows from the buffer passed to ParseInSitu.
 // The buffer must outlive the Document's views; reusing one Document +
@@ -143,10 +143,6 @@ class Document {
   // DOM and in-situ parses agree; integer nodes become integral doubles,
   // matching what the DOM parser produced from the same token).
   Value ToValue() const;
-
-  // Compact serialization, byte-identical to ToValue().Dump(): object
-  // members sort by key, integral numbers print without a decimal point.
-  std::string Dump() const;
 
  private:
   friend class View;

@@ -41,7 +41,7 @@ double Value::AsDouble() const {
 
 std::int64_t Value::AsInt() const {
   SWAP_CHECK_MSG(is_number(), "json: not a number");
-  return static_cast<std::int64_t>(number_);
+  return SaturatingInt64(number_);
 }
 
 const std::string& Value::AsString() const {

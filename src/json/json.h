@@ -7,10 +7,10 @@
 // output, and the number grammar is strict (leading zeros, bare dots, and
 // overflow-to-infinity are parse errors).
 //
-// This is the correctness-first, allocation-per-node DOM. The request hot
-// path uses the zero-copy siblings that share its dialect exactly:
-// document.h (in-situ Document borrowing slices from a caller-owned
-// buffer) and stream_parser.h (SAX callbacks with incremental feed).
+// This is the correctness-first, allocation-per-node DOM: it parses config,
+// is the one serializer, and is the reference the tests hold the request
+// hot path's parser to. That parser is the zero-copy in-situ Document
+// (document.h), which shares this dialect exactly through text.h.
 
 #pragma once
 

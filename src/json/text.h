@@ -1,11 +1,12 @@
-// Shared lexical helpers for the three JSON parsers (DOM in json.h, the
-// in-situ Document in document.h, the SAX StreamParser in stream_parser.h).
+// Shared lexical helpers for the two JSON parsers (the DOM in json.h and the
+// in-situ Document in document.h).
 //
-// All three speak exactly the same dialect — RFC 8259 with the full \u
-// escape set including surrogate pairs beyond the BMP — because they share
-// these routines: the strict number grammar, the hex/UTF-8 codecs, and the
-// surrogate-pair combination rules. A behavior change here changes every
-// parser at once, which is what the conformance suite (tests/json) pins.
+// Both speak exactly the same dialect — RFC 8259 with the full \u escape
+// set including surrogate pairs beyond the BMP — because they share these
+// routines: the strict number grammar, the hex/UTF-8 codecs, the
+// surrogate-pair combination rules, and the number -> int64 conversion. A
+// behavior change here changes both parsers at once, which is what the
+// conformance suite (tests/json) pins.
 
 #pragma once
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -171,8 +173,18 @@ inline NumberToken DecodeNumber(std::string_view tok) {
   return out;
 }
 
-// Serialization helpers shared by Value::Dump and Document::Dump so the two
-// emit byte-identical output for equal documents (the golden traces compare
+// Number -> int64 for the typed accessors. Casting a double outside int64's
+// range is undefined behaviour, and these numbers come from outside input
+// ("max_tokens": 1e300), so out-of-range values saturate instead. NaN, which
+// no parser produces, lands on the minimum rather than reaching the cast.
+inline std::int64_t SaturatingInt64(double d) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (d >= kTwoTo63) return std::numeric_limits<std::int64_t>::max();
+  if (d >= -kTwoTo63) return static_cast<std::int64_t>(d);
+  return std::numeric_limits<std::int64_t>::min();
+}
+
+// Serialization helpers for Value::Dump (the golden traces compare
 // serialized bytes, not parsed values).
 inline void AppendJsonEscaped(std::string_view s, std::string& out) {
   out += '"';

@@ -109,6 +109,15 @@ TEST(RouterTest, ValidationErrors) {
             .status()
             .code(),
         StatusCode::kInvalidArgument);
+    // max_tokens beyond int64 saturates and is rejected, with no
+    // out-of-range float-to-int cast on the way.
+    EXPECT_EQ(
+        router
+            .ChatCompletions(
+                R"({"model":"llama-3.2-1b-fp16","messages":[{"role":"user","content":"x"}],"max_tokens":1e300})")
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
     // Unknown model -> 404 semantics.
     EXPECT_EQ(
         router
@@ -138,65 +147,50 @@ TEST(RouterTest, AuthTokenEnforced) {
   });
 }
 
+// Estimates off JSON text through the in-situ parser, as ChatCompletions
+// does with the body's "messages" member.
+std::int64_t EstimateText(std::string text) {
+  json::Document doc;
+  EXPECT_TRUE(doc.ParseInSitu(text).ok()) << text;
+  return OpenAiRouter::EstimatePromptTokens(doc.root());
+}
+
 TEST(RouterTest, TokenEstimation) {
-  json::Value messages = json::Value::MakeArray();
-  json::Value msg = json::Value::MakeObject();
-  msg["role"] = json::Value("user");
-  msg["content"] = json::Value(std::string(400, 'x'));
-  messages.PushBack(std::move(msg));
   // 400 chars / 4 + 1 message * 4 = 104.
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(messages), 104);
+  EXPECT_EQ(EstimateText(R"([{"role":"user","content":")" +
+                         std::string(400, 'x') + R"("}])"),
+            104);
 }
 
 TEST(RouterTest, TokenEstimationMinimumOne) {
-  json::Value messages = json::Value::MakeArray();
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(messages), 1);
+  EXPECT_EQ(EstimateText("[]"), 1);
 }
 
 TEST(RouterTest, TokenEstimationNonArrayFloorsToOne) {
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(json::Value("a string")), 1);
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(json::Value(7.0)), 1);
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(json::Value::MakeObject()),
-            1);
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(json::Value()), 1);
+  EXPECT_EQ(EstimateText(R"("a string")"), 1);
+  EXPECT_EQ(EstimateText("7"), 1);
+  EXPECT_EQ(EstimateText("{}"), 1);
+  EXPECT_EQ(EstimateText("null"), 1);
 }
 
 TEST(RouterTest, TokenEstimationIgnoresNonStringContent) {
-  json::Value messages = json::Value::MakeArray();
-  json::Value numeric = json::Value::MakeObject();
-  numeric["role"] = json::Value("user");
-  numeric["content"] = json::Value(12345.0);
-  messages.PushBack(std::move(numeric));
-  json::Value absent = json::Value::MakeObject();
-  absent["role"] = json::Value("assistant");
-  messages.PushBack(std::move(absent));
-  // Non-message entries in the array don't count toward overhead.
-  messages.PushBack(json::Value("stray"));
+  // Numeric content and absent content count no characters, and
+  // non-message entries in the array don't count toward overhead:
   // 0 chars, 2 well-formed messages * 4 overhead.
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(messages), 8);
+  EXPECT_EQ(EstimateText(R"([{"role":"user","content":12345},)"
+                         R"({"role":"assistant"},"stray"])"),
+            8);
 }
 
 TEST(RouterTest, TokenEstimationSumsContentParts) {
-  json::Value parts = json::Value::MakeArray();
-  json::Value text1 = json::Value::MakeObject();
-  text1["type"] = json::Value("text");
-  text1["text"] = json::Value(std::string(200, 'a'));
-  parts.PushBack(std::move(text1));
-  json::Value image = json::Value::MakeObject();
-  image["type"] = json::Value("image_url");
-  parts.PushBack(std::move(image));
-  json::Value text2 = json::Value::MakeObject();
-  text2["type"] = json::Value("text");
-  text2["text"] = json::Value(std::string(200, 'b'));
-  parts.PushBack(std::move(text2));
-
-  json::Value msg = json::Value::MakeObject();
-  msg["role"] = json::Value("user");
-  msg["content"] = std::move(parts);
-  json::Value messages = json::Value::MakeArray();
-  messages.PushBack(std::move(msg));
   // 400 chars across text parts / 4 + 1 message * 4 = 104.
-  EXPECT_EQ(OpenAiRouter::EstimatePromptTokens(messages), 104);
+  EXPECT_EQ(EstimateText(R"([{"role":"user","content":[)"
+                         R"({"type":"text","text":")" +
+                         std::string(200, 'a') +
+                         R"("},{"type":"image_url"},)"
+                         R"({"type":"text","text":")" +
+                         std::string(200, 'b') + R"("}]}])"),
+            104);
 }
 
 TEST(RouterTest, ListModelsReflectsState) {

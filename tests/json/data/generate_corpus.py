@@ -2,9 +2,9 @@
 """Regenerates the JSON conformance corpus in this directory.
 
 Naming follows the JSONTestSuite convention:
-  y_*.json  must be accepted by every swapserve parser (DOM, in-situ, SAX)
-  n_*.json  must be rejected by every parser
-  i_*.json  implementation-defined: parsers need not accept, but all three
+  y_*.json  must be accepted by both swapserve parsers (DOM, in-situ)
+  n_*.json  must be rejected by both parsers
+  i_*.json  implementation-defined: parsers need not accept, but both
             must agree (the conformance test pins the agreed verdict)
 
 The corpus is checked in; rerun this script only when adding cases.

@@ -15,42 +15,20 @@
 
 #include "json/document.h"
 #include "json/json.h"
-#include "json/stream_parser.h"
-
-namespace {
-
-class NullHandler : public swapserve::json::SaxHandler {
- public:
-  bool OnNull() override { return true; }
-  bool OnBool(bool) override { return true; }
-  bool OnNumber(double, bool, std::int64_t) override { return true; }
-  bool OnString(std::string_view) override { return true; }
-  bool OnKey(std::string_view) override { return true; }
-  bool OnStartObject() override { return true; }
-  bool OnEndObject(std::size_t) override { return true; }
-  bool OnStartArray() override { return true; }
-  bool OnEndArray(std::size_t) override { return true; }
-};
-
-}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
 
-  // All three parsers must survive any input and agree on the verdict.
-  const bool dom_ok = swapserve::json::Parse(text).ok();
+  // Both parsers must survive any input and agree on the verdict and tree.
+  const swapserve::Result<swapserve::json::Value> dom =
+      swapserve::json::Parse(text);
 
   std::vector<char> buffer(text.begin(), text.end());
   swapserve::json::Document doc;
   const bool insitu_ok = doc.ParseInSitu(buffer.data(), buffer.size()).ok();
 
-  NullHandler handler;
-  const bool sax_ok = swapserve::json::ParseSax(text, handler).ok();
-
-  if (insitu_ok != dom_ok || sax_ok != dom_ok) __builtin_trap();
-  if (dom_ok && doc.Dump() != swapserve::json::Parse(text)->Dump()) {
-    __builtin_trap();
-  }
+  if (insitu_ok != dom.ok()) __builtin_trap();
+  if (dom.ok() && doc.ToValue().Dump() != dom->Dump()) __builtin_trap();
   return 0;
 }

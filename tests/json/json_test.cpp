@@ -141,6 +141,13 @@ TEST(JsonValueTest, TypedGettersWithFallbacks) {
   EXPECT_FALSE(v->GetBool("s", false));
 }
 
+TEST(JsonValueTest, OutOfRangeIntsSaturate) {
+  auto v = Parse(R"({"big": 1e300, "small": -1e300})");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->GetInt("big", 0), INT64_MAX);
+  EXPECT_EQ(v->GetInt("small", 0), INT64_MIN);
+}
+
 TEST(JsonValueTest, FindOnNonObjectReturnsNull) {
   Value v(3.0);
   EXPECT_EQ(v.Find("a"), nullptr);

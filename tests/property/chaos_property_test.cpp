@@ -10,8 +10,8 @@
 //     breaker open — never half-admitted;
 //   - identical seeds give identical outcomes (chaos is reproducible).
 //
-// Labeled `chaos`: scripts/check_chaos.sh runs this binary under asan and
-// tsan via `ctest -L chaos`.
+// Labeled `chaos`: `scripts/check.sh asan -L chaos` and
+// `scripts/check.sh tsan -L chaos` run this binary under both sanitizers.
 
 #include <algorithm>
 #include <vector>

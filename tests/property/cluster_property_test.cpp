@@ -11,8 +11,8 @@
 //   - identical seeds give identical fleets (per-node fault streams are
 //     derived deterministically from the cluster seed).
 //
-// Labeled `chaos` (runs with scripts/check_chaos.sh under asan/tsan) and
-// `cluster` (runs with scripts/check_cluster.sh).
+// Labeled `chaos` (`scripts/check.sh asan -L chaos`, then tsan) and
+// `cluster` (`scripts/check.sh <preset> -L 'cluster|golden'`).
 
 #include <string>
 #include <utility>

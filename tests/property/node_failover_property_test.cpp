@@ -15,8 +15,8 @@
 //   - identical seeds give identical fleets (per-node fault streams derive
 //     deterministically from the cluster seed).
 //
-// Labeled `chaos` (runs with scripts/check_chaos.sh under asan/tsan) and
-// `cluster` (runs with scripts/check_cluster.sh and check_failover.sh).
+// Labeled `chaos` (`scripts/check.sh asan -L chaos`, then tsan) and
+// `cluster` (`scripts/check.sh <preset> -L 'cluster|golden'`).
 
 #include <string>
 #include <utility>

@@ -9,7 +9,7 @@
 // findings so only new ones fail the sweep; `--write-baseline` regenerates
 // that file from the current findings. Exit status is 0 when the tree is
 // clean (after baseline filtering), 1 when any rule fired, 2 on usage/IO
-// errors. Run via `ctest -L lint` or scripts/check_lint.sh.
+// errors. Run via `ctest -L lint` or `scripts/check.sh default -L lint`.
 
 #include <filesystem>
 #include <fstream>
