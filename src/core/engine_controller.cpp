@@ -33,6 +33,7 @@ EngineController::EngineController(sim::Simulation& sim,
 void EngineController::RegisterBackend(Backend* backend) {
   SWAP_CHECK(backend != nullptr);
   backends_.push_back(backend);
+  backend->engine->BindCrashSignal(&crash_signal_);
 }
 
 // swaplint-ok(coro-ref-param): backend outlives the frame (registered)

@@ -63,8 +63,13 @@ class EngineController final : public TaskManager::ReclaimDelegate {
                    PreemptionPolicy policy = PreemptionPolicy::kDemandAware,
                    std::uint64_t seed = 0x5eed);
 
+  // Registration also binds the backend's engine to crash_signal().
   void RegisterBackend(Backend* backend);
   const std::vector<Backend*>& backends() const { return backends_; }
+
+  // Pulsed whenever a registered backend enters kCrashed; the supervisor
+  // parks on it while no scan could act.
+  sim::SimEvent& crash_signal() { return crash_signal_; }
 
   // Swap a running backend out to its in-memory snapshot. Takes the
   // backend's exclusive lock (drains in-flight requests), runs the
@@ -146,6 +151,7 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   PreemptionPolicy policy_;
   sim::Rng rng_;
   std::vector<Backend*> backends_;
+  sim::SimEvent crash_signal_{sim_};
   SwapPipelineConfig pipeline_;
 };
 

@@ -1,6 +1,15 @@
-// Self-healing control plane: a periodic supervisor loop that restarts
-// crashed backends, detects hung engines, and rejuvenates long-resident
-// ones.
+// Self-healing control plane: a supervisor loop that restarts crashed
+// backends, detects hung engines, and rejuvenates long-resident ones.
+//
+// Scans fall on a fixed grid: the end of the previous pass (or Start())
+// plus whole multiples of scan_interval. The loop only schedules a scan
+// while one could act — a backend is kCrashed (quarantined ones included,
+// so re-probes keep their cadence), or the time-based hang deadline or
+// rejuvenation is armed. Otherwise it parks on the controller's crash
+// signal and, when a backend crashes at time t, sleeps to the first grid
+// point at or after t: every scan that acts runs at the same instant a
+// scan-every-interval loop would have used, and an idle system schedules
+// no supervisor events at all.
 //
 // Crash recovery is restart-in-place: a crash happens while the backend is
 // resident, so there is no snapshot to restore from — MarkCrashed() already
@@ -11,6 +20,8 @@
 // per breaker cooldown.
 
 #pragma once
+
+#include <cstdint>
 
 #include "core/backend.h"
 #include "core/engine_controller.h"
@@ -48,15 +59,19 @@ class EngineSupervisor {
         options_(options),
         rng_(seed) {}
 
-  // Spawn the scan loop; Stop() lets the current pass finish.
+  // Spawn the scan loop. Stop() lets the current pass finish and wakes a
+  // parked loop so its frame exits at the current instant; a loop still
+  // sleeping toward a scan exits when it wakes. Each Start() gets a new
+  // generation, so a Stop()+Start() never leaves two loops scanning.
   void Start();
-  void Stop() { running_ = false; }
+  void Stop();
   bool running() const { return running_; }
 
-  // Suspend scanning without killing the loop coroutine (a crashed *node*
-  // has no supervisor process either — Stop()+Start() would instead stack
-  // a second loop on top of the old one still sleeping out its interval).
-  // Resume() lets the next scheduled pass run again.
+  // Suspend scanning without killing the loop (a crashed *node* has no
+  // supervisor process either): passes still fall on the grid but act on
+  // nothing. Resume() lets the next scheduled pass run again. Node::Crash
+  // marks the resident backends crashed, so a parked loop wakes and ticks
+  // through the outage and recovers them at the first tick after Resume().
   void Pause() { paused_ = true; }
   void Resume() { paused_ = false; }
   bool paused() const { return paused_; }
@@ -64,6 +79,9 @@ class EngineSupervisor {
   // One scan pass (also called by the loop); returns actions taken
   // (recoveries attempted + rejuvenations).
   sim::Task<int> ScanOnce();
+
+  // Scan passes run so far (paused ones included).
+  std::uint64_t passes() const { return passes_; }
 
   // Restart a crashed backend under its exclusive lock, with bounded
   // retries. Success leaves it running and kDegraded (the first served
@@ -78,6 +96,12 @@ class EngineSupervisor {
   const Options& options() const { return options_; }
 
  private:
+  // True when no scan could act until a backend crashes: nothing is
+  // kCrashed and neither time-based check is armed.
+  bool CanPark() const;
+  // First scan instant after Now() on the grid anchored at `anchor`.
+  sim::SimTime NextScan(sim::SimTime anchor) const;
+
   sim::Simulation& sim_;
   EngineController& controller_;
   TaskManager& task_manager_;
@@ -87,6 +111,8 @@ class EngineSupervisor {
   obs::Observability* obs_ = nullptr;
   bool running_ = false;
   bool paused_ = false;
+  std::uint64_t generation_ = 0;  // bumped by Start()/Stop(); stale loops exit
+  std::uint64_t passes_ = 0;
 };
 
 }  // namespace swapserve::core

@@ -14,11 +14,15 @@ constexpr const char* kSwapLatency = "swapserve_swap_latency_seconds";
 void CountRequest(obs::Observability* obs, const std::string& model,
                   const char* outcome) {
   if (obs == nullptr) return;
-  obs->metrics
-      .GetCounter(kRequestsTotal, {{"model", model}, {"outcome", outcome}})
-      .Increment();
-  obs->metrics.SetHelp(kRequestsTotal,
-                       "Requests by model and terminal outcome");
+  obs::Counter& counter = obs->metrics.GetCounter(
+      kRequestsTotal, {{"model", model}, {"outcome", outcome}});
+  // A zero count means this call created the series (and maybe the
+  // family): attach the help text then, not on every request.
+  if (counter.value() == 0) {
+    obs->metrics.SetHelp(kRequestsTotal,
+                         "Requests by model and terminal outcome");
+  }
+  counter.Increment();
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/sync.h"
 #include "util/log.h"
 
 namespace swapserve::engine {
@@ -254,13 +255,18 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
   };
 }
 
+void InferenceEngine::EnterCrashed() {
+  state_ = BackendState::kCrashed;
+  if (crash_signal_ != nullptr) crash_signal_->Pulse();
+}
+
 void InferenceEngine::MarkCrashed(std::string_view reason) {
   if (state_ == BackendState::kCrashed) return;
   // The driver releases every device allocation of a dead process.
   Bytes freed(0);
   for (hw::GpuDevice* dev : Gpus()) freed += dev->FreeAllOwnedBy(name_);
   process_.ResetAfterCrash();
-  state_ = BackendState::kCrashed;
+  EnterCrashed();
   active_requests_ = 0;
   ++restart_epoch_;
   ++crash_count_;
@@ -286,7 +292,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     co_return Unavailable("restart: " + name_ + " crashed mid-restart");
   }
   if (!f.status.ok()) {
-    state_ = BackendState::kCrashed;
+    EnterCrashed();
     co_return f.status;
   }
   // A crash while swapped out leaves the cgroup frozen; thaw it so the
@@ -297,7 +303,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
       co_return Unavailable("restart: " + name_ + " crashed mid-restart");
     }
     if (!s.ok()) {
-      state_ = BackendState::kCrashed;
+      EnterCrashed();
       co_return s;
     }
   }
@@ -313,7 +319,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     // (e.g. weights landed, KV-arena allocation failed); release it so a
     // retry starts from a clean slate.
     for (hw::GpuDevice* dev : Gpus()) dev->FreeAllOwnedBy(name_);
-    state_ = BackendState::kCrashed;
+    EnterCrashed();
     co_return breakdown.status();
   }
   state_ = BackendState::kRunning;

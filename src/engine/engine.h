@@ -26,6 +26,10 @@
 #include "sim/task.h"
 #include "util/status.h"
 
+namespace swapserve::sim {
+class SimEvent;
+}  // namespace swapserve::sim
+
 namespace swapserve::engine {
 
 enum class EngineKind { kVllm, kOllama, kSglang, kTrtllm };
@@ -157,6 +161,11 @@ class InferenceEngine {
   sim::SimTime last_progress() const { return last_progress_; }
   std::uint64_t crash_count() const { return crash_count_; }
 
+  // Pulsed on every transition into kCrashed, including a failed Restart.
+  // The engine controller binds its signal when the backend is registered,
+  // so the supervisor can sleep until a crash gives it work (nullable).
+  void BindCrashSignal(sim::SimEvent* signal) { crash_signal_ = signal; }
+
   // Nullable. Fault points: "engine.crash" (Generate aborts and the
   // backend transitions to kCrashed), "engine.hang" (Generate stalls for
   // the rule's stall_s without making progress — the supervisor's hang
@@ -214,6 +223,9 @@ class InferenceEngine {
   const hw::GpuDevice& gpu() const { return *env_.gpu; }
   hw::StorageDevice& storage() { return *env_.storage; }
 
+  // The only writer of kCrashed: sets the state and pulses the signal.
+  void EnterCrashed();
+
   // Allocate `total` split evenly across the TP group (all-or-nothing:
   // rolls back partial shard allocations on failure).
   Status AllocateSharded(Bytes total, const std::string& purpose);
@@ -226,6 +238,7 @@ class InferenceEngine {
   container::Container* container_ = nullptr;  // owned by the runtime
   ckpt::CudaCheckpointProcess process_;
   fault::FaultInjector* fault_ = nullptr;
+  sim::SimEvent* crash_signal_ = nullptr;
 
   int active_requests_ = 0;
   std::uint64_t total_requests_ = 0;

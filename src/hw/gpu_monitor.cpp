@@ -15,6 +15,7 @@ GpuMonitor::GpuMonitor(sim::Simulation& sim, std::vector<GpuDevice*> gpus,
   busy_snapshot_.resize(n);
   snapshot_time_.assign(n, sim_.Now());
   last_utilization_.assign(n, 0.0);
+  util_gauges_.assign(n, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
     busy_snapshot_[i] = gpus_[i]->TotalBusy();
   }
@@ -39,8 +40,15 @@ sim::Task<> GpuMonitor::SampleLoop() {
       snapshot_time_[i] = sim_.Now();
       memory_series_[i].Record(now_s, gpu.used().AsGiB());
       util_series_[i].Record(now_s, util);
-      obs::SetGauge(obs_, "swapserve_gpu_utilization",
-                    {{"gpu", std::to_string(gpu.id())}}, util);
+      if (obs_ != nullptr) {
+        // Resolved on the first sample, so a run that never samples
+        // exports no series; registry instruments never move.
+        if (util_gauges_[i] == nullptr) {
+          util_gauges_[i] = &obs_->metrics.GetGauge(
+              "swapserve_gpu_utilization", {{"gpu", std::to_string(gpu.id())}});
+        }
+        util_gauges_[i]->Set(util);
+      }
     }
   }
 }

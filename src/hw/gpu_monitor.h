@@ -28,7 +28,10 @@ class GpuMonitor {
   void Stop() { running_ = false; }
 
   // Publish per-GPU utilization gauges each sample (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    util_gauges_.assign(gpus_.size(), nullptr);
+  }
 
   // Instantaneous queries used for scheduling decisions.
   Bytes FreeMemory(GpuId id) const;
@@ -60,6 +63,8 @@ class GpuMonitor {
   std::vector<sim::SimDuration> busy_snapshot_;
   std::vector<sim::SimTime> snapshot_time_;
   std::vector<double> last_utilization_;
+  // Per-GPU utilization gauge in obs_'s registry (null until first sample).
+  std::vector<obs::Gauge*> util_gauges_;
 };
 
 }  // namespace swapserve::hw
