@@ -5,7 +5,6 @@
 
 #include "ckpt/snapshot_tier.h"
 #include "sim/combinators.h"
-#include "sim/sync.h"
 #include "util/log.h"
 
 namespace swapserve::ckpt {
@@ -25,23 +24,18 @@ constexpr const char* kPhaseSeconds = "swapserve_ckpt_phase_seconds";
 }  // namespace
 
 sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
-    SwapOutRequest req, SwapOutPipeline pipeline) {
+    SwapOutRequest req) {
   SWAP_CHECK(req.container != nullptr && req.process != nullptr);
   std::vector<hw::GpuDevice*> gpus = req.gpus;
   if (gpus.empty()) {
     SWAP_CHECK(req.gpu != nullptr);
     gpus.push_back(req.gpu);
   }
-  const bool pipelined = pipeline.chunk_bytes.count() > 0;
   const sim::SimTime start = sim_.Now();
   obs::Span swap_span =
       obs::StartSpan(obs_, "ckpt.swap_out", "ckpt", req.owner);
   swap_span.AddArg("dirty_bytes", std::to_string(req.dirty_bytes.count()));
   swap_span.AddArg("clean_bytes", std::to_string(req.clean_bytes.count()));
-  if (pipelined) {
-    swap_span.AddArg("chunk_bytes",
-                     std::to_string(pipeline.chunk_bytes.count()));
-  }
 
   // Injected checkpoint failure fires before the freeze, so the backend is
   // still running and the caller's rollback is a pure state unwind.
@@ -97,60 +91,25 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
     co_return put.status();
   }
   if (tier_ != nullptr) tier_->OnPut(*put);
-  // Commit point: nothing below can fail.
-  if (pipeline.on_staged) pipeline.on_staged();
 
-  Bytes freed(0);
-  auto free_partial = [&](std::size_t rank, Bytes bytes) {
-    const Bytes f = gpus[rank]->FreePartialOwnedBy(req.owner, bytes);
-    freed += f;
-    if (f.count() > 0 && pipeline.on_freed) {
-      pipeline.on_freed(gpus[rank]->id(), f);
-    }
-  };
-  if (pipelined) {
-    // Clean pages hold no meaningful contents; release them before the D2H
-    // drain so an overlapped restore can claim the space immediately.
-    obs::Span phase =
-        obs::StartSpan(obs_, "release_clean", "ckpt", req.owner);
-    for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
-      free_partial(rank, Shard(req.clean_bytes, gpus.size(), rank));
-    }
-    phase.AddArg("freed_bytes", std::to_string(freed.count()));
-  }
-
-  sim::SimTime d2h_start = sim_.Now();
-  sim::SimTime d2h_end = d2h_start;
   {
     obs::Span phase = obs::StartSpan(obs_, "d2h", "ckpt", req.owner);
     const sim::SimTime phase_start = sim_.Now();
     co_await sim_.Delay(req.checkpoint.fixed);
-    d2h_start = sim_.Now();
     if (req.dirty_bytes.count() > 0) {
-      // Chunk-freed bytes per rank, so each on_chunk callback can release
-      // exactly the delta that just landed in host RAM.
-      std::vector<Bytes> drained(gpus.size(), Bytes(0));
       std::vector<sim::Task<>> drains;
       for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
         const Bytes shard = Shard(req.dirty_bytes, gpus.size(), rank);
         if (shard.count() == 0) continue;
         hw::TransferOptions opts;
-        opts.chunk_bytes = pipeline.chunk_bytes;
-        opts.priority = pipeline.priority;
+        opts.priority = hw::TransferPriority::kBackground;
         opts.bandwidth = req.checkpoint.d2h_bw;
         opts.setup = sim::SimDuration(0);  // CheckpointModel carries fixed
-        if (pipelined) {
-          opts.on_chunk = [&, rank](Bytes done, Bytes /*total*/) {
-            free_partial(rank, done - drained[rank]);
-            drained[rank] = done;
-          };
-        }
         drains.push_back(
             gpus[rank]->pcie().d2h().TransferChunked(shard, opts));
       }
       co_await sim::WhenAll(sim_, std::move(drains));
     }
-    d2h_end = sim_.Now();
     obs::Observe(obs_, kPhaseSeconds, {{"phase", "d2h"}},
                  (sim_.Now() - phase_start).ToSeconds());
   }
@@ -163,40 +122,30 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
                           " aborted: process crashed mid-checkpoint");
   }
 
-  // 4. Whatever the pipeline has not already released (everything, in the
-  //    serial case) is freed by the driver on every group member.
+  // 4. The driver frees the backend's memory on every group member.
+  Bytes freed(0);
   {
     obs::Span phase = obs::StartSpan(obs_, "release", "ckpt", req.owner);
-    for (hw::GpuDevice* gpu : gpus) {
-      const Bytes f = gpu->FreeAllOwnedBy(req.owner);
-      freed += f;
-      if (f.count() > 0 && pipeline.on_freed) {
-        pipeline.on_freed(gpu->id(), f);
-      }
-    }
+    for (hw::GpuDevice* gpu : gpus) freed += gpu->FreeAllOwnedBy(req.owner);
     phase.AddArg("freed_bytes", std::to_string(freed.count()));
   }
 
   SWAP_LOG(kDebug, "ckpt") << "swap-out " << req.owner << ": freed "
                            << freed.ToString() << " across " << gpus.size()
                            << " GPU(s), snapshot "
-                           << req.dirty_bytes.ToString() << " dirty"
-                           << (pipelined ? " (pipelined)" : "");
+                           << req.dirty_bytes.ToString() << " dirty";
   ++swap_outs_;
   co_return SwapOutResult{
       .snapshot = *put,
       .gpu_freed = freed,
       .elapsed = sim_.Now() - start,
-      .d2h_start = d2h_start,
-      .d2h_end = d2h_end,
   };
 }
 
 // swaplint-ok(coro-ref-param): container/process outlive the frame
 sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     SnapshotId snapshot_id, container::Container& container,
-    CudaCheckpointProcess& process, std::vector<hw::GpuDevice*> gpus,
-    SwapInPipeline pipeline) {
+    CudaCheckpointProcess& process, std::vector<hw::GpuDevice*> gpus) {
   SWAP_CHECK_MSG(!gpus.empty(), "swap-in needs at least one GPU");
   const sim::SimTime start = sim_.Now();
   SWAP_CO_ASSIGN_OR_RETURN(Snapshot snap, store_.Get(snapshot_id));
@@ -241,166 +190,62 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     if (tier_ != nullptr) tier_->Unpin(snapshot_id);
     return status;
   };
-  const bool pipelined = pipeline.chunk_bytes.count() > 0;
   obs::Span swap_span =
       obs::StartSpan(obs_, "ckpt.swap_in", "ckpt", snap.owner);
   swap_span.AddArg("dirty_bytes", std::to_string(snap.dirty_bytes.count()));
   swap_span.AddArg("clean_bytes", std::to_string(snap.clean_bytes.count()));
-  if (pipelined) {
-    swap_span.AddArg("chunk_bytes",
-                     std::to_string(pipeline.chunk_bytes.count()));
-  }
 
   const Bytes total = snap.clean_bytes + snap.dirty_bytes;
-  std::vector<std::pair<hw::GpuDevice*, hw::AllocationId>> allocs;
-  sim::SimTime h2d_start = sim_.Now();
-  sim::SimTime h2d_end = h2d_start;
-  sim::SimDuration stall{};
 
-  if (!pipelined) {
-    // 1. Re-acquire device memory on every group member. The task
-    //    manager's reservations should make this infallible; a failure is
-    //    a scheduling bug surfaced as a hard error (with rollback).
-    {
-      obs::Span phase = obs::StartSpan(obs_, "reserve", "ckpt", snap.owner);
-      phase.AddArg("bytes", std::to_string(total.count()));
-      for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
-        Result<hw::AllocationId> alloc = gpus[rank]->Allocate(
-            snap.owner, Shard(total, gpus.size(), rank), "restored-state");
-        if (!alloc.ok()) {
-          for (auto& [dev, id] : allocs) SWAP_CHECK(dev->Free(id).ok());
-          co_return fail(alloc.status());
-        }
-        allocs.push_back({gpus[rank], *alloc});
-      }
-    }
-
-    // 2. Copy dirty shards back over each member's H2D link, then remap
-    //    clean reservations, in parallel across the group; timing comes
-    //    from the per-engine restore model captured at checkpoint time.
-    //    The copy and remap terms of RestoreModel are paced as separate
-    //    phases so the trace attributes the wait; the fixed term (CUDA
-    //    context restore + API health check) is paid once, at unlock.
-    {
-      obs::Span phase = obs::StartSpan(obs_, "h2d", "ckpt", snap.owner);
-      phase.AddArg("bytes", std::to_string(snap.dirty_bytes.count()));
-      h2d_start = sim_.Now();
-      if (snap.dirty_bytes.count() > 0) {
-        std::vector<sim::Task<>> copies;
-        for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
-          const Bytes shard = Shard(snap.dirty_bytes, gpus.size(), rank);
-          if (shard.count() == 0) continue;
-          hw::TransferOptions opts;
-          opts.bandwidth = snap.restore.copy_bw;
-          opts.setup = sim::SimDuration(0);  // RestoreModel carries fixed
-          copies.push_back(
-              gpus[rank]->pcie().h2d().TransferChunked(shard, opts));
-        }
-        co_await sim::WhenAll(sim_, std::move(copies));
-      }
-      h2d_end = sim_.Now();
-      obs::Observe(obs_, kPhaseSeconds, {{"phase", "h2d"}},
-                   (sim_.Now() - h2d_start).ToSeconds());
-    }
-    {
-      obs::Span phase = obs::StartSpan(obs_, "remap", "ckpt", snap.owner);
-      phase.AddArg("bytes", std::to_string(snap.clean_bytes.count()));
-      co_await sim_.Delay(sim::Seconds(snap.restore.remap_bw.SecondsFor(
-          Shard(snap.clean_bytes, gpus.size(), 0))));
-    }
-  } else {
-    // Pipelined restore: per rank, the dirty H2D copy and the clean remap
-    // advance as concurrent streams (the DMA engine and the driver's page
-    // tables are independent resources), each acquiring device memory
-    // chunk-by-chunk through the pipeline's gate. Against a concurrent
-    // chunked eviction this starts as soon as the freed-bytes watermark
-    // covers one chunk.
-    obs::Span phase =
-        obs::StartSpan(obs_, "restore_pipeline", "ckpt", snap.owner);
+  // 1. Re-acquire device memory on every group member. The task
+  //    manager's reservations should make this infallible; a failure is
+  //    a scheduling bug surfaced as a hard error (with rollback).
+  {
+    std::vector<std::pair<hw::GpuDevice*, hw::AllocationId>> allocs;
+    obs::Span phase = obs::StartSpan(obs_, "reserve", "ckpt", snap.owner);
     phase.AddArg("bytes", std::to_string(total.count()));
-    Status failure = Status::Ok();
-    bool aborted = false;
-    bool h2d_started = false;
-    sim::SimEvent streams_done(sim_);
-    std::size_t remaining = 0;
     for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
-      for (const bool dirty_stream : {true, false}) {
-        const Bytes shard =
-            Shard(dirty_stream ? snap.dirty_bytes : snap.clean_bytes,
-                  gpus.size(), rank);
-        if (shard.count() == 0) continue;
-        ++remaining;
-        // Captures reference this frame, which blocks on streams_done
-        // below; Spawn keeps the closure alive in the driver frame.
-        // swaplint-ok(spawn-ref-capture): frame blocks on streams_done
-        sim::Spawn([&, rank, dirty_stream, shard]() -> sim::Task<> {
-          hw::GpuDevice* dev = gpus[rank];
-          Bytes done(0);
-          while (done < shard && !aborted) {
-            const Bytes chunk = std::min(pipeline.chunk_bytes, shard - done);
-            {
-              // Mid-pipeline chunk failure: exercises the rollback below
-              // (all chunk allocations freed, snapshot retained).
-              fault::FaultDecision f =
-                  fault::Evaluate(fault_, "ckpt.chunk", snap.owner);
-              if (f.stall.ns() > 0) co_await sim_.Delay(f.stall);
-              if (!f.status.ok()) {
-                failure = f.status;
-                aborted = true;
-                break;
-              }
-            }
-            if (pipeline.acquire) {
-              const sim::SimTime gate_start = sim_.Now();
-              Status s = co_await pipeline.acquire(dev->id(), chunk);
-              if (!s.ok()) {
-                failure = s;
-                aborted = true;
-                break;
-              }
-              stall += sim_.Now() - gate_start;
-            }
-            Result<hw::AllocationId> alloc =
-                dev->Allocate(snap.owner, chunk, "restored-state");
-            if (pipeline.release) pipeline.release(dev->id(), chunk);
-            if (!alloc.ok()) {
-              failure = alloc.status();
-              aborted = true;
-              break;
-            }
-            allocs.push_back({dev, *alloc});
-            if (dirty_stream) {
-              if (!h2d_started) {
-                h2d_started = true;
-                h2d_start = sim_.Now();
-              }
-              hw::TransferOptions opts;
-              opts.priority = pipeline.priority;
-              opts.bandwidth = snap.restore.copy_bw;
-              opts.setup = sim::SimDuration(0);
-              co_await dev->pcie().h2d().TransferChunked(chunk, opts);
-              h2d_end = sim_.Now();
-            } else {
-              co_await sim_.Delay(
-                  sim::Seconds(snap.restore.remap_bw.SecondsFor(chunk)));
-            }
-            done += chunk;
-          }
-          if (--remaining == 0) streams_done.Set();
-        });
+      Result<hw::AllocationId> alloc = gpus[rank]->Allocate(
+          snap.owner, Shard(total, gpus.size(), rank), "restored-state");
+      if (!alloc.ok()) {
+        for (auto& [dev, id] : allocs) SWAP_CHECK(dev->Free(id).ok());
+        co_return fail(alloc.status());
       }
+      allocs.push_back({gpus[rank], *alloc});
     }
-    if (remaining == 0) streams_done.Set();
-    co_await streams_done.Wait();
-    phase.AddArg("status", failure.ok() ? "ok" : "failed");
-    obs::Observe(obs_, kPhaseSeconds, {{"phase", "restore_pipeline"}},
-                 (sim_.Now() - start).ToSeconds());
-    if (!failure.ok()) {
-      // Roll back every chunk allocation; the snapshot is retained and the
-      // container/process stay checkpointed, so the caller can retry.
-      for (auto& [dev, id] : allocs) SWAP_CHECK(dev->Free(id).ok());
-      co_return fail(failure);
+  }
+
+  // 2. Copy dirty shards back over each member's H2D link, then remap
+  //    clean reservations, in parallel across the group; timing comes
+  //    from the per-engine restore model captured at checkpoint time.
+  //    The copy and remap terms of RestoreModel are paced as separate
+  //    phases so the trace attributes the wait; the fixed term (CUDA
+  //    context restore + API health check) is paid once, at unlock.
+  {
+    obs::Span phase = obs::StartSpan(obs_, "h2d", "ckpt", snap.owner);
+    phase.AddArg("bytes", std::to_string(snap.dirty_bytes.count()));
+    const sim::SimTime h2d_start = sim_.Now();
+    if (snap.dirty_bytes.count() > 0) {
+      std::vector<sim::Task<>> copies;
+      for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
+        const Bytes shard = Shard(snap.dirty_bytes, gpus.size(), rank);
+        if (shard.count() == 0) continue;
+        hw::TransferOptions opts;
+        opts.bandwidth = snap.restore.copy_bw;
+        opts.setup = sim::SimDuration(0);  // RestoreModel carries fixed
+        copies.push_back(
+            gpus[rank]->pcie().h2d().TransferChunked(shard, opts));
+      }
+      co_await sim::WhenAll(sim_, std::move(copies));
     }
+    obs::Observe(obs_, kPhaseSeconds, {{"phase", "h2d"}},
+                 (sim_.Now() - h2d_start).ToSeconds());
+  }
+  {
+    obs::Span phase = obs::StartSpan(obs_, "remap", "ckpt", snap.owner);
+    phase.AddArg("bytes", std::to_string(snap.clean_bytes.count()));
+    co_await sim_.Delay(sim::Seconds(snap.restore.remap_bw.SecondsFor(
+        Shard(snap.clean_bytes, gpus.size(), 0))));
   }
 
   Status s = process.MarkRestored();
@@ -428,15 +273,9 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
 
   SWAP_LOG(kDebug, "ckpt") << "swap-in " << snap.owner << ": restored "
                            << total.ToString() << " across " << gpus.size()
-                           << " GPU(s)"
-                           << (pipelined ? " (pipelined)" : "");
+                           << " GPU(s)";
   ++swap_ins_;
-  co_return SwapInResult{
-      .elapsed = sim_.Now() - start,
-      .h2d_start = h2d_start,
-      .h2d_end = h2d_end,
-      .stall = stall,
-  };
+  co_return SwapInResult{.elapsed = sim_.Now() - start};
 }
 
 Status CheckpointEngine::DropSnapshot(SnapshotId id) {

@@ -47,57 +47,14 @@ struct SwapOutRequest {
   model::RestoreModel restore;
 };
 
-// Pipelined swap-out: chunk the D2H drain and release device memory as each
-// chunk lands in host RAM, instead of holding everything until the drain
-// completes. chunk_bytes == 0 keeps today's serial semantics (identical
-// timing; memory released at the end).
-struct SwapOutPipeline {
-  Bytes chunk_bytes{0};
-  hw::TransferPriority priority = hw::TransferPriority::kBackground;
-  // Fired at the commit point (snapshot staged; no failure possible past
-  // it) — a combined swap-over may start the incoming side here.
-  std::function<void()> on_staged;
-  // Freed-bytes watermark: invoked with (gpu, bytes) each time device
-  // memory is released, including the up-front clean pages and the final
-  // remainder. Cumulative frees are monotone.
-  std::function<void(hw::GpuId, Bytes)> on_freed;
-};
-
-// Pipelined swap-in: re-acquire device memory chunk-by-chunk, so a restore
-// can begin as soon as a concurrent eviction's watermark covers its first
-// chunk. The dirty H2D copy and the clean remap advance as concurrent
-// streams per rank (independent hardware resources: the DMA engine vs the
-// driver's page tables). chunk_bytes == 0 keeps the serial path: one
-// up-front allocation per rank, sequential copy-then-remap, identical
-// totals.
-struct SwapInPipeline {
-  Bytes chunk_bytes{0};
-  hw::TransferPriority priority = hw::TransferPriority::kUrgent;
-  // Memory gate, called before each chunk's device allocation; typically
-  // awaits a task-manager reservation. The matching `release` is called
-  // immediately after the allocation (same event, no suspension between),
-  // letting the caller hand the reserved bytes over without a window in
-  // which another reservation could claim them.
-  std::function<sim::Task<Status>(hw::GpuId, Bytes)> acquire;
-  std::function<void(hw::GpuId, Bytes)> release;
-};
-
 struct SwapOutResult {
   SnapshotId snapshot = 0;
   Bytes gpu_freed{0};
   sim::SimDuration elapsed;
-  // Window in which dirty bytes moved device->host (for overlap metrics).
-  sim::SimTime d2h_start;
-  sim::SimTime d2h_end;
 };
 
 struct SwapInResult {
   sim::SimDuration elapsed;
-  // Window in which dirty bytes moved host->device.
-  sim::SimTime h2d_start;
-  sim::SimTime h2d_end;
-  // Time restore chunks spent blocked on the memory gate (pipeline stall).
-  sim::SimDuration stall;
 };
 
 class CheckpointEngine {
@@ -107,23 +64,20 @@ class CheckpointEngine {
 
   // Suspend the backend and free its GPU memory. On failure the container
   // and process are rolled back to running. Shards drain over each group
-  // member's D2H link concurrently; with a pipeline, device memory is
-  // released chunk-by-chunk as the drain progresses.
-  sim::Task<Result<SwapOutResult>> SwapOut(SwapOutRequest req,
-                                           SwapOutPipeline pipeline = {});
+  // member's D2H link concurrently, at background priority; device memory
+  // is released once the drain completes.
+  sim::Task<Result<SwapOutResult>> SwapOut(SwapOutRequest req);
 
   // Resume a backend from its snapshot. GPU memory for clean+dirty bytes
   // must fit across the device group; the caller (task manager)
-  // guarantees this via reservations — or, with a pipeline, grants it
-  // chunk-by-chunk through the acquire gate — but the engine still fails
-  // loudly if the invariant is violated.
+  // guarantees this via reservations, but the engine still fails loudly if
+  // the invariant is violated.
   // container/process are owned by the task manager's ModelTask, which
   // outlives the swap-in frame by construction.
   // swaplint-ok(coro-ref-param): container/process outlive the frame
   sim::Task<Result<SwapInResult>> SwapIn(
       SnapshotId snapshot_id, container::Container& container,
-      CudaCheckpointProcess& process, std::vector<hw::GpuDevice*> gpus,
-      SwapInPipeline pipeline = {});
+      CudaCheckpointProcess& process, std::vector<hw::GpuDevice*> gpus);
 
   // Retire a snapshot, keeping the tier manager's placement ledger in sync
   // (NVMe capacity release, deferred retire of mid-move entries). All drops
@@ -149,8 +103,7 @@ class CheckpointEngine {
 
   // Nullable. Fault points: "ckpt.swap_out" (before the freeze; container
   // and process stay running), "ckpt.swap_in" (after the snapshot lookup;
-  // snapshot retained, so the failure is retryable), "ckpt.chunk" (inside
-  // the pipelined restore's chunk loop; drives the rollback path).
+  // snapshot retained, so the failure is retryable).
   void BindFaultInjector(fault::FaultInjector* injector) {
     fault_ = injector;
   }

@@ -15,6 +15,16 @@ Result<Config> Config::FromJson(const json::Value& doc) {
     if (!global->is_object()) {
       return InvalidArgument("config: \"global\" must be an object");
     }
+    // Removed keys fail loudly rather than being silently ignored: a config
+    // written for the pipelined swap path must not run serial unnoticed.
+    for (const char* removed : {"pipelined_swap", "swap_chunk_mib"}) {
+      if (global->Find(removed) != nullptr) {
+        return InvalidArgument(
+            std::string("config: global.") + removed +
+            " was removed; hot-swaps always use the serial "
+            "checkpoint/restore path");
+      }
+    }
     cfg.global.response_timeout_s =
         global->GetDouble("response_timeout_s", cfg.global.response_timeout_s);
     cfg.global.kv_cache_type =
@@ -29,10 +39,6 @@ Result<Config> Config::FromJson(const json::Value& doc) {
         global->GetDouble("monitor_interval_s", cfg.global.monitor_interval_s);
     cfg.global.idle_swap_out_s =
         global->GetDouble("idle_swap_out_s", cfg.global.idle_swap_out_s);
-    cfg.global.pipelined_swap =
-        global->GetBool("pipelined_swap", cfg.global.pipelined_swap);
-    cfg.global.swap_chunk_mib =
-        global->GetDouble("swap_chunk_mib", cfg.global.swap_chunk_mib);
     cfg.global.host_cache_mib =
         global->GetDouble("host_cache_mib", cfg.global.host_cache_mib);
     cfg.global.snapshot_prefetch =
@@ -223,9 +229,6 @@ Status Config::Validate(const model::ModelCatalog& catalog,
   }
   if (global.idle_swap_out_s < 0) {
     return InvalidArgument("config: idle_swap_out_s must be >= 0");
-  }
-  if (global.swap_chunk_mib <= 0) {
-    return InvalidArgument("config: swap_chunk_mib must be positive");
   }
   if (global.host_cache_mib < 0) {
     return InvalidArgument("config: host_cache_mib must be >= 0");

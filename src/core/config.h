@@ -63,12 +63,6 @@ struct GlobalConfig {
   // Proactively swap out backends idle for this long (0 = disabled; the
   // paper's workflow swaps out only under memory pressure).
   double idle_swap_out_s = 0.0;
-  // Chunked, overlapped swap transfers: evictions release device memory as
-  // dirty pages land in host RAM and restores stream back concurrently on
-  // the duplex PCIe links. Off by default — the serial path matches the
-  // paper's calibrated single-swap timings exactly.
-  bool pipelined_swap = false;
-  double swap_chunk_mib = 512.0;  // pipeline chunk size
   // Bounded host-RAM snapshot cache in front of the NVMe tier. 0 (the
   // default) keeps every snapshot host-resident — no tier manager is
   // constructed, schedules are byte-identical to earlier builds. When set,

@@ -12,8 +12,6 @@
 
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -33,28 +31,6 @@ enum class PreemptionPolicy {
 };
 
 std::string_view PreemptionPolicyName(PreemptionPolicy p);
-
-// Pipelined (chunked) swap configuration. When enabled, swap-outs release
-// device memory chunk-by-chunk as the D2H drain progresses, swap-ins
-// acquire it chunk-by-chunk, and SwapOver() overlaps the two directions on
-// each GPU's duplex link.
-struct SwapPipelineConfig {
-  bool enabled = false;
-  Bytes chunk_bytes = MiB(512);
-};
-
-// What a combined swap-over achieved (for benches and the swap metrics).
-struct SwapOverResult {
-  // Swap-out start -> incoming model ready to serve (the model-switch
-  // latency; the outgoing side's final bookkeeping may finish later).
-  sim::SimDuration elapsed;
-  // Swap-out start -> outgoing side fully checkpointed.
-  sim::SimDuration out_elapsed;
-  // Window in which the eviction D2H and the restore H2D both moved bytes.
-  sim::SimDuration overlap;
-  // Time restore chunks spent blocked waiting for freed memory.
-  sim::SimDuration stall;
-};
 
 class EngineController final : public TaskManager::ReclaimDelegate {
  public:
@@ -85,28 +61,6 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   // swaplint-ok(coro-ref-param): backend outlives the frame (registered)
   sim::Task<Status> SwapIn(Backend& backend);
 
-  // Restore a swapped-out backend chunk-by-chunk, reserving each chunk
-  // through the task manager as it goes (no up-front reservation). Fails
-  // with RESOURCE_EXHAUSTED when memory cannot be found mid-pipeline; the
-  // caller falls back to the serial reserve-then-SwapIn path. Requires
-  // pipelining to be enabled. The caller must have set
-  // backend.swap_in_progress before calling (as with SwapIn via the
-  // scheduler) and clears it afterwards.
-  // swaplint-ok(coro-ref-param): backend outlives the frame (registered)
-  sim::Task<Status> PipelinedSwapIn(Backend& backend);
-
-  // Combined hot-swap: evict `out` and restore `in` with the eviction's
-  // D2H drain overlapped against the restore's H2D stream. The incoming
-  // side starts as soon as the outgoing side passes its commit point and
-  // the freed-bytes watermark covers its first chunk. Rolls back cleanly
-  // when either side fails before the commit point. `out` must be running,
-  // `in` swapped out with a snapshot. Requires pipelining to be enabled.
-  // swaplint-ok(coro-ref-param): backends outlive the frame (registered)
-  sim::Task<Result<SwapOverResult>> SwapOver(Backend& out, Backend& in);
-
-  void set_swap_pipeline(SwapPipelineConfig config) { pipeline_ = config; }
-  const SwapPipelineConfig& swap_pipeline() const { return pipeline_; }
-
   // TaskManager::ReclaimDelegate — evict candidates until `needed` bytes
   // are free on `gpu` or no candidates remain; returns bytes freed.
   sim::Task<Bytes> ReclaimMemory(hw::GpuId gpu, Bytes needed,
@@ -131,18 +85,6 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   // swaplint-ok(coro-ref-param): backend outlives the frame (registered)
   sim::Task<Status> ColdRestoreFallback(Backend& backend, Status cause);
 
-  // Pipelined swap-out body shared by SwapOut and SwapOver: announces the
-  // backend's per-GPU footprint to the task manager, runs the checkpoint
-  // with a chunked pipeline crediting frees against the announcement, and
-  // withdraws whatever was not freed. The caller holds the exclusive lock.
-  sim::Task<Result<ckpt::SwapOutResult>> RunPipelinedSwapOut(
-      ckpt::SwapOutRequest req, std::function<void()> on_staged);
-
-  // Chunk-gated SwapInPipeline bound to the task manager; `held` keeps the
-  // per-GPU reservations alive until the caller drops it.
-  ckpt::SwapInPipeline MakeGatedSwapInPipeline(
-      std::map<hw::GpuId, std::vector<TaskManager::Reservation>>& held);
-
   obs::Observability* obs_ = nullptr;
   sim::Simulation& sim_;
   ckpt::CheckpointEngine& ckpt_;
@@ -152,7 +94,6 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   sim::Rng rng_;
   std::vector<Backend*> backends_;
   sim::SimEvent crash_signal_{sim_};
-  SwapPipelineConfig pipeline_;
 };
 
 }  // namespace swapserve::core

@@ -95,18 +95,6 @@ void Metrics::RecordSwapIn(const std::string& model, double latency_s) {
                latency_s);
 }
 
-void Metrics::RecordSwapOver(const std::string& out_model,
-                             const std::string& in_model, double latency_s,
-                             double overlap_s) {
-  ++swap_overs;
-  swap_over_latency_s.Add(latency_s);
-  swap_overlap_s.Add(overlap_s);
-  obs::IncCounter(obs_, "swapserve_swap_overs_total",
-                  {{"out", out_model}, {"in", in_model}});
-  obs::Observe(obs_, kSwapLatency,
-               {{"direction", "over"}, {"model", in_model}}, latency_s);
-}
-
 void Metrics::RecordPrefetch(const std::string& model) {
   ++prefetches;
   obs::IncCounter(obs_, "swapserve_prefetches_total", {{"model", model}});

@@ -62,12 +62,6 @@ class Metrics {
   void RecordSwapOut(const std::string& model, double latency_s,
                      bool preemption);
   void RecordSwapIn(const std::string& model, double latency_s);
-  // Combined pipelined swap-over (eviction D2H overlapped with restore
-  // H2D). `latency_s` is swap-out start -> incoming model ready;
-  // `overlap_s` is the window both directions were moving bytes.
-  void RecordSwapOver(const std::string& out_model,
-                      const std::string& in_model, double latency_s,
-                      double overlap_s);
 
   // --- snapshot tier (from the prefetcher) -------------------------------
   // A demand-triggered NVMe->host promotion was issued for `model`.
@@ -87,12 +81,10 @@ class Metrics {
   std::uint64_t swap_ins = 0;
   std::uint64_t swap_outs = 0;
   std::uint64_t preemptions = 0;  // swap-outs forced by memory pressure
-  std::uint64_t swap_overs = 0;
+  std::uint64_t swap_overs = 0;  // always 0: swaps are serial
   std::uint64_t prefetches = 0;  // demand-triggered snapshot promotions
   Samples swap_in_latency_s;
   Samples swap_out_latency_s;
-  Samples swap_over_latency_s;
-  Samples swap_overlap_s;
 
   // Self-healing counters (all zero in fault-free runs).
   std::uint64_t swap_retries = 0;

@@ -128,50 +128,6 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
     // the whole reservation + eviction window.
     if (prefetch_hook_) prefetch_hook_(backend);
 
-    if (pipelined_) {
-      // Chunk-gated restore: memory is reserved chunk-by-chunk as the
-      // pipeline advances, so the restore overlaps any in-flight eviction.
-      // On RESOURCE_EXHAUSTED fall through to the serial path, whose
-      // all-up-front reservation carries the anti-livelock guarantee.
-      Status status = co_await controller_.PipelinedSwapIn(backend);
-      if (status.ok()) {
-        sim::SimRwLock::SharedGuard pin =
-            co_await backend.lock.AcquireShared();
-        backend.swap_in_progress = false;
-        backend.swap_done.Set();
-        if (backend.engine->state() != engine::BackendState::kRunning) {
-          pin.Release();
-          continue;
-        }
-        record_success();
-        pin.DetachAgent();  // escapes this frame
-        co_return pin;
-      }
-      if (status.code() != StatusCode::kResourceExhausted) {
-        backend.swap_in_progress = false;
-        backend.swap_done.Set();
-        ++failures;
-        if (retry_policy_.ShouldRetry(status, failures)) {
-          if (metrics_ != nullptr) metrics_->RecordSwapRetry(backend.name());
-          const sim::SimDuration backoff =
-              retry_policy_.BackoffBefore(failures, rng_);
-          SWAP_LOG(kWarning, "scheduler")
-              << "pipelined swap-in of " << backend.name() << " failed ("
-              << failures << "/" << retry_policy_.max_attempts
-              << "): " << status << "; retrying in " << backoff.ToString();
-          co_await sim_.Delay(backoff);
-          continue;
-        }
-        record_exhausted(status);
-        record_failure();
-        co_return status;
-      }
-      SWAP_LOG(kWarning, "scheduler")
-          << "pipelined swap-in of " << backend.name()
-          << " ran out of memory mid-stream; falling back to serial: "
-          << status;
-    }
-
     // §3.4/§6: reserve the GPU memory saved at swap-out — one scoped
     // reservation per device in the tensor-parallel group, acquired in
     // ascending device order so overlapping groups cannot deadlock.

@@ -44,11 +44,6 @@ class Scheduler {
   // Emit placement spans + reservation-wait histograms (nullable).
   void BindObservability(obs::Observability* obs) { obs_ = obs; }
 
-  // When enabled, swap-ins first try the controller's chunk-gated pipeline
-  // (no up-front reservation) and fall back to the serial
-  // reserve-then-swap-in path on RESOURCE_EXHAUSTED.
-  void ConfigurePipeline(bool enabled) { pipelined_ = enabled; }
-
   // Bounded retries with jittered backoff around reservation + swap-in
   // failures. The rng is only drawn from on a failed attempt, so fault-free
   // schedules are unaffected by the seed.
@@ -74,7 +69,6 @@ class Scheduler {
   sim::Simulation& sim_;
   TaskManager& task_manager_;
   EngineController& controller_;
-  bool pipelined_ = false;
   std::function<void(Backend&)> prefetch_hook_;
   fault::RetryPolicy retry_policy_;
   sim::Rng rng_{0x5eedu};

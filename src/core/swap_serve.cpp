@@ -52,10 +52,6 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
           .ok(),
       "SwapServe constructed with invalid config; call Config::Validate");
   task_manager_.set_delegate(&controller_);
-  controller_.set_swap_pipeline(
-      {.enabled = config_.global.pipelined_swap,
-       .chunk_bytes = MiB(config_.global.swap_chunk_mib)});
-  scheduler_.ConfigurePipeline(config_.global.pipelined_swap);
   scheduler_.ConfigureRecovery(MakeRetryPolicy(config_.recovery),
                                DeriveSeed(config_.fault.seed, "scheduler"));
   scheduler_.BindMetrics(&metrics_);

@@ -78,32 +78,6 @@ void TaskManager::ReleaseReservation(hw::GpuId gpu, Bytes bytes) {
   Pump(gpu);
 }
 
-void TaskManager::AnnouncePendingRelease(hw::GpuId gpu, Bytes bytes) {
-  SWAP_CHECK_MSG(bytes.count() >= 0, "negative pending release");
-  Queue(gpu).pending_release += bytes;
-  PublishGauges(gpu);
-}
-
-void TaskManager::WithdrawPendingRelease(hw::GpuId gpu, Bytes bytes) {
-  GpuQueue& q = Queue(gpu);
-  SWAP_CHECK_MSG(q.pending_release >= bytes, "pending-release over-withdraw");
-  q.pending_release -= bytes;
-  PublishGauges(gpu);
-  // The promise shrank; a waiting head may now need to fail instead.
-  Pump(gpu);
-}
-
-void TaskManager::NotifyMemoryReleased(hw::GpuId gpu, Bytes released) {
-  GpuQueue& q = Queue(gpu);
-  q.pending_release -= std::min(q.pending_release, released);
-  PublishGauges(gpu);
-  Pump(gpu);
-}
-
-Bytes TaskManager::PendingRelease(hw::GpuId gpu) const {
-  return Queue(gpu).pending_release;
-}
-
 void TaskManager::PublishGauges(hw::GpuId gpu) {
   if (obs_ == nullptr) return;
   const GpuQueue& q = Queue(gpu);
@@ -112,8 +86,6 @@ void TaskManager::PublishGauges(hw::GpuId gpu) {
                 static_cast<double>(q.outstanding.count()));
   obs::SetGauge(obs_, "swapserve_reservation_queue_depth", labels,
                 static_cast<double>(q.waiters.size()));
-  obs::SetGauge(obs_, "swapserve_gpu_pending_release_bytes", labels,
-                static_cast<double>(q.pending_release.count()));
 }
 
 void TaskManager::Pump(hw::GpuId gpu) {
@@ -173,14 +145,12 @@ sim::Task<> TaskManager::ReclaimForHead(hw::GpuId gpu) {
     Pump(gpu);
     co_return;
   }
-  if (q.outstanding.count() > 0 || q.pending_release.count() > 0) {
-    // Other reservations are still in flight, or a pipelined swap-out has
-    // promised bytes that have not landed yet; their release can unblock
-    // the head. Pump() re-runs on every release/withdraw.
+  if (q.outstanding.count() > 0) {
+    // Other reservations are still in flight; their release can unblock
+    // the head. Pump() re-runs on every release.
     SWAP_LOG(kDebug, "task-manager")
         << "head reservation for " << head->owner << " waits on "
-        << q.outstanding.ToString() << " outstanding + "
-        << q.pending_release.ToString() << " pending release";
+        << q.outstanding.ToString() << " outstanding";
     co_return;
   }
   // Nothing reclaimable, nothing outstanding: the request can never be

@@ -7,8 +7,8 @@
 //    a younger one, even if the younger one would fit (no starvation);
 //  * when the head cannot be satisfied, the demand-aware reclaim delegate
 //    (engine controller) is invoked to swap out victims; if nothing can be
-//    reclaimed and no release is pending, the head fails rather than
-//    deadlocking the queue.
+//    reclaimed and no reservation is outstanding, the head fails rather
+//    than deadlocking the queue.
 
 #pragma once
 
@@ -103,18 +103,6 @@ class TaskManager {
   // controller calls this after a swap-out frees device memory).
   void NotifyMemoryReleased(hw::GpuId gpu) { Pump(gpu); }
 
-  // --- pipelined-release watermark --------------------------------------
-  // A pipelined swap-out announces up front how many bytes it will free on
-  // a GPU, then reports progress with the (gpu, released) overload below as
-  // chunks land. While a release is pending, a head reservation that does
-  // not fit waits instead of failing — the memory is provably on its way.
-  // The announcer must balance the books: every announced byte is either
-  // reported released or withdrawn (e.g. on abort before the commit point).
-  void AnnouncePendingRelease(hw::GpuId gpu, Bytes bytes);
-  void WithdrawPendingRelease(hw::GpuId gpu, Bytes bytes);
-  void NotifyMemoryReleased(hw::GpuId gpu, Bytes released);
-  Bytes PendingRelease(hw::GpuId gpu) const;
-
   // Emit reserve-wait spans, reserved-bytes gauges, and reclaim counters
   // (nullable).
   void BindObservability(obs::Observability* obs) { obs_ = obs; }
@@ -138,8 +126,6 @@ class TaskManager {
   struct GpuQueue {
     hw::GpuDevice* device = nullptr;
     Bytes outstanding{0};
-    // Bytes an in-flight pipelined swap-out has promised but not yet freed.
-    Bytes pending_release{0};
     std::deque<Waiter*> waiters;
     bool reclaiming = false;
   };

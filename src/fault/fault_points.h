@@ -23,8 +23,6 @@
 //   ckpt.swap_out    checkpoint fails before the container is frozen
 //   ckpt.swap_in     restore fails before any memory is re-acquired
 //                    (snapshot retained — the failure is retryable)
-//   ckpt.chunk       one chunk of a pipelined restore fails mid-stream,
-//                    exercising the rollback path
 //   snapshot.corrupt the staged snapshot's checksum is flipped at Put;
 //                    detected by SnapshotStore::Verify on the next restore
 //   storage.promote  an NVMe->host snapshot promotion fails at start. A
@@ -78,7 +76,6 @@ namespace swapserve::fault {
 inline constexpr std::string_view kFaultPointRegistry[] = {
     "ckpt.swap_out",
     "ckpt.swap_in",
-    "ckpt.chunk",
     "snapshot.corrupt",
     "storage.promote",
     "storage.read",

@@ -17,9 +17,9 @@ namespace swapserve::fault {
 
 // Codes worth retrying: transient by construction (kUnavailable, kAborted),
 // or resolvable by the system's own machinery — kResourceExhausted clears
-// when an eviction or a pipelined release frees memory, kInternal covers a
-// crashed engine the supervisor will restart. Permanent conditions
-// (kInvalidArgument, kFailedPrecondition, kDataLoss, ...) are not.
+// when an eviction frees memory, kInternal covers a crashed engine the
+// supervisor will restart. Permanent conditions (kInvalidArgument,
+// kFailedPrecondition, kDataLoss, ...) are not.
 bool IsRetryable(const Status& status);
 
 struct RetryPolicy {

@@ -80,30 +80,6 @@ Bytes GpuDevice::FreeAllOwnedBy(const std::string& owner) {
   return freed;
 }
 
-Bytes GpuDevice::FreePartialOwnedBy(const std::string& owner, Bytes bytes) {
-  SWAP_CHECK_MSG(bytes.count() >= 0, "negative partial free");
-  Bytes freed(0);
-  for (auto it = allocations_.begin();
-       it != allocations_.end() && freed < bytes;) {
-    if (it->second.owner != owner) {
-      ++it;
-      continue;
-    }
-    const Bytes want = bytes - freed;
-    if (it->second.size <= want) {
-      freed += it->second.size;
-      it = allocations_.erase(it);
-    } else {
-      it->second.size -= want;
-      freed += want;
-      ++it;
-    }
-  }
-  used_ -= freed;
-  PublishMemoryGauges();
-  return freed;
-}
-
 Bytes GpuDevice::UsedBy(const std::string& owner) const {
   Bytes total(0);
   for (const auto& [id, alloc] : allocations_) {

@@ -61,11 +61,6 @@ class GpuDevice {
   // This is what a checkpoint operation does: the driver releases all
   // device memory of the checkpointed process at once.
   Bytes FreeAllOwnedBy(const std::string& owner);
-  // Release up to `bytes` of `owner`'s allocations (shrinking one if
-  // needed); returns the bytes actually freed. A pipelined checkpoint
-  // releases device memory chunk-by-chunk as dirty pages land in host RAM.
-  Bytes FreePartialOwnedBy(const std::string& owner, Bytes bytes);
-
   Bytes UsedBy(const std::string& owner) const;
   std::size_t allocation_count() const { return allocations_.size(); }
 

@@ -93,7 +93,6 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
     }
     ReleaseChannel();
     first = false;
-    if (options.on_chunk) options.on_chunk(done, size);
   }
 
   total_ += size;

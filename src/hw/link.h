@@ -16,7 +16,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -46,8 +45,6 @@ struct TransferOptions {
   std::optional<BytesPerSecond> bandwidth;
   // Override the link's setup latency (charged once, on the first chunk).
   std::optional<sim::SimDuration> setup;
-  // Invoked after each chunk lands with (bytes done so far, total bytes).
-  std::function<void(Bytes, Bytes)> on_chunk;
 };
 
 class Link {

@@ -188,68 +188,6 @@ class SimMutex {
   SmallRing<std::coroutine_handle<>> waiters_;
 };
 
-// Counting semaphore with multi-unit acquire. Strict FIFO: a large request
-// at the head blocks smaller requests behind it (no starvation).
-class SimSemaphore {
- public:
-  SimSemaphore(Simulation& sim, std::int64_t initial)
-      : sim_(&sim), available_(initial) {
-    SWAP_CHECK_MSG(initial >= 0, "negative semaphore count");
-  }
-  SimSemaphore(const SimSemaphore&) = delete;
-  SimSemaphore& operator=(const SimSemaphore&) = delete;
-
-  struct [[nodiscard]] Awaiter {
-    SimSemaphore* sem;
-    std::int64_t units;
-    bool await_ready() {
-      if (sem->waiters_.empty() && sem->available_ >= units) {
-        sem->available_ -= units;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      sem->waiters_.push_back({h, units});
-    }
-    void await_resume() const noexcept {}
-  };
-
-  Awaiter Acquire(std::int64_t units = 1) {
-    SWAP_CHECK_MSG(units >= 0, "negative acquire");
-    return Awaiter{this, units};
-  }
-
-  void Release(std::int64_t units = 1) {
-    SWAP_CHECK_MSG(units >= 0, "negative release");
-    available_ += units;
-    Drain();
-  }
-
-  std::int64_t available() const { return available_; }
-  std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  friend struct Awaiter;
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    std::int64_t units;
-  };
-
-  void Drain() {
-    while (!waiters_.empty() && available_ >= waiters_.front().units) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
-      available_ -= w.units;
-      sim_->Post(w.handle);
-    }
-  }
-
-  Simulation* sim_;
-  std::int64_t available_;
-  SmallRing<Waiter> waiters_;
-};
-
 // Reader-writer lock with strict FIFO fairness: a queued writer blocks
 // later readers (no writer starvation), matching the paper's §3.5
 // write-locking of eviction candidates — request forwarding holds shared

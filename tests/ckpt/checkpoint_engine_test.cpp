@@ -153,119 +153,6 @@ TEST_F(CheckpointEngineTest, SwapInUnknownSnapshotFails) {
   });
 }
 
-TEST_F(CheckpointEngineTest, PipelinedSwapOutKeepsSerialTotalAndTiming) {
-  Run([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(24), "state").ok());
-    SwapOutPipeline pipe;
-    pipe.chunk_bytes = GB(1);
-    auto out = co_await engine.SwapOut(MakeRequest(Bytes(0), GB(24)), pipe);
-    EXPECT_TRUE(out.ok()) << out.status();
-    // Chunking only yields the channel; with nobody else on the link the
-    // drain takes the same 0.35 + 24/12 as the monolithic transfer.
-    EXPECT_NEAR(out->elapsed.ToSeconds(), 2.35, 0.2);
-    EXPECT_EQ(out->gpu_freed, GB(24));
-    EXPECT_EQ(gpu.used(), Bytes(0));
-    EXPECT_LT(out->d2h_start, out->d2h_end);
-  });
-}
-
-TEST_F(CheckpointEngineTest, PipelinedSwapOutWatermarkIsMonotone) {
-  Run([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(70), "state").ok());
-    std::vector<std::pair<double, Bytes>> freed_events;
-    Bytes cumulative(0);
-    SwapOutPipeline pipe;
-    pipe.chunk_bytes = GB(1);
-    pipe.on_freed = [&](hw::GpuId id, Bytes b) {
-      EXPECT_EQ(id, 0);
-      EXPECT_GT(b.count(), 0);
-      cumulative += b;
-      freed_events.push_back({sim.Now().ToSeconds(), cumulative});
-    };
-    auto out = co_await engine.SwapOut(MakeRequest(GB(60), GB(10)), pipe);
-    EXPECT_TRUE(out.ok()) << out.status();
-    // Every byte initially held is reported freed, cumulatively monotone.
-    EXPECT_EQ(cumulative, GB(70));
-    EXPECT_EQ(out->gpu_freed, GB(70));
-    for (std::size_t i = 1; i < freed_events.size(); ++i) {
-      EXPECT_GE(freed_events[i].first, freed_events[i - 1].first);
-      EXPECT_GT(freed_events[i].second, freed_events[i - 1].second);
-    }
-    // The clean arena is released up front, long before the drain ends.
-    EXPECT_GE(freed_events.size(), 2u);
-    if (freed_events.size() >= 2) {
-      EXPECT_EQ(freed_events.front().second, GB(60));
-      EXPECT_LT(freed_events.front().first, sim.Now().ToSeconds() - 0.5);
-    }
-  });
-}
-
-TEST_F(CheckpointEngineTest, PipelinedSwapInOverlapsCopyAndRemap) {
-  Run([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(76), "state").ok());
-    auto out = co_await engine.SwapOut(MakeRequest(GB(50), GB(26)));
-    EXPECT_TRUE(out.ok());
-
-    SwapInPipeline pipe;
-    pipe.chunk_bytes = GB(1);
-    auto in = co_await engine.SwapIn(out->snapshot, *c, proc, gpu_vec, pipe);
-    EXPECT_TRUE(in.ok()) << in.status();
-    EXPECT_EQ(gpu.UsedBy("backend-a"), GB(76));
-    // Dirty copy (26/8.9 = 2.92 s) and clean remap (50/25 = 2 s) run as
-    // concurrent streams; the remap hides entirely behind the copy.
-    const double expected = 26.0 / 8.9 + 2.45;
-    EXPECT_NEAR(in->elapsed.ToSeconds(), expected, 0.2);
-    EXPECT_EQ(in->stall.ns(), 0);  // no memory gate configured
-    EXPECT_LT(in->h2d_start, in->h2d_end);
-  });
-}
-
-TEST_F(CheckpointEngineTest, PipelinedSwapInAbortsAndRollsBackOnAllocFailure) {
-  Run([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(40), "state").ok());
-    auto out = co_await engine.SwapOut(MakeRequest(GB(20), GB(20)));
-    EXPECT_TRUE(out.ok());
-    // Another tenant fills the GPU mid-eviction; chunk allocations fail.
-    SWAP_CHECK(gpu.Allocate("other", GiB(70), "state").ok());
-
-    SwapInPipeline pipe;
-    pipe.chunk_bytes = GB(1);
-    auto in = co_await engine.SwapIn(out->snapshot, *c, proc, gpu_vec, pipe);
-    EXPECT_FALSE(in.ok());
-    EXPECT_EQ(in.status().code(), StatusCode::kResourceExhausted);
-    // Every chunk allocation rolled back; snapshot retained for retry.
-    EXPECT_EQ(gpu.UsedBy("backend-a"), Bytes(0));
-    EXPECT_EQ(store.count(), 1u);
-    EXPECT_EQ(proc.state(), CudaCheckpointState::kCheckpointed);
-  });
-}
-
-TEST_F(CheckpointEngineTest, PipelinedSwapInWaitsOnAcquireGate) {
-  Run([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(8), "state").ok());
-    auto out = co_await engine.SwapOut(MakeRequest(Bytes(0), GB(8)));
-    EXPECT_TRUE(out.ok());
-
-    SwapInPipeline pipe;
-    pipe.chunk_bytes = GB(1);
-    // Gate each chunk behind a 100 ms grant: the pipeline must stall for
-    // it and report the accumulated wait.
-    pipe.acquire = [&](hw::GpuId, Bytes) -> sim::Task<Status> {
-      co_await sim.Delay(sim::Millis(100));
-      co_return Status::Ok();
-    };
-    auto in = co_await engine.SwapIn(out->snapshot, *c, proc, gpu_vec, pipe);
-    EXPECT_TRUE(in.ok()) << in.status();
-    EXPECT_NEAR(in->stall.ToSeconds(), 0.8, 1e-6);  // 8 gated chunks
-    EXPECT_EQ(gpu.UsedBy("backend-a"), GB(8));
-  });
-}
-
 TEST_F(CheckpointEngineTest, SwapOutOfStoppedContainerFails) {
   Run([&]() -> sim::Task<> {
     // Never started: Pause() must fail and nothing must change.

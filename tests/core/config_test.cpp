@@ -1,5 +1,8 @@
 #include "core/config.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
@@ -67,6 +70,26 @@ TEST(ConfigTest, ParseErrors) {
   EXPECT_FALSE(
       Config::FromJsonText(R"({"global": 3, "models": [{"model":"m"}]})")
           .ok());
+}
+
+// Swaps are always serial; a config still asking for the removed pipelined
+// path must fail at load instead of silently running serial.
+TEST(ConfigTest, RemovedPipelineKeysFailLoudly) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"pipelined_swap", "true"},
+      {"pipelined_swap", "false"},
+      {"swap_chunk_mib", "512"},
+  };
+  for (const auto& [key, value] : cases) {
+    auto cfg = Config::FromJsonText(R"({"global": {")" + key + "\": " +
+                                    value + R"(}, "models": [{"model": "m"}]})");
+    ASSERT_FALSE(cfg.ok()) << key;
+    EXPECT_EQ(cfg.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(cfg.status().message().find(key), std::string::npos)
+        << cfg.status();
+    EXPECT_NE(cfg.status().message().find("serial"), std::string::npos)
+        << cfg.status();
+  }
 }
 
 class ValidateTest : public ::testing::Test {

@@ -117,55 +117,6 @@ TEST_F(TaskManagerTest, FailsWhenNothingReclaimableAndNothingOutstanding) {
   });
 }
 
-TEST_F(TaskManagerTest, PendingReleaseDefersFailureUntilBytesLand) {
-  TaskManager tm(sim, {&gpu});
-  // Device full with a foreign tenant, but a pipelined swap-out has
-  // announced it will free 30 GiB: the head must wait, not fail.
-  SWAP_CHECK(gpu.Allocate("foreign", GiB(80), "x").ok());
-  tm.AnnouncePendingRelease(0, GiB(30));
-  double granted_at = -1;
-  Run([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(20), "a");
-    EXPECT_TRUE(r.ok()) << r.status();
-    granted_at = sim.Now().ToSeconds();
-  });
-  sim::Spawn([&]() -> sim::Task<> {
-    // Chunks land at 1 s and 2 s; the head fits after the second.
-    co_await sim.Delay(sim::Seconds(1));
-    SWAP_CHECK(gpu.FreePartialOwnedBy("foreign", GiB(10)) == GiB(10));
-    tm.NotifyMemoryReleased(0, GiB(10));
-    co_await sim.Delay(sim::Seconds(1));
-    SWAP_CHECK(gpu.FreePartialOwnedBy("foreign", GiB(10)) == GiB(10));
-    tm.NotifyMemoryReleased(0, GiB(10));
-  });
-  sim.Run();
-  EXPECT_DOUBLE_EQ(granted_at, 2.0);
-  EXPECT_EQ(tm.PendingRelease(0), GiB(10));  // 30 promised, 20 delivered
-}
-
-TEST_F(TaskManagerTest, WithdrawnPendingReleaseFailsWaitingHead) {
-  TaskManager tm(sim, {&gpu});
-  SWAP_CHECK(gpu.Allocate("foreign", GiB(80), "x").ok());
-  tm.AnnouncePendingRelease(0, GiB(30));
-  Status status = Status::Ok();
-  Run([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(20), "a");
-    status = r.status();
-  });
-  sim::Spawn([&]() -> sim::Task<> {
-    // The announced swap-out aborts before its commit point.
-    co_await sim.Delay(sim::Seconds(1));
-    tm.WithdrawPendingRelease(0, GiB(30));
-  });
-  sim.Run();
-  // With the promise gone (and nothing outstanding/reclaimable) the head
-  // fails instead of hanging forever.
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(tm.PendingRelease(0), Bytes(0));
-}
-
-// Delegate that frees a foreign allocation on demand.
 class FreeingDelegate final : public TaskManager::ReclaimDelegate {
  public:
   FreeingDelegate(sim::Simulation& sim, hw::GpuDevice& gpu)

@@ -67,7 +67,7 @@ TEST(FaultInjectorTest, UnarmedPointsDoNotPerturbArmedOnes) {
     std::vector<bool> fired;
     for (int i = 0; i < 32; ++i) {
       if (interleave) {
-        (void)injector.Evaluate("ckpt.chunk", "m");
+        (void)injector.Evaluate("storage.read", "m");
         (void)injector.Evaluate("engine.hang", "m");
       }
       fired.push_back(injector.Evaluate("hw.acquire", "m").fired());

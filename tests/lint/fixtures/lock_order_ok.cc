@@ -1,5 +1,5 @@
 // Fixture: compliant twin of lock_order_bad.cc. Sorting the operands by
-// name before acquiring (EngineController::SwapOver's idiom) stays silent.
+// name before acquiring (the name-ordered idiom) stays silent.
 namespace fixture {
 
 sim::Task<> Transfer(Pair pair) {

@@ -2,8 +2,8 @@
 // end-to-end simulation, checked against the self-healing invariants:
 //   - every accepted request reaches exactly one terminal outcome
 //     (Done or Error) — faults may fail requests but never lose them;
-//   - no reservation or pending-release credit leaks: after the run the
-//     task manager is fully drained on every GPU;
+//   - no reservation leaks: after the run the task manager is fully
+//     drained on every GPU;
 //   - the GPU allocator balances: used bytes equal the sum of resident
 //     backends' footprints, and nothing is owned by crashed backends;
 //   - quarantined backends either recovered or stayed excluded with the
@@ -51,7 +51,6 @@ fault::FaultPlan RandomPlan(sim::Rng& rng) {
   static constexpr PointSpec kPoints[] = {
       {"ckpt.swap_out", 0.08, true, 0},
       {"ckpt.swap_in", 0.15, true, 0},
-      {"ckpt.chunk", 0.10, true, 0},
       {"snapshot.corrupt", 0.10, true, 0},
       {"storage.promote", 0.15, true, 0},
       {"storage.read", 0.10, true, 0},
@@ -153,7 +152,7 @@ ChaosOutcome RunChaosWorkload(std::uint64_t seed, int n_models,
   EXPECT_EQ(out.terminal_done, m.TotalCompleted());
   EXPECT_EQ(out.terminal_done + out.terminal_error, out.accepted);
 
-  // No leaked reservations or pending-release credits on any GPU.
+  // No leaked reservations on any GPU.
   for (std::size_t g = 0; g < bed.gpus.size(); ++g) {
     const auto id = static_cast<hw::GpuId>(g);
     EXPECT_EQ(serve.task_manager().OutstandingReserved(id).count(), 0)

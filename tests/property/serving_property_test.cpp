@@ -10,6 +10,8 @@
 #include "../core/fixture.h"
 #include "core/swap_serve.h"
 #include "sim/random.h"
+#include "workload/arrival.h"
+#include "workload/request_gen.h"
 #include "workload/trace.h"
 
 namespace swapserve::core {
@@ -141,6 +143,72 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndLoads, OverloadProperty,
     ::testing::Combine(::testing::Values(7u, 11u, 99u),
                        ::testing::Values(60, 200)));
+
+// Fault-free churn of all six models as vLLM backends on one H100 against a
+// bounded host tier that holds only part of their snapshots: every swap-in
+// of a demoted snapshot first promotes it from NVMe. The arrivals are the
+// first hour of a diurnal day, weighted 4:3:2:1.5:1:0.7 across the models
+// (about 130 requests). Nothing fails, so every response channel must end
+// and every request must complete before the server shuts down.
+TEST(BoundedTierChurn, EveryRequestCompletes) {
+  TestBed bed;
+  std::vector<std::pair<std::string, std::string>> entries;
+  for (const char* id : kPool) entries.push_back({id, "vllm"});
+  Config cfg = bed.MakeConfig(entries);
+  cfg.global.host_cache_mib = 32768;
+  cfg.global.snapshot_prefetch = true;
+  ASSERT_TRUE(cfg.Validate(bed.catalog, 1).ok());
+  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
+
+  const double weights[] = {4, 3, 2, 1.5, 1, 0.7};
+  double weight_sum = 0;
+  for (double w : weights) weight_sum += w;
+  const workload::RequestProfile profile = workload::RequestProfile::ShortQa();
+  std::vector<workload::DiurnalRate> rates;
+  for (double w : weights) {
+    rates.push_back(
+        workload::DiurnalRate::ConversationalPreset(0.244 * w / weight_sum));
+  }
+  std::vector<workload::ModelWorkload> mix;
+  for (std::size_t i = 0; i < std::size(kPool); ++i) {
+    mix.push_back({kPool[i], &rates[i], &profile});
+  }
+  const std::vector<workload::TraceEvent> trace =
+      workload::GenerateTrace(mix, 3600, /*seed=*/1);
+  ASSERT_GT(trace.size(), 100u);
+
+  std::uint64_t sent = 0;
+  std::uint64_t ended = 0;
+  std::uint64_t ended_before_shutdown = 0;
+  std::uint64_t completed_before_shutdown = 0;
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    const sim::SimTime start = bed.sim.Now();
+    for (const workload::TraceEvent& ev : trace) {
+      const sim::SimTime at = start + sim::Seconds(ev.time_s);
+      if (at > bed.sim.Now()) co_await bed.sim.Delay(at - bed.sim.Now());
+      InferenceRequest req;
+      req.model = ev.model_id;
+      req.prompt_tokens = ev.prompt_tokens;
+      req.max_tokens = ev.output_tokens;
+      Result<ResponseChannelPtr> ch = serve.handler().Accept(req);
+      ++sent;
+      if (!ch.ok()) continue;
+      sim::Spawn([&ended, channel = *ch]() -> sim::Task<> {
+        while (co_await channel->Recv()) {
+        }
+        ++ended;
+      });
+    }
+    co_await bed.sim.Delay(sim::Minutes(30));  // drain
+    ended_before_shutdown = ended;
+    completed_before_shutdown = serve.metrics().TotalCompleted();
+    serve.Shutdown();
+  });
+  EXPECT_EQ(ended_before_shutdown, sent) << "response channels never ended";
+  EXPECT_EQ(completed_before_shutdown, sent);
+  EXPECT_GT(serve.metrics().swap_ins, 0u);
+}
 
 }  // namespace
 }  // namespace swapserve::core

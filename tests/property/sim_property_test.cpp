@@ -159,16 +159,15 @@ TEST_P(DeterminismProperty, IdenticalSeedsGiveIdenticalSchedules) {
     Simulation sim;
     Rng rng(GetParam());
     std::vector<std::pair<double, int>> log;
-    SimSemaphore sem(sim, 3);
+    SimMutex mu(sim);
     for (int i = 0; i < 50; ++i) {
       const auto arrive = Millis(static_cast<double>(rng.UniformInt(0, 200)));
-      const auto units = rng.UniformInt(1, 3);
-      Spawn([&sim, &sem, &log, arrive, units, i]() -> Task<> {
+      const auto hold = Millis(static_cast<double>(rng.UniformInt(1, 30)));
+      Spawn([&sim, &mu, &log, arrive, hold, i]() -> Task<> {
         co_await sim.Delay(arrive);
-        co_await sem.Acquire(units);
+        auto guard = co_await mu.Acquire();
         log.push_back({sim.Now().ToSeconds(), i});
-        co_await sim.Delay(Millis(10));
-        sem.Release(units);
+        co_await sim.Delay(hold);
       });
     }
     sim.Run();

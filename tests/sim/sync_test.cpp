@@ -78,60 +78,6 @@ TEST(SimMutexTest, GuardMoveTransfersOwnership) {
   EXPECT_FALSE(mu.locked());
 }
 
-TEST(SimSemaphoreTest, CountsUnits) {
-  Simulation sim;
-  SimSemaphore sem(sim, 3);
-  std::vector<double> grant_times;
-  auto proc = [&](std::int64_t units) -> Task<> {
-    co_await sem.Acquire(units);
-    grant_times.push_back(sim.Now().ToSeconds());
-    co_await sim.Delay(Seconds(10));
-    sem.Release(units);
-  };
-  Spawn(proc(2));  // granted at t=0
-  Spawn(proc(1));  // granted at t=0
-  Spawn(proc(3));  // must wait for all 3 units -> t=10
-  sim.Run();
-  ASSERT_EQ(grant_times.size(), 3u);
-  EXPECT_DOUBLE_EQ(grant_times[0], 0.0);
-  EXPECT_DOUBLE_EQ(grant_times[1], 0.0);
-  EXPECT_DOUBLE_EQ(grant_times[2], 10.0);
-  EXPECT_EQ(sem.available(), 3);
-}
-
-TEST(SimSemaphoreTest, FifoPreventsStarvationOfLargeRequests) {
-  Simulation sim;
-  SimSemaphore sem(sim, 4);
-  std::vector<std::string> order;
-  auto proc = [&](std::string name, std::int64_t units,
-                  double arrive) -> Task<> {
-    co_await sim.Delay(Seconds(arrive));
-    co_await sem.Acquire(units);
-    order.push_back(name);
-    co_await sim.Delay(Seconds(5));
-    sem.Release(units);
-  };
-  Spawn(proc("big-first", 4, 0.0));   // takes everything
-  Spawn(proc("huge", 4, 1.0));        // queues at head
-  Spawn(proc("small", 1, 2.0));       // must NOT overtake "huge"
-  sim.Run();
-  EXPECT_EQ(order,
-            (std::vector<std::string>{"big-first", "huge", "small"}));
-}
-
-TEST(SimSemaphoreTest, ImmediateGrantWhenQueueEmptyAndUnitsAvailable) {
-  Simulation sim;
-  SimSemaphore sem(sim, 5);
-  bool granted = false;
-  Spawn([&]() -> Task<> {
-    co_await sem.Acquire(5);
-    granted = true;
-  });
-  EXPECT_TRUE(granted);  // no suspension needed
-  EXPECT_EQ(sem.available(), 0);
-  sim.Run();
-}
-
 TEST(SimEventTest, WaitersReleaseOnSet) {
   Simulation sim;
   SimEvent ev(sim);

@@ -562,7 +562,8 @@ class RuleRunner {
     }
 
     // lock-order: two different locks held concurrently without the
-    // name-ordered acquisition idiom (SwapOver's swap-by-name).
+    // name-ordered acquisition idiom (sort the operands by name, then
+    // acquire; tests/lint/fixtures/lock_order_ok.cc).
     for (std::size_t k = 0; k + 1 < acquires.size(); ++k) {
       bool reported = false;
       for (std::size_t m = k + 1; m < acquires.size() && !reported; ++m) {
@@ -574,8 +575,8 @@ class RuleRunner {
         Emit("lock-order", b.line,
              "locks '" + a.base + "' and '" + b.base +
                  "' are held together without name-ordered acquisition "
-                 "(see EngineController::SwapOver); crossed callers can "
-                 "ABBA-deadlock",
+                 "(see tests/lint/fixtures/lock_order_ok.cc); crossed "
+                 "callers can ABBA-deadlock",
              {a.line});
         reported = true;
       }

@@ -62,8 +62,8 @@
 //   guard-across-await  A SimMutex::Guard obtained via `co_await
 //                       x.Acquire()` is still live at a later co_await.
 //   lock-order          Two different locks held concurrently without the
-//                       name-ordered acquisition idiom from
-//                       EngineController::SwapOver.
+//                       name-ordered acquisition idiom shown in
+//                       tests/lint/fixtures/lock_order_ok.cc.
 //
 // Suppression: a comment `// swaplint-ok(<rule>): <reason>` on the flagged
 // line, the line above it, or (for coro-ref-param) the line declaring the
