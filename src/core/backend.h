@@ -14,6 +14,7 @@
 #include "core/types.h"
 #include "engine/engine.h"
 #include "fault/circuit_breaker.h"
+#include "obs/observability.h"
 #include "sim/channel.h"
 #include "sim/sync.h"
 
@@ -106,6 +107,18 @@ struct Backend {
 
   // Self-healing state (supervisor + circuit breaker).
   BackendHealth health;
+
+  // swapserve_queue_depth{model=name()}, written by the request handler on
+  // enqueue and the worker on dequeue. Resolved on the first write; both
+  // writers reset it in their BindObservability.
+  obs::Gauge* queue_depth_gauge = nullptr;
+  obs::Gauge& QueueDepthGauge(obs::Observability& obs) {
+    if (queue_depth_gauge == nullptr) {
+      queue_depth_gauge = &obs.metrics.GetGauge("swapserve_queue_depth",
+                                                {{"model", name()}});
+    }
+    return *queue_depth_gauge;
+  }
 };
 
 }  // namespace swapserve::core

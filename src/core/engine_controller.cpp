@@ -63,11 +63,12 @@ sim::Task<Status> EngineController::SwapOut(Backend& backend,
     co_return prep;
   }
 
+  const std::span<hw::GpuDevice* const> gpus = backend.engine->Gpus();
   ckpt::SwapOutRequest req{
       .container = backend.engine->container(),
       .process = &backend.engine->process(),
       .gpu = nullptr,
-      .gpus = backend.engine->Gpus(),
+      .gpus = {gpus.begin(), gpus.end()},
       .owner = backend.name(),
       .clean_bytes = backend.engine->CleanBytes(),
       .dirty_bytes = backend.engine->DirtyBytes(),
@@ -121,9 +122,10 @@ sim::Task<Status> EngineController::SwapIn(Backend& backend) {
                                   backend.name());
   SWAP_CO_RETURN_IF_ERROR(backend.engine->MarkSwapping());
 
+  const std::span<hw::GpuDevice* const> gpus = backend.engine->Gpus();
   Result<ckpt::SwapInResult> result = co_await ckpt_.SwapIn(
       backend.snapshot, *backend.engine->container(),
-      backend.engine->process(), backend.engine->Gpus());
+      backend.engine->process(), {gpus.begin(), gpus.end()});
   if (backend.engine->state() == engine::BackendState::kCrashed) {
     // A node crash landed while the restore was on the wire. A restore
     // that technically finished still consumed the checkpoint handle.

@@ -11,21 +11,41 @@ constexpr const char* kOutputTokens = "swapserve_output_tokens_total";
 constexpr const char* kSwapsTotal = "swapserve_swaps_total";
 constexpr const char* kSwapLatency = "swapserve_swap_latency_seconds";
 
-void CountRequest(obs::Observability* obs, const std::string& model,
-                  const char* outcome) {
-  if (obs == nullptr) return;
-  obs::Counter& counter = obs->metrics.GetCounter(
+obs::Counter& RequestsCounter(obs::Observability& obs,
+                              const std::string& model,
+                              std::string_view outcome) {
+  obs::Counter& counter = obs.metrics.GetCounter(
       kRequestsTotal, {{"model", model}, {"outcome", outcome}});
   // A zero count means this call created the series (and maybe the
   // family): attach the help text then, not on every request.
   if (counter.value() == 0) {
-    obs->metrics.SetHelp(kRequestsTotal,
-                         "Requests by model and terminal outcome");
+    obs.metrics.SetHelp(kRequestsTotal,
+                        "Requests by model and terminal outcome");
   }
-  counter.Increment();
+  return counter;
+}
+
+void CountRequest(obs::Observability* obs, const std::string& model,
+                  std::string_view outcome) {
+  if (obs == nullptr) return;
+  RequestsCounter(*obs, model, outcome).Increment();
 }
 
 }  // namespace
+
+Metrics::CompletedInstruments& Metrics::CompletedFor(
+    const std::string& model) {
+  auto it = completed_instruments_.find(model);
+  if (it != completed_instruments_.end()) return it->second;
+  CompletedInstruments& h = completed_instruments_[model];
+  const obs::Labels labels = {{"model", model}};
+  h.requests = &RequestsCounter(*obs_, model, "completed");
+  h.ttft = &obs_->metrics.GetHistogram(kTtftSeconds, labels);
+  h.latency = &obs_->metrics.GetHistogram(kLatencySeconds, labels);
+  h.swap_wait = &obs_->metrics.GetHistogram(kSwapWaitSeconds, labels);
+  h.output_tokens = &obs_->metrics.GetCounter(kOutputTokens, labels);
+  return h;
+}
 
 void Metrics::RecordCompleted(const std::string& model, double ttft_s,
                               double total_s, double swap_wait_s,
@@ -42,12 +62,13 @@ void Metrics::RecordCompleted(const std::string& model, double ttft_s,
     ++mm.served_resident;
   }
 
-  CountRequest(obs_, model, "completed");
-  obs::Observe(obs_, kTtftSeconds, {{"model", model}}, ttft_s);
-  obs::Observe(obs_, kLatencySeconds, {{"model", model}}, total_s);
-  obs::Observe(obs_, kSwapWaitSeconds, {{"model", model}}, swap_wait_s);
-  obs::IncCounter(obs_, kOutputTokens, {{"model", model}},
-                  static_cast<double>(output_tokens));
+  if (obs_ == nullptr) return;
+  CompletedInstruments& h = CompletedFor(model);
+  h.requests->Increment();
+  h.ttft->Observe(ttft_s);
+  h.latency->Observe(total_s);
+  h.swap_wait->Observe(swap_wait_s);
+  h.output_tokens->Increment(static_cast<double>(output_tokens));
 }
 
 void Metrics::RecordRejected(const std::string& model) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,7 +45,10 @@ class Metrics {
 
   // Mirror every Record* into the labeled registry (nullable; see
   // obs/observability.h for the metric taxonomy).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    completed_instruments_.clear();
+  }
 
   // --- request outcomes (one call per request, from the model worker /
   // request handler) ----------------------------------------------------
@@ -104,8 +108,21 @@ class Metrics {
   Samples AllTtft() const;
 
  private:
+  // RecordCompleted's registry series for one model, resolved on its
+  // first completion (so a model that never completes exports none).
+  struct CompletedInstruments {
+    obs::Counter* requests = nullptr;
+    obs::HistogramMetric* ttft = nullptr;
+    obs::HistogramMetric* latency = nullptr;
+    obs::HistogramMetric* swap_wait = nullptr;
+    obs::Counter* output_tokens = nullptr;
+  };
+  CompletedInstruments& CompletedFor(const std::string& model);
+
   std::map<std::string, ModelMetrics> per_model_;
   obs::Observability* obs_ = nullptr;
+  std::map<std::string, CompletedInstruments, std::less<>>
+      completed_instruments_;
 };
 
 }  // namespace swapserve::core

@@ -79,9 +79,10 @@ sim::Task<> ModelWorker::Run() {
       RespondError(item, "client deadline expired while queued");
       continue;
     }
-    obs::SetGauge(obs_, "swapserve_queue_depth",
-                  {{"model", backend_.name()}},
-                  static_cast<double>(backend_.queue->size()));
+    if (obs_ != nullptr) {
+      backend_.QueueDepthGauge(*obs_).Set(
+          static_cast<double>(backend_.queue->size()));
+    }
 
     // ④⑩ Coordinate swap-in and forward concurrently, so the engine
     // batches while we keep polling the queue.
@@ -102,9 +103,13 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
   obs::Span serve_span =
       obs::StartSpan(obs_, "request.serve", "worker", backend_.name());
   serve_span.AddArg("request_id", std::to_string(item.request.id));
-  obs::Observe(obs_, "swapserve_queue_wait_seconds",
-               {{"model", backend_.name()}},
-               t0.ToSeconds() - item.request.arrival_time_s);
+  if (obs_ != nullptr) {
+    if (queue_wait_ == nullptr) {
+      queue_wait_ = &obs_->metrics.GetHistogram(
+          "swapserve_queue_wait_seconds", {{"model", backend_.name()}});
+    }
+    queue_wait_->Observe(t0.ToSeconds() - item.request.arrival_time_s);
+  }
   const bool was_resident =
       backend_.engine->state() == engine::BackendState::kRunning;
   serve_span.AddArg("resident", was_resident ? "true" : "false");
@@ -138,8 +143,13 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
       chunk.token_count = tokens;
       streamed_tokens += tokens;
       (void)item.response->TrySend(std::move(chunk));
-      obs::IncCounter(obs_, "swapserve_stream_chunks_total",
-                      {{"model", backend_.name()}});
+      if (obs_ != nullptr) {
+        if (stream_chunks_ == nullptr) {
+          stream_chunks_ = &obs_->metrics.GetCounter(
+              "swapserve_stream_chunks_total", {{"model", backend_.name()}});
+        }
+        stream_chunks_->Increment();
+      }
     };
   }
   const double serve_start_s = sim_.Now().ToSeconds();

@@ -53,7 +53,12 @@ class ModelWorker {
   bool paused() const { return paused_; }
 
   // Emit per-request serve spans and queue-wait histograms (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    queue_wait_ = nullptr;
+    stream_chunks_ = nullptr;
+    backend_.queue_depth_gauge = nullptr;
+  }
 
   // Requeue-with-backoff on retryable relay failures: a failed request
   // re-enters the backend queue up to `request_retries` extra attempts
@@ -98,6 +103,9 @@ class ModelWorker {
   Scheduler& scheduler_;
   Metrics& metrics_;
   obs::Observability* obs_ = nullptr;
+  // Per-request instruments, resolved on first write.
+  obs::HistogramMetric* queue_wait_ = nullptr;
+  obs::Counter* stream_chunks_ = nullptr;
   bool running_ = false;
   bool paused_ = false;
   sim::SimEvent resumed_;

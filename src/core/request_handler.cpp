@@ -71,8 +71,10 @@ Result<ResponseChannelPtr> RequestHandler::Accept(InferenceRequest request) {
                  {{"request_id", std::to_string(request.id)}});
     return ResourceExhausted("queue for " + request.model + " is full");
   }
-  obs::SetGauge(obs_, "swapserve_queue_depth", {{"model", request.model}},
-                static_cast<double>(backend->queue->size()));
+  if (obs_ != nullptr) {
+    backend->QueueDepthGauge(*obs_).Set(
+        static_cast<double>(backend->queue->size()));
+  }
   if (arrival_hook_) arrival_hook_(*backend);
   SWAP_LOG(kDebug, "handler") << "accepted request " << request.id << " for "
                               << request.model;

@@ -40,7 +40,12 @@ class RequestHandler {
   }
 
   // Emit admission instants + per-model queue-depth gauges (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    for (auto& [name, backend] : backends_) {
+      backend->queue_depth_gauge = nullptr;
+    }
+  }
 
   // SLO-aware admission control (nullable; §16). When bound, Accept()
   // sheds requests whose estimated queueing delay exceeds their SLO-class

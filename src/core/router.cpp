@@ -111,8 +111,13 @@ Result<ResponseChannelPtr> OpenAiRouter::ChatCompletions(
     const bool full = accepted.status().code() == StatusCode::kResourceExhausted;
     return fail(full ? "queue_full" : "not_found", accepted.status());
   }
-  obs::IncCounter(obs_, "swapserve_router_requests_total",
-                  {{"outcome", "accepted"}});
+  if (obs_ != nullptr) {
+    if (accepted_ == nullptr) {
+      accepted_ = &obs_->metrics.GetCounter("swapserve_router_requests_total",
+                                            {{"outcome", "accepted"}});
+    }
+    accepted_->Increment();
+  }
   return accepted;
 }
 

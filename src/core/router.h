@@ -49,11 +49,16 @@ class OpenAiRouter {
   static std::int64_t EstimatePromptTokens(json::Document::View messages);
 
   // Emit auth/validate/enqueue spans and outcome counters (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    accepted_ = nullptr;
+  }
 
  private:
   RequestHandler& handler_;
   obs::Observability* obs_ = nullptr;
+  // router_requests_total{outcome="accepted"}, resolved on first accept.
+  obs::Counter* accepted_ = nullptr;
   // In-situ parse state, reused across requests: the body is copied into
   // scratch_ (capacity persists) and doc_'s node arena is recycled, so a
   // warm router parses with zero steady-state allocations.

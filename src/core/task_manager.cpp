@@ -12,7 +12,9 @@ TaskManager::TaskManager(sim::Simulation& sim,
     : sim_(sim), gpus_(std::move(gpus)) {
   SWAP_CHECK_MSG(!gpus_.empty(), "task manager needs at least one GPU");
   for (hw::GpuDevice* gpu : gpus_) {
-    queues_[gpu->id()].device = gpu;
+    GpuQueue& q = queues_[gpu->id()];
+    q.device = gpu;
+    q.track = "gpu" + std::to_string(gpu->id());
   }
 }
 
@@ -56,8 +58,8 @@ sim::Task<Result<TaskManager::Reservation>> TaskManager::Reserve(
   waiter.bytes = bytes;
   waiter.ticket = next_ticket_++;
   q.waiters.push_back(&waiter);
-  obs::Span wait_span = obs::StartSpan(obs_, "tm.reserve_wait", "task-mgr",
-                                       "gpu" + std::to_string(gpu));
+  obs::Span wait_span =
+      obs::StartSpan(obs_, "tm.reserve_wait", "task-mgr", q.track);
   wait_span.AddArg("owner", waiter.owner);
   wait_span.AddArg("bytes", std::to_string(bytes.count()));
   PublishGauges(gpu);
@@ -80,12 +82,17 @@ void TaskManager::ReleaseReservation(hw::GpuId gpu, Bytes bytes) {
 
 void TaskManager::PublishGauges(hw::GpuId gpu) {
   if (obs_ == nullptr) return;
-  const GpuQueue& q = Queue(gpu);
-  const obs::LabelSet labels = {{"gpu", std::to_string(gpu)}};
-  obs::SetGauge(obs_, "swapserve_gpu_reserved_bytes", labels,
-                static_cast<double>(q.outstanding.count()));
-  obs::SetGauge(obs_, "swapserve_reservation_queue_depth", labels,
-                static_cast<double>(q.waiters.size()));
+  GpuQueue& q = Queue(gpu);
+  if (q.reserved_gauge == nullptr) {
+    const std::string id = std::to_string(gpu);
+    const obs::Labels labels = {{"gpu", id}};
+    q.reserved_gauge =
+        &obs_->metrics.GetGauge("swapserve_gpu_reserved_bytes", labels);
+    q.queue_depth_gauge =
+        &obs_->metrics.GetGauge("swapserve_reservation_queue_depth", labels);
+  }
+  q.reserved_gauge->Set(static_cast<double>(q.outstanding.count()));
+  q.queue_depth_gauge->Set(static_cast<double>(q.waiters.size()));
 }
 
 void TaskManager::Pump(hw::GpuId gpu) {

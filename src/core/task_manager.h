@@ -105,7 +105,13 @@ class TaskManager {
 
   // Emit reserve-wait spans, reserved-bytes gauges, and reclaim counters
   // (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    for (auto& [id, q] : queues_) {
+      q.reserved_gauge = nullptr;
+      q.queue_depth_gauge = nullptr;
+    }
+  }
 
  private:
   struct Waiter {
@@ -128,6 +134,10 @@ class TaskManager {
     Bytes outstanding{0};
     std::deque<Waiter*> waiters;
     bool reclaiming = false;
+    std::string track;  // "gpu<N>", the trace track of reserve waits
+    // Resolved on the first publish; reset by BindObservability.
+    obs::Gauge* reserved_gauge = nullptr;
+    obs::Gauge* queue_depth_gauge = nullptr;
   };
 
   void ReleaseReservation(hw::GpuId gpu, Bytes bytes);

@@ -51,20 +51,17 @@ InferenceEngine::InferenceEngine(EngineEnv env, model::ModelSpec model,
       process_(*env_.sim, name_) {
   SWAP_CHECK(env_.sim != nullptr && env_.gpu != nullptr &&
              env_.storage != nullptr && env_.runtime != nullptr);
-  if (!env_.tp_group.empty()) {
+  if (env_.tp_group.empty()) {
+    env_.tp_group.push_back(env_.gpu);
+  } else {
     SWAP_CHECK_MSG(env_.tp_group.front() == env_.gpu,
                    "tp_group must start with the primary GPU");
   }
 }
 
-std::vector<hw::GpuDevice*> InferenceEngine::Gpus() const {
-  if (!env_.tp_group.empty()) return env_.tp_group;
-  return {env_.gpu};
-}
-
 Status InferenceEngine::AllocateSharded(Bytes total,
                                         const std::string& purpose) {
-  const std::vector<hw::GpuDevice*> gpus = Gpus();
+  const std::span<hw::GpuDevice* const> gpus = Gpus();
   const auto n = static_cast<std::int64_t>(gpus.size());
   const Bytes per_shard(total.count() / n);
   Bytes remainder = total - per_shard * n;
@@ -184,7 +181,7 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
 
   // Tensor parallelism scales compute and weight-streaming bandwidth by
   // the group size, derated for all-reduce communication per layer.
-  const std::vector<hw::GpuDevice*> gpus = Gpus();
+  const std::span<hw::GpuDevice* const> gpus = Gpus();
   const auto tp = static_cast<double>(gpus.size());
   const double tp_comm_derate = 1.0 + 0.12 * (tp - 1.0);
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,9 +56,9 @@ struct EngineEnv {
   hw::GpuDevice* gpu = nullptr;
   hw::StorageDevice* storage = nullptr;  // where model weights live
   container::ContainerRuntime* runtime = nullptr;
-  // Tensor-parallel group (§6). Empty = single-GPU backend on `gpu`;
-  // otherwise must contain `gpu` as rank 0, and weights/KV shard evenly
-  // across the group.
+  // Tensor-parallel group (§6). Empty = single-GPU backend on `gpu` (the
+  // engine stores it as a one-element group); otherwise must contain `gpu`
+  // as rank 0, and weights/KV shard evenly across the group.
   std::vector<hw::GpuDevice*> tp_group;
 };
 
@@ -202,8 +203,8 @@ class InferenceEngine {
   std::uint64_t total_requests() const { return total_requests_; }
 
   // The device group this backend occupies (size 1 unless tensor-parallel).
-  std::vector<hw::GpuDevice*> Gpus() const;
-  int tp_degree() const { return static_cast<int>(Gpus().size()); }
+  std::span<hw::GpuDevice* const> Gpus() const { return env_.tp_group; }
+  int tp_degree() const { return static_cast<int>(env_.tp_group.size()); }
 
  protected:
   // Engine-specific initialization after the container is up. Must

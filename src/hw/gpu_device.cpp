@@ -14,6 +14,7 @@ GpuDevice::GpuDevice(sim::Simulation& sim, GpuId id, GpuSpec spec)
 
 void GpuDevice::BindObservability(obs::Observability* obs) {
   obs_ = obs;
+  memory_gauges_ = {};
   pcie_.BindObservability(obs);
   PublishMemoryGauges();
 }
@@ -25,13 +26,19 @@ void GpuDevice::BindFaultInjector(fault::FaultInjector* injector) {
 
 void GpuDevice::PublishMemoryGauges() {
   if (obs_ == nullptr) return;
-  const obs::LabelSet labels = {{"gpu", std::to_string(id_)}};
-  obs::SetGauge(obs_, "swapserve_gpu_used_bytes", labels,
-                static_cast<double>(used_.count()));
-  obs::SetGauge(obs_, "swapserve_gpu_capacity_bytes", labels,
-                static_cast<double>(spec_.memory.count()));
-  obs::SetGauge(obs_, "swapserve_gpu_allocations", labels,
-                static_cast<double>(allocations_.size()));
+  MemoryGauges& g = memory_gauges_;
+  if (g.used == nullptr) {
+    const std::string gpu = std::to_string(id_);
+    const obs::Labels labels = {{"gpu", gpu}};
+    g.used = &obs_->metrics.GetGauge("swapserve_gpu_used_bytes", labels);
+    g.capacity =
+        &obs_->metrics.GetGauge("swapserve_gpu_capacity_bytes", labels);
+    g.allocations =
+        &obs_->metrics.GetGauge("swapserve_gpu_allocations", labels);
+  }
+  g.used->Set(static_cast<double>(used_.count()));
+  g.capacity->Set(static_cast<double>(spec_.memory.count()));
+  g.allocations->Set(static_cast<double>(allocations_.size()));
 }
 
 Result<AllocationId> GpuDevice::Allocate(const std::string& owner, Bytes size,

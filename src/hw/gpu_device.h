@@ -114,7 +114,15 @@ class GpuDevice {
 
   void PublishMemoryGauges();
 
+  // Resolved on the first publish; reset by BindObservability.
+  struct MemoryGauges {
+    obs::Gauge* used = nullptr;
+    obs::Gauge* capacity = nullptr;
+    obs::Gauge* allocations = nullptr;
+  };
+
   obs::Observability* obs_ = nullptr;
+  MemoryGauges memory_gauges_;
   fault::FaultInjector* fault_ = nullptr;
   sim::Simulation& sim_;
   GpuId id_;

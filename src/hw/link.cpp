@@ -11,8 +11,33 @@ Link::Link(sim::Simulation& sim, std::string name, BytesPerSecond bandwidth,
            sim::SimDuration setup_latency)
     : sim_(sim),
       name_(std::move(name)),
+      track_("link:" + name_),
       bandwidth_(bandwidth),
       setup_latency_(setup_latency) {}
+
+void Link::SetInFlightGauge() {
+  if (obs_ == nullptr) return;
+  if (in_flight_gauge_ == nullptr) {
+    in_flight_gauge_ = &obs_->metrics.GetGauge("swapserve_link_in_flight",
+                                               {{"link", name_}});
+  }
+  in_flight_gauge_->Set(static_cast<double>(in_flight_));
+}
+
+void Link::CountWireTime(Bytes bytes, sim::SimDuration wire) {
+  if (obs_ == nullptr) return;
+  if (bytes_counter_ == nullptr) {
+    const obs::Labels labels = {{"link", name_}};
+    bytes_counter_ = &obs_->metrics.GetCounter(
+        "swapserve_link_transferred_bytes_total", labels);
+    busy_counter_ = &obs_->metrics.GetCounter(
+        "swapserve_link_busy_seconds_total", labels);
+  }
+  bytes_counter_->Increment(static_cast<double>(bytes.count()));
+  // Wire-occupancy accumulator: rate() of this against wall time is the
+  // link's bandwidth occupancy.
+  busy_counter_->Increment(wire.ToSeconds());
+}
 
 void Link::EnqueueWaiter(ChannelWaiter waiter) {
   // Keep (priority desc, seq asc): an urgent transfer jumps ahead of queued
@@ -57,11 +82,8 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
 
   ++in_flight_;
   pending_ += size;
-  const obs::LabelSet labels = {{"link", name_}};
-  obs::SetGauge(obs_, "swapserve_link_in_flight", labels,
-                static_cast<double>(in_flight_));
-  obs::Span span =
-      obs::StartSpan(obs_, "transfer", "link", "link:" + name_);
+  SetInFlightGauge();
+  obs::Span span = obs::StartSpan(obs_, "transfer", "link", track_);
   span.AddArg("bytes", std::to_string(size.count()));
   if (chunked) {
     span.AddArg("chunk_bytes", std::to_string(chunk.count()));
@@ -75,22 +97,14 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
     const Bytes this_chunk = std::min(chunk, size - done);
     co_await AcquireChannel(options.priority);
     obs::Span chunk_span =
-        chunked ? obs::StartSpan(obs_, "chunk", "link", "link:" + name_)
-                : obs::Span();
+        chunked ? obs::StartSpan(obs_, "chunk", "link", track_) : obs::Span();
     const sim::SimDuration wire =
         (first ? setup : sim::SimDuration(0)) +
         sim::Seconds(bw.SecondsFor(this_chunk));
     co_await sim_.Delay(wire);
     done += this_chunk;
     pending_ -= this_chunk;
-    if (obs_ != nullptr) {
-      obs::IncCounter(obs_, "swapserve_link_transferred_bytes_total",
-                      labels, static_cast<double>(this_chunk.count()));
-      // Wire-occupancy accumulator: rate() of this against wall time is
-      // the link's bandwidth occupancy.
-      obs::IncCounter(obs_, "swapserve_link_busy_seconds_total", labels,
-                      wire.ToSeconds());
-    }
+    CountWireTime(this_chunk, wire);
     ReleaseChannel();
     first = false;
   }
@@ -98,8 +112,7 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
   total_ += size;
   ++transfers_;
   --in_flight_;
-  obs::SetGauge(obs_, "swapserve_link_in_flight", labels,
-                static_cast<double>(in_flight_));
+  SetInFlightGauge();
 }
 
 sim::SimDuration Link::IdleTransferTime(Bytes size) const {

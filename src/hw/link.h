@@ -82,7 +82,12 @@ class Link {
   // Publish per-link bandwidth-occupancy gauges and transfer spans
   // (nullable). Occupancy is derived as busy-seconds over wall-seconds;
   // the cumulative counter lets scrapers rate() it.
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    in_flight_gauge_ = nullptr;
+    bytes_counter_ = nullptr;
+    busy_counter_ = nullptr;
+  }
 
   // Nullable. Fault point "hw.link": stall-only (a degraded or retrained
   // lane delays the transfer; hard transfer errors surface at the ckpt
@@ -123,10 +128,19 @@ class Link {
   void ReleaseChannel();
   void EnqueueWaiter(ChannelWaiter waiter);
 
+  // Registry writes (no-ops when unbound); each series is resolved on its
+  // first write.
+  void SetInFlightGauge();
+  void CountWireTime(Bytes bytes, sim::SimDuration wire);
+
   obs::Observability* obs_ = nullptr;
+  obs::Gauge* in_flight_gauge_ = nullptr;
+  obs::Counter* bytes_counter_ = nullptr;
+  obs::Counter* busy_counter_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   sim::Simulation& sim_;
   std::string name_;
+  std::string track_;  // "link:<name>", the trace track of every span
   BytesPerSecond bandwidth_;
   sim::SimDuration setup_latency_;
   bool channel_busy_ = false;

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/status.h"
 
@@ -61,41 +62,73 @@ const std::vector<double>& DefaultBytesBuckets() {
   return kBuckets;
 }
 
-std::string MetricsRegistry::LabelKey(LabelSet labels) {
-  std::sort(labels.begin(), labels.end());
-  std::string key;
-  for (const auto& [k, v] : labels) {
-    if (!key.empty()) key += ',';
-    key += k;
+namespace {
+
+using LabelView = std::pair<std::string_view, std::string_view>;
+using SortedLabels = std::array<LabelView, MetricsRegistry::kMaxLabels>;
+
+// Copy the borrowed pairs onto the stack sorted by key; returns the count.
+std::size_t SortLabels(Labels labels, SortedLabels& out) {
+  SWAP_CHECK_MSG(labels.size() <= out.size(), "too many metric labels");
+  std::copy(labels.begin(), labels.end(), out.begin());
+  const auto last = out.begin() + static_cast<std::ptrdiff_t>(labels.size());
+  std::sort(out.begin(), last);
+  return labels.size();
+}
+
+void AppendLabelKey(const SortedLabels& sorted, std::size_t n,
+                    std::string& key) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) key += ',';
+    key += sorted[i].first;
     key += '=';
-    key += v;
+    key += sorted[i].second;
   }
+}
+
+}  // namespace
+
+std::string MetricsRegistry::LabelKey(Labels labels) {
+  SortedLabels sorted;
+  const std::size_t n = SortLabels(labels, sorted);
+  std::string key;
+  AppendLabelKey(sorted, n, key);
   return key;
 }
 
-MetricsRegistry::Instrument& MetricsRegistry::Series(const std::string& name,
+MetricsRegistry::Instrument& MetricsRegistry::Series(std::string_view name,
                                                      MetricType type,
-                                                     const LabelSet& labels) {
+                                                     Labels labels) {
   SWAP_CHECK_MSG(!name.empty(), "metric name must not be empty");
-  auto [fit, family_inserted] = families_.try_emplace(name);
-  Family& family = fit->second;
-  if (family_inserted) {
-    family.name = name;
-    family.type = type;
+  auto fit = families_.lower_bound(name);
+  if (fit == families_.end() || fit->first != name) {
+    fit = families_.try_emplace(fit, std::string(name));
+    fit->second.name = fit->first;
+    fit->second.type = type;
   } else {
-    SWAP_CHECK_MSG(family.type == type,
-                   "metric " + name + " re-registered as a different type");
+    SWAP_CHECK_MSG(fit->second.type == type,
+                   "metric " + std::string(name) +
+                       " re-registered as a different type");
   }
-  LabelSet canonical = labels;
-  std::sort(canonical.begin(), canonical.end());
-  auto [sit, series_inserted] =
-      family.series.try_emplace(LabelKey(canonical));
-  if (series_inserted) sit->second.labels = std::move(canonical);
+  Family& family = fit->second;
+
+  SortedLabels sorted;
+  const std::size_t n = SortLabels(labels, sorted);
+  key_.clear();
+  AppendLabelKey(sorted, n, key_);
+  auto sit = family.series.lower_bound(key_);
+  if (sit == family.series.end() || sit->first != key_) {
+    sit = family.series.try_emplace(sit, key_);
+    LabelSet& stored = sit->second.labels;
+    stored.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      stored.emplace_back(sorted[i].first, sorted[i].second);
+    }
+  }
   return sit->second;
 }
 
-Counter& MetricsRegistry::GetCounter(const std::string& name,
-                                     const LabelSet& labels) {
+Counter& MetricsRegistry::GetCounter(std::string_view name, Labels labels) {
   Instrument& series = Series(name, MetricType::kCounter, labels);
   if (series.counter == nullptr) {
     series.counter = std::make_unique<Counter>();
@@ -103,31 +136,30 @@ Counter& MetricsRegistry::GetCounter(const std::string& name,
   return *series.counter;
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name,
-                                 const LabelSet& labels) {
+Gauge& MetricsRegistry::GetGauge(std::string_view name, Labels labels) {
   Instrument& series = Series(name, MetricType::kGauge, labels);
   if (series.gauge == nullptr) series.gauge = std::make_unique<Gauge>();
   return *series.gauge;
 }
 
 HistogramMetric& MetricsRegistry::GetHistogram(
-    const std::string& name, const LabelSet& labels,
+    std::string_view name, Labels labels,
     const std::vector<double>& upper_bounds) {
   Instrument& series = Series(name, MetricType::kHistogram, labels);
   if (series.histogram == nullptr) {
     series.histogram = std::make_unique<HistogramMetric>(upper_bounds);
   } else {
     SWAP_CHECK_MSG(series.histogram->upper_bounds() == upper_bounds,
-                   "histogram " + name + " re-registered with different "
-                   "buckets");
+                   "histogram " + std::string(name) +
+                       " re-registered with different buckets");
   }
   return *series.histogram;
 }
 
-void MetricsRegistry::SetHelp(const std::string& name, std::string help) {
+void MetricsRegistry::SetHelp(std::string_view name, std::string help) {
   auto it = families_.find(name);
   SWAP_CHECK_MSG(it != families_.end(),
-                 "SetHelp for unregistered metric " + name);
+                 "SetHelp for unregistered metric " + std::string(name));
   it->second.help = std::move(help);
 }
 

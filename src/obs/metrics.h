@@ -9,6 +9,11 @@
 //                       {{"direction", "in"}, {"trigger", "demand"}})
 //       .Increment();
 //
+// Lookups borrow: the name and label pairs are string views, the canonical
+// key is built into a reused buffer, and a std::string is allocated only
+// when a lookup creates a family or series. Instruments never move, so a
+// hot path may resolve one once and keep the pointer.
+//
 // Families and series are stored in ordered maps so exporters (Prometheus
 // text exposition / JSON snapshot, see obs/exporters.h) emit deterministic
 // output — the bench harness diffs these artifacts across PRs.
@@ -17,6 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,8 +33,14 @@
 
 namespace swapserve::obs {
 
-// Label pairs; order does not matter (the registry canonicalizes by key).
+// A series' stored label pairs, canonical (sorted by key).
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
+// Borrowed label pairs for a lookup; order does not matter (the registry
+// canonicalizes by key). The views must outlive the call only, so a named
+// Labels variable must not view temporaries (a std::to_string in its
+// initializer dies at the end of the declaration).
+using Labels =
+    std::initializer_list<std::pair<std::string_view, std::string_view>>;
 
 enum class MetricType { kCounter, kGauge, kHistogram };
 std::string_view MetricTypeName(MetricType t);
@@ -93,33 +106,36 @@ class MetricsRegistry {
     std::string help;
     MetricType type = MetricType::kCounter;
     // Keyed by the serialized label set for deterministic iteration.
-    std::map<std::string, Instrument> series;
+    std::map<std::string, Instrument, std::less<>> series;
   };
+  using FamilyMap = std::map<std::string, Family, std::less<>>;
+
+  // Most labels one series may carry (the sort runs on the stack).
+  static constexpr std::size_t kMaxLabels = 8;
 
   // Fetch-or-create. Checks fail when `name` is reused with a different
   // type or (for histograms) different bucket bounds.
-  Counter& GetCounter(const std::string& name, const LabelSet& labels = {});
-  Gauge& GetGauge(const std::string& name, const LabelSet& labels = {});
-  HistogramMetric& GetHistogram(const std::string& name,
-                                const LabelSet& labels = {},
+  Counter& GetCounter(std::string_view name, Labels labels = {});
+  Gauge& GetGauge(std::string_view name, Labels labels = {});
+  HistogramMetric& GetHistogram(std::string_view name, Labels labels = {},
                                 const std::vector<double>& upper_bounds =
                                     DefaultLatencyBuckets());
 
   // Attach a help string emitted by the exporters (idempotent).
-  void SetHelp(const std::string& name, std::string help);
+  void SetHelp(std::string_view name, std::string help);
 
-  const std::map<std::string, Family>& families() const { return families_; }
+  const FamilyMap& families() const { return families_; }
   std::size_t family_count() const { return families_.size(); }
   std::size_t series_count() const;
 
   // Canonical serialized form of a label set ("k1=v1,k2=v2", sorted).
-  static std::string LabelKey(LabelSet labels);
+  static std::string LabelKey(Labels labels);
 
  private:
-  Instrument& Series(const std::string& name, MetricType type,
-                     const LabelSet& labels);
+  Instrument& Series(std::string_view name, MetricType type, Labels labels);
 
-  std::map<std::string, Family> families_;
+  FamilyMap families_;
+  std::string key_;  // canonical-key buffer, reused across lookups
 };
 
 }  // namespace swapserve::obs

@@ -10,8 +10,7 @@
 
 #pragma once
 
-#include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -31,37 +30,40 @@ struct Observability {
 };
 
 // --- null-safe instrumentation helpers ---------------------------------
+//
+// Names, labels and trace args are borrowed views: nothing is copied
+// unless a metric lookup creates its series or the recorder is enabled.
+// Hot paths skip even the lookup by caching the instrument pointer on its
+// first write (registry instruments never move) and resetting the cache in
+// BindObservability, as hw::GpuMonitor does for its utilization gauges.
 
-inline Span StartSpan(Observability* obs, std::string name,
-                      std::string category, std::string track) {
+inline Span StartSpan(Observability* obs, std::string_view name,
+                      std::string_view category, std::string_view track) {
   if (obs == nullptr) return Span();
-  return obs->trace.StartSpan(std::move(name), std::move(category),
-                              std::move(track));
+  return obs->trace.StartSpan(name, category, track);
 }
 
-inline void Instant(
-    Observability* obs, std::string name, std::string category,
-    std::string track,
-    std::vector<std::pair<std::string, std::string>> args = {}) {
+inline void Instant(Observability* obs, std::string_view name,
+                    std::string_view category, std::string_view track,
+                    TraceArgs args = {}) {
   if (obs == nullptr) return;
-  obs->trace.Instant(std::move(name), std::move(category), std::move(track),
-                     std::move(args));
+  obs->trace.Instant(name, category, track, args);
 }
 
-inline void IncCounter(Observability* obs, const std::string& name,
-                       const LabelSet& labels = {}, double delta = 1.0) {
+inline void IncCounter(Observability* obs, std::string_view name,
+                       Labels labels = {}, double delta = 1.0) {
   if (obs == nullptr) return;
   obs->metrics.GetCounter(name, labels).Increment(delta);
 }
 
-inline void SetGauge(Observability* obs, const std::string& name,
-                     const LabelSet& labels, double value) {
+inline void SetGauge(Observability* obs, std::string_view name,
+                     Labels labels, double value) {
   if (obs == nullptr) return;
   obs->metrics.GetGauge(name, labels).Set(value);
 }
 
-inline void Observe(Observability* obs, const std::string& name,
-                    const LabelSet& labels, double value,
+inline void Observe(Observability* obs, std::string_view name, Labels labels,
+                    double value,
                     const std::vector<double>& upper_bounds =
                         DefaultLatencyBuckets()) {
   if (obs == nullptr) return;

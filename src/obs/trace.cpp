@@ -6,20 +6,19 @@
 
 namespace swapserve::obs {
 
-Span::Span(TraceRecorder* recorder, std::string name, std::string category,
-           std::string track) {
-  if (recorder == nullptr || !recorder->enabled()) return;
-  recorder_ = recorder;
+Span::Span(TraceRecorder* recorder, std::string_view name,
+           std::string_view category, std::string_view track)
+    : recorder_(recorder) {
   event_.phase = TraceEvent::Phase::kComplete;
   event_.ts_ns = recorder->Now().ns();
-  event_.name = std::move(name);
-  event_.category = std::move(category);
-  event_.track = std::move(track);
+  event_.name = name;
+  event_.category = category;
+  event_.track = track;
 }
 
-void Span::AddArg(std::string key, std::string value) {
+void Span::AddArg(std::string_view key, std::string_view value) {
   if (recorder_ == nullptr) return;
-  event_.args.emplace_back(std::move(key), std::move(value));
+  event_.args.emplace_back(key, value);
 }
 
 void Span::End() {
@@ -41,16 +40,17 @@ void TraceRecorder::Emit(TraceEvent event) {
   ring_[static_cast<std::size_t>(slot % ring_.size())] = std::move(event);
 }
 
-void TraceRecorder::Instant(
-    std::string name, std::string category, std::string track,
-    std::vector<std::pair<std::string, std::string>> args) {
+void TraceRecorder::Instant(std::string_view name, std::string_view category,
+                            std::string_view track, TraceArgs args) {
+  if (!enabled_) return;
   TraceEvent ev;
   ev.phase = TraceEvent::Phase::kInstant;
   ev.ts_ns = sim_.Now().ns();
-  ev.name = std::move(name);
-  ev.category = std::move(category);
-  ev.track = std::move(track);
-  ev.args = std::move(args);
+  ev.name = name;
+  ev.category = category;
+  ev.track = track;
+  ev.args.reserve(args.size());
+  for (const auto& [key, value] : args) ev.args.emplace_back(key, value);
   Emit(std::move(ev));
 }
 

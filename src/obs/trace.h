@@ -17,13 +17,19 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
 
 namespace swapserve::obs {
+
+// Borrowed key/value pairs for an instant; copied only when recorded.
+using TraceArgs =
+    std::initializer_list<std::pair<std::string_view, std::string_view>>;
 
 struct TraceEvent {
   // Chrome trace-event phases we emit: complete spans carry their own
@@ -44,7 +50,8 @@ class TraceRecorder;
 // Scoped span: captures the virtual clock at construction and emits one
 // kComplete event when End() runs (at latest, destruction). Default
 // constructed or moved-from spans are inert, so call sites can hold a Span
-// unconditionally even when tracing is disabled.
+// unconditionally even when tracing is disabled; a disabled recorder hands
+// out inert spans without building any string.
 class [[nodiscard]] Span {
  public:
   Span() = default;
@@ -64,7 +71,8 @@ class [[nodiscard]] Span {
   ~Span() { End(); }
 
   // Attach a key/value pair shown in the trace viewer's detail pane.
-  void AddArg(std::string key, std::string value);
+  // A no-op on an inert span.
+  void AddArg(std::string_view key, std::string_view value);
 
   // Emit the completed span; idempotent.
   void End();
@@ -72,8 +80,8 @@ class [[nodiscard]] Span {
 
  private:
   friend class TraceRecorder;
-  Span(TraceRecorder* recorder, std::string name, std::string category,
-       std::string track);
+  Span(TraceRecorder* recorder, std::string_view name,
+       std::string_view category, std::string_view track);
 
   TraceRecorder* recorder_ = nullptr;
   TraceEvent event_;
@@ -96,12 +104,14 @@ class TraceRecorder {
   // Append one event, overwriting the oldest when the ring is full.
   void Emit(TraceEvent event);
 
-  Span StartSpan(std::string name, std::string category, std::string track) {
-    return Span(this, std::move(name), std::move(category),
-                std::move(track));
+  // Both return before copying a view when the recorder is disabled.
+  Span StartSpan(std::string_view name, std::string_view category,
+                 std::string_view track) {
+    if (!enabled_) return Span();
+    return Span(this, name, category, track);
   }
-  void Instant(std::string name, std::string category, std::string track,
-               std::vector<std::pair<std::string, std::string>> args = {});
+  void Instant(std::string_view name, std::string_view category,
+               std::string_view track, TraceArgs args = {});
 
   std::size_t capacity() const { return ring_.size(); }
   // Events currently retained (<= capacity).
