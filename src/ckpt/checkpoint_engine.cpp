@@ -34,8 +34,8 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
   const sim::SimTime start = sim_.Now();
   obs::Span swap_span =
       obs::StartSpan(obs_, "ckpt.swap_out", "ckpt", req.owner);
-  swap_span.AddArg("dirty_bytes", std::to_string(req.dirty_bytes.count()));
-  swap_span.AddArg("clean_bytes", std::to_string(req.clean_bytes.count()));
+  swap_span.AddArg("dirty_bytes", req.dirty_bytes.count());
+  swap_span.AddArg("clean_bytes", req.clean_bytes.count());
 
   // Injected checkpoint failure fires before the freeze, so the backend is
   // still running and the caller's rollback is a pure state unwind.
@@ -127,7 +127,7 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
   {
     obs::Span phase = obs::StartSpan(obs_, "release", "ckpt", req.owner);
     for (hw::GpuDevice* gpu : gpus) freed += gpu->FreeAllOwnedBy(req.owner);
-    phase.AddArg("freed_bytes", std::to_string(freed.count()));
+    phase.AddArg("freed_bytes", freed.count());
   }
 
   SWAP_LOG(kDebug, "ckpt") << "swap-out " << req.owner << ": freed "
@@ -192,8 +192,8 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   };
   obs::Span swap_span =
       obs::StartSpan(obs_, "ckpt.swap_in", "ckpt", snap.owner);
-  swap_span.AddArg("dirty_bytes", std::to_string(snap.dirty_bytes.count()));
-  swap_span.AddArg("clean_bytes", std::to_string(snap.clean_bytes.count()));
+  swap_span.AddArg("dirty_bytes", snap.dirty_bytes.count());
+  swap_span.AddArg("clean_bytes", snap.clean_bytes.count());
 
   const Bytes total = snap.clean_bytes + snap.dirty_bytes;
 
@@ -203,7 +203,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   {
     std::vector<std::pair<hw::GpuDevice*, hw::AllocationId>> allocs;
     obs::Span phase = obs::StartSpan(obs_, "reserve", "ckpt", snap.owner);
-    phase.AddArg("bytes", std::to_string(total.count()));
+    phase.AddArg("bytes", total.count());
     for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
       Result<hw::AllocationId> alloc = gpus[rank]->Allocate(
           snap.owner, Shard(total, gpus.size(), rank), "restored-state");
@@ -223,7 +223,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   //    context restore + API health check) is paid once, at unlock.
   {
     obs::Span phase = obs::StartSpan(obs_, "h2d", "ckpt", snap.owner);
-    phase.AddArg("bytes", std::to_string(snap.dirty_bytes.count()));
+    phase.AddArg("bytes", snap.dirty_bytes.count());
     const sim::SimTime h2d_start = sim_.Now();
     if (snap.dirty_bytes.count() > 0) {
       std::vector<sim::Task<>> copies;
@@ -243,7 +243,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   }
   {
     obs::Span phase = obs::StartSpan(obs_, "remap", "ckpt", snap.owner);
-    phase.AddArg("bytes", std::to_string(snap.clean_bytes.count()));
+    phase.AddArg("bytes", snap.clean_bytes.count());
     co_await sim_.Delay(sim::Seconds(snap.restore.remap_bw.SecondsFor(
         Shard(snap.clean_bytes, gpus.size(), 0))));
   }

@@ -142,9 +142,9 @@ sim::Task<Status> SnapshotTierManager::Demote(SnapshotId id) {
   ++moves_in_flight_;
   {
     obs::Span span = obs::StartSpan(obs_, "tier.demote", "tier", "tier");
-    span.AddArg("snapshot", std::to_string(id));
+    span.AddArg("snapshot", id);
     span.AddArg("owner", snap->owner);
-    span.AddArg("bytes", std::to_string(bytes.count()));
+    span.AddArg("bytes", bytes.count());
     co_await nvme_.WriteFile(bytes, hw::TransferPriority::kBackground);
   }
   it = entries_.find(id);
@@ -187,15 +187,15 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
   it->second.move_done->Reset();
   ++moves_in_flight_;
   obs::Span span = obs::StartSpan(obs_, "tier.promote", "tier", "tier");
-  span.AddArg("snapshot", std::to_string(id));
+  span.AddArg("snapshot", id);
   span.AddArg("owner", owner);
-  span.AddArg("bytes", std::to_string(bytes.count()));
-  span.AddArg("priority", std::to_string(static_cast<int>(priority)));
+  span.AddArg("bytes", bytes.count());
+  span.AddArg("priority", static_cast<int>(priority));
 
   auto fail = [&](Status status) {
     ++promotion_failures_;
     obs::IncCounter(obs_, "swapserve_tier_promotion_failures_total", {}, 1);
-    span.AddArg("status", status.ToString());
+    if (span.active()) span.AddArg("status", status.ToString());
     FinishMove(id);
     MaybeErase(entries_.find(id));
     return status;
@@ -319,8 +319,8 @@ sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
     {
       obs::Span span =
           obs::StartSpan(obs_, "tier.direct_read", "tier", "tier");
-      span.AddArg("snapshot", std::to_string(id));
-      span.AddArg("bytes", std::to_string(snap->dirty_bytes.count()));
+      span.AddArg("snapshot", id);
+      span.AddArg("bytes", snap->dirty_bytes.count());
       co_await nvme_.ReadFile(snap->dirty_bytes,
                               hw::TransferPriority::kUrgent);
     }

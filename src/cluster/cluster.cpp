@@ -347,7 +347,7 @@ sim::Task<> ClusterServe::MigrateModel(std::string model, int from, int to) {
                {{"model", model},
                 {"from", src_node.name()},
                 {"to", dst_node.name()},
-                {"requeued", std::to_string(moved)}});
+                {"requeued", moved}});
   SWAP_LOG(kInfo, "cluster")
       << "migrated " << model << " from " << src_node.name() << " to "
       << dst_node.name() << " (" << moved << " queued request(s) moved)";
@@ -437,7 +437,7 @@ void ClusterServe::PartitionNodes(int a, int b, sim::SimDuration duration,
                nodes_[a]->name(),
                {{"peer", nodes_[b]->name()},
                 {"mode", degrade == 0.0 ? "blackhole" : "degrade"},
-                {"duration_s", std::to_string(duration.ToSeconds())}});
+                {"duration_s", duration.ToSeconds()}});
   SWAP_LOG(kWarning, "cluster")
       << "partition " << nodes_[a]->name() << " <-> " << nodes_[b]->name()
       << " for " << duration.ToString()
@@ -478,8 +478,8 @@ void ClusterServe::FailOverNode(int id) {
   }
   redispatched_ += static_cast<std::uint64_t>(moved);
   redispatch_dropped_ += static_cast<std::uint64_t>(dropped);
-  span.AddArg("redispatched", std::to_string(moved));
-  span.AddArg("dropped", std::to_string(dropped));
+  span.AddArg("redispatched", moved);
+  span.AddArg("dropped", dropped);
   obs::IncCounter(&down.serve().obs(), "swapserve_cluster_failover_total",
                   {{"node", down.name()}});
   SWAP_LOG(kWarning, "cluster")

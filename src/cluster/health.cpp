@@ -55,9 +55,8 @@ void HealthMonitor::Transition(Node& node, NodeState to) {
   obs::Observability* obs = &node.serve().obs();
   obs::SetGauge(obs, "swapserve_node_membership", {{"node", node.name()}},
                 static_cast<double>(to));
-  obs::Instant(obs, "membership:" + std::string(NodeStateName(to)),
-               "cluster", node.name(),
-               {{"from", std::string(NodeStateName(from))}});
+  obs::Instant(obs, {"membership:", NodeStateName(to)}, "cluster",
+               node.name(), {{"from", NodeStateName(from)}});
   SWAP_LOG(kInfo, "cluster")
       << node.name() << " membership " << NodeStateName(from) << " -> "
       << NodeStateName(to);

@@ -169,7 +169,7 @@ sim::Task<Status> EngineController::ColdRestoreFallback(Backend& backend,
   SWAP_LOG(kWarning, "controller")
       << "snapshot of " << backend.name()
       << " is corrupt; falling back to cold start: " << cause;
-  obs::Instant(obs_, "cold_fallback:" + backend.name(), "controller",
+  obs::Instant(obs_, {"cold_fallback:", backend.name()}, "controller",
                backend.name(), {{"cause", cause.message()}});
   SWAP_WARN_IF_ERROR(ckpt_.DropSnapshot(backend.snapshot), "controller");
   backend.has_snapshot = false;
@@ -252,13 +252,13 @@ sim::Task<Bytes> EngineController::ReclaimMemory(
     const Bytes victim_resident =
         Bytes(victim->engine->GpuResidentBytes().count() /
               victim->engine->tp_degree());
-    obs::Instant(obs_, "preempt:" + victim->name(), "controller",
-                 "gpu" + std::to_string(gpu),
+    obs::Instant(obs_, {"preempt:", victim->name()}, "controller",
+                 task_manager_.trace_track(gpu),
                  {{"victim", victim->name()},
                   {"requester", requester},
-                  {"victim_demand", std::to_string(victim->Demand())},
-                  {"frees_bytes", std::to_string(victim_resident.count())},
-                  {"needed_bytes", std::to_string(needed.count())}});
+                  {"victim_demand", victim->Demand()},
+                  {"frees_bytes", victim_resident.count()},
+                  {"needed_bytes", needed.count()}});
     SWAP_LOG(kInfo, "controller")
         << "preempting " << victim->name() << " (demand "
         << victim->Demand() << ", " << victim_resident.ToString()

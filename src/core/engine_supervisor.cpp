@@ -74,7 +74,7 @@ sim::Task<int> EngineSupervisor::ScanOnce() {
           << backend.name() << ": hang detected (no progress for "
           << (sim_.Now() - backend.engine->last_progress()).ToString()
           << "), declaring crashed";
-      obs::Instant(obs_, "hang_detected:" + backend.name(), "supervisor",
+      obs::Instant(obs_, {"hang_detected:", backend.name()}, "supervisor",
                    backend.name(), {});
       backend.engine->MarkCrashed("hung: no generation progress past deadline");
       state = engine::BackendState::kCrashed;
@@ -155,10 +155,9 @@ sim::Task<Status> EngineSupervisor::Recover(Backend& backend) {
       ++backend.health.recoveries;
       const double elapsed = (sim_.Now() - t0).ToSeconds();
       metrics_.RecordRecovery(backend.name(), "restart", elapsed);
-      obs::Instant(obs_, "recovered:" + backend.name(), "supervisor",
+      obs::Instant(obs_, {"recovered:", backend.name()}, "supervisor",
                    backend.name(),
-                   {{"elapsed_s", std::to_string(elapsed)},
-                    {"attempts", std::to_string(attempt)}});
+                   {{"elapsed_s", elapsed}, {"attempts", attempt}});
       SWAP_LOG(kInfo, "supervisor")
           << backend.name() << ": recovered after " << attempt
           << " attempt(s) in " << (sim_.Now() - t0).ToString();
@@ -182,8 +181,8 @@ sim::Task<Status> EngineSupervisor::Recover(Backend& backend) {
                     {{"component", "supervisor"}, {"model", backend.name()}});
   }
   metrics_.RecordQuarantine(backend.name());
-  obs::Instant(obs_, "quarantined:" + backend.name(), "supervisor",
-               backend.name(), {{"cause", std::string(last.message())}});
+  obs::Instant(obs_, {"quarantined:", backend.name()}, "supervisor",
+               backend.name(), {{"cause", last.message()}});
   SWAP_LOG(kError, "supervisor")
       << backend.name() << ": quarantined after "
       << options_.restart_policy.max_attempts

@@ -41,8 +41,8 @@ sim::Task<> ModelWorker::FailOrRequeue(QueuedRequest item, Status status,
         << request_retries_ << ") in " << backoff.ToString() << ": "
         << status;
     obs::Instant(obs_, "requeue", "worker", backend_.name(),
-                 {{"request_id", std::to_string(item.request.id)},
-                  {"attempt", std::to_string(item.attempt)}});
+                 {{"request_id", item.request.id},
+                  {"attempt", item.attempt}});
     co_await sim_.Delay(backoff);
     QueuedRequest copy = item;  // TrySend consumes its argument
     if (backend_.queue->TrySend(std::move(item))) co_return;
@@ -75,7 +75,7 @@ sim::Task<> ModelWorker::Run() {
         sim_.Now().ToSeconds() >= item.request.deadline_s) {
       metrics_.RecordExpired(backend_.name());
       obs::Instant(obs_, "expire:deadline", "worker", backend_.name(),
-                   {{"request_id", std::to_string(item.request.id)}});
+                   {{"request_id", item.request.id}});
       RespondError(item, "client deadline expired while queued");
       continue;
     }
@@ -102,7 +102,7 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
   const sim::SimTime t0 = sim_.Now();
   obs::Span serve_span =
       obs::StartSpan(obs_, "request.serve", "worker", backend_.name());
-  serve_span.AddArg("request_id", std::to_string(item.request.id));
+  serve_span.AddArg("request_id", item.request.id);
   if (obs_ != nullptr) {
     if (queue_wait_ == nullptr) {
       queue_wait_ = &obs_->metrics.GetHistogram(
@@ -163,7 +163,7 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
       // The failure is terminal for this request, exactly like a real
       // server that cannot un-send part of an SSE stream.
       obs::Instant(obs_, "stream:aborted", "worker", backend_.name(),
-                   {{"request_id", std::to_string(item.request.id)}});
+                   {{"request_id", item.request.id}});
       metrics_.RecordFailed(backend_.name());
       RespondError(item, result.status().ToString());
       co_return;

@@ -68,7 +68,7 @@ Result<ResponseChannelPtr> RequestHandler::Accept(InferenceRequest request) {
   if (!backend->queue->TrySend(std::move(item))) {
     metrics_.RecordRejected(request.model);
     obs::Instant(obs_, "reject:queue_full", "handler", request.model,
-                 {{"request_id", std::to_string(request.id)}});
+                 {{"request_id", request.id}});
     return ResourceExhausted("queue for " + request.model + " is full");
   }
   if (obs_ != nullptr) {

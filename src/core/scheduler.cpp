@@ -133,8 +133,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
     // ascending device order so overlapping groups cannot deadlock.
     obs::Span place_span = obs::StartSpan(obs_, "scheduler.place",
                                           "scheduler", backend.name());
-    place_span.AddArg("bytes",
-                      std::to_string(backend.resident_bytes.count()));
+    place_span.AddArg("bytes", backend.resident_bytes.count());
     const sim::SimTime reserve_start = sim_.Now();
     const std::vector<hw::GpuId> gpu_ids = backend.GpuIds();
     const auto tp = static_cast<std::int64_t>(gpu_ids.size());

@@ -61,7 +61,7 @@ sim::Task<Result<TaskManager::Reservation>> TaskManager::Reserve(
   obs::Span wait_span =
       obs::StartSpan(obs_, "tm.reserve_wait", "task-mgr", q.track);
   wait_span.AddArg("owner", waiter.owner);
-  wait_span.AddArg("bytes", std::to_string(bytes.count()));
+  wait_span.AddArg("bytes", bytes.count());
   PublishGauges(gpu);
   Pump(gpu);
   co_await waiter.event.Wait();

@@ -16,6 +16,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hw/gpu_device.h"
@@ -98,6 +99,10 @@ class TaskManager {
   Bytes OutstandingReserved(hw::GpuId gpu) const;
   std::size_t PendingRequests(hw::GpuId gpu) const;
   const std::vector<hw::GpuDevice*>& gpus() const { return gpus_; }
+  // "gpu<N>": the trace track of everything that happens on one GPU.
+  std::string_view trace_track(hw::GpuId gpu) const {
+    return Queue(gpu).track;
+  }
 
   // Wake the grant loop after external memory-state changes (the engine
   // controller calls this after a swap-out frees device memory).

@@ -64,12 +64,11 @@ FaultDecision FaultInjector::Evaluate(std::string_view point,
       decision.status = Status(rule.code, std::move(msg));
     }
     obs::IncCounter(obs_, "swapserve_fault_injected_total",
-                    {{"point", std::string(point)},
-                     {"owner", std::string(owner)}});
-    obs::Instant(obs_, "fault:" + std::string(point), "fault",
-                 std::string(owner.empty() ? point : owner),
-                 {{"code", std::string(StatusCodeName(rule.code))},
-                  {"stall_s", std::to_string(rule.stall_s)}});
+                    {{"point", point}, {"owner", owner}});
+    obs::Instant(obs_, {"fault:", point}, "fault",
+                 owner.empty() ? point : owner,
+                 {{"code", StatusCodeName(rule.code)},
+                  {"stall_s", rule.stall_s}});
     SWAP_LOG(kInfo, "fault")
         << "injected " << point << (owner.empty() ? "" : " on ") << owner
         << " -> "

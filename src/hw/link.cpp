@@ -84,11 +84,10 @@ sim::Task<> Link::TransferChunked(Bytes size, TransferOptions options) {
   pending_ += size;
   SetInFlightGauge();
   obs::Span span = obs::StartSpan(obs_, "transfer", "link", track_);
-  span.AddArg("bytes", std::to_string(size.count()));
+  span.AddArg("bytes", size.count());
   if (chunked) {
-    span.AddArg("chunk_bytes", std::to_string(chunk.count()));
-    span.AddArg("priority",
-                std::to_string(static_cast<int>(options.priority)));
+    span.AddArg("chunk_bytes", chunk.count());
+    span.AddArg("priority", static_cast<int>(options.priority));
   }
 
   Bytes done(0);

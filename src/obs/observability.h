@@ -33,6 +33,9 @@ struct Observability {
 //
 // Names, labels and trace args are borrowed views: nothing is copied
 // unless a metric lookup creates its series or the recorder is enabled.
+// Trace args that vary per event are passed as numbers (`AddArg("bytes",
+// n)`) and dynamic instant names as a prefix and a suffix (`{"preempt:",
+// victim}`), so a disabled recorder formats and joins nothing.
 // Hot paths skip even the lookup by caching the instrument pointer on its
 // first write (registry instruments never move) and resetting the cache in
 // BindObservability, as hw::GpuMonitor does for its utilization gauges.
@@ -43,7 +46,7 @@ inline Span StartSpan(Observability* obs, std::string_view name,
   return obs->trace.StartSpan(name, category, track);
 }
 
-inline void Instant(Observability* obs, std::string_view name,
+inline void Instant(Observability* obs, TraceName name,
                     std::string_view category, std::string_view track,
                     TraceArgs args = {}) {
   if (obs == nullptr) return;

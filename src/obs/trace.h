@@ -9,17 +9,29 @@
 // write cursor is a relaxed atomic (lock-free single-producer), which also
 // gives the sanitizer builds something real to chew on.
 //
+// Ring entries are fixed-size and trivially copyable: names, categories,
+// tracks, arg keys and string arg values are ids into a per-recorder
+// intern table, and integer/real arg values are stored inline. Values
+// that vary per event must be numbers, so the table stays bounded by the
+// distinct names, tracks and models a run uses. The ring itself is
+// allocated on the first recorded event; a recorder that never records
+// costs no ring memory. Snapshot() resolves entries back to TraceEvents.
+//
 // Export formats (Chrome trace-event JSON, Prometheus text) live in
 // obs/exporters.h.
 
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,10 +39,10 @@
 
 namespace swapserve::obs {
 
-// Borrowed key/value pairs for an instant; copied only when recorded.
-using TraceArgs =
-    std::initializer_list<std::pair<std::string_view, std::string_view>>;
+// Args one event can carry; the widest site (`tier.promote`) uses 5.
+inline constexpr std::size_t kMaxTraceArgs = 6;
 
+// A resolved event, as Snapshot() returns it to exporters and tests.
 struct TraceEvent {
   // Chrome trace-event phases we emit: complete spans carry their own
   // duration; instants mark point decisions (e.g. "preempt victim X").
@@ -45,24 +57,94 @@ struct TraceEvent {
   std::vector<std::pair<std::string, std::string>> args;
 };
 
+// An arg value borrowed at the call site: a string view, an integer or a
+// real. Numbers are stored as they are (integers as int64) and formatted
+// with std::to_string only by Snapshot(), so a disabled recorder formats
+// nothing.
+class TraceValue {
+ public:
+  enum class Kind : std::uint8_t { kString, kInt, kReal };
+
+  TraceValue(std::string_view s) : kind_(Kind::kString), str_(s) {}
+  TraceValue(const char* s) : TraceValue(std::string_view(s)) {}
+  TraceValue(const std::string& s) : TraceValue(std::string_view(s)) {}
+  template <std::integral T>
+    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
+  TraceValue(T v) : kind_(Kind::kInt), int_(static_cast<std::int64_t>(v)) {}
+  TraceValue(double v) : kind_(Kind::kReal), real_(v) {}
+  // A bool would otherwise convert to double and render as "1.000000";
+  // pass "true"/"false" instead.
+  TraceValue(bool) = delete;
+
+  Kind kind() const { return kind_; }
+  std::string_view str() const { return str_; }
+  std::int64_t integer() const { return int_; }
+  double real() const { return real_; }
+
+ private:
+  Kind kind_;
+  std::string_view str_;
+  std::int64_t int_ = 0;
+  double real_ = 0;
+};
+
+struct TraceArg {
+  std::string_view key;
+  TraceValue value;
+};
+
+// Borrowed args for an instant; interned only when recorded.
+using TraceArgs = std::initializer_list<TraceArg>;
+
+// An instant name borrowed at the call site, optionally a prefix plus a
+// suffix (`{"preempt:", victim}`) that the recorder joins only when it
+// records, so a disabled recorder never builds the string.
+struct TraceName {
+  TraceName(std::string_view s) : prefix(s) {}
+  TraceName(const char* s) : prefix(s) {}
+  TraceName(const std::string& s) : prefix(s) {}
+  TraceName(std::string_view p, std::string_view s) : prefix(p), suffix(s) {}
+
+  std::string_view prefix;
+  std::string_view suffix;
+};
+
+// One ring entry. Every string is an id into the recorder's intern table.
+struct TraceRecord {
+  struct Arg {
+    std::uint32_t key = 0;
+    TraceValue::Kind kind = TraceValue::Kind::kInt;
+    std::int64_t value = 0;  // the integer, a string id, or a real's bits
+  };
+
+  std::int64_t ts_ns = 0;
+  std::int64_t dur_ns = 0;
+  std::uint32_t name = 0;
+  std::uint32_t category = 0;
+  std::uint32_t track = 0;
+  TraceEvent::Phase phase = TraceEvent::Phase::kComplete;
+  std::uint8_t num_args = 0;
+  std::array<Arg, kMaxTraceArgs> args{};
+};
+static_assert(std::is_trivially_copyable_v<TraceRecord>);
+
 class TraceRecorder;
 
 // Scoped span: captures the virtual clock at construction and emits one
 // kComplete event when End() runs (at latest, destruction). Default
 // constructed or moved-from spans are inert, so call sites can hold a Span
 // unconditionally even when tracing is disabled; a disabled recorder hands
-// out inert spans without building any string.
+// out inert spans without touching any string.
 class [[nodiscard]] Span {
  public:
   Span() = default;
   Span(Span&& o) noexcept
-      : recorder_(std::exchange(o.recorder_, nullptr)),
-        event_(std::move(o.event_)) {}
+      : recorder_(std::exchange(o.recorder_, nullptr)), record_(o.record_) {}
   Span& operator=(Span&& o) noexcept {
     if (this != &o) {
       End();
       recorder_ = std::exchange(o.recorder_, nullptr);
-      event_ = std::move(o.event_);
+      record_ = o.record_;
     }
     return *this;
   }
@@ -70,9 +152,9 @@ class [[nodiscard]] Span {
   Span& operator=(const Span&) = delete;
   ~Span() { End(); }
 
-  // Attach a key/value pair shown in the trace viewer's detail pane.
-  // A no-op on an inert span.
-  void AddArg(std::string_view key, std::string_view value);
+  // Attach a key/value pair shown in the trace viewer's detail pane (at
+  // most kMaxTraceArgs). A no-op on an inert span.
+  void AddArg(std::string_view key, TraceValue value);
 
   // Emit the completed span; idempotent.
   void End();
@@ -84,7 +166,7 @@ class [[nodiscard]] Span {
        std::string_view category, std::string_view track);
 
   TraceRecorder* recorder_ = nullptr;
-  TraceEvent event_;
+  TraceRecord record_;
 };
 
 class TraceRecorder {
@@ -101,19 +183,17 @@ class TraceRecorder {
 
   sim::SimTime Now() const { return sim_.Now(); }
 
-  // Append one event, overwriting the oldest when the ring is full.
-  void Emit(TraceEvent event);
-
-  // Both return before copying a view when the recorder is disabled.
+  // Both return before touching a view when the recorder is disabled.
   Span StartSpan(std::string_view name, std::string_view category,
                  std::string_view track) {
     if (!enabled_) return Span();
     return Span(this, name, category, track);
   }
-  void Instant(std::string_view name, std::string_view category,
+  void Instant(TraceName name, std::string_view category,
                std::string_view track, TraceArgs args = {});
 
-  std::size_t capacity() const { return ring_.size(); }
+  // The configured ring size; the ring is allocated on the first event.
+  std::size_t capacity() const { return capacity_; }
   // Events currently retained (<= capacity).
   std::size_t size() const;
   std::uint64_t total_emitted() const {
@@ -121,16 +201,40 @@ class TraceRecorder {
   }
   // Events overwritten because the ring wrapped.
   std::uint64_t dropped() const;
+  // Distinct strings interned so far.
+  std::size_t interned_strings() const { return strings_.size(); }
 
-  // Retained events, oldest first.
+  // Retained events, oldest first, with every id resolved.
   std::vector<TraceEvent> Snapshot() const;
 
  private:
+  friend class Span;
+
+  struct ViewHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::uint32_t Intern(std::string_view s);
+  std::uint32_t InternName(TraceName name);  // joins prefix + suffix
+  TraceRecord::Arg MakeArg(std::string_view key, TraceValue value);
+  std::string RenderArg(const TraceRecord::Arg& arg) const;
+  void Record(const TraceRecord& record);
+
   sim::Simulation& sim_;
-  std::vector<TraceEvent> ring_;
+  std::size_t capacity_;
+  std::vector<TraceRecord> ring_;  // empty until the first event
   // Monotonic count of events ever emitted; slot = cursor_ % capacity.
   std::atomic<std::uint64_t> cursor_{0};
   bool enabled_ = true;
+  // Intern table: map nodes never move, so the views in strings_ (indexed
+  // by id) stay valid for the recorder's lifetime.
+  std::unordered_map<std::string, std::uint32_t, ViewHash, std::equal_to<>>
+      ids_;
+  std::vector<std::string_view> strings_;
+  std::string joined_;  // reused buffer for prefix+suffix names
 };
 
 }  // namespace swapserve::obs

@@ -1,8 +1,11 @@
 // Minimal leveled logger.
 //
 // The simulator installs a time source so log lines carry virtual time.
-// Logging is stream-based and compiled in at all levels; the level filter is
-// a runtime knob so tests can raise verbosity for a single case.
+// Logging is stream-based; the level filter is a runtime knob so tests can
+// raise verbosity for a single case. A statement below the level costs one
+// branch: SWAP_LOG is a conditional expression, so a disabled statement
+// constructs no stream and evaluates none of its `<<` operands. Operands
+// must therefore be free of side effects the simulation depends on.
 
 #pragma once
 
@@ -38,32 +41,43 @@ class Logger {
   TimestampFn timestamp_fn_;
 };
 
-// Usage: SWAP_LOG(kInfo, "scheduler") << "swap-in " << model;
+// One enabled log statement; SWAP_LOG only constructs it past the level
+// check. The component view must outlive the statement (a temporary
+// string passed to SWAP_LOG does: it lives to the end of the expression).
 class LogMessage {
  public:
   LogMessage(LogLevel level, std::string_view component)
       : level_(level), component_(component) {}
   ~LogMessage() {
-    if (Logger::Global().Enabled(level_)) {
-      Logger::Global().Write(level_, component_, stream_.str());
-    }
+    Logger::Global().Write(level_, component_, stream_.str());
   }
   LogMessage(const LogMessage&) = delete;
   LogMessage& operator=(const LogMessage&) = delete;
 
   template <typename T>
   LogMessage& operator<<(const T& value) {
-    if (Logger::Global().Enabled(level_)) stream_ << value;
+    stream_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::string component_;
+  std::string_view component_;
   std::ostringstream stream_;
 };
 
-#define SWAP_LOG(level, component) \
-  ::swapserve::LogMessage(::swapserve::LogLevel::level, (component))
+// Gives both arms of SWAP_LOG's conditional type void. `&` binds looser
+// than `<<` and tighter than `?:`, so the whole `<<` chain is its operand.
+struct LogVoidify {
+  void operator&(const LogMessage&) const {}
+};
+
+// Usage: SWAP_LOG(kInfo, "scheduler") << "swap-in " << model;
+#define SWAP_LOG(level, component)                                     \
+  !::swapserve::Logger::Global().Enabled(::swapserve::LogLevel::level) \
+      ? (void)0                                                        \
+      : ::swapserve::LogVoidify() &                                    \
+            ::swapserve::LogMessage(::swapserve::LogLevel::level,      \
+                                    (component))
 
 }  // namespace swapserve

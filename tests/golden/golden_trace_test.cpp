@@ -16,13 +16,18 @@
 //
 // A second test pins the tentpole's neutrality guarantee: enabling the
 // snapshot tier with an uncontended cache and prefetch off must leave the
-// serialized stream byte-identical to the legacy unbounded store.
+// serialized stream byte-identical to the legacy unbounded store. A third
+// reruns the scenario with every log statement enabled: disabled
+// statements skip their operands, so the stream must not depend on the
+// log level.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +36,7 @@
 #include "cluster/cluster.h"
 #include "core/swap_serve.h"
 #include "obs/trace.h"
+#include "util/log.h"
 
 namespace swapserve::core {
 namespace {
@@ -208,6 +214,62 @@ TEST(GoldenTraceTest, UncontendedTierIsByteIdenticalToLegacyPath) {
   const std::string tiered = RunFig6aScenario(192.0 * 1024, false);
   EXPECT_EQ(legacy, tiered)
       << "an idle snapshot tier perturbed the event stream";
+}
+
+// Swallows what std::clog is given, counting the characters.
+class DiscardBuf : public std::streambuf {
+ public:
+  std::size_t written() const { return written_; }
+
+ protected:
+  int overflow(int c) override {
+    ++written_;
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    written_ += static_cast<std::size_t>(n);
+    return n;
+  }
+
+ private:
+  std::size_t written_ = 0;
+};
+
+// Logs every statement to a discarded std::clog for its lifetime.
+class VerboseLogScope {
+ public:
+  VerboseLogScope()
+      : saved_buf_(std::clog.rdbuf(&buf_)),
+        saved_level_(Logger::Global().level()) {
+    Logger::Global().set_level(LogLevel::kTrace);
+  }
+  ~VerboseLogScope() {
+    Logger::Global().set_level(saved_level_);
+    std::clog.rdbuf(saved_buf_);
+  }
+  VerboseLogScope(const VerboseLogScope&) = delete;
+  VerboseLogScope& operator=(const VerboseLogScope&) = delete;
+  std::size_t written() const { return buf_.written(); }
+
+ private:
+  DiscardBuf buf_;
+  std::streambuf* saved_buf_;
+  LogLevel saved_level_;
+};
+
+// A disabled SWAP_LOG evaluates none of its operands, so an operand with a
+// side effect would make the simulation depend on the log level. With
+// every statement enabled, the stream must still match the golden file.
+TEST(GoldenTraceTest, LogLevelDoesNotChangeTheSimulation) {
+  std::string verbose;
+  std::size_t logged = 0;
+  {
+    VerboseLogScope scope;
+    verbose = RunFig6aScenario(0.0, false);
+    logged = scope.written();
+  }
+  EXPECT_GT(logged, 0u) << "the scenario logged nothing at kTrace";
+  ExpectGoldenMatch("fig6a_trace", verbose);
 }
 
 // Cluster-layer acceptance: a one-node fleet is inert — the serialized

@@ -171,6 +171,19 @@ TEST(SwaplintFixtureTest, PointerOrderSilentOnPointerValuesAndIdKeys) {
   EXPECT_TRUE(diags.empty()) << Render(diags);
 }
 
+TEST(SwaplintFixtureTest, EagerTraceFormatFiresOnStringBuildingArgs) {
+  auto diags = LintFixture("eager_trace_format_bad.cc");
+  // "gpu" + in StartSpan, two std::to_string, two ToString (one guarded by
+  // a different span's active()), "preempt:" + and + ":evicted".
+  EXPECT_EQ(CountRule(diags, "eager-trace-format"), 7) << Render(diags);
+  EXPECT_EQ(diags.size(), 7u) << Render(diags);
+}
+
+TEST(SwaplintFixtureTest, EagerTraceFormatSilentOnNumbersAndPrefixedNames) {
+  auto diags = LintFixture("eager_trace_format_ok.cc");
+  EXPECT_TRUE(diags.empty()) << Render(diags);
+}
+
 TEST(SwaplintFixtureTest, V2SuppressionsMatchExactRuleName) {
   auto diags = LintFixture("suppression_v2.cc");
   EXPECT_EQ(CountRule(diags, "spawn-ref-capture"), 0) << Render(diags);
@@ -273,16 +286,17 @@ TEST(SwaplintBaselineTest, ParserIgnoresCommentsAndBlankLines) {
 
 // --- Rule catalog / docs sync -----------------------------------------------
 
-TEST(SwaplintFixtureTest, RuleListCoversAllTwelveRules) {
+TEST(SwaplintFixtureTest, RuleListCoversAllThirteenRules) {
   const std::vector<RuleInfo>& rules = Rules();
-  ASSERT_EQ(rules.size(), 12u);
+  ASSERT_EQ(rules.size(), 13u);
   std::vector<std::string> names;
   for (const RuleInfo& r : rules) names.emplace_back(r.name);
   for (const char* expected :
        {"coro-ref-param", "spawn-ref-capture", "stale-state-after-await",
         "unawaited-task", "discarded-status", "guard-across-await",
         "lock-order", "fault-point-name", "fault-point-coverage",
-        "unordered-iteration", "nondeterministic-source", "pointer-order"}) {
+        "unordered-iteration", "nondeterministic-source", "pointer-order",
+        "eager-trace-format"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

@@ -7,6 +7,11 @@
 // once to warm the series and the registry's key buffer, then counts the
 // allocations of a second identical run.
 //
+// Telemetry that is off must cost nothing beyond its level check: a
+// disabled SWAP_LOG evaluates none of its operands, a recorder that never
+// records owns no ring, and an enabled recorder records an event whose
+// strings it has already interned without allocating.
+//
 // Under asan/tsan the counting shim is compiled out (the sanitizer runtime
 // owns operator new), as in tests/sim/alloc_test.cpp, and the cases only
 // check that the calls still work.
@@ -20,6 +25,7 @@
 
 #include "obs/observability.h"
 #include "sim/simulation.h"
+#include "util/log.h"
 
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 #if defined(__has_feature)
@@ -36,11 +42,13 @@
 
 namespace {
 std::uint64_t g_alloc_count = 0;
+std::uint64_t g_alloc_bytes = 0;
 }  // namespace
 
 #if SWAPSERVE_COUNTING_NEW
 void* operator new(std::size_t n) {
   ++g_alloc_count;
+  g_alloc_bytes += n;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -120,6 +128,66 @@ TEST(ObsAllocTest, DisabledTracingDoesNotAllocate) {
   }));
   EXPECT_FALSE(any_active);
   EXPECT_EQ(obs.trace.total_emitted(), 0u);
+}
+
+// Counts its evaluations.
+int g_counted_calls = 0;
+int Counted() { return ++g_counted_calls; }
+
+TEST(ObsAllocTest, DisabledLogStatementEvaluatesNothing) {
+  ASSERT_FALSE(Logger::Global().Enabled(LogLevel::kInfo));
+  g_counted_calls = 0;
+  ExpectNoAllocations(AllocationsAfterWarmup([] {
+    SWAP_LOG(kInfo, "a-component-name-past-the-small-string-buffer")
+        << "call " << Counted() << " of " << kModel;
+  }));
+  EXPECT_EQ(g_counted_calls, 0);
+}
+
+TEST(ObsAllocTest, ObservabilityAllocatesNoRingUntilFirstEvent) {
+  sim::Simulation sim;
+  const std::uint64_t before = g_alloc_bytes;
+  {
+    Observability obs(sim);
+    EXPECT_EQ(obs.trace.capacity(), TraceRecorder::kDefaultCapacity);
+    if (SWAPSERVE_COUNTING_NEW) {
+      EXPECT_LT(g_alloc_bytes - before, 64u * 1024u);
+    }
+  }
+}
+
+TEST(ObsAllocTest, DisabledRecorderTakesNumbersAndPrefixedNamesFree) {
+  sim::Simulation sim;
+  Observability obs(sim, /*trace_capacity=*/16);
+  obs.trace.set_enabled(false);
+  const std::int64_t bytes = std::int64_t{1} << 40;
+  bool any_active = false;
+  ExpectNoAllocations(AllocationsAfterWarmup([&] {
+    Span span = StartSpan(&obs, "ckpt.swap_in", "ckpt", kModel);
+    span.AddArg("dirty_bytes", bytes);
+    span.AddArg("request_id", std::uint64_t{1234567890123456789});
+    any_active |= span.active();
+    Instant(&obs, {"preempt:", kModel}, "controller", kLink,
+            {{"victim_demand", 7}, {"frees_bytes", bytes}});
+  }));
+  EXPECT_FALSE(any_active);
+  EXPECT_EQ(obs.trace.total_emitted(), 0u);
+}
+
+TEST(ObsAllocTest, EnabledRecorderRecordsInternedEventsWithoutAllocating) {
+  sim::Simulation sim;
+  Observability obs(sim, /*trace_capacity=*/16);
+  const std::int64_t bytes = std::int64_t{1} << 40;
+  ExpectNoAllocations(AllocationsAfterWarmup([&] {
+    Span span = StartSpan(&obs, "ckpt.swap_in", "ckpt", kModel);
+    span.AddArg("dirty_bytes", bytes);
+    span.AddArg("owner", kModel);
+    span.AddArg("elapsed_s", 0.25);
+    span.End();
+    Instant(&obs, {"preempt:", kModel}, "controller", kLink,
+            {{"victim", kModel}, {"frees_bytes", bytes}});
+  }));
+  EXPECT_EQ(obs.trace.total_emitted(), 4u);
 }
 
 }  // namespace

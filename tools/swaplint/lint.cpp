@@ -36,6 +36,10 @@ const std::set<std::string, std::less<>> kUnorderedTypes = {
 const std::set<std::string, std::less<>> kOrderedKeyedTypes = {
     "map", "set", "multimap", "multiset"};
 
+// Trace-recorder entry points whose arguments eager-trace-format checks.
+const std::set<std::string, std::less<>> kTraceCalls = {
+    "AddArg", "Instant", "StartSpan"};
+
 // Files where unordered iteration is deliberate (debug-only diagnostics
 // whose output never feeds event ordering).
 const char* const kUnorderedIterationAllowlist[] = {"sim/lock_debug"};
@@ -457,6 +461,7 @@ class RuleRunner {
     CheckUnorderedIteration();
     CheckNondeterministicSources();
     CheckPointerOrder();
+    CheckEagerTraceFormat();
   }
 
  private:
@@ -835,6 +840,54 @@ class RuleRunner {
     }
   }
 
+  // Rule: eager-trace-format. Call arguments are evaluated before the
+  // recorder can check whether it is on, so a std::to_string(), a
+  // .ToString() or a string concatenation inside AddArg/Instant/StartSpan
+  // formats on every call, traced or not. Numbers go in as numbers and
+  // dynamic instant names as a {prefix, suffix} pair; the recorder formats
+  // only what it records. A call guarded by `if (span.active())` is not
+  // eager: it runs only when the span records.
+  void CheckEagerTraceFormat() {
+    for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
+      if (toks_[i].kind != TokKind::kIdent ||
+          kTraceCalls.count(toks_[i].text) == 0 ||
+          !IsTok(toks_, i + 1, "(") || GuardedByActiveSpan(i)) {
+        continue;
+      }
+      const std::string& call = toks_[i].text;
+      const std::size_t close = SkipBalanced(toks_, i + 1, "(", ")") - 1;
+      for (std::size_t j = i + 2; j < close; ++j) {
+        if ((toks_[j].text == "to_string" || toks_[j].text == "ToString") &&
+            IsTok(toks_, j + 1, "(")) {
+          Emit("eager-trace-format", toks_[j].line,
+               toks_[j].text + "() inside " + call +
+                   "() formats even when tracing is off; pass the number "
+                   "itself (the recorder renders it only when it records) "
+                   "or guard the call with `if (span.active())`");
+        } else if (toks_[j].text == "+" &&
+                   (toks_[j - 1].kind == TokKind::kString ||
+                    toks_[j + 1].kind == TokKind::kString)) {
+          Emit("eager-trace-format", toks_[j].line,
+               "string concatenation inside " + call +
+                   "() builds a string even when tracing is off; pass a "
+                   "{prefix, suffix} name or a track built once");
+        }
+      }
+    }
+  }
+
+  // True when the trace call at `i` (`span.AddArg(`) is the body of
+  // `if (span.active())` on the same receiver.
+  bool GuardedByActiveSpan(std::size_t i) const {
+    if (i < 10 || !IsMemberSep(toks_, i - 1)) return false;
+    const std::size_t recv = i - 2;
+    return IsTok(toks_, recv - 8, "if") && IsTok(toks_, recv - 7, "(") &&
+           toks_[recv - 6].text == toks_[recv].text &&
+           IsMemberSep(toks_, recv - 5) && IsTok(toks_, recv - 4, "active") &&
+           IsTok(toks_, recv - 3, "(") && IsTok(toks_, recv - 2, ")") &&
+           IsTok(toks_, recv - 1, ")");
+  }
+
   bool HasOrderingMarker(const FnDecl& fn, std::size_t before) const {
     for (std::size_t i = fn.body_open; i < before; ++i) {
       if (toks_[i].kind != TokKind::kIdent) continue;
@@ -883,6 +936,9 @@ const std::vector<RuleInfo>& Rules() {
        "no wall-clock (system_clock) or unseeded entropy "
        "(random_device/rand)"},
       {"pointer-order", "no ordered map/set keyed on a pointer type"},
+      {"eager-trace-format",
+       "no std::to_string, .ToString() or string concatenation in "
+       "unguarded AddArg/Instant/StartSpan arguments"},
   };
   return kRules;
 }

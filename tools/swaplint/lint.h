@@ -58,6 +58,15 @@
 //                       allocator-dependent iteration order breaks run-to-
 //                       run determinism.
 //
+// Telemetry cost (tracing that is off costs one branch):
+//   eager-trace-format  std::to_string(...), .ToString() or a string
+//                       concatenation with a literal inside the arguments
+//                       of AddArg(), Instant() or StartSpan(). Arguments
+//                       are evaluated before the recorder checks whether
+//                       it is on, so these build strings on every call;
+//                       pass numbers and {prefix, suffix} names instead,
+//                       or guard the call with `if (span.active())`.
+//
 // Lock discipline (unchanged from v1):
 //   guard-across-await  A SimMutex::Guard obtained via `co_await
 //                       x.Acquire()` is still live at a later co_await.
