@@ -209,6 +209,8 @@ void ClusterServe::StartMigrationLoop() {
   sim_.Go([this]() -> sim::Task<> {
     const sim::SimDuration interval =
         sim::Seconds(config_.cluster.migrate_interval_s);
+    // Placement inputs (queue pressure, residency) emit no change signal.
+    // swaplint-ok(polling-loop): the sweep re-scores on a fixed cadence
     while (migration_running_) {
       co_await sim_.Delay(interval);
       if (!migration_running_) break;
@@ -358,7 +360,7 @@ void ClusterServe::StartFailureDetection() {
   if (monitor_ != nullptr) {
     // The node.* sweep rides the heartbeat timer (one wakeup per beat,
     // membership round first) instead of spawning its own coroutine.
-    monitor_->SetBeatHandler([this] { EvaluateNodeFaults(); });
+    monitor_->SetBeatHandler([this] { return EvaluateNodeFaults(); });
     monitor_->Start();
   }
   if (repairer_ != nullptr) repairer_->Start();
@@ -370,8 +372,9 @@ void ClusterServe::StartFailureDetection() {
 // not a pre-delay; node.partition rules with fail=true blackhole the pair,
 // stall-only rules degrade it. Each point draws from the involved node's
 // own derived stream, so fleets replay deterministically per seed and an
-// unarmed plan draws nothing.
-void ClusterServe::EvaluateNodeFaults() {
+// unarmed plan draws nothing. Returns the earliest instant a later round
+// could fire (or draw), which lets the heartbeat park until then.
+sim::SimTime ClusterServe::EvaluateNodeFaults() {
   const int n = static_cast<int>(nodes_.size());
   const sim::SimDuration default_duration =
       sim::Seconds(config_.cluster.node_restart_s);
@@ -400,6 +403,16 @@ void ClusterServe::EvaluateNodeFaults() {
       PartitionNodes(i, j, duration, d.status.ok() ? 8.0 : 0.0);
     }
   }
+  sim::SimTime next = sim::kNever;
+  for (int i = 0; i < n && next > sim_.Now(); ++i) {
+    const fault::FaultInjector& injector = nodes_[i]->serve().fault_injector();
+    if (!injector.armed()) continue;
+    next = std::min(next, injector.NextArmed("node.crash", nodes_[i]->name()));
+    for (const std::string& pair : pair_owner_[static_cast<std::size_t>(i)]) {
+      next = std::min(next, injector.NextArmed("node.partition", pair));
+    }
+  }
+  return next;
 }
 
 void ClusterServe::KillNode(int id, sim::SimDuration outage) {

@@ -119,8 +119,9 @@ class ClusterServe {
   sim::Task<> MigrationSweep();
   sim::Task<> MigrateModel(std::string model, int from, int to);
   void StartFailureDetection();
-  // One node.* evaluation round, run from the monitor beat handler.
-  void EvaluateNodeFaults();
+  // One node.* evaluation round, run from the monitor beat handler;
+  // returns the earliest instant a later round could fire.
+  sim::SimTime EvaluateNodeFaults();
   // Monitor handlers: drain + re-dispatch a down node's queues, promote
   // its home models on survivors, kick repair; re-adopt/re-fetch when it
   // rejoins (converting totally-lost checkpoints to cold starts).

@@ -74,6 +74,7 @@ void Fabric::Partition(int a, int b, sim::SimDuration duration,
       p.degrade = std::max(p.degrade, degrade);
     }
   }
+  if (partition_signal_ != nullptr) partition_signal_->Pulse();
 }
 
 bool Fabric::Reachable(int src, int dst) const {
@@ -92,7 +93,7 @@ sim::Task<> Fabric::Transfer(int src, int dst, Bytes size,
   // A blackholed pair admits nothing until it heals; re-check after waking
   // because a new partition may have landed while we slept.
   while (!Reachable(src, dst)) {
-    co_await sim_.Delay(pair(src, dst)->healed_at - sim_.Now());
+    co_await sim_.WaitUntil(pair(src, dst)->healed_at);
   }
   hw::TransferOptions options;
   options.chunk_bytes = kFabricChunk;

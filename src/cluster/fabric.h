@@ -21,6 +21,7 @@
 #include "hw/link.h"
 #include "obs/observability.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "util/units.h"
 
 namespace swapserve::cluster {
@@ -53,6 +54,11 @@ class Fabric {
   // harsher mode wins while both are active.
   void Partition(int a, int b, sim::SimDuration duration,
                  double degrade = 0.0);
+  // Nullable. Pulsed by every Partition(): the fleet heartbeat parks while
+  // every node is heard and wakes when reachability may have dropped.
+  void BindPartitionSignal(sim::SimEvent* signal) {
+    partition_signal_ = signal;
+  }
 
   // False while an active blackhole separates the pair (either direction
   // query — partitions are symmetric). Degraded pairs stay reachable.
@@ -81,6 +87,7 @@ class Fabric {
   std::vector<std::unique_ptr<hw::Link>> links_;
   std::vector<PairState> pairs_;
   std::uint64_t partitions_ = 0;
+  sim::SimEvent* partition_signal_ = nullptr;
 };
 
 }  // namespace swapserve::cluster

@@ -1,14 +1,14 @@
 // Heartbeat-driven failure detection for the fleet.
 //
-// Every `interval` the monitor takes one heartbeat round: node i is
-// *heard* iff its machine is alive AND at least one other alive node can
-// reach it across the fabric (Fabric::Reachable — the same path payloads
-// take, so crashes and partitions are detected through one signal; with no
-// other peer alive the monitor falls back to hearing the node directly,
-// so the last machine standing is never declared dead by default). The
-// suspicion level is phi-accrual in spirit but with a fixed beat: phi
-// grows linearly with silence, and the suspect/down thresholds are
-// expressed directly in seconds of silence.
+// Beats fall on a fixed grid: Start() plus whole multiples of `interval`.
+// On a beat node i is *heard* iff its machine is alive AND at least one
+// other alive node can reach it across the fabric (Fabric::Reachable —
+// the same path payloads take, so crashes and partitions are detected
+// through one signal; with no other peer alive the monitor falls back to
+// hearing the node directly, so the last machine standing is never
+// declared dead by default). The suspicion level is phi-accrual in spirit
+// but with a fixed beat: phi grows linearly with silence, and the
+// suspect/down thresholds are expressed directly in seconds of silence.
 //
 // Membership state machine (written to Node::set_membership, read by
 // placement and repair):
@@ -19,6 +19,17 @@
 //   kDown    --heard--> kRejoining                (fires on_rejoin)
 //   kRejoining --heard next beat--> kHealthy
 //   kRejoining --silence >= down_after--> kDown   (died again mid-rejoin)
+//
+// The loop parks while a beat could find nothing new: every node was heard
+// and is kHealthy, and the beat handler reports no work before a later
+// instant. Only a Node::Crash/Boot, a Fabric::Partition or a
+// FaultInjector::Configure can change that, and each pulses wake_signal().
+// A wake at time t counts every skipped beat before t as heard and resumes
+// at the first grid beat at or after t, so a change between beats is seen
+// on the beat a loop beating every interval would have seen it on. When
+// the handler's work starts later (a node.* rule with arm_after_s), the
+// loop resumes one beat before the first grid beat at or after that
+// instant. An idle, healthy fleet schedules no heartbeat events at all.
 //
 // The monitor only observes and classifies; failover mechanics live in
 // ClusterServe's handlers. Heartbeats are bookkeeping, not transfers —
@@ -35,6 +46,7 @@
 #include "cluster/fabric.h"
 #include "cluster/node.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace swapserve::cluster {
@@ -50,8 +62,11 @@ class HealthMonitor {
   // so placement already refuses the node when failover re-dispatches.
   using Handler = std::function<void(int)>;
 
+  // Binds wake_signal() to every node, the nodes' fault injectors and the
+  // fabric.
   HealthMonitor(sim::Simulation& sim, std::vector<Node*> nodes,
                 Fabric& fabric, Options options);
+  ~HealthMonitor();
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
@@ -59,20 +74,33 @@ class HealthMonitor {
   void SetRejoinHandler(Handler h) { on_rejoin_ = std::move(h); }
   // Runs after every beat's membership round, on the same timer — the
   // node.* fault sweep rides the heartbeat instead of its own coroutine.
-  void SetBeatHandler(std::function<void()> h) { on_beat_ = std::move(h); }
+  // Returns the earliest instant at which it could act on a beat:
+  // sim::kNever when only a wake signal can change that.
+  using BeatHandler = std::function<sim::SimTime()>;
+  void SetBeatHandler(BeatHandler h) { on_beat_ = std::move(h); }
 
-  // Spawn the beat loop; Stop() lets the current beat finish.
+  // Spawn the beat loop. Stop() lets the current beat finish and releases
+  // a parked loop; a loop sleeping toward a beat exits when it wakes. Each
+  // Start() gets a new generation, so a Stop()+Start() never leaves two
+  // loops beating.
   void Start();
-  void Stop() { running_ = false; }
+  void Stop();
   bool running() const { return running_; }
+  bool parked() const { return parked_; }
+
+  // Pulsed by whatever can make a parked fleet's next beat differ.
+  sim::SimEvent& wake_signal() { return wake_; }
 
   // One heartbeat round (also called by the loop; tests drive it directly).
   void TickOnce();
 
   // Seconds of silence divided by the beat interval — the suspicion level
-  // (0 while the node is being heard).
+  // (0 while the node is being heard; beats skipped while parked count as
+  // heard).
   double Phi(int node) const;
 
+  // Beats run by the loop (skipped ones not included).
+  std::uint64_t beats() const { return beats_; }
   std::uint64_t suspicions() const { return suspicions_; }
   std::uint64_t downs() const { return downs_; }
   std::uint64_t rejoins() const { return rejoins_; }
@@ -80,6 +108,11 @@ class HealthMonitor {
  private:
   bool Heard(int node) const;
   void Transition(Node& node, NodeState to);
+  // True when every node is kHealthy and would be heard now.
+  bool AllHealthy() const;
+  // Grid beats: the first at or after `t`, and the last strictly before.
+  sim::SimTime BeatAtOrAfter(sim::SimTime t) const;
+  sim::SimTime BeatBefore(sim::SimTime t) const;
 
   sim::Simulation& sim_;
   std::vector<Node*> nodes_;
@@ -88,8 +121,14 @@ class HealthMonitor {
   std::vector<sim::SimTime> last_heard_;
   Handler on_down_;
   Handler on_rejoin_;
-  std::function<void()> on_beat_;
+  BeatHandler on_beat_;
+  sim::SimEvent wake_;
+  sim::SimTime anchor_;  // Start(): the grid origin
   bool running_ = false;
+  bool parked_ = false;
+  std::uint64_t generation_ = 0;  // bumped by Start()/Stop(); stale loops exit
+  std::uint64_t park_epoch_ = 0;  // bumped per park; stale arm wake-ups no-op
+  std::uint64_t beats_ = 0;
   std::uint64_t suspicions_ = 0;
   std::uint64_t downs_ = 0;
   std::uint64_t rejoins_ = 0;

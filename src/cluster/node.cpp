@@ -75,6 +75,7 @@ void Node::Crash() {
       backend->engine->MarkCrashed(name_ + " lost power");
     }
   }
+  if (power_signal_ != nullptr) power_signal_->Pulse();
   obs::Instant(&serve_->obs(), "node.crash", "cluster", name_, {});
   SWAP_LOG(kWarning, "cluster") << name_ << " crashed (power off)";
 }
@@ -85,6 +86,7 @@ void Node::Boot() {
   ++boots_;
   serve_->ResumeWorkers();
   if (core::EngineSupervisor* sup = serve_->supervisor()) sup->Resume();
+  if (power_signal_ != nullptr) power_signal_->Pulse();
   obs::Instant(&serve_->obs(), "node.boot", "cluster", name_, {});
   SWAP_LOG(kInfo, "cluster") << name_ << " booted (power on)";
 }

@@ -31,6 +31,7 @@
 #include "hw/link.h"
 #include "model/catalog.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 
 namespace swapserve::cluster {
 
@@ -85,6 +86,10 @@ class Node {
   std::uint64_t crashes() const { return crashes_; }
   std::uint64_t boots() const { return boots_; }
 
+  // Nullable. Pulsed by Crash() and Boot(): the fleet heartbeat parks
+  // while every node is healthy and wakes on a power change.
+  void BindPowerSignal(sim::SimEvent* signal) { power_signal_ = signal; }
+
  private:
   int id_;
   std::string name_;
@@ -97,6 +102,7 @@ class Node {
   NodeState membership_ = NodeState::kHealthy;
   std::uint64_t crashes_ = 0;
   std::uint64_t boots_ = 0;
+  sim::SimEvent* power_signal_ = nullptr;
 };
 
 }  // namespace swapserve::cluster

@@ -22,13 +22,22 @@ ReplicationRepairer::ReplicationRepairer(sim::Simulation& sim,
 void ReplicationRepairer::Start() {
   SWAP_CHECK_MSG(!running_, "repairer already running");
   running_ = true;
-  sim_.Go([this]() -> sim::Task<> {
-    while (running_) {
+  const std::uint64_t generation = ++generation_;
+  sim_.Go([this, generation]() -> sim::Task<> {
+    // Copy counts move with snapshot-tier changes, which emit no signal.
+    // swaplint-ok(polling-loop): the deficit scan runs on a fixed cadence
+    while (generation_ == generation) {
       co_await sim_.Delay(options_.interval);
-      if (!running_) break;
+      if (generation_ != generation) break;
+      ++passes_;
       (void)ScanOnce();
     }
   });
+}
+
+void ReplicationRepairer::Stop() {
+  running_ = false;
+  ++generation_;  // retire the running loop
 }
 
 bool ReplicationRepairer::Eligible(const Node& node) const {

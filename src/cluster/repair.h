@@ -55,8 +55,10 @@ class ReplicationRepairer {
   ReplicationRepairer& operator=(const ReplicationRepairer&) = delete;
 
   // Spawn the periodic deficit scan; Stop() lets the current pass finish.
+  // Each Start() gets a new generation, so a Stop()+Start() never leaves
+  // two loops scanning.
   void Start();
-  void Stop() { running_ = false; }
+  void Stop();
   bool running() const { return running_; }
 
   // One deficit scan: launches up to the concurrency budget of background
@@ -69,6 +71,8 @@ class ReplicationRepairer {
   int CountCopies(const std::string& model_id) const;
 
   int in_flight() const { return static_cast<int>(active_.size()); }
+  // Periodic scan passes run so far (failover/rejoin scans not included).
+  std::uint64_t passes() const { return passes_; }
   std::uint64_t launched() const { return launched_; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t failed() const { return failed_; }
@@ -83,6 +87,8 @@ class ReplicationRepairer {
   Options options_;
   std::set<std::pair<std::string, int>> active_;  // (model, dst node)
   bool running_ = false;
+  std::uint64_t generation_ = 0;  // bumped by Start()/Stop(); stale loops exit
+  std::uint64_t passes_ = 0;
   std::uint64_t launched_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;

@@ -8,6 +8,8 @@ void IdleReaper::Start() {
   SWAP_CHECK_MSG(!running_, "idle reaper already running");
   running_ = true;
   sim_.Go([this]() -> sim::Task<> {
+    // Idleness is time since the last access, which no event announces.
+    // swaplint-ok(polling-loop): the scan re-checks idle deadlines
     while (running_) {
       co_await sim_.Delay(scan_interval_);
       if (!running_) break;

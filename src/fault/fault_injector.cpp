@@ -1,5 +1,6 @@
 #include "fault/fault_injector.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/log.h"
@@ -38,6 +39,33 @@ void FaultInjector::Configure(FaultPlan plan) {
   fires_by_point_.clear();
   total_fires_ = 0;
   rng_ = sim::Rng(seed_);
+  if (configure_signal_ != nullptr) configure_signal_->Pulse();
+}
+
+bool FaultInjector::Matches(const FaultRule& rule, std::string_view point,
+                            std::string_view owner) {
+  return rule.point == point && (rule.owner.empty() || rule.owner == owner);
+}
+
+sim::SimTime FaultInjector::NextArmed(std::string_view point,
+                                      std::string_view owner) const {
+  sim::SimTime next = sim::kNever;
+  for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
+    const FaultRule& rule = plan_.rules[i];
+    if (!Matches(rule, point, owner) || fires_left_[i] == 0) continue;
+    // Past half the representable range (~146 years), or NaN: the rule
+    // never arms within a run, and grid arithmetic on it cannot overflow.
+    if (!(rule.arm_after_s < sim::kNever.ToSeconds() / 2)) continue;
+    // Evaluate() compares seconds as doubles; find the first nanosecond
+    // that comparison accepts.
+    std::int64_t ns = sim::Seconds(rule.arm_after_s).ns();
+    while (ns > 0 && !(sim::SimTime(ns - 1).ToSeconds() < rule.arm_after_s)) {
+      --ns;
+    }
+    while (sim::SimTime(ns).ToSeconds() < rule.arm_after_s) ++ns;
+    next = std::min(next, sim::SimTime(ns));
+  }
+  return next;
 }
 
 FaultDecision FaultInjector::Evaluate(std::string_view point,
@@ -45,8 +73,7 @@ FaultDecision FaultInjector::Evaluate(std::string_view point,
   FaultDecision decision;
   for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
     const FaultRule& rule = plan_.rules[i];
-    if (rule.point != point) continue;
-    if (!rule.owner.empty() && rule.owner != owner) continue;
+    if (!Matches(rule, point, owner)) continue;
     if (sim_.Now().ToSeconds() < rule.arm_after_s) continue;
     if (fires_left_[i] == 0) continue;
     // The stream advances once per matching armed rule, never for unarmed

@@ -25,6 +25,7 @@
 #include "obs/observability.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "util/status.h"
 
 namespace swapserve::fault {
@@ -68,13 +69,26 @@ class FaultInjector {
 
   // Install a plan (replacing any previous one) and reset fire counters
   // and the random stream, so Configure(plan) is a reproducible starting
-  // point regardless of earlier evaluations.
+  // point regardless of earlier evaluations. Pulses the bound configure
+  // signal, if any.
   void Configure(FaultPlan plan);
+
+  // Nullable. Pulsed by every Configure(): loops that park while no rule
+  // can fire (the fleet heartbeat) wake to re-read the plan.
+  void BindConfigureSignal(sim::SimEvent* signal) {
+    configure_signal_ = signal;
+  }
 
   // Evaluate one fault point. Draws from the stream only when at least one
   // armed rule matches `point` (and its owner filter), so unarmed points
   // cost nothing and perturb nothing.
   FaultDecision Evaluate(std::string_view point, std::string_view owner);
+
+  // The earliest instant at which a rule matching (point, owner) with
+  // fires left is armed: at or before Now() when one is armed already,
+  // sim::kNever when none ever will be. An evaluation before that instant
+  // cannot fire and draws nothing.
+  sim::SimTime NextArmed(std::string_view point, std::string_view owner) const;
 
   std::uint64_t fires(std::string_view point) const;
   std::uint64_t total_fires() const { return total_fires_; }
@@ -86,6 +100,9 @@ class FaultInjector {
   void BindObservability(obs::Observability* obs) { obs_ = obs; }
 
  private:
+  static bool Matches(const FaultRule& rule, std::string_view point,
+                      std::string_view owner);
+
   sim::Simulation& sim_;
   std::uint64_t seed_;
   sim::Rng rng_;
@@ -94,6 +111,7 @@ class FaultInjector {
   std::map<std::string, std::uint64_t, std::less<>> fires_by_point_;
   std::uint64_t total_fires_ = 0;
   obs::Observability* obs_ = nullptr;
+  sim::SimEvent* configure_signal_ = nullptr;
 };
 
 // Null-safe helper mirroring the obs:: free functions: components hold a

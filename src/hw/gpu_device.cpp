@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "hw/gpu_monitor.h"
+
 namespace swapserve::hw {
 
 GpuDevice::GpuDevice(sim::Simulation& sim, GpuId id, GpuSpec spec)
@@ -22,6 +24,10 @@ void GpuDevice::BindObservability(obs::Observability* obs) {
 void GpuDevice::BindFaultInjector(fault::FaultInjector* injector) {
   fault_ = injector;
   pcie_.BindFaultInjector(injector);
+}
+
+void GpuDevice::BeforeStateChange() {
+  if (sim_.Now() >= sample_due_) monitor_->CatchUp(monitor_slot_);
 }
 
 void GpuDevice::PublishMemoryGauges() {
@@ -54,6 +60,7 @@ Result<AllocationId> GpuDevice::Allocate(const std::string& owner, Bytes size,
         size.ToString() + " (" + purpose + ") but only " +
         (spec_.memory - used_).ToString() + " free");
   }
+  BeforeStateChange();
   const AllocationId id = next_allocation_id_++;
   allocations_.emplace(id, Allocation{owner, size, purpose});
   used_ += size;
@@ -66,6 +73,7 @@ Status GpuDevice::Free(AllocationId id) {
   if (it == allocations_.end()) {
     return NotFound("gpu allocation " + std::to_string(id));
   }
+  BeforeStateChange();
   used_ -= it->second.size;
   allocations_.erase(it);
   PublishMemoryGauges();
@@ -73,6 +81,7 @@ Status GpuDevice::Free(AllocationId id) {
 }
 
 Bytes GpuDevice::FreeAllOwnedBy(const std::string& owner) {
+  BeforeStateChange();
   Bytes freed(0);
   for (auto it = allocations_.begin(); it != allocations_.end();) {
     if (it->second.owner == owner) {
@@ -105,30 +114,26 @@ std::vector<GpuDevice::AllocationInfo> GpuDevice::Allocations() const {
 }
 
 void GpuDevice::BeginCompute() {
-  if (active_compute_ == 0) busy_since_ = sim_.Now();
+  if (active_compute_ == 0) {
+    BeforeStateChange();
+    busy_since_ = sim_.Now();
+  }
   ++active_compute_;
 }
 
 void GpuDevice::EndCompute() {
   SWAP_CHECK_MSG(active_compute_ > 0, "EndCompute without BeginCompute");
-  --active_compute_;
-  if (active_compute_ == 0) {
+  if (active_compute_ == 1) {
+    BeforeStateChange();
     accumulated_busy_ += sim_.Now() - busy_since_;
   }
+  --active_compute_;
 }
 
-sim::SimDuration GpuDevice::TotalBusy() const {
+sim::SimDuration GpuDevice::TotalBusyAt(sim::SimTime t) const {
   sim::SimDuration total = accumulated_busy_;
-  if (active_compute_ > 0) total += sim_.Now() - busy_since_;
+  if (active_compute_ > 0) total += t - busy_since_;
   return total;
-}
-
-double GpuDevice::BusyFractionSince(sim::SimTime t0,
-                                    sim::SimDuration busy_at_t0) const {
-  const sim::SimDuration window = sim_.Now() - t0;
-  if (window.ns() <= 0) return 0.0;
-  const sim::SimDuration busy = TotalBusy() - busy_at_t0;
-  return static_cast<double>(busy.ns()) / static_cast<double>(window.ns());
 }
 
 }  // namespace swapserve::hw

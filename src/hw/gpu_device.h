@@ -26,6 +26,8 @@ namespace swapserve::hw {
 using GpuId = int;
 using AllocationId = std::uint64_t;
 
+class GpuMonitor;
+
 class GpuDevice {
  public:
   GpuDevice(sim::Simulation& sim, GpuId id, GpuSpec spec);
@@ -81,11 +83,7 @@ class GpuDevice {
   void EndCompute();
 
   // Cumulative busy time including any currently open interval.
-  sim::SimDuration TotalBusy() const;
-  // Busy fraction in (t0, t1]; requires callers to have sampled TotalBusy
-  // at t0 themselves, so the monitor uses this convenience instead:
-  double BusyFractionSince(sim::SimTime t0,
-                           sim::SimDuration busy_at_t0) const;
+  sim::SimDuration TotalBusy() const { return TotalBusyAt(sim_.Now()); }
 
   int active_compute_streams() const { return active_compute_; }
 
@@ -112,7 +110,16 @@ class GpuDevice {
     std::string purpose;
   };
 
+  friend class GpuMonitor;
+
   void PublishMemoryGauges();
+  // Called before used_ or the busy state (0 <-> 1 active streams)
+  // changes: hands the attached monitor every sample due by Now(), taken
+  // from the state about to change. One comparison unless a sample is due.
+  void BeforeStateChange();
+  // TotalBusy() as of `t`, for any t at or after the last busy-state
+  // change (the monitor's past sample instants).
+  sim::SimDuration TotalBusyAt(sim::SimTime t) const;
 
   // Resolved on the first publish; reset by BindObservability.
   struct MemoryGauges {
@@ -135,6 +142,12 @@ class GpuDevice {
   int active_compute_ = 0;
   sim::SimTime busy_since_;
   sim::SimDuration accumulated_busy_;
+
+  // The one GpuMonitor sampling this device (set by its constructor) and
+  // the instant of its next unwritten sample (kNever while none is due).
+  GpuMonitor* monitor_ = nullptr;
+  std::size_t monitor_slot_ = 0;
+  sim::SimTime sample_due_ = sim::kNever;
 };
 
 }  // namespace swapserve::hw

@@ -1,61 +1,131 @@
 #include "hw/gpu_monitor.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 namespace swapserve::hw {
 
 GpuMonitor::GpuMonitor(sim::Simulation& sim, std::vector<GpuDevice*> gpus,
                        sim::SimDuration sample_interval)
-    : sim_(sim), gpus_(std::move(gpus)), interval_(sample_interval) {
-  SWAP_CHECK_MSG(!gpus_.empty(), "monitor needs at least one GPU");
+    : sim_(sim), interval_(sample_interval) {
+  SWAP_CHECK_MSG(!gpus.empty(), "monitor needs at least one GPU");
   SWAP_CHECK_MSG(interval_.ns() > 0, "sample interval must be positive");
-  const std::size_t n = gpus_.size();
-  memory_series_.resize(n);
-  util_series_.resize(n);
-  busy_snapshot_.resize(n);
-  snapshot_time_.assign(n, sim_.Now());
-  last_utilization_.assign(n, 0.0);
-  util_gauges_.assign(n, nullptr);
-  for (std::size_t i = 0; i < n; ++i) {
-    busy_snapshot_[i] = gpus_[i]->TotalBusy();
+  channels_.reserve(gpus.size());
+  for (GpuDevice* gpu : gpus) {
+    SWAP_CHECK_MSG(gpu->monitor_ == nullptr,
+                   "gpu" + std::to_string(gpu->id()) +
+                       " already has a monitor");
+    gpu->monitor_ = this;
+    gpu->monitor_slot_ = channels_.size();
+    channels_.push_back({gpu, TimeSeries(interval_.ns()),
+                         TimeSeries(interval_.ns()), sim::kNever, sim_.Now(),
+                         gpu->TotalBusy()});
   }
+}
+
+GpuMonitor::~GpuMonitor() {
+  for (Channel& ch : channels_) {
+    ch.gpu->monitor_ = nullptr;
+    ch.gpu->sample_due_ = sim::kNever;
+  }
+}
+
+void GpuMonitor::BindObservability(obs::Observability* obs) {
+  obs_ = obs;
+  for (Channel& ch : channels_) ch.util_gauge = nullptr;
 }
 
 void GpuMonitor::Start() {
   SWAP_CHECK_MSG(!running_, "monitor already running");
+  // Samples of a stopped grid that fell due before this restart still
+  // count; its pending final sample does not.
+  for (std::size_t i = 0; i < channels_.size(); ++i) CatchUp(i);
   running_ = true;
-  sim_.Go([this]() -> sim::Task<> { co_await SampleLoop(); });
-}
-
-sim::Task<> GpuMonitor::SampleLoop() {
-  while (running_) {
-    co_await sim_.Delay(interval_);
-    const double now_s = sim_.Now().ToSeconds();
-    for (std::size_t i = 0; i < gpus_.size(); ++i) {
-      GpuDevice& gpu = *gpus_[i];
-      const double util =
-          gpu.BusyFractionSince(snapshot_time_[i], busy_snapshot_[i]);
-      last_utilization_[i] = util;
-      busy_snapshot_[i] = gpu.TotalBusy();
-      snapshot_time_[i] = sim_.Now();
-      memory_series_[i].Record(now_s, gpu.used().AsGiB());
-      util_series_[i].Record(now_s, util);
-      if (obs_ != nullptr) {
-        // Resolved on the first sample, so a run that never samples
-        // exports no series; registry instruments never move.
-        if (util_gauges_[i] == nullptr) {
-          util_gauges_[i] = &obs_->metrics.GetGauge(
-              "swapserve_gpu_utilization", {{"gpu", std::to_string(gpu.id())}});
-        }
-        util_gauges_[i]->Set(util);
-      }
-    }
+  ++generation_;
+  anchor_ = sim_.Now();
+  end_ = sim::kNever;
+  for (Channel& ch : channels_) {
+    ch.next_sample = anchor_ + interval_;
+    ch.gpu->sample_due_ = ch.next_sample;
   }
 }
 
+void GpuMonitor::Stop() {
+  if (!running_) return;
+  running_ = false;
+  // The final sample: the first grid instant after Now().
+  end_ = anchor_ +
+         interval_ * ((sim_.Now() - anchor_).ns() / interval_.ns() + 1);
+  sim_.ScheduleAt(end_, [this, generation = generation_] {
+    if (generation != generation_) return;
+    for (std::size_t i = 0; i < channels_.size(); ++i) CatchUp(i);
+  });
+}
+
+double GpuMonitor::CloseWindow(Channel& ch, sim::SimTime t) {
+  const sim::SimDuration busy = ch.gpu->TotalBusyAt(t);
+  const sim::SimDuration window = t - ch.window_start;
+  const double util =
+      window.ns() <= 0
+          ? 0.0
+          : static_cast<double>((busy - ch.busy_at_window_start).ns()) /
+                static_cast<double>(window.ns());
+  ch.window_start = t;
+  ch.busy_at_window_start = busy;
+  return util;
+}
+
+void GpuMonitor::CatchUp(std::size_t slot) {
+  Channel& ch = channels_[slot];
+  const sim::SimTime limit = std::min(sim_.Now(), end_);
+  if (ch.next_sample <= limit) {
+    const GpuDevice& gpu = *ch.gpu;
+    const sim::SimTime first = ch.next_sample;
+    const std::int64_t due = (limit - first).ns() / interval_.ns() + 1;
+    // The device has not changed since before `first`, so every due sample
+    // shares one memory value, and every window after the first is a whole
+    // interval of one busy state: one utilization value.
+    ch.memory.Append(first.ns(), gpu.used().AsGiB(),
+                     static_cast<std::size_t>(due));
+    double util = CloseWindow(ch, first);
+    ch.utilization.Append(first.ns(), util);
+    if (due > 1) {
+      const sim::SimTime second = first + interval_;
+      util = CloseWindow(ch, second);
+      ch.utilization.Append(second.ns(), util,
+                            static_cast<std::size_t>(due - 1));
+      const sim::SimTime last = first + interval_ * (due - 1);
+      ch.window_start = last;
+      ch.busy_at_window_start = gpu.TotalBusyAt(last);
+    }
+    ch.next_sample = first + interval_ * due;
+    if (obs_ != nullptr) {
+      // Resolved on the first sample, so a run that never samples exports
+      // no series; registry instruments never move.
+      if (ch.util_gauge == nullptr) {
+        ch.util_gauge = &obs_->metrics.GetGauge(
+            "swapserve_gpu_utilization", {{"gpu", std::to_string(gpu.id())}});
+      }
+      ch.util_gauge->Set(util);
+    }
+  }
+  ch.gpu->sample_due_ = ch.next_sample <= end_ ? ch.next_sample : sim::kNever;
+}
+
+const TimeSeries& GpuMonitor::MemorySeries(std::size_t idx) {
+  CatchUp(idx);
+  return channels_[idx].memory;
+}
+
+const TimeSeries& GpuMonitor::UtilizationSeries(std::size_t idx) {
+  CatchUp(idx);
+  return channels_[idx].utilization;
+}
+
 const GpuDevice& GpuMonitor::Device(GpuId id) const {
-  for (const GpuDevice* gpu : gpus_) {
-    if (gpu->id() == id) return *gpu;
+  for (const Channel& ch : channels_) {
+    if (ch.gpu->id() == id) return *ch.gpu;
   }
   SWAP_CHECK_MSG(false, "unknown GPU id");
   __builtin_unreachable();
@@ -64,13 +134,5 @@ const GpuDevice& GpuMonitor::Device(GpuId id) const {
 Bytes GpuMonitor::FreeMemory(GpuId id) const { return Device(id).free(); }
 
 Bytes GpuMonitor::UsedMemory(GpuId id) const { return Device(id).used(); }
-
-double GpuMonitor::CurrentUtilization(GpuId id) const {
-  for (std::size_t i = 0; i < gpus_.size(); ++i) {
-    if (gpus_[i]->id() == id) return last_utilization_[i];
-  }
-  SWAP_CHECK_MSG(false, "unknown GPU id");
-  __builtin_unreachable();
-}
 
 }  // namespace swapserve::hw

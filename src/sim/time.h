@@ -8,6 +8,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -55,6 +56,9 @@ class SimTime {
   friend constexpr SimTime operator+(SimTime t, SimDuration d) {
     return SimTime(t.ns() + d.ns());
   }
+  friend constexpr SimTime operator-(SimTime t, SimDuration d) {
+    return SimTime(t.ns() - d.ns());
+  }
   friend constexpr SimDuration operator-(SimTime a, SimTime b) {
     return SimDuration(a.ns() - b.ns());
   }
@@ -64,6 +68,9 @@ class SimTime {
  private:
   std::int64_t ns_ = 0;
 };
+
+// An instant no simulation reaches: "never" for deadlines and wake-ups.
+inline constexpr SimTime kNever{std::numeric_limits<std::int64_t>::max()};
 
 constexpr SimDuration Nanos(std::int64_t n) { return SimDuration(n); }
 constexpr SimDuration Micros(double n) {

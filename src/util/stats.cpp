@@ -1,6 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -138,49 +139,80 @@ std::string Histogram::ToAscii(std::size_t width) const {
   return out;
 }
 
-void TimeSeries::Record(double time_s, double value) {
-  SWAP_CHECK_MSG(points_.empty() || time_s >= points_.back().time_s,
-                 "TimeSeries times must be non-decreasing");
-  points_.push_back({time_s, value});
+namespace {
+
+double NsToSeconds(std::int64_t ns) { return static_cast<double>(ns) / 1e9; }
+
+}  // namespace
+
+TimeSeries::TimeSeries(std::int64_t interval_ns) : interval_ns_(interval_ns) {
+  SWAP_CHECK_MSG(interval_ns_ > 0, "TimeSeries interval must be positive");
 }
 
-double TimeSeries::TimeWeightedMean(double t0, double t1) const {
-  if (points_.empty() || t1 <= t0) return 0.0;
-  double acc = 0.0;
-  double covered = 0.0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const double start = std::max(points_[i].time_s, t0);
-    const double end =
-        std::min(i + 1 < points_.size() ? points_[i + 1].time_s : t1, t1);
-    if (end <= start) continue;
-    acc += points_[i].value * (end - start);
-    covered += end - start;
-  }
-  return covered > 0 ? acc / covered : 0.0;
-}
-
-std::vector<TimeSeries::Point> TimeSeries::Resample(std::size_t n) const {
-  std::vector<Point> out;
-  if (points_.empty() || n == 0) return out;
-  out.reserve(n);
-  const double t0 = points_.front().time_s;
-  const double t1 = points_.back().time_s;
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t =
-        n == 1 ? t0 : t0 + (t1 - t0) * static_cast<double>(i) /
-                               static_cast<double>(n - 1);
-    while (cursor + 1 < points_.size() && points_[cursor + 1].time_s <= t) {
-      ++cursor;
+void TimeSeries::Append(std::int64_t at_ns, double value, std::size_t count) {
+  if (count == 0) return;
+  size_ += count;
+  if (!runs_.empty()) {
+    Run& last = runs_.back();
+    const std::int64_t next_ns =
+        last.first_ns +
+        static_cast<std::int64_t>(last.count) * interval_ns_;
+    SWAP_CHECK_MSG(at_ns > next_ns - interval_ns_,
+                   "TimeSeries samples must be appended in time order");
+    if (at_ns == next_ns && std::bit_cast<std::uint64_t>(value) ==
+                                std::bit_cast<std::uint64_t>(last.value)) {
+      last.count += count;
+      return;
     }
-    out.push_back({t, points_[cursor].value});
+  }
+  runs_.push_back({at_ns, count, value});
+}
+
+std::vector<TimeSeries::Point> TimeSeries::Points() const {
+  std::vector<Point> out;
+  out.reserve(size_);
+  for (const Run& run : runs_) {
+    for (std::size_t j = 0; j < run.count; ++j) {
+      out.push_back(
+          {NsToSeconds(run.first_ns +
+                       static_cast<std::int64_t>(j) * interval_ns_),
+           run.value});
+    }
   }
   return out;
 }
 
+double TimeSeries::TimeWeightedMean(double t0, double t1) const {
+  if (runs_.empty() || t1 <= t0) return 0.0;
+  double acc = 0.0;
+  double covered = 0.0;
+  double time = NsToSeconds(runs_.front().first_ns);
+  // Samples at or after t1 contribute nothing, so the walk stops there.
+  for (std::size_t r = 0; r < runs_.size() && time < t1; ++r) {
+    const Run& run = runs_[r];
+    for (std::size_t j = 0; j < run.count && time < t1; ++j) {
+      double next = t1;
+      if (j + 1 < run.count) {
+        next = NsToSeconds(run.first_ns +
+                           static_cast<std::int64_t>(j + 1) * interval_ns_);
+      } else if (r + 1 < runs_.size()) {
+        next = NsToSeconds(runs_[r + 1].first_ns);
+      }
+      const double start = std::max(time, t0);
+      const double end = std::min(next, t1);
+      if (end > start) {
+        acc += run.value * (end - start);
+        covered += end - start;
+      }
+      time = next;
+    }
+  }
+  return covered > 0 ? acc / covered : 0.0;
+}
+
 double TimeSeries::MaxValue() const {
   double m = 0.0;
-  for (const auto& p : points_) m = std::max(m, p.value);
+  for (const Run& run : runs_) m = std::max(m, run.value);
   return m;
 }
 

@@ -90,32 +90,49 @@ class Histogram {
   std::uint64_t total_ = 0;
 };
 
-// (time, value) series with piecewise-constant semantics, used for GPU
-// utilization and memory traces (Fig. 3). Times are seconds.
+// Step series sampled on a fixed grid, used for GPU utilization and memory
+// traces (Fig. 3). Sample instants are integer nanoseconds, reported in
+// seconds as ns / 1e9 (what sim::SimTime::ToSeconds() returns), and a value
+// holds until the next sample. Storage is run-length: a run is `count`
+// consecutive grid samples of one value, `interval_ns` apart, so an idle
+// stretch of any length costs one run. A new run starts when the value
+// changes or the grid is re-anchored (a monitor restart).
 class TimeSeries {
  public:
-  void Record(double time_s, double value);
+  explicit TimeSeries(std::int64_t interval_ns);
 
-  std::size_t size() const { return points_.size(); }
-  bool empty() const { return points_.empty(); }
+  // Append `count` samples of `value` at at_ns, at_ns + interval, ...;
+  // at_ns must lie after the last sample.
+  void Append(std::int64_t at_ns, double value, std::size_t count = 1);
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::size_t runs() const { return runs_.size(); }
 
   struct Point {
     double time_s;
     double value;
   };
-  const std::vector<Point>& points() const { return points_; }
+  // Every sample, expanded (tests and dumps; O(size)).
+  std::vector<Point> Points() const;
 
   // Time-weighted average over [t0, t1] assuming the value holds until the
-  // next recording (step function). Returns 0 for an empty series.
+  // next sample (step function). Walks the samples one by one in time
+  // order, so the sums are those of the same series stored point by
+  // point. Returns 0 for an empty series.
   double TimeWeightedMean(double t0, double t1) const;
-
-  // Downsample to `n` evenly spaced step samples over the recorded span.
-  std::vector<Point> Resample(std::size_t n) const;
 
   double MaxValue() const;
 
  private:
-  std::vector<Point> points_;  // strictly non-decreasing in time
+  struct Run {
+    std::int64_t first_ns;
+    std::size_t count;
+    double value;
+  };
+  std::int64_t interval_ns_;
+  std::vector<Run> runs_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace swapserve

@@ -118,6 +118,47 @@ TEST(FaultInjectorTest, ArmAfterDelaysTheRule) {
   EXPECT_TRUE(fired_late);
 }
 
+// NextArmed names the first instant Evaluate() could fire: the first
+// nanosecond its seconds comparison accepts, over rules that match the
+// point and owner and still have fires left.
+TEST(FaultInjectorTest, NextArmedIsTheFirstInstantARuleCanFire) {
+  sim::Simulation sim;
+  FaultInjector injector(sim, 1);
+  EXPECT_EQ(injector.NextArmed("node.crash", "node0"), sim::kNever);
+
+  FaultPlan plan;
+  FaultRule late = Rule("node.crash", 1.0);
+  late.owner = "node0";
+  late.arm_after_s = 2000.3;  // not a whole number of nanoseconds in binary
+  late.max_fires = 1;
+  FaultRule other = Rule("node.crash", 1.0);
+  other.owner = "node1";
+  other.arm_after_s = 10;
+  FaultRule never = Rule("node.crash", 1.0);
+  never.arm_after_s = 1e30;
+  plan.rules = {late, other, never};
+  injector.Configure(plan);
+
+  const sim::SimTime at = injector.NextArmed("node.crash", "node0");
+  EXPECT_GE(at.ToSeconds(), 2000.3);
+  EXPECT_LT((at - sim::Nanos(1)).ToSeconds(), 2000.3);
+  EXPECT_EQ(injector.NextArmed("node.crash", "node1"),
+            sim::SimTime(sim::Seconds(10).ns()));
+  EXPECT_EQ(injector.NextArmed("node.partition", "node0"), sim::kNever);
+
+  bool fired = false;
+  sim.ScheduleAt(at - sim::Nanos(1), [&] {
+    EXPECT_FALSE(injector.Evaluate("node.crash", "node0").fired());
+  });
+  sim.ScheduleAt(at, [&] {
+    fired = injector.Evaluate("node.crash", "node0").fired();
+    // Its one fire is spent.
+    EXPECT_EQ(injector.NextArmed("node.crash", "node0"), sim::kNever);
+  });
+  sim.Run();
+  EXPECT_TRUE(fired);
+}
+
 TEST(FaultInjectorTest, StallOnlyRuleStallsWithoutFailing) {
   sim::Simulation sim;
   FaultInjector injector(sim, 1);

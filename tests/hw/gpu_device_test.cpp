@@ -89,14 +89,15 @@ TEST_F(GpuDeviceTest, OverlappingComputeCountsOnce) {
   EXPECT_DOUBLE_EQ(gpu.TotalBusy().ToSeconds(), 6.0);
 }
 
-TEST_F(GpuDeviceTest, BusyFractionOverWindow) {
-  const sim::SimTime t0 = sim.Now();
-  const sim::SimDuration busy0 = gpu.TotalBusy();
+TEST_F(GpuDeviceTest, TotalBusyIncludesTheOpenInterval) {
   sim.Schedule(sim::Seconds(1), [this] { gpu.BeginCompute(); });
-  sim.Schedule(sim::Seconds(3), [this] { gpu.EndCompute(); });
+  sim.Schedule(sim::Seconds(3), [this] {
+    EXPECT_DOUBLE_EQ(gpu.TotalBusy().ToSeconds(), 2.0);
+    gpu.EndCompute();
+  });
   sim.Schedule(sim::Seconds(10), [] {});
   sim.Run();
-  EXPECT_DOUBLE_EQ(gpu.BusyFractionSince(t0, busy0), 0.2);
+  EXPECT_DOUBLE_EQ(gpu.TotalBusy().ToSeconds(), 2.0);
 }
 
 TEST_F(GpuDeviceTest, BusyScopeIsRaii) {

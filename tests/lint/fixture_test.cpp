@@ -184,6 +184,17 @@ TEST(SwaplintFixtureTest, EagerTraceFormatSilentOnNumbersAndPrefixedNames) {
   EXPECT_TRUE(diags.empty()) << Render(diags);
 }
 
+TEST(SwaplintFixtureTest, PollingLoopFiresOnDelayFirstWhileLoops) {
+  auto diags = LintFixture("polling_loop_bad.cc");
+  EXPECT_EQ(CountRule(diags, "polling-loop"), 2) << Render(diags);
+  EXPECT_EQ(diags.size(), 2u) << Render(diags);
+}
+
+TEST(SwaplintFixtureTest, PollingLoopSilentOnParkedAndTimedLoops) {
+  auto diags = LintFixture("polling_loop_ok.cc");
+  EXPECT_TRUE(diags.empty()) << Render(diags);
+}
+
 TEST(SwaplintFixtureTest, V2SuppressionsMatchExactRuleName) {
   auto diags = LintFixture("suppression_v2.cc");
   EXPECT_EQ(CountRule(diags, "spawn-ref-capture"), 0) << Render(diags);
@@ -286,9 +297,9 @@ TEST(SwaplintBaselineTest, ParserIgnoresCommentsAndBlankLines) {
 
 // --- Rule catalog / docs sync -----------------------------------------------
 
-TEST(SwaplintFixtureTest, RuleListCoversAllThirteenRules) {
+TEST(SwaplintFixtureTest, RuleListCoversAllFourteenRules) {
   const std::vector<RuleInfo>& rules = Rules();
-  ASSERT_EQ(rules.size(), 13u);
+  ASSERT_EQ(rules.size(), 14u);
   std::vector<std::string> names;
   for (const RuleInfo& r : rules) names.emplace_back(r.name);
   for (const char* expected :
@@ -296,7 +307,7 @@ TEST(SwaplintFixtureTest, RuleListCoversAllThirteenRules) {
         "unawaited-task", "discarded-status", "guard-across-await",
         "lock-order", "fault-point-name", "fault-point-coverage",
         "unordered-iteration", "nondeterministic-source", "pointer-order",
-        "eager-trace-format"}) {
+        "eager-trace-format", "polling-loop"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

@@ -44,6 +44,10 @@ const std::set<std::string, std::less<>> kTraceCalls = {
 // whose output never feeds event ordering).
 const char* const kUnorderedIterationAllowlist[] = {"sim/lock_debug"};
 
+// Workload drivers and examples pace themselves on purpose; polling-loop
+// looks only at the simulated system.
+const char* const kPollingLoopExempt[] = {"bench/", "examples/"};
+
 // The identifier whose brace initializer in src/fault/fault_points.h is
 // the canonical fault-point registry.
 constexpr std::string_view kRegistryIdent = "kFaultPointRegistry";
@@ -462,6 +466,7 @@ class RuleRunner {
     CheckNondeterministicSources();
     CheckPointerOrder();
     CheckEagerTraceFormat();
+    CheckPollingLoop();
   }
 
  private:
@@ -876,6 +881,44 @@ class RuleRunner {
     }
   }
 
+  // Rule: polling-loop. A `while` loop whose first statement is
+  // `co_await <x>.Delay(...)` wakes on a fixed cadence whether or not
+  // anything changed; in a long, mostly idle run those wake-ups dominate
+  // the event count. Park on a signal from whatever changes the loop's
+  // inputs, or sleep straight to a known instant with WaitUntil().
+  void CheckPollingLoop() {
+    for (const char* exempt : kPollingLoopExempt) {
+      if (path_.find(exempt) != std::string::npos) return;
+    }
+    for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
+      if (toks_[i].kind != TokKind::kIdent || toks_[i].text != "while" ||
+          !IsTok(toks_, i + 1, "(")) {
+        continue;
+      }
+      std::size_t j = SkipBalanced(toks_, i + 1, "(", ")");
+      if (IsTok(toks_, j, "{")) ++j;
+      if (!IsTok(toks_, j, "co_await")) continue;
+      // Walk the awaited receiver chain (`sim_`, `sim()`, `a->b`) to a
+      // member call named Delay.
+      for (std::size_t k = j + 1; k < toks_.size();) {
+        if (IsTok(toks_, k, "Delay") && IsTok(toks_, k + 1, "(") &&
+            IsMemberSep(toks_, k - 1)) {
+          Emit("polling-loop", toks_[i].line,
+               "loop wakes every Delay() whether or not anything changed; "
+               "park on a change signal or WaitUntil() a known instant");
+          break;
+        }
+        if (toks_[k].kind == TokKind::kIdent || IsChainSep(toks_, k)) {
+          ++k;
+        } else if (IsTok(toks_, k, "(")) {
+          k = SkipBalanced(toks_, k, "(", ")");
+        } else {
+          break;
+        }
+      }
+    }
+  }
+
   // True when the trace call at `i` (`span.AddArg(`) is the body of
   // `if (span.active())` on the same receiver.
   bool GuardedByActiveSpan(std::size_t i) const {
@@ -939,6 +982,9 @@ const std::vector<RuleInfo>& Rules() {
       {"eager-trace-format",
        "no std::to_string, .ToString() or string concatenation in "
        "unguarded AddArg/Instant/StartSpan arguments"},
+      {"polling-loop",
+       "no while loop that starts by awaiting a fixed Delay() outside "
+       "bench/ and examples/"},
   };
   return kRules;
 }

@@ -67,6 +67,15 @@
 //                       pass numbers and {prefix, suffix} names instead,
 //                       or guard the call with `if (span.active())`.
 //
+// Event cost (an idle simulated day should cost almost no events):
+//   polling-loop        A `while` loop whose first statement is
+//                       `co_await <x>.Delay(...)`: a fixed-cadence timer
+//                       that wakes whether or not anything changed. Park
+//                       on a change signal instead (the fleet heartbeat,
+//                       the engine supervisor) or WaitUntil() a known
+//                       instant. Workload drivers under bench/ and
+//                       examples/ are exempt.
+//
 // Lock discipline (unchanged from v1):
 //   guard-across-await  A SimMutex::Guard obtained via `co_await
 //                       x.Acquire()` is still live at a later co_await.
