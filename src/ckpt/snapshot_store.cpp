@@ -75,13 +75,15 @@ Status SnapshotStore::Drop(SnapshotId id) {
   if (it == snapshots_.end()) {
     return NotFound("snapshot " + std::to_string(id));
   }
-  switch (it->second.tier) {
+  const SnapshotTier tier = it->second.tier;
+  switch (tier) {
     case SnapshotTier::kNvme: nvme_used_ -= it->second.dirty_bytes; break;
     case SnapshotTier::kRemote: remote_bytes_ -= it->second.dirty_bytes; break;
     case SnapshotTier::kHost: used_ -= it->second.dirty_bytes; break;
   }
   snapshots_.erase(it);
   PublishGauges();
+  if (tier != SnapshotTier::kRemote && on_drop_) on_drop_();
   return Status::Ok();
 }
 
@@ -160,6 +162,7 @@ Status SnapshotStore::MarkLost(SnapshotId id) {
   used_ -= it->second.dirty_bytes;
   remote_bytes_ += it->second.dirty_bytes;
   PublishGauges();
+  if (on_drop_) on_drop_();
   return Status::Ok();
 }
 

@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -106,12 +108,16 @@ class SnapshotStore {
   void BindObservability(obs::Observability* obs);
   // Nullable; evaluated at the "snapshot.corrupt" point on every Put.
   void BindFaultInjector(fault::FaultInjector* injector);
+  // Called when a payload leaves the store: a host or NVMe snapshot is
+  // dropped, or a host payload is lost to kRemote.
+  void SetDropHandler(std::function<void()> h) { on_drop_ = std::move(h); }
 
  private:
   void PublishGauges() const;
 
   obs::Observability* obs_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
+  std::function<void()> on_drop_;
   Bytes budget_;
   Bytes used_{0};
   Bytes nvme_used_{0};

@@ -13,7 +13,11 @@ namespace swapserve::cluster {
 ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
                            const model::ModelCatalog& catalog,
                            core::SwapServeOptions options)
-    : sim_(sim), config_(std::move(config)) {
+    : sim_(sim),
+      config_(std::move(config)),
+      migration_loop_(
+          sim, sim::Seconds(config_.cluster.migrate_interval_s), nullptr,
+          {.pass = [this]() -> sim::Task<> { co_await MigrationSweep(); }}) {
   const int n = config_.cluster.nodes;
   for (int id = 0; id < n; ++id) {
     const int gpu_count = config_.NodeGpuCount(id);
@@ -85,6 +89,7 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
       rp.replicate = config_.cluster.replicate;
       rp.concurrency = config_.cluster.repair_concurrency;
       rp.interval = sim::Seconds(config_.cluster.repair_interval_s);
+      rp.monitor = monitor_.get();
       repairer_ = std::make_unique<ReplicationRepairer>(
           sim_, node_ptrs_, *replicator_, config_.models, rp);
     }
@@ -105,7 +110,7 @@ sim::Task<Status> ClusterServe::Initialize() {
   if (nodes_.size() > 1) {
     SWAP_CO_RETURN_IF_ERROR(InstallPlaceholders());
     StartReplication();
-    if (config_.cluster.migration) StartMigrationLoop();
+    if (config_.cluster.migration) migration_loop_.Start();
     StartFailureDetection();
   }
   initialized_ = true;
@@ -202,21 +207,6 @@ sim::Task<core::ChatResult> ClusterServe::ChatAndWait(
     co_return failed;
   }
   co_return co_await core::SwapServe::CollectResponse(*channel);
-}
-
-void ClusterServe::StartMigrationLoop() {
-  migration_running_ = true;
-  sim_.Go([this]() -> sim::Task<> {
-    const sim::SimDuration interval =
-        sim::Seconds(config_.cluster.migrate_interval_s);
-    // Placement inputs (queue pressure, residency) emit no change signal.
-    // swaplint-ok(polling-loop): the sweep re-scores on a fixed cadence
-    while (migration_running_) {
-      co_await sim_.Delay(interval);
-      if (!migration_running_) break;
-      co_await MigrationSweep();
-    }
-  });
 }
 
 sim::Task<> ClusterServe::MigrationSweep() {
@@ -592,7 +582,7 @@ void ClusterServe::RejoinNode(int id) {
 }
 
 void ClusterServe::Shutdown() {
-  migration_running_ = false;
+  migration_loop_.Stop();
   if (monitor_ != nullptr) monitor_->Stop();
   if (repairer_ != nullptr) repairer_->Stop();
   for (auto& node : nodes_) {

@@ -10,9 +10,10 @@
 //     cluster.replicate copies and on demand at swap-in;
 //   - locality-aware placement routing each accepted request to the node
 //     that can start serving it soonest;
-//   - optional live swap migration: a periodic sweep re-scores resident
-//     models and moves one (drain -> checkpoint -> fetch -> re-dispatch
-//     queued requests) when another node wins by the hysteresis margin;
+//   - optional live swap migration: a periodic sweep (a sim::GridLoop that
+//     never parks) re-scores resident models and moves one (drain ->
+//     checkpoint -> fetch -> re-dispatch queued requests) when another node
+//     wins by the hysteresis margin;
 //   - node-level fault domains and self-healing: a heartbeat-driven
 //     HealthMonitor classifies nodes healthy/suspect/down/rejoining; a
 //     node declared down has its queued requests drained and re-dispatched
@@ -42,6 +43,7 @@
 #include "core/swap_serve.h"
 #include "core/types.h"
 #include "model/catalog.h"
+#include "sim/grid_loop.h"
 #include "sim/simulation.h"
 #include "util/status.h"
 
@@ -83,6 +85,8 @@ class ClusterServe {
   HealthMonitor* monitor() { return monitor_.get(); }
   // Null with a single node or cluster.repair_concurrency == 0.
   ReplicationRepairer* repairer() { return repairer_.get(); }
+  // Idle unless cluster.migration is on with more than one node.
+  sim::GridLoop& migration_loop() { return migration_loop_; }
 
   // --- fault domain controls (tests, benches, and the node.* sweep) -----
   // Power node `id` off now and back on after `outage` (the reboot then
@@ -115,7 +119,6 @@ class ClusterServe {
  private:
   Status InstallPlaceholders();
   void StartReplication();
-  void StartMigrationLoop();
   sim::Task<> MigrationSweep();
   sim::Task<> MigrateModel(std::string model, int from, int to);
   void StartFailureDetection();
@@ -131,6 +134,7 @@ class ClusterServe {
 
   sim::Simulation& sim_;
   core::Config config_;
+  sim::GridLoop migration_loop_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Node*> node_ptrs_;
   std::unique_ptr<Fabric> fabric_;
@@ -141,7 +145,6 @@ class ClusterServe {
   // Pair owner names ("nodeI:nodeJ", i < j) precomputed so the per-beat
   // node.partition evaluation allocates nothing.
   std::vector<std::vector<std::string>> pair_owner_;
-  bool migration_running_ = false;
   bool initialized_ = false;
   std::uint64_t migrations_ = 0;
   std::uint64_t migration_aborts_ = 0;

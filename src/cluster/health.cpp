@@ -16,7 +16,25 @@ HealthMonitor::HealthMonitor(sim::Simulation& sim, std::vector<Node*> nodes,
       fabric_(fabric),
       options_(options),
       last_heard_(nodes_.size(), sim.Now()),
-      wake_(sim) {
+      wake_(sim),
+      loop_(sim, options_.interval, &wake_,
+            {.pass =
+                 [this]() -> sim::Task<> {
+                   TickOnce();
+                   beat_work_ = on_beat_ ? on_beat_() : sim::kNever;
+                   co_return;
+                 },
+             .next_work =
+                 [this] { return AllHealthy() ? beat_work_ : sim_.Now(); },
+             .on_resume =
+                 [this](sim::SimTime skipped) {
+                   // Every skipped beat would have heard every node.
+                   for (sim::SimTime& heard : last_heard_) {
+                     heard = std::max(heard, skipped);
+                   }
+                   beat_work_ = sim_.Now();  // a wake is news: take a beat
+                   if (on_wake_) on_wake_();
+                 }}) {
   SWAP_CHECK_MSG(options_.interval.ns() > 0,
                  "heartbeat interval must be positive");
   for (Node* node : nodes_) {
@@ -35,53 +53,8 @@ HealthMonitor::~HealthMonitor() {
 }
 
 void HealthMonitor::Start() {
-  SWAP_CHECK_MSG(!running_, "health monitor already running");
-  running_ = true;
-  anchor_ = sim_.Now();
-  const std::uint64_t generation = ++generation_;
-  sim_.Go([this, generation]() -> sim::Task<> {
-    sim::SimTime next = anchor_ + options_.interval;
-    while (generation_ == generation) {
-      co_await sim_.WaitUntil(next);
-      if (generation_ != generation) break;
-      ++beats_;
-      TickOnce();
-      const sim::SimTime work = on_beat_ ? on_beat_() : sim::kNever;
-      const sim::SimTime beat = sim_.Now();
-      next = beat + options_.interval;
-      // The first beat the handler could act on; park unless it is the
-      // next one or a node still needs watching.
-      const sim::SimTime first_work =
-          work == sim::kNever ? sim::kNever : BeatAtOrAfter(work);
-      if (first_work <= next || !AllHealthy()) continue;
-      parked_ = true;
-      const std::uint64_t epoch = ++park_epoch_;
-      if (first_work != sim::kNever) {
-        const sim::SimTime resume = BeatBefore(first_work);
-        sim_.ScheduleAt(resume, [this, epoch] {
-          if (epoch == park_epoch_) wake_.Pulse();
-        });
-      }
-      co_await wake_.Wait();
-      if (generation_ != generation) break;
-      parked_ = false;
-      ++park_epoch_;  // a later arm wake-up belongs to a park that is over
-      // Every beat skipped before now would have heard every node.
-      const sim::SimTime skipped = BeatBefore(sim_.Now());
-      if (skipped > beat) {
-        for (sim::SimTime& heard : last_heard_) heard = skipped;
-      }
-      next = std::max(next, BeatAtOrAfter(sim_.Now()));
-    }
-  });
-}
-
-void HealthMonitor::Stop() {
-  running_ = false;
-  ++generation_;  // retire the running loop
-  parked_ = false;
-  ++park_epoch_;  // a pending arm wake-up now does nothing
-  wake_.Pulse();  // release a parked loop's frame
+  beat_work_ = sim_.Now();  // no beat has reported yet
+  loop_.Start();
 }
 
 bool HealthMonitor::AllHealthy() const {
@@ -93,17 +66,6 @@ bool HealthMonitor::AllHealthy() const {
     }
   }
   return true;
-}
-
-sim::SimTime HealthMonitor::BeatAtOrAfter(sim::SimTime t) const {
-  const std::int64_t interval = options_.interval.ns();
-  const std::int64_t since = std::max<std::int64_t>(0, (t - anchor_).ns());
-  return anchor_ +
-         sim::SimDuration((since + interval - 1) / interval * interval);
-}
-
-sim::SimTime HealthMonitor::BeatBefore(sim::SimTime t) const {
-  return BeatAtOrAfter(t) - options_.interval;
 }
 
 bool HealthMonitor::Heard(int node) const {
@@ -121,7 +83,9 @@ bool HealthMonitor::Heard(int node) const {
 
 double HealthMonitor::Phi(int node) const {
   sim::SimTime heard = last_heard_[node];
-  if (parked_) heard = std::max(heard, BeatBefore(sim_.Now() + sim::Nanos(1)));
+  if (loop_.parked()) {
+    heard = std::max(heard, loop_.grid().Before(sim_.Now() + sim::Nanos(1)));
+  }
   const sim::SimDuration silence = sim_.Now() - heard;
   return static_cast<double>(silence.ns()) /
          static_cast<double>(options_.interval.ns());

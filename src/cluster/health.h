@@ -20,16 +20,13 @@
 //   kRejoining --heard next beat--> kHealthy
 //   kRejoining --silence >= down_after--> kDown   (died again mid-rejoin)
 //
-// The loop parks while a beat could find nothing new: every node was heard
-// and is kHealthy, and the beat handler reports no work before a later
-// instant. Only a Node::Crash/Boot, a Fabric::Partition or a
-// FaultInjector::Configure can change that, and each pulses wake_signal().
-// A wake at time t counts every skipped beat before t as heard and resumes
-// at the first grid beat at or after t, so a change between beats is seen
-// on the beat a loop beating every interval would have seen it on. When
-// the handler's work starts later (a node.* rule with arm_after_s), the
-// loop resumes one beat before the first grid beat at or after that
-// instant. An idle, healthy fleet schedules no heartbeat events at all.
+// The beat runs on a sim::GridLoop (grid, park and tie semantics live
+// there). It parks while a beat could find nothing new: every node was
+// heard and is kHealthy, and the beat handler reports no work before a
+// later instant. Only a Node::Crash/Boot, a Fabric::Partition or a
+// FaultInjector::Configure can change that, and each pulses wake_signal();
+// a wake always takes a beat, and every beat the park skipped counts as
+// heard. An idle, healthy fleet schedules no heartbeat events at all.
 //
 // The monitor only observes and classifies; failover mechanics live in
 // ClusterServe's handlers. Heartbeats are bookkeeping, not transfers —
@@ -45,6 +42,7 @@
 
 #include "cluster/fabric.h"
 #include "cluster/node.h"
+#include "sim/grid_loop.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -78,15 +76,14 @@ class HealthMonitor {
   // sim::kNever when only a wake signal can change that.
   using BeatHandler = std::function<sim::SimTime()>;
   void SetBeatHandler(BeatHandler h) { on_beat_ = std::move(h); }
+  // Runs when a parked monitor resumes, before it queues its next beat.
+  void SetWakeHandler(std::function<void()> h) { on_wake_ = std::move(h); }
 
-  // Spawn the beat loop. Stop() lets the current beat finish and releases
-  // a parked loop; a loop sleeping toward a beat exits when it wakes. Each
-  // Start() gets a new generation, so a Stop()+Start() never leaves two
-  // loops beating.
+  // Spawn the beat loop (sim::GridLoop lifecycle).
   void Start();
-  void Stop();
-  bool running() const { return running_; }
-  bool parked() const { return parked_; }
+  void Stop() { loop_.Stop(); }
+  bool running() const { return loop_.running(); }
+  bool parked() const { return loop_.parked(); }
 
   // Pulsed by whatever can make a parked fleet's next beat differ.
   sim::SimEvent& wake_signal() { return wake_; }
@@ -100,7 +97,7 @@ class HealthMonitor {
   double Phi(int node) const;
 
   // Beats run by the loop (skipped ones not included).
-  std::uint64_t beats() const { return beats_; }
+  std::uint64_t beats() const { return loop_.passes(); }
   std::uint64_t suspicions() const { return suspicions_; }
   std::uint64_t downs() const { return downs_; }
   std::uint64_t rejoins() const { return rejoins_; }
@@ -110,9 +107,6 @@ class HealthMonitor {
   void Transition(Node& node, NodeState to);
   // True when every node is kHealthy and would be heard now.
   bool AllHealthy() const;
-  // Grid beats: the first at or after `t`, and the last strictly before.
-  sim::SimTime BeatAtOrAfter(sim::SimTime t) const;
-  sim::SimTime BeatBefore(sim::SimTime t) const;
 
   sim::Simulation& sim_;
   std::vector<Node*> nodes_;
@@ -122,13 +116,11 @@ class HealthMonitor {
   Handler on_down_;
   Handler on_rejoin_;
   BeatHandler on_beat_;
+  std::function<void()> on_wake_;
   sim::SimEvent wake_;
-  sim::SimTime anchor_;  // Start(): the grid origin
-  bool running_ = false;
-  bool parked_ = false;
-  std::uint64_t generation_ = 0;  // bumped by Start()/Stop(); stale loops exit
-  std::uint64_t park_epoch_ = 0;  // bumped per park; stale arm wake-ups no-op
-  std::uint64_t beats_ = 0;
+  sim::GridLoop loop_;
+  // What the last beat handler returned; Now() until a beat follows a wake.
+  sim::SimTime beat_work_;
   std::uint64_t suspicions_ = 0;
   std::uint64_t downs_ = 0;
   std::uint64_t rejoins_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cluster/health.h"
 #include "engine/engine.h"
 #include "obs/observability.h"
 #include "util/log.h"
@@ -17,27 +18,31 @@ ReplicationRepairer::ReplicationRepairer(sim::Simulation& sim,
       nodes_(std::move(nodes)),
       replicator_(replicator),
       models_(std::move(models)),
-      options_(options) {}
-
-void ReplicationRepairer::Start() {
-  SWAP_CHECK_MSG(!running_, "repairer already running");
-  running_ = true;
-  const std::uint64_t generation = ++generation_;
-  sim_.Go([this, generation]() -> sim::Task<> {
-    // Copy counts move with snapshot-tier changes, which emit no signal.
-    // swaplint-ok(polling-loop): the deficit scan runs on a fixed cadence
-    while (generation_ == generation) {
-      co_await sim_.Delay(options_.interval);
-      if (generation_ != generation) break;
-      ++passes_;
-      (void)ScanOnce();
-    }
-  });
+      options_(options),
+      wake_(sim),
+      loop_(sim, options_.interval, &wake_,
+            {.pass =
+                 [this]() -> sim::Task<> {
+                   (void)ScanOnce();
+                   co_return;
+                 },
+             .next_work =
+                 [this] { return Settled() ? sim::kNever : sim_.Now(); }}) {
+  if (options_.monitor == nullptr) return;  // the scan never parks
+  options_.monitor->SetWakeHandler([this] { loop_.Poke(); });
+  for (Node* node : nodes_) {
+    node->serve().controller().SetResidencyHandler([this] { loop_.Poke(); });
+    node->serve().snapshot_store().SetDropHandler([this] { loop_.Poke(); });
+  }
 }
 
-void ReplicationRepairer::Stop() {
-  running_ = false;
-  ++generation_;  // retire the running loop
+ReplicationRepairer::~ReplicationRepairer() {
+  if (options_.monitor == nullptr) return;
+  options_.monitor->SetWakeHandler(nullptr);
+  for (Node* node : nodes_) {
+    node->serve().controller().SetResidencyHandler(nullptr);
+    node->serve().snapshot_store().SetDropHandler(nullptr);
+  }
 }
 
 bool ReplicationRepairer::Eligible(const Node& node) const {
@@ -71,16 +76,30 @@ int ReplicationRepairer::CountCopies(const std::string& model_id) const {
   return copies;
 }
 
+int ReplicationRepairer::Target() const {
+  int eligible_nodes = 0;
+  for (const Node* node : nodes_) {
+    if (Eligible(*node)) ++eligible_nodes;
+  }
+  return std::min(options_.replicate, eligible_nodes);
+}
+
+bool ReplicationRepairer::Settled() const {
+  if (options_.monitor == nullptr || !options_.monitor->parked()) return false;
+  if (!active_.empty()) return false;
+  const int target = Target();
+  for (const core::ModelEntry& m : models_) {
+    if (CountCopies(m.model_id) < target) return false;
+  }
+  return true;
+}
+
 int ReplicationRepairer::ScanOnce() {
   int launched_now = 0;
   const int n = static_cast<int>(nodes_.size());
   for (const core::ModelEntry& m : models_) {
     if (in_flight() >= options_.concurrency) break;
-    int eligible_nodes = 0;
-    for (const Node* node : nodes_) {
-      if (Eligible(*node)) ++eligible_nodes;
-    }
-    const int target = std::min(options_.replicate, eligible_nodes);
+    const int target = Target();
     int copies = CountCopies(m.model_id);
     if (copies >= target) continue;
     for (int dst : ReplicaRingOrder(m.model_id, m.node, n)) {
@@ -100,6 +119,7 @@ int ReplicationRepairer::ScanOnce() {
       }
       active_.insert({m.model_id, dst});
       ++launched_;
+      if (launch_hook_) launch_hook_(m.model_id, dst);
       ++launched_now;
       obs::IncCounter(&node.serve().obs(), "swapserve_cluster_repair_total",
                       {{"model", m.model_id}, {"node", node.name()}});

@@ -4,12 +4,19 @@
 // weights are in GPU memory) or a restorable snapshot payload (tier kHost
 // or kNvme). Placeholders (kRemote) are metadata, not copies. When a node
 // holding a copy dies, the fleet's effective replication factor drops; the
-// repairer scans on a fixed cadence (and immediately after failover and
-// rejoin), computes each model's deficit against
-// min(cluster.replicate, eligible nodes), and walks the same
+// repairer computes each model's deficit against
+// min(cluster.replicate, eligible nodes) and walks the same
 // ReplicaRingOrder the eager spread used — skipping down nodes and
 // existing holders — launching background fetches into placeholder-holding
-// standbys until the factor is restored.
+// standbys until the factor is restored. Failover and rejoin scan at once.
+//
+// The periodic scan runs on a sim::GridLoop (grid, park and tie semantics
+// live there). With a fleet heartbeat it parks after a pass that finds the
+// heartbeat parked, every model at its target and nothing in flight. Every
+// change that can lower a copy count or raise the target pokes it: an
+// engine entering or leaving kRunning, a snapshot payload dropping to
+// kRemote or being removed, and a heartbeat wake (a node power change,
+// partition or fault plan). Without a heartbeat it scans every interval.
 //
 // One deliberate gap: if the only surviving copy is a running engine,
 // there is no snapshot payload to stream, and the repairer will not force
@@ -26,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -34,10 +42,14 @@
 #include "cluster/node.h"
 #include "cluster/replication.h"
 #include "core/config.h"
+#include "sim/grid_loop.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace swapserve::cluster {
+
+class HealthMonitor;
 
 class ReplicationRepairer {
  public:
@@ -45,21 +57,26 @@ class ReplicationRepairer {
     int replicate = 1;
     int concurrency = 2;
     sim::SimDuration interval = sim::Seconds(5);
+    // The fleet heartbeat, if any. The scan parks only while it is parked
+    // too: a beating heartbeat can change membership on any beat, and a
+    // beat queued ahead of a resumed scan would run before it.
+    HealthMonitor* monitor = nullptr;
   };
 
-  // `models` are the fleet-level entries (home node fields intact).
+  // `models` are the fleet-level entries (home node fields intact). With a
+  // monitor, takes its wake handler and every node's residency and drop
+  // handlers.
   ReplicationRepairer(sim::Simulation& sim, std::vector<Node*> nodes,
                       SnapshotReplicator& replicator,
                       std::vector<core::ModelEntry> models, Options options);
+  ~ReplicationRepairer();
   ReplicationRepairer(const ReplicationRepairer&) = delete;
   ReplicationRepairer& operator=(const ReplicationRepairer&) = delete;
 
-  // Spawn the periodic deficit scan; Stop() lets the current pass finish.
-  // Each Start() gets a new generation, so a Stop()+Start() never leaves
-  // two loops scanning.
-  void Start();
-  void Stop();
-  bool running() const { return running_; }
+  // Spawn the periodic deficit scan (sim::GridLoop lifecycle).
+  void Start() { loop_.Start(); }
+  void Stop() { loop_.Stop(); }
+  bool running() const { return loop_.running(); }
 
   // One deficit scan: launches up to the concurrency budget of background
   // repair fetches; returns how many were launched. Failover and rejoin
@@ -70,15 +87,24 @@ class ReplicationRepairer {
   // restorable payloads plus in-flight repairs (each node counted once).
   int CountCopies(const std::string& model_id) const;
 
+  // Called for every repair fetch a scan launches (tests log them).
+  using LaunchHook = std::function<void(const std::string& model, int node)>;
+  void SetLaunchHook(LaunchHook hook) { launch_hook_ = std::move(hook); }
+
   int in_flight() const { return static_cast<int>(active_.size()); }
   // Periodic scan passes run so far (failover/rejoin scans not included).
-  std::uint64_t passes() const { return passes_; }
+  std::uint64_t passes() const { return loop_.passes(); }
   std::uint64_t launched() const { return launched_; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t failed() const { return failed_; }
 
  private:
   bool Eligible(const Node& node) const;
+  // min(replicate, eligible nodes): the copies each model should have.
+  int Target() const;
+  // True when a scan would find a parked heartbeat, every model at its
+  // target copy count and nothing in flight (never without a heartbeat).
+  bool Settled() const;
 
   sim::Simulation& sim_;
   std::vector<Node*> nodes_;
@@ -86,9 +112,9 @@ class ReplicationRepairer {
   std::vector<core::ModelEntry> models_;
   Options options_;
   std::set<std::pair<std::string, int>> active_;  // (model, dst node)
-  bool running_ = false;
-  std::uint64_t generation_ = 0;  // bumped by Start()/Stop(); stale loops exit
-  std::uint64_t passes_ = 0;
+  sim::SimEvent wake_;  // the loop parks here
+  sim::GridLoop loop_;
+  LaunchHook launch_hook_;
   std::uint64_t launched_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;

@@ -33,6 +33,10 @@ void EngineController::RegisterBackend(Backend* backend) {
   SWAP_CHECK(backend != nullptr);
   backends_.push_back(backend);
   backend->engine->BindCrashSignal(&crash_signal_);
+  backend->engine->BindResidencyHandler([this] {
+    residency_signal_.Pulse();
+    if (on_residency_) on_residency_();
+  });
 }
 
 // swaplint-ok(coro-ref-param): backend outlives the frame (registered)

@@ -12,7 +12,9 @@
 
 #pragma once
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint_engine.h"
@@ -39,13 +41,21 @@ class EngineController final : public TaskManager::ReclaimDelegate {
                    PreemptionPolicy policy = PreemptionPolicy::kDemandAware,
                    std::uint64_t seed = 0x5eed);
 
-  // Registration also binds the backend's engine to crash_signal().
+  // Registration also binds the backend's engine to crash_signal() and
+  // its residency changes to residency_signal() and the residency handler.
   void RegisterBackend(Backend* backend);
   const std::vector<Backend*>& backends() const { return backends_; }
 
   // Pulsed whenever a registered backend enters kCrashed; the supervisor
   // parks on it while no scan could act.
   sim::SimEvent& crash_signal() { return crash_signal_; }
+  // Pulsed whenever a registered backend enters or leaves kRunning; the
+  // idle reaper parks on it.
+  sim::SimEvent& residency_signal() { return residency_signal_; }
+  // Also called on those changes, inside them; the fleet repairer's poke.
+  void SetResidencyHandler(std::function<void()> h) {
+    on_residency_ = std::move(h);
+  }
 
   // Swap a running backend out to its in-memory snapshot. Takes the
   // backend's exclusive lock (drains in-flight requests), runs the
@@ -94,6 +104,8 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   sim::Rng rng_;
   std::vector<Backend*> backends_;
   sim::SimEvent crash_signal_{sim_};
+  sim::SimEvent residency_signal_{sim_};
+  std::function<void()> on_residency_;
 };
 
 }  // namespace swapserve::core

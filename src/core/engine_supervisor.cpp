@@ -1,39 +1,10 @@
 #include "core/engine_supervisor.h"
 
-#include <algorithm>
-#include <cstdint>
 #include <string>
 
 #include "util/log.h"
 
 namespace swapserve::core {
-
-void EngineSupervisor::Start() {
-  SWAP_CHECK_MSG(!running_, "supervisor already running");
-  SWAP_CHECK_MSG(options_.scan_interval.ns() > 0,
-                 "scan interval must be positive");
-  running_ = true;
-  const std::uint64_t generation = ++generation_;
-  sim_.Go([this, generation]() -> sim::Task<> {
-    sim::SimTime anchor = sim_.Now();  // end of the last pass, or Start()
-    while (generation_ == generation) {
-      if (CanPark()) {
-        co_await controller_.crash_signal().Wait();
-        continue;  // a wake is a hint: re-check liveness and work
-      }
-      co_await sim_.WaitUntil(NextScan(anchor));
-      if (generation_ != generation) break;
-      (void)co_await ScanOnce();
-      anchor = sim_.Now();
-    }
-  });
-}
-
-void EngineSupervisor::Stop() {
-  running_ = false;
-  ++generation_;                       // retire the running loop
-  controller_.crash_signal().Pulse();  // release a parked loop's frame
-}
 
 bool EngineSupervisor::CanPark() const {
   if (options_.hang_deadline.ns() > 0 || options_.rejuvenate_after.ns() > 0) {
@@ -43,14 +14,6 @@ bool EngineSupervisor::CanPark() const {
     if (b->engine->state() == engine::BackendState::kCrashed) return false;
   }
   return true;
-}
-
-sim::SimTime EngineSupervisor::NextScan(sim::SimTime anchor) const {
-  const std::int64_t interval = options_.scan_interval.ns();
-  const std::int64_t since = (sim_.Now() - anchor).ns();
-  const std::int64_t ticks =
-      std::max<std::int64_t>(1, (since + interval - 1) / interval);
-  return anchor + sim::SimDuration(ticks * interval);
 }
 
 sim::Task<int> EngineSupervisor::ScanOnce() {

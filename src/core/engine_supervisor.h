@@ -1,15 +1,11 @@
 // Self-healing control plane: a supervisor loop that restarts crashed
 // backends, detects hung engines, and rejuvenates long-resident ones.
 //
-// Scans fall on a fixed grid: the end of the previous pass (or Start())
-// plus whole multiples of scan_interval. The loop only schedules a scan
-// while one could act — a backend is kCrashed (quarantined ones included,
-// so re-probes keep their cadence), or the time-based hang deadline or
-// rejuvenation is armed. Otherwise it parks on the controller's crash
-// signal and, when a backend crashes at time t, sleeps to the first grid
-// point at or after t: every scan that acts runs at the same instant a
-// scan-every-interval loop would have used, and an idle system schedules
-// no supervisor events at all.
+// The scan runs on a sim::GridLoop (grid, park and tie semantics live
+// there) parked on the controller's crash signal. It only ticks while a
+// scan could act: a backend is kCrashed (quarantined ones included, so
+// re-probes keep their cadence), or the time-based hang deadline or
+// rejuvenation is armed. An idle system schedules no supervisor events.
 //
 // Crash recovery is restart-in-place: a crash happens while the backend is
 // resident, so there is no snapshot to restore from — MarkCrashed() already
@@ -28,6 +24,7 @@
 #include "core/metrics.h"
 #include "core/task_manager.h"
 #include "fault/retry.h"
+#include "sim/grid_loop.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -57,15 +54,16 @@ class EngineSupervisor {
         task_manager_(task_manager),
         metrics_(metrics),
         options_(options),
-        rng_(seed) {}
+        rng_(seed),
+        loop_(sim, options.scan_interval, &controller.crash_signal(),
+              {.pass = [this]() -> sim::Task<> { (void)co_await ScanOnce(); },
+               .next_work =
+                   [this] { return CanPark() ? sim::kNever : sim_.Now(); }}) {}
 
-  // Spawn the scan loop. Stop() lets the current pass finish and wakes a
-  // parked loop so its frame exits at the current instant; a loop still
-  // sleeping toward a scan exits when it wakes. Each Start() gets a new
-  // generation, so a Stop()+Start() never leaves two loops scanning.
-  void Start();
-  void Stop();
-  bool running() const { return running_; }
+  // Spawn the scan loop (sim::GridLoop lifecycle).
+  void Start() { loop_.Start(); }
+  void Stop() { loop_.Stop(); }
+  bool running() const { return loop_.running(); }
 
   // Suspend scanning without killing the loop (a crashed *node* has no
   // supervisor process either): passes still fall on the grid but act on
@@ -99,8 +97,6 @@ class EngineSupervisor {
   // True when no scan could act until a backend crashes: nothing is
   // kCrashed and neither time-based check is armed.
   bool CanPark() const;
-  // First scan instant after Now() on the grid anchored at `anchor`.
-  sim::SimTime NextScan(sim::SimTime anchor) const;
 
   sim::Simulation& sim_;
   EngineController& controller_;
@@ -109,9 +105,8 @@ class EngineSupervisor {
   Options options_;
   sim::Rng rng_;
   obs::Observability* obs_ = nullptr;
-  bool running_ = false;
+  sim::GridLoop loop_;
   bool paused_ = false;
-  std::uint64_t generation_ = 0;  // bumped by Start()/Stop(); stale loops exit
   std::uint64_t passes_ = 0;
 };
 

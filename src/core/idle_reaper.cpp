@@ -1,22 +1,20 @@
 #include "core/idle_reaper.h"
 
+#include <algorithm>
+
 #include "util/log.h"
 
 namespace swapserve::core {
 
-void IdleReaper::Start() {
-  SWAP_CHECK_MSG(!running_, "idle reaper already running");
-  running_ = true;
-  sim_.Go([this]() -> sim::Task<> {
-    // Idleness is time since the last access, which no event announces.
-    // swaplint-ok(polling-loop): the scan re-checks idle deadlines
-    while (running_) {
-      co_await sim_.Delay(scan_interval_);
-      if (!running_) break;
-      (void)co_await ScanOnce();
-    }
-  });
-}
+IdleReaper::IdleReaper(sim::Simulation& sim, EngineController& controller,
+                       sim::SimDuration idle_threshold,
+                       sim::SimDuration scan_interval)
+    : sim_(sim),
+      controller_(controller),
+      idle_threshold_(idle_threshold),
+      loop_(sim, scan_interval, &controller.residency_signal(),
+            {.pass = [this]() -> sim::Task<> { (void)co_await ScanOnce(); },
+             .next_work = [this] { return NextDeadline(); }}) {}
 
 bool IdleReaper::IsIdle(const Backend& backend) const {
   if (backend.engine->state() != engine::BackendState::kRunning) {
@@ -27,6 +25,16 @@ bool IdleReaper::IsIdle(const Backend& backend) const {
     return false;  // a swap or a relay is in flight
   }
   return sim_.Now() - backend.last_accessed >= idle_threshold_;
+}
+
+sim::SimTime IdleReaper::NextDeadline() const {
+  sim::SimTime due = sim::kNever;
+  for (const Backend* backend : controller_.backends()) {
+    if (backend->engine->state() == engine::BackendState::kRunning) {
+      due = std::min(due, backend->last_accessed + idle_threshold_);
+    }
+  }
+  return due;
 }
 
 sim::Task<int> IdleReaper::ScanOnce() {

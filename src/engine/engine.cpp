@@ -84,12 +84,12 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::ColdStart() {
     co_return FailedPrecondition("cold start: backend " + name_ + " is " +
                                  std::string(BackendStateName(state_)));
   }
-  state_ = BackendState::kInitializing;
+  SetState(BackendState::kInitializing);
 
   Result<container::Container*> created =
       env_.runtime->Create(name_, EngineImageName(kind()));
   if (!created.ok()) {
-    state_ = BackendState::kStopped;
+    SetState(BackendState::kStopped);
     co_return created.status();
   }
   container_ = *created;
@@ -97,18 +97,18 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::ColdStart() {
   const sim::SimTime t0 = sim().Now();
   Status s = co_await container_->Start();
   if (!s.ok()) {
-    state_ = BackendState::kStopped;
+    SetState(BackendState::kStopped);
     co_return s;
   }
   const sim::SimDuration container_time = sim().Now() - t0;
 
   Result<InitBreakdown> breakdown = co_await InitializeEngine();
   if (!breakdown.ok()) {
-    state_ = BackendState::kStopped;
+    SetState(BackendState::kStopped);
     co_return breakdown.status();
   }
   breakdown->container_start = container_time;
-  state_ = BackendState::kRunning;
+  SetState(BackendState::kRunning);
   SWAP_LOG(kInfo, "engine")
       << name_ << " cold start complete in "
       << breakdown->Total().ToString() << " ("
@@ -124,22 +124,22 @@ Status InferenceEngine::AdoptCheckpoint() {
   Result<container::Container*> created =
       env_.runtime->Create(name_, EngineImageName(kind()));
   if (!created.ok()) {
-    state_ = BackendState::kStopped;
+    SetState(BackendState::kStopped);
     return created.status();
   }
   container_ = *created;
   Status s = container_->AdoptPaused();
   if (!s.ok()) {
-    state_ = BackendState::kStopped;
+    SetState(BackendState::kStopped);
     return s;
   }
   s = process_.AdoptCheckpointed();
   if (!s.ok()) {
-    state_ = BackendState::kStopped;
+    SetState(BackendState::kStopped);
     return s;
   }
   AdoptEngineState();
-  state_ = BackendState::kSwappedOut;
+  SetState(BackendState::kSwappedOut);
   SWAP_LOG(kInfo, "engine")
       << name_ << " adopted a replicated checkpoint ("
       << GpuResidentBytes().ToString() << " to restore)";
@@ -252,9 +252,14 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
   };
 }
 
-void InferenceEngine::EnterCrashed() {
-  state_ = BackendState::kCrashed;
-  if (crash_signal_ != nullptr) crash_signal_->Pulse();
+void InferenceEngine::SetState(BackendState to) {
+  const bool residency_changed =
+      (state_ == BackendState::kRunning) != (to == BackendState::kRunning);
+  state_ = to;
+  if (to == BackendState::kCrashed && crash_signal_ != nullptr) {
+    crash_signal_->Pulse();
+  }
+  if (residency_changed && on_residency_) on_residency_();
 }
 
 void InferenceEngine::MarkCrashed(std::string_view reason) {
@@ -263,7 +268,7 @@ void InferenceEngine::MarkCrashed(std::string_view reason) {
   Bytes freed(0);
   for (hw::GpuDevice* dev : Gpus()) freed += dev->FreeAllOwnedBy(name_);
   process_.ResetAfterCrash();
-  EnterCrashed();
+  SetState(BackendState::kCrashed);
   active_requests_ = 0;
   ++restart_epoch_;
   ++crash_count_;
@@ -278,7 +283,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
                                  std::string(BackendStateName(state_)));
   }
   SWAP_CHECK(container_ != nullptr);
-  state_ = BackendState::kInitializing;
+  SetState(BackendState::kInitializing);
   // engine.restart: the replacement process can itself fail to come up
   // (bad node, wedged driver); repeated failures drive quarantine.
   fault::FaultDecision f = fault::Evaluate(fault_, "engine.restart", name_);
@@ -289,7 +294,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     co_return Unavailable("restart: " + name_ + " crashed mid-restart");
   }
   if (!f.status.ok()) {
-    EnterCrashed();
+    SetState(BackendState::kCrashed);
     co_return f.status;
   }
   // A crash while swapped out leaves the cgroup frozen; thaw it so the
@@ -300,7 +305,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
       co_return Unavailable("restart: " + name_ + " crashed mid-restart");
     }
     if (!s.ok()) {
-      EnterCrashed();
+      SetState(BackendState::kCrashed);
       co_return s;
     }
   }
@@ -316,10 +321,10 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     // (e.g. weights landed, KV-arena allocation failed); release it so a
     // retry starts from a clean slate.
     for (hw::GpuDevice* dev : Gpus()) dev->FreeAllOwnedBy(name_);
-    EnterCrashed();
+    SetState(BackendState::kCrashed);
     co_return breakdown.status();
   }
-  state_ = BackendState::kRunning;
+  SetState(BackendState::kRunning);
   last_progress_ = sim().Now();
   SWAP_LOG(kInfo, "engine")
       << name_ << " restarted after crash in "
@@ -334,7 +339,7 @@ Status InferenceEngine::MarkSwapping() {
     return FailedPrecondition("swap: backend " + name_ + " is " +
                               std::string(BackendStateName(state_)));
   }
-  state_ = BackendState::kSwapping;
+  SetState(BackendState::kSwapping);
   return Status::Ok();
 }
 
@@ -343,7 +348,7 @@ Status InferenceEngine::MarkSwappedOut() {
     return FailedPrecondition("mark swapped-out: backend " + name_ + " is " +
                               std::string(BackendStateName(state_)));
   }
-  state_ = BackendState::kSwappedOut;
+  SetState(BackendState::kSwappedOut);
   return Status::Ok();
 }
 
@@ -352,7 +357,7 @@ Status InferenceEngine::MarkRunning() {
     return FailedPrecondition("mark running: backend " + name_ + " is " +
                               std::string(BackendStateName(state_)));
   }
-  state_ = BackendState::kRunning;
+  SetState(BackendState::kRunning);
   return Status::Ok();
 }
 

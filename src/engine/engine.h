@@ -166,6 +166,11 @@ class InferenceEngine {
   // The engine controller binds its signal when the backend is registered,
   // so the supervisor can sleep until a crash gives it work (nullable).
   void BindCrashSignal(sim::SimEvent* signal) { crash_signal_ = signal; }
+  // Called when the engine enters or leaves kRunning — the changes that
+  // move idle deadlines and live copy counts (bound like the crash signal).
+  void BindResidencyHandler(std::function<void()> h) {
+    on_residency_ = std::move(h);
+  }
 
   // Nullable. Fault points: "engine.crash" (Generate aborts and the
   // backend transitions to kCrashed), "engine.hang" (Generate stalls for
@@ -224,8 +229,9 @@ class InferenceEngine {
   const hw::GpuDevice& gpu() const { return *env_.gpu; }
   hw::StorageDevice& storage() { return *env_.storage; }
 
-  // The only writer of kCrashed: sets the state and pulses the signal.
-  void EnterCrashed();
+  // The only writer of state_: pulses the crash signal and calls the
+  // residency handler.
+  void SetState(BackendState to);
 
   // Allocate `total` split evenly across the TP group (all-or-nothing:
   // rolls back partial shard allocations on failure).
@@ -240,6 +246,7 @@ class InferenceEngine {
   ckpt::CudaCheckpointProcess process_;
   fault::FaultInjector* fault_ = nullptr;
   sim::SimEvent* crash_signal_ = nullptr;
+  std::function<void()> on_residency_;
 
   int active_requests_ = 0;
   std::uint64_t total_requests_ = 0;

@@ -8,9 +8,9 @@ namespace swapserve::hw {
 
 GpuMonitor::GpuMonitor(sim::Simulation& sim, std::vector<GpuDevice*> gpus,
                        sim::SimDuration sample_interval)
-    : sim_(sim), interval_(sample_interval) {
+    : sim_(sim), grid_{sim.Now(), sample_interval} {
   SWAP_CHECK_MSG(!gpus.empty(), "monitor needs at least one GPU");
-  SWAP_CHECK_MSG(interval_.ns() > 0, "sample interval must be positive");
+  SWAP_CHECK_MSG(grid_.interval.ns() > 0, "sample interval must be positive");
   channels_.reserve(gpus.size());
   for (GpuDevice* gpu : gpus) {
     SWAP_CHECK_MSG(gpu->monitor_ == nullptr,
@@ -18,9 +18,9 @@ GpuMonitor::GpuMonitor(sim::Simulation& sim, std::vector<GpuDevice*> gpus,
                        " already has a monitor");
     gpu->monitor_ = this;
     gpu->monitor_slot_ = channels_.size();
-    channels_.push_back({gpu, TimeSeries(interval_.ns()),
-                         TimeSeries(interval_.ns()), sim::kNever, sim_.Now(),
-                         gpu->TotalBusy()});
+    channels_.push_back({gpu, TimeSeries(grid_.interval.ns()),
+                         TimeSeries(grid_.interval.ns()), sim::kNever,
+                         sim_.Now(), gpu->TotalBusy()});
   }
 }
 
@@ -42,11 +42,10 @@ void GpuMonitor::Start() {
   // count; its pending final sample does not.
   for (std::size_t i = 0; i < channels_.size(); ++i) CatchUp(i);
   running_ = true;
-  ++generation_;
-  anchor_ = sim_.Now();
+  grid_.anchor = sim_.Now();
   end_ = sim::kNever;
   for (Channel& ch : channels_) {
-    ch.next_sample = anchor_ + interval_;
+    ch.next_sample = grid_.After(sim_.Now());
     ch.gpu->sample_due_ = ch.next_sample;
   }
 }
@@ -54,11 +53,10 @@ void GpuMonitor::Start() {
 void GpuMonitor::Stop() {
   if (!running_) return;
   running_ = false;
-  // The final sample: the first grid instant after Now().
-  end_ = anchor_ +
-         interval_ * ((sim_.Now() - anchor_).ns() / interval_.ns() + 1);
-  sim_.ScheduleAt(end_, [this, generation = generation_] {
-    if (generation != generation_) return;
+  // The final sample: the first grid instant after Now(). Catching up is
+  // idempotent, so the wake-up is harmless after a restart.
+  end_ = grid_.After(sim_.Now());
+  sim_.ScheduleAt(end_, [this] {
     for (std::size_t i = 0; i < channels_.size(); ++i) CatchUp(i);
   });
 }
@@ -82,7 +80,8 @@ void GpuMonitor::CatchUp(std::size_t slot) {
   if (ch.next_sample <= limit) {
     const GpuDevice& gpu = *ch.gpu;
     const sim::SimTime first = ch.next_sample;
-    const std::int64_t due = (limit - first).ns() / interval_.ns() + 1;
+    const std::int64_t due =
+        (grid_.After(limit) - first).ns() / grid_.interval.ns();
     // The device has not changed since before `first`, so every due sample
     // shares one memory value, and every window after the first is a whole
     // interval of one busy state: one utilization value.
@@ -91,15 +90,15 @@ void GpuMonitor::CatchUp(std::size_t slot) {
     double util = CloseWindow(ch, first);
     ch.utilization.Append(first.ns(), util);
     if (due > 1) {
-      const sim::SimTime second = first + interval_;
+      const sim::SimTime second = first + grid_.interval;
       util = CloseWindow(ch, second);
       ch.utilization.Append(second.ns(), util,
                             static_cast<std::size_t>(due - 1));
-      const sim::SimTime last = first + interval_ * (due - 1);
+      const sim::SimTime last = first + grid_.interval * (due - 1);
       ch.window_start = last;
       ch.busy_at_window_start = gpu.TotalBusyAt(last);
     }
-    ch.next_sample = first + interval_ * due;
+    ch.next_sample = first + grid_.interval * due;
     if (obs_ != nullptr) {
       // Resolved on the first sample, so a run that never samples exports
       // no series; registry instruments never move.

@@ -19,6 +19,7 @@
 
 #include "hw/gpu_device.h"
 #include "obs/observability.h"
+#include "sim/grid_loop.h"
 #include "sim/simulation.h"
 #include "util/stats.h"
 
@@ -77,14 +78,12 @@ class GpuMonitor {
   const GpuDevice& Device(GpuId id) const;
 
   sim::Simulation& sim_;
-  sim::SimDuration interval_;
   std::vector<Channel> channels_;
   bool running_ = false;
-  sim::SimTime anchor_;  // Start(): the grid origin
+  sim::Grid grid_;  // anchored at Start()
   // Last grid instant sampled: kNever while running, the final sample
   // after Stop().
   sim::SimTime end_ = sim::kNever;
-  std::uint64_t generation_ = 0;  // bumped by Start(); stale wake-ups no-op
   obs::Observability* obs_ = nullptr;
 };
 

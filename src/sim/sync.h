@@ -487,6 +487,18 @@ class SimEvent {
   // style notify_all; waiters must re-check their predicate).
   void Pulse() { WakeAll(); }
 
+  // Resume the current waiters at once, inside the caller, instead of
+  // posting them behind already-queued events (sim::GridLoop::Poke). A
+  // waiter that waits again is not resumed again. A waiter must suspend
+  // again before it touches anything the caller is in the middle of.
+  void WakeNow() {
+    SmallRing<std::coroutine_handle<>> now;
+    for (; !waiters_.empty(); waiters_.pop_front()) {
+      now.push_back(waiters_.front());
+    }
+    for (; !now.empty(); now.pop_front()) now.front().resume();
+  }
+
   std::size_t waiting() const { return waiters_.size(); }
 
  private:

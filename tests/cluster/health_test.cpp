@@ -207,11 +207,13 @@ TEST(HealthParkingTest, RestartWithinABeatRunsOneLoop) {
   });
 }
 
+// A dead node keeps the repairer from parking, so every interval scans.
 TEST(RepairerRestartTest, RestartWithinAnIntervalRunsOneLoop) {
   Bed bed;
   ClusterServe cluster(bed.sim, FastDetectConfig(2), bed.catalog);
   bed.RunTask([&]() -> sim::Task<> {
     SWAP_CHECK((co_await cluster.Initialize()).ok());
+    cluster.KillNode(1, sim::Hours(1));
     co_await bed.sim.Delay(sim::Seconds(3) + sim::Millis(100));
     ReplicationRepairer& repairer = *cluster.repairer();
     repairer.Stop();
@@ -231,7 +233,6 @@ TEST(HealthParkingTest, IdleFleetDaySchedulesAlmostNoEvents) {
   Bed bed;
   core::Config cfg = FastDetectConfig(4);
   cfg.cluster.heartbeat_interval_s = 0.5;
-  cfg.cluster.repair_concurrency = 0;
   ClusterServe cluster(bed.sim, cfg, bed.catalog);
   std::uint64_t at_start = 0;
   bed.RunTask([&]() -> sim::Task<> {

@@ -139,5 +139,34 @@ TEST(SimEventTest, PulseWakesWithoutLatching) {
   EXPECT_FALSE(ev.is_set());
 }
 
+// WakeNow resumes the waiters inside the caller, each once: a waiter that
+// waits again stays queued instead of being resumed again.
+TEST(SimEventTest, WakeNowResumesEachCurrentWaiterOnce) {
+  Simulation sim;
+  SimEvent ev(sim);
+  bool done = false;
+  int wakes = 0;
+  for (int i = 0; i < 2; ++i) {
+    Spawn([&]() -> Task<> {
+      while (!done) {
+        co_await ev.Wait();
+        ++wakes;
+      }
+    });
+  }
+  sim.Schedule(Seconds(1), [&] {
+    ev.WakeNow();
+    EXPECT_EQ(wakes, 2);
+    EXPECT_EQ(ev.waiting(), 2u);
+  });
+  sim.Schedule(Seconds(2), [&] {
+    done = true;
+    ev.Pulse();
+  });
+  sim.Run();
+  EXPECT_EQ(wakes, 4);
+  EXPECT_EQ(ev.waiting(), 0u);
+}
+
 }  // namespace
 }  // namespace swapserve::sim
