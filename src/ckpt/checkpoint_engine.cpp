@@ -110,7 +110,7 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
       }
       co_await sim::WhenAll(sim_, std::move(drains));
     }
-    obs::Observe(obs_, kPhaseSeconds, {{"phase", "d2h"}},
+    obs::Observe(obs_, phase_seconds_.d2h, kPhaseSeconds, {{"phase", "d2h"}},
                  (sim_.Now() - phase_start).ToSeconds());
   }
   if (!req.process->MarkCheckpointed().ok()) {
@@ -148,7 +148,13 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     CudaCheckpointProcess& process, std::vector<hw::GpuDevice*> gpus) {
   SWAP_CHECK_MSG(!gpus.empty(), "swap-in needs at least one GPU");
   const sim::SimTime start = sim_.Now();
-  SWAP_CO_ASSIGN_OR_RETURN(Snapshot snap, store_.Get(snapshot_id));
+  // The restore reads the snapshot across many awaits, and consumes it at
+  // the end: work on a copy.
+  const Snapshot* stored = store_.Find(snapshot_id);
+  if (stored == nullptr) {
+    co_return NotFound("snapshot " + std::to_string(snapshot_id));
+  }
+  Snapshot snap = *stored;
   // A remote placeholder has no local payload yet: pull it over the fabric
   // first. Fetch failures are retryable (the placeholder is retained);
   // in-flight corruption lands as a flipped checksum and surfaces at the
@@ -161,7 +167,11 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
           " is remote and no fetch path is bound");
     }
     SWAP_CO_RETURN_IF_ERROR(co_await remote_fetch_(snapshot_id));
-    SWAP_CO_ASSIGN_OR_RETURN(snap, store_.Get(snapshot_id));
+    stored = store_.Find(snapshot_id);
+    if (stored == nullptr) {
+      co_return NotFound("snapshot " + std::to_string(snapshot_id));
+    }
+    snap = *stored;
   }
   // A corrupt snapshot surfaces here as DATA_LOSS: not retryable, the
   // caller must drop it and fall back to a cold start.
@@ -238,7 +248,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
       }
       co_await sim::WhenAll(sim_, std::move(copies));
     }
-    obs::Observe(obs_, kPhaseSeconds, {{"phase", "h2d"}},
+    obs::Observe(obs_, phase_seconds_.h2d, kPhaseSeconds, {{"phase", "h2d"}},
                  (sim_.Now() - h2d_start).ToSeconds());
   }
   {
@@ -284,8 +294,8 @@ Status CheckpointEngine::DropSnapshot(SnapshotId id) {
 }
 
 sim::SimDuration CheckpointEngine::EstimatedSwapInTime(SnapshotId id) const {
-  Result<Snapshot> snap = store_.Get(id);
-  if (!snap.ok()) return sim::SimDuration(0);
+  const Snapshot* snap = store_.Find(id);
+  if (snap == nullptr) return sim::SimDuration(0);
   const std::size_t n =
       static_cast<std::size_t>(std::max(snap->tp_degree, 1));
   // Rank 0 absorbs the shard remainder, so its copy/remap are the longest;

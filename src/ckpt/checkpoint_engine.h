@@ -99,7 +99,10 @@ class CheckpointEngine {
   // Emit per-phase trace spans (§3 state machine: freeze/lock/d2h/release
   // out, reserve/h2d/remap/unlock/thaw in) and phase-latency histograms
   // (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    phase_seconds_ = {};
+  }
 
   // Nullable. Fault points: "ckpt.swap_out" (before the freeze; container
   // and process stay running), "ckpt.swap_in" (after the snapshot lookup;
@@ -127,6 +130,11 @@ class CheckpointEngine {
 
  private:
   obs::Observability* obs_ = nullptr;
+  // swapserve_ckpt_phase_seconds{phase}, resolved on the first write.
+  struct PhaseSeconds {
+    obs::HistogramMetric* d2h = nullptr;
+    obs::HistogramMetric* h2d = nullptr;
+  } phase_seconds_;
   fault::FaultInjector* fault_ = nullptr;
   SnapshotTierManager* tier_ = nullptr;
   RemoteFetch remote_fetch_;

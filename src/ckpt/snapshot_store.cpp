@@ -62,12 +62,9 @@ Result<SnapshotId> SnapshotStore::Put(Snapshot snapshot) {
   return id;
 }
 
-Result<Snapshot> SnapshotStore::Get(SnapshotId id) const {
+const Snapshot* SnapshotStore::Find(SnapshotId id) const {
   auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
-    return NotFound("snapshot " + std::to_string(id));
-  }
-  return it->second;
+  return it == snapshots_.end() ? nullptr : &it->second;
 }
 
 Status SnapshotStore::Drop(SnapshotId id) {
@@ -187,17 +184,17 @@ Status SnapshotStore::Corrupt(SnapshotId id) {
   return Status::Ok();
 }
 
-Result<Snapshot> SnapshotStore::FindByOwner(const std::string& owner) const {
-  const Snapshot* latest = nullptr;
-  for (const auto& [id, snap] : snapshots_) {
-    if (snap.owner == owner) latest = &snap;  // map is id-ordered
+const Snapshot* SnapshotStore::FindByOwner(std::string_view owner) const {
+  // The map is id-ordered, so the latest is the last match.
+  for (auto it = snapshots_.rbegin(); it != snapshots_.rend(); ++it) {
+    if (it->second.owner == owner) return &it->second;
   }
-  if (latest == nullptr) return NotFound("snapshot for " + owner);
-  return *latest;
+  return nullptr;
 }
 
 void SnapshotStore::BindObservability(obs::Observability* obs) {
   obs_ = obs;
+  gauges_ = {};
   PublishGauges();
 }
 
@@ -205,18 +202,18 @@ void SnapshotStore::BindFaultInjector(fault::FaultInjector* injector) {
   fault_ = injector;
 }
 
-void SnapshotStore::PublishGauges() const {
+void SnapshotStore::PublishGauges() {
   if (obs_ == nullptr) return;
-  obs::SetGauge(obs_, "swapserve_snapshot_store_bytes", {},
+  obs::SetGauge(obs_, gauges_.bytes, "swapserve_snapshot_store_bytes", {},
                 static_cast<double>(used_.count()));
-  obs::SetGauge(obs_, "swapserve_snapshot_store_budget_bytes", {},
-                static_cast<double>(budget_.count()));
-  obs::SetGauge(obs_, "swapserve_snapshot_store_count", {},
+  obs::SetGauge(obs_, gauges_.budget, "swapserve_snapshot_store_budget_bytes",
+                {}, static_cast<double>(budget_.count()));
+  obs::SetGauge(obs_, gauges_.count, "swapserve_snapshot_store_count", {},
                 static_cast<double>(snapshots_.size()));
-  obs::SetGauge(obs_, "swapserve_snapshot_store_nvme_bytes", {},
+  obs::SetGauge(obs_, gauges_.nvme, "swapserve_snapshot_store_nvme_bytes", {},
                 static_cast<double>(nvme_used_.count()));
-  obs::SetGauge(obs_, "swapserve_snapshot_store_remote_bytes", {},
-                static_cast<double>(remote_bytes_.count()));
+  obs::SetGauge(obs_, gauges_.remote, "swapserve_snapshot_store_remote_bytes",
+                {}, static_cast<double>(remote_bytes_.count()));
 }
 
 std::vector<Snapshot> SnapshotStore::All() const {

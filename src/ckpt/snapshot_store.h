@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,14 +68,18 @@ class SnapshotStore {
   // only metadata is stored, no host RAM is charged, and no corruption
   // fault is drawn (there is no local payload to rot).
   [[nodiscard]] Result<SnapshotId> Put(Snapshot snapshot);
-  [[nodiscard]] Result<Snapshot> Get(SnapshotId id) const;
+  // Reads borrow: the stored snapshot, or null when there is none. The
+  // pointer is valid until the next call that mutates the store (Put,
+  // Drop, a tier transition), so a caller that keeps a snapshot across a
+  // co_await copies it first.
+  [[nodiscard]] const Snapshot* Find(SnapshotId id) const;
   [[nodiscard]] Status Drop(SnapshotId id);
   // DATA_LOSS when the stored checksum no longer matches the content.
   [[nodiscard]] Status Verify(SnapshotId id) const;
   // Deliberately corrupt a stored snapshot (chaos/test hook).
   [[nodiscard]] Status Corrupt(SnapshotId id);
-  // Latest snapshot for a backend, if any.
-  [[nodiscard]] Result<Snapshot> FindByOwner(const std::string& owner) const;
+  // Latest snapshot for a backend, or null (borrowed, like Find).
+  [[nodiscard]] const Snapshot* FindByOwner(std::string_view owner) const;
 
   // Tier accounting transitions (the SnapshotTierManager drives these after
   // the corresponding NVMe transfer completes; the store only moves the
@@ -113,9 +118,17 @@ class SnapshotStore {
   void SetDropHandler(std::function<void()> h) { on_drop_ = std::move(h); }
 
  private:
-  void PublishGauges() const;
+  void PublishGauges();
 
   obs::Observability* obs_ = nullptr;
+  // The occupancy gauges, resolved on the first publish.
+  struct Gauges {
+    obs::Gauge* bytes = nullptr;
+    obs::Gauge* budget = nullptr;
+    obs::Gauge* count = nullptr;
+    obs::Gauge* nvme = nullptr;
+    obs::Gauge* remote = nullptr;
+  } gauges_;
   fault::FaultInjector* fault_ = nullptr;
   std::function<void()> on_drop_;
   Bytes budget_;

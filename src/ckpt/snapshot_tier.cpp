@@ -41,8 +41,8 @@ SnapshotTierManager::EntryMap::iterator SnapshotTierManager::PickVictim(
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     const Entry& e = it->second;
     if (e.promoting || e.demoting || e.dropped || e.pins > 0) continue;
-    Result<Snapshot> snap = store_.Get(it->first);
-    if (!snap.ok() || snap->tier != SnapshotTier::kHost) continue;
+    const Snapshot* snap = store_.Find(it->first);
+    if (snap == nullptr || snap->tier != SnapshotTier::kHost) continue;
     if (may_evict && !may_evict(snap->owner)) continue;
     if (best == entries_.end() || e.lru_seq < best->second.lru_seq) {
       best = it;
@@ -92,8 +92,8 @@ void SnapshotTierManager::CancelAdmission(Bytes dirty) {
 }
 
 void SnapshotTierManager::OnPut(SnapshotId id) {
-  Result<Snapshot> snap = store_.Get(id);
-  SWAP_CHECK_MSG(snap.ok(), "OnPut for unknown snapshot");
+  const Snapshot* snap = store_.Find(id);
+  SWAP_CHECK_MSG(snap != nullptr, "OnPut for unknown snapshot");
   Register(id);
   CancelAdmission(snap->dirty_bytes);  // the admission landed as real usage
 }
@@ -108,8 +108,8 @@ void SnapshotTierManager::OnDrop(SnapshotId id) {
     state_changed_.Pulse();
     return;
   }
-  Result<Snapshot> snap = store_.Get(id);
-  if (snap.ok() && snap->tier == SnapshotTier::kNvme) {
+  const Snapshot* snap = store_.Find(id);
+  if (snap != nullptr && snap->tier == SnapshotTier::kNvme) {
     nvme_.ReleaseCapacity(snap->dirty_bytes);
   }
   entries_.erase(it);
@@ -129,8 +129,8 @@ sim::Task<Status> SnapshotTierManager::Demote(SnapshotId id) {
   SWAP_CHECK_MSG(it != entries_.end() && !it->second.promoting &&
                      !it->second.demoting && it->second.pins == 0,
                  "demotion of a busy or pinned snapshot");
-  Result<Snapshot> snap = store_.Get(id);
-  if (!snap.ok()) co_return snap.status();
+  const Snapshot* snap = store_.Find(id);
+  if (snap == nullptr) co_return NotFound("snapshot " + std::to_string(id));
   SWAP_CHECK_MSG(snap->tier == SnapshotTier::kHost,
                  "demotion of an nvme-resident snapshot");
   const Bytes bytes = snap->dirty_bytes;
@@ -160,7 +160,7 @@ sim::Task<Status> SnapshotTierManager::Demote(SnapshotId id) {
   }
   SWAP_CHECK(store_.MarkDemoted(id).ok());
   ++demotions_;
-  obs::IncCounter(obs_, "swapserve_tier_demotions_total", {}, 1);
+  obs::IncCounter(obs_, counters_.demotions, "swapserve_tier_demotions_total");
   FinishMove(id);
   co_return Status::Ok();
 }
@@ -176,8 +176,8 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
     co_return FailedPrecondition("snapshot " + std::to_string(id) +
                                  " is mid-move");
   }
-  Result<Snapshot> snap = store_.Get(id);
-  if (!snap.ok()) co_return snap.status();
+  const Snapshot* snap = store_.Find(id);
+  if (snap == nullptr) co_return NotFound("snapshot " + std::to_string(id));
   if (snap->tier == SnapshotTier::kHost) co_return Status::Ok();
   const Bytes bytes = snap->dirty_bytes;
   const std::string owner = snap->owner;
@@ -194,7 +194,8 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
 
   auto fail = [&](Status status) {
     ++promotion_failures_;
-    obs::IncCounter(obs_, "swapserve_tier_promotion_failures_total", {}, 1);
+    obs::IncCounter(obs_, counters_.promotion_failures,
+                    "swapserve_tier_promotion_failures_total");
     if (span.active()) span.AddArg("status", status.ToString());
     FinishMove(id);
     MaybeErase(entries_.find(id));
@@ -246,7 +247,8 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
   nvme_.ReleaseCapacity(bytes);
   Touch(it->second);
   ++promotions_;
-  obs::IncCounter(obs_, "swapserve_tier_promotions_total", {}, 1);
+  obs::IncCounter(obs_, counters_.promotions,
+                  "swapserve_tier_promotions_total");
   FinishMove(id);
   co_return Status::Ok();
 }
@@ -256,7 +258,7 @@ sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
   if (it == entries_.end()) {
     // Snapshots Put before the manager was bound (direct-store tests)
     // are adopted as host-resident.
-    if (!store_.Get(id).ok()) {
+    if (store_.Find(id) == nullptr) {
       co_return NotFound("snapshot " + std::to_string(id));
     }
     it = Register(id);
@@ -276,25 +278,32 @@ sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
       co_await it->second.move_done->Wait();
       continue;
     }
-    Result<Snapshot> snap = store_.Get(id);
-    if (!snap.ok()) co_return unpin_and(snap.status());
-    if (snap->tier == SnapshotTier::kHost) {
+    const Snapshot* found = store_.Find(id);
+    if (found == nullptr) {
+      co_return unpin_and(NotFound("snapshot " + std::to_string(id)));
+    }
+    if (found->tier == SnapshotTier::kHost) {
       Touch(it->second);
       ++host_hits_;
-      obs::IncCounter(obs_, "swapserve_tier_host_hits_total", {}, 1);
+      obs::IncCounter(obs_, counters_.host_hits,
+                      "swapserve_tier_host_hits_total");
       if (it->second.prefetched) {
         it->second.prefetched = false;
         ++prefetch_hits_;
-        obs::IncCounter(obs_, "swapserve_tier_prefetch_hits_total", {}, 1);
+        obs::IncCounter(obs_, counters_.prefetch_hits,
+                        "swapserve_tier_prefetch_hits_total");
       }
       Status verified = store_.Verify(id);
       if (!verified.ok()) co_return unpin_and(verified);
       co_return Status::Ok();  // pinned until the caller Unpins
     }
     // Demoted and idle: promote at restore priority. The pin we hold only
-    // protects against demotion, not promotion, so the move is safe.
+    // protects against demotion, not promotion, so the move is safe. The
+    // direct-read fallback below reads the snapshot after awaits: copy it.
+    const Snapshot snap = *found;
     ++nvme_misses_;
-    obs::IncCounter(obs_, "swapserve_tier_nvme_misses_total", {}, 1);
+    obs::IncCounter(obs_, counters_.nvme_misses,
+                    "swapserve_tier_nvme_misses_total");
     Status promoted =
         co_await Promote(id, hw::TransferPriority::kUrgent, {});
     if (promoted.ok()) continue;  // verified via the host path above
@@ -312,7 +321,7 @@ sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
         << "); direct NVMe read for restore";
     {
       fault::FaultDecision f =
-          fault::Evaluate(fault_, "storage.read", snap->owner);
+          fault::Evaluate(fault_, "storage.read", snap.owner);
       if (f.stall.ns() > 0) co_await sim_.Delay(f.stall);
       if (!f.status.ok()) co_return unpin_and(f.status);
     }
@@ -320,12 +329,13 @@ sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
       obs::Span span =
           obs::StartSpan(obs_, "tier.direct_read", "tier", "tier");
       span.AddArg("snapshot", id);
-      span.AddArg("bytes", snap->dirty_bytes.count());
-      co_await nvme_.ReadFile(snap->dirty_bytes,
+      span.AddArg("bytes", snap.dirty_bytes.count());
+      co_await nvme_.ReadFile(snap.dirty_bytes,
                               hw::TransferPriority::kUrgent);
     }
     ++direct_reads_;
-    obs::IncCounter(obs_, "swapserve_tier_direct_reads_total", {}, 1);
+    obs::IncCounter(obs_, counters_.direct_reads,
+                    "swapserve_tier_direct_reads_total");
     it = entries_.find(id);
     if (it == entries_.end() || it->second.dropped) {
       co_return unpin_and(
@@ -346,11 +356,12 @@ void SnapshotTierManager::Prefetch(SnapshotId id,
       it->second.demoting) {
     return;
   }
-  Result<Snapshot> snap = store_.Get(id);
-  if (!snap.ok() || snap->tier != SnapshotTier::kNvme) return;
+  const Snapshot* snap = store_.Find(id);
+  if (snap == nullptr || snap->tier != SnapshotTier::kNvme) return;
   ++prefetch_issued_;
   it->second.prefetched = true;
-  obs::IncCounter(obs_, "swapserve_tier_prefetches_total", {}, 1);
+  obs::IncCounter(obs_, counters_.prefetches,
+                  "swapserve_tier_prefetches_total");
   // Promote() raises the promoting flag before its first suspension, so a
   // second Prefetch or a racing EnsureRestorable waits on the move instead
   // of double-starting it.
@@ -365,8 +376,8 @@ void SnapshotTierManager::Prefetch(SnapshotId id,
 }
 
 bool SnapshotTierManager::HostResident(SnapshotId id) const {
-  Result<Snapshot> snap = store_.Get(id);
-  return snap.ok() && snap->tier == SnapshotTier::kHost;
+  const Snapshot* snap = store_.Find(id);
+  return snap != nullptr && snap->tier == SnapshotTier::kHost;
 }
 
 bool SnapshotTierManager::Promoting(SnapshotId id) const {
@@ -389,8 +400,8 @@ std::size_t SnapshotTierManager::pinned_count() const {
 
 sim::SimDuration SnapshotTierManager::EstimatedPromotionTime(
     SnapshotId id) const {
-  Result<Snapshot> snap = store_.Get(id);
-  if (!snap.ok() || snap->tier == SnapshotTier::kHost) {
+  const Snapshot* snap = store_.Find(id);
+  if (snap == nullptr || snap->tier == SnapshotTier::kHost) {
     return sim::SimDuration(0);
   }
   return nvme_.EstimatedReadTime(snap->dirty_bytes);

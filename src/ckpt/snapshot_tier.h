@@ -117,7 +117,10 @@ class SnapshotTierManager {
   std::uint64_t prefetch_hits() const { return prefetch_hits_; }
 
   // Emit tier.promote/tier.demote spans and hit/miss counters (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    counters_ = {};
+  }
   // Nullable. Fault points: "storage.promote" (at promotion start; a
   // DATA_LOSS-coded rule corrupts the promoted copy so the damage surfaces
   // at checksum verification, any other code aborts the promotion and the
@@ -157,6 +160,17 @@ class SnapshotTierManager {
   sim::Task<Status> Demote(SnapshotId id);
 
   obs::Observability* obs_ = nullptr;
+  // The swapserve_tier_* counters, each resolved on its first write.
+  struct Counters {
+    obs::Counter* demotions = nullptr;
+    obs::Counter* promotions = nullptr;
+    obs::Counter* promotion_failures = nullptr;
+    obs::Counter* host_hits = nullptr;
+    obs::Counter* prefetch_hits = nullptr;
+    obs::Counter* nvme_misses = nullptr;
+    obs::Counter* direct_reads = nullptr;
+    obs::Counter* prefetches = nullptr;
+  } counters_;
   fault::FaultInjector* fault_ = nullptr;
   sim::Simulation& sim_;
   SnapshotStore& store_;

@@ -52,17 +52,20 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
         sim_, id, gpu_count, std::move(node_config), catalog, options));
     node_ptrs_.push_back(nodes_.back().get());
   }
+  backends_ = BackendTable(node_ptrs_, config_.models);
   if (n > 1) {
     fabric_ = std::make_unique<Fabric>(sim_, n, config_.cluster.fabric_gbps,
                                        config_.cluster.fabric_latency_us);
-    replicator_ =
-        std::make_unique<SnapshotReplicator>(sim_, node_ptrs_, *fabric_);
+    replicator_ = std::make_unique<SnapshotReplicator>(sim_, node_ptrs_,
+                                                       *fabric_, backends_);
     const PlacementMode mode = config_.cluster.placement == "random"
                                    ? PlacementMode::kRandom
                                    : PlacementMode::kLocalityAware;
     placement_ = std::make_unique<PlacementPolicy>(
-        mode, fault::StableHashCombine(config_.fault.seed,
-                                       fault::StableHash("placement")));
+        mode,
+        fault::StableHashCombine(config_.fault.seed,
+                                 fault::StableHash("placement")),
+        backends_);
     for (auto& node : nodes_) {
       const int dst = node->id();
       node->serve().ckpt_engine().BindRemoteTier(
@@ -91,7 +94,7 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
       rp.interval = sim::Seconds(config_.cluster.repair_interval_s);
       rp.monitor = monitor_.get();
       repairer_ = std::make_unique<ReplicationRepairer>(
-          sim_, node_ptrs_, *replicator_, config_.models, rp);
+          sim_, node_ptrs_, *replicator_, backends_, config_.models, rp);
     }
     pair_owner_.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
@@ -121,11 +124,11 @@ Status ClusterServe::InstallPlaceholders() {
   for (const core::ModelEntry& m : config_.models) {
     Node& home = *nodes_[m.node];
     core::Backend* home_backend = home.serve().backend(m.model_id);
-    Result<ckpt::Snapshot> snap =
+    const ckpt::Snapshot* snap =
         home.serve().snapshot_store().FindByOwner(m.model_id);
     // No home snapshot (keep_resident_after_init): standbys stay empty and
     // placement falls back to the home node until one exists.
-    if (!snap.ok() || home_backend == nullptr) continue;
+    if (snap == nullptr || home_backend == nullptr) continue;
     for (auto& node : nodes_) {
       if (node->id() == m.node) continue;
       core::Backend* standby = node->serve().backend(m.model_id);
@@ -179,11 +182,13 @@ Result<core::ResponseChannelPtr> ClusterServe::Accept(
   if (nodes_.size() == 1) {
     return nodes_[0]->serve().handler().Accept(std::move(request));
   }
-  SWAP_ASSIGN_OR_RETURN(int target, placement_->Pick(node_ptrs_,
-                                                     request.model));
+  const int model = backends_.Find(request.model);
+  if (model < 0) return NotFound("model " + request.model + " is not served");
+  SWAP_ASSIGN_OR_RETURN(int target, placement_->Pick(node_ptrs_, model));
   Node& node = *nodes_[target];
   ++routed_;
-  obs::IncCounter(&node.serve().obs(), "swapserve_cluster_routed_total",
+  obs::IncCounter(&node.serve().obs(), backends_.cell(model, target).routed,
+                  "swapserve_cluster_routed_total",
                   {{"model", request.model}, {"node", node.name()}});
   return node.serve().handler().Accept(std::move(request));
 }
@@ -210,11 +215,11 @@ sim::Task<core::ChatResult> ClusterServe::ChatAndWait(
 }
 
 sim::Task<> ClusterServe::MigrationSweep() {
-  for (const core::ModelEntry& m : config_.models) {
+  for (int model = 0; model < backends_.models(); ++model) {
     // Find the node currently serving the model, if any.
     int current = -1;
     for (auto& node : nodes_) {
-      core::Backend* backend = node->serve().backend(m.model_id);
+      core::Backend* backend = backends_.backend(model, node->id());
       if (backend != nullptr &&
           backend->engine->state() == engine::BackendState::kRunning) {
         current = node->id();
@@ -230,16 +235,16 @@ sim::Task<> ClusterServe::MigrationSweep() {
         nodes_[current]->membership() != NodeState::kHealthy) {
       continue;
     }
-    core::Backend* backend = nodes_[current]->serve().backend(m.model_id);
+    core::Backend* backend = backends_.backend(model, current);
     // A model with its own demand is mid-burst; migrating now would stall
     // the very requests the move is meant to help.
     if (backend->Demand() > 0) continue;
-    const double here = placement_->Score(*nodes_[current], m.model_id);
+    const double here = placement_->Score(*nodes_[current], model);
     int best = current;
     double best_score = here;
     for (auto& node : nodes_) {
       if (node->id() == current) continue;
-      const double score = placement_->Score(*node, m.model_id);
+      const double score = placement_->Score(*node, model);
       if (score < best_score) {
         best_score = score;
         best = node->id();
@@ -249,7 +254,7 @@ sim::Task<> ClusterServe::MigrationSweep() {
     // Hysteresis: only move when the other node wins by a clear margin,
     // or a flapping model would bounce between nodes every sweep.
     if (best_score * config_.cluster.migrate_hysteresis >= here) continue;
-    co_await MigrateModel(m.model_id, current, best);
+    co_await MigrateModel(backends_.model_id(model), current, best);
   }
 }
 
@@ -284,9 +289,9 @@ sim::Task<> ClusterServe::MigrateModel(std::string model, int from, int to) {
   // Make sure the destination holds (at least) a placeholder, then pull
   // the payload ahead of demand.
   if (!dst->has_snapshot) {
-    Result<ckpt::Snapshot> snap =
+    const ckpt::Snapshot* snap =
         src_node.serve().snapshot_store().FindByOwner(model);
-    if (!snap.ok()) co_return;
+    if (snap == nullptr) co_return;
     Result<ckpt::SnapshotId> placed =
         replicator_->InstallPlaceholder(to, *snap);
     if (!placed.ok()) co_return;
@@ -457,15 +462,14 @@ void ClusterServe::FailOverNode(int id) {
                                   "cluster", down.name());
   int moved = 0;
   int dropped = 0;
-  for (core::Backend* backend : down.serve().backends()) {
+  for (int model = 0; model < backends_.models(); ++model) {
+    core::Backend* backend = backends_.backend(model, id);
+    if (backend == nullptr) continue;
     while (auto queued = backend->queue->TryRecv()) {
       core::QueuedRequest item = std::move(*queued);
-      Result<int> target = placement_->Pick(node_ptrs_, backend->name());
+      Result<int> target = placement_->Pick(node_ptrs_, model);
       if (target.ok() && *target != id &&
-          nodes_[*target]
-              ->serve()
-              .backend(backend->name())
-              ->queue->TrySend(item)) {
+          backends_.backend(model, *target)->queue->TrySend(item)) {
         ++moved;
         continue;
       }
@@ -491,12 +495,12 @@ void ClusterServe::FailOverNode(int id) {
 
   // Promote this node's home models on the best survivor so the fleet
   // keeps serving them warm instead of paying a swap-in on first demand.
-  for (const core::ModelEntry& m : config_.models) {
-    if (m.node != id) continue;
+  for (int model = 0; model < backends_.models(); ++model) {
+    if (config_.models[static_cast<std::size_t>(model)].node != id) continue;
     bool running_elsewhere = false;
     for (Node* peer : node_ptrs_) {
       if (peer->id() == id || !peer->alive()) continue;
-      core::Backend* b = peer->serve().backend(m.model_id);
+      core::Backend* b = backends_.backend(model, peer->id());
       if (b != nullptr &&
           b->engine->state() == engine::BackendState::kRunning) {
         running_elsewhere = true;
@@ -504,7 +508,6 @@ void ClusterServe::FailOverNode(int id) {
       }
     }
     if (running_elsewhere) continue;
-    const std::string model = m.model_id;
     sim_.Go([this, model, id]() -> sim::Task<> {
       co_await PromoteStandby(model, id);
     });
@@ -513,29 +516,29 @@ void ClusterServe::FailOverNode(int id) {
   if (repairer_ != nullptr) (void)repairer_->ScanOnce();
 }
 
-sim::Task<> ClusterServe::PromoteStandby(std::string model, int avoid) {
+sim::Task<> ClusterServe::PromoteStandby(int model, int avoid) {
   Result<int> target = placement_->Pick(node_ptrs_, model);
   if (!target.ok() || *target == avoid) co_return;
   Node& node = *nodes_[*target];
-  core::Backend* backend = node.serve().backend(model);
+  core::Backend* backend = backends_.backend(model, *target);
   if (backend == nullptr ||
       backend->engine->state() == engine::BackendState::kRunning) {
     co_return;
   }
   ++standby_promotions_;
   obs::Instant(&node.serve().obs(), "cluster.promote", "cluster",
-               node.name(), {{"model", model}});
+               node.name(), {{"model", backend->name()}});
   Result<sim::SimRwLock::SharedGuard> pin =
       co_await node.serve().scheduler().EnsureRunningAndPin(*backend);
   if (!pin.ok()) {
     SWAP_LOG(kWarning, "cluster")
-        << "standby promotion of " << model << " on " << node.name()
-        << " failed: " << pin.status().ToString();
+        << "standby promotion of " << backend->name() << " on "
+        << node.name() << " failed: " << pin.status().ToString();
     co_return;
   }
   pin->Release();
   SWAP_LOG(kInfo, "cluster")
-      << "promoted standby " << model << " on " << node.name();
+      << "promoted standby " << backend->name() << " on " << node.name();
 }
 
 // The monitor heard `id` again (reboot finished, or a partition healed).
@@ -548,9 +551,11 @@ void ClusterServe::RejoinNode(int id) {
   Node& node = *nodes_[id];
   for (core::Backend* backend : node.serve().backends()) {
     if (!backend->has_snapshot) continue;
-    Result<ckpt::Snapshot> snap =
-        node.serve().snapshot_store().Get(backend->snapshot);
-    if (!snap.ok() || snap->tier != ckpt::SnapshotTier::kRemote) continue;
+    const ckpt::Snapshot* snap =
+        node.serve().snapshot_store().Find(backend->snapshot);
+    if (snap == nullptr || snap->tier != ckpt::SnapshotTier::kRemote) {
+      continue;
+    }
     bool running_somewhere = false;
     for (Node* peer : node_ptrs_) {
       core::Backend* b = peer->serve().backend(backend->name());

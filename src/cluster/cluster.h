@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/backend_table.h"
 #include "cluster/fabric.h"
 #include "cluster/health.h"
 #include "cluster/node.h"
@@ -77,6 +78,8 @@ class ClusterServe {
 
   int nodes() const { return static_cast<int>(nodes_.size()); }
   Node& node(int i) { return *nodes_[i]; }
+  // (model, node) -> backend; rows follow the config's model list.
+  BackendTable& backends() { return backends_; }
   // Null with a single node (the fleet layer is inert).
   Fabric* fabric() { return fabric_.get(); }
   SnapshotReplicator* replicator() { return replicator_.get(); }
@@ -130,13 +133,14 @@ class ClusterServe {
   // rejoins (converting totally-lost checkpoints to cold starts).
   void FailOverNode(int id);
   void RejoinNode(int id);
-  sim::Task<> PromoteStandby(std::string model, int avoid);
+  sim::Task<> PromoteStandby(int model, int avoid);
 
   sim::Simulation& sim_;
   core::Config config_;
   sim::GridLoop migration_loop_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Node*> node_ptrs_;
+  BackendTable backends_;  // (model, node) -> backend, built once
   std::unique_ptr<Fabric> fabric_;
   std::unique_ptr<SnapshotReplicator> replicator_;
   std::unique_ptr<PlacementPolicy> placement_;

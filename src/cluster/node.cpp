@@ -60,9 +60,9 @@ void Node::Crash() {
       // survives a power cycle, so only the unbounded-cache path loses the
       // copy.
       if (backend->has_snapshot && serve_->tier_manager() == nullptr) {
-        Result<ckpt::Snapshot> snap =
-            serve_->snapshot_store().Get(backend->snapshot);
-        if (snap.ok() && snap->tier == ckpt::SnapshotTier::kHost) {
+        const ckpt::Snapshot* snap =
+            serve_->snapshot_store().Find(backend->snapshot);
+        if (snap != nullptr && snap->tier == ckpt::SnapshotTier::kHost) {
           SWAP_WARN_IF_ERROR(
               serve_->snapshot_store().MarkLost(backend->snapshot), "node");
         }

@@ -5,10 +5,11 @@
 
 namespace swapserve::cluster {
 
-PlacementPolicy::PlacementPolicy(PlacementMode mode, std::uint64_t seed)
-    : mode_(mode), rng_(seed) {}
+PlacementPolicy::PlacementPolicy(PlacementMode mode, std::uint64_t seed,
+                                 const BackendTable& backends)
+    : mode_(mode), rng_(seed), backends_(backends) {}
 
-double PlacementPolicy::Score(Node& node, const std::string& model) {
+double PlacementPolicy::Score(Node& node, int model) {
   // Nodes the health monitor distrusts take no new requests: dead machines
   // obviously, but also suspect ones (silence is evidence) — anything
   // routed there would sit behind a failure already being detected.
@@ -17,7 +18,7 @@ double PlacementPolicy::Score(Node& node, const std::string& model) {
       node.membership() == NodeState::kDown) {
     return kIneligible;
   }
-  core::Backend* backend = node.serve().backend(model);
+  core::Backend* backend = backends_.backend(model, node.id());
   if (backend == nullptr) return kIneligible;
   if (backend->health.state == core::BackendHealth::State::kQuarantined) {
     return kIneligible;
@@ -38,7 +39,7 @@ double PlacementPolicy::Score(Node& node, const std::string& model) {
 }
 
 Result<int> PlacementPolicy::Pick(const std::vector<Node*>& nodes,
-                                  const std::string& model) {
+                                  int model) {
   std::vector<int> eligible;
   int best = -1;
   double best_score = kIneligible;
@@ -52,7 +53,7 @@ Result<int> PlacementPolicy::Pick(const std::vector<Node*>& nodes,
     }
   }
   if (eligible.empty()) {
-    return Unavailable("no eligible node hosts " + model +
+    return Unavailable("no eligible node hosts " + backends_.model_id(model) +
                        " (every replica is missing, quarantined, or on a "
                        "suspect/down node)");
   }
@@ -65,7 +66,7 @@ Result<int> PlacementPolicy::Pick(const std::vector<Node*>& nodes,
   // node the health monitor distrusts.
   for (Node* node : nodes) {
     if (node->id() != picked) continue;
-    core::Backend* backend = node->serve().backend(model);
+    core::Backend* backend = backends_.backend(model, picked);
     SWAP_CHECK_MSG(backend != nullptr &&
                        backend->health.state !=
                            core::BackendHealth::State::kQuarantined,

@@ -16,6 +16,9 @@
 // failure the fleet has already detected. Rejoining nodes are eligible
 // again (they are heard and serving). Pick enforces all of this with a
 // hard check (the chaos property suites lean on it).
+//
+// Models are named by their row in the fleet's BackendTable, so a score
+// indexes the table instead of looking the backend up by name.
 
 #pragma once
 
@@ -23,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/backend_table.h"
 #include "cluster/node.h"
 #include "sim/random.h"
 #include "util/status.h"
@@ -33,16 +37,18 @@ enum class PlacementMode { kLocalityAware, kRandom };
 
 class PlacementPolicy {
  public:
-  PlacementPolicy(PlacementMode mode, std::uint64_t seed);
+  // `backends` must outlive the policy.
+  PlacementPolicy(PlacementMode mode, std::uint64_t seed,
+                  const BackendTable& backends);
 
-  // Cost in seconds of serving `model`'s next request on `node`;
-  // kIneligible when the node cannot take it (no backend, quarantined,
-  // dead, or membership suspect/down).
-  double Score(Node& node, const std::string& model);
+  // Cost in seconds of serving the next request for model row `model` on
+  // `node`; kIneligible when the node cannot take it (no backend,
+  // quarantined, dead, or membership suspect/down).
+  double Score(Node& node, int model);
 
-  // Choose a node for `model` among `nodes`. Ties break toward the lowest
-  // node id; kRandom draws uniformly over the eligible set.
-  Result<int> Pick(const std::vector<Node*>& nodes, const std::string& model);
+  // Choose a node for model row `model` among `nodes`. Ties break toward
+  // the lowest node id; kRandom draws uniformly over the eligible set.
+  Result<int> Pick(const std::vector<Node*>& nodes, int model);
 
   PlacementMode mode() const { return mode_; }
 
@@ -57,6 +63,7 @@ class PlacementPolicy {
  private:
   PlacementMode mode_;
   sim::Rng rng_;
+  const BackendTable& backends_;
 };
 
 }  // namespace swapserve::cluster

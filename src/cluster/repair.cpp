@@ -12,13 +12,16 @@ namespace swapserve::cluster {
 ReplicationRepairer::ReplicationRepairer(sim::Simulation& sim,
                                          std::vector<Node*> nodes,
                                          SnapshotReplicator& replicator,
+                                         BackendTable& backends,
                                          std::vector<core::ModelEntry> models,
                                          Options options)
     : sim_(sim),
       nodes_(std::move(nodes)),
       replicator_(replicator),
+      backends_(backends),
       models_(std::move(models)),
       options_(options),
+      active_(models_.size() * nodes_.size(), false),
       wake_(sim),
       loop_(sim, options_.interval, &wake_,
             {.pass =
@@ -51,27 +54,26 @@ bool ReplicationRepairer::Eligible(const Node& node) const {
   return node.alive() && node.membership() != NodeState::kDown;
 }
 
-int ReplicationRepairer::CountCopies(const std::string& model_id) const {
+bool ReplicationRepairer::HoldsCopy(int model, Node& node) const {
+  if (!Eligible(node)) return false;
+  const core::Backend* backend = backends_.backend(model, node.id());
+  if (backend == nullptr) return false;
+  if (backend->engine->state() == engine::BackendState::kRunning) return true;
+  if (backend->has_snapshot) {
+    const ckpt::Snapshot* snap =
+        node.serve().snapshot_store().Find(backend->snapshot);
+    if (snap != nullptr && (snap->tier == ckpt::SnapshotTier::kHost ||
+                            snap->tier == ckpt::SnapshotTier::kNvme)) {
+      return true;
+    }
+  }
+  return active_[Slot(model, node.id())];
+}
+
+int ReplicationRepairer::CountCopies(int model) const {
   int copies = 0;
-  for (const Node* node : nodes_) {
-    if (!Eligible(*node)) continue;
-    Node& n = const_cast<Node&>(*node);  // backend lookup is non-const
-    core::Backend* backend = n.serve().backend(model_id);
-    if (backend == nullptr) continue;
-    if (backend->engine->state() == engine::BackendState::kRunning) {
-      ++copies;
-      continue;
-    }
-    if (backend->has_snapshot) {
-      Result<ckpt::Snapshot> snap =
-          n.serve().snapshot_store().Get(backend->snapshot);
-      if (snap.ok() && (snap->tier == ckpt::SnapshotTier::kHost ||
-                        snap->tier == ckpt::SnapshotTier::kNvme)) {
-        ++copies;
-        continue;
-      }
-    }
-    if (active_.count({model_id, node->id()}) > 0) ++copies;
+  for (Node* node : nodes_) {
+    if (HoldsCopy(model, *node)) ++copies;
   }
   return copies;
 }
@@ -86,10 +88,16 @@ int ReplicationRepairer::Target() const {
 
 bool ReplicationRepairer::Settled() const {
   if (options_.monitor == nullptr || !options_.monitor->parked()) return false;
-  if (!active_.empty()) return false;
+  if (in_flight_ > 0) return false;
   const int target = Target();
-  for (const core::ModelEntry& m : models_) {
-    if (CountCopies(m.model_id) < target) return false;
+  for (int model = 0; model < static_cast<int>(models_.size()); ++model) {
+    // CountCopies(model) >= target, stopping at the target-th copy.
+    int copies = 0;
+    for (Node* node : nodes_) {
+      if (copies >= target) break;
+      if (HoldsCopy(model, *node)) ++copies;
+    }
+    if (copies < target) return false;
   }
   return true;
 }
@@ -97,45 +105,53 @@ bool ReplicationRepairer::Settled() const {
 int ReplicationRepairer::ScanOnce() {
   int launched_now = 0;
   const int n = static_cast<int>(nodes_.size());
-  for (const core::ModelEntry& m : models_) {
+  for (int model = 0; model < static_cast<int>(models_.size()); ++model) {
     if (in_flight() >= options_.concurrency) break;
+    const core::ModelEntry& m = models_[static_cast<std::size_t>(model)];
     const int target = Target();
-    int copies = CountCopies(m.model_id);
+    int copies = CountCopies(model);
     if (copies >= target) continue;
     for (int dst : ReplicaRingOrder(m.model_id, m.node, n)) {
       if (copies >= target || in_flight() >= options_.concurrency) break;
       Node& node = *nodes_[dst];
       if (!Eligible(node)) continue;
-      core::Backend* standby = node.serve().backend(m.model_id);
+      BackendTable::Cell& cell = backends_.cell(model, dst);
+      core::Backend* standby = cell.backend;
       if (standby == nullptr || !standby->has_snapshot) continue;
-      if (active_.count({m.model_id, dst}) > 0) continue;
-      Result<ckpt::Snapshot> snap =
-          node.serve().snapshot_store().Get(standby->snapshot);
-      if (!snap.ok() || snap->tier != ckpt::SnapshotTier::kRemote) continue;
+      const std::size_t slot = Slot(model, dst);
+      if (active_[slot]) continue;
+      const ckpt::Snapshot* snap =
+          node.serve().snapshot_store().Find(standby->snapshot);
+      if (snap == nullptr || snap->tier != ckpt::SnapshotTier::kRemote) {
+        continue;
+      }
       if (!replicator_.HasPayloadSource(dst, m.model_id)) {
         // Only a running engine (or nothing) survives: see header — the
         // deficit heals at the model's next natural checkpoint.
         break;
       }
-      active_.insert({m.model_id, dst});
+      active_[slot] = true;
+      ++in_flight_;
       ++launched_;
       if (launch_hook_) launch_hook_(m.model_id, dst);
       ++launched_now;
-      obs::IncCounter(&node.serve().obs(), "swapserve_cluster_repair_total",
+      obs::IncCounter(&node.serve().obs(), cell.repaired,
+                      "swapserve_cluster_repair_total",
                       {{"model", m.model_id}, {"node", node.name()}});
-      const std::string model = m.model_id;
       const ckpt::SnapshotId id = standby->snapshot;
-      sim_.Go([this, dst, id, model]() -> sim::Task<> {
+      sim_.Go([this, dst, id, model, slot]() -> sim::Task<> {
         Status s = co_await replicator_.Fetch(
             dst, id, hw::TransferPriority::kBackground);
-        active_.erase({model, dst});
+        active_[slot] = false;
+        --in_flight_;
         if (s.ok()) {
           ++completed_;
         } else {
           ++failed_;
           SWAP_LOG(kWarning, "cluster")
-              << "replication repair of " << model << " to node" << dst
-              << " failed: " << s.ToString();
+              << "replication repair of "
+              << models_[static_cast<std::size_t>(model)].model_id
+              << " to node" << dst << " failed: " << s.ToString();
         }
       });
       ++copies;

@@ -25,7 +25,10 @@
 // by the running replica. The property suite's "replication restored"
 // invariant counts running engines for exactly this reason.
 //
-// In-flight repairs are ledgered ((model, node) pairs, bounded by
+// Models are named by their row in the fleet's BackendTable (whose rows
+// are `models` in order), so a scan and the park test index the table.
+//
+// In-flight repairs are ledgered ((model, node) cells, bounded by
 // cluster.repair_concurrency) and count toward a model's copies while
 // pending so back-to-back scans never overshoot the target. The ledger
 // drains to zero after every chaos run (property-test invariant).
@@ -34,11 +37,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cluster/backend_table.h"
 #include "cluster/node.h"
 #include "cluster/replication.h"
 #include "core/config.h"
@@ -63,11 +66,11 @@ class ReplicationRepairer {
     HealthMonitor* monitor = nullptr;
   };
 
-  // `models` are the fleet-level entries (home node fields intact). With a
-  // monitor, takes its wake handler and every node's residency and drop
-  // handlers.
+  // `models` are the fleet-level entries (home node fields intact), the
+  // rows of `backends`, which must outlive the repairer. With a monitor,
+  // takes its wake handler and every node's residency and drop handlers.
   ReplicationRepairer(sim::Simulation& sim, std::vector<Node*> nodes,
-                      SnapshotReplicator& replicator,
+                      SnapshotReplicator& replicator, BackendTable& backends,
                       std::vector<core::ModelEntry> models, Options options);
   ~ReplicationRepairer();
   ReplicationRepairer(const ReplicationRepairer&) = delete;
@@ -83,15 +86,16 @@ class ReplicationRepairer {
   // call this directly so repair starts ahead of the next tick.
   int ScanOnce();
 
-  // Copies of `model_id` on alive, non-kDown nodes: running engines plus
-  // restorable payloads plus in-flight repairs (each node counted once).
-  int CountCopies(const std::string& model_id) const;
+  // Copies of model row `model` on alive, non-kDown nodes: running
+  // engines plus restorable payloads plus in-flight repairs (each node
+  // counted once).
+  int CountCopies(int model) const;
 
   // Called for every repair fetch a scan launches (tests log them).
   using LaunchHook = std::function<void(const std::string& model, int node)>;
   void SetLaunchHook(LaunchHook hook) { launch_hook_ = std::move(hook); }
 
-  int in_flight() const { return static_cast<int>(active_.size()); }
+  int in_flight() const { return in_flight_; }
   // Periodic scan passes run so far (failover/rejoin scans not included).
   std::uint64_t passes() const { return loop_.passes(); }
   std::uint64_t launched() const { return launched_; }
@@ -100,18 +104,28 @@ class ReplicationRepairer {
 
  private:
   bool Eligible(const Node& node) const;
+  // Does `node` hold a copy of model row `model` (see CountCopies)?
+  bool HoldsCopy(int model, Node& node) const;
   // min(replicate, eligible nodes): the copies each model should have.
   int Target() const;
   // True when a scan would find a parked heartbeat, every model at its
   // target copy count and nothing in flight (never without a heartbeat).
   bool Settled() const;
+  // Index of the (model row, node) cell in active_.
+  std::size_t Slot(int model, int node) const {
+    return static_cast<std::size_t>(model) * nodes_.size() +
+           static_cast<std::size_t>(node);
+  }
 
   sim::Simulation& sim_;
   std::vector<Node*> nodes_;
   SnapshotReplicator& replicator_;
+  BackendTable& backends_;
   std::vector<core::ModelEntry> models_;
   Options options_;
-  std::set<std::pair<std::string, int>> active_;  // (model, dst node)
+  // Repair fetches in flight, by (model row, dst node) cell.
+  std::vector<bool> active_;
+  int in_flight_ = 0;
   sim::SimEvent wake_;  // the loop parks here
   sim::GridLoop loop_;
   LaunchHook launch_hook_;

@@ -23,8 +23,11 @@ std::vector<int> ReplicaRingOrder(const std::string& model_id, int home,
 
 SnapshotReplicator::SnapshotReplicator(sim::Simulation& sim,
                                        std::vector<Node*> nodes,
-                                       Fabric& fabric)
-    : sim_(sim), nodes_(std::move(nodes)), fabric_(fabric) {}
+                                       Fabric& fabric, BackendTable& backends)
+    : sim_(sim),
+      nodes_(std::move(nodes)),
+      fabric_(fabric),
+      backends_(backends) {}
 
 Result<ckpt::SnapshotId> SnapshotReplicator::InstallPlaceholder(
     int dst, const ckpt::Snapshot& src) {
@@ -35,7 +38,7 @@ Result<ckpt::SnapshotId> SnapshotReplicator::InstallPlaceholder(
 }
 
 std::optional<SnapshotReplicator::Source> SnapshotReplicator::FindSource(
-    int dst, const std::string& owner) {
+    int dst, std::string_view owner) {
   std::optional<Source> nvme_fallback;
   for (Node* node : nodes_) {
     if (node->id() == dst) continue;
@@ -44,20 +47,21 @@ std::optional<SnapshotReplicator::Source> SnapshotReplicator::FindSource(
     // and partition behaviour share this path with the heartbeats).
     if (!node->alive()) continue;
     if (!fabric_.Reachable(node->id(), dst)) continue;
-    Result<ckpt::Snapshot> found =
+    const ckpt::Snapshot* found =
         node->serve().snapshot_store().FindByOwner(owner);
-    if (!found.ok()) continue;
+    if (found == nullptr) continue;
     if (found->tier == ckpt::SnapshotTier::kHost) {
-      return Source{node->id(), *found};
+      return Source{node->id(), found->tier};
     }
     if (found->tier == ckpt::SnapshotTier::kNvme && !nvme_fallback) {
-      nvme_fallback = Source{node->id(), *found};
+      nvme_fallback = Source{node->id(), found->tier};
     }
   }
   return nvme_fallback;
 }
 
-bool SnapshotReplicator::HasPayloadSource(int dst, const std::string& owner) {
+bool SnapshotReplicator::HasPayloadSource(int dst,
+                                          std::string_view owner) {
   return FindSource(dst, owner).has_value();
 }
 
@@ -86,8 +90,14 @@ sim::Task<Status> SnapshotReplicator::DoFetch(int dst,
     ++fetch_failures_;
     co_return Unavailable("cluster fetch: " + node.name() + " is down");
   }
-  SWAP_CO_ASSIGN_OR_RETURN(ckpt::Snapshot snap, store.Get(dst_id));
-  if (snap.tier != ckpt::SnapshotTier::kRemote) co_return Status::Ok();
+  const ckpt::Snapshot* placeholder = store.Find(dst_id);
+  if (placeholder == nullptr) {
+    co_return NotFound("snapshot " + std::to_string(dst_id));
+  }
+  if (placeholder->tier != ckpt::SnapshotTier::kRemote) co_return Status::Ok();
+  // The fetch reads the placeholder after its fault stall and transfers,
+  // when the store may have dropped it: copy it.
+  const ckpt::Snapshot snap = *placeholder;
 
   std::optional<Source> source = FindSource(dst, snap.owner);
   if (!source) {
@@ -120,7 +130,7 @@ sim::Task<Status> SnapshotReplicator::DoFetch(int dst,
 
   // An NVMe-resident source stages its payload through a local read before
   // the bytes can go on the wire; a host-resident source streams directly.
-  if (source->snapshot.tier == ckpt::SnapshotTier::kNvme) {
+  if (source->tier == ckpt::SnapshotTier::kNvme) {
     co_await nodes_[source->node]->storage().ReadFile(snap.dirty_bytes,
                                                       priority);
   }
@@ -154,7 +164,11 @@ sim::Task<Status> SnapshotReplicator::DoFetch(int dst,
 
   ++fetches_;
   fetched_bytes_ += snap.dirty_bytes;
-  obs::IncCounter(&node.serve().obs(), "swapserve_cluster_fetch_total",
+  const int model = backends_.Find(snap.owner);
+  SWAP_CHECK_MSG(model >= 0, "fetched a snapshot of a model the fleet does "
+                             "not serve: " + snap.owner);
+  obs::IncCounter(&node.serve().obs(), backends_.cell(model, dst).fetched,
+                  "swapserve_cluster_fetch_total",
                   {{"node", node.name()}, {"owner", snap.owner}});
   if (poison) {
     SWAP_LOG(kWarning, "cluster")
@@ -168,9 +182,9 @@ sim::Task<Status> SnapshotReplicator::DoFetch(int dst,
 
 sim::SimDuration SnapshotReplicator::EstimatedFetchTime(
     int dst, ckpt::SnapshotId dst_id) {
-  Result<ckpt::Snapshot> snap =
-      nodes_[dst]->serve().snapshot_store().Get(dst_id);
-  if (!snap.ok() || snap->tier != ckpt::SnapshotTier::kRemote) {
+  const ckpt::Snapshot* snap =
+      nodes_[dst]->serve().snapshot_store().Find(dst_id);
+  if (snap == nullptr || snap->tier != ckpt::SnapshotTier::kRemote) {
     return sim::SimDuration(0);
   }
   std::optional<Source> source = FindSource(dst, snap->owner);
@@ -179,7 +193,7 @@ sim::SimDuration SnapshotReplicator::EstimatedFetchTime(
   if (!source) return sim::Minutes(10);
   sim::SimDuration est =
       fabric_.EstimatedTransferTime(source->node, dst, snap->dirty_bytes);
-  if (source->snapshot.tier == ckpt::SnapshotTier::kNvme) {
+  if (source->tier == ckpt::SnapshotTier::kNvme) {
     est += nodes_[source->node]->storage().EstimatedReadTime(
         snap->dirty_bytes);
   }

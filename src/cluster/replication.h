@@ -20,10 +20,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "ckpt/snapshot_store.h"
+#include "cluster/backend_table.h"
 #include "cluster/fabric.h"
 #include "cluster/node.h"
 #include "hw/link.h"
@@ -44,8 +46,10 @@ std::vector<int> ReplicaRingOrder(const std::string& model_id, int home,
 
 class SnapshotReplicator {
  public:
+  // `backends` (the fleet's table, whose rows name every snapshot owner)
+  // must outlive the replicator.
   SnapshotReplicator(sim::Simulation& sim, std::vector<Node*> nodes,
-                     Fabric& fabric);
+                     Fabric& fabric, BackendTable& backends);
   SnapshotReplicator(const SnapshotReplicator&) = delete;
   SnapshotReplicator& operator=(const SnapshotReplicator&) = delete;
 
@@ -70,7 +74,7 @@ class SnapshotReplicator {
   sim::SimDuration EstimatedFetchTime(int dst, ckpt::SnapshotId dst_id);
 
   // Does any other node hold a non-placeholder copy for `owner`?
-  bool HasPayloadSource(int dst, const std::string& owner);
+  bool HasPayloadSource(int dst, std::string_view owner);
 
   // Replication ledger: fetches admitted but not yet landed. The chaos
   // property test asserts this drains to zero after every run.
@@ -88,16 +92,17 @@ class SnapshotReplicator {
   };
   struct Source {
     int node = -1;
-    ckpt::Snapshot snapshot;
+    ckpt::SnapshotTier tier = ckpt::SnapshotTier::kHost;
   };
 
-  std::optional<Source> FindSource(int dst, const std::string& owner);
+  std::optional<Source> FindSource(int dst, std::string_view owner);
   sim::Task<Status> DoFetch(int dst, ckpt::SnapshotId dst_id,
                             hw::TransferPriority priority);
 
   sim::Simulation& sim_;
   std::vector<Node*> nodes_;
   Fabric& fabric_;
+  BackendTable& backends_;
   std::map<std::pair<int, ckpt::SnapshotId>, std::shared_ptr<Pending>>
       pending_;
   int in_flight_ = 0;

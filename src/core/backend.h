@@ -119,6 +119,10 @@ struct Backend {
     }
     return *queue_depth_gauge;
   }
+  // swapserve_reservation_wait_seconds{model=name()}, written by the
+  // scheduler per swap-in attempt; resolved on the first write and reset
+  // in Scheduler::BindObservability.
+  obs::HistogramMetric* reservation_wait = nullptr;
 };
 
 }  // namespace swapserve::core

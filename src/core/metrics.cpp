@@ -33,18 +33,12 @@ void CountRequest(obs::Observability* obs, const std::string& model,
 
 }  // namespace
 
-Metrics::CompletedInstruments& Metrics::CompletedFor(
-    const std::string& model) {
-  auto it = completed_instruments_.find(model);
-  if (it != completed_instruments_.end()) return it->second;
-  CompletedInstruments& h = completed_instruments_[model];
-  const obs::Labels labels = {{"model", model}};
-  h.requests = &RequestsCounter(*obs_, model, "completed");
-  h.ttft = &obs_->metrics.GetHistogram(kTtftSeconds, labels);
-  h.latency = &obs_->metrics.GetHistogram(kLatencySeconds, labels);
-  h.swap_wait = &obs_->metrics.GetHistogram(kSwapWaitSeconds, labels);
-  h.output_tokens = &obs_->metrics.GetCounter(kOutputTokens, labels);
-  return h;
+Metrics::ModelInstruments& Metrics::InstrumentsFor(const std::string& model) {
+  auto it = model_instruments_.lower_bound(model);
+  if (it == model_instruments_.end() || it->first != model) {
+    it = model_instruments_.try_emplace(it, model);
+  }
+  return it->second;
 }
 
 void Metrics::RecordCompleted(const std::string& model, double ttft_s,
@@ -63,7 +57,15 @@ void Metrics::RecordCompleted(const std::string& model, double ttft_s,
   }
 
   if (obs_ == nullptr) return;
-  CompletedInstruments& h = CompletedFor(model);
+  ModelInstruments& h = InstrumentsFor(model);
+  if (h.requests == nullptr) {
+    const obs::Labels labels = {{"model", model}};
+    h.requests = &RequestsCounter(*obs_, model, "completed");
+    h.ttft = &obs_->metrics.GetHistogram(kTtftSeconds, labels);
+    h.latency = &obs_->metrics.GetHistogram(kLatencySeconds, labels);
+    h.swap_wait = &obs_->metrics.GetHistogram(kSwapWaitSeconds, labels);
+    h.output_tokens = &obs_->metrics.GetCounter(kOutputTokens, labels);
+  }
   h.requests->Increment();
   h.ttft->Observe(ttft_s);
   h.latency->Observe(total_s);
@@ -100,25 +102,30 @@ void Metrics::RecordSwapOut(const std::string& model, double latency_s,
   ++swap_outs;
   if (preemption) ++preemptions;
   swap_out_latency_s.Add(latency_s);
-  obs::IncCounter(obs_, kSwapsTotal,
-                  {{"direction", "out"},
-                   {"trigger", preemption ? "preemption" : "explicit"}});
-  obs::Observe(obs_, kSwapLatency,
+  if (obs_ == nullptr) return;
+  const std::string_view trigger = preemption ? "preemption" : "explicit";
+  obs::IncCounter(obs_,
+                  preemption ? swaps_.out_preemption : swaps_.out_explicit,
+                  kSwapsTotal, {{"direction", "out"}, {"trigger", trigger}});
+  obs::Observe(obs_, InstrumentsFor(model).swap_out_latency, kSwapLatency,
                {{"direction", "out"}, {"model", model}}, latency_s);
 }
 
 void Metrics::RecordSwapIn(const std::string& model, double latency_s) {
   ++swap_ins;
   swap_in_latency_s.Add(latency_s);
-  obs::IncCounter(obs_, kSwapsTotal,
+  if (obs_ == nullptr) return;
+  obs::IncCounter(obs_, swaps_.in_demand, kSwapsTotal,
                   {{"direction", "in"}, {"trigger", "demand"}});
-  obs::Observe(obs_, kSwapLatency, {{"direction", "in"}, {"model", model}},
-               latency_s);
+  obs::Observe(obs_, InstrumentsFor(model).swap_in_latency, kSwapLatency,
+               {{"direction", "in"}, {"model", model}}, latency_s);
 }
 
 void Metrics::RecordPrefetch(const std::string& model) {
   ++prefetches;
-  obs::IncCounter(obs_, "swapserve_prefetches_total", {{"model", model}});
+  if (obs_ == nullptr) return;
+  obs::IncCounter(obs_, InstrumentsFor(model).prefetches,
+                  "swapserve_prefetches_total", {{"model", model}});
 }
 
 void Metrics::RecordSwapRetry(const std::string& model) {

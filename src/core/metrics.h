@@ -47,7 +47,8 @@ class Metrics {
   // obs/observability.h for the metric taxonomy).
   void BindObservability(obs::Observability* obs) {
     obs_ = obs;
-    completed_instruments_.clear();
+    swaps_ = {};
+    model_instruments_.clear();
   }
 
   // --- request outcomes (one call per request, from the model worker /
@@ -108,21 +109,32 @@ class Metrics {
   Samples AllTtft() const;
 
  private:
-  // RecordCompleted's registry series for one model, resolved on its
-  // first completion (so a model that never completes exports none).
-  struct CompletedInstruments {
+  // One model's registry series on the per-request and per-swap paths.
+  // The completion series are resolved together on the model's first
+  // completion, every other series on its own first write, so a model
+  // that never completes (or never swaps) exports none of them.
+  struct ModelInstruments {
     obs::Counter* requests = nullptr;
     obs::HistogramMetric* ttft = nullptr;
     obs::HistogramMetric* latency = nullptr;
     obs::HistogramMetric* swap_wait = nullptr;
     obs::Counter* output_tokens = nullptr;
+    obs::HistogramMetric* swap_in_latency = nullptr;
+    obs::HistogramMetric* swap_out_latency = nullptr;
+    obs::Counter* prefetches = nullptr;
   };
-  CompletedInstruments& CompletedFor(const std::string& model);
+  ModelInstruments& InstrumentsFor(const std::string& model);
+  // swapserve_swaps_total{direction, trigger}: three series.
+  struct SwapCounters {
+    obs::Counter* out_preemption = nullptr;
+    obs::Counter* out_explicit = nullptr;
+    obs::Counter* in_demand = nullptr;
+  };
 
   std::map<std::string, ModelMetrics> per_model_;
   obs::Observability* obs_ = nullptr;
-  std::map<std::string, CompletedInstruments, std::less<>>
-      completed_instruments_;
+  SwapCounters swaps_;
+  std::map<std::string, ModelInstruments, std::less<>> model_instruments_;
 };
 
 }  // namespace swapserve::core

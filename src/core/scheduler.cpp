@@ -157,7 +157,8 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
       }
       reserve_span.AddArg("status", status.ok() ? "ok" : "failed");
     }
-    obs::Observe(obs_, "swapserve_reservation_wait_seconds",
+    obs::Observe(obs_, backend.reservation_wait,
+                 "swapserve_reservation_wait_seconds",
                  {{"model", backend.name()}},
                  (sim_.Now() - reserve_start).ToSeconds());
     if (!status.ok()) {

@@ -42,7 +42,12 @@ class Scheduler {
       Backend& backend);
 
   // Emit placement spans + reservation-wait histograms (nullable).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
+  void BindObservability(obs::Observability* obs) {
+    obs_ = obs;
+    for (Backend* backend : controller_.backends()) {
+      backend->reservation_wait = nullptr;
+    }
+  }
 
   // Bounded retries with jittered backoff around reservation + swap-in
   // failures. The rng is only drawn from on a failed attempt, so fault-free

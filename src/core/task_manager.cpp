@@ -135,8 +135,9 @@ sim::Task<> TaskManager::ReclaimForHead(hw::GpuId gpu) {
 
   Bytes freed(0);
   if (delegate_ != nullptr && needed.count() > 0) {
-    obs::IncCounter(obs_, "swapserve_reclaims_total",
-                    {{"gpu", std::to_string(gpu)}});
+    // The track is "gpu<N>": its digits are the gpu label.
+    obs::IncCounter(obs_, q.reclaims, "swapserve_reclaims_total",
+                    {{"gpu", std::string_view(q.track).substr(3)}});
     freed = co_await delegate_->ReclaimMemory(gpu, needed,
                                               q.waiters.front()->owner);
   }

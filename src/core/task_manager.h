@@ -115,6 +115,7 @@ class TaskManager {
     for (auto& [id, q] : queues_) {
       q.reserved_gauge = nullptr;
       q.queue_depth_gauge = nullptr;
+      q.reclaims = nullptr;
     }
   }
 
@@ -140,9 +141,10 @@ class TaskManager {
     std::deque<Waiter*> waiters;
     bool reclaiming = false;
     std::string track;  // "gpu<N>", the trace track of reserve waits
-    // Resolved on the first publish; reset by BindObservability.
+    // Resolved on the first write; reset by BindObservability.
     obs::Gauge* reserved_gauge = nullptr;
     obs::Gauge* queue_depth_gauge = nullptr;
+    obs::Counter* reclaims = nullptr;
   };
 
   void ReleaseReservation(hw::GpuId gpu, Bytes bytes);

@@ -100,6 +100,7 @@ MetricsRegistry::Instrument& MetricsRegistry::Series(std::string_view name,
                                                      MetricType type,
                                                      Labels labels) {
   SWAP_CHECK_MSG(!name.empty(), "metric name must not be empty");
+  ++lookups_;
   auto fit = families_.lower_bound(name);
   if (fit == families_.end() || fit->first != name) {
     fit = families_.try_emplace(fit, std::string(name));

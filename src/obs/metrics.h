@@ -127,6 +127,9 @@ class MetricsRegistry {
   const FamilyMap& families() const { return families_; }
   std::size_t family_count() const { return families_.size(); }
   std::size_t series_count() const;
+  // By-name lookups served so far (every Get*). A hot path that holds its
+  // instrument handles stops adding to this once it has warmed up.
+  std::uint64_t lookups() const { return lookups_; }
 
   // Canonical serialized form of a label set ("k1=v1,k2=v2", sorted).
   static std::string LabelKey(Labels labels);
@@ -136,6 +139,7 @@ class MetricsRegistry {
 
   FamilyMap families_;
   std::string key_;  // canonical-key buffer, reused across lookups
+  std::uint64_t lookups_ = 0;
 };
 
 }  // namespace swapserve::obs

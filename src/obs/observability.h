@@ -36,9 +36,16 @@ struct Observability {
 // Trace args that vary per event are passed as numbers (`AddArg("bytes",
 // n)`) and dynamic instant names as a prefix and a suffix (`{"preempt:",
 // victim}`), so a disabled recorder formats and joins nothing.
-// Hot paths skip even the lookup by caching the instrument pointer on its
-// first write (registry instruments never move) and resetting the cache in
-// BindObservability, as hw::GpuMonitor does for its utilization gauges.
+//
+// Two kinds of metric write. The by-name helpers (IncCounter, SetGauge and
+// Observe without a handle) look the series up on every call: they are for
+// cold paths only, such as breaker transitions, injected faults and
+// quarantines. Every write made per request, per swap, per snapshot-store
+// mutation, per placement or per repair scan passes a handle slot instead:
+// the slot is resolved on its first write and borrowed after that
+// (registry instruments never move). The owner resets its slots in
+// BindObservability. One slot serves one series, so its name and labels
+// must be the same on every call.
 
 inline Span StartSpan(Observability* obs, std::string_view name,
                       std::string_view category, std::string_view track) {
@@ -71,6 +78,30 @@ inline void Observe(Observability* obs, std::string_view name, Labels labels,
                         DefaultLatencyBuckets()) {
   if (obs == nullptr) return;
   obs->metrics.GetHistogram(name, labels, upper_bounds).Observe(value);
+}
+
+// --- handle-slot forms for hot paths -------------------------------------
+
+inline void IncCounter(Observability* obs, Counter*& slot,
+                       std::string_view name, Labels labels = {},
+                       double delta = 1.0) {
+  if (obs == nullptr) return;
+  if (slot == nullptr) slot = &obs->metrics.GetCounter(name, labels);
+  slot->Increment(delta);
+}
+
+inline void SetGauge(Observability* obs, Gauge*& slot, std::string_view name,
+                     Labels labels, double value) {
+  if (obs == nullptr) return;
+  if (slot == nullptr) slot = &obs->metrics.GetGauge(name, labels);
+  slot->Set(value);
+}
+
+inline void Observe(Observability* obs, HistogramMetric*& slot,
+                    std::string_view name, Labels labels, double value) {
+  if (obs == nullptr) return;
+  if (slot == nullptr) slot = &obs->metrics.GetHistogram(name, labels);
+  slot->Observe(value);
 }
 
 }  // namespace swapserve::obs

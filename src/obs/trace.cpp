@@ -9,7 +9,7 @@ namespace swapserve::obs {
 
 Span::Span(TraceRecorder* recorder, std::string_view name,
            std::string_view category, std::string_view track)
-    : recorder_(recorder) {
+    : recorder_(recorder), record_() {
   record_.phase = TraceEvent::Phase::kComplete;
   record_.ts_ns = recorder->Now().ns();
   record_.name = recorder->Intern(name);
@@ -17,15 +17,13 @@ Span::Span(TraceRecorder* recorder, std::string_view name,
   record_.track = recorder->Intern(track);
 }
 
-void Span::AddArg(std::string_view key, TraceValue value) {
-  if (recorder_ == nullptr) return;
+void Span::Append(std::string_view key, TraceValue value) {
   SWAP_CHECK_MSG(record_.num_args < kMaxTraceArgs,
                  "trace span exceeds kMaxTraceArgs");
   record_.args[record_.num_args++] = recorder_->MakeArg(key, value);
 }
 
-void Span::End() {
-  if (recorder_ == nullptr) return;
+void Span::Emit() {
   TraceRecorder* rec = std::exchange(recorder_, nullptr);
   record_.dur_ns = rec->Now().ns() - record_.ts_ns;
   rec->Record(record_);

@@ -134,17 +134,20 @@ class TraceRecorder;
 // kComplete event when End() runs (at latest, destruction). Default
 // constructed or moved-from spans are inert, so call sites can hold a Span
 // unconditionally even when tracing is disabled; a disabled recorder hands
-// out inert spans without touching any string.
+// out inert spans without touching any string. An inert span is one null
+// pointer: its record stays unconstructed, and AddArg/End test the pointer
+// inline before any out-of-line work.
 class [[nodiscard]] Span {
  public:
-  Span() = default;
-  Span(Span&& o) noexcept
-      : recorder_(std::exchange(o.recorder_, nullptr)), record_(o.record_) {}
+  Span() noexcept {}
+  Span(Span&& o) noexcept : recorder_(std::exchange(o.recorder_, nullptr)) {
+    if (recorder_ != nullptr) record_ = o.record_;
+  }
   Span& operator=(Span&& o) noexcept {
     if (this != &o) {
       End();
       recorder_ = std::exchange(o.recorder_, nullptr);
-      record_ = o.record_;
+      if (recorder_ != nullptr) record_ = o.record_;
     }
     return *this;
   }
@@ -154,10 +157,14 @@ class [[nodiscard]] Span {
 
   // Attach a key/value pair shown in the trace viewer's detail pane (at
   // most kMaxTraceArgs). A no-op on an inert span.
-  void AddArg(std::string_view key, TraceValue value);
+  void AddArg(std::string_view key, TraceValue value) {
+    if (recorder_ != nullptr) Append(key, value);
+  }
 
   // Emit the completed span; idempotent.
-  void End();
+  void End() {
+    if (recorder_ != nullptr) Emit();
+  }
   bool active() const { return recorder_ != nullptr; }
 
  private:
@@ -165,8 +172,14 @@ class [[nodiscard]] Span {
   Span(TraceRecorder* recorder, std::string_view name,
        std::string_view category, std::string_view track);
 
+  void Append(std::string_view key, TraceValue value);
+  void Emit();
+
   TraceRecorder* recorder_ = nullptr;
-  TraceRecord record_;
+  // Live only while recorder_ is set.
+  union {
+    TraceRecord record_;
+  };
 };
 
 class TraceRecorder {

@@ -13,12 +13,12 @@ Snapshot Make(const std::string& owner, double clean_gb, double dirty_gb) {
   return s;
 }
 
-TEST(SnapshotStoreTest, PutGetDrop) {
+TEST(SnapshotStoreTest, PutFindDrop) {
   SnapshotStore store(GiB(64));
   auto id = store.Put(Make("a", 60, 4));
   ASSERT_TRUE(id.ok());
-  auto snap = store.Get(*id);
-  ASSERT_TRUE(snap.ok());
+  const Snapshot* snap = store.Find(*id);
+  ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->owner, "a");
   EXPECT_EQ(snap->clean_bytes, GB(60));
   EXPECT_EQ(store.used(), GB(4));  // only dirty bytes occupy host RAM
@@ -46,9 +46,9 @@ TEST(SnapshotStoreTest, DropFreesBudget) {
   EXPECT_TRUE(store.Put(Make("b", 0, 1)).ok());
 }
 
-TEST(SnapshotStoreTest, GetUnknownFails) {
+TEST(SnapshotStoreTest, FindUnknownIsNullAndDropFails) {
   SnapshotStore store(GB(10));
-  EXPECT_EQ(store.Get(7).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.Find(7), nullptr);
   EXPECT_EQ(store.Drop(7).code(), StatusCode::kNotFound);
 }
 
@@ -65,11 +65,10 @@ TEST(SnapshotStoreTest, FindByOwnerReturnsLatest) {
   ASSERT_TRUE(store.Put(Make("a", 0, 1)).ok());
   auto second = store.Put(Make("a", 0, 2));
   ASSERT_TRUE(second.ok());
-  auto found = store.FindByOwner("a");
-  ASSERT_TRUE(found.ok());
+  const Snapshot* found = store.FindByOwner("a");
+  ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->id, *second);
-  EXPECT_EQ(store.FindByOwner("ghost").status().code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(store.FindByOwner("ghost"), nullptr);
 }
 
 TEST(SnapshotStoreTest, IdsAreUniqueAndMonotonic) {
@@ -92,8 +91,8 @@ TEST(SnapshotStoreTest, PutStampsAVerifiableChecksum) {
   auto id = store.Put(Make("a", 10, 2));
   ASSERT_TRUE(id.ok());
   EXPECT_TRUE(store.Verify(*id).ok());
-  auto snap = store.Get(*id);
-  ASSERT_TRUE(snap.ok());
+  const Snapshot* snap = store.Find(*id);
+  ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->checksum, SnapshotChecksum(*snap));
   EXPECT_EQ(store.Verify(999).code(), StatusCode::kNotFound);
 }

@@ -67,8 +67,8 @@ TEST_F(SnapshotTierTest, AdmissionDemotesLruVictim) {
 
     auto c = co_await PutSnapshot("model-c", GB(4));
     SWAP_CHECK(c.ok());
-    EXPECT_EQ(store.Get(*b)->tier, SnapshotTier::kNvme);
-    EXPECT_EQ(store.Get(*a)->tier, SnapshotTier::kHost);
+    EXPECT_EQ(store.Find(*b)->tier, SnapshotTier::kNvme);
+    EXPECT_EQ(store.Find(*a)->tier, SnapshotTier::kHost);
     EXPECT_LE(store.used(), GB(10));
     EXPECT_EQ(store.nvme_used(), GB(4));
     EXPECT_EQ(nvme.stored(), GB(4));  // device capacity held by the copy
@@ -84,11 +84,11 @@ TEST_F(SnapshotTierTest, EnsureRestorablePromotesDemotedSnapshot) {
     EXPECT_TRUE((co_await TouchRestorable(*a)).ok());
     auto c = co_await PutSnapshot("model-c", GB(4));  // demotes B
     SWAP_CHECK(c.ok());
-    SWAP_CHECK(store.Get(*b)->tier == SnapshotTier::kNvme);
+    SWAP_CHECK(store.Find(*b)->tier == SnapshotTier::kNvme);
 
     Status restored = co_await tier.EnsureRestorable(*b);
     EXPECT_TRUE(restored.ok()) << restored;
-    EXPECT_EQ(store.Get(*b)->tier, SnapshotTier::kHost);
+    EXPECT_EQ(store.Find(*b)->tier, SnapshotTier::kHost);
     EXPECT_EQ(tier.promotions(), 1u);
     EXPECT_EQ(tier.nvme_misses(), 1u);
     EXPECT_EQ(nvme.stored(), GB(4));  // someone else was demoted for room
@@ -109,8 +109,8 @@ TEST_F(SnapshotTierTest, PinnedSnapshotIsNeverTheVictim) {
     auto c = co_await PutSnapshot("model-c", GB(4));
     SWAP_CHECK(c.ok());
     // B was sacrificed; pinned A stayed host-resident.
-    EXPECT_EQ(store.Get(*a)->tier, SnapshotTier::kHost);
-    EXPECT_EQ(store.Get(*b)->tier, SnapshotTier::kNvme);
+    EXPECT_EQ(store.Find(*a)->tier, SnapshotTier::kHost);
+    EXPECT_EQ(store.Find(*b)->tier, SnapshotTier::kNvme);
     tier.Unpin(*a);
   });
 }
@@ -153,7 +153,7 @@ TEST_F(SnapshotTierTest, EstimatedSwapInTimeIncludesPromotionCost) {
     // fixed here was estimating a demoted snapshot as if it were host-hot.
     auto b = co_await PutSnapshot("model-b", GB(6));
     SWAP_CHECK(b.ok());
-    SWAP_CHECK(store.Get(*a)->tier == SnapshotTier::kNvme);
+    SWAP_CHECK(store.Find(*a)->tier == SnapshotTier::kNvme);
     const sim::SimDuration nvme_estimate = engine.EstimatedSwapInTime(*a);
     EXPECT_EQ(nvme_estimate.ns(),
               (host_estimate + tier.EstimatedPromotionTime(*a)).ns());
@@ -174,7 +174,7 @@ TEST_F(SnapshotTierTest, PromotionFailureFallsBackToDirectRead) {
     auto a = co_await PutSnapshot("model-a", GB(6));
     auto b = co_await PutSnapshot("model-b", GB(6));  // demotes A
     SWAP_CHECK(a.ok() && b.ok());
-    SWAP_CHECK(store.Get(*a)->tier == SnapshotTier::kNvme);
+    SWAP_CHECK(store.Find(*a)->tier == SnapshotTier::kNvme);
 
     Status restored = co_await tier.EnsureRestorable(*a);
     EXPECT_TRUE(restored.ok()) << restored;
@@ -183,7 +183,7 @@ TEST_F(SnapshotTierTest, PromotionFailureFallsBackToDirectRead) {
     EXPECT_GE(tier.promotion_failures(), 1u);
     EXPECT_EQ(tier.direct_reads(), 1u);
     EXPECT_EQ(tier.promotions(), 0u);
-    EXPECT_EQ(store.Get(*a)->tier, SnapshotTier::kNvme);
+    EXPECT_EQ(store.Find(*a)->tier, SnapshotTier::kNvme);
     tier.Unpin(*a);
   });
 }
@@ -201,7 +201,7 @@ TEST_F(SnapshotTierTest, CorruptionDuringPromotionIsDataLossNeverSilent) {
     auto a = co_await PutSnapshot("model-a", GB(6));
     auto b = co_await PutSnapshot("model-b", GB(6));  // demotes A
     SWAP_CHECK(a.ok() && b.ok());
-    SWAP_CHECK(store.Get(*a)->tier == SnapshotTier::kNvme);
+    SWAP_CHECK(store.Find(*a)->tier == SnapshotTier::kNvme);
 
     Status restored = co_await tier.EnsureRestorable(*a);
     // The bytes moved, the checksum caught the damage: the restore fails

@@ -87,13 +87,13 @@ TEST(ClusterTest, StandbysAdoptAndReplicationLandsConfiguredCopies) {
   // node order — node1 holds real bytes, node2 keeps a placeholder.
   auto home =
       cluster.node(0).serve().snapshot_store().FindByOwner("llama-3.2-1b-fp16");
-  ASSERT_TRUE(home.ok());
+  ASSERT_NE(home, nullptr);
   auto n1 =
       cluster.node(1).serve().snapshot_store().FindByOwner("llama-3.2-1b-fp16");
   auto n2 =
       cluster.node(2).serve().snapshot_store().FindByOwner("llama-3.2-1b-fp16");
-  ASSERT_TRUE(n1.ok());
-  ASSERT_TRUE(n2.ok());
+  ASSERT_NE(n1, nullptr);
+  ASSERT_NE(n2, nullptr);
   EXPECT_EQ(n1->tier, ckpt::SnapshotTier::kHost);
   EXPECT_EQ(n2->tier, ckpt::SnapshotTier::kRemote);
   EXPECT_EQ(n1->dirty_bytes, home->dirty_bytes);
@@ -148,7 +148,7 @@ TEST(ClusterTest, QuarantinedHomeRoutesToStandbyViaOnDemandFetch) {
   EXPECT_EQ(standby->engine->state(), engine::BackendState::kRunning);
   auto home_copy =
       cluster.node(0).serve().snapshot_store().FindByOwner("llama-3.2-1b-fp16");
-  ASSERT_TRUE(home_copy.ok());
+  ASSERT_NE(home_copy, nullptr);
   EXPECT_EQ(home_copy->tier, ckpt::SnapshotTier::kHost);
 }
 

@@ -93,13 +93,14 @@ TEST(ReplicationEdgeTest, ReplicateBeyondNodeCountSaturatesTheFleet) {
     SWAP_CHECK((co_await cluster.Initialize()).ok());
     co_await bed.sim.Delay(sim::Minutes(2));  // let the spread land
     SWAP_CHECK(cluster.repairer() != nullptr);
-    EXPECT_EQ(cluster.repairer()->CountCopies(kModel), 3);
+    const int model = cluster.backends().Find(kModel);
+    EXPECT_EQ(cluster.repairer()->CountCopies(model), 3);
     EXPECT_EQ(cluster.repairer()->ScanOnce(), 0);
     cluster.Shutdown();
   });
   for (int i = 0; i < 3; ++i) {
     auto snap = cluster.node(i).serve().snapshot_store().FindByOwner(kModel);
-    ASSERT_TRUE(snap.ok()) << "node" << i;
+    ASSERT_NE(snap, nullptr) << "node" << i;
     EXPECT_NE(snap->tier, ckpt::SnapshotTier::kRemote) << "node" << i;
   }
 }
@@ -265,10 +266,11 @@ TEST(FailoverTest, RepairerRestoresReplicationFactorAfterHolderDies) {
     const int spare = ring[1];
     auto before =
         cluster.node(spare).serve().snapshot_store().FindByOwner(kModel);
-    SWAP_CHECK(before.ok());
+    SWAP_CHECK(before != nullptr);
     EXPECT_EQ(before->tier, ckpt::SnapshotTier::kRemote);
     SWAP_CHECK(cluster.repairer() != nullptr);
-    EXPECT_EQ(cluster.repairer()->CountCopies(kModel), 2);
+    const int model = cluster.backends().Find(kModel);
+    EXPECT_EQ(cluster.repairer()->CountCopies(model), 2);
 
     // Kill the streamed-copy holder. The ring walk for repair visits the
     // (now down) holder first and must skip it, landing the re-replication
@@ -276,14 +278,14 @@ TEST(FailoverTest, RepairerRestoresReplicationFactorAfterHolderDies) {
     cluster.KillNode(holder, sim::Minutes(30));
     co_await bed.sim.Delay(sim::Minutes(2));
 
-    EXPECT_EQ(cluster.repairer()->CountCopies(kModel), 2);
+    EXPECT_EQ(cluster.repairer()->CountCopies(model), 2);
     EXPECT_GE(cluster.repairer()->launched(), 1u);
     EXPECT_GE(cluster.repairer()->completed(), 1u);
     EXPECT_EQ(cluster.repairer()->failed(), 0u);
     EXPECT_EQ(cluster.repairer()->in_flight(), 0);
     auto after =
         cluster.node(spare).serve().snapshot_store().FindByOwner(kModel);
-    SWAP_CHECK(after.ok());
+    SWAP_CHECK(after != nullptr);
     EXPECT_EQ(after->tier, ckpt::SnapshotTier::kHost)
         << "repair did not land the payload on the spare";
     cluster.Shutdown();
@@ -308,7 +310,7 @@ TEST(FailoverTest, RejoinConvertsTotalCheckpointLossToColdStart) {
     // The crash degraded the host payload to a placeholder; with the node
     // down there is no payload copy left in the fleet.
     auto lost = cluster.node(0).serve().snapshot_store().FindByOwner(kModel);
-    SWAP_CHECK(lost.ok());
+    SWAP_CHECK(lost != nullptr);
     EXPECT_EQ(lost->tier, ckpt::SnapshotTier::kRemote);
 
     // Reboot + rejoin: the fleet detects the total loss and falls back to
@@ -340,31 +342,32 @@ TEST(PlacementMembershipTest, SuspectAndDownNodesAreIneligible) {
     co_await bed.sim.Delay(sim::Minutes(2));
     PlacementPolicy* placement = cluster.placement();
     SWAP_CHECK(placement != nullptr);
+    const int model = cluster.backends().Find(kModel);
 
-    EXPECT_LT(placement->Score(cluster.node(1), kModel),
+    EXPECT_LT(placement->Score(cluster.node(1), model),
               PlacementPolicy::kIneligible);
     cluster.node(1).set_membership(NodeState::kSuspect);
-    EXPECT_EQ(placement->Score(cluster.node(1), kModel),
+    EXPECT_EQ(placement->Score(cluster.node(1), model),
               PlacementPolicy::kIneligible);
     cluster.node(1).set_membership(NodeState::kDown);
-    EXPECT_EQ(placement->Score(cluster.node(1), kModel),
+    EXPECT_EQ(placement->Score(cluster.node(1), model),
               PlacementPolicy::kIneligible);
     // Rejoining nodes are heard and serving: they score normally.
     cluster.node(1).set_membership(NodeState::kRejoining);
-    EXPECT_LT(placement->Score(cluster.node(1), kModel),
+    EXPECT_LT(placement->Score(cluster.node(1), model),
               PlacementPolicy::kIneligible);
     cluster.node(1).set_membership(NodeState::kHealthy);
 
     // A dead machine is ineligible regardless of belief.
     cluster.node(1).Crash();
-    EXPECT_EQ(placement->Score(cluster.node(1), kModel),
+    EXPECT_EQ(placement->Score(cluster.node(1), model),
               PlacementPolicy::kIneligible);
     cluster.node(1).Boot();
 
     // Pick routes around a down node.
     cluster.node(1).set_membership(NodeState::kDown);
     Result<int> pick =
-        placement->Pick({&cluster.node(0), &cluster.node(1)}, kModel);
+        placement->Pick({&cluster.node(0), &cluster.node(1)}, model);
     SWAP_CHECK(pick.ok());
     EXPECT_EQ(*pick, 0);
     cluster.node(1).set_membership(NodeState::kHealthy);

@@ -58,6 +58,31 @@ TEST(SwaplintFixtureTest, CoroRefParamSilentOnValueAndAnnotatedBorrow) {
   EXPECT_TRUE(diags.empty()) << Render(diags);
 }
 
+TEST(SwaplintFixtureTest, BorrowAcrossAwaitFiresOnPointerAndAlias) {
+  auto diags = LintFixture("borrow_across_await_bad.cc");
+  EXPECT_EQ(CountRule(diags, "borrow-across-await"), 2) << Render(diags);
+  EXPECT_EQ(diags.size(), 2u) << Render(diags);
+}
+
+TEST(SwaplintFixtureTest, BorrowAcrossAwaitSilentOnCopyAndReborrow) {
+  auto diags = LintFixture("borrow_across_await_ok.cc");
+  EXPECT_TRUE(diags.empty()) << Render(diags);
+}
+
+// The real fetch coroutine copies its placeholder before the fault stall;
+// holding the borrow instead (a reference to the stored snapshot) must be
+// caught.
+TEST(SwaplintFixtureTest, BorrowAcrossAwaitFlagsMutatedDoFetch) {
+  std::string source = ReadFixture("../../../src/cluster/replication.cpp");
+  EXPECT_TRUE(LintSource("replication.cpp", source).empty());
+  const std::string copy = "const ckpt::Snapshot snap = *placeholder;";
+  const std::size_t at = source.find(copy);
+  ASSERT_NE(at, std::string::npos) << "DoFetch no longer copies its borrow";
+  source.replace(at, copy.size(), "const ckpt::Snapshot& snap = *placeholder;");
+  auto diags = LintSource("replication.cpp", source);
+  EXPECT_EQ(CountRule(diags, "borrow-across-await"), 1) << Render(diags);
+}
+
 TEST(SwaplintFixtureTest, UnawaitedTaskFiresOnDroppedCall) {
   auto diags = LintFixture("unawaited_task_bad.cc");
   EXPECT_EQ(CountRule(diags, "unawaited-task"), 1) << Render(diags);
@@ -297,15 +322,15 @@ TEST(SwaplintBaselineTest, ParserIgnoresCommentsAndBlankLines) {
 
 // --- Rule catalog / docs sync -----------------------------------------------
 
-TEST(SwaplintFixtureTest, RuleListCoversAllFourteenRules) {
+TEST(SwaplintFixtureTest, RuleListCoversAllFifteenRules) {
   const std::vector<RuleInfo>& rules = Rules();
-  ASSERT_EQ(rules.size(), 14u);
+  ASSERT_EQ(rules.size(), 15u);
   std::vector<std::string> names;
   for (const RuleInfo& r : rules) names.emplace_back(r.name);
   for (const char* expected :
        {"coro-ref-param", "spawn-ref-capture", "stale-state-after-await",
         "unawaited-task", "discarded-status", "guard-across-await",
-        "lock-order", "fault-point-name", "fault-point-coverage",
+        "borrow-across-await", "lock-order", "fault-point-name", "fault-point-coverage",
         "unordered-iteration", "nondeterministic-source", "pointer-order",
         "eager-trace-format", "polling-loop"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())

@@ -36,6 +36,10 @@ const std::set<std::string, std::less<>> kUnorderedTypes = {
 const std::set<std::string, std::less<>> kOrderedKeyedTypes = {
     "map", "set", "multimap", "multiset"};
 
+// The snapshot store's borrowed read accessors (borrow-across-await).
+const std::set<std::string, std::less<>> kBorrowAccessors = {"Find",
+                                                             "FindByOwner"};
+
 // Trace-recorder entry points whose arguments eager-trace-format checks.
 const std::set<std::string, std::less<>> kTraceCalls = {
     "AddArg", "Instant", "StartSpan"};
@@ -458,6 +462,7 @@ class RuleRunner {
           FunctionModel model = BuildModel(toks_, fn);
           CheckSpawnRefCapture(fn, model);
           CheckStaleState(fn, model);
+          CheckBorrowAcrossAwait(fn);
         }
       }
     }
@@ -705,6 +710,120 @@ class RuleRunner {
                "class) -- re-check state()/alive() (or a swaplint-recheck "
                "helper) after the last co_await");
     }
+  }
+
+  // Rule: borrow-across-await. A `const ...Snapshot*` (or `&`) declared
+  // from the store's borrowed accessor (Find/FindByOwner), or from another
+  // such borrow, is valid only until the store next mutates; any co_await
+  // lets another coroutine drop or move the snapshot. A use of the name
+  // after a later co_await (with no re-borrow in between) is flagged.
+  void CheckBorrowAcrossAwait(const FnDecl& fn) {
+    struct Borrow {
+      std::string name;
+      std::size_t from;   // token index where the borrow is fresh
+      std::size_t scope;  // close brace of the declaring scope
+      int line;
+    };
+    std::vector<Borrow> borrows;
+    const auto rhs_borrows = [&](std::size_t from, std::size_t to) {
+      for (std::size_t j = from; j < to; ++j) {
+        if (toks_[j].kind != TokKind::kIdent) continue;
+        if (kBorrowAccessors.count(toks_[j].text) > 0 &&
+            IsTok(toks_, j + 1, "(") && j > 0 && IsMemberSep(toks_, j - 1)) {
+          return true;
+        }
+        if (j > 0 && IsChainSep(toks_, j - 1)) continue;
+        for (const Borrow& b : borrows) {
+          if (b.name == toks_[j].text) return true;
+        }
+      }
+      return false;
+    };
+    for (const Stmt& st :
+         SplitStatements(toks_, fn.body_open, fn.body_close)) {
+      // `[const] [ns::]Snapshot (*|&) name = <rhs>`
+      std::size_t i = st.begin;
+      if (IsTok(toks_, i, "const")) ++i;
+      while (i + 2 < st.end && toks_[i].kind == TokKind::kIdent &&
+             IsTok(toks_, i + 1, "::")) {
+        i += 2;
+      }
+      if (!IsTok(toks_, i, "Snapshot") ||
+          !(IsTok(toks_, i + 1, "*") || IsTok(toks_, i + 1, "&")) ||
+          i + 3 >= st.end || toks_[i + 2].kind != TokKind::kIdent ||
+          !IsTok(toks_, i + 3, "=") || !rhs_borrows(i + 4, st.end)) {
+        continue;
+      }
+      borrows.push_back({toks_[i + 2].text, st.end,
+                         EnclosingScopeClose(toks_, fn.body_open,
+                                             fn.body_close, st.begin),
+                         toks_[i + 2].line});
+    }
+    for (const Borrow& b : borrows) {
+      // The co_await that ended the borrow, and the end of its operand:
+      // the operand itself is evaluated before the coroutine suspends.
+      std::size_t stale_at = 0;
+      std::size_t stale_from = toks_.size();
+      for (std::size_t i = b.from; i < b.scope; ++i) {
+        if (IsTok(toks_, i, "co_await")) {
+          const bool path_ends = IsTok(toks_, i - 1, "co_return");
+          if (!path_ends && stale_at == 0) {
+            stale_at = i;
+            stale_from = AwaitOperandEnd(i);
+          }
+          continue;
+        }
+        if (toks_[i].text != b.name || (i > 0 && IsChainSep(toks_, i - 1))) {
+          continue;
+        }
+        if (IsTok(toks_, i + 1, "=")) {
+          // `name = ...`: a fresh borrow if it reads the accessor again.
+          const std::size_t end = SkipToStatementEnd(i);
+          if (rhs_borrows(i + 2, end)) {
+            stale_at = 0;
+            stale_from = toks_.size();
+          }
+          i = end;
+          continue;
+        }
+        if (i < stale_from) continue;
+        Emit("borrow-across-await", toks_[i].line,
+             "snapshot '" + b.name + "' borrowed from the store at line " +
+                 std::to_string(b.line) + " is used after the co_await at "
+                 "line " + std::to_string(toks_[stale_at].line) +
+                 "; the store can drop or move it while suspended -- copy "
+                 "the snapshot (or the fields you need) before awaiting",
+             {b.line});
+        break;
+      }
+    }
+  }
+
+  // Index just past the operand of the co_await at `i`: an identifier
+  // chain with its call arguments (`sim_.Delay(d)`, `x->done.Wait()`).
+  std::size_t AwaitOperandEnd(std::size_t i) const {
+    std::size_t j = i + 1;
+    while (j < toks_.size()) {
+      if (toks_[j].kind == TokKind::kIdent || IsChainSep(toks_, j)) {
+        ++j;
+      } else if (IsTok(toks_, j, "(")) {
+        j = SkipBalanced(toks_, j, "(", ")");
+      } else {
+        break;
+      }
+    }
+    return j;
+  }
+
+  // Index of the `;` ending the statement that contains token `i`.
+  std::size_t SkipToStatementEnd(std::size_t i) const {
+    int paren = 0;
+    for (; i < toks_.size(); ++i) {
+      if (toks_[i].text == "(") ++paren;
+      else if (toks_[i].text == ")") --paren;
+      else if (toks_[i].text == ";" && paren <= 0) return i;
+    }
+    return toks_.size();
   }
 
   // Rule: fault-point-name. Every `"ns.point"` literal at an injector
@@ -965,6 +1084,9 @@ const std::vector<RuleInfo>& Rules() {
       {"discarded-status", "Status/Result results are consumed, not dropped"},
       {"guard-across-await",
        "SimMutex::Guard is not held across an unrelated co_await"},
+      {"borrow-across-await",
+       "a snapshot borrowed from the store's Find/FindByOwner is not used "
+       "after a later co_await"},
       {"lock-order",
        "multi-lock acquisitions follow the name-ordered convention"},
       {"fault-point-name",

@@ -28,6 +28,12 @@
 //                       crash lands between two co_awaits of an in-flight
 //                       swap and the resumed coroutine clobbers the
 //                       crashed state machine.
+//   borrow-across-await A `const ...Snapshot*` (or reference) taken from
+//                       the snapshot store's borrowed accessor
+//                       (Find/FindByOwner), or from another such borrow,
+//                       used after a later co_await of the same coroutine.
+//                       The store may drop or move the snapshot while the
+//                       coroutine is suspended; copy it before awaiting.
 //   unawaited-task      A statement-level call to a Task<>-returning
 //                       function that is neither co_await-ed nor handed to
 //                       Spawn(). Tasks are lazy: such a call never runs.
