@@ -4,8 +4,10 @@
 // compared against the fault-free run.
 //
 // Not a paper figure: the paper assumes reliable checkpoint transport;
-// this bench quantifies what the retry/requeue/supervisor stack costs
-// when that assumption breaks. Emits bench_fault_recovery.json.
+// this bench quantifies what the retry/requeue/breaker stack costs when
+// that assumption breaks. A crashed engine is restored by the next request
+// for it, behind the scheduler's reservation. Emits
+// bench_fault_recovery.json.
 
 #include <cstdio>
 #include <fstream>
@@ -106,7 +108,8 @@ void Run() {
       "Ablation: goodput and tail latency vs injected fault rate (H100)",
       "Alternating two-model workload where every request pays a swap-in.\n"
       "Faults: restore failures at the given rate plus engine crashes at\n"
-      "half that rate; the retry/requeue/supervisor stack absorbs them.");
+      "half that rate; the retry/requeue stack absorbs them, and the next\n"
+      "request for a crashed engine restores it behind a reservation.");
   // Retries and recoveries log at WARN by design; a fault-rate sweep would
   // drown the table in expected noise.
   Logger::Global().set_level(LogLevel::kError);

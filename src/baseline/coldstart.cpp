@@ -159,7 +159,6 @@ sim::Task<core::ChatResult> ColdStartServing::Chat(
   ++mm.completed;
   mm.output_tokens += gen->output_tokens;
   mm.ttft_s.Add(result.ttft_s);
-  mm.total_s.Add(result.total_s);
   mm.swap_wait_s.Add(swap_wait);
   co_return result;
 }

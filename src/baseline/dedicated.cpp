@@ -65,7 +65,6 @@ sim::Task<core::ChatResult> DedicatedServing::Chat(
   ++mm.completed;
   mm.output_tokens += gen->output_tokens;
   mm.ttft_s.Add(result.ttft_s);
-  mm.total_s.Add(result.total_s);
   co_return result;
 }
 

@@ -570,7 +570,8 @@ void ClusterServe::RejoinNode(int id) {
       continue;  // the repair scan (or on-demand fetch) covers it
     }
     // Total checkpoint loss: every payload copy died with its host(s).
-    // Convert to a cold start so the supervisor restores availability.
+    // Convert to a cold start: the next request restarts the engine from
+    // scratch under the scheduler's reservation.
     SWAP_LOG(kWarning, "cluster")
         << backend->name() << ": every checkpoint copy lost; "
         << node.name() << " falls back to cold start";

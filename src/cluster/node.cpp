@@ -49,7 +49,6 @@ void Node::Crash() {
   SWAP_CHECK_MSG(alive_, name_ + " crashed while already dead");
   alive_ = false;
   ++crashes_;
-  if (core::EngineSupervisor* sup = serve_->supervisor()) sup->Pause();
   serve_->PauseWorkers();
   for (core::Backend* backend : serve_->backends()) {
     const engine::BackendState state = backend->engine->state();
@@ -85,7 +84,6 @@ void Node::Boot() {
   alive_ = true;
   ++boots_;
   serve_->ResumeWorkers();
-  if (core::EngineSupervisor* sup = serve_->supervisor()) sup->Resume();
   if (power_signal_ != nullptr) power_signal_->Pulse();
   obs::Instant(&serve_->obs(), "node.boot", "cluster", name_, {});
   SWAP_LOG(kInfo, "cluster") << name_ << " booted (power on)";

@@ -9,12 +9,12 @@
 //
 // A node is also the fleet's fault domain: Crash() powers the machine off
 // (engines crash, host-RAM snapshot payloads degrade to placeholders,
-// workers and supervisor park) and Boot() powers it back on. The
-// `membership` field is the fleet's *belief* about the node — written by
-// cluster::HealthMonitor from heartbeat evidence, read by placement and
-// repair — and is deliberately distinct from `alive`, the ground truth:
-// a partitioned node is alive yet declared down, and a freshly crashed
-// one stays kHealthy until suspicion accrues.
+// workers park) and Boot() powers it back on. The `membership` field is
+// the fleet's *belief* about the node — written by cluster::HealthMonitor
+// from heartbeat evidence, read by placement and repair — and is
+// deliberately distinct from `alive`, the ground truth: a partitioned node
+// is alive yet declared down, and a freshly crashed one stays kHealthy
+// until suspicion accrues.
 
 #pragma once
 
@@ -72,15 +72,15 @@ class Node {
   // Power the machine off: every resident engine crashes (device memory
   // freed, in-flight generations abort through the restart epoch),
   // host-RAM snapshot payloads degrade to kRemote placeholders (the RAM is
-  // gone; NVMe copies survive), and the workers + supervisor park so the
-  // dead machine consumes nothing. Queued requests stay in their channels
-  // for the fleet's failover drain.
+  // gone; NVMe copies survive), and the workers park so the dead machine
+  // serves nothing. Queued requests stay in their channels for the fleet's
+  // failover drain.
   void Crash();
 
-  // Power the machine back on: workers and supervisor resume; the
-  // supervisor's next scan restarts crashed engines in place. Snapshot
-  // re-fetch is the fleet's job (ClusterServe::RejoinNode) — the node
-  // itself only reboots.
+  // Power the machine back on: workers resume, and each crashed engine is
+  // restored on its next request through the scheduler's reservation.
+  // Snapshot re-fetch is the fleet's job (ClusterServe::RejoinNode) — the
+  // node itself only reboots.
   void Boot();
 
   std::uint64_t crashes() const { return crashes_; }

@@ -20,9 +20,7 @@ double PlacementPolicy::Score(Node& node, int model) {
   }
   core::Backend* backend = backends_.backend(model, node.id());
   if (backend == nullptr) return kIneligible;
-  if (backend->health.state == core::BackendHealth::State::kQuarantined) {
-    return kIneligible;
-  }
+  if (backend->health.breaker.CoolingDown()) return kIneligible;
   double swap_s = 0;
   if (backend->engine->state() == engine::BackendState::kRunning ||
       backend->swap_in_progress) {
@@ -67,10 +65,9 @@ Result<int> PlacementPolicy::Pick(const std::vector<Node*>& nodes,
   for (Node* node : nodes) {
     if (node->id() != picked) continue;
     core::Backend* backend = backends_.backend(model, picked);
-    SWAP_CHECK_MSG(backend != nullptr &&
-                       backend->health.state !=
-                           core::BackendHealth::State::kQuarantined,
-                   "placement picked a quarantined node");
+    SWAP_CHECK_MSG(
+        backend != nullptr && !backend->health.breaker.CoolingDown(),
+        "placement picked a quarantined node");
     SWAP_CHECK_MSG(node->alive() &&
                        node->membership() != NodeState::kSuspect &&
                        node->membership() != NodeState::kDown,

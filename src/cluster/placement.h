@@ -10,12 +10,13 @@
 // idle one even when both hold the payload. The random policy picks
 // uniformly among eligible nodes and exists as the bench baseline.
 //
-// Quarantined backends are never eligible, on either policy, and neither
-// are dead machines or nodes whose membership is suspect or down — routing
-// to a node the health monitor distrusts would park requests behind a
-// failure the fleet has already detected. Rejoining nodes are eligible
-// again (they are heard and serving). Pick enforces all of this with a
-// hard check (the chaos property suites lean on it).
+// Quarantined backends (breaker open and cooling down) are never eligible,
+// on either policy, and neither are dead machines or nodes whose
+// membership is suspect or down — routing to a node the health monitor
+// distrusts would park requests behind a failure the fleet has already
+// detected. Rejoining nodes are eligible again (they are heard and
+// serving). Pick enforces all of this with a hard check (the chaos
+// property suites lean on it).
 //
 // Models are named by their row in the fleet's BackendTable, so a score
 // indexes the table instead of looking the backend up by name.

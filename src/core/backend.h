@@ -20,34 +20,18 @@
 
 namespace swapserve::core {
 
-// Supervisor-maintained health record. Healthy backends serve normally;
-// Degraded ones just recovered (first success re-promotes them);
-// Quarantined ones fast-fail requests until the breaker's cooldown admits
-// a probe; Recovering marks an in-flight supervisor restart.
+// Per-backend health record. The backend counts as quarantined exactly
+// while its circuit breaker is open and cooling down
+// (CircuitBreaker::CoolingDown()).
 struct BackendHealth {
-  enum class State { kHealthy, kDegraded, kQuarantined, kRecovering };
-
   explicit BackendHealth(sim::Simulation& sim)
       : breaker(sim, /*failure_threshold=*/3, sim::Seconds(10)) {}
 
-  State state = State::kHealthy;
   fault::CircuitBreaker breaker;
   // When the backend last became resident (swap-in, cold start, or
   // restart); drives age-based rejuvenation.
   sim::SimTime last_resident;
-  std::uint64_t recoveries = 0;   // successful supervisor restarts
-  std::uint64_t quarantines = 0;  // transitions into kQuarantined
 };
-
-inline std::string_view HealthStateName(BackendHealth::State s) {
-  switch (s) {
-    case BackendHealth::State::kHealthy: return "healthy";
-    case BackendHealth::State::kDegraded: return "degraded";
-    case BackendHealth::State::kQuarantined: return "quarantined";
-    case BackendHealth::State::kRecovering: return "recovering";
-  }
-  return "?";
-}
 
 struct Backend {
   Backend(sim::Simulation& sim, ModelEntry entry, model::ModelSpec spec,
@@ -105,7 +89,7 @@ struct Backend {
   bool swap_in_progress = false;
   sim::SimEvent swap_done;
 
-  // Self-healing state (supervisor + circuit breaker).
+  // Self-healing state (circuit breaker + rejuvenation age).
   BackendHealth health;
 
   // swapserve_queue_depth{model=name()}, written by the request handler on

@@ -26,9 +26,9 @@ struct FaultConfig {
 };
 
 // Self-healing knobs: bounded retries around swap operations, per-request
-// requeue, circuit breaker, and the supervisor's scan/deadline parameters.
+// requeue, circuit breaker, and the supervisor's hang/rejuvenation checks.
 struct RecoveryConfig {
-  // Swap-in/swap-out retry policy (scheduler + supervisor restarts).
+  // The scheduler's swap-in retry policy (crashed backends included).
   int swap_retry_attempts = 3;
   double backoff_initial_s = 0.05;
   double backoff_max_s = 2.0;
@@ -39,7 +39,8 @@ struct RecoveryConfig {
   // quarantine lasts before a half-open probe.
   int breaker_failure_threshold = 3;
   double breaker_cooldown_s = 10.0;
-  // Supervisor scan cadence; 0 disables the supervisor loop entirely.
+  // Hang-detection/rejuvenation scan cadence; 0 disables the supervisor,
+  // which is only built when one of the two checks below is armed.
   double health_check_interval_s = 1.0;
   // Declare a backend hung when a request has made no progress for this
   // long (0 = hang detection off).

@@ -32,7 +32,6 @@ EngineController::EngineController(sim::Simulation& sim,
 void EngineController::RegisterBackend(Backend* backend) {
   SWAP_CHECK(backend != nullptr);
   backends_.push_back(backend);
-  backend->engine->BindCrashSignal(&crash_signal_);
   backend->engine->BindResidencyHandler([this] {
     residency_signal_.Pulse();
     if (on_residency_) on_residency_();
@@ -117,6 +116,11 @@ sim::Task<Status> EngineController::SwapIn(Backend& backend) {
   if (backend.engine->state() == engine::BackendState::kRunning) {
     co_return Status::Ok();
   }
+  if (backend.engine->state() == engine::BackendState::kCrashed &&
+      (!backend.has_snapshot ||
+       !backend.engine->ReadoptCheckpoint().ok())) {
+    co_return co_await RestartCrashed(backend, "restart");
+  }
   if (!backend.has_snapshot) {
     co_return FailedPrecondition("swap-in " + backend.name() +
                                  ": no snapshot");
@@ -142,7 +146,17 @@ sim::Task<Status> EngineController::SwapIn(Backend& backend) {
   }
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kDataLoss) {
-      co_return co_await ColdRestoreFallback(backend, result.status());
+      // The checksum mismatch means the host copy is unusable and the
+      // checkpointed process can never be resumed: declare it dead and
+      // rebuild it from scratch.
+      SWAP_LOG(kWarning, "controller")
+          << "snapshot of " << backend.name()
+          << " is corrupt; falling back to cold start: " << result.status();
+      obs::Instant(obs_, {"cold_fallback:", backend.name()}, "controller",
+                   backend.name(), {{"cause", result.status().message()}});
+      backend.engine->MarkCrashed("corrupt snapshot: " +
+                                  result.status().message());
+      co_return co_await RestartCrashed(backend, "cold_fallback");
     }
     SWAP_CHECK(backend.engine->MarkSwappedOut().ok());
     co_return result.status();
@@ -167,30 +181,26 @@ sim::Task<Status> EngineController::SwapIn(Backend& backend) {
 }
 
 // swaplint-ok(coro-ref-param): backend outlives the frame (registered)
-sim::Task<Status> EngineController::ColdRestoreFallback(Backend& backend,
-                                                        Status cause) {
+sim::Task<Status> EngineController::RestartCrashed(Backend& backend,
+                                                   const char* kind) {
   const sim::SimTime start = sim_.Now();
-  SWAP_LOG(kWarning, "controller")
-      << "snapshot of " << backend.name()
-      << " is corrupt; falling back to cold start: " << cause;
-  obs::Instant(obs_, {"cold_fallback:", backend.name()}, "controller",
-               backend.name(), {{"cause", cause.message()}});
-  SWAP_WARN_IF_ERROR(ckpt_.DropSnapshot(backend.snapshot), "controller");
-  backend.has_snapshot = false;
-  backend.snapshot = 0;
-  // The checkpointed process can never be resumed; declare it dead so the
-  // checkpoint handle and state machine reset, then rebuild in-place.
-  backend.engine->MarkCrashed("corrupt snapshot: " + cause.message());
+  if (backend.has_snapshot) {
+    SWAP_WARN_IF_ERROR(ckpt_.DropSnapshot(backend.snapshot), "controller");
+    backend.has_snapshot = false;
+    backend.snapshot = 0;
+  }
   Result<engine::InitBreakdown> restart = co_await backend.engine->Restart();
   if (!restart.ok()) {
-    // Backend stays kCrashed; the supervisor takes over from here.
+    // Still kCrashed: the scheduler's retry or breaker takes it from here.
     co_return restart.status();
   }
   backend.health.last_resident = sim_.Now();
-  metrics_.RecordRecovery(backend.name(), "cold_fallback",
-                          (sim_.Now() - start).ToSeconds());
+  const double elapsed = (sim_.Now() - start).ToSeconds();
+  metrics_.RecordRecovery(backend.name(), kind, elapsed);
+  obs::Instant(obs_, {"recovered:", backend.name()}, "controller",
+               backend.name(), {{"kind", kind}, {"elapsed_s", elapsed}});
   SWAP_LOG(kInfo, "controller")
-      << backend.name() << " rebuilt from cold start in "
+      << backend.name() << " restarted from scratch (" << kind << ") in "
       << (sim_.Now() - start).ToString();
   co_return Status::Ok();
 }

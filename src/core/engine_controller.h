@@ -41,14 +41,11 @@ class EngineController final : public TaskManager::ReclaimDelegate {
                    PreemptionPolicy policy = PreemptionPolicy::kDemandAware,
                    std::uint64_t seed = 0x5eed);
 
-  // Registration also binds the backend's engine to crash_signal() and
-  // its residency changes to residency_signal() and the residency handler.
+  // Registration also binds the backend's residency changes to
+  // residency_signal() and the residency handler.
   void RegisterBackend(Backend* backend);
   const std::vector<Backend*>& backends() const { return backends_; }
 
-  // Pulsed whenever a registered backend enters kCrashed; the supervisor
-  // parks on it while no scan could act.
-  sim::SimEvent& crash_signal() { return crash_signal_; }
   // Pulsed whenever a registered backend enters or leaves kRunning; the
   // idle reaper parks on it.
   sim::SimEvent& residency_signal() { return residency_signal_; }
@@ -66,8 +63,11 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   // swaplint-ok(coro-ref-param): backend outlives the frame (registered)
   sim::Task<Status> SwapOut(Backend& backend, bool preemption);
 
-  // Restore a swapped-out backend. The caller (scheduler) must hold a
-  // task-manager reservation covering backend.resident_bytes.
+  // Restore a swapped-out or crashed backend. The caller (scheduler) must
+  // hold a task-manager reservation covering its footprint. A crashed
+  // backend whose checkpoint survived restores from it like any
+  // swapped-out one; without one (or when it is corrupt) the engine
+  // restarts from scratch under the same reservation.
   // swaplint-ok(coro-ref-param): backend outlives the frame (registered)
   sim::Task<Status> SwapIn(Backend& backend);
 
@@ -88,12 +88,11 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   void BindObservability(obs::Observability* obs) { obs_ = obs; }
 
  private:
-  // Corrupt-snapshot recovery: the checksum mismatch (DATA_LOSS) means the
-  // host copy is unusable, so drop it and rebuild the backend from scratch
-  // (weights reload) inside its container. Caller holds the exclusive lock
-  // with the engine in kSwapping.
+  // Reboot a crashed backend in place (weights reload inside its
+  // container), dropping any snapshot it can no longer restore from.
+  // Caller holds the exclusive lock; `kind` labels the recovery metric.
   // swaplint-ok(coro-ref-param): backend outlives the frame (registered)
-  sim::Task<Status> ColdRestoreFallback(Backend& backend, Status cause);
+  sim::Task<Status> RestartCrashed(Backend& backend, const char* kind);
 
   obs::Observability* obs_ = nullptr;
   sim::Simulation& sim_;
@@ -103,7 +102,6 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   PreemptionPolicy policy_;
   sim::Rng rng_;
   std::vector<Backend*> backends_;
-  sim::SimEvent crash_signal_{sim_};
   sim::SimEvent residency_signal_{sim_};
   std::function<void()> on_residency_;
 };

@@ -48,7 +48,6 @@ void Metrics::RecordCompleted(const std::string& model, double ttft_s,
   ++mm.completed;
   mm.output_tokens += output_tokens;
   mm.ttft_s.Add(ttft_s);
-  mm.total_s.Add(total_s);
   mm.swap_wait_s.Add(swap_wait_s);
   if (swap_wait_s > 0) {
     ++mm.served_after_swap_in;

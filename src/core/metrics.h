@@ -22,7 +22,6 @@ namespace swapserve::core {
 
 struct ModelMetrics {
   Samples ttft_s;          // arrival -> first token
-  Samples total_s;         // arrival -> completion
   Samples swap_wait_s;     // swap-in wait within TTFT (0 when resident)
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;   // queue full
@@ -72,8 +71,8 @@ class Metrics {
   // A demand-triggered NVMe->host promotion was issued for `model`.
   void RecordPrefetch(const std::string& model);
 
-  // --- recovery outcomes (scheduler retries, worker requeues, supervisor
-  // restarts, quarantine transitions) ------------------------------------
+  // --- recovery outcomes (scheduler retries, worker requeues, crashed
+  // backends restored from scratch, breaker trips) ----------------------
   void RecordSwapRetry(const std::string& model);
   void RecordRequeue(const std::string& model);
   // A completed recovery action; `kind` is "restart", "cold_fallback", ...

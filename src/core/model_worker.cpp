@@ -169,8 +169,8 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
       co_return;
     }
     // A mid-request engine crash surfaces here; the requeued attempt finds
-    // the backend kCrashed and rides the scheduler's retry/requeue window
-    // while the supervisor restarts it.
+    // the backend kCrashed and the scheduler restores it behind a
+    // reservation, like a swapped-out backend.
     co_await FailOrRequeue(std::move(item), result.status(),
                            result.status().ToString());
     co_return;

@@ -1,7 +1,5 @@
 #include "core/scheduler.h"
 
-#include <algorithm>
-
 #include "util/log.h"
 
 namespace swapserve::core {
@@ -9,11 +7,6 @@ namespace swapserve::core {
 // swaplint-ok(coro-ref-param): backend outlives the frame (registered)
 sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
     Backend& backend) {
-  // Supervisor-quarantined backends fast-fail: their restarts keep
-  // failing, and probing is the supervisor's job, not request traffic's.
-  if (backend.health.state == BackendHealth::State::kQuarantined) {
-    co_return Unavailable("backend " + backend.name() + " is quarantined");
-  }
   // Circuit breaker tripped by request-path failures: fast-fail while
   // open, admit a single probe request once the cooldown elapses. Checked
   // once per call (not per loop iteration) so the admitted probe is not
@@ -22,20 +15,13 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
     co_return Unavailable("backend " + backend.name() +
                           ": circuit breaker open");
   }
-  // Breaker bookkeeping for real attempts (the fast-fail gates above never
-  // reach these): a granted pin closes the breaker, a terminal failure
+  // Breaker bookkeeping for real attempts (the fast-fail gate above never
+  // reaches these): a granted pin closes the breaker, a terminal failure
   // counts toward its trip threshold.
-  auto record_success = [&backend] {
-    backend.health.breaker.RecordSuccess();
-    if (backend.health.state == BackendHealth::State::kDegraded) {
-      backend.health.state = BackendHealth::State::kHealthy;
-    }
-  };
   auto record_failure = [this, &backend] {
     const std::uint64_t trips = backend.health.breaker.trips();
     backend.health.breaker.RecordFailure();
     if (backend.health.breaker.trips() > trips) {
-      ++backend.health.quarantines;
       if (metrics_ != nullptr) metrics_->RecordQuarantine(backend.name());
       SWAP_LOG(kWarning, "scheduler")
           << backend.name() << ": circuit breaker opened after "
@@ -53,11 +39,8 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
   };
 
   // Reservation/swap-in failures below are retried with backoff up to the
-  // policy's budget; `failures` persists across loop iterations, and
-  // `crash_waits` separately bounds how long a request camps on a crashed
-  // backend waiting for the supervisor's restart.
+  // policy's budget; `failures` persists across loop iterations.
   int failures = 0;
-  int crash_waits = 0;
   while (true) {
     if (backend.engine->state() == engine::BackendState::kRunning) {
       // Pin. The lock is FIFO, so we may wait behind a queued preemption;
@@ -65,7 +48,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
       sim::SimRwLock::SharedGuard pin =
           co_await backend.lock.AcquireShared();
       if (backend.engine->state() == engine::BackendState::kRunning) {
-        record_success();
+        backend.health.breaker.RecordSuccess();
         // The pin outlives this frame (returned to the caller); sever the
         // debug validator's frame attribution so a new coroutine reusing
         // this frame's address is not mistaken for the holder.
@@ -93,28 +76,13 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
       continue;
     }
 
-    if (backend.engine->state() == engine::BackendState::kCrashed ||
-        backend.engine->state() == engine::BackendState::kInitializing) {
-      // Drain/requeue semantics: a crash is the supervisor's to fix, so
-      // hold the request through the restart window instead of failing it
-      // immediately. Bounded — give up once the wait budget is spent or
-      // the backend is quarantined mid-wait.
-      if (backend.health.state == BackendHealth::State::kQuarantined) {
-        co_return Unavailable("backend " + backend.name() +
-                              " is quarantined");
-      }
-      ++crash_waits;
-      if (crash_waits > 4 * retry_policy_.max_attempts) {
-        record_failure();
-        co_return Unavailable("backend " + backend.name() +
-                              " crashed and did not recover in time");
-      }
-      co_await sim_.Delay(
-          retry_policy_.BackoffBefore(std::min(crash_waits, 6), rng_));
-      continue;
-    }
-
-    if (backend.engine->state() != engine::BackendState::kSwappedOut) {
+    // A crashed backend is restored like a swapped-out one: behind a
+    // reservation of its full footprint (the controller restores its
+    // snapshot, or restarts it from scratch when it has none).
+    const bool crashed =
+        backend.engine->state() == engine::BackendState::kCrashed;
+    if (!crashed &&
+        backend.engine->state() != engine::BackendState::kSwappedOut) {
       record_failure();
       co_return Unavailable(
           "backend " + backend.name() + " is " +
@@ -131,14 +99,16 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
     // §3.4/§6: reserve the GPU memory saved at swap-out — one scoped
     // reservation per device in the tensor-parallel group, acquired in
     // ascending device order so overlapping groups cannot deadlock.
+    const Bytes footprint =
+        crashed ? backend.engine->GpuResidentBytes() : backend.resident_bytes;
     obs::Span place_span = obs::StartSpan(obs_, "scheduler.place",
                                           "scheduler", backend.name());
-    place_span.AddArg("bytes", backend.resident_bytes.count());
+    place_span.AddArg("bytes", footprint.count());
     const sim::SimTime reserve_start = sim_.Now();
     const std::vector<hw::GpuId> gpu_ids = backend.GpuIds();
     const auto tp = static_cast<std::int64_t>(gpu_ids.size());
-    const Bytes per_gpu(backend.resident_bytes.count() / tp);
-    const Bytes first_gpu = per_gpu + (backend.resident_bytes - per_gpu * tp);
+    const Bytes per_gpu(footprint.count() / tp);
+    const Bytes first_gpu = per_gpu + (footprint - per_gpu * tp);
     std::vector<TaskManager::Reservation> reservations;
     Status status = Status::Ok();
     {
@@ -223,7 +193,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
       pin.Release();
       continue;
     }
-    record_success();
+    backend.health.breaker.RecordSuccess();
     pin.DetachAgent();  // escapes this frame
     co_return pin;
   }

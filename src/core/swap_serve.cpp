@@ -10,8 +10,8 @@
 namespace swapserve::core {
 namespace {
 
-// Swap-in retries, request requeues, and supervisor restarts share one
-// backoff shape derived from the recovery config.
+// Swap-in retries and request requeues share one backoff shape derived
+// from the recovery config.
 fault::RetryPolicy MakeRetryPolicy(const RecoveryConfig& recovery) {
   fault::RetryPolicy policy;
   policy.max_attempts = recovery.swap_retry_attempts;
@@ -220,16 +220,18 @@ sim::Task<Status> SwapServe::Initialize() {
     workers_.back()->Start();
   }
   monitor_->Start();
-  if (config_.recovery.health_check_interval_s > 0) {
+  // The supervisor's checks are both time-based; with neither armed it
+  // would have nothing to do.
+  if (config_.recovery.health_check_interval_s > 0 &&
+      (config_.recovery.hang_deadline_s > 0 ||
+       config_.recovery.rejuvenate_after_s > 0)) {
     EngineSupervisor::Options sup;
     sup.scan_interval =
         sim::Seconds(config_.recovery.health_check_interval_s);
     sup.hang_deadline = sim::Seconds(config_.recovery.hang_deadline_s);
     sup.rejuvenate_after = sim::Seconds(config_.recovery.rejuvenate_after_s);
-    sup.restart_policy = MakeRetryPolicy(config_.recovery);
-    supervisor_ = std::make_unique<EngineSupervisor>(
-        sim_, controller_, task_manager_, metrics_, sup,
-        DeriveSeed(config_.fault.seed, "supervisor"));
+    supervisor_ = std::make_unique<EngineSupervisor>(sim_, controller_,
+                                                     metrics_, sup);
     supervisor_->BindObservability(&obs_);
     supervisor_->Start();
   }

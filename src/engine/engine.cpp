@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/sync.h"
 #include "util/log.h"
 
 namespace swapserve::engine {
@@ -256,9 +255,6 @@ void InferenceEngine::SetState(BackendState to) {
   const bool residency_changed =
       (state_ == BackendState::kRunning) != (to == BackendState::kRunning);
   state_ = to;
-  if (to == BackendState::kCrashed && crash_signal_ != nullptr) {
-    crash_signal_->Pulse();
-  }
   if (residency_changed && on_residency_) on_residency_();
 }
 
@@ -285,7 +281,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
   SWAP_CHECK(container_ != nullptr);
   SetState(BackendState::kInitializing);
   // engine.restart: the replacement process can itself fail to come up
-  // (bad node, wedged driver); repeated failures drive quarantine.
+  // (bad node, wedged driver); repeated failures trip the breaker.
   fault::FaultDecision f = fault::Evaluate(fault_, "engine.restart", name_);
   if (f.stall.ns() > 0) co_await sim().Delay(f.stall);
   if (state_ != BackendState::kInitializing) {
@@ -331,6 +327,17 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
       << breakdown->Total().ToString() << " ("
       << GpuResidentBytes().ToString() << " resident)";
   co_return breakdown;
+}
+
+Status InferenceEngine::ReadoptCheckpoint() {
+  if (state_ != BackendState::kCrashed ||
+      container_->state() != container::ContainerState::kPaused) {
+    return FailedPrecondition("readopt: backend " + name_ + " is " +
+                              std::string(BackendStateName(state_)));
+  }
+  SWAP_RETURN_IF_ERROR(process_.AdoptCheckpointed());
+  SetState(BackendState::kSwappedOut);
+  return Status::Ok();
 }
 
 Status InferenceEngine::MarkSwapping() {

@@ -27,10 +27,6 @@
 #include "sim/task.h"
 #include "util/status.h"
 
-namespace swapserve::sim {
-class SimEvent;
-}  // namespace swapserve::sim
-
 namespace swapserve::engine {
 
 enum class EngineKind { kVllm, kOllama, kSglang, kTrtllm };
@@ -44,7 +40,7 @@ enum class BackendState {
   kRunning,        // serving (resident in GPU memory)
   kSwappedOut,     // checkpointed; container paused
   kSwapping,       // swap-in/out transition in progress
-  kCrashed,        // engine process died; awaiting supervisor recovery
+  kCrashed,        // engine process died; restored on its next request
   kStopped,
 };
 
@@ -139,19 +135,24 @@ class InferenceEngine {
   // Serve one request; valid while kRunning. Concurrent calls batch.
   sim::Task<Result<GenerationResult>> Generate(GenerationRequest req);
 
-  // --- crash/recovery interface (driven by the supervisor) --------------
-  // The engine process died (injected crash or declared-dead hang). Frees
-  // all device memory the driver held for it, aborts in-flight Generate
-  // coroutines via the restart epoch, and resets the checkpoint handle.
-  // Any snapshot is NOT restored by a crash recovery — a snapshot only
-  // exists while swapped out, and a crash while running has none — so
-  // recovery re-runs engine initialization (weights reload, compile cache
-  // warm) inside the existing container.
+  // --- crash/recovery interface -----------------------------------------
+  // The engine process died (injected crash, declared-dead hang, or node
+  // power loss). Frees all device memory the driver held for it, aborts
+  // in-flight Generate coroutines via the restart epoch, and resets the
+  // checkpoint handle. The engine controller brings it back on its next
+  // request, under the scheduler's reservation: from the snapshot if one
+  // survived (ReadoptCheckpoint), else by Restart.
   void MarkCrashed(std::string_view reason);
 
-  // Re-initialize after a crash. Valid from kCrashed; kRunning on success,
-  // back to kCrashed on failure (the supervisor retries or quarantines).
+  // Re-initialize after a crash (weights reload inside the existing
+  // container). Valid from kCrashed; kRunning on success, back to kCrashed
+  // on failure (the scheduler retries).
   sim::Task<Result<InitBreakdown>> Restart();
+
+  // A crash that landed mid-restore left the checkpoint intact and the
+  // container frozen: the backend is swapped out again, and the usual
+  // restore brings it back. Valid from kCrashed with a paused container.
+  [[nodiscard]] Status ReadoptCheckpoint();
 
   // Bumped by MarkCrashed; lets stale Generate coroutines detect that the
   // process they were running in no longer exists.
@@ -162,12 +163,9 @@ class InferenceEngine {
   sim::SimTime last_progress() const { return last_progress_; }
   std::uint64_t crash_count() const { return crash_count_; }
 
-  // Pulsed on every transition into kCrashed, including a failed Restart.
-  // The engine controller binds its signal when the backend is registered,
-  // so the supervisor can sleep until a crash gives it work (nullable).
-  void BindCrashSignal(sim::SimEvent* signal) { crash_signal_ = signal; }
   // Called when the engine enters or leaves kRunning — the changes that
-  // move idle deadlines and live copy counts (bound like the crash signal).
+  // move idle deadlines and live copy counts. The engine controller binds
+  // it when the backend is registered.
   void BindResidencyHandler(std::function<void()> h) {
     on_residency_ = std::move(h);
   }
@@ -229,8 +227,7 @@ class InferenceEngine {
   const hw::GpuDevice& gpu() const { return *env_.gpu; }
   hw::StorageDevice& storage() { return *env_.storage; }
 
-  // The only writer of state_: pulses the crash signal and calls the
-  // residency handler.
+  // The only writer of state_: calls the residency handler.
   void SetState(BackendState to);
 
   // Allocate `total` split evenly across the TP group (all-or-nothing:
@@ -245,7 +242,6 @@ class InferenceEngine {
   container::Container* container_ = nullptr;  // owned by the runtime
   ckpt::CudaCheckpointProcess process_;
   fault::FaultInjector* fault_ = nullptr;
-  sim::SimEvent* crash_signal_ = nullptr;
   std::function<void()> on_residency_;
 
   int active_requests_ = 0;

@@ -42,9 +42,12 @@ class CircuitBreaker {
   void RecordSuccess();
   void RecordFailure();
 
-  // Force the breaker open (the supervisor quarantines a backend whose
-  // restart keeps failing without waiting for request traffic).
-  void ForceOpen();
+  // Open and inside its cooldown: requests fast-fail and no probe is due.
+  // This is what "quarantined" means. Unlike AllowRequest() it never
+  // transitions and never takes the half-open probe slot.
+  bool CoolingDown() const {
+    return state_ == State::kOpen && sim_.Now() - opened_at_ < cooldown_;
+  }
 
   State state() const { return state_; }
   int consecutive_failures() const { return consecutive_failures_; }
@@ -64,6 +67,8 @@ class CircuitBreaker {
   // All state changes funnel through here so the metrics cannot drift from
   // the machine; no-op (and no metric) when the state is unchanged.
   void Transition(State to);
+  // Trip (or re-trip) the breaker; the cooldown starts now.
+  void ForceOpen();
 
   sim::Simulation& sim_;
   int threshold_;

@@ -40,9 +40,10 @@
 //   engine.crash     the engine process dies at request entry
 //   engine.hang      the engine stops making progress for stall_s (caught
 //                    by the supervisor's hang deadline, if armed)
-//   engine.restart   a supervisor-driven restart fails to come back up;
-//                    repeated failures exhaust the retry budget and drive
-//                    quarantine
+//   engine.restart   the scheduler's restore of a crashed backend with no
+//                    usable snapshot fails to come back up; repeated
+//                    failures exhaust the retry budget and trip the
+//                    breaker
 //   cluster.fetch    a cross-node snapshot fetch fails before bytes move
 //                    (retryable — the placeholder survives); a
 //                    DATA_LOSS-coded rule instead lands the payload and

@@ -1,11 +1,11 @@
 // Bounded retries with exponential backoff and jitter.
 //
 // The policy is data, not a loop: call sites keep their own control flow
-// (the scheduler's swap-in loop, the model worker's requeue path, the
-// supervisor's restart sequence) and consult the policy for "may I try
-// again?" and "how long do I sleep first?". Jitter draws from a sim::Rng
-// the caller owns, so retry timing is deterministic per seed and never
-// perturbs runs in which no failure occurs.
+// (the scheduler's swap-in loop, the model worker's requeue path) and
+// consult the policy for "may I try again?" and "how long do I sleep
+// first?". Jitter draws from a sim::Rng the caller owns, so retry timing
+// is deterministic per seed and never perturbs runs in which no failure
+// occurs.
 
 #pragma once
 
@@ -18,7 +18,7 @@ namespace swapserve::fault {
 // Codes worth retrying: transient by construction (kUnavailable, kAborted),
 // or resolvable by the system's own machinery — kResourceExhausted clears
 // when an eviction frees memory, kInternal covers a crashed engine the
-// supervisor will restart. Permanent conditions (kInvalidArgument,
+// next swap-in restores. Permanent conditions (kInvalidArgument,
 // kFailedPrecondition, kDataLoss, ...) are not.
 bool IsRetryable(const Status& status);
 

@@ -116,14 +116,17 @@ TEST(ClusterTest, QuarantinedHomeRoutesToStandbyViaOnDemandFetch) {
   cfg.models.push_back(Entry("llama-3.2-1b-fp16", 0));
   cfg.cluster.nodes = 2;
   cfg.cluster.replicate = 1;  // placeholder only: fetch happens on demand
-  cfg.recovery.health_check_interval_s = 0;  // keep the quarantine sticky
   ClusterServe cluster(bed.sim, cfg, bed.catalog);
   bed.RunTask([&]() -> sim::Task<> {
     SWAP_CHECK((co_await cluster.Initialize()).ok());
     core::Backend* home =
         cluster.node(0).serve().backend("llama-3.2-1b-fp16");
     SWAP_CHECK(home != nullptr);
-    home->health.state = core::BackendHealth::State::kQuarantined;
+    // Trip the home's breaker: quarantined until its cooldown elapses.
+    for (int i = 0; i < cfg.recovery.breaker_failure_threshold; ++i) {
+      home->health.breaker.RecordFailure();
+    }
+    SWAP_CHECK(home->health.breaker.CoolingDown());
     core::ChatResult r =
         co_await cluster.ChatAndWait("llama-3.2-1b-fp16", 64, 16);
     EXPECT_TRUE(r.ok) << r.error;

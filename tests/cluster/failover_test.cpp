@@ -314,7 +314,8 @@ TEST(FailoverTest, RejoinConvertsTotalCheckpointLossToColdStart) {
     EXPECT_EQ(lost->tier, ckpt::SnapshotTier::kRemote);
 
     // Reboot + rejoin: the fleet detects the total loss and falls back to
-    // a cold start; the supervisor restarts the engine in place.
+    // a cold start; the request below restarts the engine from scratch
+    // under the scheduler's reservation.
     co_await bed.sim.Delay(sim::Minutes(10));
     core::Backend* home = cluster.node(0).serve().backend(kModel);
     SWAP_CHECK(home != nullptr);

@@ -67,21 +67,30 @@ TEST(CircuitBreakerTest, ProbeSuccessClosesProbeFailureReopens) {
   sim.Run();
 }
 
-TEST(CircuitBreakerTest, ForceOpenRestartsTheCooldown) {
+TEST(CircuitBreakerTest, CoolingDownHoldsOnlyWhileOpenInsideTheCooldown) {
   sim::Simulation sim;
-  CircuitBreaker breaker(sim, 3, sim::Seconds(10));
-  breaker.ForceOpen();
-  EXPECT_EQ(breaker.state(), State::kOpen);
-  EXPECT_EQ(breaker.trips(), 1u);
-  EXPECT_FALSE(breaker.AllowRequest());
-  sim.Schedule(sim::Seconds(8), [&] {
-    breaker.ForceOpen();  // re-quarantined before the cooldown elapsed
+  CircuitBreaker breaker(sim, 1, sim::Seconds(10));
+  EXPECT_FALSE(breaker.CoolingDown());  // closed
+  breaker.RecordFailure();
+  EXPECT_TRUE(breaker.CoolingDown());
+  sim.Schedule(sim::Seconds(9), [&] { EXPECT_TRUE(breaker.CoolingDown()); });
+  sim.Schedule(sim::Seconds(10), [&] {
+    // The cooldown is over: no longer quarantined, and asking did not take
+    // the probe — the breaker is still open until someone asks to pass.
+    EXPECT_FALSE(breaker.CoolingDown());
+    EXPECT_FALSE(breaker.CoolingDown());
+    EXPECT_EQ(breaker.state(), State::kOpen);
+    ASSERT_TRUE(breaker.AllowRequest());  // the probe is still there
+    EXPECT_EQ(breaker.state(), State::kHalfOpen);
+    EXPECT_FALSE(breaker.CoolingDown());  // half-open is not cooling down
+    breaker.RecordFailure();  // the probe failed: a new cooldown starts
+    EXPECT_TRUE(breaker.CoolingDown());
   });
-  sim.Schedule(sim::Seconds(12), [&] {
-    EXPECT_FALSE(breaker.AllowRequest());  // clock restarted at t=8
-  });
-  sim.Schedule(sim::Seconds(19), [&] {
-    EXPECT_TRUE(breaker.AllowRequest());
+  sim.Schedule(sim::Seconds(20), [&] {
+    EXPECT_FALSE(breaker.CoolingDown());
+    ASSERT_TRUE(breaker.AllowRequest());
+    breaker.RecordSuccess();
+    EXPECT_FALSE(breaker.CoolingDown());  // closed
   });
   sim.Run();
 }
