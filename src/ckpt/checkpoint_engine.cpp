@@ -73,24 +73,22 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
   snap.created_at_s = sim_.Now().ToSeconds();
   snap.tp_degree = static_cast<int>(gpus.size());
   snap.restore = req.restore;
-  if (tier_ != nullptr) {
-    // A bounded host cache may have to spill cold snapshots to NVMe before
-    // this one fits; the admission holds the bytes until Put lands them.
-    Status admitted = co_await tier_->AdmitHostBytes(req.dirty_bytes);
-    if (!admitted.ok()) {
-      SWAP_WARN_IF_ERROR(co_await req.process->Unlock(), "ckpt");
-      SWAP_WARN_IF_ERROR(co_await req.container->Unpause(), "ckpt");
-      co_return admitted;
-    }
+  // A bounded host cache may have to spill cold snapshots to NVMe before
+  // this one fits; the admission holds the bytes until Put lands them.
+  Status admitted = co_await tier_.AdmitHostBytes(req.dirty_bytes);
+  if (!admitted.ok()) {
+    SWAP_WARN_IF_ERROR(co_await req.process->Unlock(), "ckpt");
+    SWAP_WARN_IF_ERROR(co_await req.container->Unpause(), "ckpt");
+    co_return admitted;
   }
   Result<SnapshotId> put = store_.Put(std::move(snap));
   if (!put.ok()) {
-    if (tier_ != nullptr) tier_->CancelAdmission(req.dirty_bytes);
+    tier_.CancelAdmission(req.dirty_bytes);
     SWAP_WARN_IF_ERROR(co_await req.process->Unlock(), "ckpt");
     SWAP_WARN_IF_ERROR(co_await req.container->Unpause(), "ckpt");
     co_return put.status();
   }
-  if (tier_ != nullptr) tier_->OnPut(*put);
+  tier_.OnPut(*put);
 
   {
     obs::Span phase = obs::StartSpan(obs_, "d2h", "ckpt", req.owner);
@@ -190,14 +188,12 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   // snapshot is promoted from NVMe (or streamed directly when promotion
   // fails), then checksum-verified. On Ok the snapshot is pinned against
   // demotion until it is consumed below or the restore fails.
-  if (tier_ != nullptr) {
-    Status staged = co_await tier_->EnsureRestorable(snapshot_id);
-    if (!staged.ok()) co_return staged;
-  }
+  Status staged = co_await tier_.EnsureRestorable(snapshot_id);
+  if (!staged.ok()) co_return staged;
   // Unwind the tier pin on any post-staging failure so the snapshot is
   // demotable again while the caller decides whether to retry.
   auto fail = [&](Status status) {
-    if (tier_ != nullptr) tier_->Unpin(snapshot_id);
+    tier_.Unpin(snapshot_id);
     return status;
   };
   obs::Span swap_span =
@@ -278,7 +274,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   //    restore pin is released first: a concurrent prefetch promotion can
   //    defer the entry's erasure to its mover, which only cleans up
   //    pin-free entries.
-  if (tier_ != nullptr) tier_->Unpin(snapshot_id);
+  tier_.Unpin(snapshot_id);
   SWAP_CHECK(DropSnapshot(snapshot_id).ok());
 
   SWAP_LOG(kDebug, "ckpt") << "swap-in " << snap.owner << ": restored "
@@ -289,7 +285,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
 }
 
 Status CheckpointEngine::DropSnapshot(SnapshotId id) {
-  if (tier_ != nullptr) tier_->OnDrop(id);
+  tier_.OnDrop(id);
   return store_.Drop(id);
 }
 
@@ -309,7 +305,7 @@ sim::SimDuration CheckpointEngine::EstimatedSwapInTime(SnapshotId id) const {
   // A demoted snapshot pays its NVMe promotion before the H2D copy can
   // start; ignoring this term is exactly how swap-in estimates used to
   // undershoot on cold snapshots.
-  if (tier_ != nullptr) est += tier_->EstimatedPromotionTime(id);
+  est += tier_.EstimatedPromotionTime(id);
   // A remote placeholder additionally pays the cross-node fetch (source
   // NVMe read, if demoted there, plus the fabric transfer) before any
   // local staging can begin — the same undershoot, one tier further out.

@@ -59,8 +59,13 @@ struct SwapInResult {
 
 class CheckpointEngine {
  public:
-  CheckpointEngine(sim::Simulation& sim, SnapshotStore& store)
-      : sim_(sim), store_(store) {}
+  // Every snapshot goes through `tier`: swap-outs admit their dirty bytes
+  // against its host cache (demoting LRU victims when it is bounded) before
+  // Put, and swap-ins stage demoted snapshots back via EnsureRestorable
+  // before the H2D copy. An unbounded tier never demotes.
+  CheckpointEngine(sim::Simulation& sim, SnapshotStore& store,
+                   SnapshotTierManager& tier)
+      : sim_(sim), store_(store), tier_(tier) {}
 
   // Suspend the backend and free its GPU memory. On failure the container
   // and process are rolled back to running. Shards drain over each group
@@ -80,9 +85,9 @@ class CheckpointEngine {
       CudaCheckpointProcess& process, std::vector<hw::GpuDevice*> gpus);
 
   // Retire a snapshot, keeping the tier manager's placement ledger in sync
-  // (NVMe capacity release, deferred retire of mid-move entries). All drops
-  // — consumption at swap-in, cold-restore fallback, shutdown GC — must go
-  // through here, not SnapshotStore::Drop, once a tier manager is bound.
+  // (deferred retire of mid-move entries). All drops — consumption at
+  // swap-in, cold-restore fallback, shutdown GC — must go through here, not
+  // SnapshotStore::Drop.
   [[nodiscard]] Status DropSnapshot(SnapshotId id);
 
   // Queue-aware wall-clock estimate for SwapIn(id): tier staging (the NVMe
@@ -92,7 +97,6 @@ class CheckpointEngine {
   sim::SimDuration EstimatedSwapInTime(SnapshotId id) const;
 
   SnapshotStore& store() { return store_; }
-  SnapshotTierManager* tier_manager() { return tier_; }
   std::uint64_t swap_out_count() const { return swap_outs_; }
   std::uint64_t swap_in_count() const { return swap_ins_; }
 
@@ -110,11 +114,6 @@ class CheckpointEngine {
   void BindFaultInjector(fault::FaultInjector* injector) {
     fault_ = injector;
   }
-
-  // Nullable. When bound, swap-outs admit their dirty bytes against the
-  // bounded host cache (demoting LRU victims) before Put, and swap-ins
-  // stage demoted snapshots back via EnsureRestorable before the H2D copy.
-  void BindTierManager(SnapshotTierManager* tier) { tier_ = tier; }
 
   // Cluster seam. `fetch` resolves a kRemote placeholder by streaming the
   // payload over the fabric (on success the snapshot is host-resident);
@@ -136,11 +135,11 @@ class CheckpointEngine {
     obs::HistogramMetric* h2d = nullptr;
   } phase_seconds_;
   fault::FaultInjector* fault_ = nullptr;
-  SnapshotTierManager* tier_ = nullptr;
   RemoteFetch remote_fetch_;
   RemoteEstimate remote_estimate_;
   sim::Simulation& sim_;
   SnapshotStore& store_;
+  SnapshotTierManager& tier_;
   std::uint64_t swap_outs_ = 0;
   std::uint64_t swap_ins_ = 0;
 };

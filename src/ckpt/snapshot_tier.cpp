@@ -63,11 +63,9 @@ sim::Task<Status> SnapshotTierManager::AdmitHostBytes(Bytes dirty,
     while (store_.used() + committed_ + dirty > options_.host_capacity) {
       auto victim = PickVictim(may_evict);
       if (victim != entries_.end()) {
-        Status s = co_await Demote(victim->first);
-        if (!s.ok() && s.code() == StatusCode::kResourceExhausted) {
-          co_return s;  // the NVMe tier itself is full
-        }
-        continue;  // a dropped-mid-demotion victim freed space anyway
+        // A victim dropped mid-demotion frees its host bytes all the same.
+        co_await Demote(victim->first);
+        continue;
       }
       if (moves_in_flight_ > 0 || pinned_count() > 0) {
         // Everything demotable is pinned or mid-move; block until some
@@ -102,15 +100,11 @@ void SnapshotTierManager::OnDrop(SnapshotId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return;
   if (it->second.promoting || it->second.demoting) {
-    // The mover holds transfer-side resources (its NVMe capacity
-    // reservation, its admission); let it observe `dropped` and clean up.
+    // The mover holds transfer-side resources (a promotion's admission);
+    // let it observe `dropped` and clean up.
     it->second.dropped = true;
     state_changed_.Pulse();
     return;
-  }
-  const Snapshot* snap = store_.Find(id);
-  if (snap != nullptr && snap->tier == SnapshotTier::kNvme) {
-    nvme_.ReleaseCapacity(snap->dirty_bytes);
   }
   entries_.erase(it);
   state_changed_.Pulse();
@@ -124,19 +118,15 @@ void SnapshotTierManager::Unpin(SnapshotId id) {
   state_changed_.Pulse();
 }
 
-sim::Task<Status> SnapshotTierManager::Demote(SnapshotId id) {
+sim::Task<> SnapshotTierManager::Demote(SnapshotId id) {
   auto it = entries_.find(id);
   SWAP_CHECK_MSG(it != entries_.end() && !it->second.promoting &&
                      !it->second.demoting && it->second.pins == 0,
                  "demotion of a busy or pinned snapshot");
   const Snapshot* snap = store_.Find(id);
-  if (snap == nullptr) co_return NotFound("snapshot " + std::to_string(id));
-  SWAP_CHECK_MSG(snap->tier == SnapshotTier::kHost,
-                 "demotion of an nvme-resident snapshot");
+  SWAP_CHECK_MSG(snap != nullptr && snap->tier == SnapshotTier::kHost,
+                 "demotion of a missing or nvme-resident snapshot");
   const Bytes bytes = snap->dirty_bytes;
-  // Claim NVMe space before the write so two concurrent spills cannot both
-  // squeeze into the last free stripe.
-  SWAP_CO_RETURN_IF_ERROR(nvme_.ReserveCapacity(bytes));
   it->second.demoting = true;
   it->second.move_done->Reset();
   ++moves_in_flight_;
@@ -152,17 +142,14 @@ sim::Task<Status> SnapshotTierManager::Demote(SnapshotId id) {
   if (it->second.dropped) {
     // The snapshot was consumed while spilling; the host copy is gone and
     // the NVMe copy is orphaned.
-    nvme_.ReleaseCapacity(bytes);
     FinishMove(id);
     MaybeErase(entries_.find(id));
-    co_return Aborted("snapshot " + std::to_string(id) +
-                      " dropped mid-demotion");
+    co_return;
   }
   SWAP_CHECK(store_.MarkDemoted(id).ok());
   ++demotions_;
   obs::IncCounter(obs_, counters_.demotions, "swapserve_tier_demotions_total");
   FinishMove(id);
-  co_return Status::Ok();
 }
 
 sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
@@ -234,9 +221,7 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
   SWAP_CHECK_MSG(it != entries_.end(), "tier entry vanished mid-promotion");
   CancelAdmission(bytes);
   if (it->second.dropped) {
-    // Consumed mid-promotion: the store entry is gone, release the NVMe
-    // copy the drop deferred to us.
-    nvme_.ReleaseCapacity(bytes);
+    // Consumed mid-promotion: the store entry is gone with its NVMe copy.
     FinishMove(id);
     MaybeErase(entries_.find(id));
     co_return Aborted("snapshot " + std::to_string(id) +
@@ -244,7 +229,6 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
   }
   Status landed = store_.MarkPromoted(id);
   if (!landed.ok()) co_return fail(landed);
-  nvme_.ReleaseCapacity(bytes);
   Touch(it->second);
   ++promotions_;
   obs::IncCounter(obs_, counters_.promotions,
@@ -256,8 +240,8 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
 sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) {
-    // Snapshots Put before the manager was bound (direct-store tests)
-    // are adopted as host-resident.
+    // Snapshots Put straight into the store, not through OnPut
+    // (direct-store tests), are adopted.
     if (store_.Find(id) == nullptr) {
       co_return NotFound("snapshot " + std::to_string(id));
     }

@@ -38,9 +38,8 @@ namespace swapserve::ckpt {
 class SnapshotTierManager {
  public:
   struct Options {
-    // Host-RAM snapshot cache bound; 0 = unbounded (the manager becomes a
-    // pass-through: nothing ever demotes, schedules stay byte-identical to
-    // an unmanaged store).
+    // Host-RAM snapshot cache bound; 0 = unbounded (admission never waits
+    // and nothing ever demotes).
     Bytes host_capacity{0};
   };
 
@@ -68,8 +67,8 @@ class SnapshotTierManager {
   // Register a freshly Put snapshot (host-resident) and settle its
   // admission.
   void OnPut(SnapshotId id);
-  // Called immediately before SnapshotStore::Drop: releases NVMe capacity
-  // and retires the placement entry (deferred if a move is in flight).
+  // Called immediately before SnapshotStore::Drop: retires the placement
+  // entry (deferred if a move is in flight).
   void OnDrop(SnapshotId id);
 
   // Resolve when the snapshot's payload has been read into host staging
@@ -157,7 +156,7 @@ class SnapshotTierManager {
   sim::Task<Status> Promote(SnapshotId id, hw::TransferPriority priority,
                             VictimFilter may_evict);
   // Host->NVMe spill of an idle, unpinned, host-resident snapshot.
-  sim::Task<Status> Demote(SnapshotId id);
+  sim::Task<> Demote(SnapshotId id);
 
   obs::Observability* obs_ = nullptr;
   // The swapserve_tier_* counters, each resolved on its first write.

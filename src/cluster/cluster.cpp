@@ -542,11 +542,12 @@ sim::Task<> ClusterServe::PromoteStandby(int model, int avoid) {
 }
 
 // The monitor heard `id` again (reboot finished, or a partition healed).
-// NVMe-journaled and still-host-resident snapshots are simply re-adopted
-// (nothing to do — the store kept them); host payloads the crash degraded
-// to placeholders are re-fetched from surviving replicas by the repair
-// scan; a checkpoint with no copy left anywhere falls back to a cold
-// start, the only honest option.
+// Snapshots the crash left in the store are simply re-adopted (nothing to
+// do): demoted ones on NVMe, and, with a bounded host cache, host-resident
+// ones too, which the model keeps across the power cycle (Node::Crash).
+// Host payloads the crash degraded to placeholders are re-fetched from
+// surviving replicas by the repair scan; a checkpoint with no copy left
+// anywhere falls back to a cold start, the only honest option.
 void ClusterServe::RejoinNode(int id) {
   Node& node = *nodes_[id];
   for (core::Backend* backend : node.serve().backends()) {

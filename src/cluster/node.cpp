@@ -54,11 +54,12 @@ void Node::Crash() {
     const engine::BackendState state = backend->engine->state();
     if (state == engine::BackendState::kSwappedOut) {
       // The engine process was already checkpointed away; what dies with
-      // the machine is the host RAM holding its payload. With a bounded
-      // host cache the tier manager journals payloads to NVMe, which
-      // survives a power cycle, so only the unbounded-cache path loses the
-      // copy.
-      if (backend->has_snapshot && serve_->tier_manager() == nullptr) {
+      // the machine is the host RAM holding its payload. Only an unbounded
+      // host cache loses it here. With a bounded cache, demoted snapshots
+      // sit on NVMe and survive the power cycle, but host-resident ones
+      // are also kept, although nothing wrote them to NVMe (a known
+      // fidelity gap).
+      if (backend->has_snapshot && !serve_->tier_manager()->bounded()) {
         const ckpt::Snapshot* snap =
             serve_->snapshot_store().Find(backend->snapshot);
         if (snap != nullptr && snap->tier == ckpt::SnapshotTier::kHost) {

@@ -143,22 +143,18 @@ sim::Task<Status> SnapshotReplicator::DoFetch(int dst,
                                  " died mid-transfer"));
   }
 
-  // Land the payload in the destination's host tier. With a bounded cache
-  // the tier manager admits the bytes first (possibly evicting cold
-  // snapshots to NVMe) and registers the entry so later demotions see it.
-  Status landed = Status::Ok();
-  if (ckpt::SnapshotTierManager* tier = node.serve().tier_manager()) {
-    landed = co_await tier->AdmitHostBytes(snap.dirty_bytes);
-    if (landed.ok()) {
-      landed = store.MarkFetched(dst_id);
-      if (landed.ok()) {
-        tier->OnPut(dst_id);
-      } else {
-        tier->CancelAdmission(snap.dirty_bytes);
-      }
-    }
-  } else {
+  // Land the payload in the destination's host tier. The tier manager
+  // admits the bytes first (a bounded cache may evict cold snapshots to
+  // NVMe) and registers the entry so later demotions see it.
+  ckpt::SnapshotTierManager& tier = *node.serve().tier_manager();
+  Status landed = co_await tier.AdmitHostBytes(snap.dirty_bytes);
+  if (landed.ok()) {
     landed = store.MarkFetched(dst_id);
+    if (landed.ok()) {
+      tier.OnPut(dst_id);
+    } else {
+      tier.CancelAdmission(snap.dirty_bytes);
+    }
   }
   if (!landed.ok()) co_return settle(landed);
 

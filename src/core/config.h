@@ -65,10 +65,9 @@ struct GlobalConfig {
   // paper's workflow swaps out only under memory pressure).
   double idle_swap_out_s = 0.0;
   // Bounded host-RAM snapshot cache in front of the NVMe tier. 0 (the
-  // default) keeps every snapshot host-resident — no tier manager is
-  // constructed, schedules are byte-identical to earlier builds. When set,
-  // cold snapshots spill to NVMe (LRU) and are promoted back before
-  // restore; must not exceed snapshot_budget_gib.
+  // default) makes the tier unbounded: every snapshot stays host-resident
+  // and nothing demotes. When set, cold snapshots spill to NVMe (LRU) and
+  // are promoted back before restore; must not exceed snapshot_budget_gib.
   double host_cache_mib = 0.0;
   // Demand-aware NVMe->host prefetch: promote a demoted snapshot as soon
   // as a request arrives for its backend (background priority) and again,

@@ -26,6 +26,13 @@ std::uint64_t DeriveSeed(std::uint64_t seed, std::string_view component) {
   return fault::StableHashCombine(seed, fault::StableHash(component));
 }
 
+// Every snapshot path runs through the NVMe-backed tier, so a server
+// cannot be built without a storage device.
+hw::StorageDevice& RequireStorage(const Hardware& hardware) {
+  SWAP_CHECK(hardware.storage != nullptr);
+  return *hardware.storage;
+}
+
 }  // namespace
 
 SwapServe::SwapServe(sim::Simulation& sim, Config config,
@@ -38,7 +45,10 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
       obs_(sim),
       fault_injector_(sim, config_.fault.seed),
       snapshot_store_(GiB(config_.global.snapshot_budget_gib)),
-      ckpt_engine_(sim, snapshot_store_),
+      tier_manager_(sim, snapshot_store_, RequireStorage(hardware_),
+                    ckpt::SnapshotTierManager::Options{
+                        .host_capacity = MiB(config_.global.host_cache_mib)}),
+      ckpt_engine_(sim, snapshot_store_, tier_manager_),
       task_manager_(sim, hardware_.gpus),
       controller_(sim, ckpt_engine_, task_manager_, metrics_,
                   options.preemption_policy),
@@ -46,7 +56,7 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
       handler_(sim, config_.global, metrics_),
       router_(handler_),
       admin_(sim, scheduler_, controller_, metrics_) {
-  SWAP_CHECK(hardware_.storage != nullptr && hardware_.runtime != nullptr);
+  SWAP_CHECK(hardware_.runtime != nullptr);
   SWAP_CHECK_MSG(
       config_.Validate(catalog, static_cast<int>(hardware_.gpus.size()))
           .ok(),
@@ -74,6 +84,7 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
     handler_.BindFaultInjector(&fault_injector_);
   }
   snapshot_store_.BindFaultInjector(&fault_injector_);
+  tier_manager_.BindFaultInjector(&fault_injector_);
   ckpt_engine_.BindFaultInjector(&fault_injector_);
   for (hw::GpuDevice* gpu : hardware_.gpus) {
     gpu->BindFaultInjector(&fault_injector_);
@@ -83,6 +94,7 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
   // without it (tests construct them directly).
   metrics_.BindObservability(&obs_);
   snapshot_store_.BindObservability(&obs_);
+  tier_manager_.BindObservability(&obs_);
   ckpt_engine_.BindObservability(&obs_);
   task_manager_.BindObservability(&obs_);
   controller_.BindObservability(&obs_);
@@ -91,9 +103,7 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
   router_.BindObservability(&obs_);
   admin_.set_observability(&obs_);
   for (hw::GpuDevice* gpu : hardware_.gpus) gpu->BindObservability(&obs_);
-  if (hardware_.storage != nullptr) {
-    hardware_.storage->BindObservability(&obs_);
-  }
+  hardware_.storage->BindObservability(&obs_);
 
   for (const ModelEntry& entry : config_.models) {
     model::ModelSpec spec = catalog.Find(entry.model_id).value();
@@ -131,24 +141,15 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
     backends_.push_back(std::move(backend));
   }
 
-  // Tiered snapshot store: only built when the host cache is bounded, so
-  // default configs run the exact pre-tier code path.
-  if (config_.global.host_cache_mib > 0) {
-    tier_manager_ = std::make_unique<ckpt::SnapshotTierManager>(
-        sim_, snapshot_store_, *hardware_.storage,
-        ckpt::SnapshotTierManager::Options{
-            .host_capacity = MiB(config_.global.host_cache_mib)});
-    tier_manager_->BindObservability(&obs_);
-    tier_manager_->BindFaultInjector(&fault_injector_);
-    ckpt_engine_.BindTierManager(tier_manager_.get());
-    if (config_.global.snapshot_prefetch) {
-      prefetcher_ = std::make_unique<SnapshotPrefetcher>(
-          *tier_manager_, handler_.backends(), metrics_);
-      handler_.SetArrivalHook(
-          [this](Backend& b) { prefetcher_->NoteArrival(b); });
-      scheduler_.SetPrefetchHook(
-          [this](Backend& b) { prefetcher_->NoteSwapInStart(b); });
-    }
+  // Demand-aware prefetch promotes demoted snapshots; an unbounded tier
+  // never demotes, so there it issues nothing.
+  if (config_.global.snapshot_prefetch) {
+    prefetcher_ = std::make_unique<SnapshotPrefetcher>(
+        tier_manager_, handler_.backends(), metrics_);
+    handler_.SetArrivalHook(
+        [this](Backend& b) { prefetcher_->NoteArrival(b); });
+    scheduler_.SetPrefetchHook(
+        [this](Backend& b) { prefetcher_->NoteSwapInStart(b); });
   }
 
   monitor_ = std::make_unique<hw::GpuMonitor>(

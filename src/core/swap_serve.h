@@ -109,9 +109,9 @@ class SwapServe {
   Scheduler& scheduler() { return scheduler_; }
   ckpt::SnapshotStore& snapshot_store() { return snapshot_store_; }
   ckpt::CheckpointEngine& ckpt_engine() { return ckpt_engine_; }
-  // Null unless global.host_cache_mib > 0 (unbounded host cache needs no
-  // tier machinery — the default path stays byte-identical).
-  ckpt::SnapshotTierManager* tier_manager() { return tier_manager_.get(); }
+  // Never null. Unbounded (nothing ever demotes) unless
+  // global.host_cache_mib > 0.
+  ckpt::SnapshotTierManager* tier_manager() { return &tier_manager_; }
   hw::GpuMonitor& monitor() { return *monitor_; }
   // The shared fault injector (armed only when config.fault has rules; an
   // unarmed injector perturbs nothing). Tests may Configure() it directly.
@@ -137,6 +137,7 @@ class SwapServe {
   Metrics metrics_;
   fault::FaultInjector fault_injector_;
   ckpt::SnapshotStore snapshot_store_;
+  ckpt::SnapshotTierManager tier_manager_;  // see accessor
   ckpt::CheckpointEngine ckpt_engine_;
   TaskManager task_manager_;
   EngineController controller_;
@@ -144,7 +145,6 @@ class SwapServe {
   RequestHandler handler_;
   OpenAiRouter router_;
   AdminApi admin_;
-  std::unique_ptr<ckpt::SnapshotTierManager> tier_manager_;  // see accessor
   std::unique_ptr<SnapshotPrefetcher> prefetcher_;  // null unless prefetch on
   std::unique_ptr<hw::GpuMonitor> monitor_;
   std::unique_ptr<IdleReaper> idle_reaper_;  // null unless configured

@@ -129,91 +129,26 @@ sim::SimDuration Link::EstimatedTransferTime(Bytes size) const {
 }
 
 StorageDevice::StorageDevice(sim::Simulation& sim, std::string name,
-                             BytesPerSecond read_bandwidth,
-                             sim::SimDuration open_overhead,
-                             StorageOptions options)
+                             BytesPerSecond bandwidth,
+                             sim::SimDuration open_overhead)
     : sim_(sim),
       name_(name),
       open_overhead_(open_overhead),
-      options_(options),
-      link_(sim, name + "-read", read_bandwidth),
-      write_link_(sim, name + "-write",
-                  options.write_bandwidth.bytes_per_sec() > 0
-                      ? options.write_bandwidth
-                      : read_bandwidth) {}
-
-namespace {
-
-// Suspends until the device grants a command slot; resumed by ReleaseSlot.
-struct [[nodiscard]] SlotAwaiter {
-  int* in_service;
-  int depth;
-  std::deque<std::coroutine_handle<>>* waiters;
-  bool await_ready() {
-    if (*in_service < depth) {
-      ++*in_service;
-      return true;
-    }
-    return false;
-  }
-  void await_suspend(std::coroutine_handle<> h) { waiters->push_back(h); }
-  void await_resume() const noexcept {}
-};
-
-}  // namespace
-
-sim::Task<> StorageDevice::AcquireSlot() {
-  co_await SlotAwaiter{&ops_in_service_, options_.queue_depth,
-                       &slot_waiters_};
-}
-
-void StorageDevice::ReleaseSlot() {
-  if (!slot_waiters_.empty()) {
-    // The slot transfers to the oldest waiter; ops_in_service_ unchanged.
-    std::coroutine_handle<> next = slot_waiters_.front();
-    slot_waiters_.pop_front();
-    sim_.Post(next);
-  } else {
-    --ops_in_service_;
-  }
-}
+      link_(sim, name + "-read", bandwidth),
+      write_link_(sim, name + "-write", bandwidth) {}
 
 sim::Task<> StorageDevice::ReadFile(Bytes size, TransferPriority priority) {
-  // Unlimited queue depth keeps the legacy path untouched (no extra
-  // suspension points), so existing schedules stay byte-identical.
-  if (options_.queue_depth > 0) co_await AcquireSlot();
   co_await sim_.Delay(open_overhead_);
   hw::TransferOptions opts;
   opts.priority = priority;
   co_await link_.TransferChunked(size, std::move(opts));
-  if (options_.queue_depth > 0) ReleaseSlot();
 }
 
 sim::Task<> StorageDevice::WriteFile(Bytes size, TransferPriority priority) {
-  if (options_.queue_depth > 0) co_await AcquireSlot();
   co_await sim_.Delay(open_overhead_);
   hw::TransferOptions opts;
   opts.priority = priority;
   co_await write_link_.TransferChunked(size, std::move(opts));
-  if (options_.queue_depth > 0) ReleaseSlot();
-}
-
-Status StorageDevice::ReserveCapacity(Bytes size) {
-  SWAP_CHECK_MSG(size.count() >= 0, "negative capacity reservation");
-  if (bounded() && stored_ + size > options_.capacity) {
-    return ResourceExhausted(name_ + ": " + size.ToString() +
-                             " requested, " +
-                             (options_.capacity - stored_).ToString() +
-                             " free");
-  }
-  stored_ += size;
-  return Status::Ok();
-}
-
-void StorageDevice::ReleaseCapacity(Bytes size) {
-  SWAP_CHECK_MSG(size.count() >= 0 && size <= stored_,
-                 "storage capacity release out of balance");
-  stored_ -= size;
 }
 
 sim::SimDuration StorageDevice::EstimatedReadTime(Bytes size) const {

@@ -181,23 +181,11 @@ class DuplexLink {
   Link d2h_;
 };
 
-// Device-level knobs beyond the read path: write bandwidth (NVMe writes
-// are slower than reads), a capacity ledger for tiered stores that spill
-// onto the volume, and a queue-depth gate bounding concurrent file
-// operations (an SSD saturates past its internal parallelism; extra ops
-// wait rather than degrade every stream).
-struct StorageOptions {
-  BytesPerSecond write_bandwidth{0};  // 0 = symmetric with reads
-  Bytes capacity{0};                  // 0 = unbounded
-  int queue_depth = 0;                // 0 = unlimited concurrent ops
-};
-
 // A storage volume (NVMe SSD or tmpfs) with open-file overhead.
 class StorageDevice {
  public:
   StorageDevice(sim::Simulation& sim, std::string name,
-                BytesPerSecond read_bandwidth,
-                sim::SimDuration open_overhead, StorageOptions options = {});
+                BytesPerSecond bandwidth, sim::SimDuration open_overhead);
 
   // Read a file of `size`; one open + sequential read. Urgent reads jump
   // queued background traffic at chunk boundaries on the read link.
@@ -210,19 +198,10 @@ class StorageDevice {
   // on the critical path. Total bytes accounting is exact.
   sim::Task<> ReadSharded(Bytes total_size, int shards);
   // Write a file of `size`; one open + sequential write on the write link
-  // (independent of the read link, as on real NVMe with separate queues).
+  // (independent of the read link, as on real NVMe with separate queues,
+  // and at the same bandwidth).
   sim::Task<> WriteFile(
       Bytes size, TransferPriority priority = TransferPriority::kBackground);
-
-  // Capacity ledger for tiered stores. Reserve fails with
-  // RESOURCE_EXHAUSTED when the volume is full; unbounded devices always
-  // grant. Reservations are made before the write starts so two concurrent
-  // spills cannot both be admitted into the last free stripe.
-  [[nodiscard]] Status ReserveCapacity(Bytes size);
-  void ReleaseCapacity(Bytes size);
-  Bytes capacity() const { return options_.capacity; }
-  Bytes stored() const { return stored_; }
-  bool bounded() const { return options_.capacity.count() > 0; }
 
   // Queue-aware estimate for one ReadFile: open overhead plus the read
   // link's admitted backlog plus wire time (see Link::EstimatedTransferTime).
@@ -233,27 +212,17 @@ class StorageDevice {
   Bytes total_written() const { return write_link_.total_transferred(); }
   Link& link() { return link_; }
   Link& write_link() { return write_link_; }
-  int queue_depth() const { return options_.queue_depth; }
   void BindObservability(obs::Observability* obs) {
     link_.BindObservability(obs);
     write_link_.BindObservability(obs);
   }
 
  private:
-  // Bounded-queue slot (no-op when queue_depth is 0). FIFO: storage
-  // firmware does not reorder admitted commands by caller priority.
-  sim::Task<> AcquireSlot();
-  void ReleaseSlot();
-
   sim::Simulation& sim_;
   std::string name_;
   sim::SimDuration open_overhead_;
-  StorageOptions options_;
   Link link_;
   Link write_link_;
-  Bytes stored_{0};
-  int ops_in_service_ = 0;
-  std::deque<std::coroutine_handle<>> slot_waiters_;
 };
 
 }  // namespace swapserve::hw

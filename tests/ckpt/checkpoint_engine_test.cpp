@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/snapshot_tier.h"
 #include "container/runtime.h"
 #include "hw/gpu_spec.h"
+#include "hw/link.h"
 #include "sim/task.h"
 
 namespace swapserve::ckpt {
@@ -14,8 +16,10 @@ class CheckpointEngineTest : public ::testing::Test {
   CheckpointEngineTest()
       : gpu(sim, 0, hw::GpuSpec::H100Hbm3_80GB()),
         runtime(sim, container::ImageRegistry::WithDefaultImages()),
+        nvme(sim, "nvme", GBps(6), sim::Seconds(0.01)),
         store(GiB(128)),
-        engine(sim, store),
+        tier(sim, store, nvme, {}),
+        engine(sim, store, tier),
         proc(sim, "backend-a") {
     c = runtime.Create("backend-a", "ollama/ollama:v0.9.6").value();
     gpu_vec.push_back(&gpu);
@@ -47,7 +51,9 @@ class CheckpointEngineTest : public ::testing::Test {
   // lists inside coroutine lambdas.
   std::vector<hw::GpuDevice*> gpu_vec;
   container::ContainerRuntime runtime;
+  hw::StorageDevice nvme;
   SnapshotStore store;
+  SnapshotTierManager tier;
   CheckpointEngine engine;
   CudaCheckpointProcess proc;
   container::Container* c = nullptr;
@@ -115,7 +121,8 @@ TEST_F(CheckpointEngineTest, SwapOutTimeScalesWithDirtyBytes) {
 
 TEST_F(CheckpointEngineTest, SwapOutRollsBackWhenStoreFull) {
   SnapshotStore tiny(GB(1));
-  CheckpointEngine small_engine(sim, tiny);
+  SnapshotTierManager tiny_tier(sim, tiny, nvme, {});
+  CheckpointEngine small_engine(sim, tiny, tiny_tier);
   Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await c->Start()).ok());
     SWAP_CHECK(gpu.Allocate("backend-a", GB(30), "state").ok());

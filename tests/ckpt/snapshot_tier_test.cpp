@@ -13,10 +13,7 @@ namespace {
 class SnapshotTierTest : public ::testing::Test {
  protected:
   SnapshotTierTest()
-      : nvme(sim, "nvme", GBps(6), sim::Seconds(0.01),
-             hw::StorageOptions{.write_bandwidth = GBps(3),
-                                .capacity = GiB(64),
-                                .queue_depth = 4}),
+      : nvme(sim, "nvme", GBps(6), sim::Seconds(0.01)),
         store(GiB(64)),
         tier(sim, store, nvme,
              SnapshotTierManager::Options{.host_capacity = GB(10)}) {}
@@ -70,8 +67,7 @@ TEST_F(SnapshotTierTest, AdmissionDemotesLruVictim) {
     EXPECT_EQ(store.Find(*b)->tier, SnapshotTier::kNvme);
     EXPECT_EQ(store.Find(*a)->tier, SnapshotTier::kHost);
     EXPECT_LE(store.used(), GB(10));
-    EXPECT_EQ(store.nvme_used(), GB(4));
-    EXPECT_EQ(nvme.stored(), GB(4));  // device capacity held by the copy
+    EXPECT_EQ(store.nvme_used(), GB(4));  // the demoted copy
     EXPECT_EQ(tier.demotions(), 1u);
     EXPECT_EQ(tier.committed(), Bytes(0));
   });
@@ -91,7 +87,7 @@ TEST_F(SnapshotTierTest, EnsureRestorablePromotesDemotedSnapshot) {
     EXPECT_EQ(store.Find(*b)->tier, SnapshotTier::kHost);
     EXPECT_EQ(tier.promotions(), 1u);
     EXPECT_EQ(tier.nvme_misses(), 1u);
-    EXPECT_EQ(nvme.stored(), GB(4));  // someone else was demoted for room
+    EXPECT_EQ(store.nvme_used(), GB(4));  // someone else was demoted for room
     EXPECT_LE(store.used(), GB(10));
     tier.Unpin(*b);
   });
@@ -135,13 +131,11 @@ TEST_F(SnapshotTierTest, UnboundedManagerIsPassThrough) {
     EXPECT_EQ(unbounded.demotions(), 0u);
     EXPECT_EQ(unbounded.promotions(), 0u);
     EXPECT_EQ(store.nvme_used(), Bytes(0));
-    EXPECT_EQ(nvme.stored(), Bytes(0));
   });
 }
 
 TEST_F(SnapshotTierTest, EstimatedSwapInTimeIncludesPromotionCost) {
-  CheckpointEngine engine(sim, store);
-  engine.BindTierManager(&tier);
+  CheckpointEngine engine(sim, store, tier);
   Run([&]() -> sim::Task<> {
     auto a = co_await PutSnapshot("model-a", GB(6));
     SWAP_CHECK(a.ok());
@@ -228,8 +222,8 @@ TEST_F(SnapshotTierTest, DropDuringDemotionReleasesEverything) {
     EXPECT_TRUE((store.Drop(*a)).ok());
     co_await sim.Delay(sim::Seconds(30));
     EXPECT_TRUE(admitted_done);
-    // The orphaned NVMe copy was released by the mover; no capacity leaks.
-    EXPECT_EQ(nvme.stored(), Bytes(0));
+    // The orphaned NVMe copy never entered the ledger; nothing leaks.
+    EXPECT_EQ(store.nvme_used(), Bytes(0));
     EXPECT_EQ(tier.moves_in_flight(), 0);
     EXPECT_EQ(tier.committed(), Bytes(0));
   });

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/snapshot_tier.h"
 #include "core/scheduler.h"
 #include "engine/factory.h"
 #include "fixture.h"
@@ -20,7 +21,8 @@ struct ControllerBed {
   explicit ControllerBed(TestBed& bed)
       : metrics(),
         store(GiB(256)),
-        ckpt(bed.sim, store),
+        tier(bed.sim, store, bed.storage, {}),
+        ckpt(bed.sim, store, tier),
         tm(bed.sim, {bed.gpus[0].get()}),
         controller(bed.sim, ckpt, tm, metrics) {
     tm.set_delegate(&controller);
@@ -49,6 +51,7 @@ struct ControllerBed {
 
   Metrics metrics;
   ckpt::SnapshotStore store;
+  ckpt::SnapshotTierManager tier;
   ckpt::CheckpointEngine ckpt;
   TaskManager tm;
   EngineController controller;

@@ -133,6 +133,34 @@ TEST(SwapServeTest, PingPongBetweenTwoLargeBackends) {
   EXPECT_GE(serve.metrics().preemptions, 4u);
 }
 
+TEST(SwapServeTest, DefaultConfigRestoresThroughUnboundedTier) {
+  TestBed bed;
+  Config cfg = bed.MakeConfig({
+      {"llama-3.2-1b-fp16", "vllm"},
+      {"deepseek-r1-14b-fp16", "vllm"},
+  });
+  ASSERT_EQ(cfg.global.host_cache_mib, 0.0);
+  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    for (int round = 0; round < 2; ++round) {
+      for (const ModelEntry& entry : cfg.models) {
+        ChatResult r = co_await serve.ChatAndWait(entry.model_id, 64, 16);
+        EXPECT_TRUE(r.ok) << r.error;
+      }
+    }
+    serve.Shutdown();
+  });
+  const ckpt::SnapshotTierManager* tier = serve.tier_manager();
+  ASSERT_NE(tier, nullptr);
+  EXPECT_FALSE(tier->bounded());
+  EXPECT_EQ(serve.ckpt_engine().swap_in_count(), 4u);
+  // Every restore was a host hit; an unbounded tier never demotes.
+  EXPECT_EQ(tier->host_hits(), serve.ckpt_engine().swap_in_count());
+  EXPECT_EQ(tier->demotions(), 0u);
+  EXPECT_EQ(tier->nvme_misses(), 0u);
+}
+
 TEST(SwapServeTest, TwoSmallModelsCoexistOnOneGpu) {
   TestBed bed;
   // §3.4's example: small Ollama-backed models fit together, so serving

@@ -211,16 +211,15 @@ ChaosOutcome RunChaosWorkload(std::uint64_t seed, int n_models,
   for (const auto& gpu : bed.gpus) used += gpu->used();
   EXPECT_EQ(used, resident) << "allocator imbalance (seed " << seed << ")";
 
-  // Tiered runs must also drain the tier ledgers: no committed admission
+  // Every run must also drain the tier ledgers: no committed admission
   // bytes, in-flight NVMe moves, or restore pins may survive the run.
-  if (ckpt::SnapshotTierManager* tier = serve.tier_manager()) {
-    EXPECT_EQ(tier->committed(), Bytes(0))
-        << "leaked admission commitment (seed " << seed << ")";
-    EXPECT_EQ(tier->moves_in_flight(), 0)
-        << "tier move still in flight after drain (seed " << seed << ")";
-    EXPECT_EQ(tier->pinned_count(), 0u)
-        << "leaked restore pin (seed " << seed << ")";
-  }
+  const ckpt::SnapshotTierManager& tier = *serve.tier_manager();
+  EXPECT_EQ(tier.committed(), Bytes(0))
+      << "leaked admission commitment (seed " << seed << ")";
+  EXPECT_EQ(tier.moves_in_flight(), 0)
+      << "tier move still in flight after drain (seed " << seed << ")";
+  EXPECT_EQ(tier.pinned_count(), 0u)
+      << "leaked restore pin (seed " << seed << ")";
 
   out.recoveries = m.recoveries;
   out.quarantines = m.quarantines;
