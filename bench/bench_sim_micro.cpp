@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -199,6 +200,25 @@ void BM_TraceGenerationWeek(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceGenerationWeek);
+
+// The Fig. 3 shape over 360 days: six models with sparse MMPP bursts.
+void BM_TraceGenerationMmppYear(benchmark::State& state) {
+  const double horizon = 360 * 86400.0;
+  workload::RequestProfile profile = workload::RequestProfile::Conversational();
+  std::vector<std::unique_ptr<workload::MmppRate>> rates;
+  std::vector<workload::ModelWorkload> mix;
+  for (int m = 0; m < 6; ++m) {
+    rates.push_back(std::make_unique<workload::MmppRate>(
+        0.00012, 0.02, 18000, 1200, /*seed=*/100 + m, horizon));
+    mix.push_back({"model-" + std::to_string(m), rates.back().get(),
+                   &profile});
+  }
+  for (auto _ : state) {
+    auto trace = workload::GenerateTrace(mix, horizon, 1);
+    benchmark::DoNotOptimize(trace.size());
+  }
+}
+BENCHMARK(BM_TraceGenerationMmppYear)->Unit(benchmark::kMillisecond);
 
 // Console output as usual, plus a capture of every run's items_per_second
 // for the optional JSON dump (SWAPSERVE_BENCH_JSON).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/status.h"
 
@@ -68,6 +69,11 @@ MmppRate::MmppRate(double quiet_rps, double burst_rps, double mean_quiet_s,
                    double mean_burst_s, std::uint64_t seed, double horizon_s)
     : quiet_rps_(quiet_rps), burst_rps_(burst_rps) {
   SWAP_CHECK_MSG(burst_rps >= quiet_rps, "burst rate below quiet rate");
+  // A zero mean makes zero-length periods; two of them never reach the
+  // horizon.
+  SWAP_CHECK_MSG(mean_quiet_s > 0 && std::isfinite(mean_quiet_s) &&
+                     mean_burst_s > 0 && std::isfinite(mean_burst_s),
+                 "MMPP mean dwell times must be positive and finite");
   sim::Rng rng(seed);
   double t = 0;
   bool burst = false;
@@ -78,28 +84,44 @@ MmppRate::MmppRate(double quiet_rps, double burst_rps, double mean_quiet_s,
   }
 }
 
-bool MmppRate::InBurst(double t_seconds) const {
+std::size_t MmppRate::PeriodAt(double t_seconds) const {
   // switch_times_[0] ends the first quiet period; count switches <= t.
   const auto it = std::upper_bound(switch_times_.begin(),
                                    switch_times_.end(), t_seconds);
-  const auto idx = static_cast<std::size_t>(it - switch_times_.begin());
-  return idx % 2 == 1;
+  return static_cast<std::size_t>(it - switch_times_.begin());
+}
+
+bool MmppRate::InBurst(double t_seconds) const {
+  return PeriodAt(t_seconds) % 2 == 1;
 }
 
 double MmppRate::RateAt(double t_seconds) const {
   return InBurst(t_seconds) ? burst_rps_ : quiet_rps_;
 }
 
+RatePiece MmppRate::PieceAt(double t_seconds) const {
+  // Every t' in [t, switch_times_[idx]) has the same upper bound idx.
+  const std::size_t idx = PeriodAt(t_seconds);
+  return {idx % 2 == 1 ? burst_rps_ : quiet_rps_,
+          idx < switch_times_.size()
+              ? switch_times_[idx]
+              : std::numeric_limits<double>::infinity()};
+}
+
 std::vector<double> SampleArrivals(const RateCurve& rate, double horizon_s,
                                    sim::Rng& rng) {
   std::vector<double> arrivals;
   const double max_rate = rate.MaxRate();
-  SWAP_CHECK_MSG(max_rate > 0, "rate curve is identically zero");
+  SWAP_CHECK_MSG(max_rate >= 0 && std::isfinite(max_rate),
+                 "rate curve bound must be finite and non-negative");
+  if (max_rate == 0) return arrivals;
+  RatePiece piece;  // end = 0: the first candidate asks the curve
   double t = 0;
   while (true) {
     t += rng.Exponential(max_rate);
     if (t >= horizon_s) break;
-    if (rng.NextDouble() * max_rate < rate.RateAt(t)) arrivals.push_back(t);
+    if (t >= piece.end) piece = rate.PieceAt(t);
+    if (rng.NextDouble() * max_rate < piece.rate) arrivals.push_back(t);
   }
   return arrivals;
 }

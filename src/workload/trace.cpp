@@ -1,7 +1,7 @@
 #include "workload/trace.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/status.h"
 
@@ -10,27 +10,43 @@ namespace swapserve::workload {
 std::vector<TraceEvent> GenerateTrace(const std::vector<ModelWorkload>& mix,
                                       double horizon_s, std::uint64_t seed) {
   SWAP_CHECK_MSG(!mix.empty(), "empty workload mix");
+  // The root only forks, so each model's (arrivals, lengths) pair depends
+  // on its position in the mix alone. Thinning yields each model's
+  // arrivals already in time order, and the merge below draws each
+  // model's lengths in that same order.
   sim::Rng root(seed);
-  std::vector<TraceEvent> trace;
-  for (const ModelWorkload& w : mix) {
-    SWAP_CHECK_MSG(w.rate != nullptr && w.profile != nullptr,
+  std::vector<std::vector<double>> times(mix.size());
+  std::vector<sim::Rng> lengths_rngs;
+  lengths_rngs.reserve(mix.size());
+  std::size_t total = 0;
+  for (std::size_t m = 0; m < mix.size(); ++m) {
+    SWAP_CHECK_MSG(mix[m].rate != nullptr && mix[m].profile != nullptr,
                    "workload missing rate/profile");
     sim::Rng arrivals_rng = root.Fork();
-    sim::Rng lengths_rng = root.Fork();
-    for (double t : SampleArrivals(*w.rate, horizon_s, arrivals_rng)) {
-      const TokenSample tokens = w.profile->Sample(lengths_rng);
-      trace.push_back(TraceEvent{
-          .time_s = t,
-          .model_id = w.model_id,
-          .prompt_tokens = tokens.prompt_tokens,
-          .output_tokens = tokens.output_tokens,
-      });
-    }
+    lengths_rngs.push_back(root.Fork());
+    times[m] = SampleArrivals(*mix[m].rate, horizon_s, arrivals_rng);
+    total += times[m].size();
   }
-  std::stable_sort(trace.begin(), trace.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.time_s < b.time_s;
-                   });
+
+  // k-way merge. Equal times go to the lower model index, which is the
+  // order a stable sort of the concatenated streams would give.
+  std::vector<TraceEvent> trace;
+  trace.reserve(total);
+  std::vector<std::size_t> next(mix.size(), 0);
+  while (trace.size() < total) {
+    std::size_t best = mix.size();
+    double best_t = std::numeric_limits<double>::infinity();
+    for (std::size_t m = 0; m < mix.size(); ++m) {
+      if (next[m] < times[m].size() && times[m][next[m]] < best_t) {
+        best = m;
+        best_t = times[m][next[m]];
+      }
+    }
+    ++next[best];
+    const TokenSample tokens = mix[best].profile->Sample(lengths_rngs[best]);
+    trace.emplace_back(best_t, mix[best].model_id, tokens.prompt_tokens,
+                       tokens.output_tokens);
+  }
   return trace;
 }
 

@@ -1,9 +1,14 @@
 // Trace generation and aggregation.
 //
 // A trace is a time-ordered list of (arrival, model, token lengths) events.
-// TraceGenerator composes a rate curve with a request profile per model;
-// HourlyTokenVolume aggregates a trace into the per-hour input/output token
-// series Fig. 1 plots.
+// GenerateTrace composes a rate curve with a request profile per model in
+// one pass: it forks each model's arrival and length streams from the
+// root seed in mix order, samples the model's arrivals (already in time
+// order) into its own array, and k-way merges the arrays into the trace,
+// equal times going to the lower model index; each event draws its token
+// lengths from its model's stream as it is merged.
+// HourlyTokenVolume aggregates a trace into the per-hour input/output
+// token series Fig. 1 plots.
 
 #pragma once
 
@@ -30,7 +35,8 @@ struct ModelWorkload {
 };
 
 // Generates a merged, time-sorted trace for several models over
-// [0, horizon). Deterministic in `seed`.
+// [0, horizon). Deterministic in `seed`; a model's events depend only on
+// the seed and its position in `mix`.
 std::vector<TraceEvent> GenerateTrace(const std::vector<ModelWorkload>& mix,
                                       double horizon_s, std::uint64_t seed);
 

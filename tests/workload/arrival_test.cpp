@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 namespace swapserve::workload {
 namespace {
 
@@ -101,6 +105,118 @@ TEST(SampleArrivalsTest, EmptyWhenHorizonZero) {
   sim::Rng rng(1);
   EXPECT_TRUE(SampleArrivals(rate, 0.0, rng).empty());
 }
+
+TEST(SampleArrivalsTest, ZeroRateYieldsNoArrivals) {
+  ConstantRate zero(0.0);
+  DiurnalRate dead = DiurnalRate::CodingPreset(0.0);
+  sim::Rng rng(1);
+  EXPECT_TRUE(SampleArrivals(zero, 86400, rng).empty());
+  EXPECT_TRUE(SampleArrivals(dead, 86400, rng).empty());
+  // No draws were spent on the empty curves.
+  sim::Rng fresh(1);
+  EXPECT_EQ(rng.NextU64(), fresh.NextU64());
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+double Before(double t) { return std::nextafter(t, -kInf); }
+
+// Every switch time of `rate` below `horizon`, found by walking its pieces.
+std::vector<double> SwitchTimes(const MmppRate& rate, double horizon) {
+  std::vector<double> ends;
+  for (double t = 0; t < horizon;) {
+    const double end = rate.PieceAt(t).end;
+    if (end >= horizon) break;
+    ends.push_back(end);
+    t = end;
+  }
+  return ends;
+}
+
+TEST(RatePieceTest, ConstantIsOnePieceForever) {
+  ConstantRate rate(2.5);
+  const RatePiece piece = rate.PieceAt(123.0);
+  EXPECT_EQ(piece.rate, 2.5);
+  EXPECT_EQ(piece.end, kInf);
+}
+
+TEST(RatePieceTest, DiurnalPieceHoldsAtTOnly) {
+  DiurnalRate rate = DiurnalRate::ConversationalPreset(1.0);
+  for (double t : {0.0, 3599.5, 3600.0, 86400.0 * 3 + 1234.5}) {
+    const RatePiece piece = rate.PieceAt(t);
+    EXPECT_EQ(piece.rate, rate.RateAt(t)) << "t=" << t;
+    EXPECT_EQ(piece.end, std::nextafter(t, kInf)) << "t=" << t;
+  }
+}
+
+TEST(RatePieceTest, MmppPieceAgreesWithRateAtAroundEverySwitch) {
+  const double horizon = 30 * 86400.0;
+  MmppRate rate(0.01, 2.0, 3600, 300, /*seed=*/5, horizon);
+  const std::vector<double> switches = SwitchTimes(rate, horizon);
+  ASSERT_GT(switches.size(), 100u);
+  for (std::size_t i = 0; i < switches.size(); ++i) {
+    const double s = switches[i];
+    // At the switch the next period starts; just before it the old one
+    // still holds and ends exactly at s.
+    const RatePiece at = rate.PieceAt(s);
+    EXPECT_EQ(at.rate, rate.RateAt(s)) << "switch " << i;
+    EXPECT_GT(at.end, s) << "switch " << i;
+    const RatePiece before = rate.PieceAt(Before(s));
+    EXPECT_EQ(before.rate, rate.RateAt(Before(s))) << "switch " << i;
+    EXPECT_EQ(before.end, s) << "switch " << i;
+    EXPECT_NE(at.rate, before.rate) << "switch " << i;
+    EXPECT_EQ(rate.InBurst(s), i % 2 == 0) << "switch " << i;
+  }
+}
+
+TEST(RatePieceTest, MmppPieceHoldsAcrossItsInterval) {
+  const double horizon = 10 * 86400.0;
+  MmppRate rate(0.02, 1.0, 1800, 600, /*seed=*/9, horizon);
+  sim::Rng rng(21);
+  for (int i = 0; i < 2000; ++i) {
+    const double t = rng.Uniform(0, horizon);
+    const RatePiece piece = rate.PieceAt(t);
+    ASSERT_EQ(piece.rate, rate.RateAt(t)) << "t=" << t;
+    ASSERT_GT(piece.end, t);
+    ASSERT_LT(piece.end, kInf);  // the switch times reach past the horizon
+    EXPECT_EQ(rate.RateAt(Before(piece.end)), piece.rate) << "t=" << t;
+    EXPECT_NE(rate.RateAt(piece.end), piece.rate) << "t=" << t;
+    for (int k = 0; k < 4; ++k) {
+      const double u = rng.Uniform(t, piece.end);
+      EXPECT_EQ(rate.RateAt(u), piece.rate) << "t=" << t << " u=" << u;
+    }
+  }
+}
+
+TEST(RatePieceTest, MmppPiecePastLastSwitchIsUnbounded) {
+  MmppRate rate(0.1, 1.0, 100, 10, /*seed=*/3, /*horizon=*/50);
+  const RatePiece piece = rate.PieceAt(1e9);
+  EXPECT_EQ(piece.rate, rate.RateAt(1e9));
+  EXPECT_EQ(piece.end, kInf);
+}
+
+#if GTEST_HAS_DEATH_TEST
+TEST(MmppRateDeathTest, RejectsNonPositiveMeanDwell) {
+  // Both means 0 would grow the switch list until memory runs out.
+  EXPECT_DEATH({ MmppRate r(0.0, 1.0, 0, 0, 1, 86400); }, "mean dwell");
+  EXPECT_DEATH({ MmppRate r(0.0, 1.0, 0, 300, 1, 86400); }, "mean dwell");
+  EXPECT_DEATH({ MmppRate r(0.0, 1.0, 3600, -1, 1, 86400); }, "mean dwell");
+  EXPECT_DEATH({ MmppRate r(0.0, 1.0, kInf, 300, 1, 86400); }, "mean dwell");
+  EXPECT_DEATH({ MmppRate r(0.0, 1.0, 3600, std::nan(""), 1, 86400); },
+               "mean dwell");
+}
+
+TEST(SampleArrivalsDeathTest, RejectsNegativeNanOrInfiniteBound) {
+  sim::Rng rng(1);
+  ConstantRate negative(-1.0);
+  EXPECT_DEATH(SampleArrivals(negative, 10, rng), "rate curve bound");
+  ConstantRate nan(std::nan(""));
+  EXPECT_DEATH(SampleArrivals(nan, 10, rng), "rate curve bound");
+  // An infinite bound makes every gap 0, so time would never advance.
+  ConstantRate infinite(kInf);
+  EXPECT_DEATH(SampleArrivals(infinite, 10, rng), "rate curve bound");
+}
+#endif  // GTEST_HAS_DEATH_TEST
 
 }  // namespace
 }  // namespace swapserve::workload

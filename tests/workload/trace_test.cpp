@@ -2,8 +2,148 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace swapserve::workload {
 namespace {
+
+// The reference algorithm GenerateTrace must reproduce bit for bit:
+// thinning that asks RateAt for every candidate, each model appended in
+// mix order, then one stable sort by time.
+std::vector<TraceEvent> ReferenceTrace(const std::vector<ModelWorkload>& mix,
+                                       double horizon_s, std::uint64_t seed) {
+  sim::Rng root(seed);
+  std::vector<TraceEvent> trace;
+  for (const ModelWorkload& w : mix) {
+    sim::Rng arrivals_rng = root.Fork();
+    sim::Rng lengths_rng = root.Fork();
+    const double max_rate = w.rate->MaxRate();
+    if (max_rate == 0) continue;
+    double t = 0;
+    while (true) {
+      t += arrivals_rng.Exponential(max_rate);
+      if (t >= horizon_s) break;
+      if (arrivals_rng.NextDouble() * max_rate >= w.rate->RateAt(t)) {
+        continue;
+      }
+      const TokenSample tokens = w.profile->Sample(lengths_rng);
+      trace.push_back(TraceEvent{.time_s = t,
+                                 .model_id = w.model_id,
+                                 .prompt_tokens = tokens.prompt_tokens,
+                                 .output_tokens = tokens.output_tokens});
+    }
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.time_s < b.time_s;
+                   });
+  return trace;
+}
+
+void ExpectSameTrace(const std::vector<TraceEvent>& want,
+                     const std::vector<TraceEvent>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i].time_s),
+              std::bit_cast<std::uint64_t>(got[i].time_s))
+        << "event " << i;
+    ASSERT_EQ(want[i].model_id, got[i].model_id) << "event " << i;
+    ASSERT_EQ(want[i].prompt_tokens, got[i].prompt_tokens) << "event " << i;
+    ASSERT_EQ(want[i].output_tokens, got[i].output_tokens) << "event " << i;
+  }
+}
+
+const RequestProfile kProfile = RequestProfile::Conversational();
+
+// Rate curves owned by a test, with the mix that borrows them.
+struct Mix {
+  std::vector<std::unique_ptr<RateCurve>> rates;
+  std::vector<ModelWorkload> models;
+
+  void Add(std::unique_ptr<RateCurve> rate) {
+    rates.push_back(std::move(rate));
+    models.push_back({"model-" + std::to_string(models.size()),
+                      rates.back().get(), &kProfile});
+  }
+};
+
+// The six-model sparse-burst shape of Fig. 3, plus a Poisson and a
+// diurnal model, with MMPP switch times drawn from `seed`.
+Mix MixedCurves(std::uint64_t seed, double mmpp_horizon_s) {
+  Mix mix;
+  for (int m = 0; m < 6; ++m) {
+    mix.Add(std::make_unique<MmppRate>(0.0005, 0.02 + 0.005 * m, 18000, 1200,
+                                       seed * 131 + m, mmpp_horizon_s));
+  }
+  mix.Add(std::make_unique<ConstantRate>(0.002));
+  mix.Add(std::make_unique<DiurnalRate>(DiurnalRate::CodingPreset(0.004)));
+  return mix;
+}
+
+TEST(TraceOracleTest, MatchesReferenceOnMixedCurves) {
+  const double horizon = 14 * 86400.0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    Mix mix = MixedCurves(seed, horizon);
+    const auto trace = GenerateTrace(mix.models, horizon, seed);
+    ASSERT_GT(trace.size(), 500u);
+    ExpectSameTrace(ReferenceTrace(mix.models, horizon, seed), trace);
+  }
+}
+
+TEST(TraceOracleTest, MatchesReferenceWhenHorizonEndsInsideABurst) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Mix mix = MixedCurves(seed, 14 * 86400.0);
+    // The middle of model 0's third burst.
+    const auto& first = static_cast<const MmppRate&>(*mix.rates[0]);
+    double t = 0;
+    for (int k = 0; k < 5; ++k) t = first.PieceAt(t).end;
+    const double burst_end = first.PieceAt(t).end;
+    ASSERT_TRUE(first.InBurst(t));
+    const double horizon = (t + burst_end) / 2;
+    ExpectSameTrace(ReferenceTrace(mix.models, horizon, seed),
+                    GenerateTrace(mix.models, horizon, seed));
+  }
+}
+
+TEST(TraceOracleTest, MatchesReferenceWhenHorizonEndsOnASwitch) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    // Find model 0's fourth switch, then rebuild the mix with that switch
+    // as the horizon: the MMPP's last switch time is the horizon itself.
+    const Mix probe = MixedCurves(seed, 14 * 86400.0);
+    const auto& first = static_cast<const MmppRate&>(*probe.rates[0]);
+    double horizon = 0;
+    for (int k = 0; k < 4; ++k) horizon = first.PieceAt(horizon).end;
+    Mix mix = MixedCurves(seed, horizon);
+    const auto& rebuilt = static_cast<const MmppRate&>(*mix.rates[0]);
+    ASSERT_EQ(rebuilt.PieceAt(std::nextafter(horizon, 0.0)).end, horizon);
+    ExpectSameTrace(ReferenceTrace(mix.models, horizon, seed),
+                    GenerateTrace(mix.models, horizon, seed));
+  }
+}
+
+TEST(TraceOracleTest, MatchesReferenceWithAZeroTrafficModel) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Mix mix;
+    mix.Add(std::make_unique<ConstantRate>(0.05));
+    mix.Add(std::make_unique<ConstantRate>(0.0));
+    mix.Add(std::make_unique<DiurnalRate>(
+        DiurnalRate::ConversationalPreset(0.03)));
+    const auto trace = GenerateTrace(mix.models, 86400, seed);
+    ExpectSameTrace(ReferenceTrace(mix.models, 86400, seed), trace);
+    for (const TraceEvent& ev : trace) EXPECT_NE(ev.model_id, "model-1");
+  }
+}
 
 TEST(TraceTest, GeneratesSortedMergedTrace) {
   ConstantRate fast(1.0);
