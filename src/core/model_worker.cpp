@@ -94,6 +94,23 @@ sim::Task<> ModelWorker::Run() {
   }
 }
 
+void ModelWorker::StreamRelay::Send(std::int64_t tokens) {
+  ResponseChunk chunk;
+  chunk.kind = streamed_tokens == 0 ? ResponseChunk::Kind::kFirstToken
+                                    : ResponseChunk::Kind::kTokens;
+  chunk.token_count = tokens;
+  streamed_tokens += tokens;
+  (void)item->response->TrySend(std::move(chunk));
+  if (worker->obs_ != nullptr) {
+    if (worker->stream_chunks_ == nullptr) {
+      worker->stream_chunks_ = &worker->obs_->metrics.GetCounter(
+          "swapserve_stream_chunks_total",
+          {{"model", worker->backend_.name()}});
+    }
+    worker->stream_chunks_->Increment();
+  }
+}
+
 sim::Task<> ModelWorker::Relay(QueuedRequest item) {
   // Pin the backend: the guard holds shared access, so a concurrent
   // preemption (exclusive) waits for this request to drain, and the
@@ -133,32 +150,22 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
   // produced. Only wired when both the server and the request opted in —
   // an unset callback keeps the engine on its single-delay decode, so
   // non-streaming schedules are byte-identical to the pre-streaming code.
-  std::int64_t streamed_tokens = 0;
+  // The callback captures one pointer to this frame's relay state, which
+  // fits std::function's inline buffer: relaying does not allocate.
+  StreamRelay stream{.worker = this, .item = &item};
   if (stream_enabled_ && item.request.stream) {
     gen.stream_chunk_tokens = stream_chunk_tokens_;
-    gen.on_tokens = [this, &item, &streamed_tokens](std::int64_t tokens) {
-      ResponseChunk chunk;
-      chunk.kind = streamed_tokens == 0 ? ResponseChunk::Kind::kFirstToken
-                                        : ResponseChunk::Kind::kTokens;
-      chunk.token_count = tokens;
-      streamed_tokens += tokens;
-      (void)item.response->TrySend(std::move(chunk));
-      if (obs_ != nullptr) {
-        if (stream_chunks_ == nullptr) {
-          stream_chunks_ = &obs_->metrics.GetCounter(
-              "swapserve_stream_chunks_total", {{"model", backend_.name()}});
-        }
-        stream_chunks_->Increment();
-      }
+    gen.on_tokens = [relay = &stream](std::int64_t tokens) {
+      relay->Send(tokens);
     };
   }
   const double serve_start_s = sim_.Now().ToSeconds();
   Result<engine::GenerationResult> result =
-      co_await backend_.engine->Generate(gen);
+      co_await backend_.engine->Generate(std::move(gen));
   pin->Release();
 
   if (!result.ok()) {
-    if (streamed_tokens > 0) {
+    if (stream.streamed_tokens > 0) {
       // Tokens already reached the client; a retry would replay them.
       // The failure is terminal for this request, exactly like a real
       // server that cannot un-send part of an SSE stream.
@@ -181,7 +188,7 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
                         result->time_to_first_token.ToSeconds();
   const double total_s = sim_.Now().ToSeconds() - arrival;
 
-  if (streamed_tokens == 0) {
+  if (stream.streamed_tokens == 0) {
     ResponseChunk first;
     first.kind = ResponseChunk::Kind::kFirstToken;
     first.token_count = 1;

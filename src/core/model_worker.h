@@ -89,6 +89,16 @@ class ModelWorker {
   }
 
  private:
+  // One request's token stream, on its Relay coroutine's frame: the
+  // engine's on_tokens callback holds only a pointer to it.
+  struct StreamRelay {
+    ModelWorker* worker = nullptr;
+    QueuedRequest* item = nullptr;
+    std::int64_t streamed_tokens = 0;
+    // Forward one decode chunk of `tokens` to the client.
+    void Send(std::int64_t tokens);
+  };
+
   sim::Task<> Run();
   sim::Task<> Relay(QueuedRequest item);
   // Requeue `item` after a jittered backoff when `status` is retryable and

@@ -63,21 +63,25 @@ Result<ResponseChannelPtr> RequestHandler::Accept(InferenceRequest request) {
   }
   backend->last_accessed = sim_.Now();
 
+  // The request moves into the queue; what is logged after this point is
+  // read from the backend (whose name is the model's) and the saved id.
+  const RequestId id = request.id;
+  const std::string& model = backend->name();
   auto channel = std::make_shared<ResponseChannel>(sim_, /*capacity=*/128);
-  QueuedRequest item{.request = request, .response = channel};
+  QueuedRequest item{.request = std::move(request), .response = channel};
   if (!backend->queue->TrySend(std::move(item))) {
-    metrics_.RecordRejected(request.model);
-    obs::Instant(obs_, "reject:queue_full", "handler", request.model,
-                 {{"request_id", request.id}});
-    return ResourceExhausted("queue for " + request.model + " is full");
+    metrics_.RecordRejected(model);
+    obs::Instant(obs_, "reject:queue_full", "handler", model,
+                 {{"request_id", id}});
+    return ResourceExhausted("queue for " + model + " is full");
   }
   if (obs_ != nullptr) {
     backend->QueueDepthGauge(*obs_).Set(
         static_cast<double>(backend->queue->size()));
   }
   if (arrival_hook_) arrival_hook_(*backend);
-  SWAP_LOG(kDebug, "handler") << "accepted request " << request.id << " for "
-                              << request.model;
+  SWAP_LOG(kDebug, "handler") << "accepted request " << id << " for "
+                              << model;
   return channel;
 }
 

@@ -4,6 +4,42 @@
 
 namespace swapserve::core {
 
+namespace {
+
+// The body members ChatCompletions reads; an absent member is an invalid
+// view.
+struct BodyFields {
+  json::Document::View model, messages, temperature, max_tokens, seed, stream,
+      user, slo_class;
+};
+
+// One walk over the body's members. The first of duplicate keys wins, as
+// View::Find would have it; a member of the wrong type is left for the
+// caller's typed fallback.
+BodyFields ReadBodyFields(json::Document::View body) {
+  BodyFields f;
+  for (json::Document::View m = body.FirstChild(); m; m = m.NextSibling()) {
+    const std::string_view key = m.key();
+    json::Document::View* slot = nullptr;
+    switch (key.size()) {
+      case 4:
+        slot = key == "seed" ? &f.seed : key == "user" ? &f.user : nullptr;
+        break;
+      case 5: slot = key == "model" ? &f.model : nullptr; break;
+      case 6: slot = key == "stream" ? &f.stream : nullptr; break;
+      case 8: slot = key == "messages" ? &f.messages : nullptr; break;
+      case 9: slot = key == "slo_class" ? &f.slo_class : nullptr; break;
+      case 10: slot = key == "max_tokens" ? &f.max_tokens : nullptr; break;
+      case 11: slot = key == "temperature" ? &f.temperature : nullptr; break;
+      default: break;
+    }
+    if (slot != nullptr && !slot->valid()) *slot = m;
+  }
+  return f;
+}
+
+}  // namespace
+
 std::int64_t OpenAiRouter::EstimatePromptTokens(json::Document::View messages) {
   if (!messages.is_array()) return 1;
   std::int64_t chars = 0;
@@ -65,28 +101,28 @@ Result<ResponseChannelPtr> OpenAiRouter::ChatCompletions(
                 InvalidArgument("request body must be a JSON object"));
   }
 
-  const std::string_view model = body.GetString("model", "");
+  const BodyFields f = ReadBodyFields(body);
+  const std::string_view model = f.model.StringOr("");
   if (model.empty()) {
     return fail("invalid", InvalidArgument("missing required field: model"));
   }
 
-  const json::Document::View messages = body.Find("messages");
-  if (!messages.is_array() || messages.size() == 0) {
+  if (!f.messages.is_array() || f.messages.size() == 0) {
     return fail("invalid",
                 InvalidArgument("messages must be a non-empty array"));
   }
-  for (json::Document::View msg = messages.FirstChild(); msg;
+  for (json::Document::View msg = f.messages.FirstChild(); msg;
        msg = msg.NextSibling()) {
     if (!msg.is_object() || msg.GetString("role", "").empty()) {
       return fail("invalid", InvalidArgument("each message needs a role"));
     }
   }
 
-  const double temperature = body.GetDouble("temperature", 0.0);
+  const double temperature = f.temperature.DoubleOr(0.0);
   if (temperature < 0.0 || temperature > 2.0) {
     return fail("invalid", InvalidArgument("temperature must be in [0, 2]"));
   }
-  const std::int64_t max_tokens = body.GetInt("max_tokens", 512);
+  const std::int64_t max_tokens = f.max_tokens.IntOr(512);
   if (max_tokens <= 0 || max_tokens > 16384) {
     return fail("invalid",
                 InvalidArgument("max_tokens must be in [1, 16384]"));
@@ -95,13 +131,13 @@ Result<ResponseChannelPtr> OpenAiRouter::ChatCompletions(
 
   InferenceRequest request;
   request.model.assign(model);
-  request.prompt_tokens = EstimatePromptTokens(messages);
+  request.prompt_tokens = EstimatePromptTokens(f.messages);
   request.max_tokens = max_tokens;
   request.temperature = temperature;
-  request.seed = static_cast<std::uint64_t>(body.GetInt("seed", 0));
-  request.stream = body.GetBool("stream", true);
-  request.tenant.assign(body.GetString("user", ""));
-  request.slo_class.assign(body.GetString("slo_class", ""));
+  request.seed = static_cast<std::uint64_t>(f.seed.IntOr(0));
+  request.stream = f.stream.BoolOr(true);
+  request.tenant.assign(f.user.StringOr(""));
+  request.slo_class.assign(f.slo_class.StringOr(""));
 
   obs::Span enqueue_span =
       obs::StartSpan(obs_, "enqueue", "router", "router");

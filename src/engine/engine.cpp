@@ -40,14 +40,19 @@ std::string_view BackendStateName(BackendState s) {
   return "?";
 }
 
-InferenceEngine::InferenceEngine(EngineEnv env, model::ModelSpec model,
-                                 EngineOptions options,
+InferenceEngine::InferenceEngine(EngineKind kind, EngineEnv env,
+                                 model::ModelSpec model, EngineOptions options,
                                  std::string backend_name)
-    : env_(std::move(env)),
+    : kind_(kind),
+      env_(std::move(env)),
       model_(std::move(model)),
       options_(options),
       name_(std::move(backend_name)),
-      process_(*env_.sim, name_) {
+      process_(*env_.sim, name_),
+      prefill_efficiency_(
+          model::EnginePrefillEfficiency(std::string(EngineKindName(kind)))),
+      decode_efficiency_(
+          model::EngineDecodeEfficiency(std::string(EngineKindName(kind)))) {
   SWAP_CHECK(env_.sim != nullptr && env_.gpu != nullptr &&
              env_.storage != nullptr && env_.runtime != nullptr);
   if (env_.tp_group.empty()) {
@@ -186,18 +191,14 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
 
   // Prefill: compute-bound. 2 * params * tokens FLOPs at a fraction of
   // the device's dense FP16 peak.
-  const std::string kind_str(kind_name());
   const double prefill_flops =
       2.0 * model_.params_billion * 1e9 *
       static_cast<double>(req.prompt_tokens);
   const double prefill_s =
       prefill_flops * tp_comm_derate /
-      (tp * gpu().spec().fp16_tflops * 1e12 *
-       model::EnginePrefillEfficiency(kind_str));
+      (tp * gpu().spec().fp16_tflops * 1e12 * prefill_efficiency_);
   {
-    std::vector<hw::GpuDevice::BusyScope> busy;
-    busy.reserve(gpus.size());
-    for (hw::GpuDevice* dev : gpus) busy.emplace_back(*dev);
+    const hw::GpuDevice::BusyScope busy(gpus);
     co_await sim().Delay(sim::Seconds(prefill_s));
   }
   if (restart_epoch_ != epoch) {
@@ -212,11 +213,9 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
   const double token_s =
       static_cast<double>(model_.WeightBytes().count()) * tp_comm_derate /
       (tp * gpu().spec().hbm_bandwidth.bytes_per_sec() *
-       model::EngineDecodeEfficiency(kind_str));
+       decode_efficiency_);
   if (req.output_tokens > 0) {
-    std::vector<hw::GpuDevice::BusyScope> busy;
-    busy.reserve(gpus.size());
-    for (hw::GpuDevice* dev : gpus) busy.emplace_back(*dev);
+    const hw::GpuDevice::BusyScope busy(gpus);
     if (!req.on_tokens) {
       // Non-streaming: one event for the whole decode, exactly the
       // schedule older builds produced.

@@ -90,6 +90,9 @@ struct GenerationRequest {
   // chunks of `stream_chunk_tokens` tokens and the callback fires after
   // each chunk's delay elapses. When null (the default) decode stays one
   // event, so non-streaming schedules are byte-identical to older builds.
+  // Callers keep the callable to one pointer of captures, so it fits
+  // std::function's inline buffer and a streamed request does not
+  // allocate for it.
   std::function<void(std::int64_t tokens)> on_tokens = nullptr;
   std::int64_t stream_chunk_tokens = 16;
 };
@@ -103,13 +106,13 @@ struct GenerationResult {
 
 class InferenceEngine {
  public:
-  InferenceEngine(EngineEnv env, model::ModelSpec model,
+  InferenceEngine(EngineKind kind, EngineEnv env, model::ModelSpec model,
                   EngineOptions options, std::string backend_name);
   virtual ~InferenceEngine() = default;
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  virtual EngineKind kind() const = 0;
+  EngineKind kind() const { return kind_; }
   std::string_view kind_name() const { return EngineKindName(kind()); }
 
   const model::ModelSpec& model() const { return model_; }
@@ -234,6 +237,7 @@ class InferenceEngine {
   // rolls back partial shard allocations on failure).
   Status AllocateSharded(Bytes total, const std::string& purpose);
 
+  const EngineKind kind_;
   EngineEnv env_;
   model::ModelSpec model_;
   EngineOptions options_;
@@ -243,6 +247,9 @@ class InferenceEngine {
   ckpt::CudaCheckpointProcess process_;
   fault::FaultInjector* fault_ = nullptr;
   std::function<void()> on_residency_;
+  // model::Engine{Prefill,Decode}Efficiency for kind_, resolved once.
+  const double prefill_efficiency_;
+  const double decode_efficiency_;
 
   int active_requests_ = 0;
   std::uint64_t total_requests_ = 0;

@@ -15,7 +15,7 @@ bool IsA100(const hw::GpuSpec& spec) {
 
 OllamaEngine::OllamaEngine(EngineEnv env, model::ModelSpec model,
                            EngineOptions options, std::string backend_name)
-    : InferenceEngine(env, std::move(model), options,
+    : InferenceEngine(EngineKind::kOllama, env, std::move(model), options,
                       std::move(backend_name)) {}
 
 sim::Task<sim::SimDuration> OllamaEngine::TransferWeightsIn() {

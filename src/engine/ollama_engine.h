@@ -18,8 +18,6 @@ class OllamaEngine final : public InferenceEngine {
   OllamaEngine(EngineEnv env, model::ModelSpec model, EngineOptions options,
                std::string backend_name);
 
-  EngineKind kind() const override { return EngineKind::kOllama; }
-
   Bytes DirtyBytes() const override;
   Bytes CleanBytes() const override { return Bytes(0); }
 

@@ -7,7 +7,7 @@ namespace swapserve::engine {
 
 SglangEngine::SglangEngine(EngineEnv env, model::ModelSpec model,
                            EngineOptions options, std::string backend_name)
-    : InferenceEngine(env, std::move(model), options,
+    : InferenceEngine(EngineKind::kSglang, env, std::move(model), options,
                       std::move(backend_name)) {}
 
 sim::Task<Result<InitBreakdown>> SglangEngine::InitializeEngine() {

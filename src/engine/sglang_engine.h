@@ -17,8 +17,6 @@ class SglangEngine final : public InferenceEngine {
   SglangEngine(EngineEnv env, model::ModelSpec model, EngineOptions options,
                std::string backend_name);
 
-  EngineKind kind() const override { return EngineKind::kSglang; }
-
   Bytes DirtyBytes() const override;
   Bytes CleanBytes() const override { return Bytes(0); }
 

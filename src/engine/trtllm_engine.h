@@ -16,8 +16,6 @@ class TrtllmEngine final : public InferenceEngine {
   TrtllmEngine(EngineEnv env, model::ModelSpec model, EngineOptions options,
                std::string backend_name);
 
-  EngineKind kind() const override { return EngineKind::kTrtllm; }
-
   Bytes DirtyBytes() const override;
   Bytes CleanBytes() const override { return Bytes(0); }
 

@@ -18,8 +18,6 @@ class VllmEngine final : public InferenceEngine {
   VllmEngine(EngineEnv env, model::ModelSpec model, EngineOptions options,
              std::string backend_name);
 
-  EngineKind kind() const override { return EngineKind::kVllm; }
-
   Bytes DirtyBytes() const override;
   Bytes CleanBytes() const override;
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,20 +88,22 @@ class GpuDevice {
 
   int active_compute_streams() const { return active_compute_; }
 
+  // Marks every device of a group (a tensor-parallel group, or a single
+  // device as a one-element span) busy for the scope's lifetime. Devices
+  // begin and end compute in span order.
   class [[nodiscard]] BusyScope {
    public:
-    explicit BusyScope(GpuDevice& gpu) : gpu_(&gpu) { gpu_->BeginCompute(); }
-    BusyScope(BusyScope&& other) noexcept
-        : gpu_(std::exchange(other.gpu_, nullptr)) {}
+    explicit BusyScope(std::span<GpuDevice* const> gpus) : gpus_(gpus) {
+      for (GpuDevice* gpu : gpus_) gpu->BeginCompute();
+    }
     BusyScope(const BusyScope&) = delete;
     BusyScope& operator=(const BusyScope&) = delete;
-    BusyScope& operator=(BusyScope&&) = delete;
     ~BusyScope() {
-      if (gpu_ != nullptr) gpu_->EndCompute();
+      for (GpuDevice* gpu : gpus_) gpu->EndCompute();
     }
 
    private:
-    GpuDevice* gpu_;
+    std::span<GpuDevice* const> gpus_;
   };
 
  private:

@@ -1,5 +1,6 @@
 #include "json/document.h"
 
+#include <cstring>
 #include <utility>
 
 #include "json/text.h"
@@ -49,25 +50,21 @@ Document::View Document::View::Find(std::string_view key) const {
 }
 
 bool Document::View::GetBool(std::string_view key, bool fallback) const {
-  const View v = Find(key);
-  return v.is_bool() ? v.AsBool() : fallback;
+  return Find(key).BoolOr(fallback);
 }
 
 double Document::View::GetDouble(std::string_view key, double fallback) const {
-  const View v = Find(key);
-  return v.is_number() ? v.AsDouble() : fallback;
+  return Find(key).DoubleOr(fallback);
 }
 
 std::int64_t Document::View::GetInt(std::string_view key,
                                     std::int64_t fallback) const {
-  const View v = Find(key);
-  return v.is_number() ? v.AsInt() : fallback;
+  return Find(key).IntOr(fallback);
 }
 
 std::string_view Document::View::GetString(std::string_view key,
                                            std::string_view fallback) const {
-  const View v = Find(key);
-  return v.is_string() ? v.AsString() : fallback;
+  return Find(key).StringOr(fallback);
 }
 
 // ---------------------------------------------------------------------------
@@ -79,32 +76,46 @@ std::string_view Document::View::GetString(std::string_view key,
 // contiguous (a child array's own children land between two siblings).
 // All cross-references are indices: the arena vector may reallocate while a
 // container is still being filled.
+//
+// Every step returns bool. The failing step records its offset and text and
+// the whole descent unwinds on `false`, so one error message is built, once,
+// by ParseInSitu — not a Status per recursion level.
 class Document::Parser {
  public:
   Parser(std::vector<Node>& nodes, char* begin, std::size_t size)
       : nodes_(nodes), begin_(begin), p_(begin), end_(begin + size) {}
 
-  Status Run() {
+  bool Run() {
     nodes_.clear();
     SkipWhitespace();
     nodes_.emplace_back();
-    SWAP_RETURN_IF_ERROR(ParseValue(0));
+    if (!ParseValue(0)) return false;
     SkipWhitespace();
-    if (p_ != end_) return Error("trailing characters after JSON document");
-    return Status::Ok();
+    if (p_ != end_) return Fail("trailing characters after JSON document");
+    return true;
+  }
+
+  // The first failure's message; valid after Run() returned false.
+  Status ErrorStatus() const {
+    return InvalidArgument("json parse error at offset " +
+                           std::to_string(error_at_ - begin_) + ": " +
+                           error_);
   }
 
  private:
-  Status Error(const std::string& what) const {
-    return InvalidArgument("json parse error at offset " +
-                           std::to_string(p_ - begin_) + ": " + what);
+  bool Fail(const char* what) { return FailAt(p_, what); }
+  bool FailAt(const char* at, const char* what) {
+    error_at_ = at;
+    error_ = what;
+    return false;
+  }
+  std::string_view FailString(const char* at, const char* what) {
+    FailAt(at, what);
+    return {};
   }
 
   void SkipWhitespace() {
-    while (p_ < end_ &&
-           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      ++p_;
-    }
+    while (p_ < end_ && IsJsonWhitespace(*p_)) ++p_;
   }
 
   bool Consume(char c) {
@@ -124,46 +135,40 @@ class Document::Parser {
     return false;
   }
 
+  bool ParseLiteral(Index idx, std::string_view lit, Kind kind) {
+    if (!ConsumeLiteral(lit)) return Fail("invalid literal");
+    nodes_[idx].kind = kind;
+    return true;
+  }
+
   // Fills nodes_[idx] (already allocated, key already set by the caller).
-  Status ParseValue(Index idx) {  // NOLINT(misc-no-recursion)
-    if (depth_ > kMaxParseDepth) return Error("nesting too deep");
-    if (p_ >= end_) return Error("unexpected end of input");
+  bool ParseValue(Index idx) {  // NOLINT(misc-no-recursion)
+    if (depth_ > kMaxParseDepth) return Fail("nesting too deep");
+    if (p_ >= end_) return Fail("unexpected end of input");
     switch (*p_) {
       case '{':
         return ParseContainer(idx, Kind::kObject);
       case '[':
         return ParseContainer(idx, Kind::kArray);
       case '"': {
-        std::string_view s;
-        SWAP_RETURN_IF_ERROR(ParseString(s));
+        const std::string_view s = ParseString();
+        if (s.data() == nullptr) return false;
         nodes_[idx].kind = Kind::kString;
         nodes_[idx].str = s;
-        return Status::Ok();
+        return true;
       }
       case 't':
-        if (ConsumeLiteral("true")) {
-          nodes_[idx].kind = Kind::kTrue;
-          return Status::Ok();
-        }
-        return Error("invalid literal");
+        return ParseLiteral(idx, "true", Kind::kTrue);
       case 'f':
-        if (ConsumeLiteral("false")) {
-          nodes_[idx].kind = Kind::kFalse;
-          return Status::Ok();
-        }
-        return Error("invalid literal");
+        return ParseLiteral(idx, "false", Kind::kFalse);
       case 'n':
-        if (ConsumeLiteral("null")) {
-          nodes_[idx].kind = Kind::kNull;
-          return Status::Ok();
-        }
-        return Error("invalid literal");
+        return ParseLiteral(idx, "null", Kind::kNull);
       default:
         return ParseNumber(idx);
     }
   }
 
-  Status ParseContainer(Index idx, Kind kind) {  // NOLINT(misc-no-recursion)
+  bool ParseContainer(Index idx, Kind kind) {  // NOLINT(misc-no-recursion)
     ++depth_;
     const bool object = kind == Kind::kObject;
     SWAP_CHECK(Consume(object ? '{' : '['));
@@ -171,7 +176,7 @@ class Document::Parser {
     SkipWhitespace();
     if (Consume(object ? '}' : ']')) {
       --depth_;
-      return Status::Ok();
+      return true;
     }
     Index prev = 0;
     Index count = 0;
@@ -179,16 +184,17 @@ class Document::Parser {
       SkipWhitespace();
       std::string_view key;
       if (object) {
-        if (p_ >= end_ || *p_ != '"') return Error("expected object key");
-        SWAP_RETURN_IF_ERROR(ParseString(key));
+        if (p_ >= end_ || *p_ != '"') return Fail("expected object key");
+        key = ParseString();
+        if (key.data() == nullptr) return false;
         SkipWhitespace();
-        if (!Consume(':')) return Error("expected ':' after key");
+        if (!Consume(':')) return Fail("expected ':' after key");
         SkipWhitespace();
       }
       const Index child = static_cast<Index>(nodes_.size());
       nodes_.emplace_back();
       nodes_[child].key = key;
-      SWAP_RETURN_IF_ERROR(ParseValue(child));
+      if (!ParseValue(child)) return false;
       if (count == 0) {
         nodes_[idx].first = child;
       } else {
@@ -199,108 +205,69 @@ class Document::Parser {
       SkipWhitespace();
       if (Consume(',')) continue;
       if (Consume(object ? '}' : ']')) break;
-      return object ? Error("expected ',' or '}' in object")
-                    : Error("expected ',' or ']' in array");
+      return Fail(object ? "expected ',' or '}' in object"
+                         : "expected ',' or ']' in array");
     }
     nodes_[idx].count = count;
     --depth_;
-    return Status::Ok();
-  }
-
-  // Parses a string in place. The fast path (no escapes) is a pure borrow
-  // of the buffer between the quotes. When an escape is found, decoding
-  // switches to a write cursor starting at the escape — every escape
-  // sequence decodes to fewer bytes than its source, so the write cursor
-  // never overtakes the read cursor and the decoded string is the prefix
-  // [start, w).
-  Status ParseString(std::string_view& out) {
-    SWAP_CHECK(Consume('"'));
-    char* const start = p_;
-    // Borrow fast path: scan to the closing quote.
-    while (p_ < end_ && *p_ != '"' && *p_ != '\\' &&
-           static_cast<unsigned char>(*p_) >= 0x20) {
-      ++p_;
-    }
-    if (p_ >= end_) return Error("unterminated string");
-    if (*p_ == '"') {
-      out = std::string_view(start, static_cast<std::size_t>(p_ - start));
-      ++p_;
-      return Status::Ok();
-    }
-    if (static_cast<unsigned char>(*p_) < 0x20) {
-      return Error("unescaped control character in string");
-    }
-    // Escape found: decode the rest in place.
-    char* w = p_;
-    while (p_ < end_) {
-      const char c = *p_++;
-      if (c == '"') {
-        out = std::string_view(start, static_cast<std::size_t>(w - start));
-        return Status::Ok();
-      }
-      if (c == '\\') {
-        if (p_ >= end_) return Error("unterminated escape");
-        const char esc = *p_++;
-        switch (esc) {
-          case '"': *w++ = '"'; break;
-          case '\\': *w++ = '\\'; break;
-          case '/': *w++ = '/'; break;
-          case 'n': *w++ = '\n'; break;
-          case 't': *w++ = '\t'; break;
-          case 'r': *w++ = '\r'; break;
-          case 'b': *w++ = '\b'; break;
-          case 'f': *w++ = '\f'; break;
-          case 'u': {
-            unsigned code = 0;
-            if (!ReadHex4(code)) return Error("invalid \\u escape");
-            if (IsLowSurrogate(code)) {
-              return Error("lone low surrogate in \\u escape");
-            }
-            if (IsHighSurrogate(code)) {
-              if (end_ - p_ < 2 || p_[0] != '\\' || p_[1] != 'u') {
-                return Error("unpaired high surrogate in \\u escape");
-              }
-              p_ += 2;
-              unsigned low = 0;
-              if (!ReadHex4(low)) return Error("invalid \\u escape");
-              if (!IsLowSurrogate(low)) {
-                return Error("invalid low surrogate in \\u escape");
-              }
-              code = CombineSurrogates(code, low);
-            }
-            w = AppendUtf8(code, w);
-            break;
-          }
-          default:
-            return Error("invalid escape character");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      } else {
-        *w++ = c;
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  bool ReadHex4(unsigned& code) {
-    if (end_ - p_ < 4) return false;
-    code = 0;
-    for (int i = 0; i < 4; ++i) {
-      const int h = HexDigit(*p_++);
-      if (h < 0) return false;
-      code = (code << 4) | static_cast<unsigned>(h);
-    }
     return true;
   }
 
-  Status ParseNumber(Index idx) {
-    char* const start = p_;
+  // Parses a string in place. The fast path (no escapes) is a pure borrow
+  // of the buffer between the quotes. From the first escape on, decoding
+  // writes through a cursor that starts at that escape — every escape
+  // sequence decodes to fewer bytes than its source, so the write cursor
+  // never overtakes the read cursor — and the clean runs between escapes
+  // move down in bulk. The decoded string is the prefix [start, w).
+  //
+  // Error offsets: a control byte in the leading clean run is reported at
+  // its own offset, one after the first escape at the offset past it (the
+  // decoding loop has consumed it).
+  //
+  // Returns the string, or a null view on failure (a parsed string, even an
+  // empty one, points into the buffer). Returning it by value keeps it in
+  // registers: an out-parameter written as two words and read back as one
+  // 16-byte copy stalls store forwarding on every string.
+  std::string_view ParseString() {
+    char* const start = begin_ + (p_ - begin_) + 1;  // past the open quote
+    const char* p = ScanStringRun(start, end_);
+    if (p == end_) return FailString(p, "unterminated string");
+    if (*p == '"') {
+      p_ = p + 1;
+      return {start, static_cast<std::size_t>(p - start)};
+    }
+    if (*p != '\\') {
+      return FailString(p, "unescaped control character in string");
+    }
+    char* w = start + (p - start);
+    while (true) {
+      const char c = *p++;  // a stop byte: quote, backslash or control
+      if (c == '"') {
+        p_ = p;
+        return {start, static_cast<std::size_t>(w - start)};
+      }
+      if (c != '\\') {
+        return FailString(p, "unescaped control character in string");
+      }
+      if (const char* error = DecodeEscape(p, end_, w)) {
+        return FailString(p, error);
+      }
+      const char* const run_end = ScanStringRun(p, end_);
+      const auto n = static_cast<std::size_t>(run_end - p);
+      std::memmove(w, p, n);
+      w += n;
+      p = run_end;
+      if (p == end_) return FailString(p, "unterminated string");
+    }
+  }
+
+  bool ParseNumber(Index idx) {
+    const char* const start = p_;
     while (p_ < end_ && IsNumberChar(*p_)) ++p_;
-    if (p_ == start) return Error("expected a value");
+    if (p_ == start) return Fail("expected a value");
     const NumberToken num = DecodeNumber(
         std::string_view(start, static_cast<std::size_t>(p_ - start)));
-    if (!num.ok) return Error("invalid number");
+    if (!num.ok) return Fail("invalid number");
     if (num.is_int) {
       nodes_[idx].kind = Kind::kInt;
       nodes_[idx].i = num.i;
@@ -309,14 +276,16 @@ class Document::Parser {
       nodes_[idx].kind = Kind::kDouble;
       nodes_[idx].d = num.d;
     }
-    return Status::Ok();
+    return true;
   }
 
   std::vector<Node>& nodes_;
   char* const begin_;
-  char* p_;
-  char* const end_;
+  const char* p_;
+  const char* const end_;
   int depth_ = 0;
+  const char* error_at_ = nullptr;
+  const char* error_ = "";
 };
 
 Status Document::ParseInSitu(std::string& buffer) {
@@ -325,9 +294,9 @@ Status Document::ParseInSitu(std::string& buffer) {
 
 Status Document::ParseInSitu(char* data, std::size_t size) {
   Parser parser(nodes_, data, size);
-  Status status = parser.Run();
-  if (!status.ok()) nodes_.clear();
-  return status;
+  if (parser.Run()) return Status::Ok();
+  nodes_.clear();
+  return parser.ErrorStatus();
 }
 
 // ---------------------------------------------------------------------------

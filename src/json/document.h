@@ -105,6 +105,22 @@ class Document {
       return valid() ? node().key : std::string_view();
     }
 
+    // This node's value when it has the type, else `fallback` (also for an
+    // invalid view) — the typed getters' fallback rule, for a member the
+    // caller already holds.
+    bool BoolOr(bool fallback) const {
+      return is_bool() ? node().kind == Kind::kTrue : fallback;
+    }
+    double DoubleOr(double fallback) const {
+      return is_number() ? node().d : fallback;
+    }
+    std::int64_t IntOr(std::int64_t fallback) const {
+      return is_number() ? AsInt() : fallback;
+    }
+    std::string_view StringOr(std::string_view fallback) const {
+      return is_string() ? node().str : fallback;
+    }
+
     // Object helpers (first match in insertion order; objects with
     // duplicate keys keep every member, lookups see the first).
     View Find(std::string_view key) const;

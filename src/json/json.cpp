@@ -209,11 +209,7 @@ class Parser {
   }
 
   void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsJsonWhitespace(text_[pos_])) ++pos_;
   }
 
   bool Consume(char c) {
@@ -308,69 +304,31 @@ class Parser {
     return Value(std::move(arr));
   }
 
+  // Clean runs between escapes are found by the shared scanner and
+  // appended in bulk. Each stop byte is consumed before it is judged, so
+  // a raw control byte is reported one past its own offset.
   Result<std::string> ParseString() {
     SWAP_CHECK(Consume('"'));
+    const char* const base = text_.data();
+    const char* const end = base + text_.size();
+    const char* p = base + pos_;
     std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
+    while (p != end) {
+      const char* const run_end = ScanStringRun(p, end);
+      out.append(p, static_cast<std::size_t>(run_end - p));
+      p = run_end;
+      if (p == end) break;
+      const char c = *p++;
+      pos_ = static_cast<std::size_t>(p - base);
       if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Error("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            unsigned code = 0;
-            if (!ReadHex4(code)) return Error("invalid \\u escape");
-            if (IsLowSurrogate(code)) {
-              return Error("lone low surrogate in \\u escape");
-            }
-            if (IsHighSurrogate(code)) {
-              // Supplementary plane: the high surrogate must be followed
-              // immediately by \uDC00-\uDFFF; anything else is malformed.
-              if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
-                  text_[pos_ + 1] != 'u') {
-                return Error("unpaired high surrogate in \\u escape");
-              }
-              pos_ += 2;
-              unsigned low = 0;
-              if (!ReadHex4(low)) return Error("invalid \\u escape");
-              if (!IsLowSurrogate(low)) {
-                return Error("invalid low surrogate in \\u escape");
-              }
-              code = CombineSurrogates(code, low);
-            }
-            AppendUtf8(code, out);
-            break;
-          }
-          default:
-            return Error("invalid escape character");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      } else {
-        out += c;
+      if (c != '\\') return Error("unescaped control character in string");
+      if (const char* error = DecodeEscape(p, end, out)) {
+        pos_ = static_cast<std::size_t>(p - base);
+        return Error(error);
       }
     }
+    pos_ = text_.size();
     return Error("unterminated string");
-  }
-
-  bool ReadHex4(unsigned& code) {
-    if (pos_ + 4 > text_.size()) return false;
-    code = 0;
-    for (int i = 0; i < 4; ++i) {
-      const int h = HexDigit(text_[pos_++]);
-      if (h < 0) return false;
-      code = (code << 4) | static_cast<unsigned>(h);
-    }
-    return true;
   }
 
   Result<Value> ParseNumber() {

@@ -3,13 +3,14 @@
 //
 // Both speak exactly the same dialect — RFC 8259 with the full \u escape
 // set including surrogate pairs beyond the BMP — because they share these
-// routines: the strict number grammar, the hex/UTF-8 codecs, the
-// surrogate-pair combination rules, and the number -> int64 conversion. A
-// behavior change here changes both parsers at once, which is what the
-// conformance suite (tests/json) pins.
+// routines: the string-run scanner, the escape decoder, the strict number
+// grammar, the hex/UTF-8 codecs, the surrogate-pair combination rules, and
+// the number -> int64 conversion. A behavior change here changes both
+// parsers at once, which is what the conformance suite (tests/json) pins.
 
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +18,11 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace swapserve::json {
 
@@ -82,6 +88,112 @@ inline char* AppendUtf8(unsigned code, char* out) {
     *out++ = static_cast<char>(0x80 | (code & 0x3F));
   }
   return out;
+}
+
+// JSON's four insignificant whitespace bytes. Every byte above ' ' fails
+// the first comparison, so the common no-whitespace case costs one branch.
+inline bool IsJsonWhitespace(char c) {
+  return static_cast<unsigned char>(c) <= ' ' &&
+         (c == ' ' || c == '\t' || c == '\n' || c == '\r');
+}
+
+// Does `c` end a clean run inside a string? The closing quote, an escape,
+// and a raw control byte (< 0x20, which the dialect rejects) all do; every
+// other byte, 0x7F and 0x80-0xFF included, is copied through as-is.
+inline bool IsStringStop(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+// The first position in [p, end) whose byte IsStringStop, or `end`. With
+// SSE2 it tests 16 bytes per step (unaligned loads that never read past
+// `end`) and finishes the tail byte by byte; without SSE2 it is the scalar
+// loop alone. The cursor lives in a local so it stays in a register.
+inline const char* ScanStringRun(const char* p, const char* end) {
+#if defined(__SSE2__)
+  const __m128i quote = _mm_set1_epi8('"');
+  const __m128i backslash = _mm_set1_epi8('\\');
+  const __m128i max_control = _mm_set1_epi8(0x1F);
+  const __m128i zero = _mm_setzero_si128();
+  while (end - p >= 16) {
+    const __m128i chunk =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    // Unsigned b <= 0x1F exactly when the saturating b - 0x1F is zero
+    // (SSE2 has no unsigned byte compare; a signed one would stop at 0x80+).
+    const __m128i control =
+        _mm_cmpeq_epi8(_mm_subs_epu8(chunk, max_control), zero);
+    const __m128i stop = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi8(chunk, quote),
+                     _mm_cmpeq_epi8(chunk, backslash)),
+        control);
+    const auto mask = static_cast<unsigned>(_mm_movemask_epi8(stop));
+    if (mask != 0) return p + std::countr_zero(mask);
+    p += 16;
+  }
+#endif
+  while (p < end && !IsStringStop(*p)) ++p;
+  return p;
+}
+
+// Decodes one escape sequence for either parser. `p` points just past the
+// backslash; `out` is a std::string to append to, or a char* write cursor
+// (in-situ decoding writes over the escape it consumed, which is always at
+// least as long as its decoded bytes). Returns nullptr on success, with `p`
+// past the sequence; on failure returns the error text, with `p` at the
+// offset the parsers report it at.
+template <typename Out>
+inline const char* DecodeEscape(const char*& p, const char* end, Out& out) {
+  static_assert(std::is_same_v<Out, std::string> || std::is_same_v<Out, char*>);
+  const auto put = [&out](char c) {
+    if constexpr (std::is_same_v<Out, std::string>) {
+      out += c;
+    } else {
+      *out++ = c;
+    }
+  };
+  const auto read_hex4 = [&p, end](unsigned& code) {
+    if (end - p < 4) return false;
+    code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const int h = HexDigit(*p++);
+      if (h < 0) return false;
+      code = (code << 4) | static_cast<unsigned>(h);
+    }
+    return true;
+  };
+  if (p >= end) return "unterminated escape";
+  switch (*p++) {
+    case '"': put('"'); return nullptr;
+    case '\\': put('\\'); return nullptr;
+    case '/': put('/'); return nullptr;
+    case 'n': put('\n'); return nullptr;
+    case 't': put('\t'); return nullptr;
+    case 'r': put('\r'); return nullptr;
+    case 'b': put('\b'); return nullptr;
+    case 'f': put('\f'); return nullptr;
+    case 'u': break;
+    default: return "invalid escape character";
+  }
+  unsigned code = 0;
+  if (!read_hex4(code)) return "invalid \\u escape";
+  if (IsLowSurrogate(code)) return "lone low surrogate in \\u escape";
+  if (IsHighSurrogate(code)) {
+    // Supplementary plane: the high surrogate must be followed immediately
+    // by \uDC00-\uDFFF; anything else is malformed.
+    if (end - p < 2 || p[0] != '\\' || p[1] != 'u') {
+      return "unpaired high surrogate in \\u escape";
+    }
+    p += 2;
+    unsigned low = 0;
+    if (!read_hex4(low)) return "invalid \\u escape";
+    if (!IsLowSurrogate(low)) return "invalid low surrogate in \\u escape";
+    code = CombineSurrogates(code, low);
+  }
+  if constexpr (std::is_same_v<Out, std::string>) {
+    AppendUtf8(code, out);
+  } else {
+    out = AppendUtf8(code, out);
+  }
+  return nullptr;
 }
 
 // Is `c` one of the characters that may appear inside a number token?

@@ -2,6 +2,9 @@
 
 #include "core/router.h"
 
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "fixture.h"
@@ -225,6 +228,83 @@ TEST(RouterTest, DefaultsApplied) {
   });
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.output_tokens, 512);
+}
+
+// Routes `body` through a router whose backend never starts and returns the
+// request the handler queued, so every field the router read can be checked.
+Result<InferenceRequest> RouteOnly(RouterBed& rb, const std::string& body) {
+  Result<ResponseChannelPtr> ch = rb.serve.router().ChatCompletions(body);
+  if (!ch.ok()) return ch.status();
+  std::optional<QueuedRequest> item = rb.serve.backends()[0]->queue->TryRecv();
+  if (!item.has_value()) return Internal("accepted but nothing queued");
+  return std::move(item->request);
+}
+
+// The router reads the body's members in one walk; it must keep what eight
+// separate Find lookups meant: the first of duplicate keys wins, a member of
+// the wrong type falls back to its default, and validation errors come in a
+// fixed order whatever the order of the members.
+TEST(RouterTest, OneWalkKeepsFindSemantics) {
+  TestBed bed;
+  RouterBed rb(bed);
+  const std::string model = R"("model":"llama-3.2-1b-fp16")";
+  const std::string msgs = R"("messages":[{"role":"user","content":"hi"}])";
+
+  Result<InferenceRequest> r = RouteOnly(
+      rb, "{" + model + R"(,"model":"ghost",)" + msgs +
+              R"(,"max_tokens":7,"max_tokens":9})");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->model, "llama-3.2-1b-fp16");
+  EXPECT_EQ(r->max_tokens, 7);
+  EXPECT_EQ(RouteOnly(rb, R"({"model":"ghost",)" + model + "," + msgs + "}")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(RouteOnly(rb, "{" + model + "," + msgs +
+                              R"(,"max_tokens":0,"max_tokens":9})")
+                .status()
+                .message(),
+            "max_tokens must be in [1, 16384]");
+
+  r = RouteOnly(rb, "{" + model + "," + msgs +
+                        R"(,"max_tokens":"12","stream":1,"temperature":"hot",)"
+                        R"("seed":"7","user":5,"slo_class":null})");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->max_tokens, 512);
+  EXPECT_TRUE(r->stream);
+  EXPECT_EQ(r->temperature, 0.0);
+  EXPECT_EQ(r->seed, 0u);
+  EXPECT_EQ(r->tenant, "");
+  EXPECT_EQ(r->slo_class, "");
+
+  r = RouteOnly(rb, R"({"slo_class":"gold","user":"t1","seed":7,)"
+                    R"("stream":false,"temperature":1.5,"max_tokens":12,)" +
+                        msgs + "," + model + "}");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->max_tokens, 12);
+  EXPECT_FALSE(r->stream);
+  EXPECT_EQ(r->temperature, 1.5);
+  EXPECT_EQ(r->seed, 7u);
+  EXPECT_EQ(r->tenant, "t1");
+  EXPECT_EQ(r->slo_class, "gold");
+
+  const auto error = [&rb](const std::string& body) {
+    return RouteOnly(rb, body).status().message();
+  };
+  EXPECT_EQ(error(R"({"max_tokens":0,"temperature":9,"messages":[]})"),
+            "missing required field: model");
+  EXPECT_EQ(error(R"({"max_tokens":0,"temperature":9,"messages":[],)" +
+                  model + "}"),
+            "messages must be a non-empty array");
+  EXPECT_EQ(error(R"({"max_tokens":0,"temperature":9,)"
+                  R"("messages":[{"content":"x"}],)" +
+                  model + "}"),
+            "each message needs a role");
+  EXPECT_EQ(error(R"({"max_tokens":0,"temperature":9,)" + msgs + "," +
+                  model + "}"),
+            "temperature must be in [0, 2]");
+  EXPECT_EQ(error(R"({"max_tokens":0,)" + msgs + "," + model + "}"),
+            "max_tokens must be in [1, 16384]");
 }
 
 }  // namespace

@@ -103,7 +103,8 @@ TEST_F(GpuDeviceTest, TotalBusyIncludesTheOpenInterval) {
 TEST_F(GpuDeviceTest, BusyScopeIsRaii) {
   sim.Go([this]() -> sim::Task<> {
     {
-      GpuDevice::BusyScope busy(gpu);
+      GpuDevice* const group[] = {&gpu};
+      GpuDevice::BusyScope busy(group);
       co_await sim.Delay(sim::Seconds(2));
     }
     co_await sim.Delay(sim::Seconds(3));  // idle

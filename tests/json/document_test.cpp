@@ -6,7 +6,10 @@
 
 #include "json/document.h"
 
+#include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -197,6 +200,135 @@ TEST(DocumentTest, DeepNestingLimitsMatchTheDialect) {
   EXPECT_TRUE(doc.ParseInSitu(ok).ok());
   std::string bad = nested(258);
   EXPECT_FALSE(doc.ParseInSitu(bad).ok());
+}
+
+// One parse through each parser, over an exact-size heap copy of `text`, so
+// a string scan that reads past the end is an out-of-bounds read under
+// AddressSanitizer.
+struct Verdict {
+  bool ok = false;
+  std::string value;  // the decoded root string, when ok
+  std::string error;  // the status message, when not
+};
+
+std::unique_ptr<char[]> ExactCopy(std::string_view text) {
+  auto buf = std::make_unique<char[]>(text.size());
+  std::memcpy(buf.get(), text.data(), text.size());
+  return buf;
+}
+
+Verdict InSituVerdict(std::string_view text) {
+  const std::unique_ptr<char[]> buf = ExactCopy(text);
+  Document doc;
+  const Status s = doc.ParseInSitu(buf.get(), text.size());
+  if (!s.ok()) return {false, "", s.message()};
+  return {true, std::string(doc.root().AsString()), ""};
+}
+
+Verdict DomVerdict(std::string_view text) {
+  const std::unique_ptr<char[]> buf = ExactCopy(text);
+  const Result<Value> v = Parse(std::string_view(buf.get(), text.size()));
+  if (!v.ok()) return {false, "", v.status().message()};
+  return {true, v->AsString(), ""};
+}
+
+std::string ErrorAt(std::size_t offset, std::string_view what) {
+  return "json parse error at offset " + std::to_string(offset) + ": " +
+         std::string(what);
+}
+
+// Every byte that stops the string scanner ('"', '\\', 0x00-0x1F), at every
+// offset of every string length 0-40 — across the 16-byte steps and the
+// scalar tail — with and without an escape earlier in the string (the
+// in-situ parser's decoding loop). Bytes that must not stop it (0x7F,
+// 0x80-0xFF) pass through. Both parsers must agree on the verdict and the
+// decoded value, and each must report errors at the offsets it always has:
+// the DOM one past a raw control byte; the in-situ parser at it, unless an
+// escape came first.
+TEST(DocumentTest, StringScanStopsAtEveryByteAtEveryOffset) {
+  std::string specials = "\"\\";
+  for (int c = 0; c < 0x20; ++c) specials += static_cast<char>(c);
+  std::string pass_through = "\x7F";
+  for (int c = 0x80; c <= 0xFF; ++c) pass_through += static_cast<char>(c);
+
+  for (const std::string_view prefix : {"", "\\t"}) {
+    const std::string decoded_prefix = prefix.empty() ? "" : "\t";
+    for (std::size_t len = 0; len <= 40; ++len) {
+      const std::string clean =
+          '"' + std::string(prefix) + std::string(len, 'n') + '"';
+      const Verdict clean_insitu = InSituVerdict(clean);
+      EXPECT_TRUE(clean_insitu.ok) << clean_insitu.error;
+      EXPECT_EQ(clean_insitu.value, decoded_prefix + std::string(len, 'n'));
+      EXPECT_EQ(DomVerdict(clean).value, clean_insitu.value);
+      for (std::size_t k = 0; k < len; ++k) {
+        const std::size_t at = 1 + prefix.size() + k;  // offset in the text
+        for (const char b : specials) {
+          std::string content(len, 'n');
+          content[k] = b;
+          const std::string text = '"' + std::string(prefix) + content + '"';
+          const Verdict insitu = InSituVerdict(text);
+          const Verdict dom = DomVerdict(text);
+          SCOPED_TRACE("len " + std::to_string(len) + " offset " +
+                       std::to_string(k) + " byte " +
+                       std::to_string(static_cast<unsigned char>(b)) +
+                       (prefix.empty() ? "" : " after an escape"));
+          EXPECT_EQ(insitu.ok, dom.ok);
+          if (b == '"') {
+            // The string closes early; the rest of the body trails it.
+            EXPECT_EQ(insitu.error,
+                      ErrorAt(at + 1,
+                              "trailing characters after JSON document"));
+            EXPECT_EQ(dom.error, insitu.error);
+          } else if (b == '\\' && k + 1 == len) {
+            // Escapes the closing quote: nothing closes the string.
+            EXPECT_EQ(insitu.error,
+                      ErrorAt(text.size(), "unterminated string"));
+            EXPECT_EQ(dom.error, insitu.error);
+          } else if (b == '\\') {
+            // "\\n": the escape decodes and the string goes on.
+            const std::string want = decoded_prefix + std::string(k, 'n') +
+                                     '\n' + std::string(len - k - 2, 'n');
+            EXPECT_EQ(insitu.value, want);
+            EXPECT_EQ(dom.value, want);
+          } else {
+            const char* what = "unescaped control character in string";
+            EXPECT_EQ(insitu.error,
+                      ErrorAt(prefix.empty() ? at : at + 1, what));
+            EXPECT_EQ(dom.error, ErrorAt(at + 1, what));
+          }
+        }
+      }
+      // Pass-through bytes fill the whole string, rotated so that every
+      // one of them lands on every offset.
+      for (std::size_t r = 0; len > 0 && r < pass_through.size(); ++r) {
+        std::string content(len, 'n');
+        for (std::size_t k = 0; k < len; ++k) {
+          content[k] = pass_through[(r + k) % pass_through.size()];
+        }
+        const std::string text = '"' + std::string(prefix) + content + '"';
+        const Verdict insitu = InSituVerdict(text);
+        SCOPED_TRACE("pass-through, len " + std::to_string(len) +
+                     " rotation " + std::to_string(r));
+        EXPECT_TRUE(insitu.ok) << insitu.error;
+        EXPECT_EQ(insitu.value, decoded_prefix + content);
+        EXPECT_EQ(DomVerdict(text).value, insitu.value);
+      }
+    }
+  }
+
+  // An unterminated string whose bytes end on, just before and just after
+  // a 16-byte step is rejected at the end of the input by both parsers.
+  for (const std::string_view prefix : {"", "\\t"}) {
+    for (const std::size_t len : {14, 15, 16, 17, 31, 32, 33, 47, 48}) {
+      const std::string text =
+          '"' + std::string(prefix) + std::string(len, 'n');
+      SCOPED_TRACE("unterminated, len " + std::to_string(len));
+      EXPECT_EQ(InSituVerdict(text).error,
+                ErrorAt(text.size(), "unterminated string"));
+      EXPECT_EQ(DomVerdict(text).error,
+                ErrorAt(text.size(), "unterminated string"));
+    }
+  }
 }
 
 }  // namespace
