@@ -326,11 +326,12 @@ sim::Task<> ClusterServe::MigrateModel(std::string model, int from, int to) {
   int moved = 0;
   while (auto queued = src->queue->TryRecv()) {
     core::QueuedRequest item = std::move(*queued);
-    if (dst->queue->TrySend(item)) {
+    if (dst->queue->TrySend(core::QueuedRequest(item))) {
       ++moved;
       continue;
     }
-    if (src->queue->TrySend(item)) continue;  // destination full: stay put
+    // Destination full: stay put.
+    if (src->queue->TrySend(core::QueuedRequest(item))) continue;
     core::ResponseChunk error;
     error.kind = core::ResponseChunk::Kind::kError;
     error.error = "request dropped during migration of " + model;
@@ -469,7 +470,8 @@ void ClusterServe::FailOverNode(int id) {
       core::QueuedRequest item = std::move(*queued);
       Result<int> target = placement_->Pick(node_ptrs_, model);
       if (target.ok() && *target != id &&
-          backends_.backend(model, *target)->queue->TrySend(item)) {
+          backends_.backend(model, *target)->queue->TrySend(
+              core::QueuedRequest(item))) {
         ++moved;
         continue;
       }

@@ -19,7 +19,7 @@ void AdmissionController::ObserveService(const std::string& model,
   // The first observation blends with the configured prior, not replaces
   // it — a single outlier completion must not swing the estimator.
   auto [it, inserted] =
-      ewma_service_s_.emplace(model, config_.initial_service_s);
+      ewma_service_s_.try_emplace(model, config_.initial_service_s);
   it->second = config_.ewma_alpha * service_s +
                (1.0 - config_.ewma_alpha) * it->second;
 }

@@ -33,18 +33,25 @@ void CountRequest(obs::Observability* obs, const std::string& model,
 
 }  // namespace
 
-Metrics::ModelInstruments& Metrics::InstrumentsFor(const std::string& model) {
-  auto it = model_instruments_.lower_bound(model);
-  if (it == model_instruments_.end() || it->first != model) {
-    it = model_instruments_.try_emplace(it, model);
+Metrics::ModelHandle& Metrics::Entry(const std::string& model) {
+  auto it = models_.lower_bound(model);
+  if (it == models_.end() || it->first != model) {
+    it = models_.try_emplace(it, model);
+    it->second.name_ = &it->first;
   }
   return it->second;
 }
 
-void Metrics::RecordCompleted(const std::string& model, double ttft_s,
+Metrics::ModelHandle& Metrics::Handle(const std::string& model) {
+  ModelHandle& handle = Entry(model);
+  if (handle.samples_ == nullptr) handle.samples_ = &per_model_[model];
+  return handle;
+}
+
+void Metrics::RecordCompleted(ModelHandle& model, double ttft_s,
                               double total_s, double swap_wait_s,
                               std::int64_t output_tokens) {
-  ModelMetrics& mm = per_model_[model];
+  ModelMetrics& mm = *model.samples_;
   ++mm.completed;
   mm.output_tokens += output_tokens;
   mm.ttft_s.Add(ttft_s);
@@ -56,10 +63,10 @@ void Metrics::RecordCompleted(const std::string& model, double ttft_s,
   }
 
   if (obs_ == nullptr) return;
-  ModelInstruments& h = InstrumentsFor(model);
+  ModelInstruments& h = model.series_;
   if (h.requests == nullptr) {
-    const obs::Labels labels = {{"model", model}};
-    h.requests = &RequestsCounter(*obs_, model, "completed");
+    const obs::Labels labels = {{"model", model.model()}};
+    h.requests = &RequestsCounter(*obs_, model.model(), "completed");
     h.ttft = &obs_->metrics.GetHistogram(kTtftSeconds, labels);
     h.latency = &obs_->metrics.GetHistogram(kLatencySeconds, labels);
     h.swap_wait = &obs_->metrics.GetHistogram(kSwapWaitSeconds, labels);
@@ -70,6 +77,24 @@ void Metrics::RecordCompleted(const std::string& model, double ttft_s,
   h.latency->Observe(total_s);
   h.swap_wait->Observe(swap_wait_s);
   h.output_tokens->Increment(static_cast<double>(output_tokens));
+}
+
+void Metrics::RecordFailed(ModelHandle& model) {
+  ++model.samples_->failed;
+  if (obs_ == nullptr) return;
+  if (model.series_.failed == nullptr) {
+    model.series_.failed = &RequestsCounter(*obs_, model.model(), "failed");
+  }
+  model.series_.failed->Increment();
+}
+
+void Metrics::RecordExpired(ModelHandle& model) {
+  ++model.samples_->expired;
+  if (obs_ == nullptr) return;
+  if (model.series_.expired == nullptr) {
+    model.series_.expired = &RequestsCounter(*obs_, model.model(), "expired");
+  }
+  model.series_.expired->Increment();
 }
 
 void Metrics::RecordRejected(const std::string& model) {
@@ -86,16 +111,6 @@ void Metrics::RecordShed(const std::string& model,
                    {"slo_class", slo_class.empty() ? "default" : slo_class}});
 }
 
-void Metrics::RecordFailed(const std::string& model) {
-  ++per_model_[model].failed;
-  CountRequest(obs_, model, "failed");
-}
-
-void Metrics::RecordExpired(const std::string& model) {
-  ++per_model_[model].expired;
-  CountRequest(obs_, model, "expired");
-}
-
 void Metrics::RecordSwapOut(const std::string& model, double latency_s,
                             bool preemption) {
   ++swap_outs;
@@ -106,7 +121,7 @@ void Metrics::RecordSwapOut(const std::string& model, double latency_s,
   obs::IncCounter(obs_,
                   preemption ? swaps_.out_preemption : swaps_.out_explicit,
                   kSwapsTotal, {{"direction", "out"}, {"trigger", trigger}});
-  obs::Observe(obs_, InstrumentsFor(model).swap_out_latency, kSwapLatency,
+  obs::Observe(obs_, Entry(model).series_.swap_out_latency, kSwapLatency,
                {{"direction", "out"}, {"model", model}}, latency_s);
 }
 
@@ -116,14 +131,14 @@ void Metrics::RecordSwapIn(const std::string& model, double latency_s) {
   if (obs_ == nullptr) return;
   obs::IncCounter(obs_, swaps_.in_demand, kSwapsTotal,
                   {{"direction", "in"}, {"trigger", "demand"}});
-  obs::Observe(obs_, InstrumentsFor(model).swap_in_latency, kSwapLatency,
+  obs::Observe(obs_, Entry(model).series_.swap_in_latency, kSwapLatency,
                {{"direction", "in"}, {"model", model}}, latency_s);
 }
 
 void Metrics::RecordPrefetch(const std::string& model) {
   ++prefetches;
   if (obs_ == nullptr) return;
-  obs::IncCounter(obs_, InstrumentsFor(model).prefetches,
+  obs::IncCounter(obs_, Entry(model).series_.prefetches,
                   "swapserve_prefetches_total", {{"model", model}});
 }
 
@@ -132,9 +147,10 @@ void Metrics::RecordSwapRetry(const std::string& model) {
   obs::IncCounter(obs_, "swapserve_swap_retries_total", {{"model", model}});
 }
 
-void Metrics::RecordRequeue(const std::string& model) {
+void Metrics::RecordRequeue(ModelHandle& model) {
   ++requeues;
-  obs::IncCounter(obs_, "swapserve_requeues_total", {{"model", model}});
+  obs::IncCounter(obs_, model.series_.requeues, "swapserve_requeues_total",
+                  {{"model", model.model()}});
 }
 
 void Metrics::RecordRecovery(const std::string& model,

@@ -34,7 +34,47 @@ struct ModelMetrics {
 };
 
 class Metrics {
+  // One model's registry series on the per-request and per-swap paths.
+  // The completion series are resolved together on the model's first
+  // completion, every other series on its own first write, so a model
+  // that never completes (or never swaps) exports none of them.
+  struct ModelInstruments {
+    obs::Counter* requests = nullptr;
+    obs::HistogramMetric* ttft = nullptr;
+    obs::HistogramMetric* latency = nullptr;
+    obs::HistogramMetric* swap_wait = nullptr;
+    obs::Counter* output_tokens = nullptr;
+    obs::Counter* failed = nullptr;
+    obs::Counter* expired = nullptr;
+    obs::Counter* requeues = nullptr;
+    obs::HistogramMetric* swap_in_latency = nullptr;
+    obs::HistogramMetric* swap_out_latency = nullptr;
+    obs::Counter* prefetches = nullptr;
+  };
+
  public:
+  // One model's write path: its per_model() entry and its registry series.
+  // The model worker resolves its model's handle once, on its first
+  // request-outcome write (Handle()), and records every later request
+  // through it, so no per-request write looks the name up. A handle lives
+  // as long as the Metrics. BindObservability keeps it valid and clears
+  // its series; each series is re-created in the new registry on its next
+  // write, exactly as on a first write.
+  class ModelHandle {
+   public:
+    const std::string& model() const { return *name_; }
+
+   private:
+    friend class Metrics;
+    const std::string* name_ = nullptr;  // the key of its node in models_
+    ModelMetrics* samples_ = nullptr;    // set by Handle()
+    ModelInstruments series_;
+  };
+
+  // Resolve `model`'s handle for request-outcome writes. Creates the
+  // model's per_model() entry, but no registry series.
+  ModelHandle& Handle(const std::string& model);
+
   ModelMetrics& ForModel(const std::string& model_id) {
     return per_model_[model_id];
   }
@@ -47,20 +87,20 @@ class Metrics {
   void BindObservability(obs::Observability* obs) {
     obs_ = obs;
     swaps_ = {};
-    model_instruments_.clear();
+    for (auto& [name, handle] : models_) handle.series_ = {};
   }
 
-  // --- request outcomes (one call per request, from the model worker /
-  // request handler) ----------------------------------------------------
-  void RecordCompleted(const std::string& model, double ttft_s,
-                       double total_s, double swap_wait_s,
-                       std::int64_t output_tokens);
+  // --- request outcomes (one call per request: from the model worker
+  // through its handle, or from the request handler before the request
+  // reaches a worker) ------------------------------------------------------
+  void RecordCompleted(ModelHandle& model, double ttft_s, double total_s,
+                       double swap_wait_s, std::int64_t output_tokens);
+  void RecordFailed(ModelHandle& model);
+  void RecordExpired(ModelHandle& model);
   void RecordRejected(const std::string& model);
   // Admission control shed the request before it was queued (429 with a
   // Retry-After in the real system); slo_class may be empty.
   void RecordShed(const std::string& model, const std::string& slo_class);
-  void RecordFailed(const std::string& model);
-  void RecordExpired(const std::string& model);
 
   // --- swap outcomes (from the engine controller) -----------------------
   void RecordSwapOut(const std::string& model, double latency_s,
@@ -74,7 +114,7 @@ class Metrics {
   // --- recovery outcomes (scheduler retries, worker requeues, crashed
   // backends restored from scratch, breaker trips) ----------------------
   void RecordSwapRetry(const std::string& model);
-  void RecordRequeue(const std::string& model);
+  void RecordRequeue(ModelHandle& model);
   // A completed recovery action; `kind` is "restart", "cold_fallback", ...
   void RecordRecovery(const std::string& model, const std::string& kind,
                       double latency_s);
@@ -108,21 +148,9 @@ class Metrics {
   Samples AllTtft() const;
 
  private:
-  // One model's registry series on the per-request and per-swap paths.
-  // The completion series are resolved together on the model's first
-  // completion, every other series on its own first write, so a model
-  // that never completes (or never swaps) exports none of them.
-  struct ModelInstruments {
-    obs::Counter* requests = nullptr;
-    obs::HistogramMetric* ttft = nullptr;
-    obs::HistogramMetric* latency = nullptr;
-    obs::HistogramMetric* swap_wait = nullptr;
-    obs::Counter* output_tokens = nullptr;
-    obs::HistogramMetric* swap_in_latency = nullptr;
-    obs::HistogramMetric* swap_out_latency = nullptr;
-    obs::Counter* prefetches = nullptr;
-  };
-  ModelInstruments& InstrumentsFor(const std::string& model);
+  // `model`'s handle, created on first use without its per_model() entry
+  // (the swap paths write series only).
+  ModelHandle& Entry(const std::string& model);
   // swapserve_swaps_total{direction, trigger}: three series.
   struct SwapCounters {
     obs::Counter* out_preemption = nullptr;
@@ -133,7 +161,8 @@ class Metrics {
   std::map<std::string, ModelMetrics> per_model_;
   obs::Observability* obs_ = nullptr;
   SwapCounters swaps_;
-  std::map<std::string, ModelInstruments, std::less<>> model_instruments_;
+  // Node-based, so handles stay where they are while models are added.
+  std::map<std::string, ModelHandle, std::less<>> models_;
 };
 
 }  // namespace swapserve::core

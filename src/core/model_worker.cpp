@@ -33,7 +33,7 @@ sim::Task<> ModelWorker::FailOrRequeue(QueuedRequest item, Status status,
   if (fault::IsRetryable(status) && item.attempt < request_retries_ &&
       deadline_ok) {
     ++item.attempt;
-    metrics_.RecordRequeue(backend_.name());
+    metrics_.RecordRequeue(MetricsHandle());
     const sim::SimDuration backoff = backoff_.BackoffBefore(item.attempt, rng_);
     SWAP_LOG(kWarning, "worker")
         << backend_.name() << ": request " << item.request.id
@@ -44,7 +44,7 @@ sim::Task<> ModelWorker::FailOrRequeue(QueuedRequest item, Status status,
                  {{"request_id", item.request.id},
                   {"attempt", item.attempt}});
     co_await sim_.Delay(backoff);
-    QueuedRequest copy = item;  // TrySend consumes its argument
+    QueuedRequest copy = item;  // for the terminal error if refused
     if (backend_.queue->TrySend(std::move(item))) co_return;
     item = std::move(copy);  // queue full or closed: the error is terminal
   }
@@ -54,7 +54,7 @@ sim::Task<> ModelWorker::FailOrRequeue(QueuedRequest item, Status status,
     obs::IncCounter(obs_, "swapserve_retry_exhausted_total",
                     {{"component", "worker"}, {"model", backend_.name()}});
   }
-  metrics_.RecordFailed(backend_.name());
+  metrics_.RecordFailed(MetricsHandle());
   RespondError(item, error);
 }
 
@@ -63,7 +63,7 @@ sim::Task<> ModelWorker::Run() {
     while (paused_) co_await resumed_.Wait();
     std::optional<QueuedRequest> next = co_await backend_.queue->Recv();
     if (!next.has_value()) break;  // queue closed and drained
-    QueuedRequest item = std::move(*next);
+    QueuedRequest& item = *next;
     // A pause can land while we were parked in Recv (an arriving request
     // wakes the receiver regardless): hold the request until the node
     // powers back on instead of serving it from a dead machine.
@@ -73,7 +73,7 @@ sim::Task<> ModelWorker::Run() {
     // any resources on the request.
     if (item.request.deadline_s > 0 &&
         sim_.Now().ToSeconds() >= item.request.deadline_s) {
-      metrics_.RecordExpired(backend_.name());
+      metrics_.RecordExpired(MetricsHandle());
       obs::Instant(obs_, "expire:deadline", "worker", backend_.name(),
                    {{"request_id", item.request.id}});
       RespondError(item, "client deadline expired while queued");
@@ -85,12 +85,10 @@ sim::Task<> ModelWorker::Run() {
     }
 
     // ④⑩ Coordinate swap-in and forward concurrently, so the engine
-    // batches while we keep polling the queue.
+    // batches while we keep polling the queue. The relay's own frame is
+    // the spawned task, and it takes itself off active_relays_.
     ++active_relays_;
-    sim::Spawn([this, item = std::move(item)]() mutable -> sim::Task<> {
-      co_await Relay(std::move(item));
-      --active_relays_;
-    });
+    sim::Spawn(Relay(std::move(item)));
   }
 }
 
@@ -112,6 +110,12 @@ void ModelWorker::StreamRelay::Send(std::int64_t tokens) {
 }
 
 sim::Task<> ModelWorker::Relay(QueuedRequest item) {
+  // Run() counted this relay; it ends when the frame does, whichever way
+  // it returns.
+  struct Counted {
+    int& relays;
+    ~Counted() { --relays; }
+  } counted{active_relays_};
   // Pin the backend: the guard holds shared access, so a concurrent
   // preemption (exclusive) waits for this request to drain, and the
   // scheduler guarantees a freshly swapped-in backend serves us before it
@@ -171,7 +175,7 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
       // server that cannot un-send part of an SSE stream.
       obs::Instant(obs_, "stream:aborted", "worker", backend_.name(),
                    {{"request_id", item.request.id}});
-      metrics_.RecordFailed(backend_.name());
+      metrics_.RecordFailed(MetricsHandle());
       RespondError(item, result.status().ToString());
       co_return;
     }
@@ -215,7 +219,7 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
     admission_->ObserveService(backend_.name(),
                                sim_.Now().ToSeconds() - serve_start_s);
   }
-  metrics_.RecordCompleted(backend_.name(), ttft_s, total_s, swap_wait_s,
+  metrics_.RecordCompleted(MetricsHandle(), ttft_s, total_s, swap_wait_s,
                            result->output_tokens);
 }
 

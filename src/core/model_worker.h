@@ -107,11 +107,21 @@ class ModelWorker {
   sim::Task<> FailOrRequeue(QueuedRequest item, Status status,
                             std::string error);
   void RespondError(const QueuedRequest& item, const std::string& error);
+  // This backend's metrics handle, resolved on the first request-outcome
+  // write (so a model that never finishes a request has no per_model()
+  // entry).
+  Metrics::ModelHandle& MetricsHandle() {
+    if (metrics_handle_ == nullptr) {
+      metrics_handle_ = &metrics_.Handle(backend_.name());
+    }
+    return *metrics_handle_;
+  }
 
   sim::Simulation& sim_;
   Backend& backend_;
   Scheduler& scheduler_;
   Metrics& metrics_;
+  Metrics::ModelHandle* metrics_handle_ = nullptr;  // see MetricsHandle()
   obs::Observability* obs_ = nullptr;
   // Per-request instruments, resolved on first write.
   obs::HistogramMetric* queue_wait_ = nullptr;

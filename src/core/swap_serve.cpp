@@ -263,25 +263,42 @@ void SwapServe::Shutdown() {
   if (supervisor_ != nullptr) supervisor_->Stop();
 }
 
+namespace {
+
+// Fold one response chunk into the caller's summary; an error chunk's text
+// moves into it.
+void Fold(ResponseChunk& chunk, ChatResult& result) {
+  switch (chunk.kind) {
+    case ResponseChunk::Kind::kFirstToken:
+    case ResponseChunk::Kind::kTokens:
+      result.output_tokens += chunk.token_count;
+      break;
+    case ResponseChunk::Kind::kDone:
+      result.ok = true;
+      result.ttft_s = chunk.ttft_s;
+      result.total_s = chunk.total_s;
+      result.swap_wait_s = chunk.swap_wait_s;
+      break;
+    case ResponseChunk::Kind::kError:
+      result.ok = false;
+      result.error = std::move(chunk.error);
+      break;
+  }
+}
+
+ChatResult Refused(const Status& status) {
+  ChatResult failed;
+  failed.ok = false;
+  failed.error = status.ToString();
+  return failed;
+}
+
+}  // namespace
+
 sim::Task<ChatResult> SwapServe::CollectResponse(ResponseChannelPtr channel) {
   ChatResult result;
   while (std::optional<ResponseChunk> chunk = co_await channel->Recv()) {
-    switch (chunk->kind) {
-      case ResponseChunk::Kind::kFirstToken:
-      case ResponseChunk::Kind::kTokens:
-        result.output_tokens += chunk->token_count;
-        break;
-      case ResponseChunk::Kind::kDone:
-        result.ok = true;
-        result.ttft_s = chunk->ttft_s;
-        result.total_s = chunk->total_s;
-        result.swap_wait_s = chunk->swap_wait_s;
-        break;
-      case ResponseChunk::Kind::kError:
-        result.ok = false;
-        result.error = chunk->error;
-        break;
-    }
+    Fold(*chunk, result);
   }
   co_return result;
 }
@@ -290,17 +307,18 @@ sim::Task<ChatResult> SwapServe::ChatAndWait(std::string model_id,
                                              std::int64_t prompt_tokens,
                                              std::int64_t max_tokens) {
   InferenceRequest request;
-  request.model = model_id;
+  request.model = std::move(model_id);
   request.prompt_tokens = prompt_tokens;
   request.max_tokens = max_tokens;
   Result<ResponseChannelPtr> channel = handler_.Accept(std::move(request));
-  if (!channel.ok()) {
-    ChatResult failed;
-    failed.ok = false;
-    failed.error = channel.status().ToString();
-    co_return failed;
+  if (!channel.ok()) co_return Refused(channel.status());
+  // CollectResponse's loop, on this frame: no second coroutine to start
+  // and no second hand-off of the result.
+  ChatResult result;
+  while (std::optional<ResponseChunk> chunk = co_await (*channel)->Recv()) {
+    Fold(*chunk, result);
   }
-  co_return co_await CollectResponse(*channel);
+  co_return result;
 }
 
 // swaplint-ok(coro-ref-param): sse_events is caller-owned; awaited to completion before read
@@ -308,38 +326,18 @@ sim::Task<ChatResult> SwapServe::ChatAndStream(
     std::string model_id, std::int64_t prompt_tokens,
     std::int64_t max_tokens, std::vector<std::string>* sse_events) {
   InferenceRequest request;
-  request.model = model_id;
   request.prompt_tokens = prompt_tokens;
   request.max_tokens = max_tokens;
   request.stream = true;
   request.id = handler_.NextRequestId();
   SseEncoder encoder(request.id, model_id);
+  request.model = std::move(model_id);
   Result<ResponseChannelPtr> channel = handler_.Accept(std::move(request));
-  if (!channel.ok()) {
-    ChatResult failed;
-    failed.ok = false;
-    failed.error = channel.status().ToString();
-    co_return failed;
-  }
+  if (!channel.ok()) co_return Refused(channel.status());
   ChatResult result;
   while (std::optional<ResponseChunk> chunk = co_await (*channel)->Recv()) {
     if (sse_events != nullptr) sse_events->push_back(encoder.Encode(*chunk));
-    switch (chunk->kind) {
-      case ResponseChunk::Kind::kFirstToken:
-      case ResponseChunk::Kind::kTokens:
-        result.output_tokens += chunk->token_count;
-        break;
-      case ResponseChunk::Kind::kDone:
-        result.ok = true;
-        result.ttft_s = chunk->ttft_s;
-        result.total_s = chunk->total_s;
-        result.swap_wait_s = chunk->swap_wait_s;
-        break;
-      case ResponseChunk::Kind::kError:
-        result.ok = false;
-        result.error = chunk->error;
-        break;
-    }
+    Fold(*chunk, result);
   }
   if (sse_events != nullptr) sse_events->push_back(SseEncoder::Done());
   co_return result;

@@ -91,8 +91,10 @@ class Channel {
   // co_await ch.Recv() -> std::optional<T>
   RecvAwaiter Recv() { return RecvAwaiter(this); }
 
-  // Non-blocking send; returns false when full or closed.
-  bool TrySend(T value) {
+  // Non-blocking send; returns false when full or closed. `value` moves
+  // straight to the receiver or the buffer, and only when accepted; a
+  // caller that keeps its value passes a copy.
+  bool TrySend(T&& value) {
     if (closed_) return false;
     return TryDeposit(value);
   }

@@ -43,12 +43,11 @@ class SmallRing {
   T& front() { return *Slot(head_); }
   const T& front() const { return *Slot(head_); }
 
-  void push_back(T v) {
-    if (count_ == capacity_) Grow();
-    ::new (static_cast<void*>(Slot((head_ + count_) & (capacity_ - 1))))
-        T(std::move(v));
-    ++count_;
-  }
+  // One construction in the slot: an rvalue moves in once, an lvalue is
+  // copied once. `v` must not be an element of this ring (a push that
+  // grows the buffer frees it first).
+  void push_back(T&& v) { Append(std::move(v)); }
+  void push_back(const T& v) { Append(v); }
 
   void pop_front() {
     Slot(head_)->~T();
@@ -65,6 +64,14 @@ class SmallRing {
   T* inline_data() { return reinterpret_cast<T*>(inline_buf_); }
   T* Slot(std::size_t i) { return data_ + i; }
   const T* Slot(std::size_t i) const { return data_ + i; }
+
+  template <typename U>
+  void Append(U&& v) {
+    if (count_ == capacity_) Grow();
+    ::new (static_cast<void*>(Slot((head_ + count_) & (capacity_ - 1))))
+        T(std::forward<U>(v));
+    ++count_;
+  }
 
   void Grow() {
     const std::size_t new_cap = capacity_ * 2;

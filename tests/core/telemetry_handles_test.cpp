@@ -287,6 +287,71 @@ TEST(TelemetryHandlesTest, FleetStopsLookingUpAfterWarmUp) {
   }
 }
 
+// The model worker records every request outcome through a handle it
+// resolved on its first write. A Metrics rebind mid-run must move the
+// handle's later writes to the new registry, and a model that never
+// finishes a request must have neither a per_model() entry nor a request
+// series in either registry.
+TEST(TelemetryHandlesTest, RebindMovesLaterCompletionsAndIdleModelStaysEmpty) {
+  TestBed bed;
+  const std::string served = "llama-3.2-1b-fp16";
+  const std::string idle = "deepseek-r1-7b-fp16";
+  SwapServe serve(bed.sim,
+                  bed.MakeConfig({{served, "ollama"}, {idle, "ollama"}}),
+                  bed.catalog, bed.hardware());
+  obs::Observability second(bed.sim);
+  constexpr int kBefore = 30;
+  constexpr int kAfter = 20;
+  int ok = 0;
+
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    for (int i = 0; i < kBefore + kAfter; ++i) {
+      if (i == kBefore) serve.metrics().BindObservability(&second);
+      ChatResult r = co_await serve.ChatAndWait(served, 128, 32);
+      if (r.ok) ++ok;
+    }
+    serve.Shutdown();
+  });
+
+  ASSERT_EQ(ok, kBefore + kAfter);
+  const obs::MetricsRegistry& first = serve.obs().metrics;
+  const obs::MetricsRegistry& after = second.metrics;
+  const obs::Labels completed = {{"model", served}, {"outcome", "completed"}};
+  const obs::Labels labels = {{"model", served}};
+  const auto* requests_before =
+      FindSeries(first, "swapserve_requests_total", completed);
+  const auto* requests_after =
+      FindSeries(after, "swapserve_requests_total", completed);
+  ASSERT_NE(requests_before, nullptr);
+  ASSERT_NE(requests_after, nullptr);
+  EXPECT_DOUBLE_EQ(requests_before->counter->value(), kBefore);
+  EXPECT_DOUBLE_EQ(requests_after->counter->value(), kAfter);
+  const auto* ttft_after =
+      FindSeries(after, "swapserve_request_ttft_seconds", labels);
+  ASSERT_NE(ttft_after, nullptr);
+  EXPECT_EQ(ttft_after->histogram->count(),
+            static_cast<std::uint64_t>(kAfter));
+  EXPECT_EQ(serve.metrics().per_model().at(served).completed,
+            static_cast<std::uint64_t>(kBefore + kAfter));
+
+  EXPECT_EQ(serve.metrics().per_model().count(idle), 0u);
+  for (const obs::MetricsRegistry* reg : {&first, &after}) {
+    for (const char* family :
+         {"swapserve_requests_total", "swapserve_request_ttft_seconds",
+          "swapserve_request_latency_seconds", "swapserve_swap_wait_seconds",
+          "swapserve_output_tokens_total"}) {
+      const obs::MetricsRegistry::Family* f = FindFamily(*reg, family);
+      if (f == nullptr) continue;
+      for (const auto& [key, series] : f->series) {
+        for (const auto& [k, v] : series.labels) {
+          EXPECT_FALSE(k == "model" && v == idle) << family;
+        }
+      }
+    }
+  }
+}
+
 TEST(TelemetryHandlesTest, LinkRebindMovesLaterWritesToTheNewRegistry) {
   sim::Simulation sim;
   obs::Observability first(sim);
