@@ -16,7 +16,8 @@
 #            to clang-tidy. A no-op when clang-tidy is not installed.
 #
 # The Debug presets also compile in the lock-debug deadlock validator.
-# Topic sweeps are ctest label or name filters, e.g.
+# Topic sweeps are ctest label or name filters; a filter that selects no
+# test fails the run instead of passing with nothing run, e.g.
 #   scripts/check.sh asan -L chaos && scripts/check.sh tsan -L chaos
 #   scripts/check.sh default -L golden      # SWAPSERVE_UPDATE_GOLDEN=1 rewrites
 # README.md's check matrix lists one invocation per sweep.
@@ -56,4 +57,5 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
+ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
+  -j "$(nproc)" "$@"

@@ -1,7 +1,7 @@
 // ClusterServe: an N-node fleet of SwapServe machines behind one router.
 //
 // Each node is a full single-machine deployment (GPUs, NVMe, container
-// runtime, scheduler, supervisor). The fleet layer adds:
+// runtime, scheduler). The fleet layer adds:
 //   - per-node config slicing: every model cold-starts once on its home
 //     node; other nodes that can fit it get a *standby* entry whose engine
 //     adopts a replicated checkpoint instead of initializing (zero time);

@@ -20,7 +20,7 @@ double PlacementPolicy::Score(Node& node, int model) {
   }
   core::Backend* backend = backends_.backend(model, node.id());
   if (backend == nullptr) return kIneligible;
-  if (backend->health.breaker.CoolingDown()) return kIneligible;
+  if (backend->breaker.CoolingDown()) return kIneligible;
   double swap_s = 0;
   if (backend->engine->state() == engine::BackendState::kRunning ||
       backend->swap_in_progress) {
@@ -66,7 +66,7 @@ Result<int> PlacementPolicy::Pick(const std::vector<Node*>& nodes,
     if (node->id() != picked) continue;
     core::Backend* backend = backends_.backend(model, picked);
     SWAP_CHECK_MSG(
-        backend != nullptr && !backend->health.breaker.CoolingDown(),
+        backend != nullptr && !backend->breaker.CoolingDown(),
         "placement picked a quarantined node");
     SWAP_CHECK_MSG(node->alive() &&
                        node->membership() != NodeState::kSuspect &&

@@ -20,23 +20,10 @@
 
 namespace swapserve::core {
 
-// Per-backend health record. The backend counts as quarantined exactly
-// while its circuit breaker is open and cooling down
-// (CircuitBreaker::CoolingDown()).
-struct BackendHealth {
-  explicit BackendHealth(sim::Simulation& sim)
-      : breaker(sim, /*failure_threshold=*/3, sim::Seconds(10)) {}
-
-  fault::CircuitBreaker breaker;
-  // When the backend last became resident (swap-in, cold start, or
-  // restart); drives age-based rejuvenation.
-  sim::SimTime last_resident;
-};
-
 struct Backend {
   Backend(sim::Simulation& sim, ModelEntry entry, model::ModelSpec spec,
           std::unique_ptr<engine::InferenceEngine> eng,
-          std::size_t queue_capacity)
+          std::size_t queue_capacity, const RecoveryConfig& recovery)
       : config(std::move(entry)),
         model(std::move(spec)),
         engine(std::move(eng)),
@@ -44,7 +31,8 @@ struct Backend {
                                                             queue_capacity)),
         lock(sim, "backend:" + config.model_id),
         swap_done(sim),
-        health(sim) {}
+        breaker(sim, recovery.breaker_failure_threshold,
+                sim::Seconds(recovery.breaker_cooldown_s)) {}
 
   const std::string& name() const { return config.model_id; }
   hw::GpuId gpu() const { return config.gpu; }
@@ -89,8 +77,10 @@ struct Backend {
   bool swap_in_progress = false;
   sim::SimEvent swap_done;
 
-  // Self-healing state (circuit breaker + rejuvenation age).
-  BackendHealth health;
+  // Trips after consecutive swap-in failures; the backend counts as
+  // quarantined exactly while it is open and cooling down
+  // (CircuitBreaker::CoolingDown()).
+  fault::CircuitBreaker breaker;
 
   // swapserve_queue_depth{model=name()}, written by the request handler on
   // enqueue and the worker on dequeue. Resolved on the first write; both

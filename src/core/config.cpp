@@ -1,11 +1,53 @@
 #include "core/config.h"
 
 #include <set>
+#include <span>
 
 #include "engine/factory.h"
 #include "fault/fault_points.h"
 
 namespace swapserve::core {
+namespace {
+
+// Removed keys fail loudly rather than being silently ignored: a config
+// written for a deleted feature must not run without it unnoticed.
+struct RemovedKey {
+  const char* key;
+  const char* why;
+};
+
+constexpr const char* kSerialSwap =
+    "hot-swaps always use the serial checkpoint/restore path";
+constexpr const char* kNoSupervisor =
+    "the engine supervisor is gone; a crashed backend is restored on its "
+    "next request";
+
+constexpr RemovedKey kRemovedGlobal[] = {
+    {"pipelined_swap", kSerialSwap},
+    {"swap_chunk_mib", kSerialSwap},
+    {"kv_cache_type", "it was never read, so setting it changed nothing"},
+};
+
+constexpr RemovedKey kRemovedRecovery[] = {
+    {"health_check_interval_s", kNoSupervisor},
+    {"hang_deadline_s", kNoSupervisor},
+    {"rejuvenate_after_s",
+     "the engine supervisor is gone; global.idle_swap_out_s swaps out idle "
+     "backends"},
+};
+
+Status RejectRemoved(const json::Value& section, std::string_view name,
+                     std::span<const RemovedKey> removed) {
+  for (const RemovedKey& r : removed) {
+    if (section.Find(r.key) != nullptr) {
+      return InvalidArgument("config: " + std::string(name) + "." + r.key +
+                             " was removed; " + r.why);
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Result<Config> Config::FromJson(const json::Value& doc) {
   if (!doc.is_object()) return InvalidArgument("config: not a JSON object");
@@ -15,24 +57,18 @@ Result<Config> Config::FromJson(const json::Value& doc) {
     if (!global->is_object()) {
       return InvalidArgument("config: \"global\" must be an object");
     }
-    // Removed keys fail loudly rather than being silently ignored: a config
-    // written for the pipelined swap path must not run serial unnoticed.
-    for (const char* removed : {"pipelined_swap", "swap_chunk_mib"}) {
-      if (global->Find(removed) != nullptr) {
-        return InvalidArgument(
-            std::string("config: global.") + removed +
-            " was removed; hot-swaps always use the serial "
-            "checkpoint/restore path");
-      }
-    }
+    SWAP_RETURN_IF_ERROR(RejectRemoved(*global, "global", kRemovedGlobal));
     cfg.global.response_timeout_s =
         global->GetDouble("response_timeout_s", cfg.global.response_timeout_s);
-    cfg.global.kv_cache_type =
-        global->GetString("kv_cache_type", cfg.global.kv_cache_type);
     cfg.global.auth_token =
         global->GetString("auth_token", cfg.global.auth_token);
-    cfg.global.queue_capacity = static_cast<std::size_t>(global->GetInt(
-        "queue_capacity", static_cast<std::int64_t>(cfg.global.queue_capacity)));
+    const std::int64_t queue_capacity = global->GetInt(
+        "queue_capacity", static_cast<std::int64_t>(cfg.global.queue_capacity));
+    if (queue_capacity < 0) {
+      return InvalidArgument("config: global.queue_capacity must be positive "
+                             "(got " + std::to_string(queue_capacity) + ")");
+    }
+    cfg.global.queue_capacity = static_cast<std::size_t>(queue_capacity);
     cfg.global.snapshot_budget_gib =
         global->GetDouble("snapshot_budget_gib", cfg.global.snapshot_budget_gib);
     cfg.global.monitor_interval_s =
@@ -115,6 +151,7 @@ Result<Config> Config::FromJson(const json::Value& doc) {
     if (!rec->is_object()) {
       return InvalidArgument("config: \"recovery\" must be an object");
     }
+    SWAP_RETURN_IF_ERROR(RejectRemoved(*rec, "recovery", kRemovedRecovery));
     RecoveryConfig& r = cfg.recovery;
     r.swap_retry_attempts = static_cast<int>(
         rec->GetInt("swap_retry_attempts", r.swap_retry_attempts));
@@ -127,11 +164,6 @@ Result<Config> Config::FromJson(const json::Value& doc) {
         rec->GetInt("breaker_failure_threshold", r.breaker_failure_threshold));
     r.breaker_cooldown_s = rec->GetDouble("breaker_cooldown_s",
                                           r.breaker_cooldown_s);
-    r.health_check_interval_s = rec->GetDouble("health_check_interval_s",
-                                               r.health_check_interval_s);
-    r.hang_deadline_s = rec->GetDouble("hang_deadline_s", r.hang_deadline_s);
-    r.rejuvenate_after_s = rec->GetDouble("rejuvenate_after_s",
-                                          r.rejuvenate_after_s);
   }
 
   if (const json::Value* cluster = doc.Find("cluster"); cluster != nullptr) {
@@ -286,10 +318,6 @@ Status Config::Validate(const model::ModelCatalog& catalog,
   if (recovery.breaker_failure_threshold < 1 ||
       recovery.breaker_cooldown_s <= 0) {
     return InvalidArgument("config: circuit-breaker parameters out of range");
-  }
-  if (recovery.health_check_interval_s < 0 || recovery.hang_deadline_s < 0 ||
-      recovery.rejuvenate_after_s < 0) {
-    return InvalidArgument("config: supervisor intervals must be >= 0");
   }
   if (cluster.nodes < 1) {
     return InvalidArgument("config: cluster.nodes must be >= 1 (got " +

@@ -26,7 +26,7 @@ struct FaultConfig {
 };
 
 // Self-healing knobs: bounded retries around swap operations, per-request
-// requeue, circuit breaker, and the supervisor's hang/rejuvenation checks.
+// requeue, and the per-backend circuit breaker.
 struct RecoveryConfig {
   // The scheduler's swap-in retry policy (crashed backends included).
   int swap_retry_attempts = 3;
@@ -39,22 +39,13 @@ struct RecoveryConfig {
   // quarantine lasts before a half-open probe.
   int breaker_failure_threshold = 3;
   double breaker_cooldown_s = 10.0;
-  // Hang-detection/rejuvenation scan cadence; 0 disables the supervisor,
-  // which is only built when one of the two checks below is armed.
-  double health_check_interval_s = 1.0;
-  // Declare a backend hung when a request has made no progress for this
-  // long (0 = hang detection off).
-  double hang_deadline_s = 0.0;
-  // Age-based rejuvenation: swap out an idle backend that has been
-  // resident longer than this (0 = off).
-  double rejuvenate_after_s = 0.0;
 };
 
 // Engine-wide parameters ("global parameters ... such as response timeout,
-// KV cache type, and authentication tokens").
+// KV cache type, and authentication tokens"; the simulator models no KV
+// cache precision, so that one has no key).
 struct GlobalConfig {
   double response_timeout_s = 120.0;
-  std::string kv_cache_type = "fp16";
   std::string auth_token;  // empty = no auth
   std::size_t queue_capacity = 64;  // per-backend request queue
   // Host RAM budget for in-memory snapshots.

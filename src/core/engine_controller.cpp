@@ -171,7 +171,6 @@ sim::Task<Status> EngineController::SwapIn(Backend& backend) {
   }
   if (!after.ok()) co_return after;
   SWAP_CHECK(backend.engine->MarkRunning().ok());
-  backend.health.last_resident = sim_.Now();
 
   metrics_.RecordSwapIn(backend.name(), (sim_.Now() - start).ToSeconds());
   SWAP_LOG(kInfo, "controller")
@@ -194,7 +193,6 @@ sim::Task<Status> EngineController::RestartCrashed(Backend& backend,
     // Still kCrashed: the scheduler's retry or breaker takes it from here.
     co_return restart.status();
   }
-  backend.health.last_resident = sim_.Now();
   const double elapsed = (sim_.Now() - start).ToSeconds();
   metrics_.RecordRecovery(backend.name(), kind, elapsed);
   obs::Instant(obs_, {"recovered:", backend.name()}, "controller",

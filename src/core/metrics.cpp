@@ -168,11 +168,6 @@ void Metrics::RecordQuarantine(const std::string& model) {
   obs::IncCounter(obs_, "swapserve_quarantine_total", {{"model", model}});
 }
 
-void Metrics::RecordRejuvenation(const std::string& model) {
-  ++rejuvenations;
-  obs::IncCounter(obs_, "swapserve_rejuvenation_total", {{"model", model}});
-}
-
 std::uint64_t Metrics::TotalCompleted() const {
   std::uint64_t total = 0;
   for (const auto& [model, m] : per_model_) total += m.completed;

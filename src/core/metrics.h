@@ -119,7 +119,6 @@ class Metrics {
   void RecordRecovery(const std::string& model, const std::string& kind,
                       double latency_s);
   void RecordQuarantine(const std::string& model);
-  void RecordRejuvenation(const std::string& model);
 
   // System-wide counters.
   std::uint64_t swap_ins = 0;
@@ -135,7 +134,6 @@ class Metrics {
   std::uint64_t requeues = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t quarantines = 0;
-  std::uint64_t rejuvenations = 0;
   Samples recovery_latency_s;
 
   // Aggregates across models.

@@ -11,7 +11,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
   // open, admit a single probe request once the cooldown elapses. Checked
   // once per call (not per loop iteration) so the admitted probe is not
   // rejected by its own retries; its outcome is recorded below.
-  if (!backend.health.breaker.AllowRequest()) {
+  if (!backend.breaker.AllowRequest()) {
     co_return Unavailable("backend " + backend.name() +
                           ": circuit breaker open");
   }
@@ -19,13 +19,13 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
   // reaches these): a granted pin closes the breaker, a terminal failure
   // counts toward its trip threshold.
   auto record_failure = [this, &backend] {
-    const std::uint64_t trips = backend.health.breaker.trips();
-    backend.health.breaker.RecordFailure();
-    if (backend.health.breaker.trips() > trips) {
+    const std::uint64_t trips = backend.breaker.trips();
+    backend.breaker.RecordFailure();
+    if (backend.breaker.trips() > trips) {
       if (metrics_ != nullptr) metrics_->RecordQuarantine(backend.name());
       SWAP_LOG(kWarning, "scheduler")
           << backend.name() << ": circuit breaker opened after "
-          << backend.health.breaker.consecutive_failures()
+          << backend.breaker.consecutive_failures()
           << " consecutive failures";
     }
   };
@@ -48,7 +48,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
       sim::SimRwLock::SharedGuard pin =
           co_await backend.lock.AcquireShared();
       if (backend.engine->state() == engine::BackendState::kRunning) {
-        backend.health.breaker.RecordSuccess();
+        backend.breaker.RecordSuccess();
         // The pin outlives this frame (returned to the caller); sever the
         // debug validator's frame attribution so a new coroutine reusing
         // this frame's address is not mistaken for the holder.
@@ -193,7 +193,7 @@ sim::Task<Result<sim::SimRwLock::SharedGuard>> Scheduler::EnsureRunningAndPin(
       pin.Release();
       continue;
     }
-    backend.health.breaker.RecordSuccess();
+    backend.breaker.RecordSuccess();
     pin.DetachAgent();  // escapes this frame
     co_return pin;
   }

@@ -130,12 +130,9 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
     auto backend = std::make_unique<Backend>(
         sim_, entry, spec,
         engine::CreateEngine(kind, env, spec, eng_options, entry.model_id),
-        config_.global.queue_capacity);
+        config_.global.queue_capacity, config_.recovery);
     backend->engine->BindFaultInjector(&fault_injector_);
-    backend->health.breaker.Configure(
-        config_.recovery.breaker_failure_threshold,
-        sim::Seconds(config_.recovery.breaker_cooldown_s));
-    backend->health.breaker.BindObservability(&obs_, entry.model_id);
+    backend->breaker.BindObservability(&obs_, entry.model_id);
     controller_.RegisterBackend(backend.get());
     handler_.RegisterBackend(backend.get());
     backends_.push_back(std::move(backend));
@@ -221,21 +218,6 @@ sim::Task<Status> SwapServe::Initialize() {
     workers_.back()->Start();
   }
   monitor_->Start();
-  // The supervisor's checks are both time-based; with neither armed it
-  // would have nothing to do.
-  if (config_.recovery.health_check_interval_s > 0 &&
-      (config_.recovery.hang_deadline_s > 0 ||
-       config_.recovery.rejuvenate_after_s > 0)) {
-    EngineSupervisor::Options sup;
-    sup.scan_interval =
-        sim::Seconds(config_.recovery.health_check_interval_s);
-    sup.hang_deadline = sim::Seconds(config_.recovery.hang_deadline_s);
-    sup.rejuvenate_after = sim::Seconds(config_.recovery.rejuvenate_after_s);
-    supervisor_ = std::make_unique<EngineSupervisor>(sim_, controller_,
-                                                     metrics_, sup);
-    supervisor_->BindObservability(&obs_);
-    supervisor_->Start();
-  }
   if (config_.global.idle_swap_out_s > 0) {
     idle_reaper_ = std::make_unique<IdleReaper>(
         sim_, controller_, sim::Seconds(config_.global.idle_swap_out_s),
@@ -260,7 +242,6 @@ void SwapServe::Shutdown() {
   }
   monitor_->Stop();
   if (idle_reaper_ != nullptr) idle_reaper_->Stop();
-  if (supervisor_ != nullptr) supervisor_->Stop();
 }
 
 namespace {

@@ -21,7 +21,6 @@
 #include "core/backend.h"
 #include "core/config.h"
 #include "core/engine_controller.h"
-#include "core/engine_supervisor.h"
 #include "core/idle_reaper.h"
 #include "core/metrics.h"
 #include "core/model_worker.h"
@@ -116,8 +115,6 @@ class SwapServe {
   // The shared fault injector (armed only when config.fault has rules; an
   // unarmed injector perturbs nothing). Tests may Configure() it directly.
   fault::FaultInjector& fault_injector() { return fault_injector_; }
-  // Null unless recovery.health_check_interval_s > 0.
-  EngineSupervisor* supervisor() { return supervisor_.get(); }
   // Null unless admission.enabled (the default path never consults it, so
   // admission-off runs are byte-identical to the pre-admission code).
   AdmissionController* admission() { return admission_.get(); }
@@ -148,7 +145,6 @@ class SwapServe {
   std::unique_ptr<SnapshotPrefetcher> prefetcher_;  // null unless prefetch on
   std::unique_ptr<hw::GpuMonitor> monitor_;
   std::unique_ptr<IdleReaper> idle_reaper_;  // null unless configured
-  std::unique_ptr<EngineSupervisor> supervisor_;  // null unless configured
   std::unique_ptr<AdmissionController> admission_;  // null unless enabled
 
   std::vector<std::unique_ptr<Backend>> backends_;

@@ -159,7 +159,6 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
   SWAP_CHECK_MSG(req.prompt_tokens > 0, "empty prompt");
   ++active_requests_;
   ++total_requests_;
-  last_progress_ = sim().Now();
   // Stale-coroutine guard: if the process crashes while this request is in
   // flight, MarkCrashed bumps the epoch and zeroes active_requests_; the
   // resumed coroutine must then bail out without touching the counters.
@@ -174,8 +173,8 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
     }
   }
   {
-    // A hang stalls the request without burning compute; the supervisor's
-    // deadline on last_progress() eventually declares the process dead.
+    // A hang stalls the request without burning compute until the rule's
+    // stall_s elapses; a crash during the stall fails it on resume.
     fault::FaultDecision f = fault::Evaluate(fault_, "engine.hang", name_);
     if (f.stall.ns() > 0) co_await sim().Delay(f.stall);
     if (restart_epoch_ != epoch) {
@@ -241,7 +240,6 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
   }
 
   --active_requests_;
-  last_progress_ = sim().Now();
   co_return GenerationResult{
       .prompt_tokens = req.prompt_tokens,
       .output_tokens = req.output_tokens,
@@ -320,7 +318,6 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     co_return breakdown.status();
   }
   SetState(BackendState::kRunning);
-  last_progress_ = sim().Now();
   SWAP_LOG(kInfo, "engine")
       << name_ << " restarted after crash in "
       << breakdown->Total().ToString() << " ("

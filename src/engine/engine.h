@@ -160,10 +160,6 @@ class InferenceEngine {
   // Bumped by MarkCrashed; lets stale Generate coroutines detect that the
   // process they were running in no longer exists.
   std::uint64_t restart_epoch() const { return restart_epoch_; }
-  // Last virtual time a Generate made observable progress (entry or
-  // completion). The supervisor's hang detector compares this against its
-  // deadline while requests are active.
-  sim::SimTime last_progress() const { return last_progress_; }
   std::uint64_t crash_count() const { return crash_count_; }
 
   // Called when the engine enters or leaves kRunning — the changes that
@@ -175,8 +171,7 @@ class InferenceEngine {
 
   // Nullable. Fault points: "engine.crash" (Generate aborts and the
   // backend transitions to kCrashed), "engine.hang" (Generate stalls for
-  // the rule's stall_s without making progress — the supervisor's hang
-  // deadline turns it into a crash).
+  // the rule's stall_s, then proceeds unless the engine crashed meanwhile).
   void BindFaultInjector(fault::FaultInjector* injector) {
     fault_ = injector;
   }
@@ -255,7 +250,6 @@ class InferenceEngine {
   std::uint64_t total_requests_ = 0;
   std::uint64_t restart_epoch_ = 0;
   std::uint64_t crash_count_ = 0;
-  sim::SimTime last_progress_;
 };
 
 }  // namespace swapserve::engine

@@ -29,11 +29,6 @@ class CircuitBreaker {
                  sim::SimDuration cooldown)
       : sim_(sim), threshold_(failure_threshold), cooldown_(cooldown) {}
 
-  void Configure(int failure_threshold, sim::SimDuration cooldown) {
-    threshold_ = failure_threshold;
-    cooldown_ = cooldown;
-  }
-
   // May a request (or a recovery attempt) proceed right now? Transitions
   // open -> half-open once the cooldown elapses, admitting exactly one
   // probe until its outcome is recorded.
@@ -71,8 +66,8 @@ class CircuitBreaker {
   void ForceOpen();
 
   sim::Simulation& sim_;
-  int threshold_;
-  sim::SimDuration cooldown_;
+  const int threshold_;
+  const sim::SimDuration cooldown_;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
   sim::SimTime opened_at_;

@@ -38,8 +38,8 @@
 //   hw.link          the link channel wedges before a transfer (stall-only:
 //                    transfers cannot fail, they only take longer)
 //   engine.crash     the engine process dies at request entry
-//   engine.hang      the engine stops making progress for stall_s (caught
-//                    by the supervisor's hang deadline, if armed)
+//   engine.hang      the engine stops making progress for stall_s; a
+//                    crash during the stall fails the request on resume
 //   engine.restart   the scheduler's restore of a crashed backend with no
 //                    usable snapshot fails to come back up; repeated
 //                    failures exhaust the retry budget and trip the

@@ -124,9 +124,9 @@ TEST(ClusterTest, QuarantinedHomeRoutesToStandbyViaOnDemandFetch) {
     SWAP_CHECK(home != nullptr);
     // Trip the home's breaker: quarantined until its cooldown elapses.
     for (int i = 0; i < cfg.recovery.breaker_failure_threshold; ++i) {
-      home->health.breaker.RecordFailure();
+      home->breaker.RecordFailure();
     }
-    SWAP_CHECK(home->health.breaker.CoolingDown());
+    SWAP_CHECK(home->breaker.CoolingDown());
     core::ChatResult r =
         co_await cluster.ChatAndWait("llama-3.2-1b-fp16", 64, 16);
     EXPECT_TRUE(r.ok) << r.error;

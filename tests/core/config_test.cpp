@@ -13,7 +13,6 @@ namespace {
 const char* kFullConfig = R"({
   "global": {
     "response_timeout_s": 60,
-    "kv_cache_type": "fp8",
     "auth_token": "tok",
     "queue_capacity": 32,
     "snapshot_budget_gib": 128,
@@ -36,7 +35,6 @@ TEST(ConfigTest, ParsesFullDocument) {
   auto cfg = Config::FromJsonText(kFullConfig);
   ASSERT_TRUE(cfg.ok()) << cfg.status();
   EXPECT_DOUBLE_EQ(cfg->global.response_timeout_s, 60);
-  EXPECT_EQ(cfg->global.kv_cache_type, "fp8");
   EXPECT_EQ(cfg->global.auth_token, "tok");
   EXPECT_EQ(cfg->global.queue_capacity, 32u);
   EXPECT_DOUBLE_EQ(cfg->global.snapshot_budget_gib, 128);
@@ -70,24 +68,38 @@ TEST(ConfigTest, ParseErrors) {
   EXPECT_FALSE(
       Config::FromJsonText(R"({"global": 3, "models": [{"model":"m"}]})")
           .ok());
+  // A negative capacity must not wrap to SIZE_MAX (an unbounded queue).
+  EXPECT_FALSE(Config::FromJsonText(
+                   R"({"global": {"queue_capacity": -1},
+                       "models": [{"model": "m"}]})")
+                   .ok());
 }
 
-// Swaps are always serial; a config still asking for the removed pipelined
-// path must fail at load instead of silently running serial.
-TEST(ConfigTest, RemovedPipelineKeysFailLoudly) {
-  const std::pair<std::string, std::string> cases[] = {
-      {"pipelined_swap", "true"},
-      {"pipelined_swap", "false"},
-      {"swap_chunk_mib", "512"},
+// Keys of deleted features fail at load with an error that names them and
+// says what replaced them, instead of being silently ignored.
+TEST(ConfigTest, RemovedKeysFailLoudly) {
+  struct Case {
+    std::string section, key, value, why;
   };
-  for (const auto& [key, value] : cases) {
-    auto cfg = Config::FromJsonText(R"({"global": {")" + key + "\": " +
-                                    value + R"(}, "models": [{"model": "m"}]})");
-    ASSERT_FALSE(cfg.ok()) << key;
+  const Case cases[] = {
+      {"global", "pipelined_swap", "true", "serial"},
+      {"global", "pipelined_swap", "false", "serial"},
+      {"global", "swap_chunk_mib", "512", "serial"},
+      {"global", "kv_cache_type", "\"fp8\"", "never read"},
+      {"recovery", "health_check_interval_s", "1", "next request"},
+      {"recovery", "hang_deadline_s", "30", "next request"},
+      {"recovery", "rejuvenate_after_s", "60", "idle_swap_out_s"},
+  };
+  for (const Case& c : cases) {
+    auto cfg = Config::FromJsonText(R"({")" + c.section + R"(": {")" +
+                                    c.key + "\": " + c.value +
+                                    R"(}, "models": [{"model": "m"}]})");
+    ASSERT_FALSE(cfg.ok()) << c.key;
     EXPECT_EQ(cfg.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(cfg.status().message().find(key), std::string::npos)
+    EXPECT_NE(cfg.status().message().find(c.section + "." + c.key),
+              std::string::npos)
         << cfg.status();
-    EXPECT_NE(cfg.status().message().find("serial"), std::string::npos)
+    EXPECT_NE(cfg.status().message().find(c.why), std::string::npos)
         << cfg.status();
   }
 }

@@ -44,7 +44,7 @@ struct ControllerBed {
         bed.sim, entry, spec,
         engine::CreateEngine(engine::ParseEngineKind(engine).value(), env,
                              spec, engine::EngineOptions{}, model_id),
-        16);
+        16, RecoveryConfig{});
     controller.RegisterBackend(backend.get());
     return backend;
   }

@@ -55,7 +55,7 @@ TEST(SchedulerCrashRecoveryTest, CrashedBackendIsRestoredOnItsNextRequest) {
   EXPECT_GT(after.swap_wait_s, 0.0);  // the request paid for the restart
   EXPECT_EQ(serve.metrics().recoveries, 1u);
   EXPECT_EQ(serve.metrics().quarantines, 0u);
-  EXPECT_EQ(serve.backend(kModel)->health.breaker.state(),
+  EXPECT_EQ(serve.backend(kModel)->breaker.state(),
             fault::CircuitBreaker::State::kClosed);
 }
 
@@ -81,6 +81,91 @@ TEST(SchedulerCrashRecoveryTest, RequestsSurviveACrashViaRequeue) {
   });
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(serve.fault_injector().fires("engine.crash"), 1u);
+  EXPECT_EQ(serve.metrics().requeues, 1u);
+  EXPECT_EQ(serve.metrics().recoveries, 1u);
+  EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
+}
+
+fault::FaultPlan HangOnce(double stall_s) {
+  fault::FaultRule rule;
+  rule.point = "engine.hang";
+  rule.probability = 1.0;
+  rule.stall_s = stall_s;
+  rule.fail = false;
+  rule.max_fires = 1;
+  fault::FaultPlan plan;
+  plan.rules.push_back(std::move(rule));
+  return plan;
+}
+
+// A hang is a stall that ends on its own: the request is late by exactly
+// the stall and nothing crashes, requeues or restores.
+TEST(SchedulerCrashRecoveryTest, HangDelaysTheRequestByTheStall) {
+  TestBed bed;
+  SwapServe serve(bed.sim, bed.MakeConfig({{kModel, "ollama"}}),
+                  bed.catalog, bed.hardware());
+  ChatResult hung;
+  sim::SimDuration plain;
+  sim::SimDuration stalled;
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    EXPECT_TRUE((co_await serve.ChatAndWait(kModel, 64, 16)).ok);
+    sim::SimTime t0 = bed.sim.Now();
+    EXPECT_TRUE((co_await serve.ChatAndWait(kModel, 128, 32)).ok);
+    plain = bed.sim.Now() - t0;
+    serve.fault_injector().Configure(HangOnce(60.0));
+    t0 = bed.sim.Now();
+    hung = co_await serve.ChatAndWait(kModel, 128, 32);
+    stalled = bed.sim.Now() - t0;
+    serve.Shutdown();
+  });
+  ASSERT_TRUE(hung.ok) << hung.error;
+  EXPECT_EQ(serve.fault_injector().fires("engine.hang"), 1u);
+  EXPECT_NEAR((stalled - plain).ToSeconds(), 60.0, 1e-6);
+  EXPECT_EQ(serve.metrics().requeues, 0u);
+  EXPECT_EQ(serve.metrics().recoveries, 0u);
+  EXPECT_EQ(serve.backend(kModel)->engine->crash_count(), 0u);
+}
+
+// A crash while a request is stalled: the epoch guard fails the stalled
+// attempt when it resumes, and the requeued retry restores the backend.
+TEST(SchedulerCrashRecoveryTest, CrashDuringAHangFailsTheAttemptThenRestores) {
+  TestBed bed;
+  SwapServe serve(bed.sim, bed.MakeConfig({{kModel, "ollama"}}),
+                  bed.catalog, bed.hardware());
+  ChatResult result;
+  sim::SimTime done;
+  sim::SimTime hung_at;
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    EXPECT_TRUE((co_await serve.ChatAndWait(kModel, 64, 16)).ok);
+    Backend* b = serve.backend(kModel);
+    serve.fault_injector().Configure(HangOnce(60.0));
+    hung_at = bed.sim.Now();
+    sim::Spawn([&]() -> sim::Task<> {
+      result = co_await serve.ChatAndWait(kModel, 128, 32);
+      done = bed.sim.Now();
+    });
+    co_await bed.sim.Delay(sim::Seconds(1));
+    EXPECT_EQ(b->engine->active_requests(), 1);
+    b->engine->MarkCrashed("test-induced crash mid-hang");
+    const std::int64_t busy_ns = bed.gpus[0]->TotalBusy().ns();
+    co_await bed.sim.WaitUntil(hung_at + sim::Millis(59990));
+    EXPECT_EQ(serve.metrics().requeues, 0u);
+    // The attempt fails as the stall ends, before it computes anything on
+    // the dead engine's GPU; its requeue then waits out a backoff.
+    co_await bed.sim.WaitUntil(hung_at + sim::Millis(60010));
+    EXPECT_EQ(serve.metrics().requeues, 1u);
+    EXPECT_EQ(bed.gpus[0]->TotalBusy().ns(), busy_ns);
+    EXPECT_EQ(b->engine->state(), engine::BackendState::kCrashed);
+    co_await bed.sim.Delay(sim::Minutes(2));
+    EXPECT_EQ(b->engine->state(), engine::BackendState::kRunning);
+    serve.Shutdown();
+  });
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_GE((done - hung_at).ToSeconds(), 60.0);
+  EXPECT_EQ(serve.fault_injector().fires("engine.hang"), 1u);
+  EXPECT_EQ(serve.backend(kModel)->engine->crash_count(), 1u);
   EXPECT_EQ(serve.metrics().requeues, 1u);
   EXPECT_EQ(serve.metrics().recoveries, 1u);
   EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
@@ -142,7 +227,7 @@ TEST(SchedulerCrashRecoveryTest, FailedRestoresTripTheBreakerThenProbeHeals) {
     EXPECT_EQ(faults.fires("engine.restart"), 9u);
     EXPECT_EQ(serve.metrics().swap_retries, 6u);
     EXPECT_EQ(serve.metrics().quarantines, 1u);
-    EXPECT_TRUE(b->health.breaker.CoolingDown());
+    EXPECT_TRUE(b->breaker.CoolingDown());
 
     // Quarantined: fast-fails without touching the engine.
     ChatResult during = co_await serve.ChatAndWait(kModel, 64, 16);
@@ -152,10 +237,10 @@ TEST(SchedulerCrashRecoveryTest, FailedRestoresTripTheBreakerThenProbeHeals) {
     // The fault clears; after the cooldown one probe restores the backend.
     serve.fault_injector().Configure({});
     co_await bed.sim.Delay(sim::Seconds(30));
-    EXPECT_FALSE(b->health.breaker.CoolingDown());
+    EXPECT_FALSE(b->breaker.CoolingDown());
     ChatResult probe = co_await serve.ChatAndWait(kModel, 64, 16);
     EXPECT_TRUE(probe.ok) << probe.error;
-    EXPECT_EQ(b->health.breaker.state(),
+    EXPECT_EQ(b->breaker.state(),
               fault::CircuitBreaker::State::kClosed);
     EXPECT_EQ(b->engine->state(), engine::BackendState::kRunning);
     serve.Shutdown();

@@ -148,7 +148,7 @@ ChaosOutcome RunChaosWorkload(std::uint64_t seed, int n_models,
     // not serving, and no backend is stuck mid-transition.
     for (Backend* b : serve.backends()) {
       const engine::BackendState state = b->engine->state();
-      if (b->health.breaker.CoolingDown()) {
+      if (b->breaker.CoolingDown()) {
         EXPECT_NE(state, engine::BackendState::kRunning)
             << b->name() << " serves while quarantined (seed " << seed << ")";
       }

@@ -78,7 +78,7 @@
 //                       `co_await <x>.Delay(...)`: a fixed-cadence timer
 //                       that wakes whether or not anything changed. Park
 //                       on a change signal instead (the fleet heartbeat,
-//                       the engine supervisor) or WaitUntil() a known
+//                       the idle reaper) or WaitUntil() a known
 //                       instant. Workload drivers under bench/ and
 //                       examples/ are exempt.
 //
