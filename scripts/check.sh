@@ -15,7 +15,8 @@
 #            with the default build's compile database; extra arguments go
 #            to clang-tidy. A no-op when clang-tidy is not installed.
 #
-# The Debug presets also compile in the lock-debug deadlock validator.
+# The Debug presets also turn on the lock-debug deadlock validator for
+# every lock (sim_deadlock_test runs it in every preset).
 # Topic sweeps are ctest label or name filters; a filter that selects no
 # test fails the run instead of passing with nothing run, e.g.
 #   scripts/check.sh asan -L chaos && scripts/check.sh tsan -L chaos

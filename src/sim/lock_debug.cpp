@@ -1,7 +1,5 @@
 #include "sim/lock_debug.h"
 
-#if SWAPSERVE_LOCK_DEBUG
-
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -160,5 +158,3 @@ void LockDebugRegistry::SetViolationHandler(ViolationHandler handler) {
 }
 
 }  // namespace swapserve::sim
-
-#endif  // SWAPSERVE_LOCK_DEBUG

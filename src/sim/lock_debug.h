@@ -1,4 +1,4 @@
-// Debug-build deadlock validator for the sim synchronization primitives.
+// Deadlock validator for the sim synchronization primitives.
 //
 // Every SimMutex / SimRwLock registers itself here with a human-readable
 // name and an optional hierarchy rank. The registry maintains a waits-for
@@ -22,14 +22,15 @@
 //  - Hierarchy ranks are validated on acquisition: acquiring a ranked lock
 //    while the same frame holds a lock of equal or higher rank is reported
 //    even when no cycle has formed yet.
-//  - Everything is compiled out in release builds (NDEBUG): the primitives
-//    keep their exact release layout and code paths, so there is zero
-//    overhead and identical event ordering.
+//  - The registry is compiled in every build, and every Simulation holds
+//    one. The primitives call it only under `if constexpr (kLockDebug)`,
+//    so builds without the validator (NDEBUG, unless SWAPSERVE_LOCK_DEBUG
+//    is set) run the same lock code with those calls compiled away.
 //
-// The validator never changes scheduling: debug-build acquisition uses
-// `await_suspend` returning false for the uncontended path, which resumes
-// the awaiting coroutine immediately — indistinguishable from the release
-// fast path in `await_ready`.
+// The validator never changes scheduling: with it on, acquisition happens
+// in `await_suspend`, returning false for the uncontended path, which
+// resumes the awaiting coroutine immediately — indistinguishable from the
+// `await_ready` fast path taken without it.
 
 #pragma once
 
@@ -41,14 +42,6 @@
 #endif
 #endif
 
-namespace swapserve::sim {
-// No rank assigned; the lock participates in cycle detection only. Defined
-// outside the debug gate so lock constructors can default it in any build.
-inline constexpr int kLockUnranked = -1;
-}  // namespace swapserve::sim
-
-#if SWAPSERVE_LOCK_DEBUG
-
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -57,6 +50,17 @@ inline constexpr int kLockUnranked = -1;
 #include <vector>
 
 namespace swapserve::sim {
+
+// Whether the sync primitives report to the validator. Not `inline`: each
+// translation unit gets its own copy, so a test that defines
+// SWAPSERVE_LOCK_DEBUG differently from the library it links violates no
+// one-definition rule for this constant. The sync.h lock functions do
+// differ between the two settings, so such a test may link only code that
+// defines none of them (swapserve_sim does not).
+constexpr bool kLockDebug = SWAPSERVE_LOCK_DEBUG;
+
+// No rank assigned; the lock participates in cycle detection only.
+inline constexpr int kLockUnranked = -1;
 
 class LockDebugRegistry {
  public:
@@ -78,9 +82,9 @@ class LockDebugRegistry {
 
   // `agent` now holds `lock` (the exclusive slot, or one shared slot).
   // Validates the hierarchy rank against every lock the frame already
-  // holds. `agent` may be null (TryAcquireNow has no coroutine handle);
-  // null holders are opaque: they never rank-check and never extend a
-  // waits-for chain.
+  // holds. `agent` may be null, the opaque holder that DetachAgent leaves
+  // behind: null holders never rank-check and never extend a waits-for
+  // chain.
   void OnAcquired(LockId lock, AgentId agent);
   void OnReleased(LockId lock, AgentId agent);
 
@@ -122,5 +126,3 @@ class LockDebugRegistry {
 };
 
 }  // namespace swapserve::sim
-
-#endif  // SWAPSERVE_LOCK_DEBUG

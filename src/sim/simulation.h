@@ -251,10 +251,8 @@ class Simulation {
   // events (cooperative yield at Now()).
   YieldAwaiter Yield() { return YieldAwaiter{this}; }
 
-#if SWAPSERVE_LOCK_DEBUG
-  // Debug-build deadlock validator shared by this simulation's locks.
+  // Deadlock validator shared by this simulation's locks (kLockDebug).
   LockDebugRegistry& lock_debug() { return lock_debug_; }
-#endif
 
   // Convenience: spawn a detached process.
   void Go(Task<> task) { Spawn(std::move(task)); }
@@ -382,9 +380,6 @@ class Simulation {
   // current_ is non-empty. The hot loop of Run()/RunUntil().
   void DispatchHead();
 
-#if SWAPSERVE_LOCK_DEBUG
-  LockDebugRegistry lock_debug_;
-#endif
   SimTime now_;
   // Radix reference: the timestamp the current-instant list represents.
   // Equal to now_ except after RunUntil parked the clock at a deadline
@@ -402,6 +397,8 @@ class Simulation {
   Slot slots_[kLevels][kDigits];
   std::uint64_t digit_occ_[kLevels] = {};  // bit d <=> slots_[l][d] live
   std::uint32_t level_occ_ = 0;            // bit l <=> digit_occ_[l] != 0
+  // Last: cold, and the event core's hot fields keep their offsets.
+  LockDebugRegistry lock_debug_;
 };
 
 }  // namespace swapserve::sim

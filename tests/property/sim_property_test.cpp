@@ -89,6 +89,11 @@ TEST_P(MutexExclusionProperty, NoTwoHoldersEverOverlap) {
   Rng rng(GetParam());
   int inside = 0;
   bool overlap = false;
+  // The acquire fast path relies on it: a queued waiter implies a holder.
+  bool queue_without_holder = false;
+  auto check_queue = [&] {
+    if (mu.waiting() > 0 && !mu.locked()) queue_without_holder = true;
+  };
   int completions = 0;
   for (int i = 0; i < 60; ++i) {
     const auto arrive = Millis(static_cast<double>(rng.UniformInt(0, 300)));
@@ -96,14 +101,18 @@ TEST_P(MutexExclusionProperty, NoTwoHoldersEverOverlap) {
     Spawn([&, arrive, hold]() -> Task<> {
       co_await sim.Delay(arrive);
       auto guard = co_await mu.Acquire();
+      check_queue();
       if (++inside > 1) overlap = true;
       co_await sim.Delay(hold);
       --inside;
+      guard.Release();
+      check_queue();
       ++completions;
     });
   }
   sim.Run();
   EXPECT_FALSE(overlap);
+  EXPECT_FALSE(queue_without_holder);
   EXPECT_EQ(completions, 60);
   EXPECT_FALSE(mu.locked());
 }
@@ -120,6 +129,13 @@ TEST_P(RwLockProperty, ReadersNeverOverlapWriters) {
   int readers = 0;
   int writers = 0;
   bool violation = false;
+  // The acquire fast path relies on it: a queued waiter implies a holder.
+  bool queue_without_holder = false;
+  auto check_queue = [&] {
+    if (lock.waiting() > 0 && !lock.write_locked() && lock.readers() == 0) {
+      queue_without_holder = true;
+    }
+  };
   int completions = 0;
   for (int i = 0; i < 80; ++i) {
     const bool writer = rng.Bernoulli(0.3);
@@ -129,21 +145,27 @@ TEST_P(RwLockProperty, ReadersNeverOverlapWriters) {
       co_await sim.Delay(arrive);
       if (writer) {
         auto g = co_await lock.AcquireExclusive();
+        check_queue();
         if (++writers > 1 || readers > 0) violation = true;
         co_await sim.Delay(hold);
         --writers;
+        g.Release();
       } else {
         auto g = co_await lock.AcquireShared();
+        check_queue();
         ++readers;
         if (writers > 0) violation = true;
         co_await sim.Delay(hold);
         --readers;
+        g.Release();
       }
+      check_queue();
       ++completions;
     });
   }
   sim.Run();
   EXPECT_FALSE(violation);
+  EXPECT_FALSE(queue_without_holder);
   EXPECT_EQ(completions, 80);
   EXPECT_EQ(lock.readers(), 0);
   EXPECT_FALSE(lock.write_locked());

@@ -1,10 +1,9 @@
-// Debug-build deadlock validator tests (DESIGN.md §10).
+// Deadlock validator tests (DESIGN.md §10).
 //
-// The validator only exists when SWAPSERVE_LOCK_DEBUG is 1 (non-NDEBUG
-// builds: the debug/asan/tsan/ubsan presets). The tier-1 RelWithDebInfo
-// build compiles it out entirely, so this file reduces to a single skipped
-// test there — which is itself the check that release builds carry none of
-// the machinery.
+// This binary is built with SWAPSERVE_LOCK_DEBUG=1 in every build type, so
+// the validator runs here even in NDEBUG builds. That is safe because the
+// lock code lives only in sync.h: the swapserve_sim library it links
+// compiles no SimRwLock/SimMutex function of its own.
 
 #include "sim/lock_debug.h"
 
@@ -20,8 +19,6 @@
 
 namespace swapserve::sim {
 namespace {
-
-#if SWAPSERVE_LOCK_DEBUG
 
 // Classic ABBA: each coroutine takes its first lock, yields, then goes for
 // the other one. The second wait closes the cycle. Runs to the default
@@ -219,16 +216,6 @@ TEST(LockDebugTest, RwLockSharedHoldersDoNotFalselyCycle) {
   EXPECT_EQ(completed, 4);
   EXPECT_EQ(sim.lock_debug().violations(), 0u);
 }
-
-#else  // !SWAPSERVE_LOCK_DEBUG
-
-TEST(LockDebugTest, CompiledOutInReleaseBuilds) {
-  GTEST_SKIP() << "SWAPSERVE_LOCK_DEBUG is 0 (NDEBUG build): the deadlock "
-                  "validator is compiled out, which is the intended zero-"
-                  "overhead release configuration";
-}
-
-#endif  // SWAPSERVE_LOCK_DEBUG
 
 }  // namespace
 }  // namespace swapserve::sim

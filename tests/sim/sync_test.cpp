@@ -48,33 +48,23 @@ TEST(SimMutexTest, FifoOrdering) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SimMutexTest, TryAcquireNow) {
-  Simulation sim;
-  SimMutex mu(sim);
-  SimMutex::Guard g1;
-  EXPECT_TRUE(mu.TryAcquireNow(g1));
-  EXPECT_TRUE(mu.locked());
-  SimMutex::Guard g2;
-  EXPECT_FALSE(mu.TryAcquireNow(g2));
-  g1.Release();
-  EXPECT_FALSE(mu.locked());
-  EXPECT_TRUE(mu.TryAcquireNow(g2));
-}
-
 TEST(SimMutexTest, GuardMoveTransfersOwnership) {
   Simulation sim;
   SimMutex mu(sim);
-  {
+  bool checked = false;
+  Spawn([&]() -> Task<> {
     SimMutex::Guard outer;
     {
-      SimMutex::Guard inner;
-      ASSERT_TRUE(mu.TryAcquireNow(inner));
+      SimMutex::Guard inner = co_await mu.Acquire();
       outer = std::move(inner);
       EXPECT_FALSE(inner.owns_lock());
       EXPECT_TRUE(outer.owns_lock());
     }
     EXPECT_TRUE(mu.locked());  // inner's destruction must not unlock
-  }
+    checked = true;
+  });
+  sim.Run();
+  EXPECT_TRUE(checked);
   EXPECT_FALSE(mu.locked());
 }
 
