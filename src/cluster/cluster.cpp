@@ -176,41 +176,49 @@ void ClusterServe::StartReplication() {
 }
 
 Result<core::ResponseChannelPtr> ClusterServe::Accept(
-    core::InferenceRequest request) {
+    const core::InferenceRequest& request) {
   // Single node: a pass-through, so the event stream stays byte-identical
   // to a plain SwapServe.
-  if (nodes_.size() == 1) {
-    return nodes_[0]->serve().handler().Accept(std::move(request));
-  }
+  if (nodes_.size() == 1) return nodes_[0]->serve().handler().Accept(request);
   const int model = backends_.Find(request.model);
-  if (model < 0) return NotFound("model " + request.model + " is not served");
+  if (model < 0) return core::ModelNotServed(request.model);
+  return Route(model, request);
+}
+
+Result<core::ResponseChannelPtr> ClusterServe::Route(
+    int model, const core::InferenceRequest& request) {
   SWAP_ASSIGN_OR_RETURN(int target, placement_->Pick(node_ptrs_, model));
   Node& node = *nodes_[target];
   ++routed_;
-  obs::IncCounter(&node.serve().obs(), backends_.cell(model, target).routed,
-                  "swapserve_cluster_routed_total",
-                  {{"model", request.model}, {"node", node.name()}});
-  return node.serve().handler().Accept(std::move(request));
+  obs::IncCounter(
+      &node.serve().obs(), backends_.cell(model, target).routed,
+      "swapserve_cluster_routed_total",
+      {{"model", backends_.model_id(model)}, {"node", node.name()}});
+  return node.serve().handler().Accept(*backends_.backend(model, target),
+                                       request);
 }
 
+// swaplint-ok(coro-ref-param): not a coroutine; the name is resolved before the task exists
 sim::Task<core::ChatResult> ClusterServe::ChatAndWait(
-    std::string model_id, std::int64_t prompt_tokens,
+    std::string_view model_id, std::int64_t prompt_tokens,
     std::int64_t max_tokens) {
   if (nodes_.size() == 1) {
-    co_return co_await nodes_[0]->serve().ChatAndWait(
-        std::move(model_id), prompt_tokens, max_tokens);
+    return nodes_[0]->serve().ChatAndWait(model_id, prompt_tokens, max_tokens);
   }
+  const int model = backends_.Find(model_id);
+  if (model < 0) {
+    return core::Ready(core::Refused(core::ModelNotServed(model_id)));
+  }
+  return RouteAndWait(model, prompt_tokens, max_tokens);
+}
+
+sim::Task<core::ChatResult> ClusterServe::RouteAndWait(
+    int model, std::int64_t prompt_tokens, std::int64_t max_tokens) {
   core::InferenceRequest request;
-  request.model = std::move(model_id);
   request.prompt_tokens = prompt_tokens;
   request.max_tokens = max_tokens;
-  Result<core::ResponseChannelPtr> channel = Accept(std::move(request));
-  if (!channel.ok()) {
-    core::ChatResult failed;
-    failed.ok = false;
-    failed.error = channel.status().ToString();
-    co_return failed;
-  }
+  Result<core::ResponseChannelPtr> channel = Route(model, request);
+  if (!channel.ok()) co_return core::Refused(channel.status());
   co_return co_await core::SwapServe::CollectResponse(*channel);
 }
 
@@ -332,10 +340,9 @@ sim::Task<> ClusterServe::MigrateModel(std::string model, int from, int to) {
     }
     // Destination full: stay put.
     if (src->queue->TrySend(core::QueuedRequest(item))) continue;
-    core::ResponseChunk error;
-    error.kind = core::ResponseChunk::Kind::kError;
-    error.error = "request dropped during migration of " + model;
-    item.response->TrySend(std::move(error));
+    item.response->error = "request dropped during migration of " + model;
+    item.response->TrySend(
+        core::ResponseChunk{.kind = core::ResponseChunk::Kind::kError});
     item.response->Close();
   }
 
@@ -478,10 +485,10 @@ void ClusterServe::FailOverNode(int id) {
       // No survivor can take it (every replica missing/quarantined, or the
       // target queue is full): the loss budget absorbs it, terminally.
       ++dropped;
-      core::ResponseChunk error;
-      error.kind = core::ResponseChunk::Kind::kError;
-      error.error = "request dropped: " + down.name() + " declared down";
-      (void)item.response->TrySend(std::move(error));
+      item.response->error =
+          "request dropped: " + down.name() + " declared down";
+      (void)item.response->TrySend(
+          core::ResponseChunk{.kind = core::ResponseChunk::Kind::kError});
       item.response->Close();
     }
   }

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/backend_table.h"
@@ -69,10 +70,14 @@ class ClusterServe {
   void Shutdown();
 
   // Route a request to a node by placement score and enqueue it there.
-  Result<core::ResponseChannelPtr> Accept(core::InferenceRequest request);
+  Result<core::ResponseChannelPtr> Accept(
+      const core::InferenceRequest& request);
 
-  // Convenience mirroring SwapServe::ChatAndWait through cluster routing.
-  sim::Task<core::ChatResult> ChatAndWait(std::string model_id,
+  // Convenience mirroring SwapServe::ChatAndWait through cluster routing:
+  // the name is resolved before the task starts, the request is routed on
+  // its first resume.
+  // swaplint-ok(coro-ref-param): not a coroutine; the name is resolved before the task exists
+  sim::Task<core::ChatResult> ChatAndWait(std::string_view model_id,
                                           std::int64_t prompt_tokens,
                                           std::int64_t max_tokens);
 
@@ -120,6 +125,13 @@ class ClusterServe {
   bool initialized() const { return initialized_; }
 
  private:
+  // Pick a node for row `model` and enqueue the request on its backend.
+  Result<core::ResponseChannelPtr> Route(int model,
+                                         const core::InferenceRequest& request);
+  // ChatAndWait's task for a resolved row.
+  sim::Task<core::ChatResult> RouteAndWait(int model,
+                                           std::int64_t prompt_tokens,
+                                           std::int64_t max_tokens);
   Status InstallPlaceholders();
   void StartReplication();
   sim::Task<> MigrationSweep();

@@ -2,7 +2,7 @@
 
 namespace swapserve::core {
 
-double AdmissionController::BudgetFor(const std::string& slo_class) const {
+double AdmissionController::BudgetFor(std::string_view slo_class) const {
   auto it = config_.class_budget_s.find(slo_class);
   return it == config_.class_budget_s.end() ? config_.default_budget_s
                                             : it->second;
@@ -40,9 +40,13 @@ AdmissionController::Decision AdmissionController::Check(
   return d;
 }
 
-void AdmissionController::RecordOutcome(const std::string& tenant,
+void AdmissionController::RecordOutcome(std::string_view tenant,
                                         bool admitted) {
-  TenantStats& stats = tenant_stats_[tenant];
+  auto it = tenant_stats_.lower_bound(tenant);
+  if (it == tenant_stats_.end() || it->first != tenant) {
+    it = tenant_stats_.emplace_hint(it, std::string(tenant), TenantStats{});
+  }
+  TenantStats& stats = it->second;
   if (admitted) {
     ++stats.admitted;
   } else {

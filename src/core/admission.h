@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/backend.h"
@@ -51,7 +52,7 @@ class AdmissionController {
 
   // Queue-delay budget for an SLO class (default budget when the class has
   // no explicit entry, including the empty class).
-  double BudgetFor(const std::string& slo_class) const;
+  double BudgetFor(std::string_view slo_class) const;
 
   // Current EWMA service estimate for a model (the prior until observed).
   double ServiceEstimate(const std::string& model) const;
@@ -61,19 +62,20 @@ class AdmissionController {
     std::uint64_t admitted = 0;
     std::uint64_t shed = 0;
   };
-  const std::map<std::string, TenantStats>& tenant_stats() const {
+  const std::map<std::string, TenantStats, std::less<>>& tenant_stats()
+      const {
     return tenant_stats_;
   }
   // Called by the request handler after it acts on a Decision, so the
   // stats reflect what was actually enqueued vs shed.
-  void RecordOutcome(const std::string& tenant, bool admitted);
+  void RecordOutcome(std::string_view tenant, bool admitted);
 
   const AdmissionConfig& config() const { return config_; }
 
  private:
   AdmissionConfig config_;
   std::map<std::string, double> ewma_service_s_;  // per model
-  std::map<std::string, TenantStats> tenant_stats_;
+  std::map<std::string, TenantStats, std::less<>> tenant_stats_;
 };
 
 }  // namespace swapserve::core

@@ -88,7 +88,7 @@ struct AdmissionConfig {
   // (including the empty class).
   double default_budget_s = 2.0;
   // Per-SLO-class budget overrides, e.g. {"interactive": 0.5, "batch": 30}.
-  std::map<std::string, double> class_budget_s;
+  std::map<std::string, double, std::less<>> class_budget_s;
   // EWMA smoothing for observed service times, and the prior used before
   // the first observation of a model.
   double ewma_alpha = 0.2;

@@ -103,7 +103,7 @@ void Metrics::RecordRejected(const std::string& model) {
 }
 
 void Metrics::RecordShed(const std::string& model,
-                         const std::string& slo_class) {
+                         std::string_view slo_class) {
   ++per_model_[model].shed;
   CountRequest(obs_, model, "shed");
   obs::IncCounter(obs_, "swapserve_admission_shed_total",

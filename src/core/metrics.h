@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/observability.h"
@@ -100,7 +101,7 @@ class Metrics {
   void RecordRejected(const std::string& model);
   // Admission control shed the request before it was queued (429 with a
   // Retry-After in the real system); slo_class may be empty.
-  void RecordShed(const std::string& model, const std::string& slo_class);
+  void RecordShed(const std::string& model, std::string_view slo_class);
 
   // --- swap outcomes (from the engine controller) -----------------------
   void RecordSwapOut(const std::string& model, double latency_s,

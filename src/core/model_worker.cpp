@@ -16,12 +16,10 @@ void ModelWorker::Start() {
   });
 }
 
-void ModelWorker::RespondError(const QueuedRequest& item,
-                               const std::string& error) {
-  ResponseChunk chunk;
-  chunk.kind = ResponseChunk::Kind::kError;
-  chunk.error = error;
-  (void)item.response->TrySend(std::move(chunk));
+void ModelWorker::RespondError(const QueuedRequest& item, std::string error) {
+  item.response->error = std::move(error);
+  (void)item.response->TrySend(
+      ResponseChunk{.kind = ResponseChunk::Kind::kError});
   item.response->Close();
 }
 
@@ -55,7 +53,7 @@ sim::Task<> ModelWorker::FailOrRequeue(QueuedRequest item, Status status,
                     {{"component", "worker"}, {"model", backend_.name()}});
   }
   metrics_.RecordFailed(MetricsHandle());
-  RespondError(item, error);
+  RespondError(item, std::move(error));
 }
 
 sim::Task<> ModelWorker::Run() {

@@ -106,7 +106,9 @@ class ModelWorker {
   // queue is closed) record the failure and answer the client with `error`.
   sim::Task<> FailOrRequeue(QueuedRequest item, Status status,
                             std::string error);
-  void RespondError(const QueuedRequest& item, const std::string& error);
+  // End the client's stream with a kError chunk; `error` is set on the
+  // response channel, where the client reads it.
+  void RespondError(const QueuedRequest& item, std::string error);
   // This backend's metrics handle, resolved on the first request-outcome
   // write (so a model that never finishes a request has no per_model()
   // entry).

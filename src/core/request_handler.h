@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "core/admission.h"
 #include "core/backend.h"
@@ -20,22 +21,31 @@
 
 namespace swapserve::core {
 
+// NOT_FOUND for a model no backend serves.
+Status ModelNotServed(std::string_view model);
+
 class RequestHandler {
  public:
   RequestHandler(sim::Simulation& sim, GlobalConfig global, Metrics& metrics)
       : sim_(sim), global_(std::move(global)), metrics_(metrics) {}
 
   void RegisterBackend(Backend* backend);
-  Backend* FindBackend(const std::string& model_id);
+  Backend* FindBackend(std::string_view model_id);
 
   // Accept an already-validated request: returns the response channel the
   // caller streams from, or RESOURCE_EXHAUSTED when the backend queue is
-  // full (HTTP 429 in the real system).
-  [[nodiscard]] Result<ResponseChannelPtr> Accept(InferenceRequest request);
+  // full (HTTP 429 in the real system). The request's names are read here
+  // and nowhere later: only its RequestParams are queued.
+  [[nodiscard]] Result<ResponseChannelPtr> Accept(
+      const InferenceRequest& request);
+  // The same for a request already routed to `backend`; request.model is
+  // not read.
+  [[nodiscard]] Result<ResponseChannelPtr> Accept(
+      Backend& backend, const InferenceRequest& request);
 
   RequestId NextRequestId() { return next_request_id_++; }
   const GlobalConfig& global() const { return global_; }
-  const std::map<std::string, Backend*>& backends() const {
+  const std::map<std::string, Backend*, std::less<>>& backends() const {
     return backends_;
   }
 
@@ -76,7 +86,7 @@ class RequestHandler {
   Metrics& metrics_;
   std::function<void(Backend&)> arrival_hook_;
   RequestId next_request_id_ = 1;
-  std::map<std::string, Backend*> backends_;
+  std::map<std::string, Backend*, std::less<>> backends_;
 };
 
 }  // namespace swapserve::core

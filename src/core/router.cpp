@@ -129,20 +129,22 @@ Result<ResponseChannelPtr> OpenAiRouter::ChatCompletions(
   }
   validate_span.End();
 
+  // The names view scratch_, which outlives the Accept call that reads
+  // them.
   InferenceRequest request;
-  request.model.assign(model);
+  request.model = model;
   request.prompt_tokens = EstimatePromptTokens(f.messages);
   request.max_tokens = max_tokens;
   request.temperature = temperature;
   request.seed = static_cast<std::uint64_t>(f.seed.IntOr(0));
   request.stream = f.stream.BoolOr(true);
-  request.tenant.assign(f.user.StringOr(""));
-  request.slo_class.assign(f.slo_class.StringOr(""));
+  request.tenant = f.user.StringOr("");
+  request.slo_class = f.slo_class.StringOr("");
 
   obs::Span enqueue_span =
       obs::StartSpan(obs_, "enqueue", "router", "router");
   enqueue_span.AddArg("model", request.model);
-  Result<ResponseChannelPtr> accepted = handler_.Accept(std::move(request));
+  Result<ResponseChannelPtr> accepted = handler_.Accept(request);
   if (!accepted.ok()) {
     const bool full = accepted.status().code() == StatusCode::kResourceExhausted;
     return fail(full ? "queue_full" : "not_found", accepted.status());

@@ -29,9 +29,10 @@ class SnapshotPrefetcher {
  public:
   // `backends` is the handler's registry (name -> backend); held by
   // reference and read on every trigger, so late registrations are seen.
-  SnapshotPrefetcher(ckpt::SnapshotTierManager& tier,
-                     const std::map<std::string, Backend*>& backends,
-                     Metrics& metrics)
+  SnapshotPrefetcher(
+      ckpt::SnapshotTierManager& tier,
+      const std::map<std::string, Backend*, std::less<>>& backends,
+      Metrics& metrics)
       : tier_(tier), backends_(backends), metrics_(metrics) {}
 
   void NoteArrival(Backend& backend);
@@ -45,7 +46,7 @@ class SnapshotPrefetcher {
       const std::string& target) const;
 
   ckpt::SnapshotTierManager& tier_;
-  const std::map<std::string, Backend*>& backends_;
+  const std::map<std::string, Backend*, std::less<>>& backends_;
   Metrics& metrics_;
 };
 

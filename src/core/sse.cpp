@@ -8,7 +8,8 @@ std::string SseEncoder::Frame(const json::Value& payload) const {
 
 std::string SseEncoder::Done() { return "data: [DONE]\n\n"; }
 
-std::string SseEncoder::Encode(const ResponseChunk& chunk) {
+std::string SseEncoder::Encode(const ResponseChunk& chunk,
+                               std::string_view error) {
   json::Value payload = json::Value::MakeObject();
   payload["id"] = json::Value("chatcmpl-" + std::to_string(request_id_));
   payload["object"] = json::Value("chat.completion.chunk");
@@ -43,9 +44,9 @@ std::string SseEncoder::Encode(const ResponseChunk& chunk) {
     case ResponseChunk::Kind::kError: {
       choice["delta"] = json::Value::MakeObject();
       choice["finish_reason"] = json::Value("error");
-      json::Value error = json::Value::MakeObject();
-      error["message"] = json::Value(chunk.error);
-      payload["error"] = std::move(error);
+      json::Value message = json::Value::MakeObject();
+      message["message"] = json::Value(std::string(error));
+      payload["error"] = std::move(message);
       break;
     }
   }

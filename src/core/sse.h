@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/types.h"
 #include "json/json.h"
@@ -31,8 +32,9 @@ class SseEncoder {
   // block the kDone frame reports):
   //   kFirstToken/kTokens -> delta frame with the chunk's token count
   //   kDone               -> finish frame (finish_reason "stop" + usage)
-  //   kError              -> error frame
-  std::string Encode(const ResponseChunk& chunk);
+  //   kError              -> error frame carrying `error`, the text the
+  //                          sender set on the response channel
+  std::string Encode(const ResponseChunk& chunk, std::string_view error = {});
 
   // The stream terminator ("data: [DONE]\n\n").
   static std::string Done();

@@ -247,8 +247,9 @@ void SwapServe::Shutdown() {
 namespace {
 
 // Fold one response chunk into the caller's summary; an error chunk's text
-// moves into it.
-void Fold(ResponseChunk& chunk, ChatResult& result) {
+// is read from its channel.
+void Fold(const ResponseChunk& chunk, const ResponseChannel& channel,
+          ChatResult& result) {
   switch (chunk.kind) {
     case ResponseChunk::Kind::kFirstToken:
     case ResponseChunk::Kind::kTokens:
@@ -262,10 +263,12 @@ void Fold(ResponseChunk& chunk, ChatResult& result) {
       break;
     case ResponseChunk::Kind::kError:
       result.ok = false;
-      result.error = std::move(chunk.error);
+      result.error = channel.error;
       break;
   }
 }
+
+}  // namespace
 
 ChatResult Refused(const Status& status) {
   ChatResult failed;
@@ -274,30 +277,39 @@ ChatResult Refused(const Status& status) {
   return failed;
 }
 
-}  // namespace
+sim::Task<ChatResult> Ready(ChatResult result) { co_return result; }
 
 sim::Task<ChatResult> SwapServe::CollectResponse(ResponseChannelPtr channel) {
   ChatResult result;
   while (std::optional<ResponseChunk> chunk = co_await channel->Recv()) {
-    Fold(*chunk, result);
+    Fold(*chunk, *channel, result);
   }
   co_return result;
 }
 
-sim::Task<ChatResult> SwapServe::ChatAndWait(std::string model_id,
+// swaplint-ok(coro-ref-param): not a coroutine; the name is resolved before the task exists
+sim::Task<ChatResult> SwapServe::ChatAndWait(std::string_view model_id,
                                              std::int64_t prompt_tokens,
                                              std::int64_t max_tokens) {
+  Backend* backend = handler_.FindBackend(model_id);
+  if (backend == nullptr) return Ready(Refused(ModelNotServed(model_id)));
+  return ServeAndWait(*backend, prompt_tokens, max_tokens);
+}
+
+// swaplint-ok(coro-ref-param): backends live as long as their SwapServe
+sim::Task<ChatResult> SwapServe::ServeAndWait(Backend& backend,
+                                              std::int64_t prompt_tokens,
+                                              std::int64_t max_tokens) {
   InferenceRequest request;
-  request.model = std::move(model_id);
   request.prompt_tokens = prompt_tokens;
   request.max_tokens = max_tokens;
-  Result<ResponseChannelPtr> channel = handler_.Accept(std::move(request));
+  Result<ResponseChannelPtr> channel = handler_.Accept(backend, request);
   if (!channel.ok()) co_return Refused(channel.status());
   // CollectResponse's loop, on this frame: no second coroutine to start
   // and no second hand-off of the result.
   ChatResult result;
   while (std::optional<ResponseChunk> chunk = co_await (*channel)->Recv()) {
-    Fold(*chunk, result);
+    Fold(*chunk, **channel, result);
   }
   co_return result;
 }
@@ -307,18 +319,21 @@ sim::Task<ChatResult> SwapServe::ChatAndStream(
     std::string model_id, std::int64_t prompt_tokens,
     std::int64_t max_tokens, std::vector<std::string>* sse_events) {
   InferenceRequest request;
+  request.model = model_id;
   request.prompt_tokens = prompt_tokens;
   request.max_tokens = max_tokens;
   request.stream = true;
   request.id = handler_.NextRequestId();
   SseEncoder encoder(request.id, model_id);
-  request.model = std::move(model_id);
-  Result<ResponseChannelPtr> channel = handler_.Accept(std::move(request));
+  Result<ResponseChannelPtr> channel = handler_.Accept(request);
   if (!channel.ok()) co_return Refused(channel.status());
+  const ResponseChannel& stream = **channel;
   ChatResult result;
   while (std::optional<ResponseChunk> chunk = co_await (*channel)->Recv()) {
-    if (sse_events != nullptr) sse_events->push_back(encoder.Encode(*chunk));
-    Fold(*chunk, result);
+    if (sse_events != nullptr) {
+      sse_events->push_back(encoder.Encode(*chunk, stream.error));
+    }
+    Fold(*chunk, stream, result);
   }
   if (sse_events != nullptr) sse_events->push_back(SseEncoder::Done());
   co_return result;

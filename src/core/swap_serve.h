@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/checkpoint_engine.h"
@@ -53,6 +54,11 @@ struct SwapServeOptions {
   bool keep_resident_after_init = false;
 };
 
+// The result of a request refused before it reached a queue.
+ChatResult Refused(const Status& status);
+// A task that completes with `result` on its first resume.
+sim::Task<ChatResult> Ready(ChatResult result);
+
 class SwapServe {
  public:
   SwapServe(sim::Simulation& sim, Config config,
@@ -74,7 +80,11 @@ class SwapServe {
   AdminApi& admin() { return admin_; }
 
   // Convenience for examples/benches: submit and await the full response.
-  sim::Task<ChatResult> ChatAndWait(std::string model_id,
+  // The name is resolved here, before the task starts (a pure lookup);
+  // the task submits on its first resume. An unknown model yields a ready
+  // task with the NOT_FOUND result.
+  // swaplint-ok(coro-ref-param): not a coroutine; the name is resolved before the task exists
+  sim::Task<ChatResult> ChatAndWait(std::string_view model_id,
                                     std::int64_t prompt_tokens,
                                     std::int64_t max_tokens);
 
@@ -125,6 +135,12 @@ class SwapServe {
   bool initialized() const { return initialized_; }
 
  private:
+  // ChatAndWait's task, for a resolved backend.
+  // swaplint-ok(coro-ref-param): backends live as long as their SwapServe
+  sim::Task<ChatResult> ServeAndWait(Backend& backend,
+                                     std::int64_t prompt_tokens,
+                                     std::int64_t max_tokens);
+
   sim::Simulation& sim_;
   Config config_;
   Hardware hardware_;

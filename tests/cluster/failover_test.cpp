@@ -217,13 +217,17 @@ TEST(FailoverTest, QueuedRequestsAreRedispatchedToSurvivors) {
       req.model = kModel;
       req.prompt_tokens = 64;
       req.max_tokens = 32;
-      auto ch = cluster.Accept(std::move(req));
+      auto ch = cluster.Accept(req);
       SWAP_CHECK_MSG(ch.ok(), ch.status().ToString());
       ++accepted;
       sim::Spawn([&done, &errors, channel = *ch]() -> sim::Task<> {
         while (auto chunk = co_await channel->Recv()) {
           if (chunk->kind == core::ResponseChunk::Kind::kDone) ++done;
-          if (chunk->kind == core::ResponseChunk::Kind::kError) ++errors;
+          if (chunk->kind == core::ResponseChunk::Kind::kError) {
+            ++errors;
+            // A dropped or failed request tells its client why.
+            EXPECT_FALSE(channel->error.empty());
+          }
         }
       });
     }
@@ -248,6 +252,48 @@ TEST(FailoverTest, QueuedRequestsAreRedispatchedToSurvivors) {
   EXPECT_GT(cluster.node(1).serve().metrics().TotalCompleted(), 0u);
   EXPECT_EQ(cluster.node(0).serve().metrics().TotalCompleted(), 0u);
   EXPECT_GE(cluster.standby_promotions(), 1u);
+}
+
+// With the only other node down too, the failover drain has no survivor
+// for the dead node's queued requests and drops them; each client still
+// gets the reason on its channel.
+TEST(FailoverTest, DroppedRequestsCarryTheReason) {
+  Bed bed;
+  core::Config cfg = FastDetectConfig(/*nodes=*/2, /*replicate=*/2);
+  ClusterServe cluster(bed.sim, cfg, bed.catalog);
+  std::uint64_t accepted = 0;
+  std::vector<std::string> errors;
+  bed.RunTask([&]() -> sim::Task<> {
+    SWAP_CHECK((co_await cluster.Initialize()).ok());
+    for (int i = 0; i < 4; ++i) {
+      core::InferenceRequest req;
+      req.model = kModel;
+      req.prompt_tokens = 64;
+      req.max_tokens = 32;
+      auto ch = cluster.Accept(req);
+      SWAP_CHECK_MSG(ch.ok(), ch.status().ToString());
+      ++accepted;
+      sim::Spawn([&errors, channel = *ch]() -> sim::Task<> {
+        while (auto chunk = co_await channel->Recv()) {
+          if (chunk->kind == core::ResponseChunk::Kind::kError) {
+            errors.push_back(channel->error);
+          }
+        }
+      });
+    }
+    cluster.KillNode(0, sim::Minutes(30));
+    cluster.KillNode(1, sim::Minutes(30));
+    co_await bed.sim.Delay(sim::Minutes(10));
+    cluster.Shutdown();
+  });
+
+  EXPECT_GT(cluster.redispatch_dropped(), 0u);
+  EXPECT_LE(errors.size(), accepted);
+  EXPECT_EQ(static_cast<std::uint64_t>(std::count(
+                errors.begin(), errors.end(),
+                "request dropped: node0 declared down")),
+            cluster.redispatch_dropped());
+  for (const std::string& error : errors) EXPECT_FALSE(error.empty());
 }
 
 TEST(FailoverTest, RepairerRestoresReplicationFactorAfterHolderDies) {

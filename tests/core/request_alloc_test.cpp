@@ -2,16 +2,17 @@
 //
 // The binary replaces the global allocator with a counting shim. A warm
 // SwapServe serves a resident model, whose name is too long for the
-// string's inline buffer, through ChatAndWait with the name moved in. Once
-// warm, a request may allocate its response channel and nothing else:
-// the name moves from the caller into the queued request and is looked up
-// once, at RequestHandler::Accept; the queue, the relay and the completion
-// record borrow the backend and move the record. The only other growth is
-// amortized: the per-model Samples vectors doubling.
+// string's inline buffer, through two entry points: ChatAndWait with a
+// borrowed name, and the OpenAI router with a tenant and an SLO class
+// under admission control. Once warm, a request may allocate its response
+// channel and nothing else: every name is borrowed and read once, at
+// RequestHandler::Accept, and only the request's numbers are queued; the
+// queue, the relay and the completion record borrow the backend. The only
+// other growth is amortized: the per-model Samples vectors doubling.
 //
 // Under asan/tsan the counting shim is compiled out (the sanitizer runtime
 // owns operator new), as in tests/sim/alloc_test.cpp, and so is the frame
-// pool; the case then checks only that every request completes.
+// pool; the cases then check only that every request completes.
 
 #include <cstdint>
 #include <cstdlib>
@@ -61,28 +62,40 @@ namespace {
 
 using testing::TestBed;
 
+constexpr int kWarm = 1000;
+constexpr int kRequests = 1000;
+const std::string kModel = "deepseek-r1-7b-fp16";
+
+// One response channel per request; the two per-model Samples vectors
+// (TTFT, swap wait) each double at most once between 1000 and 2000
+// entries.
+void ExpectOnlyResponseChannels(std::uint64_t counted) {
+#if SWAPSERVE_COUNTING_NEW && SWAPSERVE_FRAME_POOL && !SWAPSERVE_LOCK_DEBUG
+  EXPECT_LE(counted, static_cast<std::uint64_t>(kRequests) + 2)
+      << "heap allocations over " << kRequests << " warm requests";
+#else
+  (void)counted;
+#endif
+}
+
 TEST(RequestAllocTest, ResidentRequestAllocatesOnlyItsResponseChannel) {
   TestBed bed;
-  const std::string model = "deepseek-r1-7b-fp16";
-  ASSERT_GT(model.size(), std::string().capacity())
+  ASSERT_GT(kModel.size(), std::string().capacity())
       << "the name must not fit the string's inline buffer";
-  SwapServe serve(bed.sim, bed.MakeConfig({{model, "ollama"}}), bed.catalog,
+  SwapServe serve(bed.sim, bed.MakeConfig({{kModel, "ollama"}}), bed.catalog,
                   bed.hardware(),
                   SwapServeOptions{.keep_resident_after_init = true});
-  constexpr int kWarm = 1000;
-  constexpr int kRequests = 1000;
-  // Each request's name is built before counting starts, then moved in.
-  std::vector<std::string> names(kWarm + kRequests, model);
   int ok = 0;
   std::uint64_t counted = 0;
 
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serve.Initialize()).ok());
+    // The caller keeps its name; ChatAndWait borrows it.
+    const std::string& name = kModel;
     for (int i = 0; i < kWarm + kRequests; ++i) {
       const std::uint64_t before = g_alloc_count;
-      ChatResult r = co_await serve.ChatAndWait(
-          std::move(names[static_cast<std::size_t>(i)]),
-          /*prompt_tokens=*/128, /*max_tokens=*/32);
+      ChatResult r = co_await serve.ChatAndWait(name, /*prompt_tokens=*/128,
+                                                /*max_tokens=*/32);
       if (r.ok) ++ok;
       if (i >= kWarm) counted += g_alloc_count - before;
     }
@@ -90,17 +103,46 @@ TEST(RequestAllocTest, ResidentRequestAllocatesOnlyItsResponseChannel) {
   });
 
   EXPECT_EQ(ok, kWarm + kRequests);
-  EXPECT_EQ(serve.metrics().ForModel(model).completed,
+  EXPECT_EQ(serve.metrics().ForModel(kModel).completed,
             static_cast<std::uint64_t>(kWarm + kRequests));
-#if SWAPSERVE_COUNTING_NEW && SWAPSERVE_FRAME_POOL && !SWAPSERVE_LOCK_DEBUG
-  // One response channel per request; the two per-model Samples vectors
-  // (TTFT, swap wait) each double at most once between 1000 and 2000
-  // entries.
-  EXPECT_LE(counted, static_cast<std::uint64_t>(kRequests) + 2)
-      << "heap allocations over " << kRequests << " warm requests";
-#else
-  (void)counted;
-#endif
+  ExpectOnlyResponseChannels(counted);
+}
+
+TEST(RequestAllocTest, RoutedRequestAllocatesOnlyItsResponseChannel) {
+  TestBed bed;
+  Config cfg = bed.MakeConfig({{kModel, "ollama"}});
+  cfg.admission.enabled = true;
+  cfg.admission.default_budget_s = 1e6;
+  cfg.admission.class_budget_s["interactive-tier"] = 1e6;
+  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware(),
+                  SwapServeOptions{.keep_resident_after_init = true});
+  const std::string body =
+      R"({"model":")" + kModel +
+      R"(","messages":[{"role":"user","content":"hello there"}],)"
+      R"("max_tokens":32,"user":"tenant-with-a-long-id",)"
+      R"("slo_class":"interactive-tier"})";
+  int ok = 0;
+  std::uint64_t counted = 0;
+
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    for (int i = 0; i < kWarm + kRequests; ++i) {
+      const std::uint64_t before = g_alloc_count;
+      Result<ResponseChannelPtr> ch = serve.router().ChatCompletions(body);
+      EXPECT_TRUE(ch.ok()) << ch.status();
+      if (!ch.ok()) break;
+      ChatResult r = co_await SwapServe::CollectResponse(std::move(*ch));
+      if (r.ok) ++ok;
+      if (i >= kWarm) counted += g_alloc_count - before;
+    }
+    serve.Shutdown();
+  });
+
+  EXPECT_EQ(ok, kWarm + kRequests);
+  EXPECT_EQ(serve.admission()->tenant_stats().at("tenant-with-a-long-id")
+                .admitted,
+            static_cast<std::uint64_t>(kWarm + kRequests));
+  ExpectOnlyResponseChannels(counted);
 }
 
 }  // namespace

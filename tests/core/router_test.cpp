@@ -230,32 +230,71 @@ TEST(RouterTest, DefaultsApplied) {
   EXPECT_EQ(result.output_tokens, 512);
 }
 
-// Routes `body` through a router whose backend never starts and returns the
-// request the handler queued, so every field the router read can be checked.
-Result<InferenceRequest> RouteOnly(RouterBed& rb, const std::string& body) {
+// Two backends that never start, behind admission control: a request
+// estimates 1 s of queueing delay (the swap penalty; nothing is ahead of
+// it). The empty class and "silver" have budgets that admit it; any other
+// class falls to the default budget, which sheds it.
+struct OneWalkBed {
+  explicit OneWalkBed(TestBed& bed)
+      : serve(bed.sim, MakeConfig(bed), bed.catalog, bed.hardware()) {}
+
+  static Config MakeConfig(TestBed& bed) {
+    Config cfg = bed.MakeConfig(
+        {{"llama-3.2-1b-fp16", "ollama"}, {"deepseek-r1-7b-fp16", "ollama"}});
+    cfg.admission.enabled = true;
+    cfg.admission.default_budget_s = 0.5;
+    cfg.admission.class_budget_s[""] = 10;
+    cfg.admission.class_budget_s["silver"] = 10;
+    cfg.admission.swap_penalty_s = 1;
+    return cfg;
+  }
+
+  const AdmissionController::TenantStats& tenant(const std::string& name) {
+    return serve.admission()->tenant_stats().at(name);
+  }
+
+  SwapServe serve;
+};
+
+// What the handler queued for a routed body, and the model whose queue
+// holds it.
+struct Routed {
+  std::string model;
+  RequestParams params;
+};
+
+// Routes `body` and takes the request back off whichever backend's queue
+// it landed on, so every field the router read can be checked.
+Result<Routed> RouteOnly(OneWalkBed& rb, const std::string& body) {
   Result<ResponseChannelPtr> ch = rb.serve.router().ChatCompletions(body);
   if (!ch.ok()) return ch.status();
-  std::optional<QueuedRequest> item = rb.serve.backends()[0]->queue->TryRecv();
-  if (!item.has_value()) return Internal("accepted but nothing queued");
-  return std::move(item->request);
+  for (Backend* backend : rb.serve.backends()) {
+    if (std::optional<QueuedRequest> item = backend->queue->TryRecv()) {
+      return Routed{.model = backend->name(), .params = item->request};
+    }
+  }
+  return Internal("accepted but nothing queued");
 }
 
 // The router reads the body's members in one walk; it must keep what eight
 // separate Find lookups meant: the first of duplicate keys wins, a member of
 // the wrong type falls back to its default, and validation errors come in a
-// fixed order whatever the order of the members.
+// fixed order whatever the order of the members. The names never reach the
+// queue: the model shows in which queue holds the request, the tenant in
+// the admission tallies, the SLO class in the budget that decided it.
 TEST(RouterTest, OneWalkKeepsFindSemantics) {
   TestBed bed;
-  RouterBed rb(bed);
+  OneWalkBed rb(bed);
   const std::string model = R"("model":"llama-3.2-1b-fp16")";
+  const std::string other = R"("model":"deepseek-r1-7b-fp16")";
   const std::string msgs = R"("messages":[{"role":"user","content":"hi"}])";
 
-  Result<InferenceRequest> r = RouteOnly(
-      rb, "{" + model + R"(,"model":"ghost",)" + msgs +
-              R"(,"max_tokens":7,"max_tokens":9})");
+  Result<Routed> r = RouteOnly(rb, "{" + model + "," + other + "," + msgs +
+                                       R"(,"max_tokens":7,"max_tokens":9})");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->model, "llama-3.2-1b-fp16");
-  EXPECT_EQ(r->max_tokens, 7);
+  EXPECT_EQ(r->params.max_tokens, 7);
+  EXPECT_EQ(rb.tenant("").admitted, 1u);
   EXPECT_EQ(RouteOnly(rb, R"({"model":"ghost",)" + model + "," + msgs + "}")
                 .status()
                 .code(),
@@ -266,27 +305,42 @@ TEST(RouterTest, OneWalkKeepsFindSemantics) {
                 .message(),
             "max_tokens must be in [1, 16384]");
 
+  // A non-string user and slo_class read as empty: the default tenant,
+  // admitted under the empty class's budget.
   r = RouteOnly(rb, "{" + model + "," + msgs +
                         R"(,"max_tokens":"12","stream":1,"temperature":"hot",)"
                         R"("seed":"7","user":5,"slo_class":null})");
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->max_tokens, 512);
-  EXPECT_TRUE(r->stream);
-  EXPECT_EQ(r->temperature, 0.0);
-  EXPECT_EQ(r->seed, 0u);
-  EXPECT_EQ(r->tenant, "");
-  EXPECT_EQ(r->slo_class, "");
+  EXPECT_EQ(r->params.max_tokens, 512);
+  EXPECT_TRUE(r->params.stream);
+  EXPECT_EQ(r->params.temperature, 0.0);
+  EXPECT_EQ(r->params.seed, 0u);
+  EXPECT_EQ(rb.tenant("").admitted, 2u);
+  EXPECT_EQ(rb.tenant("").shed, 0u);
 
-  r = RouteOnly(rb, R"({"slo_class":"gold","user":"t1","seed":7,)"
-                    R"("stream":false,"temperature":1.5,"max_tokens":12,)" +
-                        msgs + "," + model + "}");
+  const std::string typed =
+      R"("user":"t1","seed":7,"stream":false,"temperature":1.5,)"
+      R"("max_tokens":12,)" +
+      msgs + ",";
+  // "gold" is read: it has no budget of its own, so the default budget
+  // sheds the request, and t1 is charged.
+  Result<Routed> shed =
+      RouteOnly(rb, R"({"slo_class":"gold",)" + typed + other + "}");
+  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(shed.status().message().find("exceeds budget 0.500000s"),
+            std::string::npos)
+      << shed.status();
+  EXPECT_EQ(rb.tenant("t1").shed, 1u);
+  EXPECT_EQ(rb.tenant("t1").admitted, 0u);
+
+  r = RouteOnly(rb, R"({"slo_class":"silver",)" + typed + other + "}");
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->max_tokens, 12);
-  EXPECT_FALSE(r->stream);
-  EXPECT_EQ(r->temperature, 1.5);
-  EXPECT_EQ(r->seed, 7u);
-  EXPECT_EQ(r->tenant, "t1");
-  EXPECT_EQ(r->slo_class, "gold");
+  EXPECT_EQ(r->model, "deepseek-r1-7b-fp16");
+  EXPECT_EQ(r->params.max_tokens, 12);
+  EXPECT_FALSE(r->params.stream);
+  EXPECT_EQ(r->params.temperature, 1.5);
+  EXPECT_EQ(r->params.seed, 7u);
+  EXPECT_EQ(rb.tenant("t1").admitted, 1u);
 
   const auto error = [&rb](const std::string& body) {
     return RouteOnly(rb, body).status().message();

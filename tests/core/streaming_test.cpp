@@ -56,9 +56,8 @@ TEST(SseEncoderTest, ErrorFrameFormat) {
   SseEncoder enc(/*request_id=*/2, "m");
   ResponseChunk err;
   err.kind = ResponseChunk::Kind::kError;
-  err.error = "engine crashed";
   EXPECT_EQ(
-      enc.Encode(err),
+      enc.Encode(err, "engine crashed"),
       "data: {\"choices\":[{\"delta\":{},\"finish_reason\":\"error\","
       "\"index\":0}],\"error\":{\"message\":\"engine crashed\"},"
       "\"id\":\"chatcmpl-2\",\"model\":\"m\","
@@ -164,6 +163,43 @@ TEST(StreamingTest, StreamingDoesNotChangeCompletionTiming) {
   EXPECT_NEAR(streamed.ttft_s, burst.ttft_s, 1e-6);
 }
 
+// A request that fails terminally still tells the client why: the text
+// the worker sets on the response channel reaches both the ChatResult and
+// the SSE error frame.
+TEST(StreamingTest, TerminalErrorTextReachesResultAndErrorFrame) {
+  TestBed bed;
+  Config cfg = StreamingConfig(bed, true);
+  cfg.recovery.request_retry_attempts = 0;
+  fault::FaultRule crash;
+  crash.point = "engine.crash";
+  crash.code = StatusCode::kInternal;
+  crash.message = "armed by the test";
+  cfg.fault.plan.rules.push_back(crash);
+  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
+  ChatResult result;
+  std::vector<std::string> events;
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    result = co_await serve.ChatAndStream("llama-3.2-1b-fp16", 128, 64,
+                                          &events);
+    serve.Shutdown();
+  });
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("armed by the test"), std::string::npos)
+      << result.error;
+  // The error frame, then [DONE].
+  ASSERT_EQ(events.size(), 2u);
+  const std::string& frame = events[0];
+  ASSERT_EQ(frame.rfind("data: ", 0), 0u) << frame;
+  Result<json::Value> payload =
+      json::Parse(std::string_view(frame).substr(6));
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  const json::Value* error = payload->Find("error");
+  ASSERT_NE(error, nullptr) << frame;
+  EXPECT_EQ(error->GetString("message", ""), result.error);
+  EXPECT_EQ(events[1], SseEncoder::Done());
+}
+
 TEST(StreamingTest, PerRequestOptOutSkipsChunking) {
   TestBed bed;
   SwapServe serve(bed.sim, StreamingConfig(bed, true), bed.catalog,
@@ -176,8 +212,7 @@ TEST(StreamingTest, PerRequestOptOutSkipsChunking) {
     request.prompt_tokens = 128;
     request.max_tokens = 64;
     request.stream = false;  // client opted out of streaming
-    Result<ResponseChannelPtr> channel =
-        serve.handler().Accept(std::move(request));
+    Result<ResponseChannelPtr> channel = serve.handler().Accept(request);
     EXPECT_TRUE(channel.ok());
     if (channel.ok()) {
       result = co_await SwapServe::CollectResponse(*channel);

@@ -58,6 +58,17 @@ TEST(SwaplintFixtureTest, CoroRefParamSilentOnValueAndAnnotatedBorrow) {
   EXPECT_TRUE(diags.empty()) << Render(diags);
 }
 
+TEST(SwaplintFixtureTest, CoroRefParamFiresOnStringViewAndSpan) {
+  auto diags = LintFixture("coro_ref_param_view_bad.cc");
+  EXPECT_EQ(CountRule(diags, "coro-ref-param"), 2) << Render(diags);
+  EXPECT_EQ(diags.size(), 2u) << Render(diags);
+}
+
+TEST(SwaplintFixtureTest, CoroRefParamSilentOnOwnedAndAnnotatedViews) {
+  auto diags = LintFixture("coro_ref_param_view_ok.cc");
+  EXPECT_TRUE(diags.empty()) << Render(diags);
+}
+
 TEST(SwaplintFixtureTest, BorrowAcrossAwaitFiresOnPointerAndAlias) {
   auto diags = LintFixture("borrow_across_await_bad.cc");
   EXPECT_EQ(CountRule(diags, "borrow-across-await"), 2) << Render(diags);

@@ -488,25 +488,31 @@ class RuleRunner {
     out_.push_back({path_, line, rule, std::move(message)});
   }
 
-  // Rule: coro-ref-param.
+  // Rule: coro-ref-param. A std::string_view or std::span parameter is a
+  // borrow too, however it is passed.
   void CheckRefParams(const FnDecl& fn) {
     int angle = 0;
     int paren = 0;
     for (std::size_t i = fn.params_open + 1; i < fn.params_close; ++i) {
       const std::string& x = toks_[i].text;
+      const char* borrow = nullptr;
       if (x == "<") ++angle;
       else if (x == ">") angle = std::max(0, angle - 1);
       else if (x == "(") ++paren;
       else if (x == ")") paren = std::max(0, paren - 1);
-      else if ((x == "&" || x == "&&" || x == "*") && angle == 0 &&
-               paren == 0) {
-        Emit("coro-ref-param", toks_[i].line,
-             "coroutine '" + fn.name + "' takes a parameter by " +
-                 (x == "*" ? "pointer" : "reference") +
-                 "; the frame can outlive the caller (PR 3 UAF class) -- "
-                 "pass by value or annotate the borrow",
-             {toks_[fn.name_tok].line});
+      else if (angle > 0 || paren > 0) continue;
+      else if (x == "&" || x == "&&") borrow = "by reference";
+      else if (x == "*") borrow = "by pointer";
+      else if (x == "string_view") borrow = "as a std::string_view";
+      else if (x == "span" && IsTok(toks_, i + 1, "<")) {
+        borrow = "as a std::span";
       }
+      if (borrow == nullptr) continue;
+      Emit("coro-ref-param", toks_[i].line,
+           "coroutine '" + fn.name + "' takes a parameter " + borrow +
+               "; the frame can outlive the caller (use-after-free class) -- "
+               "pass by value or annotate the borrow",
+           {toks_[fn.name_tok].line});
     }
   }
 
@@ -1073,7 +1079,8 @@ class RuleRunner {
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
       {"coro-ref-param",
-       "no reference/pointer parameters on Task<>-returning coroutines"},
+       "no reference, pointer, string_view or span parameters on "
+       "Task<>-returning coroutines"},
       {"spawn-ref-capture",
        "no by-reference lambda captures on Spawn() inside a coroutine"},
       {"stale-state-after-await",

@@ -7,10 +7,12 @@
 //
 // Coroutine lifetime:
 //   coro-ref-param      Reference/pointer parameters on Task<>-returning
-//                       coroutines. A coroutine frame outlives the call
-//                       expression; a reference parameter captured into a
-//                       Spawn()ed or suspended frame dangles once the
-//                       caller's frame unwinds (the PR 3 UAF).
+//                       coroutines, and borrowed views passed by value
+//                       (std::string_view, std::span). A coroutine frame
+//                       outlives the call expression; a reference or view
+//                       parameter captured into a Spawn()ed or suspended
+//                       frame dangles once the caller's frame unwinds (a
+//                       use-after-free).
 //   spawn-ref-capture   A sim::Spawn() lambda inside a coroutine capturing
 //                       by reference ([&]/[&x]). The spawned frame is
 //                       detached; if the enclosing coroutine frame is
