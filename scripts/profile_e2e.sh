@@ -13,10 +13,13 @@
 #   - the string-work share: samples whose frames below that owner include
 #     std::string code or a string-keyed std::map/_Rb_tree walk (copies,
 #     compares, and the allocations they make);
-#   - the top owning functions, with their string-work part.
+#   - the top owning functions, with their string-work part;
+# and, over the setup window, its top owning functions.
 # The run window is every sample under sim::Simulation::Run; the fleet's
 # Initialize runs there too, but is a few hundred events of the run's
-# hundreds of thousands.
+# hundreds of thousands. The setup window is every other sample: mostly
+# input generation (workload.gen_s: the arrival trace, request bodies),
+# then config parsing and the result report.
 #
 # Defaults: --seed 1 --seconds 0 --reps 16 --trace 0 (later arguments
 # override them). Environment: SIGPROF_HZ (samples per CPU second, default
@@ -155,47 +158,60 @@ def Layer(owner):
 
 STRING = re.compile(r"basic_string|char_traits")
 
+def Owner(chain):
+    """(owner, frames below it): the innermost frame in namespace swapserve,
+    else the innermost frame."""
+    below = []
+    for fn in chain:
+        q = qualified(fn)
+        if q.startswith("swapserve::"):
+            return q, below
+        below.append(fn)
+    return (qualified(below[0]) if below else "??"), below
+
+
 total = len(located)
 run = 0
 layer_self = collections.Counter()
 owner_self = collections.Counter()
 owner_string = collections.Counter()
+setup_self = collections.Counter()
 string_total = 0
 for frames in located:
     chain = []
     for key in frames:
         chain.extend(names.get(key, ["??"]))
+    owner, below = Owner(chain)
     if not any("swapserve::sim::Simulation::Run(" in fn for fn in chain):
+        setup_self[owner] += 1
         continue
     run += 1
-    owner, below = None, []
-    for fn in chain:
-        q = qualified(fn)
-        if q.startswith("swapserve::"):
-            owner = q
-            break
-        below.append(fn)
-    layer = Layer(owner) if owner else "(outside swapserve)"
-    owner = owner or (qualified(below[0]) if below else "??")
+    layer = Layer(owner) if owner.startswith("swapserve::") else \
+        "(outside swapserve)"
     layer_self[layer] += 1
     owner_self[owner] += 1
     if any(STRING.search(fn) for fn in below):
         string_total += 1
         owner_string[owner] += 1
 
+setup = total - run
 print(f"samples: {total} total, {run} in the run window "
-      f"({100.0 * run / max(total, 1):.1f} %)")
-if run == 0:
-    sys.exit(0)
-print("\nrun-window self share by layer")
-for layer, n in layer_self.most_common():
-    print(f"  swapserve::{layer:<22} {100.0 * n / run:6.1f} %  ({n})"
-          if not layer.startswith("(") else
-          f"  {layer:<33} {100.0 * n / run:6.1f} %  ({n})")
-print(f"\nstring work (std::string code or string-keyed map walks below the "
-      f"owner): {100.0 * string_total / run:.1f} % ({string_total})")
-print(f"\ntop {top} owning functions (self share, string-work part)")
-for owner, n in owner_self.most_common(top):
-    print(f"  {100.0 * n / run:5.1f} %  {100.0 * owner_string[owner] / run:5.1f}"
-          f" %  {owner}")
+      f"({100.0 * run / max(total, 1):.1f} %), {setup} in the setup window")
+if run:
+    print("\nrun-window self share by layer")
+    for layer, n in layer_self.most_common():
+        print(f"  swapserve::{layer:<22} {100.0 * n / run:6.1f} %  ({n})"
+              if not layer.startswith("(") else
+              f"  {layer:<33} {100.0 * n / run:6.1f} %  ({n})")
+    print(f"\nstring work (std::string code or string-keyed map walks below "
+          f"the owner): {100.0 * string_total / run:.1f} % ({string_total})")
+    print(f"\ntop {top} owning functions (self share, string-work part)")
+    for owner, n in owner_self.most_common(top):
+        print(f"  {100.0 * n / run:5.1f} %  "
+              f"{100.0 * owner_string[owner] / run:5.1f} %  {owner}")
+if setup:
+    print(f"\nsetup window: top {top} owning functions (share of the "
+          f"setup window's {setup} samples)")
+    for owner, n in setup_self.most_common(top):
+        print(f"  {100.0 * n / setup:5.1f} %  ({n})  {owner}")
 PY

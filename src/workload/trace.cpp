@@ -2,10 +2,32 @@
 
 #include <cmath>
 #include <limits>
+#include <mutex>
+#include <ostream>
+#include <set>
 
 #include "util/status.h"
 
 namespace swapserve::workload {
+
+ModelName::ModelName(std::string_view name) {
+  struct Table {
+    std::mutex mu;
+    std::set<std::string, std::less<>> names;  // guarded by mu
+  };
+  // Leaked on purpose: a trace may be read while static objects are being
+  // destroyed, and a set's nodes never move, so entries stay valid for the
+  // life of the process.
+  static Table* const table = new Table;
+  std::lock_guard<std::mutex> lock(table->mu);
+  auto it = table->names.find(name);
+  if (it == table->names.end()) it = table->names.emplace(name).first;
+  name_ = &*it;
+}
+
+std::ostream& operator<<(std::ostream& os, ModelName name) {
+  return os << name.str();
+}
 
 std::vector<TraceEvent> GenerateTrace(const std::vector<ModelWorkload>& mix,
                                       double horizon_s, std::uint64_t seed) {
@@ -18,12 +40,15 @@ std::vector<TraceEvent> GenerateTrace(const std::vector<ModelWorkload>& mix,
   std::vector<std::vector<double>> times(mix.size());
   std::vector<sim::Rng> lengths_rngs;
   lengths_rngs.reserve(mix.size());
+  std::vector<ModelName> names;
+  names.reserve(mix.size());
   std::size_t total = 0;
   for (std::size_t m = 0; m < mix.size(); ++m) {
     SWAP_CHECK_MSG(mix[m].rate != nullptr && mix[m].profile != nullptr,
                    "workload missing rate/profile");
     sim::Rng arrivals_rng = root.Fork();
     lengths_rngs.push_back(root.Fork());
+    names.emplace_back(mix[m].model_id);
     times[m] = SampleArrivals(*mix[m].rate, horizon_s, arrivals_rng);
     total += times[m].size();
   }
@@ -44,7 +69,7 @@ std::vector<TraceEvent> GenerateTrace(const std::vector<ModelWorkload>& mix,
     }
     ++next[best];
     const TokenSample tokens = mix[best].profile->Sample(lengths_rngs[best]);
-    trace.emplace_back(best_t, mix[best].model_id, tokens.prompt_tokens,
+    trace.emplace_back(best_t, names[best], tokens.prompt_tokens,
                        tokens.output_tokens);
   }
   return trace;

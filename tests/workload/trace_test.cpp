@@ -6,8 +6,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,7 +38,7 @@ std::vector<TraceEvent> ReferenceTrace(const std::vector<ModelWorkload>& mix,
       }
       const TokenSample tokens = w.profile->Sample(lengths_rng);
       trace.push_back(TraceEvent{.time_s = t,
-                                 .model_id = w.model_id,
+                                 .model_id = ModelName(w.model_id),
                                  .prompt_tokens = tokens.prompt_tokens,
                                  .output_tokens = tokens.output_tokens});
     }
@@ -214,13 +217,105 @@ TEST(HourlyTokenVolumeTest, EmptyTrace) {
 
 TEST(HourlyTokenVolumeTest, EventsPastHorizonIgnored) {
   std::vector<TraceEvent> trace = {
-      {.time_s = 100, .model_id = "m", .prompt_tokens = 5, .output_tokens = 5},
-      {.time_s = 7000, .model_id = "m", .prompt_tokens = 7,
+      {.time_s = 100,
+       .model_id = ModelName("m"),
+       .prompt_tokens = 5,
+       .output_tokens = 5},
+      {.time_s = 7000,
+       .model_id = ModelName("m"),
+       .prompt_tokens = 7,
        .output_tokens = 7},
   };
   auto buckets = HourlyTokenVolume(trace, 3600);
   ASSERT_EQ(buckets.size(), 1u);
   EXPECT_EQ(buckets[0].input_tokens, 5);
+}
+
+// A name too long for std::string's inline buffer, as every model id is.
+constexpr std::string_view kLongName = "llama-3.1-8b-instruct-fp16";
+
+TEST(ModelNameTest, EqualNamesFromTwoTracesShareOneEntry) {
+  ConstantRate rate(0.5);
+  const RequestProfile profile = RequestProfile::ShortQa();
+  // Two mixes with their own copies of the name.
+  const std::vector<ModelWorkload> mix_a = {
+      {std::string(kLongName), &rate, &profile}};
+  const std::vector<ModelWorkload> mix_b = {
+      {std::string(kLongName), &rate, &profile}};
+  ASSERT_NE(mix_a[0].model_id.data(), mix_b[0].model_id.data());
+  const auto a = GenerateTrace(mix_a, 600, 1);
+  const auto b = GenerateTrace(mix_b, 600, 2);
+  ASSERT_FALSE(a.empty());
+  ASSERT_FALSE(b.empty());
+  for (const TraceEvent& ev : a) {
+    EXPECT_EQ(&ev.model_id.str(), &a[0].model_id.str());
+  }
+  EXPECT_EQ(&a[0].model_id.str(), &b[0].model_id.str());
+  EXPECT_EQ(a[0].model_id, b[0].model_id);
+  EXPECT_EQ(&ModelName(kLongName).str(), &a[0].model_id.str());
+  EXPECT_NE(ModelName("model-x"), ModelName("model-y"));
+}
+
+TEST(ModelNameTest, ComparesAndConvertsAsItsName) {
+  const ModelName name(kLongName);
+  const std::string text(kLongName);
+  // Equality with another handle, a view, a C string and a std::string,
+  // either side.
+  EXPECT_TRUE(name == ModelName(text));
+  EXPECT_TRUE(name == kLongName);
+  EXPECT_TRUE(kLongName == name);
+  EXPECT_TRUE(name == "llama-3.1-8b-instruct-fp16");
+  EXPECT_TRUE("llama-3.1-8b-instruct-fp16" == name);
+  EXPECT_TRUE(name == text);
+  EXPECT_TRUE(name != "llama-3.1-8b-instruct-fp1");
+  EXPECT_TRUE(name != std::string_view("x"));
+  EXPECT_FALSE(name != ModelName(text));
+
+  const std::string& as_ref = name;
+  EXPECT_EQ(&as_ref, &name.str());
+  const std::string_view as_view = name;
+  EXPECT_EQ(as_view.data(), name.str().data());
+  std::ostringstream printed;
+  printed << name;
+  EXPECT_EQ(printed.str(), text);
+
+  // The three forms a trace's reader uses: a string-keyed map lookup, a
+  // call taking a borrowed name, and a view assigned from the event.
+  const TraceEvent ev{.time_s = 1, .model_id = name};
+  std::map<std::string, std::size_t> pool_of = {{text, 3}};
+  EXPECT_EQ(pool_of[ev.model_id], 3u);
+  EXPECT_EQ(pool_of.size(), 1u);
+  const auto length = [](std::string_view model) { return model.size(); };
+  EXPECT_EQ(length(ev.model_id), kLongName.size());
+  std::string_view borrowed;
+  borrowed = ev.model_id;
+  EXPECT_EQ(borrowed, kLongName);
+  EXPECT_EQ(borrowed.data(), name.str().data());
+}
+
+TEST(ModelNameTest, TraceOutlivesItsMixAndItsNames) {
+  // bench_e2e's pattern: the mix, with its name strings, and its rate
+  // curves are gone before the trace is read.
+  std::vector<TraceEvent> trace;
+  {
+    auto fast = std::make_unique<ConstantRate>(0.5);
+    auto slow = std::make_unique<ConstantRate>(0.1);
+    std::vector<ModelWorkload> mix = {
+        {std::string(kLongName) + "-a", fast.get(), &kProfile},
+        {std::string(kLongName) + "-b", slow.get(), &kProfile}};
+    trace = GenerateTrace(mix, 3600, 5);
+  }
+  ASSERT_FALSE(trace.empty());
+  int a = 0;
+  int b = 0;
+  for (const TraceEvent& ev : trace) {
+    const std::string_view name = ev.model_id;
+    ASSERT_EQ(name.substr(0, kLongName.size()), kLongName);
+    if (name.ends_with("-a")) ++a;
+    if (name.ends_with("-b")) ++b;
+  }
+  EXPECT_EQ(a + b, static_cast<int>(trace.size()));
+  EXPECT_GT(a, b);
 }
 
 }  // namespace
