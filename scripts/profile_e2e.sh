@@ -14,12 +14,23 @@
 #     std::string code or a string-keyed std::map/_Rb_tree walk (copies,
 #     compares, and the allocations they make);
 #   - the top owning functions, with their string-work part;
-# and, over the setup window, its top owning functions.
-# The run window is every sample under sim::Simulation::Run; the fleet's
-# Initialize runs there too, but is a few hundred events of the run's
-# hundreds of thousands. The setup window is every other sample: mostly
-# input generation (workload.gen_s: the arrival trace, request bodies),
-# then config parsing and the result report.
+# and the top owning functions of the setup and report windows.
+# Each rep (e2e::RunRep) sets up, runs and reports:
+#   - run: every sample under sim::Simulation::Run. The fleet's Initialize
+#     runs there too, but is a few hundred events of the run's hundreds of
+#     thousands.
+#   - setup: RunRep before the run: config parsing, input generation
+#     (workload.gen_s: the arrival trace, request bodies) and
+#     construction. bench_e2e's setup_s times this window (plus
+#     Initialize).
+#   - report: RunRep after the run: the output checks, the simulated
+#     metrics (their percentile sorts), the traced export and the
+#     teardown of the rep's fleet. No wall metric times it.
+# Samples are in time order, so between two runs lie one rep's report and
+# the next rep's setup. The report ends with the last of them taken at a
+# RunRep line after the run's: a callee inlined into RunRep may report its
+# own line, so the line alone cannot place every sample. Samples outside
+# any rep (argument parsing, the final JSON) are only counted.
 #
 # Defaults: --seed 1 --seconds 0 --reps 16 --trace 0 (later arguments
 # override them). Environment: SIGPROF_HZ (samples per CPU second, default
@@ -106,23 +117,27 @@ for sample in samples:
             by_module[module].add(rel)
     located.append(frames)
 
-names = {}  # (module, rel) -> [function, ...] innermost inline level first
+# (module, rel) -> [(function, line), ...] innermost inline level first;
+# an outer level's line is where it calls the level inside it.
+names = {}
 for module, rels in by_module.items():
     rels = sorted(rels)
     proc = subprocess.run(
         ["addr2line", "-a", "-i", "-f", "-C", "-e", module],
         input="\n".join(hex(r) for r in rels), capture_output=True,
         text=True, check=True)
-    current, chain, expect_name = None, [], True
+    current, chain, function = None, [], None
     for line in proc.stdout.splitlines():
-        if line.startswith("0x") and expect_name:
+        if line.startswith("0x") and function is None:
             if current is not None:
                 names[(module, current)] = chain
             current, chain = int(line, 16), []
-            continue
-        if expect_name:
-            chain.append(line)
-        expect_name = not expect_name
+        elif function is None:
+            function = line
+        else:
+            at = line.split(" (discriminator")[0].rsplit(":", 1)[-1]
+            chain.append((function, int(at) if at.isdigit() else 0))
+            function = None
     if current is not None:
         names[(module, current)] = chain
 
@@ -170,20 +185,60 @@ def Owner(chain):
     return (qualified(below[0]) if below else "??"), below
 
 
-total = len(located)
-run = 0
-layer_self = collections.Counter()
-owner_self = collections.Counter()
-owner_string = collections.Counter()
-setup_self = collections.Counter()
-string_total = 0
+REP = "swapserve::bench::e2e::RunRep"
+
+
+def RepLine(frames):
+    """The line of e2e::RunRep this sample was taken under, or None."""
+    for fn, line in frames:
+        if qualified(fn) == REP:
+            return line
+    return None
+
+
+chains = []
 for frames in located:
     chain = []
     for key in frames:
-        chain.extend(names.get(key, ["??"]))
-    owner, below = Owner(chain)
-    if not any("swapserve::sim::Simulation::Run(" in fn for fn in chain):
-        setup_self[owner] += 1
+        chain.extend(names.get(key, [("??", 0)]))
+    chains.append(chain)
+in_run = [any("swapserve::sim::Simulation::Run(" in fn for fn, _ in chain)
+          for chain in chains]
+# The sim.Run() call: the RunRep line the run window's samples share.
+run_lines = collections.Counter(
+    RepLine(chain) for chain, run in zip(chains, in_run) if run)
+run_line = run_lines.most_common(1)[0][0] if run_lines else None
+
+# Walk back from the end: after the last run comes its rep's report; the
+# samples before a run are its rep's setup, back to the previous rep's
+# last sample taken at a RunRep line after the run's.
+windows = []
+window = "report"
+for chain, is_run in zip(reversed(chains), reversed(in_run)):
+    line = RepLine(chain)
+    if is_run:
+        window = "setup"
+    elif line is not None and run_line is not None and line > run_line:
+        window = "report"
+    windows.append("run" if is_run else "outside" if line is None else window)
+windows.reverse()
+
+total = len(located)
+run = 0
+outside = 0
+layer_self = collections.Counter()
+owner_self = collections.Counter()
+owner_string = collections.Counter()
+window_self = {"setup": collections.Counter(),
+               "report": collections.Counter()}
+string_total = 0
+for chain, window in zip(chains, windows):
+    owner, below = Owner([fn for fn, _ in chain])
+    if window == "outside":
+        outside += 1
+        continue
+    if window != "run":
+        window_self[window][owner] += 1
         continue
     run += 1
     layer = Layer(owner) if owner.startswith("swapserve::") else \
@@ -194,9 +249,11 @@ for frames in located:
         string_total += 1
         owner_string[owner] += 1
 
-setup = total - run
+setup = sum(window_self["setup"].values())
+report = sum(window_self["report"].values())
 print(f"samples: {total} total, {run} in the run window "
-      f"({100.0 * run / max(total, 1):.1f} %), {setup} in the setup window")
+      f"({100.0 * run / max(total, 1):.1f} %), {setup} in the setup window, "
+      f"{report} in the report window, {outside} outside any rep")
 if run:
     print("\nrun-window self share by layer")
     for layer, n in layer_self.most_common():
@@ -209,9 +266,12 @@ if run:
     for owner, n in owner_self.most_common(top):
         print(f"  {100.0 * n / run:5.1f} %  "
               f"{100.0 * owner_string[owner] / run:5.1f} %  {owner}")
-if setup:
-    print(f"\nsetup window: top {top} owning functions (share of the "
-          f"setup window's {setup} samples)")
-    for owner, n in setup_self.most_common(top):
-        print(f"  {100.0 * n / setup:5.1f} %  ({n})  {owner}")
+for window, counts in window_self.items():
+    n_window = sum(counts.values())
+    if not n_window:
+        continue
+    print(f"\n{window} window: top {top} owning functions (share of the "
+          f"{window} window's {n_window} samples)")
+    for owner, n in counts.most_common(top):
+        print(f"  {100.0 * n / n_window:5.1f} %  ({n})  {owner}")
 PY

@@ -108,22 +108,47 @@ RatePiece MmppRate::PieceAt(double t_seconds) const {
               : std::numeric_limits<double>::infinity()};
 }
 
+std::vector<double> MmppRate::Arrivals(double horizon_s,
+                                       sim::Rng& rng) const {
+  std::vector<double> arrivals;
+  // Period i ends at switch i (quiet when i is even); the period after the
+  // last switch never ends.
+  double start = 0;
+  for (std::size_t i = 0; start < horizon_s; ++i) {
+    const bool last = i == switch_times_.size();
+    const double end =
+        last ? horizon_s : std::min(switch_times_[i], horizon_s);
+    const double rate = i % 2 == 1 ? burst_rps_ : quiet_rps_;
+    if (rate > 0) {
+      for (double t = start + rng.Exponential(rate); t < end;
+           t += rng.Exponential(rate)) {
+        arrivals.push_back(t);
+      }
+    }
+    if (last) break;
+    start = switch_times_[i];
+  }
+  return arrivals;
+}
+
+std::vector<double> RateCurve::Arrivals(double horizon_s,
+                                        sim::Rng& rng) const {
+  std::vector<double> arrivals;
+  const double max_rate = MaxRate();
+  for (double t = rng.Exponential(max_rate); t < horizon_s;
+       t += rng.Exponential(max_rate)) {
+    if (rng.NextDouble() * max_rate < RateAt(t)) arrivals.push_back(t);
+  }
+  return arrivals;
+}
+
 std::vector<double> SampleArrivals(const RateCurve& rate, double horizon_s,
                                    sim::Rng& rng) {
-  std::vector<double> arrivals;
   const double max_rate = rate.MaxRate();
   SWAP_CHECK_MSG(max_rate >= 0 && std::isfinite(max_rate),
                  "rate curve bound must be finite and non-negative");
-  if (max_rate == 0) return arrivals;
-  RatePiece piece;  // end = 0: the first candidate asks the curve
-  double t = 0;
-  while (true) {
-    t += rng.Exponential(max_rate);
-    if (t >= horizon_s) break;
-    if (t >= piece.end) piece = rate.PieceAt(t);
-    if (rng.NextDouble() * max_rate < piece.rate) arrivals.push_back(t);
-  }
-  return arrivals;
+  if (max_rate == 0) return {};
+  return rate.Arrivals(horizon_s, rng);
 }
 
 }  // namespace swapserve::workload

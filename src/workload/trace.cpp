@@ -33,7 +33,7 @@ std::vector<TraceEvent> GenerateTrace(const std::vector<ModelWorkload>& mix,
                                       double horizon_s, std::uint64_t seed) {
   SWAP_CHECK_MSG(!mix.empty(), "empty workload mix");
   // The root only forks, so each model's (arrivals, lengths) pair depends
-  // on its position in the mix alone. Thinning yields each model's
+  // on its position in the mix alone. SampleArrivals yields each model's
   // arrivals already in time order, and the merge below draws each
   // model's lengths in that same order.
   sim::Rng root(seed);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -133,22 +135,6 @@ std::vector<double> SwitchTimes(const MmppRate& rate, double horizon) {
   return ends;
 }
 
-TEST(RatePieceTest, ConstantIsOnePieceForever) {
-  ConstantRate rate(2.5);
-  const RatePiece piece = rate.PieceAt(123.0);
-  EXPECT_EQ(piece.rate, 2.5);
-  EXPECT_EQ(piece.end, kInf);
-}
-
-TEST(RatePieceTest, DiurnalPieceHoldsAtTOnly) {
-  DiurnalRate rate = DiurnalRate::ConversationalPreset(1.0);
-  for (double t : {0.0, 3599.5, 3600.0, 86400.0 * 3 + 1234.5}) {
-    const RatePiece piece = rate.PieceAt(t);
-    EXPECT_EQ(piece.rate, rate.RateAt(t)) << "t=" << t;
-    EXPECT_EQ(piece.end, std::nextafter(t, kInf)) << "t=" << t;
-  }
-}
-
 TEST(RatePieceTest, MmppPieceAgreesWithRateAtAroundEverySwitch) {
   const double horizon = 30 * 86400.0;
   MmppRate rate(0.01, 2.0, 3600, 300, /*seed=*/5, horizon);
@@ -193,6 +179,159 @@ TEST(RatePieceTest, MmppPiecePastLastSwitchIsUnbounded) {
   const RatePiece piece = rate.PieceAt(1e9);
   EXPECT_EQ(piece.rate, rate.RateAt(1e9));
   EXPECT_EQ(piece.end, kInf);
+}
+
+// Thinning at MaxRate(), asking RateAt for every candidate: the oracle
+// the MMPP's exact sampler is held to.
+std::vector<double> Thinned(const RateCurve& rate, double horizon,
+                            sim::Rng& rng) {
+  std::vector<double> arrivals;
+  const double max_rate = rate.MaxRate();
+  for (double t = rng.Exponential(max_rate); t < horizon;
+       t += rng.Exponential(max_rate)) {
+    if (rng.NextDouble() * max_rate < rate.RateAt(t)) arrivals.push_back(t);
+  }
+  return arrivals;
+}
+
+// The integral of the rate over [0, horizon): the mean arrival count.
+double ExpectedCount(const MmppRate& rate, double horizon) {
+  double count = 0;
+  for (double t = 0; t < horizon;) {
+    const RatePiece piece = rate.PieceAt(t);
+    count += piece.rate * (std::min(piece.end, horizon) - t);
+    t = piece.end;
+  }
+  return count;
+}
+
+// Two-sample Kolmogorov-Smirnov statistic: sup |F_a(x) - F_b(x)|.
+double KsStatistic(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  double d = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] == x) ++i;
+    while (j < b.size() && b[j] == x) ++j;
+    d = std::max(d, std::abs(static_cast<double>(i) / na -
+                             static_cast<double>(j) / nb));
+  }
+  return d;
+}
+
+struct MmppShape {
+  double quiet_rps;
+  double burst_rps;
+  double mean_quiet_s;
+  double mean_burst_s;
+  double horizon_s;
+};
+
+// Runs the exact sampler and thinning on the same curves: six models (six
+// switch-time seeds) at each of 24 seeds, each sampler with its own
+// stream. Given the curves, each model's total count over the seeds is
+// Poisson with the rate's integral as its mean, so the exact total must
+// agree with thinning's and with that mean (z-tests), and the pooled
+// inter-arrival gaps must pass a two-sample KS test, all at alpha = 0.01.
+void ExpectExactMatchesThinning(const MmppShape& shape) {
+  constexpr int kModels = 6;
+  constexpr std::uint64_t kSeeds = 24;
+  constexpr double kZ = 2.5758;   // two-sided, alpha = 0.01
+  constexpr double kKs = 1.6276;  // c(alpha) = sqrt(-ln(alpha / 2) / 2)
+  std::vector<double> exact_gaps;
+  std::vector<double> thinned_gaps;
+  const auto add_gaps = [](const std::vector<double>& arrivals,
+                           std::vector<double>& gaps) {
+    for (std::size_t k = 1; k < arrivals.size(); ++k) {
+      gaps.push_back(arrivals[k] - arrivals[k - 1]);
+    }
+  };
+  for (int m = 0; m < kModels; ++m) {
+    SCOPED_TRACE(m);
+    double expected = 0;
+    double exact_count = 0;
+    double thinned_count = 0;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      const MmppRate rate(shape.quiet_rps, shape.burst_rps, shape.mean_quiet_s,
+                          shape.mean_burst_s, seed * 131 + m, shape.horizon_s);
+      sim::Rng exact_rng(1000 * seed + m);
+      sim::Rng thinned_rng(1000 * seed + 500 + m);
+      const std::vector<double> exact =
+          SampleArrivals(rate, shape.horizon_s, exact_rng);
+      const std::vector<double> thinned =
+          Thinned(rate, shape.horizon_s, thinned_rng);
+      ASSERT_TRUE(std::is_sorted(exact.begin(), exact.end()));
+      if (!exact.empty()) {
+        ASSERT_GE(exact.front(), 0.0);
+        ASSERT_LT(exact.back(), shape.horizon_s);
+      }
+      if (shape.quiet_rps == 0) {
+        for (double t : exact) ASSERT_TRUE(rate.InBurst(t)) << "t=" << t;
+      }
+      expected += ExpectedCount(rate, shape.horizon_s);
+      exact_count += static_cast<double>(exact.size());
+      thinned_count += static_cast<double>(thinned.size());
+      add_gaps(exact, exact_gaps);
+      add_gaps(thinned, thinned_gaps);
+    }
+    ASSERT_GT(expected, 10000);
+    EXPECT_LE(std::abs(exact_count - thinned_count),
+              kZ * std::sqrt(exact_count + thinned_count))
+        << "exact " << exact_count << ", thinned " << thinned_count;
+    EXPECT_LE(std::abs(exact_count - expected), kZ * std::sqrt(expected))
+        << "exact " << exact_count << ", expected " << expected;
+  }
+  const double n = static_cast<double>(exact_gaps.size());
+  const double k = static_cast<double>(thinned_gaps.size());
+  EXPECT_LE(KsStatistic(exact_gaps, thinned_gaps),
+            kKs * std::sqrt((n + k) / (n * k)))
+      << n << " and " << k << " gaps";
+}
+
+TEST(MmppExactSamplerTest, MatchesThinningOnTheFig3Month) {
+  ExpectExactMatchesThinning({.quiet_rps = 0.00012,
+                              .burst_rps = 0.02,
+                              .mean_quiet_s = 5 * 3600,
+                              .mean_burst_s = 1200,
+                              .horizon_s = 30 * 86400.0});
+}
+
+TEST(MmppExactSamplerTest, MatchesThinningWithSilentQuietPeriods) {
+  ExpectExactMatchesThinning({.quiet_rps = 0,
+                              .burst_rps = 0.05,
+                              .mean_quiet_s = 3600,
+                              .mean_burst_s = 600,
+                              .horizon_s = 7 * 86400.0});
+}
+
+TEST(MmppExactSamplerTest, DrawsOncePerArrivalAndOncePerPeriod) {
+  const double horizon = 30 * 86400.0;
+  const MmppRate rate(0.00012, 0.02, 5 * 3600, 1200, /*seed=*/7, horizon);
+  std::size_t periods = 1;
+  for (double t = 0; (t = rate.PieceAt(t).end) < horizon;) ++periods;
+  sim::Rng rng(3);
+  const std::size_t arrivals = SampleArrivals(rate, horizon, rng).size();
+  // Every draw is one exponential, one NextU64: count them by replaying
+  // the stream up to the sampler's next value.
+  const std::uint64_t next = rng.NextU64();
+  sim::Rng fresh(3);
+  std::size_t draws = 0;
+  while (fresh.NextU64() != next) ++draws;
+  EXPECT_EQ(draws, arrivals + periods);
+}
+
+TEST(MmppExactSamplerTest, SilentQuietPeriodsDrawNothing) {
+  // quiet_rps = 0 throughout the horizon: no burst, no draw.
+  const MmppRate rate(0, 1.0, 1e9, 100, /*seed=*/1, 86400);
+  sim::Rng rng(5);
+  EXPECT_TRUE(SampleArrivals(rate, 86400, rng).empty());
+  sim::Rng fresh(5);
+  EXPECT_EQ(rng.NextU64(), fresh.NextU64());
 }
 
 #if GTEST_HAS_DEATH_TEST

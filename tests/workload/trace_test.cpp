@@ -17,9 +17,42 @@
 namespace swapserve::workload {
 namespace {
 
-// The reference algorithm GenerateTrace must reproduce bit for bit:
-// thinning that asks RateAt for every candidate, each model appended in
-// mix order, then one stable sort by time.
+// One model's arrivals as the reference draws them. An MMPP draws
+// exponential gaps at each dwell period's own rate, restarting at every
+// switch and drawing nothing in a zero-rate period. Any other curve is
+// thinned, asking RateAt for every candidate.
+std::vector<double> ReferenceArrivals(const RateCurve& rate, double horizon_s,
+                                      sim::Rng& rng) {
+  std::vector<double> times;
+  if (const auto* mmpp = dynamic_cast<const MmppRate*>(&rate)) {
+    for (double start = 0; start < horizon_s;) {
+      const RatePiece period = mmpp->PieceAt(start);
+      const double end = std::min(period.end, horizon_s);
+      if (period.rate > 0) {
+        for (double t = start + rng.Exponential(period.rate); t < end;
+             t += rng.Exponential(period.rate)) {
+          times.push_back(t);
+        }
+      }
+      start = period.end;
+    }
+    return times;
+  }
+  const double max_rate = rate.MaxRate();
+  if (max_rate == 0) return times;
+  double t = 0;
+  while (true) {
+    t += rng.Exponential(max_rate);
+    if (t >= horizon_s) break;
+    if (rng.NextDouble() * max_rate < rate.RateAt(t)) times.push_back(t);
+  }
+  return times;
+}
+
+// The reference algorithm GenerateTrace must reproduce bit for bit: each
+// model's arrivals from ReferenceArrivals, with their lengths drawn in
+// arrival order, each model appended in mix order, then one stable sort
+// by time.
 std::vector<TraceEvent> ReferenceTrace(const std::vector<ModelWorkload>& mix,
                                        double horizon_s, std::uint64_t seed) {
   sim::Rng root(seed);
@@ -27,15 +60,7 @@ std::vector<TraceEvent> ReferenceTrace(const std::vector<ModelWorkload>& mix,
   for (const ModelWorkload& w : mix) {
     sim::Rng arrivals_rng = root.Fork();
     sim::Rng lengths_rng = root.Fork();
-    const double max_rate = w.rate->MaxRate();
-    if (max_rate == 0) continue;
-    double t = 0;
-    while (true) {
-      t += arrivals_rng.Exponential(max_rate);
-      if (t >= horizon_s) break;
-      if (arrivals_rng.NextDouble() * max_rate >= w.rate->RateAt(t)) {
-        continue;
-      }
+    for (double t : ReferenceArrivals(*w.rate, horizon_s, arrivals_rng)) {
       const TokenSample tokens = w.profile->Sample(lengths_rng);
       trace.push_back(TraceEvent{.time_s = t,
                                  .model_id = ModelName(w.model_id),
@@ -145,6 +170,32 @@ TEST(TraceOracleTest, MatchesReferenceWithAZeroTrafficModel) {
     const auto trace = GenerateTrace(mix.models, 86400, seed);
     ExpectSameTrace(ReferenceTrace(mix.models, 86400, seed), trace);
     for (const TraceEvent& ev : trace) EXPECT_NE(ev.model_id, "model-1");
+  }
+}
+
+TEST(TraceOracleTest, MatchesReferenceWithSilentQuietPeriods) {
+  const double horizon = 7 * 86400.0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    // quiet_rps = 0: a silent MMPP next to a Poisson model.
+    Mix mix;
+    for (int m = 0; m < 3; ++m) {
+      mix.Add(std::make_unique<MmppRate>(0.0, 0.05, 3600, 600,
+                                         seed * 131 + m, horizon));
+    }
+    mix.Add(std::make_unique<ConstantRate>(0.001));
+    const auto trace = GenerateTrace(mix.models, horizon, seed);
+    ExpectSameTrace(ReferenceTrace(mix.models, horizon, seed), trace);
+    std::size_t bursty = 0;
+    for (const TraceEvent& ev : trace) {
+      for (int m = 0; m < 3; ++m) {
+        if (ev.model_id != mix.models[m].model_id) continue;
+        const auto& rate = static_cast<const MmppRate&>(*mix.rates[m]);
+        EXPECT_TRUE(rate.InBurst(ev.time_s)) << "t=" << ev.time_s;
+        ++bursty;
+      }
+    }
+    EXPECT_GT(bursty, 1000u);
   }
 }
 
