@@ -57,7 +57,7 @@ Outcome RunPingPong(int gpus, int rounds) {
           SWAP_CHECK_MSG(r.ok, r.error);
         }(serve, m));
       }
-      co_await sim::WhenAll(bed.sim, std::move(wave));
+      co_await sim::WhenAll(bed.sim, wave);
     }
     out.makespan_s = (bed.sim.Now() - t0).ToSeconds();
     serve.Shutdown();

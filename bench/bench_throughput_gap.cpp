@@ -58,7 +58,7 @@ EngineThroughput Measure(engine::EngineKind kind,
               SWAP_CHECK(r.ok());
             }(*eng));
       }
-      co_await sim::WhenAll(bed.sim, std::move(batch));
+      co_await sim::WhenAll(bed.sim, batch);
       result.tokens_per_s_b16 =
           16.0 * 256.0 / (bed.sim.Now() - t0).ToSeconds();
     });

@@ -80,7 +80,7 @@ int main() {
           SWAP_CHECK_MSG(r.ok, r.error);
         }(serve, m));
       }
-      co_await sim::WhenAll(sim, std::move(requests));
+      co_await sim::WhenAll(sim, requests);
       std::printf("wave %d: all 8 models served in %.1fs\n", wave + 1,
                   (sim.Now() - t0).ToSeconds());
     }

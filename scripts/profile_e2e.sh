@@ -6,7 +6,9 @@
 # Builds bench_e2e into build/e2e/ (as bench/e2e/run.sh does) and the SIGPROF
 # sampler in tools/sigprof/, runs one untraced bench_e2e invocation under
 # LD_PRELOAD, symbolizes every sampled return address with `addr2line -i`
-# (inlined frames included) and prints, over the run window:
+# (inlined frames included; scripts/symbolize.py names a frame the debug
+# info leaves bare, such as a coroutine body, Name@file) and prints, over
+# the run window:
 #   - the self share of each swapserve::<layer>: a sample is charged to the
 #     innermost frame, inlined or not, in namespace swapserve (src/util's
 #     types sit directly in swapserve and count as util);
@@ -46,122 +48,27 @@ workload="$1"
 shift
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+source "$root/scripts/e2e_tool.sh"
 out_dir="$root/build/sigprof"
-mkdir -p "$out_dir"
 sampler="$out_dir/sampler.so"
-cc -O2 -shared -fPIC -o "$sampler" "$root/tools/sigprof/sampler.c"
-build="$root/build/e2e"
-{
-  if [[ ! -f "$build/CMakeCache.txt" ]]; then
-    cmake -S "$root/bench/e2e" -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  fi
-  cmake --build "$build" -j "$(nproc)"
-} >&2
-bin="$build/bench_e2e"
+build_e2e_tool "$root/tools/sigprof/sampler.c" "$sampler"
 
 samples="$out_dir/$workload.txt"
-SIGPROF_OUT="$samples" LD_PRELOAD="$sampler" "$bin" --workload "$workload" \
-  --seed 1 --seconds 0 --reps 16 --trace 0 "$@" >"$out_dir/$workload.log"
+SIGPROF_OUT="$samples" LD_PRELOAD="$sampler" "$bench_e2e" \
+  --workload "$workload" --seed 1 --seconds 0 --reps 16 --trace 0 "$@" \
+  >"$out_dir/$workload.log"
 
-python3 - "$samples" "${PROFILE_TOP:-25}" <<'PY'
+PYTHONPATH="$root/scripts" python3 - "$samples" "${PROFILE_TOP:-25}" <<'PY'
 import collections
 import re
-import subprocess
 import sys
 
+from symbolize import qualified, read_dump, symbolize, under_run
+
 path, top = sys.argv[1], int(sys.argv[2])
-maps, samples = [], []
-with open(path) as f:
-    section = None
-    for line in f:
-        if line.startswith("# maps"):
-            section = "maps"
-            continue
-        if line.startswith("# samples"):
-            section = "samples"
-            continue
-        if section == "maps":
-            parts = line.split()
-            if len(parts) >= 6 and "x" in parts[1]:
-                lo, hi = (int(v, 16) for v in parts[0].split("-"))
-                maps.append((lo, hi, int(parts[2], 16), parts[5]))
-        elif section == "samples" and line.strip():
-            samples.append([int(v, 16) for v in line.split()])
-
-
-def is_pie(module, cache={}):
-    if module not in cache:
-        with open(module, "rb") as elf:
-            header = elf.read(18)
-        cache[module] = header[16] == 3  # ET_DYN
-    return cache[module]
-
-
-def locate(addr):
-    for lo, hi, offset, module in maps:
-        if lo <= addr < hi:
-            return module, (addr - lo + offset) if is_pie(module) else addr
-    return None, addr
-
-
-# Every frame above the interrupted PC is a return address: look up the
-# call instruction before it.
-by_module = collections.defaultdict(set)
-located = []
-for sample in samples:
-    frames = []
-    for depth, addr in enumerate(sample):
-        module, rel = locate(addr if depth == 0 else addr - 1)
-        frames.append((module, rel))
-        if module is not None:
-            by_module[module].add(rel)
-    located.append(frames)
-
-# (module, rel) -> [(function, line), ...] innermost inline level first;
-# an outer level's line is where it calls the level inside it.
-names = {}
-for module, rels in by_module.items():
-    rels = sorted(rels)
-    proc = subprocess.run(
-        ["addr2line", "-a", "-i", "-f", "-C", "-e", module],
-        input="\n".join(hex(r) for r in rels), capture_output=True,
-        text=True, check=True)
-    current, chain, function = None, [], None
-    for line in proc.stdout.splitlines():
-        if line.startswith("0x") and function is None:
-            if current is not None:
-                names[(module, current)] = chain
-            current, chain = int(line, 16), []
-        elif function is None:
-            function = line
-        else:
-            at = line.split(" (discriminator")[0].rsplit(":", 1)[-1]
-            chain.append((function, int(at) if at.isdigit() else 0))
-            function = None
-    if current is not None:
-        names[(module, current)] = chain
-
-OPERATORS = re.compile(r"operator(<=>|<<=|>>=|<<|>>|<=|>=|->\*|->|<|>|\(\))")
-
-
-def qualified(function):
-    """The function's own qualified name: templates, parameter lists and
-    return type dropped."""
-    s = OPERATORS.sub("operator", function).split(" [clone")[0]
-    out, angle, paren = [], 0, 0
-    for ch in s:
-        if ch == "<":
-            angle += 1
-        elif ch == ">" and angle:
-            angle -= 1
-        elif ch == "(":
-            paren += 1
-        elif ch == ")" and paren:
-            paren -= 1
-        elif not angle and not paren:
-            out.append(ch)
-    tokens = [t for t in "".join(out).split() if "::" in t]
-    return tokens[-1] if tokens else function
+maps, _, rows = read_dump(path)
+chains = symbolize(maps, [[int(v, 16) for v in row] for row in rows],
+                   pc_first=True)
 
 
 def Layer(owner):
@@ -196,14 +103,7 @@ def RepLine(frames):
     return None
 
 
-chains = []
-for frames in located:
-    chain = []
-    for key in frames:
-        chain.extend(names.get(key, [("??", 0)]))
-    chains.append(chain)
-in_run = [any("swapserve::sim::Simulation::Run(" in fn for fn, _ in chain)
-          for chain in chains]
+in_run = [under_run(chain) for chain in chains]
 # The sim.Run() call: the RunRep line the run window's samples share.
 run_lines = collections.Counter(
     RepLine(chain) for chain, run in zip(chains, in_run) if run)
@@ -223,7 +123,7 @@ for chain, is_run in zip(reversed(chains), reversed(in_run)):
     windows.append("run" if is_run else "outside" if line is None else window)
 windows.reverse()
 
-total = len(located)
+total = len(chains)
 run = 0
 outside = 0
 layer_self = collections.Counter()

@@ -48,7 +48,7 @@ sim::Task<Status> ColdStartServing::Teardown(Slot& slot) {
   SWAP_CHECK(slot.engine != nullptr);
   Status s = co_await slot.engine->container()->Stop();
   if (!s.ok()) co_return s;
-  gpu_.FreeAllOwnedBy(slot.engine->name());
+  gpu_.FreeAllOwnedBy(slot.engine->owner());
   SWAP_CHECK(runtime_.Remove(slot.engine->container()->name()).ok());
   slot.engine.reset();
   ++teardowns_;

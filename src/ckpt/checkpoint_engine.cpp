@@ -5,6 +5,7 @@
 
 #include "ckpt/snapshot_tier.h"
 #include "sim/combinators.h"
+#include "util/inline_vector.h"
 #include "util/log.h"
 
 namespace swapserve::ckpt {
@@ -26,11 +27,11 @@ constexpr const char* kPhaseSeconds = "swapserve_ckpt_phase_seconds";
 sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
     SwapOutRequest req) {
   SWAP_CHECK(req.container != nullptr && req.process != nullptr);
-  std::vector<hw::GpuDevice*> gpus = req.gpus;
-  if (gpus.empty()) {
-    SWAP_CHECK(req.gpu != nullptr);
-    gpus.push_back(req.gpu);
-  }
+  SWAP_CHECK(!req.gpus.empty() || req.gpu != nullptr);
+  // `req` lives in this frame, so a one-device group can borrow its `gpu`.
+  const std::span<hw::GpuDevice* const> gpus =
+      req.gpus.empty() ? std::span<hw::GpuDevice* const>(&req.gpu, 1)
+                       : req.gpus;
   const sim::SimTime start = sim_.Now();
   obs::Span swap_span =
       obs::StartSpan(obs_, "ckpt.swap_out", "ckpt", req.owner);
@@ -95,7 +96,7 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
     const sim::SimTime phase_start = sim_.Now();
     co_await sim_.Delay(req.checkpoint.fixed);
     if (req.dirty_bytes.count() > 0) {
-      std::vector<sim::Task<>> drains;
+      InlineVector<sim::Task<>, hw::kInlineGroupSize> drains;
       for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
         const Bytes shard = Shard(req.dirty_bytes, gpus.size(), rank);
         if (shard.count() == 0) continue;
@@ -106,7 +107,7 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
         drains.push_back(
             gpus[rank]->pcie().d2h().TransferChunked(shard, opts));
       }
-      co_await sim::WhenAll(sim_, std::move(drains));
+      co_await sim::WhenAll(sim_, drains);
     }
     obs::Observe(obs_, phase_seconds_.d2h, kPhaseSeconds, {{"phase", "d2h"}},
                  (sim_.Now() - phase_start).ToSeconds());
@@ -116,7 +117,7 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
     // the wire. The staged bytes are torn; drop them so the snapshot cannot
     // survive as a phantom copy, and leave recovery to the crash handler.
     SWAP_WARN_IF_ERROR(DropSnapshot(*put), "ckpt");
-    co_return Unavailable("swap-out " + req.owner +
+    co_return Unavailable("swap-out " + req.owner.str() +
                           " aborted: process crashed mid-checkpoint");
   }
 
@@ -140,10 +141,10 @@ sim::Task<Result<SwapOutResult>> CheckpointEngine::SwapOut(
   };
 }
 
-// swaplint-ok(coro-ref-param): container/process outlive the frame
+// swaplint-ok(coro-ref-param): container/process/gpus belong to the engine
 sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     SnapshotId snapshot_id, container::Container& container,
-    CudaCheckpointProcess& process, std::vector<hw::GpuDevice*> gpus) {
+    CudaCheckpointProcess& process, std::span<hw::GpuDevice* const> gpus) {
   SWAP_CHECK_MSG(!gpus.empty(), "swap-in needs at least one GPU");
   const sim::SimTime start = sim_.Now();
   // The restore reads the snapshot across many awaits, and consumes it at
@@ -160,7 +161,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   if (snap.tier == SnapshotTier::kRemote) {
     if (!remote_fetch_) {
       co_return FailedPrecondition(
-          "swap-in " + snap.owner + ": snapshot " +
+          "swap-in " + snap.owner.str() + ": snapshot " +
           std::to_string(snapshot_id) +
           " is remote and no fetch path is bound");
     }
@@ -207,7 +208,9 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
   //    manager's reservations should make this infallible; a failure is
   //    a scheduling bug surfaced as a hard error (with rollback).
   {
-    std::vector<std::pair<hw::GpuDevice*, hw::AllocationId>> allocs;
+    InlineVector<std::pair<hw::GpuDevice*, hw::AllocationId>,
+                 hw::kInlineGroupSize>
+        allocs;
     obs::Span phase = obs::StartSpan(obs_, "reserve", "ckpt", snap.owner);
     phase.AddArg("bytes", total.count());
     for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
@@ -232,7 +235,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
     phase.AddArg("bytes", snap.dirty_bytes.count());
     const sim::SimTime h2d_start = sim_.Now();
     if (snap.dirty_bytes.count() > 0) {
-      std::vector<sim::Task<>> copies;
+      InlineVector<sim::Task<>, hw::kInlineGroupSize> copies;
       for (std::size_t rank = 0; rank < gpus.size(); ++rank) {
         const Bytes shard = Shard(snap.dirty_bytes, gpus.size(), rank);
         if (shard.count() == 0) continue;
@@ -242,7 +245,7 @@ sim::Task<Result<SwapInResult>> CheckpointEngine::SwapIn(
         copies.push_back(
             gpus[rank]->pcie().h2d().TransferChunked(shard, opts));
       }
-      co_await sim::WhenAll(sim_, std::move(copies));
+      co_await sim::WhenAll(sim_, copies);
     }
     obs::Observe(obs_, phase_seconds_.h2d, kPhaseSeconds, {{"phase", "h2d"}},
                  (sim_.Now() - h2d_start).ToSeconds());

@@ -14,8 +14,7 @@
 #pragma once
 
 #include <functional>
-#include <string>
-#include <vector>
+#include <span>
 
 #include "ckpt/cuda_checkpoint.h"
 #include "ckpt/snapshot_store.h"
@@ -27,6 +26,7 @@
 #include "obs/observability.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
+#include "util/name.h"
 #include "util/status.h"
 
 namespace swapserve::ckpt {
@@ -38,9 +38,11 @@ struct SwapOutRequest {
   CudaCheckpointProcess* process = nullptr;
   hw::GpuDevice* gpu = nullptr;
   // Tensor-parallel device group (§6); empty = just `gpu`. Each device
-  // holds an even shard, checkpointed/restored in parallel.
-  std::vector<hw::GpuDevice*> gpus;
-  std::string owner;
+  // holds an even shard, checkpointed/restored in parallel. Borrowed: the
+  // group belongs to the engine being checkpointed, which outlives its
+  // swap-out.
+  std::span<hw::GpuDevice* const> gpus;
+  Name owner;
   Bytes clean_bytes{0};  // reserved pages with no meaningful contents
   Bytes dirty_bytes{0};  // pages that must round-trip through host RAM
   model::CheckpointModel checkpoint;
@@ -77,12 +79,12 @@ class CheckpointEngine {
   // must fit across the device group; the caller (task manager)
   // guarantees this via reservations, but the engine still fails loudly if
   // the invariant is violated.
-  // container/process are owned by the task manager's ModelTask, which
-  // outlives the swap-in frame by construction.
-  // swaplint-ok(coro-ref-param): container/process outlive the frame
+  // container, process and the device group belong to the engine being
+  // restored, which outlives the swap-in frame by construction.
+  // swaplint-ok(coro-ref-param): container/process/gpus belong to the engine
   sim::Task<Result<SwapInResult>> SwapIn(
       SnapshotId snapshot_id, container::Container& container,
-      CudaCheckpointProcess& process, std::vector<hw::GpuDevice*> gpus);
+      CudaCheckpointProcess& process, std::span<hw::GpuDevice* const> gpus);
 
   // Retire a snapshot, keeping the tier manager's placement ledger in sync
   // (deferred retire of mid-move entries). All drops — consumption at

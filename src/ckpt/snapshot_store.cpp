@@ -1,6 +1,7 @@
 #include "ckpt/snapshot_store.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace swapserve::ckpt {
 
@@ -34,7 +35,7 @@ Result<SnapshotId> SnapshotStore::Put(Snapshot snapshot) {
   if (!placeholder) {
     if (used_ + snapshot.dirty_bytes > budget_) {
       return ResourceExhausted(
-          "snapshot store: " + snapshot.owner + " needs " +
+          "snapshot store: " + snapshot.owner.str() + " needs " +
           snapshot.dirty_bytes.ToString() + " host RAM, " +
           free().ToString() + " free");
     }
@@ -49,8 +50,8 @@ Result<SnapshotId> SnapshotStore::Put(Snapshot snapshot) {
     peak_used_ = std::max(peak_used_, used_);
   }
   const SnapshotId id = snapshot.id;
-  const std::string owner = snapshot.owner;
-  snapshots_.emplace(id, std::move(snapshot));
+  const Name owner = snapshot.owner;
+  snapshots_.push_back(std::move(snapshot));
   PublishGauges();
   // Silent corruption at write time: the Put succeeds, the damage only
   // surfaces when a restore verifies the checksum. Remote placeholders
@@ -63,131 +64,137 @@ Result<SnapshotId> SnapshotStore::Put(Snapshot snapshot) {
 }
 
 const Snapshot* SnapshotStore::Find(SnapshotId id) const {
-  auto it = snapshots_.find(id);
-  return it == snapshots_.end() ? nullptr : &it->second;
+  auto it = std::lower_bound(
+      snapshots_.begin(), snapshots_.end(), id,
+      [](const Snapshot& s, SnapshotId want) { return s.id < want; });
+  return it == snapshots_.end() || it->id != id ? nullptr : &*it;
+}
+
+Snapshot* SnapshotStore::Lookup(SnapshotId id) {
+  return const_cast<Snapshot*>(std::as_const(*this).Find(id));
 }
 
 Status SnapshotStore::Drop(SnapshotId id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
+  Snapshot* snap = Lookup(id);
+  if (snap == nullptr) {
     return NotFound("snapshot " + std::to_string(id));
   }
-  const SnapshotTier tier = it->second.tier;
+  const SnapshotTier tier = snap->tier;
   switch (tier) {
-    case SnapshotTier::kNvme: nvme_used_ -= it->second.dirty_bytes; break;
-    case SnapshotTier::kRemote: remote_bytes_ -= it->second.dirty_bytes; break;
-    case SnapshotTier::kHost: used_ -= it->second.dirty_bytes; break;
+    case SnapshotTier::kNvme: nvme_used_ -= snap->dirty_bytes; break;
+    case SnapshotTier::kRemote: remote_bytes_ -= snap->dirty_bytes; break;
+    case SnapshotTier::kHost: used_ -= snap->dirty_bytes; break;
   }
-  snapshots_.erase(it);
+  snapshots_.erase(snapshots_.begin() + (snap - snapshots_.data()));
   PublishGauges();
   if (tier != SnapshotTier::kRemote && on_drop_) on_drop_();
   return Status::Ok();
 }
 
 Status SnapshotStore::MarkDemoted(SnapshotId id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
+  Snapshot* snap = Lookup(id);
+  if (snap == nullptr) {
     return NotFound("snapshot " + std::to_string(id));
   }
-  if (it->second.tier != SnapshotTier::kHost) {
+  if (snap->tier != SnapshotTier::kHost) {
     return FailedPrecondition("snapshot " + std::to_string(id) +
                               " is not host-resident");
   }
-  it->second.tier = SnapshotTier::kNvme;
-  used_ -= it->second.dirty_bytes;
-  nvme_used_ += it->second.dirty_bytes;
+  snap->tier = SnapshotTier::kNvme;
+  used_ -= snap->dirty_bytes;
+  nvme_used_ += snap->dirty_bytes;
   PublishGauges();
   return Status::Ok();
 }
 
 Status SnapshotStore::MarkPromoted(SnapshotId id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
+  Snapshot* snap = Lookup(id);
+  if (snap == nullptr) {
     return NotFound("snapshot " + std::to_string(id));
   }
-  if (it->second.tier != SnapshotTier::kNvme) {
+  if (snap->tier != SnapshotTier::kNvme) {
     return FailedPrecondition("snapshot " + std::to_string(id) +
                               " is not nvme-resident");
   }
-  if (used_ + it->second.dirty_bytes > budget_) {
+  if (used_ + snap->dirty_bytes > budget_) {
     return ResourceExhausted("snapshot store: promotion of " +
                              std::to_string(id) + " needs " +
-                             it->second.dirty_bytes.ToString() + ", " +
+                             snap->dirty_bytes.ToString() + ", " +
                              free().ToString() + " free");
   }
-  it->second.tier = SnapshotTier::kHost;
-  nvme_used_ -= it->second.dirty_bytes;
-  used_ += it->second.dirty_bytes;
+  snap->tier = SnapshotTier::kHost;
+  nvme_used_ -= snap->dirty_bytes;
+  used_ += snap->dirty_bytes;
   peak_used_ = std::max(peak_used_, used_);
   PublishGauges();
   return Status::Ok();
 }
 
 Status SnapshotStore::MarkFetched(SnapshotId id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
+  Snapshot* snap = Lookup(id);
+  if (snap == nullptr) {
     return NotFound("snapshot " + std::to_string(id));
   }
-  if (it->second.tier != SnapshotTier::kRemote) {
+  if (snap->tier != SnapshotTier::kRemote) {
     return FailedPrecondition("snapshot " + std::to_string(id) +
                               " is not a remote placeholder");
   }
-  if (used_ + it->second.dirty_bytes > budget_) {
+  if (used_ + snap->dirty_bytes > budget_) {
     return ResourceExhausted("snapshot store: fetch of " +
                              std::to_string(id) + " needs " +
-                             it->second.dirty_bytes.ToString() + ", " +
+                             snap->dirty_bytes.ToString() + ", " +
                              free().ToString() + " free");
   }
-  it->second.tier = SnapshotTier::kHost;
-  remote_bytes_ -= it->second.dirty_bytes;
-  used_ += it->second.dirty_bytes;
+  snap->tier = SnapshotTier::kHost;
+  remote_bytes_ -= snap->dirty_bytes;
+  used_ += snap->dirty_bytes;
   peak_used_ = std::max(peak_used_, used_);
   PublishGauges();
   return Status::Ok();
 }
 
 Status SnapshotStore::MarkLost(SnapshotId id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
+  Snapshot* snap = Lookup(id);
+  if (snap == nullptr) {
     return NotFound("snapshot " + std::to_string(id));
   }
-  if (it->second.tier != SnapshotTier::kHost) {
+  if (snap->tier != SnapshotTier::kHost) {
     return FailedPrecondition("snapshot " + std::to_string(id) +
                               " is not host-resident");
   }
-  it->second.tier = SnapshotTier::kRemote;
-  used_ -= it->second.dirty_bytes;
-  remote_bytes_ += it->second.dirty_bytes;
+  snap->tier = SnapshotTier::kRemote;
+  used_ -= snap->dirty_bytes;
+  remote_bytes_ += snap->dirty_bytes;
   PublishGauges();
   if (on_drop_) on_drop_();
   return Status::Ok();
 }
 
 Status SnapshotStore::Verify(SnapshotId id) const {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
+  const Snapshot* snap = Find(id);
+  if (snap == nullptr) {
     return NotFound("snapshot " + std::to_string(id));
   }
-  if (it->second.checksum != SnapshotChecksum(it->second)) {
+  if (snap->checksum != SnapshotChecksum(*snap)) {
     return DataLoss("snapshot " + std::to_string(id) + " (" +
-                    it->second.owner + "): checksum mismatch");
+                    snap->owner.str() + "): checksum mismatch");
   }
   return Status::Ok();
 }
 
 Status SnapshotStore::Corrupt(SnapshotId id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
+  Snapshot* snap = Lookup(id);
+  if (snap == nullptr) {
     return NotFound("snapshot " + std::to_string(id));
   }
-  it->second.checksum ^= 0xbadc0ffee0ddf00dULL;
+  snap->checksum ^= 0xbadc0ffee0ddf00dULL;
   return Status::Ok();
 }
 
-const Snapshot* SnapshotStore::FindByOwner(std::string_view owner) const {
-  // The map is id-ordered, so the latest is the last match.
+const Snapshot* SnapshotStore::FindByOwner(Name owner) const {
+  // The array is id-ordered, so the latest is the last match.
   for (auto it = snapshots_.rbegin(); it != snapshots_.rend(); ++it) {
-    if (it->second.owner == owner) return &it->second;
+    if (it->owner == owner) return &*it;
   }
   return nullptr;
 }
@@ -214,13 +221,6 @@ void SnapshotStore::PublishGauges() {
                 static_cast<double>(nvme_used_.count()));
   obs::SetGauge(obs_, gauges_.remote, "swapserve_snapshot_store_remote_bytes",
                 {}, static_cast<double>(remote_bytes_.count()));
-}
-
-std::vector<Snapshot> SnapshotStore::All() const {
-  std::vector<Snapshot> out;
-  out.reserve(snapshots_.size());
-  for (const auto& [id, snap] : snapshots_) out.push_back(snap);
-  return out;
 }
 
 }  // namespace swapserve::ckpt

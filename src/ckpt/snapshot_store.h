@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,6 +19,7 @@
 #include "fault/fault_injector.h"
 #include "model/calibration.h"
 #include "obs/observability.h"
+#include "util/name.h"
 #include "util/status.h"
 #include "util/units.h"
 
@@ -38,7 +39,7 @@ std::string_view SnapshotTierName(SnapshotTier tier);
 
 struct Snapshot {
   SnapshotId id = 0;
-  std::string owner;        // backend name
+  Name owner;               // backend name
   Bytes clean_bytes{0};     // reserved GPU memory with no host copy
   Bytes dirty_bytes{0};     // bytes staged in host RAM
   double created_at_s = 0;  // virtual time of creation
@@ -69,9 +70,10 @@ class SnapshotStore {
   // fault is drawn (there is no local payload to rot).
   [[nodiscard]] Result<SnapshotId> Put(Snapshot snapshot);
   // Reads borrow: the stored snapshot, or null when there is none. The
-  // pointer is valid until the next call that mutates the store (Put,
-  // Drop, a tier transition), so a caller that keeps a snapshot across a
-  // co_await copies it first.
+  // pointer is valid until the next Put or Drop (the snapshots sit in one
+  // array, which those two shift or grow; a tier transition only edits an
+  // element in place), so a caller that keeps a snapshot across a co_await
+  // copies it first.
   [[nodiscard]] const Snapshot* Find(SnapshotId id) const;
   [[nodiscard]] Status Drop(SnapshotId id);
   // DATA_LOSS when the stored checksum no longer matches the content.
@@ -79,7 +81,7 @@ class SnapshotStore {
   // Deliberately corrupt a stored snapshot (chaos/test hook).
   [[nodiscard]] Status Corrupt(SnapshotId id);
   // Latest snapshot for a backend, or null (borrowed, like Find).
-  [[nodiscard]] const Snapshot* FindByOwner(std::string_view owner) const;
+  [[nodiscard]] const Snapshot* FindByOwner(Name owner) const;
 
   // Tier accounting transitions (the SnapshotTierManager drives these after
   // the corresponding NVMe transfer completes; the store only moves the
@@ -107,7 +109,8 @@ class SnapshotStore {
   // High-water mark of host-resident bytes (tier-cache invariant checks).
   Bytes peak_used() const { return peak_used_; }
   std::size_t count() const { return snapshots_.size(); }
-  std::vector<Snapshot> All() const;
+  // Every stored snapshot in id order (borrowed, like Find).
+  std::span<const Snapshot> All() const { return snapshots_; }
 
   // Publish host-RAM occupancy gauges on every Put/Drop (nullable).
   void BindObservability(obs::Observability* obs);
@@ -119,6 +122,7 @@ class SnapshotStore {
 
  private:
   void PublishGauges();
+  Snapshot* Lookup(SnapshotId id);
 
   obs::Observability* obs_ = nullptr;
   // The occupancy gauges, resolved on the first publish.
@@ -137,7 +141,9 @@ class SnapshotStore {
   Bytes remote_bytes_{0};
   Bytes peak_used_{0};
   SnapshotId next_id_ = 1;
-  std::map<SnapshotId, Snapshot> snapshots_;
+  // Sorted by id. Ids only grow, so Put appends; a store holds at most a
+  // few dozen snapshots (one per swapped-out backend, plus placeholders).
+  std::vector<Snapshot> snapshots_;
 };
 
 }  // namespace swapserve::ckpt

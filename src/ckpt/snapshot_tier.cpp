@@ -1,54 +1,71 @@
 #include "ckpt/snapshot_tier.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/log.h"
 
 namespace swapserve::ckpt {
 
-SnapshotTierManager::EntryMap::iterator SnapshotTierManager::Register(
-    SnapshotId id) {
-  auto [it, inserted] = entries_.try_emplace(id);
-  if (inserted) {
-    it->second.move_done = std::make_unique<sim::SimEvent>(sim_);
-    it->second.move_done->Set();  // no move in flight
-  }
-  Touch(it->second);
-  return it;
+const SnapshotTierManager::Entry* SnapshotTierManager::Find(
+    SnapshotId id) const {
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), id,
+      [](const Entry& e, SnapshotId want) { return e.id < want; });
+  return it == entries_.end() || it->id != id ? nullptr : &*it;
 }
 
-void SnapshotTierManager::MaybeErase(EntryMap::iterator it) {
-  if (it == entries_.end()) return;
-  const Entry& e = it->second;
-  if (e.dropped && !e.promoting && !e.demoting && e.pins == 0) {
-    entries_.erase(it);
+SnapshotTierManager::Entry* SnapshotTierManager::Find(SnapshotId id) {
+  return const_cast<Entry*>(std::as_const(*this).Find(id));
+}
+
+SnapshotTierManager::Entry& SnapshotTierManager::Register(SnapshotId id) {
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), id,
+      [](const Entry& e, SnapshotId want) { return e.id < want; });
+  if (it == entries_.end() || it->id != id) {
+    it = entries_.insert(it, Entry{.id = id});
+  }
+  Touch(*it);
+  return *it;
+}
+
+void SnapshotTierManager::StartMove(Entry& entry) {
+  if (entry.move_done == nullptr) {
+    entry.move_done = std::make_unique<sim::SimEvent>(sim_);
+  }
+  entry.move_done->Reset();
+  ++moves_in_flight_;
+}
+
+void SnapshotTierManager::MaybeErase(SnapshotId id) {
+  const Entry* e = Find(id);
+  if (e != nullptr && e->dropped && !e->promoting && !e->demoting &&
+      e->pins == 0) {
+    entries_.erase(entries_.begin() + (e - entries_.data()));
   }
 }
 
 void SnapshotTierManager::FinishMove(SnapshotId id) {
-  auto it = entries_.find(id);
-  SWAP_CHECK_MSG(it != entries_.end(), "move finish without entry");
-  it->second.promoting = false;
-  it->second.demoting = false;
-  it->second.move_done->Set();
+  Entry* e = Find(id);
+  SWAP_CHECK_MSG(e != nullptr, "move finish without entry");
+  e->promoting = false;
+  e->demoting = false;
+  e->move_done->Set();
   --moves_in_flight_;
   state_changed_.Pulse();
 }
 
-SnapshotTierManager::EntryMap::iterator SnapshotTierManager::PickVictim(
-    const VictimFilter& may_evict) {
-  auto best = entries_.end();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    const Entry& e = it->second;
+SnapshotId SnapshotTierManager::PickVictim(const VictimFilter& may_evict) {
+  const Entry* best = nullptr;
+  for (const Entry& e : entries_) {
     if (e.promoting || e.demoting || e.dropped || e.pins > 0) continue;
-    const Snapshot* snap = store_.Find(it->first);
+    const Snapshot* snap = store_.Find(e.id);
     if (snap == nullptr || snap->tier != SnapshotTier::kHost) continue;
     if (may_evict && !may_evict(snap->owner)) continue;
-    if (best == entries_.end() || e.lru_seq < best->second.lru_seq) {
-      best = it;
-    }
+    if (best == nullptr || e.lru_seq < best->lru_seq) best = &e;
   }
-  return best;
+  return best == nullptr ? 0 : best->id;
 }
 
 sim::Task<Status> SnapshotTierManager::AdmitHostBytes(Bytes dirty,
@@ -61,10 +78,10 @@ sim::Task<Status> SnapshotTierManager::AdmitHostBytes(Bytes dirty,
           " cannot fit a host cache of " + options_.host_capacity.ToString());
     }
     while (store_.used() + committed_ + dirty > options_.host_capacity) {
-      auto victim = PickVictim(may_evict);
-      if (victim != entries_.end()) {
+      const SnapshotId victim = PickVictim(may_evict);
+      if (victim != 0) {
         // A victim dropped mid-demotion frees its host bytes all the same.
-        co_await Demote(victim->first);
+        co_await Demote(victim);
         continue;
       }
       if (moves_in_flight_ > 0 || pinned_count() > 0) {
@@ -97,53 +114,52 @@ void SnapshotTierManager::OnPut(SnapshotId id) {
 }
 
 void SnapshotTierManager::OnDrop(SnapshotId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  if (it->second.promoting || it->second.demoting) {
+  Entry* e = Find(id);
+  if (e == nullptr) return;
+  if (e->promoting || e->demoting) {
     // The mover holds transfer-side resources (a promotion's admission);
     // let it observe `dropped` and clean up.
-    it->second.dropped = true;
+    e->dropped = true;
     state_changed_.Pulse();
     return;
   }
-  entries_.erase(it);
+  entries_.erase(entries_.begin() + (e - entries_.data()));
   state_changed_.Pulse();
 }
 
 void SnapshotTierManager::Unpin(SnapshotId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  if (it->second.pins > 0) --it->second.pins;
-  MaybeErase(it);
+  Entry* e = Find(id);
+  if (e == nullptr) return;
+  if (e->pins > 0) --e->pins;
+  MaybeErase(id);
   state_changed_.Pulse();
 }
 
 sim::Task<> SnapshotTierManager::Demote(SnapshotId id) {
-  auto it = entries_.find(id);
-  SWAP_CHECK_MSG(it != entries_.end() && !it->second.promoting &&
-                     !it->second.demoting && it->second.pins == 0,
+  Entry* entry = Find(id);
+  SWAP_CHECK_MSG(entry != nullptr && !entry->promoting && !entry->demoting &&
+                     entry->pins == 0,
                  "demotion of a busy or pinned snapshot");
   const Snapshot* snap = store_.Find(id);
   SWAP_CHECK_MSG(snap != nullptr && snap->tier == SnapshotTier::kHost,
                  "demotion of a missing or nvme-resident snapshot");
   const Bytes bytes = snap->dirty_bytes;
-  it->second.demoting = true;
-  it->second.move_done->Reset();
-  ++moves_in_flight_;
+  entry->demoting = true;
+  StartMove(*entry);
   {
     obs::Span span = obs::StartSpan(obs_, "tier.demote", "tier", "tier");
     span.AddArg("snapshot", id);
-    span.AddArg("owner", snap->owner);
+    span.AddArg("owner", snap->owner.str());
     span.AddArg("bytes", bytes.count());
     co_await nvme_.WriteFile(bytes, hw::TransferPriority::kBackground);
   }
-  it = entries_.find(id);
-  SWAP_CHECK_MSG(it != entries_.end(), "tier entry vanished mid-demotion");
-  if (it->second.dropped) {
+  entry = Find(id);
+  SWAP_CHECK_MSG(entry != nullptr, "tier entry vanished mid-demotion");
+  if (entry->dropped) {
     // The snapshot was consumed while spilling; the host copy is gone and
     // the NVMe copy is orphaned.
     FinishMove(id);
-    MaybeErase(entries_.find(id));
+    MaybeErase(id);
     co_return;
   }
   SWAP_CHECK(store_.MarkDemoted(id).ok());
@@ -155,11 +171,11 @@ sim::Task<> SnapshotTierManager::Demote(SnapshotId id) {
 sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
                                               hw::TransferPriority priority,
                                               VictimFilter may_evict) {
-  auto it = entries_.find(id);
-  if (it == entries_.end() || it->second.dropped) {
+  Entry* entry = Find(id);
+  if (entry == nullptr || entry->dropped) {
     co_return NotFound("snapshot " + std::to_string(id));
   }
-  if (it->second.promoting || it->second.demoting) {
+  if (entry->promoting || entry->demoting) {
     co_return FailedPrecondition("snapshot " + std::to_string(id) +
                                  " is mid-move");
   }
@@ -167,15 +183,14 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
   if (snap == nullptr) co_return NotFound("snapshot " + std::to_string(id));
   if (snap->tier == SnapshotTier::kHost) co_return Status::Ok();
   const Bytes bytes = snap->dirty_bytes;
-  const std::string owner = snap->owner;
+  const Name owner = snap->owner;
   // Flags go up before the first suspension so a racing Prefetch or
   // EnsureRestorable in a later event sees the move and waits on it.
-  it->second.promoting = true;
-  it->second.move_done->Reset();
-  ++moves_in_flight_;
+  entry->promoting = true;
+  StartMove(*entry);
   obs::Span span = obs::StartSpan(obs_, "tier.promote", "tier", "tier");
   span.AddArg("snapshot", id);
-  span.AddArg("owner", owner);
+  span.AddArg("owner", owner.str());
   span.AddArg("bytes", bytes.count());
   span.AddArg("priority", static_cast<int>(priority));
 
@@ -185,7 +200,7 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
                     "swapserve_tier_promotion_failures_total");
     if (span.active()) span.AddArg("status", status.ToString());
     FinishMove(id);
-    MaybeErase(entries_.find(id));
+    MaybeErase(id);
     return status;
   };
 
@@ -217,19 +232,19 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
     }
   }
   co_await nvme_.ReadFile(bytes, priority);
-  it = entries_.find(id);
-  SWAP_CHECK_MSG(it != entries_.end(), "tier entry vanished mid-promotion");
+  entry = Find(id);
+  SWAP_CHECK_MSG(entry != nullptr, "tier entry vanished mid-promotion");
   CancelAdmission(bytes);
-  if (it->second.dropped) {
+  if (entry->dropped) {
     // Consumed mid-promotion: the store entry is gone with its NVMe copy.
     FinishMove(id);
-    MaybeErase(entries_.find(id));
+    MaybeErase(id);
     co_return Aborted("snapshot " + std::to_string(id) +
                       " dropped mid-promotion");
   }
   Status landed = store_.MarkPromoted(id);
   if (!landed.ok()) co_return fail(landed);
-  Touch(it->second);
+  Touch(*entry);
   ++promotions_;
   obs::IncCounter(obs_, counters_.promotions,
                   "swapserve_tier_promotions_total");
@@ -238,28 +253,30 @@ sim::Task<Status> SnapshotTierManager::Promote(SnapshotId id,
 }
 
 sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) {
+  Entry* entry = Find(id);
+  if (entry == nullptr) {
     // Snapshots Put straight into the store, not through OnPut
     // (direct-store tests), are adopted.
     if (store_.Find(id) == nullptr) {
       co_return NotFound("snapshot " + std::to_string(id));
     }
-    it = Register(id);
+    entry = &Register(id);
   }
-  ++it->second.pins;
+  ++entry->pins;
   auto unpin_and = [&](Status status) {
     Unpin(id);
     return status;
   };
   for (;;) {
-    it = entries_.find(id);
-    if (it == entries_.end() || it->second.dropped) {
+    entry = Find(id);
+    if (entry == nullptr || entry->dropped) {
       co_return unpin_and(
           NotFound("snapshot " + std::to_string(id) + " was dropped"));
     }
-    if (it->second.promoting || it->second.demoting) {
-      co_await it->second.move_done->Wait();
+    if (entry->promoting || entry->demoting) {
+      // The event is heap-held: it stays put if the array shifts while
+      // this frame waits, and our pin keeps the entry from being erased.
+      co_await entry->move_done->Wait();
       continue;
     }
     const Snapshot* found = store_.Find(id);
@@ -267,12 +284,12 @@ sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
       co_return unpin_and(NotFound("snapshot " + std::to_string(id)));
     }
     if (found->tier == SnapshotTier::kHost) {
-      Touch(it->second);
+      Touch(*entry);
       ++host_hits_;
       obs::IncCounter(obs_, counters_.host_hits,
                       "swapserve_tier_host_hits_total");
-      if (it->second.prefetched) {
-        it->second.prefetched = false;
+      if (entry->prefetched) {
+        entry->prefetched = false;
         ++prefetch_hits_;
         obs::IncCounter(obs_, counters_.prefetch_hits,
                         "swapserve_tier_prefetch_hits_total");
@@ -320,8 +337,8 @@ sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
     ++direct_reads_;
     obs::IncCounter(obs_, counters_.direct_reads,
                     "swapserve_tier_direct_reads_total");
-    it = entries_.find(id);
-    if (it == entries_.end() || it->second.dropped) {
+    entry = Find(id);
+    if (entry == nullptr || entry->dropped) {
       co_return unpin_and(
           NotFound("snapshot " + std::to_string(id) + " was dropped"));
     }
@@ -334,16 +351,9 @@ sim::Task<Status> SnapshotTierManager::EnsureRestorable(SnapshotId id) {
 void SnapshotTierManager::Prefetch(SnapshotId id,
                                    hw::TransferPriority priority,
                                    VictimFilter may_evict) {
-  if (!bounded()) return;  // unbounded caches never demote
-  auto it = entries_.find(id);
-  if (it == entries_.end() || it->second.dropped || it->second.promoting ||
-      it->second.demoting) {
-    return;
-  }
-  const Snapshot* snap = store_.Find(id);
-  if (snap == nullptr || snap->tier != SnapshotTier::kNvme) return;
+  if (!CanPrefetch(id)) return;
   ++prefetch_issued_;
-  it->second.prefetched = true;
+  Find(id)->prefetched = true;
   obs::IncCounter(obs_, counters_.prefetches,
                   "swapserve_tier_prefetches_total");
   // Promote() raises the promoting flag before its first suspension, so a
@@ -359,24 +369,35 @@ void SnapshotTierManager::Prefetch(SnapshotId id,
   });
 }
 
+bool SnapshotTierManager::CanPrefetch(SnapshotId id) const {
+  if (!bounded()) return false;  // unbounded caches never demote
+  const Entry* entry = Find(id);
+  if (entry == nullptr || entry->dropped || entry->promoting ||
+      entry->demoting) {
+    return false;
+  }
+  const Snapshot* snap = store_.Find(id);
+  return snap != nullptr && snap->tier == SnapshotTier::kNvme;
+}
+
 bool SnapshotTierManager::HostResident(SnapshotId id) const {
   const Snapshot* snap = store_.Find(id);
   return snap != nullptr && snap->tier == SnapshotTier::kHost;
 }
 
 bool SnapshotTierManager::Promoting(SnapshotId id) const {
-  auto it = entries_.find(id);
-  return it != entries_.end() && it->second.promoting;
+  const Entry* e = Find(id);
+  return e != nullptr && e->promoting;
 }
 
 bool SnapshotTierManager::Demoting(SnapshotId id) const {
-  auto it = entries_.find(id);
-  return it != entries_.end() && it->second.demoting;
+  const Entry* e = Find(id);
+  return e != nullptr && e->demoting;
 }
 
 std::size_t SnapshotTierManager::pinned_count() const {
   std::size_t n = 0;
-  for (const auto& [id, e] : entries_) {
+  for (const Entry& e : entries_) {
     if (e.pins > 0) ++n;
   }
   return n;

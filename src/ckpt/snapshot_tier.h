@@ -19,9 +19,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "ckpt/snapshot_store.h"
 #include "fault/fault_injector.h"
@@ -45,7 +44,7 @@ class SnapshotTierManager {
 
   // Returns true when a host-resident snapshot owned by `owner` may be
   // demoted to make room. An empty filter admits any unpinned victim.
-  using VictimFilter = std::function<bool(const std::string& owner)>;
+  using VictimFilter = std::function<bool(Name owner)>;
 
   SnapshotTierManager(sim::Simulation& sim, SnapshotStore& store,
                       hw::StorageDevice& nvme, Options options)
@@ -85,10 +84,12 @@ class SnapshotTierManager {
 
   // --- prefetch ----------------------------------------------------------
   // Best-effort background promotion; returns without suspending (the
-  // copy runs as a detached task). No-op when the snapshot is missing,
-  // already host-resident, or mid-move.
+  // copy runs as a detached task). No-op unless CanPrefetch(id).
   void Prefetch(SnapshotId id, hw::TransferPriority priority,
                 VictimFilter may_evict = {});
+  // Whether Prefetch(id) would start a promotion now: the cache is
+  // bounded, and the snapshot is demoted to NVMe, idle, and not dropped.
+  bool CanPrefetch(SnapshotId id) const;
 
   // --- queries -----------------------------------------------------------
   bool bounded() const { return options_.host_capacity.count() > 0; }
@@ -131,25 +132,33 @@ class SnapshotTierManager {
 
  private:
   struct Entry {
+    SnapshotId id = 0;
     bool promoting = false;
     bool demoting = false;
     bool dropped = false;  // OnDrop arrived mid-move; mover cleans up
     bool prefetched = false;
     int pins = 0;
     std::uint64_t lru_seq = 0;
-    // Set whenever no move is in flight for this snapshot.
-    std::unique_ptr<sim::SimEvent> move_done;
+    // Created when the entry's first move starts (an unbounded tier never
+    // moves anything); set whenever no move is in flight. Heap-held, so a
+    // waiter's event stays put while the entries array shifts.
+    std::unique_ptr<sim::SimEvent> move_done = nullptr;
   };
 
-  using EntryMap = std::map<SnapshotId, Entry>;
-
-  EntryMap::iterator Register(SnapshotId id);
+  // The entry for `id`, or null. Valid until the next Register or erase
+  // (both shift the array), so code that resumes after a co_await looks
+  // the entry up again.
+  Entry* Find(SnapshotId id);
+  const Entry* Find(SnapshotId id) const;
+  Entry& Register(SnapshotId id);
   void Touch(Entry& entry) { entry.lru_seq = next_lru_seq_++; }
+  void StartMove(Entry& entry);
   // Retire an entry whose snapshot was dropped, once idle and unpinned.
-  void MaybeErase(EntryMap::iterator it);
+  void MaybeErase(SnapshotId id);
   void FinishMove(SnapshotId id);
-  // Least-recently-used demotable host-resident snapshot, or entries_.end().
-  EntryMap::iterator PickVictim(const VictimFilter& may_evict);
+  // Least-recently-used demotable host-resident snapshot, or 0 (ids start
+  // at 1).
+  SnapshotId PickVictim(const VictimFilter& may_evict);
 
   // NVMe->host copy. Assumes the caller saw the snapshot idle on NVMe in
   // the current event; flags are set before the first suspension.
@@ -178,7 +187,9 @@ class SnapshotTierManager {
   // Pulsed whenever placement state changes in a way that can unblock an
   // admission waiter: a move finishes, a drop lands, a pin releases.
   sim::SimEvent state_changed_;
-  EntryMap entries_;
+  // Sorted by id. Snapshot ids only grow, so registering a fresh snapshot
+  // appends; the array holds one entry per stored snapshot.
+  std::vector<Entry> entries_;
   Bytes committed_{0};
   std::uint64_t next_lru_seq_ = 1;
   int moves_in_flight_ = 0;

@@ -125,7 +125,10 @@ Status ClusterServe::InstallPlaceholders() {
     Node& home = *nodes_[m.node];
     core::Backend* home_backend = home.serve().backend(m.model_id);
     const ckpt::Snapshot* snap =
-        home.serve().snapshot_store().FindByOwner(m.model_id);
+        home_backend == nullptr
+            ? nullptr
+            : home.serve().snapshot_store().FindByOwner(
+                  home_backend->owner());
     // No home snapshot (keep_resident_after_init): standbys stay empty and
     // placement falls back to the home node until one exists.
     if (snap == nullptr || home_backend == nullptr) continue;
@@ -298,7 +301,7 @@ sim::Task<> ClusterServe::MigrateModel(std::string model, int from, int to) {
   // the payload ahead of demand.
   if (!dst->has_snapshot) {
     const ckpt::Snapshot* snap =
-        src_node.serve().snapshot_store().FindByOwner(model);
+        src_node.serve().snapshot_store().FindByOwner(src->owner());
     if (snap == nullptr) co_return;
     Result<ckpt::SnapshotId> placed =
         replicator_->InstallPlaceholder(to, *snap);
@@ -576,7 +579,7 @@ void ClusterServe::RejoinNode(int id) {
       }
     }
     if (running_somewhere ||
-        replicator_->HasPayloadSource(id, backend->name())) {
+        replicator_->HasPayloadSource(id, backend->owner())) {
       continue;  // the repair scan (or on-demand fetch) covers it
     }
     // Total checkpoint loss: every payload copy died with its host(s).

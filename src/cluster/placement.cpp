@@ -38,27 +38,35 @@ double PlacementPolicy::Score(Node& node, int model) {
 
 Result<int> PlacementPolicy::Pick(const std::vector<Node*>& nodes,
                                   int model) {
-  std::vector<int> eligible;
+  int eligible = 0;
   int best = -1;
   double best_score = kIneligible;
   for (Node* node : nodes) {
     const double score = Score(*node, model);
     if (score >= kIneligible) continue;
-    eligible.push_back(node->id());
+    ++eligible;
     if (score < best_score) {
       best_score = score;
       best = node->id();
     }
   }
-  if (eligible.empty()) {
+  if (eligible == 0) {
     return Unavailable("no eligible node hosts " + backends_.model_id(model) +
                        " (every replica is missing, quarantined, or on a "
                        "suspect/down node)");
   }
   int picked = best;
   if (mode_ == PlacementMode::kRandom) {
-    picked = eligible[static_cast<std::size_t>(rng_.UniformInt(
-        0, static_cast<std::int64_t>(eligible.size()) - 1))];
+    // The k-th eligible node in `nodes` order. Scoring only reads state,
+    // so this second pass sees the same eligible set as the first.
+    std::int64_t k = rng_.UniformInt(0, eligible - 1);
+    for (Node* node : nodes) {
+      if (Score(*node, model) >= kIneligible) continue;
+      if (k-- == 0) {
+        picked = node->id();
+        break;
+      }
+    }
   }
   // Hard invariant: placement never targets a quarantined backend or a
   // node the health monitor distrusts.

@@ -125,7 +125,7 @@ int ReplicationRepairer::ScanOnce() {
       if (snap == nullptr || snap->tier != ckpt::SnapshotTier::kRemote) {
         continue;
       }
-      if (!replicator_.HasPayloadSource(dst, m.model_id)) {
+      if (!replicator_.HasPayloadSource(dst, standby->owner())) {
         // Only a running engine (or nothing) survives: see header — the
         // deficit heals at the model's next natural checkpoint.
         break;

@@ -38,7 +38,7 @@ Result<ckpt::SnapshotId> SnapshotReplicator::InstallPlaceholder(
 }
 
 std::optional<SnapshotReplicator::Source> SnapshotReplicator::FindSource(
-    int dst, std::string_view owner) {
+    int dst, Name owner) {
   std::optional<Source> nvme_fallback;
   for (Node* node : nodes_) {
     if (node->id() == dst) continue;
@@ -60,8 +60,7 @@ std::optional<SnapshotReplicator::Source> SnapshotReplicator::FindSource(
   return nvme_fallback;
 }
 
-bool SnapshotReplicator::HasPayloadSource(int dst,
-                                          std::string_view owner) {
+bool SnapshotReplicator::HasPayloadSource(int dst, Name owner) {
   return FindSource(dst, owner).has_value();
 }
 
@@ -102,8 +101,8 @@ sim::Task<Status> SnapshotReplicator::DoFetch(int dst,
   std::optional<Source> source = FindSource(dst, snap.owner);
   if (!source) {
     ++fetch_failures_;
-    co_return NotFound("cluster fetch: no payload copy of " + snap.owner +
-                       " anywhere in the fleet");
+    co_return NotFound("cluster fetch: no payload copy of " +
+                       snap.owner.str() + " anywhere in the fleet");
   }
 
   // Ledger: admitted but not yet landed (drains to zero — chaos invariant).
@@ -162,7 +161,7 @@ sim::Task<Status> SnapshotReplicator::DoFetch(int dst,
   fetched_bytes_ += snap.dirty_bytes;
   const int model = backends_.Find(snap.owner);
   SWAP_CHECK_MSG(model >= 0, "fetched a snapshot of a model the fleet does "
-                             "not serve: " + snap.owner);
+                             "not serve: " + snap.owner.str());
   obs::IncCounter(&node.serve().obs(), backends_.cell(model, dst).fetched,
                   "swapserve_cluster_fetch_total",
                   {{"node", node.name()}, {"owner", snap.owner}});

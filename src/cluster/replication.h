@@ -74,7 +74,7 @@ class SnapshotReplicator {
   sim::SimDuration EstimatedFetchTime(int dst, ckpt::SnapshotId dst_id);
 
   // Does any other node hold a non-placeholder copy for `owner`?
-  bool HasPayloadSource(int dst, std::string_view owner);
+  bool HasPayloadSource(int dst, Name owner);
 
   // Replication ledger: fetches admitted but not yet landed. The chaos
   // property test asserts this drains to zero after every run.
@@ -95,7 +95,7 @@ class SnapshotReplicator {
     ckpt::SnapshotTier tier = ckpt::SnapshotTier::kHost;
   };
 
-  std::optional<Source> FindSource(int dst, std::string_view owner);
+  std::optional<Source> FindSource(int dst, Name owner);
   sim::Task<Status> DoFetch(int dst, ckpt::SnapshotId dst_id,
                             hw::TransferPriority priority);
 

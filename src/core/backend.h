@@ -7,16 +7,19 @@
 #pragma once
 
 #include <memory>
+#include <ranges>
 #include <string>
 
 #include "ckpt/snapshot_store.h"
 #include "core/config.h"
+#include "core/metrics.h"
 #include "core/types.h"
 #include "engine/engine.h"
 #include "fault/circuit_breaker.h"
 #include "obs/observability.h"
 #include "sim/channel.h"
 #include "sim/sync.h"
+#include "util/name.h"
 
 namespace swapserve::core {
 
@@ -32,16 +35,18 @@ struct Backend {
         lock(sim, "backend:" + config.model_id),
         swap_done(sim),
         breaker(sim, recovery.breaker_failure_threshold,
-                sim::Seconds(recovery.breaker_cooldown_s)) {}
+                sim::Seconds(recovery.breaker_cooldown_s)),
+        owner_(config.model_id) {}
 
   const std::string& name() const { return config.model_id; }
+  // name(), interned once at construction: the owner handle of the
+  // backend's reservations, GPU allocations and snapshots.
+  Name owner() const { return owner_; }
   hw::GpuId gpu() const { return config.gpu; }
   // Device ids the backend's tensor-parallel group occupies:
   // [gpu, gpu + tp).
-  std::vector<hw::GpuId> GpuIds() const {
-    std::vector<hw::GpuId> out;
-    for (int i = 0; i < config.tp; ++i) out.push_back(config.gpu + i);
-    return out;
+  std::ranges::iota_view<hw::GpuId, hw::GpuId> GpuIds() const {
+    return {config.gpu, config.gpu + config.tp};
   }
   bool OnGpu(hw::GpuId id) const {
     return id >= config.gpu && id < config.gpu + config.tp;
@@ -97,6 +102,19 @@ struct Backend {
   // scheduler per swap-in attempt; resolved on the first write and reset
   // in Scheduler::BindObservability.
   obs::HistogramMetric* reservation_wait = nullptr;
+
+  // The swap paths' handle on this backend's metrics (swap latencies,
+  // prefetches, retries), resolved on the first swap-outcome write so no
+  // later write looks the name up. Every writer passes the serving
+  // system's one Metrics.
+  Metrics::ModelHandle* swap_metrics = nullptr;
+  Metrics::ModelHandle& MetricsHandle(Metrics& metrics) {
+    if (swap_metrics == nullptr) swap_metrics = &metrics.SwapHandle(name());
+    return *swap_metrics;
+  }
+
+ private:
+  Name owner_;
 };
 
 }  // namespace swapserve::core

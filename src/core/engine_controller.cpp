@@ -66,13 +66,12 @@ sim::Task<Status> EngineController::SwapOut(Backend& backend,
     co_return prep;
   }
 
-  const std::span<hw::GpuDevice* const> gpus = backend.engine->Gpus();
   ckpt::SwapOutRequest req{
       .container = backend.engine->container(),
       .process = &backend.engine->process(),
       .gpu = nullptr,
-      .gpus = {gpus.begin(), gpus.end()},
-      .owner = backend.name(),
+      .gpus = backend.engine->Gpus(),
+      .owner = backend.owner(),
       .clean_bytes = backend.engine->CleanBytes(),
       .dirty_bytes = backend.engine->DirtyBytes(),
       .checkpoint = backend.engine->CheckpointCharacteristics(),
@@ -99,8 +98,8 @@ sim::Task<Status> EngineController::SwapOut(Backend& backend,
   backend.resident_bytes = resident;
   SWAP_CHECK(backend.engine->MarkSwappedOut().ok());
 
-  metrics_.RecordSwapOut(backend.name(), (sim_.Now() - start).ToSeconds(),
-                         preemption);
+  metrics_.RecordSwapOut(backend.MetricsHandle(metrics_),
+                         (sim_.Now() - start).ToSeconds(), preemption);
   for (hw::GpuId id : backend.GpuIds()) {
     task_manager_.NotifyMemoryReleased(id);
   }
@@ -130,10 +129,9 @@ sim::Task<Status> EngineController::SwapIn(Backend& backend) {
                                   backend.name());
   SWAP_CO_RETURN_IF_ERROR(backend.engine->MarkSwapping());
 
-  const std::span<hw::GpuDevice* const> gpus = backend.engine->Gpus();
   Result<ckpt::SwapInResult> result = co_await ckpt_.SwapIn(
       backend.snapshot, *backend.engine->container(),
-      backend.engine->process(), {gpus.begin(), gpus.end()});
+      backend.engine->process(), backend.engine->Gpus());
   if (backend.engine->state() == engine::BackendState::kCrashed) {
     // A node crash landed while the restore was on the wire. A restore
     // that technically finished still consumed the checkpoint handle.
@@ -172,7 +170,8 @@ sim::Task<Status> EngineController::SwapIn(Backend& backend) {
   if (!after.ok()) co_return after;
   SWAP_CHECK(backend.engine->MarkRunning().ok());
 
-  metrics_.RecordSwapIn(backend.name(), (sim_.Now() - start).ToSeconds());
+  metrics_.RecordSwapIn(backend.MetricsHandle(metrics_),
+                        (sim_.Now() - start).ToSeconds());
   SWAP_LOG(kInfo, "controller")
       << "swapped in " << backend.name() << " in "
       << (sim_.Now() - start).ToString();
@@ -203,31 +202,44 @@ sim::Task<Status> EngineController::RestartCrashed(Backend& backend,
   co_return Status::Ok();
 }
 
-std::vector<Backend*> EngineController::PreemptionCandidates(
-    hw::GpuId gpu, const std::string& requester) {
-  std::vector<Backend*> out;
+namespace {
+
+// Stable insertion sort. A GPU hosts a handful of candidates, and
+// std::stable_sort allocates a temporary buffer on every call.
+template <typename Less>
+void StableSort(std::vector<Backend*>& v, Less less) {
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    Backend* x = v[i];
+    std::size_t j = i;
+    for (; j > 0 && less(x, v[j - 1]); --j) v[j] = v[j - 1];
+    v[j] = x;
+  }
+}
+
+}  // namespace
+
+std::span<Backend* const> EngineController::PreemptionCandidates(
+    hw::GpuId gpu, Name requester) {
+  std::vector<Backend*>& out = candidates_;
+  out.clear();
   for (Backend* b : backends_) {
     if (!b->OnGpu(gpu)) continue;
-    if (b->name() == requester) continue;
+    if (b->owner() == requester) continue;
     if (b->engine->state() != engine::BackendState::kRunning) continue;
     if (b->lock.write_locked()) continue;  // already being swapped
     out.push_back(b);
   }
   switch (policy_) {
     case PreemptionPolicy::kDemandAware:
-      std::stable_sort(out.begin(), out.end(),
-                       [](const Backend* a, const Backend* b) {
-                         if (a->Demand() != b->Demand()) {
-                           return a->Demand() < b->Demand();
-                         }
-                         return a->last_accessed < b->last_accessed;
-                       });
+      StableSort(out, [](const Backend* a, const Backend* b) {
+        if (a->Demand() != b->Demand()) return a->Demand() < b->Demand();
+        return a->last_accessed < b->last_accessed;
+      });
       break;
     case PreemptionPolicy::kLruOnly:
-      std::stable_sort(out.begin(), out.end(),
-                       [](const Backend* a, const Backend* b) {
-                         return a->last_accessed < b->last_accessed;
-                       });
+      StableSort(out, [](const Backend* a, const Backend* b) {
+        return a->last_accessed < b->last_accessed;
+      });
       break;
     case PreemptionPolicy::kRandom:
       // Fisher-Yates with the controller's deterministic stream.
@@ -238,28 +250,29 @@ std::vector<Backend*> EngineController::PreemptionCandidates(
       }
       break;
     case PreemptionPolicy::kLargestFirst:
-      std::stable_sort(out.begin(), out.end(),
-                       [](const Backend* a, const Backend* b) {
-                         return a->engine->GpuResidentBytes() >
-                                b->engine->GpuResidentBytes();
-                       });
+      StableSort(out, [](const Backend* a, const Backend* b) {
+        return a->engine->GpuResidentBytes() > b->engine->GpuResidentBytes();
+      });
       break;
   }
   return out;
 }
 
-sim::Task<Bytes> EngineController::ReclaimMemory(
-    hw::GpuId gpu, Bytes needed, std::string requester) {
+sim::Task<Bytes> EngineController::ReclaimMemory(hw::GpuId gpu, Bytes needed,
+                                                 Name requester) {
   Bytes freed(0);
-  std::vector<std::string> failed;  // skip victims that refused to swap out
+  std::vector<const Backend*> failed;  // victims that refused to swap out
   while (freed < needed) {
-    std::vector<Backend*> candidates = PreemptionCandidates(gpu, requester);
-    std::erase_if(candidates, [&failed](const Backend* b) {
-      return std::find(failed.begin(), failed.end(), b->name()) !=
-             failed.end();
-    });
-    if (candidates.empty()) break;
-    Backend* victim = candidates.front();
+    // The candidate buffer is shared with every other reclaim: pick the
+    // victim before this frame suspends.
+    Backend* victim = nullptr;
+    for (Backend* b : PreemptionCandidates(gpu, requester)) {
+      if (std::find(failed.begin(), failed.end(), b) == failed.end()) {
+        victim = b;
+        break;
+      }
+    }
+    if (victim == nullptr) break;
     // Memory this eviction frees on *this* GPU: the victim's shard.
     const Bytes victim_resident =
         Bytes(victim->engine->GpuResidentBytes().count() /
@@ -267,7 +280,7 @@ sim::Task<Bytes> EngineController::ReclaimMemory(
     obs::Instant(obs_, {"preempt:", victim->name()}, "controller",
                  task_manager_.trace_track(gpu),
                  {{"victim", victim->name()},
-                  {"requester", requester},
+                  {"requester", requester.str()},
                   {"victim_demand", victim->Demand()},
                   {"frees_bytes", victim_resident.count()},
                   {"needed_bytes", needed.count()}});
@@ -281,7 +294,7 @@ sim::Task<Bytes> EngineController::ReclaimMemory(
     } else {
       SWAP_LOG(kWarning, "controller")
           << "preemption of " << victim->name() << " failed: " << s;
-      failed.push_back(victim->name());
+      failed.push_back(victim);
     }
   }
   co_return freed;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,13 +75,14 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   // TaskManager::ReclaimDelegate — evict candidates until `needed` bytes
   // are free on `gpu` or no candidates remain; returns bytes freed.
   sim::Task<Bytes> ReclaimMemory(hw::GpuId gpu, Bytes needed,
-                                 std::string requester) override;
+                                 Name requester) override;
 
   // Victim ordering under the configured policy (exposed for tests and the
   // ablation bench). Excludes `requester`, non-running backends, and
-  // backends currently locked or mid-swap.
-  std::vector<Backend*> PreemptionCandidates(hw::GpuId gpu,
-                                             const std::string& requester);
+  // backends currently locked or mid-swap. The list is a buffer the
+  // controller reuses: valid until the next call.
+  std::span<Backend* const> PreemptionCandidates(hw::GpuId gpu,
+                                                 Name requester);
 
   PreemptionPolicy policy() const { return policy_; }
 
@@ -102,6 +104,7 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   PreemptionPolicy policy_;
   sim::Rng rng_;
   std::vector<Backend*> backends_;
+  std::vector<Backend*> candidates_;  // PreemptionCandidates' buffer
   sim::SimEvent residency_signal_{sim_};
   std::function<void()> on_residency_;
 };

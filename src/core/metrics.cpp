@@ -33,7 +33,7 @@ void CountRequest(obs::Observability* obs, const std::string& model,
 
 }  // namespace
 
-Metrics::ModelHandle& Metrics::Entry(const std::string& model) {
+Metrics::ModelHandle& Metrics::SwapHandle(const std::string& model) {
   auto it = models_.lower_bound(model);
   if (it == models_.end() || it->first != model) {
     it = models_.try_emplace(it, model);
@@ -43,7 +43,7 @@ Metrics::ModelHandle& Metrics::Entry(const std::string& model) {
 }
 
 Metrics::ModelHandle& Metrics::Handle(const std::string& model) {
-  ModelHandle& handle = Entry(model);
+  ModelHandle& handle = SwapHandle(model);
   if (handle.samples_ == nullptr) handle.samples_ = &per_model_[model];
   return handle;
 }
@@ -111,7 +111,7 @@ void Metrics::RecordShed(const std::string& model,
                    {"slo_class", slo_class.empty() ? "default" : slo_class}});
 }
 
-void Metrics::RecordSwapOut(const std::string& model, double latency_s,
+void Metrics::RecordSwapOut(ModelHandle& model, double latency_s,
                             bool preemption) {
   ++swap_outs;
   if (preemption) ++preemptions;
@@ -121,30 +121,30 @@ void Metrics::RecordSwapOut(const std::string& model, double latency_s,
   obs::IncCounter(obs_,
                   preemption ? swaps_.out_preemption : swaps_.out_explicit,
                   kSwapsTotal, {{"direction", "out"}, {"trigger", trigger}});
-  obs::Observe(obs_, Entry(model).series_.swap_out_latency, kSwapLatency,
-               {{"direction", "out"}, {"model", model}}, latency_s);
+  obs::Observe(obs_, model.series_.swap_out_latency, kSwapLatency,
+               {{"direction", "out"}, {"model", model.model()}}, latency_s);
 }
 
-void Metrics::RecordSwapIn(const std::string& model, double latency_s) {
+void Metrics::RecordSwapIn(ModelHandle& model, double latency_s) {
   ++swap_ins;
   swap_in_latency_s.Add(latency_s);
   if (obs_ == nullptr) return;
   obs::IncCounter(obs_, swaps_.in_demand, kSwapsTotal,
                   {{"direction", "in"}, {"trigger", "demand"}});
-  obs::Observe(obs_, Entry(model).series_.swap_in_latency, kSwapLatency,
-               {{"direction", "in"}, {"model", model}}, latency_s);
+  obs::Observe(obs_, model.series_.swap_in_latency, kSwapLatency,
+               {{"direction", "in"}, {"model", model.model()}}, latency_s);
 }
 
-void Metrics::RecordPrefetch(const std::string& model) {
+void Metrics::RecordPrefetch(ModelHandle& model) {
   ++prefetches;
-  if (obs_ == nullptr) return;
-  obs::IncCounter(obs_, Entry(model).series_.prefetches,
-                  "swapserve_prefetches_total", {{"model", model}});
+  obs::IncCounter(obs_, model.series_.prefetches,
+                  "swapserve_prefetches_total", {{"model", model.model()}});
 }
 
-void Metrics::RecordSwapRetry(const std::string& model) {
+void Metrics::RecordSwapRetry(ModelHandle& model) {
   ++swap_retries;
-  obs::IncCounter(obs_, "swapserve_swap_retries_total", {{"model", model}});
+  obs::IncCounter(obs_, model.series_.swap_retries,
+                  "swapserve_swap_retries_total", {{"model", model.model()}});
 }
 
 void Metrics::RecordRequeue(ModelHandle& model) {

@@ -51,13 +51,15 @@ class Metrics {
     obs::HistogramMetric* swap_in_latency = nullptr;
     obs::HistogramMetric* swap_out_latency = nullptr;
     obs::Counter* prefetches = nullptr;
+    obs::Counter* swap_retries = nullptr;
   };
 
  public:
   // One model's write path: its per_model() entry and its registry series.
   // The model worker resolves its model's handle once, on its first
   // request-outcome write (Handle()), and records every later request
-  // through it, so no per-request write looks the name up. A handle lives
+  // through it, so no per-request write looks the name up; the swap paths
+  // do the same through the backend's handle (SwapHandle()). A handle lives
   // as long as the Metrics. BindObservability keeps it valid and clears
   // its series; each series is re-created in the new registry on its next
   // write, exactly as on a first write.
@@ -75,6 +77,10 @@ class Metrics {
   // Resolve `model`'s handle for request-outcome writes. Creates the
   // model's per_model() entry, but no registry series.
   ModelHandle& Handle(const std::string& model);
+  // Resolve `model`'s handle for swap-outcome writes only: the same handle,
+  // but created without a per_model() entry (a model that swaps but never
+  // serves a request lists no request outcomes).
+  ModelHandle& SwapHandle(const std::string& model);
 
   ModelMetrics& ForModel(const std::string& model_id) {
     return per_model_[model_id];
@@ -104,17 +110,16 @@ class Metrics {
   void RecordShed(const std::string& model, std::string_view slo_class);
 
   // --- swap outcomes (from the engine controller) -----------------------
-  void RecordSwapOut(const std::string& model, double latency_s,
-                     bool preemption);
-  void RecordSwapIn(const std::string& model, double latency_s);
+  void RecordSwapOut(ModelHandle& model, double latency_s, bool preemption);
+  void RecordSwapIn(ModelHandle& model, double latency_s);
 
   // --- snapshot tier (from the prefetcher) -------------------------------
   // A demand-triggered NVMe->host promotion was issued for `model`.
-  void RecordPrefetch(const std::string& model);
+  void RecordPrefetch(ModelHandle& model);
 
   // --- recovery outcomes (scheduler retries, worker requeues, crashed
   // backends restored from scratch, breaker trips) ----------------------
-  void RecordSwapRetry(const std::string& model);
+  void RecordSwapRetry(ModelHandle& model);
   void RecordRequeue(ModelHandle& model);
   // A completed recovery action; `kind` is "restart", "cold_fallback", ...
   void RecordRecovery(const std::string& model, const std::string& kind,
@@ -147,9 +152,6 @@ class Metrics {
   Samples AllTtft() const;
 
  private:
-  // `model`'s handle, created on first use without its per_model() entry
-  // (the swap paths write series only).
-  ModelHandle& Entry(const std::string& model);
   // swapserve_swaps_total{direction, trigger}: three series.
   struct SwapCounters {
     obs::Counter* out_preemption = nullptr;

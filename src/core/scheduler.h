@@ -69,6 +69,23 @@ class Scheduler {
   }
 
  private:
+  // The slow branch of EnsureRunningAndPin, for a backend found swapped
+  // out or crashed: reserve its footprint, restore it, pin it. Returns the
+  // pin; an empty guard when the caller should re-evaluate (the backend was
+  // preempted again before the pin, or a failed attempt backed off and may
+  // be retried); an error when it gave up. Kept out of EnsureRunningAndPin
+  // so every request's resident fast path carries a small frame.
+  // `failures` lives in the caller's frame, which awaits this one.
+  // swaplint-ok(coro-ref-param): backend is registered; failures: see above
+  sim::Task<Result<sim::SimRwLock::SharedGuard>> SwapInAndPin(
+      Backend& backend, bool crashed, int& failures);
+  // Breaker bookkeeping for a terminal failure of a real attempt.
+  void RecordFailure(Backend& backend);
+  // Counts a retryable failure given up on because the attempt budget ran
+  // out (a non-retryable one is not an exhaustion: retrying would not have
+  // helped).
+  void RecordExhausted(Backend& backend, const Status& status);
+
   obs::Observability* obs_ = nullptr;
   Metrics* metrics_ = nullptr;
   sim::Simulation& sim_;

@@ -3,12 +3,14 @@
 namespace swapserve::core {
 
 ckpt::SnapshotTierManager::VictimFilter SnapshotPrefetcher::DemandFilter(
-    const std::string& target) const {
-  // By-value captures: the filter outlives this call (it rides along with
-  // the detached promotion coroutine).
-  return [&backends = backends_, target](const std::string& owner) {
-    if (owner == target) return false;  // never self-evict
-    auto it = backends.find(owner);
+    const Backend& target) const {
+  // The filter outlives this call (it rides along with the detached
+  // promotion coroutine); it borrows the registry and the target backend,
+  // which live as long as the serving system. Two pointers of captures fit
+  // std::function's inline buffer, so building it does not allocate.
+  return [&backends = backends_, target = &target](Name owner) {
+    if (owner == target->owner()) return false;  // never self-evict
+    auto it = backends.find(owner.str());
     // Unknown owners (snapshots outside the serving registry) are fair
     // game; known ones only when nothing is queued or running for them.
     return it == backends.end() || it->second->Demand() == 0;
@@ -17,12 +19,10 @@ ckpt::SnapshotTierManager::VictimFilter SnapshotPrefetcher::DemandFilter(
 
 void SnapshotPrefetcher::Trigger(Backend& backend,
                                  hw::TransferPriority priority) {
-  if (!backend.has_snapshot) return;
-  const std::uint64_t before = tier_.prefetch_issued();
-  tier_.Prefetch(backend.snapshot, priority, DemandFilter(backend.name()));
-  if (tier_.prefetch_issued() > before) {
-    metrics_.RecordPrefetch(backend.name());
-  }
+  // Most arrivals find nothing to promote: check before building a filter.
+  if (!backend.has_snapshot || !tier_.CanPrefetch(backend.snapshot)) return;
+  tier_.Prefetch(backend.snapshot, priority, DemandFilter(backend));
+  metrics_.RecordPrefetch(backend.MetricsHandle(metrics_));
 }
 
 void SnapshotPrefetcher::NoteArrival(Backend& backend) {

@@ -43,7 +43,7 @@ class SnapshotPrefetcher {
   // demoted and idle; records the prefetch metric when one is issued.
   void Trigger(Backend& backend, hw::TransferPriority priority);
   ckpt::SnapshotTierManager::VictimFilter DemandFilter(
-      const std::string& target) const;
+      const Backend& target) const;
 
   ckpt::SnapshotTierManager& tier_;
   const std::map<std::string, Backend*, std::less<>>& backends_;

@@ -177,7 +177,7 @@ sim::Task<Status> SwapServe::Initialize() {
       Result<TaskManager::Reservation> reservation =
           co_await task_manager_.Reserve(
               id, hardware_.gpus[static_cast<std::size_t>(id)]->capacity(),
-              backend->name());
+              backend->owner());
       if (!reservation.ok()) co_return reservation.status();
       reservations.push_back(std::move(*reservation));
     }

@@ -9,25 +9,24 @@ namespace swapserve::core {
 
 TaskManager::TaskManager(sim::Simulation& sim,
                          std::vector<hw::GpuDevice*> gpus)
-    : sim_(sim), gpus_(std::move(gpus)) {
+    : sim_(sim), gpus_(std::move(gpus)), queues_(gpus_.size()) {
   SWAP_CHECK_MSG(!gpus_.empty(), "task manager needs at least one GPU");
-  for (hw::GpuDevice* gpu : gpus_) {
-    GpuQueue& q = queues_[gpu->id()];
-    q.device = gpu;
-    q.track = "gpu" + std::to_string(gpu->id());
+  for (std::size_t i = 0; i < gpus_.size(); ++i) {
+    SWAP_CHECK_MSG(gpus_[i]->id() == static_cast<hw::GpuId>(i),
+                   "GPU ids must be 0..n-1 in order");
+    queues_[i].device = gpus_[i];
+    queues_[i].track = "gpu" + std::to_string(i);
   }
 }
 
 TaskManager::GpuQueue& TaskManager::Queue(hw::GpuId gpu) {
-  auto it = queues_.find(gpu);
-  SWAP_CHECK_MSG(it != queues_.end(), "unknown GPU id");
-  return it->second;
+  return const_cast<GpuQueue&>(std::as_const(*this).Queue(gpu));
 }
 
 const TaskManager::GpuQueue& TaskManager::Queue(hw::GpuId gpu) const {
-  auto it = queues_.find(gpu);
-  SWAP_CHECK_MSG(it != queues_.end(), "unknown GPU id");
-  return it->second;
+  SWAP_CHECK_MSG(gpu >= 0 && static_cast<std::size_t>(gpu) < queues_.size(),
+                 "unknown GPU id");
+  return queues_[static_cast<std::size_t>(gpu)];
 }
 
 Bytes TaskManager::Reservable(hw::GpuId gpu) const {
@@ -44,7 +43,7 @@ std::size_t TaskManager::PendingRequests(hw::GpuId gpu) const {
 }
 
 sim::Task<Result<TaskManager::Reservation>> TaskManager::Reserve(
-    hw::GpuId gpu, Bytes bytes, std::string owner) {
+    hw::GpuId gpu, Bytes bytes, Name owner) {
   GpuQueue& q = Queue(gpu);
   if (bytes.count() < 0) co_return InvalidArgument("negative reservation");
   if (bytes > q.device->capacity()) {
@@ -54,13 +53,13 @@ sim::Task<Result<TaskManager::Reservation>> TaskManager::Reserve(
   }
 
   Waiter waiter(sim_);
-  waiter.owner = std::move(owner);
+  waiter.owner = owner;
   waiter.bytes = bytes;
   waiter.ticket = next_ticket_++;
   q.waiters.push_back(&waiter);
   obs::Span wait_span =
       obs::StartSpan(obs_, "tm.reserve_wait", "task-mgr", q.track);
-  wait_span.AddArg("owner", waiter.owner);
+  wait_span.AddArg("owner", waiter.owner.str());
   wait_span.AddArg("bytes", bytes.count());
   PublishGauges(gpu);
   Pump(gpu);
@@ -165,7 +164,8 @@ sim::Task<> TaskManager::ReclaimForHead(hw::GpuId gpu) {
   // satisfied. Fail it so the queue keeps moving.
   head->failure = ResourceExhausted(
       "cannot free " + needed.ToString() + " on gpu" + std::to_string(gpu) +
-      " for " + head->owner + " (reclaimed " + freed.ToString() + ")");
+      " for " + head->owner.str() + " (reclaimed " + freed.ToString() +
+      ")");
   q.waiters.pop_front();
   head->event.Set();
   Pump(gpu);

@@ -13,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,8 +20,10 @@
 #include "hw/gpu_device.h"
 #include "obs/observability.h"
 #include "sim/simulation.h"
+#include "sim/small_ring.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "util/name.h"
 #include "util/status.h"
 #include "util/units.h"
 
@@ -36,14 +36,15 @@ class TaskManager {
   class ReclaimDelegate {
    public:
     virtual ~ReclaimDelegate() = default;
-    // `requester` is taken by value on purpose: the reclaim coroutine can
-    // outlive the waiter whose owner string names the requester (a
+    // `requester` is an interned Name, copied by value like any owner: the
+    // reclaim coroutine can outlive the waiter that names the requester (a
     // concurrent release may grant the head mid-reclaim and destroy its
-    // frame), so the coroutine frame must own its copy.
+    // frame), and a Name stays readable for the life of the process.
     virtual sim::Task<Bytes> ReclaimMemory(hw::GpuId gpu, Bytes needed,
-                                           std::string requester) = 0;
+                                           Name requester) = 0;
   };
 
+  // `gpus` are one host's devices in id order, numbered 0..n-1.
   TaskManager(sim::Simulation& sim, std::vector<hw::GpuDevice*> gpus);
   TaskManager(const TaskManager&) = delete;
   TaskManager& operator=(const TaskManager&) = delete;
@@ -91,7 +92,7 @@ class TaskManager {
   // the head does not fit. Fails with RESOURCE_EXHAUSTED when the request
   // can never be satisfied.
   sim::Task<Result<Reservation>> Reserve(hw::GpuId gpu, Bytes bytes,
-                                         std::string owner);
+                                         Name owner);
 
   // Memory that can be reserved right now: device free minus outstanding
   // reservations not yet converted into allocations.
@@ -112,7 +113,7 @@ class TaskManager {
   // (nullable).
   void BindObservability(obs::Observability* obs) {
     obs_ = obs;
-    for (auto& [id, q] : queues_) {
+    for (GpuQueue& q : queues_) {
       q.reserved_gauge = nullptr;
       q.queue_depth_gauge = nullptr;
       q.reclaims = nullptr;
@@ -121,7 +122,7 @@ class TaskManager {
 
  private:
   struct Waiter {
-    std::string owner;
+    Name owner;
     Bytes bytes{0};
     sim::SimEvent event;
     bool granted = false;
@@ -138,7 +139,7 @@ class TaskManager {
   struct GpuQueue {
     hw::GpuDevice* device = nullptr;
     Bytes outstanding{0};
-    std::deque<Waiter*> waiters;
+    sim::SmallRing<Waiter*> waiters;
     bool reclaiming = false;
     std::string track;  // "gpu<N>", the trace track of reserve waits
     // Resolved on the first write; reset by BindObservability.
@@ -157,7 +158,9 @@ class TaskManager {
   obs::Observability* obs_ = nullptr;
   sim::Simulation& sim_;
   std::vector<hw::GpuDevice*> gpus_;
-  std::map<hw::GpuId, GpuQueue> queues_;
+  // One queue per device, indexed by GPU id; built once, never resized,
+  // so a GpuQueue& stays valid for the manager's lifetime.
+  std::vector<GpuQueue> queues_;
   ReclaimDelegate* delegate_ = nullptr;
   std::uint64_t next_ticket_ = 1;
 };

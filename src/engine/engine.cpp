@@ -47,8 +47,8 @@ InferenceEngine::InferenceEngine(EngineKind kind, EngineEnv env,
       env_(std::move(env)),
       model_(std::move(model)),
       options_(options),
-      name_(std::move(backend_name)),
-      process_(*env_.sim, name_),
+      name_(backend_name),
+      process_(*env_.sim, name()),
       prefill_efficiency_(
           model::EnginePrefillEfficiency(std::string(EngineKindName(kind)))),
       decode_efficiency_(
@@ -64,7 +64,7 @@ InferenceEngine::InferenceEngine(EngineKind kind, EngineEnv env,
 }
 
 Status InferenceEngine::AllocateSharded(Bytes total,
-                                        const std::string& purpose) {
+                                        std::string_view purpose) {
   const std::span<hw::GpuDevice* const> gpus = Gpus();
   const auto n = static_cast<std::int64_t>(gpus.size());
   const Bytes per_shard(total.count() / n);
@@ -85,13 +85,13 @@ Status InferenceEngine::AllocateSharded(Bytes total,
 
 sim::Task<Result<InitBreakdown>> InferenceEngine::ColdStart() {
   if (state_ != BackendState::kUninitialized) {
-    co_return FailedPrecondition("cold start: backend " + name_ + " is " +
+    co_return FailedPrecondition("cold start: backend " + name() + " is " +
                                  std::string(BackendStateName(state_)));
   }
   SetState(BackendState::kInitializing);
 
   Result<container::Container*> created =
-      env_.runtime->Create(name_, EngineImageName(kind()));
+      env_.runtime->Create(name(), EngineImageName(kind()));
   if (!created.ok()) {
     SetState(BackendState::kStopped);
     co_return created.status();
@@ -122,11 +122,11 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::ColdStart() {
 
 Status InferenceEngine::AdoptCheckpoint() {
   if (state_ != BackendState::kUninitialized) {
-    return FailedPrecondition("adopt: backend " + name_ + " is " +
+    return FailedPrecondition("adopt: backend " + name() + " is " +
                               std::string(BackendStateName(state_)));
   }
   Result<container::Container*> created =
-      env_.runtime->Create(name_, EngineImageName(kind()));
+      env_.runtime->Create(name(), EngineImageName(kind()));
   if (!created.ok()) {
     SetState(BackendState::kStopped);
     return created.status();
@@ -153,7 +153,7 @@ Status InferenceEngine::AdoptCheckpoint() {
 sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
     GenerationRequest req) {
   if (state_ != BackendState::kRunning) {
-    co_return Unavailable("backend " + name_ + " is " +
+    co_return Unavailable("backend " + name() + " is " +
                           std::string(BackendStateName(state_)));
   }
   SWAP_CHECK_MSG(req.prompt_tokens > 0, "empty prompt");
@@ -178,7 +178,7 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
     fault::FaultDecision f = fault::Evaluate(fault_, "engine.hang", name_);
     if (f.stall.ns() > 0) co_await sim().Delay(f.stall);
     if (restart_epoch_ != epoch) {
-      co_return Internal("backend " + name_ + " crashed mid-request");
+      co_return Internal("backend " + name() + " crashed mid-request");
     }
   }
 
@@ -201,7 +201,7 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
     co_await sim().Delay(sim::Seconds(prefill_s));
   }
   if (restart_epoch_ != epoch) {
-    co_return Internal("backend " + name_ + " crashed mid-request");
+    co_return Internal("backend " + name() + " crashed mid-request");
   }
   const sim::SimDuration ttft = sim().Now() - start;
 
@@ -228,7 +228,7 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
         const std::int64_t n = std::min(chunk, remaining);
         co_await sim().Delay(sim::Seconds(token_s * static_cast<double>(n)));
         if (restart_epoch_ != epoch) {
-          co_return Internal("backend " + name_ + " crashed mid-request");
+          co_return Internal("backend " + name() + " crashed mid-request");
         }
         remaining -= n;
         req.on_tokens(n);
@@ -236,7 +236,7 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
     }
   }
   if (restart_epoch_ != epoch) {
-    co_return Internal("backend " + name_ + " crashed mid-request");
+    co_return Internal("backend " + name() + " crashed mid-request");
   }
 
   --active_requests_;
@@ -272,7 +272,7 @@ void InferenceEngine::MarkCrashed(std::string_view reason) {
 
 sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
   if (state_ != BackendState::kCrashed) {
-    co_return FailedPrecondition("restart: backend " + name_ + " is " +
+    co_return FailedPrecondition("restart: backend " + name() + " is " +
                                  std::string(BackendStateName(state_)));
   }
   SWAP_CHECK(container_ != nullptr);
@@ -284,7 +284,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
   if (state_ != BackendState::kInitializing) {
     // An external MarkCrashed (node power loss) landed mid-restart; leave
     // the crashed state alone for whoever owns recovery now.
-    co_return Unavailable("restart: " + name_ + " crashed mid-restart");
+    co_return Unavailable("restart: " + name() + " crashed mid-restart");
   }
   if (!f.status.ok()) {
     SetState(BackendState::kCrashed);
@@ -295,7 +295,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
   if (container_->state() == container::ContainerState::kPaused) {
     Status s = co_await container_->Unpause();
     if (state_ != BackendState::kInitializing) {
-      co_return Unavailable("restart: " + name_ + " crashed mid-restart");
+      co_return Unavailable("restart: " + name() + " crashed mid-restart");
     }
     if (!s.ok()) {
       SetState(BackendState::kCrashed);
@@ -307,7 +307,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     // Crashed again mid-boot; release whatever the aborted initialization
     // claimed after the crash handler's sweep.
     for (hw::GpuDevice* dev : Gpus()) dev->FreeAllOwnedBy(name_);
-    co_return Unavailable("restart: " + name_ + " crashed mid-restart");
+    co_return Unavailable("restart: " + name() + " crashed mid-restart");
   }
   if (!breakdown.ok()) {
     // Initialization may have died after claiming some device memory
@@ -328,7 +328,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
 Status InferenceEngine::ReadoptCheckpoint() {
   if (state_ != BackendState::kCrashed ||
       container_->state() != container::ContainerState::kPaused) {
-    return FailedPrecondition("readopt: backend " + name_ + " is " +
+    return FailedPrecondition("readopt: backend " + name() + " is " +
                               std::string(BackendStateName(state_)));
   }
   SWAP_RETURN_IF_ERROR(process_.AdoptCheckpointed());
@@ -339,7 +339,7 @@ Status InferenceEngine::ReadoptCheckpoint() {
 Status InferenceEngine::MarkSwapping() {
   if (state_ != BackendState::kRunning &&
       state_ != BackendState::kSwappedOut) {
-    return FailedPrecondition("swap: backend " + name_ + " is " +
+    return FailedPrecondition("swap: backend " + name() + " is " +
                               std::string(BackendStateName(state_)));
   }
   SetState(BackendState::kSwapping);
@@ -348,7 +348,7 @@ Status InferenceEngine::MarkSwapping() {
 
 Status InferenceEngine::MarkSwappedOut() {
   if (state_ != BackendState::kSwapping) {
-    return FailedPrecondition("mark swapped-out: backend " + name_ + " is " +
+    return FailedPrecondition("mark swapped-out: backend " + name() + " is " +
                               std::string(BackendStateName(state_)));
   }
   SetState(BackendState::kSwappedOut);
@@ -357,7 +357,7 @@ Status InferenceEngine::MarkSwappedOut() {
 
 Status InferenceEngine::MarkRunning() {
   if (state_ != BackendState::kSwapping) {
-    return FailedPrecondition("mark running: backend " + name_ + " is " +
+    return FailedPrecondition("mark running: backend " + name() + " is " +
                               std::string(BackendStateName(state_)));
   }
   SetState(BackendState::kRunning);

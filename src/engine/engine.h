@@ -25,6 +25,7 @@
 #include "model/model_spec.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
+#include "util/name.h"
 #include "util/status.h"
 
 namespace swapserve::engine {
@@ -116,7 +117,10 @@ class InferenceEngine {
   std::string_view kind_name() const { return EngineKindName(kind()); }
 
   const model::ModelSpec& model() const { return model_; }
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return name_.str(); }
+  // The name interned once, at construction: the owner of the engine's GPU
+  // allocations and snapshots, compared by handle.
+  Name owner() const { return name_; }
   BackendState state() const { return state_; }
   container::Container* container() { return container_; }
   ckpt::CudaCheckpointProcess& process() { return process_; }
@@ -230,13 +234,13 @@ class InferenceEngine {
 
   // Allocate `total` split evenly across the TP group (all-or-nothing:
   // rolls back partial shard allocations on failure).
-  Status AllocateSharded(Bytes total, const std::string& purpose);
+  Status AllocateSharded(Bytes total, std::string_view purpose);
 
   const EngineKind kind_;
   EngineEnv env_;
   model::ModelSpec model_;
   EngineOptions options_;
-  std::string name_;
+  Name name_;
   BackendState state_ = BackendState::kUninitialized;
   container::Container* container_ = nullptr;  // owned by the runtime
   ckpt::CudaCheckpointProcess process_;

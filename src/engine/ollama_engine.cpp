@@ -69,12 +69,12 @@ model::RestoreModel OllamaEngine::RestoreCharacteristics() const {
 
 sim::Task<Status> OllamaEngine::UnloadModel() {
   if (state() != BackendState::kRunning) {
-    co_return FailedPrecondition("unload: backend " + name_ + " is " +
+    co_return FailedPrecondition("unload: backend " + name() + " is " +
                                  std::string(BackendStateName(state())));
   }
   if (!model_loaded_) co_return Status::Ok();
   if (active_requests_ > 0) {
-    co_return FailedPrecondition("unload: backend " + name_ +
+    co_return FailedPrecondition("unload: backend " + name() +
                                  " has active requests");
   }
   co_await sim().Delay(sim::Millis(350));  // free llama.cpp contexts
@@ -85,7 +85,7 @@ sim::Task<Status> OllamaEngine::UnloadModel() {
 
 sim::Task<Status> OllamaEngine::LoadModel() {
   if (state() != BackendState::kRunning) {
-    co_return FailedPrecondition("load: backend " + name_ + " is " +
+    co_return FailedPrecondition("load: backend " + name() + " is " +
                                  std::string(BackendStateName(state())));
   }
   if (model_loaded_) co_return Status::Ok();

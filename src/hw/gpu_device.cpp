@@ -1,5 +1,6 @@
 #include "hw/gpu_device.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "hw/gpu_monitor.h"
@@ -47,8 +48,8 @@ void GpuDevice::PublishMemoryGauges() {
   g.allocations->Set(static_cast<double>(allocations_.size()));
 }
 
-Result<AllocationId> GpuDevice::Allocate(const std::string& owner, Bytes size,
-                                         const std::string& purpose) {
+Result<AllocationId> GpuDevice::Allocate(Name owner, Bytes size,
+                                         std::string_view purpose) {
   SWAP_CHECK_MSG(size.count() >= 0, "negative allocation");
   {
     fault::FaultDecision f = fault::Evaluate(fault_, "hw.acquire", owner);
@@ -56,61 +57,52 @@ Result<AllocationId> GpuDevice::Allocate(const std::string& owner, Bytes size,
   }
   if (used_ + size > spec_.memory) {
     return ResourceExhausted(
-        "gpu" + std::to_string(id_) + ": " + owner + " requested " +
-        size.ToString() + " (" + purpose + ") but only " +
+        "gpu" + std::to_string(id_) + ": " + owner.str() + " requested " +
+        size.ToString() + " (" + std::string(purpose) + ") but only " +
         (spec_.memory - used_).ToString() + " free");
   }
   BeforeStateChange();
   const AllocationId id = next_allocation_id_++;
-  allocations_.emplace(id, Allocation{owner, size, purpose});
+  allocations_.push_back(
+      Allocation{id, owner, size, std::string(purpose)});
   used_ += size;
   PublishMemoryGauges();
   return id;
 }
 
 Status GpuDevice::Free(AllocationId id) {
-  auto it = allocations_.find(id);
-  if (it == allocations_.end()) {
+  auto it = std::lower_bound(
+      allocations_.begin(), allocations_.end(), id,
+      [](const Allocation& a, AllocationId want) { return a.id < want; });
+  if (it == allocations_.end() || it->id != id) {
     return NotFound("gpu allocation " + std::to_string(id));
   }
   BeforeStateChange();
-  used_ -= it->second.size;
+  used_ -= it->size;
   allocations_.erase(it);
   PublishMemoryGauges();
   return Status::Ok();
 }
 
-Bytes GpuDevice::FreeAllOwnedBy(const std::string& owner) {
+Bytes GpuDevice::FreeAllOwnedBy(Name owner) {
   BeforeStateChange();
   Bytes freed(0);
-  for (auto it = allocations_.begin(); it != allocations_.end();) {
-    if (it->second.owner == owner) {
-      freed += it->second.size;
-      it = allocations_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(allocations_, [&](const Allocation& a) {
+    if (a.owner != owner) return false;
+    freed += a.size;
+    return true;
+  });
   used_ -= freed;
   PublishMemoryGauges();
   return freed;
 }
 
-Bytes GpuDevice::UsedBy(const std::string& owner) const {
+Bytes GpuDevice::UsedBy(Name owner) const {
   Bytes total(0);
-  for (const auto& [id, alloc] : allocations_) {
+  for (const Allocation& alloc : allocations_) {
     if (alloc.owner == owner) total += alloc.size;
   }
   return total;
-}
-
-std::vector<GpuDevice::AllocationInfo> GpuDevice::Allocations() const {
-  std::vector<AllocationInfo> out;
-  out.reserve(allocations_.size());
-  for (const auto& [id, alloc] : allocations_) {
-    out.push_back({id, alloc.owner, alloc.size, alloc.purpose});
-  }
-  return out;
 }
 
 void GpuDevice::BeginCompute() {

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -19,6 +19,7 @@
 #include "hw/link.h"
 #include "obs/observability.h"
 #include "sim/simulation.h"
+#include "util/name.h"
 #include "util/status.h"
 #include "util/units.h"
 
@@ -26,6 +27,12 @@ namespace swapserve::hw {
 
 using GpuId = int;
 using AllocationId = std::uint64_t;
+
+// A device group (a tensor-parallel backend's GPUs) of up to this many
+// devices keeps its per-device swap bookkeeping (transfers to join,
+// allocations to roll back, reservations to hold) inside the swap's
+// coroutine frame; a larger group spills those lists to the heap.
+inline constexpr std::size_t kInlineGroupSize = 8;
 
 class GpuMonitor;
 
@@ -54,26 +61,29 @@ class GpuDevice {
   Bytes used() const { return used_; }
   Bytes free() const { return spec_.memory - used_; }
 
+  struct Allocation {
+    AllocationId id;
+    Name owner;
+    Bytes size;
+    std::string purpose;
+  };
+
   // Named device-memory allocation; fails with RESOURCE_EXHAUSTED when the
   // request does not fit. `owner` identifies the backend (for accounting and
-  // debugging), `purpose` is a free-form tag ("weights", "kv-cache", ...).
-  Result<AllocationId> Allocate(const std::string& owner, Bytes size,
-                                const std::string& purpose);
+  // debugging), `purpose` is a short free-form tag ("weights", "kv-arena",
+  // ...).
+  Result<AllocationId> Allocate(Name owner, Bytes size,
+                                std::string_view purpose);
   Status Free(AllocationId id);
   // Release every allocation held by `owner`; returns the bytes freed.
   // This is what a checkpoint operation does: the driver releases all
   // device memory of the checkpointed process at once.
-  Bytes FreeAllOwnedBy(const std::string& owner);
-  Bytes UsedBy(const std::string& owner) const;
+  Bytes FreeAllOwnedBy(Name owner);
+  Bytes UsedBy(Name owner) const;
   std::size_t allocation_count() const { return allocations_.size(); }
-
-  struct AllocationInfo {
-    AllocationId id;
-    std::string owner;
-    Bytes size;
-    std::string purpose;
-  };
-  std::vector<AllocationInfo> Allocations() const;
+  // The live allocations in id order, valid until the next Allocate,
+  // Free or FreeAllOwnedBy.
+  std::span<const Allocation> Allocations() const { return allocations_; }
 
   // --- compute busy-time accounting ------------------------------------
   // Engines wrap modelled kernel time in Begin/EndCompute (or BusyScope).
@@ -107,12 +117,6 @@ class GpuDevice {
   };
 
  private:
-  struct Allocation {
-    std::string owner;
-    Bytes size;
-    std::string purpose;
-  };
-
   friend class GpuMonitor;
 
   void PublishMemoryGauges();
@@ -140,7 +144,9 @@ class GpuDevice {
   DuplexLink pcie_;
   Bytes used_;
   AllocationId next_allocation_id_ = 1;
-  std::map<AllocationId, Allocation> allocations_;
+  // Sorted by id. Ids only grow, so Allocate appends; a device holds a few
+  // allocations per resident backend.
+  std::vector<Allocation> allocations_;
 
   int active_compute_ = 0;
   sim::SimTime busy_since_;

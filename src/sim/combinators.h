@@ -3,12 +3,15 @@
 // WhenAll runs tasks concurrently and resumes when every one has finished —
 // the virtual-time analogue of joining goroutines. Tasks must not leak
 // exceptions (an unhandled error in a detached branch terminates, as with
-// Spawn).
+// Spawn). WhenAll borrows the caller's tasks (a span, so an array in the
+// caller's frame serves as well as a vector) and moves each into its own
+// branch; the caller's storage must outlive the await, which it does when
+// the caller awaits WhenAll directly.
 
 #pragma once
 
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -16,8 +19,10 @@
 
 namespace swapserve::sim {
 
-// swaplint-ok(coro-ref-param): the Simulation outlives every coroutine
-inline Task<> WhenAll(Simulation& sim, std::vector<Task<>> tasks) {
+// The Simulation outlives every coroutine, and the caller's task storage
+// outlives this frame (the caller awaits it).
+// swaplint-ok(coro-ref-param): see above
+inline Task<> WhenAll(Simulation& sim, std::span<Task<>> tasks) {
   if (tasks.empty()) co_return;
   SimEvent done(sim);
   std::size_t remaining = tasks.size();
@@ -44,10 +49,8 @@ inline Task<> DelayFor(Simulation& sim, SimDuration d) {
 // Two-task convenience overload.
 // swaplint-ok(coro-ref-param): the Simulation outlives every coroutine
 inline Task<> WhenAll(Simulation& sim, Task<> a, Task<> b) {
-  std::vector<Task<>> tasks;
-  tasks.push_back(std::move(a));
-  tasks.push_back(std::move(b));
-  co_await WhenAll(sim, std::move(tasks));
+  Task<> tasks[] = {std::move(a), std::move(b)};
+  co_await WhenAll(sim, tasks);
 }
 
 }  // namespace swapserve::sim

@@ -2,32 +2,10 @@
 
 #include <cmath>
 #include <limits>
-#include <mutex>
-#include <ostream>
-#include <set>
 
 #include "util/status.h"
 
 namespace swapserve::workload {
-
-ModelName::ModelName(std::string_view name) {
-  struct Table {
-    std::mutex mu;
-    std::set<std::string, std::less<>> names;  // guarded by mu
-  };
-  // Leaked on purpose: a trace may be read while static objects are being
-  // destroyed, and a set's nodes never move, so entries stay valid for the
-  // life of the process.
-  static Table* const table = new Table;
-  std::lock_guard<std::mutex> lock(table->mu);
-  auto it = table->names.find(name);
-  if (it == table->names.end()) it = table->names.emplace(name).first;
-  name_ = &*it;
-}
-
-std::ostream& operator<<(std::ostream& os, ModelName name) {
-  return os << name.str();
-}
 
 std::vector<TraceEvent> GenerateTrace(const std::vector<ModelWorkload>& mix,
                                       double horizon_s, std::uint64_t seed) {

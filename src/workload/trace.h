@@ -10,56 +10,27 @@
 // HourlyTokenVolume aggregates a trace into the per-hour input/output
 // token series Fig. 1 plots.
 //
-// An event names its model with a ModelName: a pointer into a
-// process-wide intern table, so a 260k-event trace holds each name once,
-// not once per event (model ids are 17-24 characters, past std::string's
-// inline buffer, so each per-event copy would be a heap block).
-// The table is a node-based set that only grows and lives as long as the
-// process: a trace stays readable after the mix that named its models is
-// gone (bench_e2e generates its trace and then drops the mix), and any
-// number of traces share one entry per name.
+// An event names its model with a ModelName (an interned util Name): a
+// trace stays readable after the mix that named its models is gone
+// (bench_e2e generates its trace and then drops the mix), and any number
+// of traces share one table entry per name.
 
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/random.h"
+#include "util/name.h"
 #include "workload/arrival.h"
 #include "workload/request_gen.h"
 
 namespace swapserve::workload {
 
-// An interned model name: 8 bytes, copied by value. Two ModelNames are
-// equal exactly when they point at the same table entry. It reads as the
-// name it holds: it converts to `const std::string&` (a string-keyed
-// map's key) and to `std::string_view` (a borrowed request name), and
-// compares with strings.
-class ModelName {
- public:
-  // Finds or inserts `name` in the table: one mutex-guarded lookup, and
-  // one copy of the text the first time the process sees it.
-  explicit ModelName(std::string_view name);
-
-  const std::string& str() const { return *name_; }
-  operator const std::string&() const { return *name_; }
-  operator std::string_view() const { return *name_; }
-
-  friend bool operator==(ModelName a, ModelName b) {
-    return a.name_ == b.name_;
-  }
-  friend bool operator==(ModelName a, std::string_view b) {
-    return *a.name_ == b;
-  }
-  friend bool operator==(ModelName a, const char* b) { return *a.name_ == b; }
-  friend std::ostream& operator<<(std::ostream& os, ModelName name);
-
- private:
-  const std::string* name_;  // a table entry; never freed
-};
+// A trace event's model: an interned Name (util/name.h), so a 260k-event
+// trace holds each model id once, not once per event.
+using ModelName = Name;
 
 struct TraceEvent {
   double time_s = 0;

@@ -124,7 +124,7 @@ TEST(OllamaLruTest, CannotFitErrorsWhenNothingEvictable) {
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serving.Initialize(specs)).ok());
     // A foreign tenant takes part of the GPU; the runner cannot evict it.
-    SWAP_CHECK(gpu.Allocate("foreign", GiB(2), "x").ok());
+    SWAP_CHECK(gpu.Allocate(Name("foreign"), GiB(2), "x").ok());
     Status s = co_await serving.EnsureLoaded("llama-3.2-1b-fp16");
     EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   });

@@ -31,7 +31,7 @@ class CheckpointEngineTest : public ::testing::Test {
         .process = &proc,
         .gpu = &gpu,
         .gpus = {},
-        .owner = "backend-a",
+        .owner = Name("backend-a"),
         .clean_bytes = clean,
         .dirty_bytes = dirty,
         .checkpoint = model::DefaultCheckpointH100(),
@@ -62,7 +62,7 @@ class CheckpointEngineTest : public ::testing::Test {
 TEST_F(CheckpointEngineTest, SwapOutFreesGpuAndStoresSnapshot) {
   Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(70), "state").ok());
+    SWAP_CHECK(gpu.Allocate(Name("backend-a"), GB(70), "state").ok());
 
     auto result = co_await engine.SwapOut(MakeRequest(GB(60), GB(10)));
     EXPECT_TRUE(result.ok()) << result.status();
@@ -78,14 +78,14 @@ TEST_F(CheckpointEngineTest, SwapOutFreesGpuAndStoresSnapshot) {
 TEST_F(CheckpointEngineTest, SwapInRestoresEverything) {
   Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(70), "state").ok());
+    SWAP_CHECK(gpu.Allocate(Name("backend-a"), GB(70), "state").ok());
     auto out = co_await engine.SwapOut(MakeRequest(GB(60), GB(10)));
     EXPECT_TRUE(out.ok());
 
     auto in = co_await engine.SwapIn(out->snapshot, *c, proc, gpu_vec);
     EXPECT_TRUE(in.ok()) << in.status();
     EXPECT_EQ(gpu.used(), GB(70));
-    EXPECT_EQ(gpu.UsedBy("backend-a"), GB(70));
+    EXPECT_EQ(gpu.UsedBy(Name("backend-a")), GB(70));
     EXPECT_EQ(c->state(), container::ContainerState::kRunning);
     EXPECT_EQ(proc.state(), CudaCheckpointState::kRunning);
     EXPECT_EQ(store.count(), 0u);  // snapshot consumed
@@ -96,7 +96,7 @@ TEST_F(CheckpointEngineTest, SwapInRestoresEverything) {
 TEST_F(CheckpointEngineTest, SwapInTimeMatchesRestoreModel) {
   Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(72), "state").ok());
+    SWAP_CHECK(gpu.Allocate(Name("backend-a"), GB(72), "state").ok());
     auto out = co_await engine.SwapOut(MakeRequest(GB(70), GB(2)));
     EXPECT_TRUE(out.ok());
 
@@ -111,7 +111,7 @@ TEST_F(CheckpointEngineTest, SwapInTimeMatchesRestoreModel) {
 TEST_F(CheckpointEngineTest, SwapOutTimeScalesWithDirtyBytes) {
   Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(24), "state").ok());
+    SWAP_CHECK(gpu.Allocate(Name("backend-a"), GB(24), "state").ok());
     auto out = co_await engine.SwapOut(MakeRequest(Bytes(0), GB(24)));
     EXPECT_TRUE(out.ok());
     // DefaultCheckpointH100: 0.35 + 24/12 = 2.35 plus freeze/lock margins.
@@ -125,7 +125,7 @@ TEST_F(CheckpointEngineTest, SwapOutRollsBackWhenStoreFull) {
   CheckpointEngine small_engine(sim, tiny, tiny_tier);
   Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(30), "state").ok());
+    SWAP_CHECK(gpu.Allocate(Name("backend-a"), GB(30), "state").ok());
     auto out = co_await small_engine.SwapOut(MakeRequest(Bytes(0), GB(30)));
     EXPECT_FALSE(out.ok());
     EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
@@ -139,11 +139,11 @@ TEST_F(CheckpointEngineTest, SwapOutRollsBackWhenStoreFull) {
 TEST_F(CheckpointEngineTest, SwapInFailsWithoutGpuRoom) {
   Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await c->Start()).ok());
-    SWAP_CHECK(gpu.Allocate("backend-a", GB(40), "state").ok());
+    SWAP_CHECK(gpu.Allocate(Name("backend-a"), GB(40), "state").ok());
     auto out = co_await engine.SwapOut(MakeRequest(Bytes(0), GB(40)));
     EXPECT_TRUE(out.ok());
     // Another tenant fills the GPU.
-    SWAP_CHECK(gpu.Allocate("other", GiB(70), "state").ok());
+    SWAP_CHECK(gpu.Allocate(Name("other"), GiB(70), "state").ok());
     auto in = co_await engine.SwapIn(out->snapshot, *c, proc, gpu_vec);
     EXPECT_FALSE(in.ok());
     EXPECT_EQ(in.status().code(), StatusCode::kResourceExhausted);

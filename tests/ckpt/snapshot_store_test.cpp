@@ -7,7 +7,7 @@ namespace {
 
 Snapshot Make(const std::string& owner, double clean_gb, double dirty_gb) {
   Snapshot s;
-  s.owner = owner;
+  s.owner = Name(owner);
   s.clean_bytes = GB(clean_gb);
   s.dirty_bytes = GB(dirty_gb);
   return s;
@@ -55,7 +55,7 @@ TEST(SnapshotStoreTest, FindUnknownIsNullAndDropFails) {
 TEST(SnapshotStoreTest, NegativeSizesRejected) {
   SnapshotStore store(GB(10));
   Snapshot bad;
-  bad.owner = "x";
+  bad.owner = Name("x");
   bad.dirty_bytes = Bytes(-5);
   EXPECT_EQ(store.Put(bad).status().code(), StatusCode::kInvalidArgument);
 }
@@ -65,10 +65,10 @@ TEST(SnapshotStoreTest, FindByOwnerReturnsLatest) {
   ASSERT_TRUE(store.Put(Make("a", 0, 1)).ok());
   auto second = store.Put(Make("a", 0, 2));
   ASSERT_TRUE(second.ok());
-  const Snapshot* found = store.FindByOwner("a");
+  const Snapshot* found = store.FindByOwner(Name("a"));
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->id, *second);
-  EXPECT_EQ(store.FindByOwner("ghost"), nullptr);
+  EXPECT_EQ(store.FindByOwner(Name("ghost")), nullptr);
 }
 
 TEST(SnapshotStoreTest, IdsAreUniqueAndMonotonic) {

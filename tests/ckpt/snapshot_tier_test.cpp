@@ -23,7 +23,7 @@ class SnapshotTierTest : public ::testing::Test {
     Status admitted = co_await tier.AdmitHostBytes(dirty);
     if (!admitted.ok()) co_return admitted;
     Snapshot s;
-    s.owner = owner;
+    s.owner = Name(owner);
     s.dirty_bytes = dirty;
     s.restore = model::VllmRestoreH100();
     Result<SnapshotId> id = store.Put(std::move(s));
@@ -119,7 +119,7 @@ TEST_F(SnapshotTierTest, UnboundedManagerIsPassThrough) {
       Status admitted = co_await unbounded.AdmitHostBytes(GB(8));
       SWAP_CHECK(admitted.ok());
       Snapshot s;
-      s.owner = "model-" + std::to_string(i);
+      s.owner = Name("model-" + std::to_string(i));
       s.dirty_bytes = GB(8);
       Result<SnapshotId> id = store.Put(std::move(s));
       SWAP_CHECK(id.ok());

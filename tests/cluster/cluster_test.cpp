@@ -85,13 +85,13 @@ TEST(ClusterTest, StandbysAdoptAndReplicationLandsConfiguredCopies) {
 
   // replicate = 2: the home copy plus exactly one streamed payload, in
   // node order — node1 holds real bytes, node2 keeps a placeholder.
-  auto home =
-      cluster.node(0).serve().snapshot_store().FindByOwner("llama-3.2-1b-fp16");
+  auto home = cluster.node(0).serve().snapshot_store().FindByOwner(
+      Name("llama-3.2-1b-fp16"));
   ASSERT_NE(home, nullptr);
-  auto n1 =
-      cluster.node(1).serve().snapshot_store().FindByOwner("llama-3.2-1b-fp16");
-  auto n2 =
-      cluster.node(2).serve().snapshot_store().FindByOwner("llama-3.2-1b-fp16");
+  auto n1 = cluster.node(1).serve().snapshot_store().FindByOwner(
+      Name("llama-3.2-1b-fp16"));
+  auto n2 = cluster.node(2).serve().snapshot_store().FindByOwner(
+      Name("llama-3.2-1b-fp16"));
   ASSERT_NE(n1, nullptr);
   ASSERT_NE(n2, nullptr);
   EXPECT_EQ(n1->tier, ckpt::SnapshotTier::kHost);
@@ -149,8 +149,8 @@ TEST(ClusterTest, QuarantinedHomeRoutesToStandbyViaOnDemandFetch) {
       cluster.node(1).serve().backend("llama-3.2-1b-fp16");
   ASSERT_NE(standby, nullptr);
   EXPECT_EQ(standby->engine->state(), engine::BackendState::kRunning);
-  auto home_copy =
-      cluster.node(0).serve().snapshot_store().FindByOwner("llama-3.2-1b-fp16");
+  auto home_copy = cluster.node(0).serve().snapshot_store().FindByOwner(
+      Name("llama-3.2-1b-fp16"));
   ASSERT_NE(home_copy, nullptr);
   EXPECT_EQ(home_copy->tier, ckpt::SnapshotTier::kHost);
 }

@@ -99,7 +99,8 @@ TEST(ReplicationEdgeTest, ReplicateBeyondNodeCountSaturatesTheFleet) {
     cluster.Shutdown();
   });
   for (int i = 0; i < 3; ++i) {
-    auto snap = cluster.node(i).serve().snapshot_store().FindByOwner(kModel);
+    auto snap = cluster.node(i).serve().snapshot_store().FindByOwner(
+        Name(kModel));
     ASSERT_NE(snap, nullptr) << "node" << i;
     EXPECT_NE(snap->tier, ckpt::SnapshotTier::kRemote) << "node" << i;
   }
@@ -311,7 +312,7 @@ TEST(FailoverTest, RepairerRestoresReplicationFactorAfterHolderDies) {
     const int holder = ring[0];
     const int spare = ring[1];
     auto before =
-        cluster.node(spare).serve().snapshot_store().FindByOwner(kModel);
+        cluster.node(spare).serve().snapshot_store().FindByOwner(Name(kModel));
     SWAP_CHECK(before != nullptr);
     EXPECT_EQ(before->tier, ckpt::SnapshotTier::kRemote);
     SWAP_CHECK(cluster.repairer() != nullptr);
@@ -330,7 +331,7 @@ TEST(FailoverTest, RepairerRestoresReplicationFactorAfterHolderDies) {
     EXPECT_EQ(cluster.repairer()->failed(), 0u);
     EXPECT_EQ(cluster.repairer()->in_flight(), 0);
     auto after =
-        cluster.node(spare).serve().snapshot_store().FindByOwner(kModel);
+        cluster.node(spare).serve().snapshot_store().FindByOwner(Name(kModel));
     SWAP_CHECK(after != nullptr);
     EXPECT_EQ(after->tier, ckpt::SnapshotTier::kHost)
         << "repair did not land the payload on the spare";
@@ -355,7 +356,8 @@ TEST(FailoverTest, RejoinConvertsTotalCheckpointLossToColdStart) {
     co_await bed.sim.Delay(sim::Seconds(4));
     // The crash degraded the host payload to a placeholder; with the node
     // down there is no payload copy left in the fleet.
-    auto lost = cluster.node(0).serve().snapshot_store().FindByOwner(kModel);
+    auto lost = cluster.node(0).serve().snapshot_store().FindByOwner(
+        Name(kModel));
     SWAP_CHECK(lost != nullptr);
     EXPECT_EQ(lost->tier, ckpt::SnapshotTier::kRemote);
 

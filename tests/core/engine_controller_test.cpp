@@ -150,7 +150,7 @@ TEST(PreemptionPolicyTest, DemandAwareOrdersByQueueThenLru) {
     // ...but busy: queue one request.
     SWAP_CHECK(busy->queue->TrySend(QueuedRequest{}));
 
-    auto order = cb.controller.PreemptionCandidates(0, "requester");
+    auto order = cb.controller.PreemptionCandidates(0, Name("requester"));
     EXPECT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0], idle_old.get());  // demand 0, oldest access
     EXPECT_EQ(order[1], idle_new.get());  // demand 0, newer
@@ -172,9 +172,9 @@ TEST(PreemptionPolicyTest, ExcludesRequesterSwappedAndLocked) {
     EXPECT_TRUE((co_await cb.controller.SwapOut(*b, false)).ok());
     auto guard = co_await c->lock.AcquireExclusive();
     auto candidates =
-        cb.controller.PreemptionCandidates(0, /*requester=*/a->name());
+        cb.controller.PreemptionCandidates(0, /*requester=*/a->owner());
     EXPECT_TRUE(candidates.empty());  // a is requester, b out, c locked
-    auto candidates2 = cb.controller.PreemptionCandidates(0, "other");
+    auto candidates2 = cb.controller.PreemptionCandidates(0, Name("other"));
     EXPECT_EQ(candidates2.size(), 1u);
     EXPECT_EQ(candidates2[0], a.get());
   });
@@ -192,7 +192,7 @@ TEST(PreemptionPolicyTest, LargestFirstOrdersByResidentBytes) {
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await small->engine->ColdStart()).ok());
     EXPECT_TRUE((co_await big->engine->ColdStart()).ok());
-    auto order = largest.PreemptionCandidates(0, "x");
+    auto order = largest.PreemptionCandidates(0, Name("x"));
     EXPECT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], big.get());
   });
@@ -212,7 +212,7 @@ TEST(PreemptionPolicyTest, ReclaimEvictsUntilSatisfied) {
     b->last_accessed = sim::SimTime(2);
     c->last_accessed = sim::SimTime(3);
     // Need 10 GiB: evicting a (3.7) is not enough; b (7.5) follows.
-    Bytes freed = co_await cb.controller.ReclaimMemory(0, GiB(10), "req");
+    Bytes freed = co_await cb.controller.ReclaimMemory(0, GiB(10), Name("req"));
     EXPECT_GE(freed, GiB(10));
     EXPECT_EQ(a->engine->state(), engine::BackendState::kSwappedOut);
     EXPECT_EQ(b->engine->state(), engine::BackendState::kSwappedOut);
@@ -228,7 +228,7 @@ TEST(PreemptionPolicyTest, ReclaimStopsWhenNoCandidates) {
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await a->engine->ColdStart()).ok());
     Bytes freed =
-        co_await cb.controller.ReclaimMemory(0, GiB(40), a->name());
+        co_await cb.controller.ReclaimMemory(0, GiB(40), a->owner());
     EXPECT_EQ(freed, Bytes(0));  // only candidate is the requester itself
   });
 }

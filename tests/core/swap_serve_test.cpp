@@ -201,7 +201,7 @@ TEST(SwapServeTest, ConcurrentRequestsForSwappedOutModelShareOneSwapIn) {
         if (r.ok) ++*counter;
       }(serve, &ok_count));
     }
-    co_await sim::WhenAll(bed.sim, std::move(tasks));
+    co_await sim::WhenAll(bed.sim, tasks);
     serve.Shutdown();
   });
   EXPECT_EQ(ok_count, 5);

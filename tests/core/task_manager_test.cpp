@@ -29,7 +29,7 @@ class TaskManagerTest : public ::testing::Test {
 TEST_F(TaskManagerTest, ImmediateGrantWhenMemoryFree) {
   TaskManager tm(sim, {&gpu});
   Run([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(40), "a");
+    auto r = co_await tm.Reserve(0, GiB(40), Name("a"));
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(tm.OutstandingReserved(0), GiB(40));
     EXPECT_EQ(tm.Reservable(0), GiB(40));
@@ -40,10 +40,10 @@ TEST_F(TaskManagerTest, ImmediateGrantWhenMemoryFree) {
 
 TEST_F(TaskManagerTest, ReservationAccountsDeviceAllocations) {
   TaskManager tm(sim, {&gpu});
-  SWAP_CHECK(gpu.Allocate("tenant", GiB(50), "weights").ok());
+  SWAP_CHECK(gpu.Allocate(Name("tenant"), GiB(50), "weights").ok());
   EXPECT_EQ(tm.Reservable(0), GiB(30));
   Run([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(30), "a");
+    auto r = co_await tm.Reserve(0, GiB(30), Name("a"));
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(tm.Reservable(0), Bytes(0));
   });
@@ -52,7 +52,7 @@ TEST_F(TaskManagerTest, ReservationAccountsDeviceAllocations) {
 TEST_F(TaskManagerTest, OverCapacityRequestFailsFast) {
   TaskManager tm(sim, {&gpu});
   Run([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(81), "too-big");
+    auto r = co_await tm.Reserve(0, GiB(81), Name("too-big"));
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   });
@@ -62,13 +62,13 @@ TEST_F(TaskManagerTest, WaitsForReleaseThenGrants) {
   TaskManager tm(sim, {&gpu});
   std::vector<double> grant_times;
   Run([&]() -> sim::Task<> {
-    auto first = co_await tm.Reserve(0, GiB(60), "a");
+    auto first = co_await tm.Reserve(0, GiB(60), Name("a"));
     EXPECT_TRUE(first.ok());
     grant_times.push_back(sim.Now().ToSeconds());
 
     // Second cannot fit until the first releases.
     sim::Spawn([&tm, &grant_times, this]() -> sim::Task<> {
-      auto second = co_await tm.Reserve(0, GiB(60), "b");
+      auto second = co_await tm.Reserve(0, GiB(60), Name("b"));
       EXPECT_TRUE(second.ok());
       grant_times.push_back(sim.Now().ToSeconds());
     });
@@ -84,18 +84,18 @@ TEST_F(TaskManagerTest, FifoNoBypass) {
   TaskManager tm(sim, {&gpu});
   std::vector<std::string> order;
   Run([&]() -> sim::Task<> {
-    auto big = co_await tm.Reserve(0, GiB(70), "holder");
+    auto big = co_await tm.Reserve(0, GiB(70), Name("holder"));
     EXPECT_TRUE(big.ok());
     // "waiter-large" queues first and needs 40; "waiter-small" needs only
     // 5 (which *would* fit right now) but must not jump the queue.
     sim::Spawn([&]() -> sim::Task<> {
-      auto r = co_await tm.Reserve(0, GiB(40), "waiter-large");
+      auto r = co_await tm.Reserve(0, GiB(40), Name("waiter-large"));
       EXPECT_TRUE(r.ok());
       order.push_back("large");
     });
     sim::Spawn([&]() -> sim::Task<> {
       co_await sim.Delay(sim::Millis(1));
-      auto r = co_await tm.Reserve(0, GiB(5), "waiter-small");
+      auto r = co_await tm.Reserve(0, GiB(5), Name("waiter-small"));
       EXPECT_TRUE(r.ok());
       order.push_back("small");
     });
@@ -109,9 +109,9 @@ TEST_F(TaskManagerTest, FailsWhenNothingReclaimableAndNothingOutstanding) {
   TaskManager tm(sim, {&gpu});
   // A foreign allocation occupies the device; no delegate, no outstanding
   // reservations -> the request must fail, not deadlock.
-  SWAP_CHECK(gpu.Allocate("foreign", GiB(70), "x").ok());
+  SWAP_CHECK(gpu.Allocate(Name("foreign"), GiB(70), "x").ok());
   Run([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(20), "a");
+    auto r = co_await tm.Reserve(0, GiB(20), Name("a"));
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   });
@@ -122,11 +122,11 @@ class FreeingDelegate final : public TaskManager::ReclaimDelegate {
   FreeingDelegate(sim::Simulation& sim, hw::GpuDevice& gpu)
       : sim_(sim), gpu_(gpu) {}
   sim::Task<Bytes> ReclaimMemory(hw::GpuId, Bytes needed,
-                                 std::string) override {
+                                 Name) override {
     ++calls;
     last_needed = needed;
     co_await sim_.Delay(sim::Seconds(2));  // simulated swap-out
-    co_return gpu_.FreeAllOwnedBy("foreign");
+    co_return gpu_.FreeAllOwnedBy(Name("foreign"));
   }
   int calls = 0;
   Bytes last_needed{0};
@@ -140,10 +140,10 @@ TEST_F(TaskManagerTest, ReclaimDelegateInvokedWithDeficit) {
   TaskManager tm(sim, {&gpu});
   FreeingDelegate delegate(sim, gpu);
   tm.set_delegate(&delegate);
-  SWAP_CHECK(gpu.Allocate("foreign", GiB(70), "x").ok());
+  SWAP_CHECK(gpu.Allocate(Name("foreign"), GiB(70), "x").ok());
   double granted_at = -1;
   Run([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(30), "a");
+    auto r = co_await tm.Reserve(0, GiB(30), Name("a"));
     EXPECT_TRUE(r.ok()) << r.status();
     granted_at = sim.Now().ToSeconds();
   });
@@ -156,10 +156,10 @@ TEST_F(TaskManagerTest, PerGpuQueuesIndependent) {
   hw::GpuDevice gpu1(sim, 1, hw::GpuSpec::H100Hbm3_80GB());
   TaskManager tm(sim, {&gpu, &gpu1});
   Run([&]() -> sim::Task<> {
-    auto a = co_await tm.Reserve(0, GiB(80), "a");
+    auto a = co_await tm.Reserve(0, GiB(80), Name("a"));
     EXPECT_TRUE(a.ok());
     // gpu1 is unaffected by gpu0's full queue.
-    auto b = co_await tm.Reserve(1, GiB(80), "b");
+    auto b = co_await tm.Reserve(1, GiB(80), Name("b"));
     EXPECT_TRUE(b.ok());
     EXPECT_EQ(tm.OutstandingReserved(0), GiB(80));
     EXPECT_EQ(tm.OutstandingReserved(1), GiB(80));
@@ -169,7 +169,7 @@ TEST_F(TaskManagerTest, PerGpuQueuesIndependent) {
 TEST_F(TaskManagerTest, ReservationMoveSemantics) {
   TaskManager tm(sim, {&gpu});
   Run([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(10), "a");
+    auto r = co_await tm.Reserve(0, GiB(10), Name("a"));
     EXPECT_TRUE(r.ok());
     TaskManager::Reservation moved = std::move(*r);
     EXPECT_TRUE(moved.active());
@@ -194,10 +194,10 @@ TEST_F(TaskManagerTest, NeverOvercommitsUnderChurn) {
     sim::Spawn([&tm, &gpu = gpu, &violated, bytes, hold, start,
                 this]() -> sim::Task<> {
       co_await sim.Delay(start);
-      auto r = co_await tm.Reserve(0, bytes, "churn");
+      auto r = co_await tm.Reserve(0, bytes, Name("churn"));
       if (!r.ok()) co_return;
       // Convert to a real allocation for the hold period, like a swap-in.
-      auto alloc = gpu.Allocate("churn", bytes, "state");
+      auto alloc = gpu.Allocate(Name("churn"), bytes, "state");
       if (!alloc.ok()) {
         violated = true;  // reservation must guarantee allocation success
         co_return;

@@ -128,7 +128,7 @@ TEST(EngineBatchingTest, ConcurrentGenerationsShareTheDevice) {
         out->push_back((sim.Now() - t0).ToSeconds());
       }(*eng, &totals, bed.sim));
     }
-    co_await sim::WhenAll(bed.sim, std::move(batch));
+    co_await sim::WhenAll(bed.sim, batch);
   });
   ASSERT_EQ(totals.size(), 4u);
   // Continuous batching: per-request latency ~flat across the batch

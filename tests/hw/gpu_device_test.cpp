@@ -22,7 +22,7 @@ TEST_F(GpuDeviceTest, SpecPresets) {
 }
 
 TEST_F(GpuDeviceTest, AllocateAndFree) {
-  auto id = gpu.Allocate("vllm-llama", GiB(30), "weights");
+  auto id = gpu.Allocate(Name("vllm-llama"), GiB(30), "weights");
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(gpu.used(), GiB(30));
   EXPECT_EQ(gpu.free(), GiB(50));
@@ -31,15 +31,15 @@ TEST_F(GpuDeviceTest, AllocateAndFree) {
 }
 
 TEST_F(GpuDeviceTest, OvercommitRejected) {
-  ASSERT_TRUE(gpu.Allocate("a", GiB(70), "weights").ok());
-  auto r = gpu.Allocate("b", GiB(20), "weights");
+  ASSERT_TRUE(gpu.Allocate(Name("a"), GiB(70), "weights").ok());
+  auto r = gpu.Allocate(Name("b"), GiB(20), "weights");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(gpu.used(), GiB(70));  // failed allocation changed nothing
 }
 
 TEST_F(GpuDeviceTest, ExactFitAccepted) {
-  EXPECT_TRUE(gpu.Allocate("a", GiB(80), "everything").ok());
+  EXPECT_TRUE(gpu.Allocate(Name("a"), GiB(80), "everything").ok());
   EXPECT_EQ(gpu.free(), Bytes(0));
 }
 
@@ -48,23 +48,23 @@ TEST_F(GpuDeviceTest, FreeUnknownAllocationFails) {
 }
 
 TEST_F(GpuDeviceTest, FreeAllOwnedByReleasesOnlyThatOwner) {
-  ASSERT_TRUE(gpu.Allocate("a", GiB(10), "weights").ok());
-  ASSERT_TRUE(gpu.Allocate("a", GiB(5), "kv").ok());
-  ASSERT_TRUE(gpu.Allocate("b", GiB(20), "weights").ok());
-  const Bytes freed = gpu.FreeAllOwnedBy("a");
+  ASSERT_TRUE(gpu.Allocate(Name("a"), GiB(10), "weights").ok());
+  ASSERT_TRUE(gpu.Allocate(Name("a"), GiB(5), "kv").ok());
+  ASSERT_TRUE(gpu.Allocate(Name("b"), GiB(20), "weights").ok());
+  const Bytes freed = gpu.FreeAllOwnedBy(Name("a"));
   EXPECT_EQ(freed, GiB(15));
   EXPECT_EQ(gpu.used(), GiB(20));
-  EXPECT_EQ(gpu.UsedBy("a"), Bytes(0));
-  EXPECT_EQ(gpu.UsedBy("b"), GiB(20));
+  EXPECT_EQ(gpu.UsedBy(Name("a")), Bytes(0));
+  EXPECT_EQ(gpu.UsedBy(Name("b")), GiB(20));
 }
 
 TEST_F(GpuDeviceTest, FreeAllOwnedByUnknownOwnerIsZero) {
-  EXPECT_EQ(gpu.FreeAllOwnedBy("ghost"), Bytes(0));
+  EXPECT_EQ(gpu.FreeAllOwnedBy(Name("ghost")), Bytes(0));
 }
 
 TEST_F(GpuDeviceTest, AllocationListing) {
-  ASSERT_TRUE(gpu.Allocate("a", GiB(10), "weights").ok());
-  ASSERT_TRUE(gpu.Allocate("b", GiB(20), "kv-arena").ok());
+  ASSERT_TRUE(gpu.Allocate(Name("a"), GiB(10), "weights").ok());
+  ASSERT_TRUE(gpu.Allocate(Name("b"), GiB(20), "kv-arena").ok());
   auto allocs = gpu.Allocations();
   ASSERT_EQ(allocs.size(), 2u);
   EXPECT_EQ(allocs[0].owner, "a");

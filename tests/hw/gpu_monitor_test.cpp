@@ -21,7 +21,7 @@ TEST(GpuMonitorTest, RecordsMemorySeries) {
   GpuMonitor monitor(sim, {&gpu}, sim::Seconds(1));
   monitor.Start();
   sim.Schedule(sim::Seconds(2.5), [&] {
-    SWAP_CHECK(gpu.Allocate("m", GiB(40), "weights").ok());
+    SWAP_CHECK(gpu.Allocate(Name("m"), GiB(40), "weights").ok());
   });
   sim.Schedule(sim::Seconds(5.5), [&] { monitor.Stop(); });
   sim.Run();
@@ -61,7 +61,7 @@ TEST(GpuMonitorTest, InstantaneousQueries) {
   sim::Simulation sim;
   GpuDevice gpu(sim, 3, GpuSpec::A100Sxm4_80GB());
   GpuMonitor monitor(sim, {&gpu}, sim::Seconds(1));
-  SWAP_CHECK(gpu.Allocate("m", GiB(16), "weights").ok());
+  SWAP_CHECK(gpu.Allocate(Name("m"), GiB(16), "weights").ok());
   EXPECT_EQ(monitor.UsedMemory(3), GiB(16));
   EXPECT_EQ(monitor.FreeMemory(3), GiB(64));
 }
@@ -73,7 +73,7 @@ TEST(GpuMonitorTest, MultiGpuSeriesIndependent) {
   GpuMonitor monitor(sim, {&gpu0, &gpu1}, sim::Seconds(1));
   monitor.Start();
   sim.Schedule(sim::Seconds(0.5), [&] {
-    SWAP_CHECK(gpu1.Allocate("m", GiB(8), "weights").ok());
+    SWAP_CHECK(gpu1.Allocate(Name("m"), GiB(8), "weights").ok());
   });
   sim.Schedule(sim::Seconds(3.5), [&] { monitor.Stop(); });
   sim.Run();
@@ -90,7 +90,7 @@ TEST(GpuMonitorTest, ChangeAtASampleInstantShowsFromTheNextSample) {
   sim::Simulation sim;
   GpuDevice gpu(sim, 0, GpuSpec::H100Hbm3_80GB());
   sim.Schedule(sim::Seconds(2), [&] {
-    SWAP_CHECK(gpu.Allocate("m", GiB(40), "weights").ok());
+    SWAP_CHECK(gpu.Allocate(Name("m"), GiB(40), "weights").ok());
   });
   GpuMonitor monitor(sim, {&gpu}, sim::Seconds(1));
   monitor.Start();
@@ -267,7 +267,8 @@ TEST(GpuMonitorPropertyTest, MatchesAPollingSamplerBitForBit) {
         switch (kind) {
           case 0: {
             Result<AllocationId> id =
-                gpu.Allocate("m" + std::to_string(gib % 3), GiB(gib), "kv");
+                gpu.Allocate(Name("m" + std::to_string(gib % 3)), GiB(gib),
+                             "kv");
             if (id.ok()) held[g].push_back(*id);
             break;
           }
@@ -278,9 +279,9 @@ TEST(GpuMonitorPropertyTest, MatchesAPollingSamplerBitForBit) {
             }
             break;
           case 2:
-            (void)gpu.FreeAllOwnedBy("m" + std::to_string(gib % 3));
+            (void)gpu.FreeAllOwnedBy(Name("m" + std::to_string(gib % 3)));
             held[g].clear();
-            for (const GpuDevice::AllocationInfo& a : gpu.Allocations()) {
+            for (const GpuDevice::Allocation& a : gpu.Allocations()) {
               held[g].push_back(a.id);
             }
             break;

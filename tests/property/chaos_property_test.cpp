@@ -196,7 +196,7 @@ ChaosOutcome RunChaosWorkload(std::uint64_t seed, int n_models,
   for (Backend* b : serve.backends()) {
     Bytes owned{0};
     for (hw::GpuId id : b->GpuIds()) {
-      owned += bed.gpus[static_cast<std::size_t>(id)]->UsedBy(b->name());
+      owned += bed.gpus[static_cast<std::size_t>(id)]->UsedBy(b->owner());
     }
     if (b->engine->state() == engine::BackendState::kRunning) {
       resident += owned;

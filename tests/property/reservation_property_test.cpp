@@ -41,7 +41,7 @@ TEST_P(ReservationProperty, ChurnNeverOvercommitsAndAlwaysDrains) {
     sim::Spawn([&tm, &sim, &granted, &failed, &violated, &gpus, gpu, bytes,
                 start, hold]() -> sim::Task<> {
       co_await sim.Delay(start);
-      auto r = co_await tm.Reserve(gpu, bytes, "worker");
+      auto r = co_await tm.Reserve(gpu, bytes, Name("worker"));
       if (!r.ok()) {
         ++failed;
         co_return;
@@ -51,7 +51,7 @@ TEST_P(ReservationProperty, ChurnNeverOvercommitsAndAlwaysDrains) {
       // Scoped acquire-release: convert to a real allocation under the
       // reservation, release the reservation only once the memory is
       // freed again — so the task manager always knows memory returns.
-      auto alloc = dev.Allocate("worker", bytes, "state");
+      auto alloc = dev.Allocate(Name("worker"), bytes, "state");
       if (!alloc.ok()) violated = true;  // reservation must guarantee this
       if (dev.used() > dev.capacity()) violated = true;
       co_await sim.Delay(hold);
@@ -93,7 +93,7 @@ TEST_P(FifoProperty, GrantsFollowArrivalOrder) {
   int next_arrival_id = 0;
   // A long-lived holder forces everything to queue.
   sim::Spawn([&]() -> sim::Task<> {
-    auto r = co_await tm.Reserve(0, GiB(80), "holder");
+    auto r = co_await tm.Reserve(0, GiB(80), Name("holder"));
     EXPECT_TRUE(r.ok());
     co_await sim.Delay(sim::Seconds(100));
     // Release; the queue drains strictly FIFO as memory allows.
@@ -106,7 +106,7 @@ TEST_P(FifoProperty, GrantsFollowArrivalOrder) {
       co_await sim.Delay(arrive);
       EXPECT_EQ(next_arrival_id, i);  // arrivals are strictly ordered
       ++next_arrival_id;
-      auto r = co_await tm.Reserve(0, bytes, "w" + std::to_string(i));
+      auto r = co_await tm.Reserve(0, bytes, Name("w" + std::to_string(i)));
       EXPECT_TRUE(r.ok());
       grant_order.push_back(i);
       co_await sim.Delay(sim::Seconds(1));

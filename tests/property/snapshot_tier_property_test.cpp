@@ -94,7 +94,7 @@ sim::Task<> Worker(TierWorld& w, int index, std::uint64_t seed) {
       Status admitted = co_await w.tier.AdmitHostBytes(dirty);
       if (admitted.ok()) {
         Snapshot s;
-        s.owner = "model-" + std::to_string(index);
+        s.owner = Name("model-" + std::to_string(index));
         s.dirty_bytes = dirty;
         Result<SnapshotId> id = w.store.Put(std::move(s));
         if (id.ok()) {

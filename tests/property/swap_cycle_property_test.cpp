@@ -45,7 +45,7 @@ TEST_P(SwapCycleProperty, RepeatedCyclesPreserveInvariants) {
       EXPECT_EQ(serve.snapshot_store().used().count(), 0);
 
       // GPU holds exactly this backend's footprint, nothing else.
-      const Bytes resident = bed.gpus[0]->UsedBy(model_id);
+      const Bytes resident = bed.gpus[0]->UsedBy(Name(model_id));
       EXPECT_EQ(bed.gpus[0]->used(), resident);
       EXPECT_GT(resident.count(), 0);
       if (cycle == 0) {

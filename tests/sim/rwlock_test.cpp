@@ -163,7 +163,7 @@ TEST(WhenAllTest, WaitsForAllBranches) {
   }
   double finished_at = -1;
   Spawn([&, tasks = std::move(tasks)]() mutable -> Task<> {
-    co_await WhenAll(sim, std::move(tasks));
+    co_await WhenAll(sim, tasks);
     finished_at = sim.Now().ToSeconds();
   });
   sim.Run();

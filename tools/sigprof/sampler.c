@@ -7,24 +7,21 @@
  * 1000). Each SIGPROF writes the interrupted PC and the stack above the
  * signal frame into a buffer mapped up front, so the handler neither
  * allocates nor locks. At exit it writes SIGPROF_OUT (default
- * sigprof.out): a copy of /proc/self/maps, then one line of hex return
- * addresses per sample, innermost first. scripts/profile_e2e.sh
- * symbolizes and summarizes that file.
+ * sigprof.out) in tools/common/stack_dump.h's format: a "# samples" header,
+ * then one line per sample, the interrupted PC first.
+ * scripts/profile_e2e.sh symbolizes and summarizes that file.
  *
  * glibc's backtrace() is not on the async-signal-safe list: its first
  * call loads the unwinder, which allocates. The constructor makes that
  * first call, so the handler only ever walks unwind tables.
  */
 #define _GNU_SOURCE
-#include <execinfo.h>
 #include <signal.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
-#include <sys/mman.h>
 #include <sys/time.h>
 #include <ucontext.h>
+
+#include "../common/stack_dump.h"
 
 #if defined(__x86_64__)
 static uintptr_t InterruptedPc(const ucontext_t* uc) {
@@ -80,42 +77,22 @@ static void Dump(void) {
   setitimer(ITIMER_PROF, &off, NULL);
   signal(SIGPROF, SIG_IGN);
 
-  const char* path = getenv("SIGPROF_OUT");
-  FILE* out = fopen(path != NULL ? path : "sigprof.out", "w");
-  if (out == NULL) {
-    perror("sigprof: open output");
-    return;
-  }
-  fputs("# maps\n", out);
-  FILE* maps = fopen("/proc/self/maps", "r");
-  if (maps != NULL) {
-    char line[4096];
-    while (fgets(line, sizeof line, maps) != NULL) fputs(line, out);
-    fclose(maps);
-  }
+  FILE* out = StackDumpOpen("SIGPROF_OUT", "sigprof.out");
+  if (out == NULL) return;
   fprintf(out, "# samples dropped=%zu\n", (size_t)g_dropped);
   for (size_t at = 0; at < g_used;) {
     const size_t depth = g_buf[at];
-    for (size_t i = 0; i < depth; ++i) {
-      fprintf(out, i == 0 ? "%lx" : " %lx", (unsigned long)g_buf[at + 1 + i]);
-    }
-    fputc('\n', out);
+    StackDumpFrames(out, g_buf + at + 1, depth);
     at += depth + 1;
   }
   fclose(out);
 }
 
 __attribute__((constructor)) static void Start(void) {
-  void* warm[4];
-  (void)backtrace(warm, 4);
-
-  void* mem = mmap(NULL, sizeof(uintptr_t) * kBufferWords,
-                   PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (mem == MAP_FAILED) {
-    perror("sigprof: map sample buffer");
-    return;
-  }
-  g_buf = mem;
+  StackDumpWarmUnwinder();
+  g_buf = StackDumpMap(sizeof(uintptr_t) * kBufferWords,
+                       "sigprof: map sample buffer");
+  if (g_buf == NULL) return;
 
   struct sigaction sa;
   memset(&sa, 0, sizeof sa);
