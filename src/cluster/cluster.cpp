@@ -14,10 +14,7 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
                            const model::ModelCatalog& catalog,
                            core::SwapServeOptions options)
     : sim_(sim),
-      config_(std::move(config)),
-      migration_loop_(
-          sim, sim::Seconds(config_.cluster.migrate_interval_s), nullptr,
-          {.pass = [this]() -> sim::Task<> { co_await MigrationSweep(); }}) {
+      config_(std::move(config)) {
   const int n = config_.cluster.nodes;
   for (int id = 0; id < n; ++id) {
     const int gpu_count = config_.NodeGpuCount(id);
@@ -113,7 +110,6 @@ sim::Task<Status> ClusterServe::Initialize() {
   if (nodes_.size() > 1) {
     SWAP_CO_RETURN_IF_ERROR(InstallPlaceholders());
     StartReplication();
-    if (config_.cluster.migration) migration_loop_.Start();
     StartFailureDetection();
   }
   initialized_ = true;
@@ -223,143 +219,6 @@ sim::Task<core::ChatResult> ClusterServe::RouteAndWait(
   Result<core::ResponseChannelPtr> channel = Route(model, request);
   if (!channel.ok()) co_return core::Refused(channel.status());
   co_return co_await core::SwapServe::CollectResponse(*channel);
-}
-
-sim::Task<> ClusterServe::MigrationSweep() {
-  for (int model = 0; model < backends_.models(); ++model) {
-    // Find the node currently serving the model, if any.
-    int current = -1;
-    for (auto& node : nodes_) {
-      core::Backend* backend = backends_.backend(model, node->id());
-      if (backend != nullptr &&
-          backend->engine->state() == engine::BackendState::kRunning) {
-        current = node->id();
-        break;
-      }
-    }
-    if (current < 0) continue;  // swapped out everywhere: routing decides
-    // A non-healthy source cannot be drained safely: a dead node's engine
-    // is gone and a partitioned one cannot stream its checkpoint out —
-    // failover, not migration, handles those. (Destinations are covered by
-    // the placement score, which prices suspect/down nodes ineligible.)
-    if (!nodes_[current]->alive() ||
-        nodes_[current]->membership() != NodeState::kHealthy) {
-      continue;
-    }
-    core::Backend* backend = backends_.backend(model, current);
-    // A model with its own demand is mid-burst; migrating now would stall
-    // the very requests the move is meant to help.
-    if (backend->Demand() > 0) continue;
-    const double here = placement_->Score(*nodes_[current], model);
-    int best = current;
-    double best_score = here;
-    for (auto& node : nodes_) {
-      if (node->id() == current) continue;
-      const double score = placement_->Score(*node, model);
-      if (score < best_score) {
-        best_score = score;
-        best = node->id();
-      }
-    }
-    if (best == current) continue;
-    // Hysteresis: only move when the other node wins by a clear margin,
-    // or a flapping model would bounce between nodes every sweep.
-    if (best_score * config_.cluster.migrate_hysteresis >= here) continue;
-    co_await MigrateModel(backends_.model_id(model), current, best);
-  }
-}
-
-sim::Task<> ClusterServe::MigrateModel(std::string model, int from, int to) {
-  Node& src_node = *nodes_[from];
-  Node& dst_node = *nodes_[to];
-  core::Backend* src = src_node.serve().backend(model);
-  core::Backend* dst = dst_node.serve().backend(model);
-  if (src == nullptr || dst == nullptr) co_return;
-
-  fault::FaultDecision decision = fault::Evaluate(
-      &src_node.serve().fault_injector(), "cluster.migrate", model);
-  if (decision.stall.ns() > 0) co_await sim_.Delay(decision.stall);
-  if (!decision.status.ok()) {
-    ++migration_aborts_;
-    SWAP_LOG(kWarning, "cluster")
-        << "migration of " << model << " aborted by fault injection: "
-        << decision.status.ToString();
-    co_return;  // the model stays put; the next sweep may retry
-  }
-
-  // Drain and checkpoint at the source. SwapOut takes the backend's
-  // exclusive lock, so in-flight generations finish before the freeze.
-  Status out = co_await src_node.serve().controller().SwapOut(*src, false);
-  if (!out.ok()) {
-    SWAP_LOG(kWarning, "cluster") << "migration of " << model
-                               << ": source swap-out failed: "
-                               << out.ToString();
-    co_return;
-  }
-
-  // Make sure the destination holds (at least) a placeholder, then pull
-  // the payload ahead of demand.
-  if (!dst->has_snapshot) {
-    const ckpt::Snapshot* snap =
-        src_node.serve().snapshot_store().FindByOwner(src->owner());
-    if (snap == nullptr) co_return;
-    Result<ckpt::SnapshotId> placed =
-        replicator_->InstallPlaceholder(to, *snap);
-    if (!placed.ok()) co_return;
-    dst->snapshot = *placed;
-    dst->has_snapshot = true;
-    dst->resident_bytes = src->resident_bytes;
-  }
-  Status fetched = co_await replicator_->Fetch(
-      to, dst->snapshot, hw::TransferPriority::kUrgent);
-  if (!fetched.ok()) {
-    SWAP_LOG(kWarning, "cluster")
-        << "migration of " << model << ": payload fetch failed ("
-        << fetched.ToString() << "); requests stay on " << src_node.name();
-    co_return;
-  }
-
-  // Restore at the destination so serving actually moves: a running
-  // replica scores zero swap cost, so placement routes new requests to
-  // the destination instead of tie-breaking back to the drained source.
-  Result<sim::SimRwLock::SharedGuard> pin =
-      co_await dst_node.serve().scheduler().EnsureRunningAndPin(*dst);
-  if (!pin.ok()) {
-    SWAP_LOG(kWarning, "cluster")
-        << "migration of " << model << ": destination restore failed ("
-        << pin.status().ToString() << "); requests stay on "
-        << src_node.name();
-    co_return;
-  }
-
-  // Re-dispatch the queued tail. Response channels travel inside the
-  // queued requests, so callers never notice the move.
-  int moved = 0;
-  while (auto queued = src->queue->TryRecv()) {
-    core::QueuedRequest item = std::move(*queued);
-    if (dst->queue->TrySend(core::QueuedRequest(item))) {
-      ++moved;
-      continue;
-    }
-    // Destination full: stay put.
-    if (src->queue->TrySend(core::QueuedRequest(item))) continue;
-    item.response->error = "request dropped during migration of " + model;
-    item.response->TrySend(
-        core::ResponseChunk{.kind = core::ResponseChunk::Kind::kError});
-    item.response->Close();
-  }
-
-  ++migrations_;
-  obs::Instant(&src_node.serve().obs(), "cluster.migrate", "cluster",
-               "cluster",
-               {{"model", model},
-                {"from", src_node.name()},
-                {"to", dst_node.name()},
-                {"requeued", moved}});
-  SWAP_LOG(kInfo, "cluster")
-      << "migrated " << model << " from " << src_node.name() << " to "
-      << dst_node.name() << " (" << moved << " queued request(s) moved)";
-  co_return;
 }
 
 void ClusterServe::StartFailureDetection() {
@@ -601,7 +460,6 @@ void ClusterServe::RejoinNode(int id) {
 }
 
 void ClusterServe::Shutdown() {
-  migration_loop_.Stop();
   if (monitor_ != nullptr) monitor_->Stop();
   if (repairer_ != nullptr) repairer_->Stop();
   for (auto& node : nodes_) {

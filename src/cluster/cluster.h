@@ -10,10 +10,6 @@
 //     cluster.replicate copies and on demand at swap-in;
 //   - locality-aware placement routing each accepted request to the node
 //     that can start serving it soonest;
-//   - optional live swap migration: a periodic sweep (a sim::GridLoop that
-//     never parks) re-scores resident models and moves one (drain ->
-//     checkpoint -> fetch -> re-dispatch queued requests) when another node
-//     wins by the hysteresis margin;
 //   - node-level fault domains and self-healing: a heartbeat-driven
 //     HealthMonitor classifies nodes healthy/suspect/down/rejoining; a
 //     node declared down has its queued requests drained and re-dispatched
@@ -23,7 +19,7 @@
 //     whole-machine outages and fabric partitions from the config plan.
 //
 // With cluster.nodes == 1 (the default) none of this exists: no fabric,
-// no replicator, no migration loop, no monitor, Accept is a pass-through —
+// no replicator, no monitor, Accept is a pass-through —
 // the event stream is byte-identical to a plain SwapServe (golden-gated).
 
 #pragma once
@@ -45,7 +41,6 @@
 #include "core/swap_serve.h"
 #include "core/types.h"
 #include "model/catalog.h"
-#include "sim/grid_loop.h"
 #include "sim/simulation.h"
 #include "util/status.h"
 
@@ -63,10 +58,10 @@ class ClusterServe {
 
   // Initialize every node (home models cold-start and snapshot; standby
   // replicas adopt), install placeholders, kick off background
-  // replication, and start the migration sweep if configured.
+  // replication and start failure detection.
   sim::Task<Status> Initialize();
 
-  // Stop the migration loop and close every node's queues.
+  // Stop failure detection and repair, and close every node's queues.
   void Shutdown();
 
   // Route a request to a node by placement score and enqueue it there.
@@ -93,8 +88,6 @@ class ClusterServe {
   HealthMonitor* monitor() { return monitor_.get(); }
   // Null with a single node or cluster.repair_concurrency == 0.
   ReplicationRepairer* repairer() { return repairer_.get(); }
-  // Idle unless cluster.migration is on with more than one node.
-  sim::GridLoop& migration_loop() { return migration_loop_; }
 
   // --- fault domain controls (tests, benches, and the node.* sweep) -----
   // Power node `id` off now and back on after `outage` (the reboot then
@@ -105,10 +98,10 @@ class ClusterServe {
   void PartitionNodes(int a, int b, sim::SimDuration duration,
                       double degrade = 0.0);
 
-  std::uint64_t migrations() const { return migrations_; }
-  // Migrations the sweep decided on but a cluster.migrate fault aborted
-  // before the drain (the model stayed put; a later sweep may retry).
-  std::uint64_t migration_aborts() const { return migration_aborts_; }
+  // Always 0: the fleet moves a model only through placement and failover.
+  // Kept for bench/e2e's cluster.migrations column, its only reader (as
+  // with core::Metrics::swap_overs).
+  std::uint64_t migrations() const { return 0; }
   std::uint64_t routed() const { return routed_; }
   // Failover accounting: nodes declared down, queued requests moved to
   // survivors, requests dropped because no survivor could take them (each
@@ -134,8 +127,6 @@ class ClusterServe {
                                            std::int64_t max_tokens);
   Status InstallPlaceholders();
   void StartReplication();
-  sim::Task<> MigrationSweep();
-  sim::Task<> MigrateModel(std::string model, int from, int to);
   void StartFailureDetection();
   // One node.* evaluation round, run from the monitor beat handler;
   // returns the earliest instant a later round could fire.
@@ -149,7 +140,6 @@ class ClusterServe {
 
   sim::Simulation& sim_;
   core::Config config_;
-  sim::GridLoop migration_loop_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Node*> node_ptrs_;
   BackendTable backends_;  // (model, node) -> backend, built once
@@ -162,8 +152,6 @@ class ClusterServe {
   // node.partition evaluation allocates nothing.
   std::vector<std::vector<std::string>> pair_owner_;
   bool initialized_ = false;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t migration_aborts_ = 0;
   std::uint64_t routed_ = 0;
   std::uint64_t failovers_ = 0;
   std::uint64_t redispatched_ = 0;

@@ -1,5 +1,5 @@
 // Restore-target placement: which node should serve the next request for
-// (or receive a migration of) a model.
+// a model.
 //
 // The locality-aware policy scores every candidate node by how long that
 // node would take to start serving: zero swap cost if the model is already
@@ -58,7 +58,7 @@ class PlacementPolicy {
   // on the order of a full engine initialization.
   static constexpr double kColdStartPenaltyS = 300.0;
   // Per queued/in-flight request on the node — the contention term that
-  // makes migration scores invert under load.
+  // lets an idle node beat a busy one that holds the same payload.
   static constexpr double kQueueCostS = 0.5;
 
  private:

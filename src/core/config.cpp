@@ -5,6 +5,7 @@
 
 #include "engine/factory.h"
 #include "fault/fault_points.h"
+#include "sim/time.h"
 
 namespace swapserve::core {
 namespace {
@@ -21,11 +22,26 @@ constexpr const char* kSerialSwap =
 constexpr const char* kNoSupervisor =
     "the engine supervisor is gone; a crashed backend is restored on its "
     "next request";
+constexpr const char* kNoMigration =
+    "live migration is gone; a model moves between nodes only through "
+    "placement and failover";
 
 constexpr RemovedKey kRemovedGlobal[] = {
     {"pipelined_swap", kSerialSwap},
     {"swap_chunk_mib", kSerialSwap},
     {"kv_cache_type", "it was never read, so setting it changed nothing"},
+};
+
+constexpr RemovedKey kRemovedCluster[] = {
+    {"migration", kNoMigration},
+    {"migrate_interval_s", kNoMigration},
+    {"migrate_hysteresis", kNoMigration},
+};
+
+constexpr RemovedKey kRemovedModel[] = {
+    {"image",
+     "it was never read (engines always use their default image), so "
+     "setting it changed nothing"},
 };
 
 constexpr RemovedKey kRemovedRecovery[] = {
@@ -170,6 +186,7 @@ Result<Config> Config::FromJson(const json::Value& doc) {
     if (!cluster->is_object()) {
       return InvalidArgument("config: \"cluster\" must be an object");
     }
+    SWAP_RETURN_IF_ERROR(RejectRemoved(*cluster, "cluster", kRemovedCluster));
     ClusterConfig& c = cfg.cluster;
     c.nodes = static_cast<int>(cluster->GetInt("nodes", c.nodes));
     if (const json::Value* gpus = cluster->Find("node_gpus");
@@ -191,11 +208,6 @@ Result<Config> Config::FromJson(const json::Value& doc) {
         cluster->GetDouble("fabric_latency_us", c.fabric_latency_us);
     c.replicate = static_cast<int>(cluster->GetInt("replicate", c.replicate));
     c.placement = cluster->GetString("placement", c.placement);
-    c.migration = cluster->GetBool("migration", c.migration);
-    c.migrate_interval_s =
-        cluster->GetDouble("migrate_interval_s", c.migrate_interval_s);
-    c.migrate_hysteresis =
-        cluster->GetDouble("migrate_hysteresis", c.migrate_hysteresis);
     c.heartbeat_interval_s =
         cluster->GetDouble("heartbeat_interval_s", c.heartbeat_interval_s);
     c.suspect_after_s =
@@ -217,13 +229,13 @@ Result<Config> Config::FromJson(const json::Value& doc) {
     if (!entry.is_object()) {
       return InvalidArgument("config: model entry must be an object");
     }
+    SWAP_RETURN_IF_ERROR(RejectRemoved(entry, "models[]", kRemovedModel));
     ModelEntry m;
     m.model_id = entry.GetString("model", "");
     if (m.model_id.empty()) {
       return InvalidArgument("config: model entry missing \"model\"");
     }
     m.engine = entry.GetString("engine", "vllm");
-    m.image = entry.GetString("image", "");
     m.gpu_memory_utilization =
         entry.GetDouble("gpu_memory_utilization", m.gpu_memory_utilization);
     m.init_timeout_s = entry.GetDouble("init_timeout_s", m.init_timeout_s);
@@ -258,6 +270,12 @@ Status Config::Validate(const model::ModelCatalog& catalog,
   }
   if (global.snapshot_budget_gib <= 0) {
     return InvalidArgument("config: snapshot_budget_gib must be positive");
+  }
+  // The GPU monitor samples on this grid; an interval that truncates to
+  // 0 ns would never advance it.
+  if (sim::Seconds(global.monitor_interval_s).ns() <= 0) {
+    return InvalidArgument(
+        "config: monitor_interval_s must be positive (at least 1 ns)");
   }
   if (global.idle_swap_out_s < 0) {
     return InvalidArgument("config: idle_swap_out_s must be >= 0");
@@ -357,15 +375,6 @@ Status Config::Validate(const model::ModelCatalog& catalog,
     return InvalidArgument("config: cluster.placement must be \"locality\" "
                            "or \"random\" (got \"" +
                            cluster.placement + "\")");
-  }
-  if (cluster.migrate_interval_s <= 0) {
-    return InvalidArgument(
-        "config: cluster.migrate_interval_s must be positive");
-  }
-  if (cluster.migrate_hysteresis < 1.0) {
-    return InvalidArgument(
-        "config: cluster.migrate_hysteresis must be >= 1 (a factor below 1 "
-        "migrates toward strictly worse placements)");
   }
   if (cluster.heartbeat_interval_s < 0) {
     return InvalidArgument(

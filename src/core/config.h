@@ -98,7 +98,7 @@ struct AdmissionConfig {
 };
 
 // Multi-node cluster topology (src/cluster). With nodes == 1 (the default)
-// the fleet layer is inert: no fabric, no replication, no migration loop,
+// the fleet layer is inert: no fabric, no replication, no failover,
 // and every event stream is byte-identical to the single-machine build.
 struct ClusterConfig {
   int nodes = 1;
@@ -114,11 +114,6 @@ struct ClusterConfig {
   // Restore-target scoring: "locality" (swap-in cost + queue pressure) or
   // "random" (uniform over eligible nodes; the bench baseline).
   std::string placement = "locality";
-  // Live swap migration: periodically re-score running models and move
-  // them when another node wins by more than the hysteresis factor.
-  bool migration = false;
-  double migrate_interval_s = 5.0;
-  double migrate_hysteresis = 2.0;
   // --- fleet failover (multi-node only; inert with nodes == 1) ----------
   // Heartbeat cadence of the health monitor; every node.crash /
   // node.partition fault point is also evaluated once per beat. 0 disables
@@ -142,11 +137,11 @@ struct ClusterConfig {
 };
 
 // Per-model parameters ("model name, container image, GPU memory
-// utilization, and initialization timeout").
+// utilization, and initialization timeout"; every engine kind runs its own
+// default image, so that one has no key).
 struct ModelEntry {
   std::string model_id;     // catalog key, also the API-visible name
   std::string engine;       // "vllm" | "ollama" | "sglang" | "trtllm"
-  std::string image;        // empty = engine default image
   double gpu_memory_utilization = 0.9;
   double init_timeout_s = 600.0;
   bool sleep_mode = true;

@@ -48,9 +48,6 @@
 //                    (retryable — the placeholder survives); a
 //                    DATA_LOSS-coded rule instead lands the payload and
 //                    corrupts it, caught by the restore-time checksum
-//   cluster.migrate  a live swap migration aborts before the source is
-//                    drained; the model stays put and a later sweep may
-//                    retry
 //   node.crash       the whole machine powers off (owner = node name,
 //                    evaluated once per heartbeat on the node's own
 //                    injector); stall_s is the *outage duration* before
@@ -86,7 +83,6 @@ inline constexpr std::string_view kFaultPointRegistry[] = {
     "engine.hang",
     "engine.restart",
     "cluster.fetch",
-    "cluster.migrate",
     "node.crash",
     "node.partition",
     "node.restart",

@@ -19,8 +19,8 @@ GridLoop::GridLoop(Simulation& sim, SimDuration interval, SimEvent* signal,
       signal_(signal),
       body_(std::move(body)),
       grid_{sim.Now(), interval} {
-  SWAP_CHECK_MSG(signal_ != nullptr || !body_.next_work,
-                 "a loop that can park needs a signal");
+  SWAP_CHECK_MSG(signal_ != nullptr && body_.next_work,
+                 "a grid loop needs a wake signal and next_work");
 }
 
 void GridLoop::Start() {
@@ -35,7 +35,7 @@ void GridLoop::Stop() {
   ++generation_;  // retire the running loop
   parked_ = false;
   ++park_epoch_;  // a pending wake-up now does nothing
-  if (signal_ != nullptr) signal_->Pulse();  // release a parked loop's frame
+  signal_->Pulse();  // release a parked loop's frame
 }
 
 void GridLoop::Poke() {
@@ -52,7 +52,7 @@ void GridLoop::Poke() {
 }
 
 SimTime GridLoop::FirstWorkTick() const {
-  const SimTime work = body_.next_work ? body_.next_work() : sim_.Now();
+  const SimTime work = body_.next_work();
   return work == kNever ? kNever : grid_.AtOrAfter(work);
 }
 

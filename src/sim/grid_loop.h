@@ -54,17 +54,15 @@ class GridLoop {
   struct Body {
     // One tick's work.
     std::function<Task<>()> pass;
-    // Optional: earliest instant a pass could act, Now() or earlier to
-    // tick, kNever when only a wake can create work. Without it the loop
-    // ticks every interval and never parks.
-    std::function<SimTime()> next_work = nullptr;
+    // Earliest instant a pass could act: Now() or earlier to tick, kNever
+    // when only a wake can create work.
+    std::function<SimTime()> next_work;
     // Optional: called on every resume from a park with the last tick the
     // park skipped (or the last pass instant when it skipped none).
     std::function<void(SimTime)> on_resume = nullptr;
   };
 
-  // `signal` must outlive the loop; its pulses are the wakes. Nullable for
-  // a loop without `next_work`, which never parks.
+  // `signal` must outlive the loop; its pulses are the wakes.
   GridLoop(Simulation& sim, SimDuration interval, SimEvent* signal, Body body);
   GridLoop(const GridLoop&) = delete;
   GridLoop& operator=(const GridLoop&) = delete;

@@ -1,6 +1,6 @@
 // Functional tests for the multi-node fleet: standby adoption, placeholder
-// installation, background replication, locality routing with on-demand
-// remote fetch, and live swap migration under queue pressure.
+// installation, background replication, and locality routing with
+// on-demand remote fetch.
 
 #include "cluster/cluster.h"
 
@@ -55,7 +55,6 @@ TEST(ClusterTest, SingleNodeFleetIsInert) {
   });
   // The cluster routing path never ran and no placeholder exists anywhere.
   EXPECT_EQ(cluster.routed(), 0u);
-  EXPECT_EQ(cluster.migrations(), 0u);
   EXPECT_EQ(cluster.node(0).serve().snapshot_store().remote_bytes().count(),
             0);
 }
@@ -153,64 +152,6 @@ TEST(ClusterTest, QuarantinedHomeRoutesToStandbyViaOnDemandFetch) {
       Name("llama-3.2-1b-fp16"));
   ASSERT_NE(home_copy, nullptr);
   EXPECT_EQ(home_copy->tier, ckpt::SnapshotTier::kHost);
-}
-
-TEST(ClusterTest, MigrationMovesIdleModelOffPressuredNode) {
-  ClusterBed bed;
-  core::Config cfg;
-  // Node 0 hosts both models on separate GPUs; node 1 only fits the small
-  // one (the 8B entry pinned to gpu 1 cannot stand by on a 1-GPU node).
-  cfg.models.push_back(Entry("llama-3.2-1b-fp16", 0, /*gpu=*/0));
-  cfg.models.push_back(Entry("llama-3.1-8b-fp16", 0, /*gpu=*/1));
-  cfg.cluster.nodes = 2;
-  cfg.cluster.node_gpus = {2, 1};
-  cfg.cluster.replicate = 2;
-  cfg.cluster.migration = true;
-  cfg.cluster.migrate_interval_s = 5.0;
-  ClusterServe cluster(bed.sim, cfg, bed.catalog);
-  std::uint64_t accepted = 0;
-  std::uint64_t terminals = 0;
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await cluster.Initialize()).ok());
-    // Make the small model resident (and then idle) on its home node.
-    core::ChatResult first =
-        co_await cluster.ChatAndWait("llama-3.2-1b-fp16", 64, 8);
-    EXPECT_TRUE(first.ok) << first.error;
-    // Pile sustained demand for the other model onto node 0 — the queue
-    // pressure term now dominates node 0's placement score.
-    for (int i = 0; i < 30; ++i) {
-      core::InferenceRequest req;
-      req.model = "llama-3.1-8b-fp16";
-      req.prompt_tokens = 256;
-      req.max_tokens = 512;
-      auto channel = cluster.Accept(std::move(req));
-      SWAP_CHECK_MSG(channel.ok(), channel.status().ToString());
-      ++accepted;
-      sim::Spawn([&terminals, ch = *channel]() -> sim::Task<> {
-        while (auto chunk = co_await ch->Recv()) {
-          if (chunk->kind == core::ResponseChunk::Kind::kDone ||
-              chunk->kind == core::ResponseChunk::Kind::kError) {
-            ++terminals;
-          }
-        }
-      });
-    }
-    // Give the sweep a few intervals while the 8B backlog is still live.
-    co_await bed.sim.Delay(sim::Seconds(30));
-    EXPECT_GE(cluster.migrations(), 1u)
-        << "idle model never migrated off the pressured node";
-    // The migrated model now serves from node 1.
-    core::ChatResult after =
-        co_await cluster.ChatAndWait("llama-3.2-1b-fp16", 64, 8);
-    EXPECT_TRUE(after.ok) << after.error;
-    co_await bed.sim.Delay(sim::Minutes(60));  // drain the 8B backlog
-    cluster.Shutdown();
-  });
-
-  EXPECT_EQ(terminals, accepted) << "a migrated request was lost";
-  EXPECT_GE(cluster.node(1).serve().metrics().TotalCompleted(), 1u);
-  ASSERT_NE(cluster.replicator(), nullptr);
-  EXPECT_EQ(cluster.replicator()->in_flight(), 0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Node-level fault domains: crash/partition injection, heartbeat failure
 // detection, failover re-dispatch, standby promotion, replication repair,
-// rejoin, and the placement/migration membership gates.
+// rejoin, and the placement membership gate.
 
 #include <gtest/gtest.h>
 
@@ -375,7 +375,7 @@ TEST(FailoverTest, RejoinConvertsTotalCheckpointLossToColdStart) {
   });
 }
 
-// --- membership gates in placement and migration ------------------------
+// --- membership gate in placement ----------------------------------------
 
 TEST(PlacementMembershipTest, SuspectAndDownNodesAreIneligible) {
   Bed bed;
@@ -422,68 +422,6 @@ TEST(PlacementMembershipTest, SuspectAndDownNodesAreIneligible) {
     cluster.node(1).set_membership(NodeState::kHealthy);
     cluster.Shutdown();
   });
-}
-
-TEST(MigrationMembershipTest, SweepSkipsModelsOnNonHealthySourceNodes) {
-  Bed bed;
-  core::Config cfg;
-  // Same pressure setup as the migration functional test: node 0 hosts
-  // both models, sustained demand for the 8B pressures it off-node.
-  cfg.models.push_back(Entry(kModel, 0, /*gpu=*/0));
-  cfg.models.push_back(Entry("llama-3.1-8b-fp16", 0, /*gpu=*/1));
-  cfg.cluster.nodes = 2;
-  cfg.cluster.node_gpus = {2, 1};
-  cfg.cluster.replicate = 2;
-  cfg.cluster.migration = true;
-  cfg.cluster.migrate_interval_s = 5.0;
-  cfg.cluster.heartbeat_interval_s = 0;  // membership is manual
-  ClusterServe cluster(bed.sim, cfg, bed.catalog);
-  std::uint64_t accepted = 0;
-  std::uint64_t terminals = 0;
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await cluster.Initialize()).ok());
-    core::ChatResult first = co_await cluster.ChatAndWait(kModel, 64, 8);
-    EXPECT_TRUE(first.ok) << first.error;
-    auto burst = [&] {
-      for (int i = 0; i < 30; ++i) {
-        core::InferenceRequest req;
-        req.model = "llama-3.1-8b-fp16";
-        req.prompt_tokens = 256;
-        // Long generations: the warm 8B drains a short burst between two
-        // sweep samples, which would leave the positive control with no
-        // pressure for the sweep to observe.
-        req.max_tokens = 4096;
-        auto channel = cluster.Accept(std::move(req));
-        SWAP_CHECK_MSG(channel.ok(), channel.status().ToString());
-        ++accepted;
-        sim::Spawn([&terminals, ch = *channel]() -> sim::Task<> {
-          while (auto chunk = co_await ch->Recv()) {
-            if (chunk->kind == core::ResponseChunk::Kind::kDone ||
-                chunk->kind == core::ResponseChunk::Kind::kError) {
-              ++terminals;
-            }
-          }
-        });
-      }
-    };
-    // The sweep must not move models off a node the fleet merely
-    // *suspects*: failover (not migration) owns non-healthy nodes. The
-    // backlog keeps the pressure term high throughout the window.
-    burst();
-    cluster.node(0).set_membership(NodeState::kSuspect);
-    co_await bed.sim.Delay(sim::Seconds(30));
-    EXPECT_EQ(cluster.migrations(), 0u)
-        << "sweep migrated off a suspect node";
-    // Positive control: the same pressure with healthy membership moves
-    // the idle model, proving the gate (and not the setup) held it back.
-    cluster.node(0).set_membership(NodeState::kHealthy);
-    burst();
-    co_await bed.sim.Delay(sim::Seconds(30));
-    EXPECT_GE(cluster.migrations(), 1u);
-    co_await bed.sim.Delay(sim::Minutes(60));  // drain the backlog
-    cluster.Shutdown();
-  });
-  EXPECT_EQ(terminals, accepted);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Cluster chaos suite: random seeded fault schedules — including the new
-// cluster.fetch and cluster.migrate points — pushed through a 3-node fleet
-// with replication and live migration enabled, checked against the
-// cluster invariants:
+// Cluster chaos suite: random seeded fault schedules — including the
+// cluster.fetch point — pushed through a 3-node fleet with replication
+// enabled, checked against the cluster invariants:
 //   - every accepted request reaches exactly one terminal outcome, even
-//     when its queue is drained and re-dispatched mid-migration;
+//     when its node must fetch the model's payload over the fabric;
 //   - the replication ledger drains: no in-flight fetches or bytes
 //     survive the run, on any path (success, fault-abort, poison);
 //   - placement never targets a quarantined node (enforced by a
@@ -31,7 +30,7 @@ namespace swapserve::cluster {
 namespace {
 
 // Small models only: every node in the 3x1-GPU fleet must be able to host
-// a standby, so migration and rerouting always have somewhere to go.
+// a standby, so rerouting always has somewhere to go.
 constexpr const char* kPool[] = {
     "llama-3.2-1b-fp16",
     "llama-3.2-3b-fp16",
@@ -52,7 +51,6 @@ fault::FaultPlan RandomPlan(sim::Rng& rng) {
   };
   static constexpr PointSpec kPoints[] = {
       {"cluster.fetch", 0.35, true, 0},
-      {"cluster.migrate", 0.50, true, 0},
       {"ckpt.swap_out", 0.10, true, 0},
       {"ckpt.swap_in", 0.20, true, 0},
       {"storage.read", 0.12, true, 0},
@@ -86,8 +84,6 @@ struct ClusterOutcome {
   std::uint64_t rejected = 0;
   std::uint64_t fetches = 0;
   std::uint64_t fetch_failures = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t migration_aborts = 0;
   std::uint64_t routed = 0;
   std::uint64_t faults_injected = 0;
 
@@ -102,18 +98,11 @@ ClusterOutcome RunClusterChaos(std::uint64_t seed, int n_requests) {
   core::Config cfg;
   cfg.cluster.nodes = 3;
   cfg.cluster.replicate = 2;
-  cfg.cluster.migration = true;
-  // Sub-second sweeps: the small models drain their bursts in a couple of
-  // seconds, so a coarser interval would only ever see idle nodes.
-  cfg.cluster.migrate_interval_s = 0.5;
-  cfg.cluster.migrate_hysteresis = 1.2;
   cfg.global.queue_capacity = 16;
   cfg.fault.seed = seed;
   // Node 0 has two GPUs hosting two models; the skewed burst traffic on
   // the second GPU pressures the node while the first model idles
-  // resident — exactly the state the migration sweep moves off-node. A
-  // single-GPU node would never show it: preemption swaps the idle model
-  // out before the sweep sees it running.
+  // resident, so placement must weigh queue pressure against locality.
   cfg.cluster.node_gpus = {2, 1, 1};
   const int kHomes[] = {0, 0, 1};
   const int kGpus[] = {0, 1, 0};
@@ -154,16 +143,14 @@ ClusterOutcome RunClusterChaos(std::uint64_t seed, int n_requests) {
 
     for (int i = 0; i < n_requests; ++i) {
       // Bursty arrivals: batches of ~4 back-to-back requests build real
-      // queue depth between migration sweeps instead of trickling in.
+      // queue depth instead of trickling in.
       if (i % 4 == 0) {
         co_await sim.Delay(sim::Seconds(rng.Exponential(2.0)));
       }
       core::InferenceRequest req;
-      // The first request warms the first model on its home node so the
-      // migration sweep has a resident-but-idle candidate; after that,
-      // skew half the traffic onto the second model — bursts on node 0's
-      // other GPU pressure the node, which is exactly the imbalance the
-      // migration sweep looks for.
+      // The first request warms the first model on its home node; after
+      // that, skew half the traffic onto the second model — bursts on
+      // node 0's other GPU pressure the node.
       req.model = i == 0               ? kPool[0]
                   : rng.Bernoulli(0.5) ? kPool[1]
                                        : kPool[rng.UniformInt(0, kPoolSize - 1)];
@@ -196,11 +183,10 @@ ClusterOutcome RunClusterChaos(std::uint64_t seed, int n_requests) {
   sim.Run();
 
   // --- invariants ---------------------------------------------------------
-  // Nothing lost: migration re-dispatches queued requests with their
-  // response channels attached, so every accepted request still reaches
-  // exactly one terminal, fleet-wide.
+  // Nothing lost: every accepted request reaches exactly one terminal,
+  // fleet-wide.
   EXPECT_EQ(out.terminal_done + out.terminal_error, out.accepted)
-      << "request lost across migration/fetch (seed " << seed << ")";
+      << "request lost across a fetch (seed " << seed << ")";
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   for (int i = 0; i < cluster.nodes(); ++i) {
@@ -221,8 +207,6 @@ ClusterOutcome RunClusterChaos(std::uint64_t seed, int n_requests) {
 
   out.fetches = cluster.replicator()->fetches();
   out.fetch_failures = cluster.replicator()->fetch_failures();
-  out.migrations = cluster.migrations();
-  out.migration_aborts = cluster.migration_aborts();
   out.routed = cluster.routed();
   for (int i = 0; i < cluster.nodes(); ++i) {
     out.faults_injected +=
@@ -244,25 +228,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range(std::uint64_t{0}, std::uint64_t{100}));
 
 // Guard against a sweep of quiet runs: across a prefix of the seed range
-// the cluster paths under test must actually fire — cross-node fetches,
-// fetch failures (the cluster.fetch point), and live migrations.
+// the cluster paths under test must actually fire — cross-node fetches
+// and fetch failures (the cluster.fetch point).
 TEST(ClusterChaosSweepSummary, ClusterFaultPointsActuallyFire) {
   ClusterOutcome totals;
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     ClusterOutcome out = RunClusterChaos(seed, 20);
     totals.fetches += out.fetches;
     totals.fetch_failures += out.fetch_failures;
-    totals.migrations += out.migrations;
-    totals.migration_aborts += out.migration_aborts;
     totals.routed += out.routed;
     totals.faults_injected += out.faults_injected;
   }
   EXPECT_GT(totals.fetches, 10u);
   EXPECT_GT(totals.fetch_failures, 0u);
-  // The sweep must decide to move models; the cluster.migrate point may
-  // abort individual attempts, so attempts (moves + aborts) is the signal
-  // that the path ran.
-  EXPECT_GT(totals.migrations + totals.migration_aborts, 0u);
   EXPECT_GT(totals.routed, 0u);
   EXPECT_GE(totals.faults_injected, 10u);
 }

@@ -1,7 +1,7 @@
 // Node-failure chaos suite: random seeded schedules of whole-node faults —
 // node.crash (power loss + delayed reboot), node.partition (fabric
 // blackhole / degrade), node.restart (reboots that fail) — pushed through
-// a 3-node fleet with replication, repair, and live migration enabled,
+// a 3-node fleet with replication and repair enabled,
 // checked against the fleet invariants:
 //   - every accepted request reaches exactly one terminal outcome, even
 //     when its node dies with the request queued and failover re-dispatches
@@ -116,9 +116,6 @@ FleetOutcome RunNodeChaos(std::uint64_t seed, int n_requests,
   core::Config cfg;
   cfg.cluster.nodes = 3;
   cfg.cluster.replicate = 2;
-  cfg.cluster.migration = true;
-  cfg.cluster.migrate_interval_s = 0.5;
-  cfg.cluster.migrate_hysteresis = 1.2;
   // Fast detection so short chaos outages walk the full membership state
   // machine: suspect after two silent beats, down after six.
   cfg.cluster.heartbeat_interval_s = 0.5;
