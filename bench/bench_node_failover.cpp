@@ -82,8 +82,8 @@ Measurement Measure(double kill_rate, int repair_concurrency) {
     cfg.models.push_back(std::move(m));
   }
 
-  // Crashes only: partitions and flaky reboots would blur the repair
-  // ablation. stall_s is the outage length before the reboot starts.
+  // Crashes only: flaky reboots would blur the repair ablation. stall_s
+  // is the outage length before the reboot starts.
   fault::FaultPlan plan;
   if (kill_rate > 0) {
     fault::FaultRule rule;

@@ -91,7 +91,9 @@ for objroot in sys.argv[2:]:
                 cwd = doc["current_working_directory"]
                 for f in doc["files"]:
                     path = os.path.realpath(os.path.join(cwd, f["file"]))
-                    if not path.startswith(src):
+                    # An object left over from a deleted source still
+                    # has its notes file in a reused tree; skip it.
+                    if not path.startswith(src) or not os.path.exists(path):
                         continue
                     rel = os.path.relpath(path, root)
                     for ln in f["lines"]:

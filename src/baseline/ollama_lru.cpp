@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/log.h"
-
 namespace swapserve::baseline {
 
 OllamaLruServing::OllamaLruServing(sim::Simulation& sim, hw::GpuDevice& gpu,
@@ -44,7 +42,6 @@ OllamaLruServing::Runner* OllamaLruServing::LruLoadedExcept(
   Runner* lru = nullptr;
   for (auto& [id, runner] : runners_) {
     if (id == model_id || !runner.engine->model_loaded()) continue;
-    if (runner.engine->active_requests() > 0) continue;
     if (lru == nullptr || runner.last_used < lru->last_used) lru = &runner;
   }
   return lru;
@@ -56,6 +53,7 @@ sim::Task<Status> OllamaLruServing::EnsureLoaded(std::string model_id) {
   Runner& runner = it->second;
 
   auto guard = co_await runner.loading->Acquire();
+  runner.last_used = sim_.Now();
   if (runner.engine->model_loaded()) co_return Status::Ok();
 
   // The Ollama scheduler unloads LRU runners until the model fits (§2.3).
@@ -89,45 +87,6 @@ sim::Task<Result<sim::SimDuration>> OllamaLruServing::MeasureLoad(
   const sim::SimTime t0 = sim_.Now();
   SWAP_CO_RETURN_IF_ERROR(co_await EnsureLoaded(model_id));
   co_return sim_.Now() - t0;
-}
-
-sim::Task<core::ChatResult> OllamaLruServing::Chat(
-    std::string model_id, std::int64_t prompt_tokens,
-    std::int64_t max_tokens) {
-  core::ChatResult result;
-  const double arrival = sim_.Now().ToSeconds();
-
-  Status loaded = co_await EnsureLoaded(model_id);
-  core::ModelMetrics& mm = metrics_.ForModel(model_id);
-  if (!loaded.ok()) {
-    ++mm.failed;
-    result.error = loaded.ToString();
-    co_return result;
-  }
-  const double load_wait = sim_.Now().ToSeconds() - arrival;
-
-  Runner& runner = runners_.at(model_id);
-  runner.last_used = sim_.Now();
-  Result<engine::GenerationResult> gen = co_await runner.engine->Generate(
-      engine::GenerationRequest{.prompt_tokens = prompt_tokens,
-                                .output_tokens = max_tokens});
-  if (!gen.ok()) {
-    ++mm.failed;
-    result.error = gen.status().ToString();
-    co_return result;
-  }
-  runner.last_used = sim_.Now();
-
-  result.ok = true;
-  result.output_tokens = gen->output_tokens;
-  result.ttft_s = load_wait + gen->time_to_first_token.ToSeconds();
-  result.total_s = sim_.Now().ToSeconds() - arrival;
-  result.swap_wait_s = load_wait;
-  ++mm.completed;
-  mm.output_tokens += gen->output_tokens;
-  mm.ttft_s.Add(result.ttft_s);
-  mm.swap_wait_s.Add(load_wait);
-  co_return result;
 }
 
 }  // namespace swapserve::baseline

@@ -1,4 +1,4 @@
-// Baseline 3: Ollama's own on-demand model loading (§2.3).
+// Baseline 2: Ollama's own on-demand model loading (§2.3).
 //
 // One long-lived Ollama server hosts llama.cpp runners, loading requested
 // models from storage (disk or a memory-backed filesystem — Fig. 5's two
@@ -13,8 +13,6 @@
 #include <string>
 
 #include "container/runtime.h"
-#include "core/metrics.h"
-#include "core/types.h"
 #include "engine/ollama_engine.h"
 #include "hw/gpu_device.h"
 #include "hw/link.h"
@@ -36,20 +34,16 @@ class OllamaLruServing {
   // the measurement below is a pure on-demand load).
   sim::Task<Status> Initialize(std::vector<model::ModelSpec> models);
 
-  // Load the model if absent (evicting LRU runners as needed) and serve.
-  sim::Task<core::ChatResult> Chat(std::string model_id,
-                                   std::int64_t prompt_tokens,
-                                   std::int64_t max_tokens);
-
   // Pure model-load latency measurement: ensures the model is unloaded,
   // then loads it and reports the elapsed time (Fig. 5's "Ollama" bars).
   sim::Task<Result<sim::SimDuration>> MeasureLoad(std::string model_id);
 
+  // Load the model if absent, unloading least-recently-used runners until
+  // it fits; marks the runner used either way.
   sim::Task<Status> EnsureLoaded(std::string model_id);
   sim::Task<Status> Unload(std::string model_id);
   bool IsLoaded(const std::string& model_id) const;
 
-  core::Metrics& metrics() { return metrics_; }
   std::uint64_t evictions() const { return evictions_; }
 
  private:
@@ -65,7 +59,6 @@ class OllamaLruServing {
   hw::GpuDevice& gpu_;
   hw::StorageDevice& storage_;
   container::ContainerRuntime& runtime_;
-  core::Metrics metrics_;
   std::map<std::string, Runner> runners_;
   std::uint64_t evictions_ = 0;
 };

@@ -380,11 +380,6 @@ bool SnapshotTierManager::CanPrefetch(SnapshotId id) const {
   return snap != nullptr && snap->tier == SnapshotTier::kNvme;
 }
 
-bool SnapshotTierManager::HostResident(SnapshotId id) const {
-  const Snapshot* snap = store_.Find(id);
-  return snap != nullptr && snap->tier == SnapshotTier::kHost;
-}
-
 bool SnapshotTierManager::Promoting(SnapshotId id) const {
   const Entry* e = Find(id);
   return e != nullptr && e->promoting;

@@ -96,7 +96,6 @@ class SnapshotTierManager {
   Bytes host_capacity() const { return options_.host_capacity; }
   // Host bytes committed to in-flight promotions / admitted swap-outs.
   Bytes committed() const { return committed_; }
-  bool HostResident(SnapshotId id) const;
   bool Promoting(SnapshotId id) const;
   bool Demoting(SnapshotId id) const;
   int moves_in_flight() const { return moves_in_flight_; }

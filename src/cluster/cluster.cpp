@@ -79,8 +79,7 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
       hb.interval = sim::Seconds(config_.cluster.heartbeat_interval_s);
       hb.suspect_after = sim::Seconds(config_.cluster.suspect_after_s);
       hb.down_after = sim::Seconds(config_.cluster.down_after_s);
-      monitor_ =
-          std::make_unique<HealthMonitor>(sim_, node_ptrs_, *fabric_, hb);
+      monitor_ = std::make_unique<HealthMonitor>(sim_, node_ptrs_, hb);
       monitor_->SetDownHandler([this](int id) { FailOverNode(id); });
       monitor_->SetRejoinHandler([this](int id) { RejoinNode(id); });
     }
@@ -92,13 +91,6 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
       rp.monitor = monitor_.get();
       repairer_ = std::make_unique<ReplicationRepairer>(
           sim_, node_ptrs_, *replicator_, backends_, config_.models, rp);
-    }
-    pair_owner_.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        pair_owner_[static_cast<std::size_t>(i)].push_back(
-            nodes_[i]->name() + ":" + nodes_[j]->name());
-      }
     }
   }
 }
@@ -231,14 +223,12 @@ void ClusterServe::StartFailureDetection() {
   if (repairer_ != nullptr) repairer_->Start();
 }
 
-// One evaluation round of the node.* fault points, on the heartbeat
-// cadence. For node.crash and node.partition the rule's stall_s is the
-// fault's *duration* (outage before the reboot starts / partition length),
-// not a pre-delay; node.partition rules with fail=true blackhole the pair,
-// stall-only rules degrade it. Each point draws from the involved node's
-// own derived stream, so fleets replay deterministically per seed and an
-// unarmed plan draws nothing. Returns the earliest instant a later round
-// could fire (or draw), which lets the heartbeat park until then.
+// One evaluation round of the node.crash fault point, on the heartbeat
+// cadence. The rule's stall_s is the *outage duration* before the reboot
+// starts, not a pre-delay. Each node draws from its own derived stream, so
+// fleets replay deterministically per seed and an unarmed plan draws
+// nothing. Returns the earliest instant a later round could fire (or
+// draw), which lets the heartbeat park until then.
 sim::SimTime ClusterServe::EvaluateNodeFaults() {
   const int n = static_cast<int>(nodes_.size());
   const sim::SimDuration default_duration =
@@ -253,29 +243,11 @@ sim::SimTime ClusterServe::EvaluateNodeFaults() {
       KillNode(i, d.stall.ns() > 0 ? d.stall : default_duration);
     }
   }
-  for (int i = 0; i < n; ++i) {
-    if (!nodes_[i]->serve().fault_injector().armed()) continue;
-    for (int j = i + 1; j < n; ++j) {
-      fault::FaultDecision d = fault::Evaluate(
-          &nodes_[i]->serve().fault_injector(), "node.partition",
-          pair_owner_[static_cast<std::size_t>(i)]
-                     [static_cast<std::size_t>(j - i - 1)]);
-      if (d.status.ok() && d.stall.ns() == 0) continue;
-      const sim::SimDuration duration =
-          d.stall.ns() > 0 ? d.stall : default_duration;
-      // fail=true cuts the pair; a stall-only rule degrades it (an 8x
-      // slowdown — a congested or flapping path rather than a dead one).
-      PartitionNodes(i, j, duration, d.status.ok() ? 8.0 : 0.0);
-    }
-  }
   sim::SimTime next = sim::kNever;
   for (int i = 0; i < n && next > sim_.Now(); ++i) {
     const fault::FaultInjector& injector = nodes_[i]->serve().fault_injector();
     if (!injector.armed()) continue;
     next = std::min(next, injector.NextArmed("node.crash", nodes_[i]->name()));
-    for (const std::string& pair : pair_owner_[static_cast<std::size_t>(i)]) {
-      next = std::min(next, injector.NextArmed("node.partition", pair));
-    }
   }
   return next;
 }
@@ -305,21 +277,6 @@ void ClusterServe::KillNode(int id, sim::SimDuration outage) {
     // Membership stays kDown until the monitor hears heartbeats again;
     // RejoinNode (re-adopt / re-fetch) runs off that rejoin signal.
   });
-}
-
-void ClusterServe::PartitionNodes(int a, int b, sim::SimDuration duration,
-                                  double degrade) {
-  SWAP_CHECK(fabric_ != nullptr);
-  fabric_->Partition(a, b, duration, degrade);
-  obs::Instant(&nodes_[a]->serve().obs(), "node.partition", "cluster",
-               nodes_[a]->name(),
-               {{"peer", nodes_[b]->name()},
-                {"mode", degrade == 0.0 ? "blackhole" : "degrade"},
-                {"duration_s", duration.ToSeconds()}});
-  SWAP_LOG(kWarning, "cluster")
-      << "partition " << nodes_[a]->name() << " <-> " << nodes_[b]->name()
-      << " for " << duration.ToString()
-      << (degrade == 0.0 ? " (blackhole)" : " (degraded)");
 }
 
 // The monitor just declared `id` down. Membership is already kDown, so the
@@ -412,7 +369,7 @@ sim::Task<> ClusterServe::PromoteStandby(int model, int avoid) {
       << "promoted standby " << backend->name() << " on " << node.name();
 }
 
-// The monitor heard `id` again (reboot finished, or a partition healed).
+// The monitor heard `id` again (its reboot finished).
 // Snapshots the crash left in the store are simply re-adopted (nothing to
 // do): demoted ones on NVMe, and, with a bounded host cache, host-resident
 // ones too, which the model keeps across the power cycle (Node::Crash).

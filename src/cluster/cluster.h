@@ -15,8 +15,8 @@
 //     node declared down has its queued requests drained and re-dispatched
 //     to survivors, its home models promoted from replicated snapshots,
 //     and its replica holdings re-replicated by the ReplicationRepairer;
-//     the node.crash / node.partition / node.restart fault points inject
-//     whole-machine outages and fabric partitions from the config plan.
+//     the node.crash / node.restart fault points inject whole-machine
+//     outages and failed reboots from the config plan.
 //
 // With cluster.nodes == 1 (the default) none of this exists: no fabric,
 // no replicator, no monitor, Accept is a pass-through —
@@ -94,9 +94,6 @@ class ClusterServe {
   // retries every node_restart_s while the node.restart point keeps
   // failing it). No-op if the node is already down.
   void KillNode(int id, sim::SimDuration outage);
-  // Cut (degrade == 0) or slow (degrade > 1) the pair for `duration`.
-  void PartitionNodes(int a, int b, sim::SimDuration duration,
-                      double degrade = 0.0);
 
   // Always 0: the fleet moves a model only through placement and failover.
   // Kept for bench/e2e's cluster.migrations column, its only reader (as
@@ -148,9 +145,6 @@ class ClusterServe {
   std::unique_ptr<PlacementPolicy> placement_;
   std::unique_ptr<HealthMonitor> monitor_;
   std::unique_ptr<ReplicationRepairer> repairer_;
-  // Pair owner names ("nodeI:nodeJ", i < j) precomputed so the per-beat
-  // node.partition evaluation allocates nothing.
-  std::vector<std::vector<std::string>> pair_owner_;
   bool initialized_ = false;
   std::uint64_t routed_ = 0;
   std::uint64_t failovers_ = 0;

@@ -10,10 +10,9 @@
 namespace swapserve::cluster {
 
 HealthMonitor::HealthMonitor(sim::Simulation& sim, std::vector<Node*> nodes,
-                             Fabric& fabric, Options options)
+                             Options options)
     : sim_(sim),
       nodes_(std::move(nodes)),
-      fabric_(fabric),
       options_(options),
       last_heard_(nodes_.size(), sim.Now()),
       wake_(sim),
@@ -41,7 +40,6 @@ HealthMonitor::HealthMonitor(sim::Simulation& sim, std::vector<Node*> nodes,
     node->BindPowerSignal(&wake_);
     node->serve().fault_injector().BindConfigureSignal(&wake_);
   }
-  fabric_.BindPartitionSignal(&wake_);
 }
 
 HealthMonitor::~HealthMonitor() {
@@ -49,7 +47,6 @@ HealthMonitor::~HealthMonitor() {
     node->BindPowerSignal(nullptr);
     node->serve().fault_injector().BindConfigureSignal(nullptr);
   }
-  fabric_.BindPartitionSignal(nullptr);
 }
 
 void HealthMonitor::Start() {
@@ -59,7 +56,7 @@ void HealthMonitor::Start() {
 
 bool HealthMonitor::AllHealthy() const {
   // Heard() again rather than last_heard_: the beat handler may have just
-  // crashed or partitioned a node the membership round heard.
+  // crashed a node the membership round heard.
   for (const Node* node : nodes_) {
     if (node->membership() != NodeState::kHealthy || !Heard(node->id())) {
       return false;
@@ -68,18 +65,7 @@ bool HealthMonitor::AllHealthy() const {
   return true;
 }
 
-bool HealthMonitor::Heard(int node) const {
-  if (!nodes_[node]->alive()) return false;
-  bool any_peer_alive = false;
-  for (const Node* peer : nodes_) {
-    if (peer->id() == node || !peer->alive()) continue;
-    any_peer_alive = true;
-    if (fabric_.Reachable(node, peer->id())) return true;
-  }
-  // No alive peer to gossip through: the monitor hears the node directly
-  // rather than declaring the last machine standing dead.
-  return !any_peer_alive;
-}
+bool HealthMonitor::Heard(int node) const { return nodes_[node]->alive(); }
 
 double HealthMonitor::Phi(int node) const {
   sim::SimTime heard = last_heard_[node];

@@ -1,14 +1,11 @@
 // Heartbeat-driven failure detection for the fleet.
 //
 // Beats fall on a fixed grid: Start() plus whole multiples of `interval`.
-// On a beat node i is *heard* iff its machine is alive AND at least one
-// other alive node can reach it across the fabric (Fabric::Reachable —
-// the same path payloads take, so crashes and partitions are detected
-// through one signal; with no other peer alive the monitor falls back to
-// hearing the node directly, so the last machine standing is never
-// declared dead by default). The suspicion level is phi-accrual in spirit
-// but with a fixed beat: phi grows linearly with silence, and the
-// suspect/down thresholds are expressed directly in seconds of silence.
+// On a beat node i is *heard* iff its machine is alive: the fabric never
+// fails, so a crash is the only silence. The suspicion level is
+// phi-accrual in spirit but with a fixed beat: phi grows linearly with
+// silence, and the suspect/down thresholds are expressed directly in
+// seconds of silence.
 //
 // Membership state machine (written to Node::set_membership, read by
 // placement and repair):
@@ -23,10 +20,10 @@
 // The beat runs on a sim::GridLoop (grid, park and tie semantics live
 // there). It parks while a beat could find nothing new: every node was
 // heard and is kHealthy, and the beat handler reports no work before a
-// later instant. Only a Node::Crash/Boot, a Fabric::Partition or a
-// FaultInjector::Configure can change that, and each pulses wake_signal();
-// a wake always takes a beat, and every beat the park skipped counts as
-// heard. An idle, healthy fleet schedules no heartbeat events at all.
+// later instant. Only a Node::Crash/Boot or a FaultInjector::Configure
+// can change that, and each pulses wake_signal(); a wake always takes a
+// beat, and every beat the park skipped counts as heard. An idle, healthy
+// fleet schedules no heartbeat events at all.
 //
 // The monitor only observes and classifies; failover mechanics live in
 // ClusterServe's handlers. Heartbeats are bookkeeping, not transfers —
@@ -40,7 +37,6 @@
 #include <functional>
 #include <vector>
 
-#include "cluster/fabric.h"
 #include "cluster/node.h"
 #include "sim/grid_loop.h"
 #include "sim/simulation.h"
@@ -60,10 +56,9 @@ class HealthMonitor {
   // so placement already refuses the node when failover re-dispatches.
   using Handler = std::function<void(int)>;
 
-  // Binds wake_signal() to every node, the nodes' fault injectors and the
-  // fabric.
+  // Binds wake_signal() to every node and the nodes' fault injectors.
   HealthMonitor(sim::Simulation& sim, std::vector<Node*> nodes,
-                Fabric& fabric, Options options);
+                Options options);
   ~HealthMonitor();
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
@@ -110,7 +105,6 @@ class HealthMonitor {
 
   sim::Simulation& sim_;
   std::vector<Node*> nodes_;
-  Fabric& fabric_;
   Options options_;
   std::vector<sim::SimTime> last_heard_;
   Handler on_down_;

@@ -12,9 +12,9 @@
 // workers park) and Boot() powers it back on. The `membership` field is
 // the fleet's *belief* about the node — written by cluster::HealthMonitor
 // from heartbeat evidence, read by placement and repair — and is
-// deliberately distinct from `alive`, the ground truth: a partitioned node
-// is alive yet declared down, and a freshly crashed one stays kHealthy
-// until suspicion accrues.
+// deliberately distinct from `alive`, the ground truth: a freshly crashed
+// node stays kHealthy until suspicion accrues, and a rebooted one stays
+// kDown until the next beat hears it.
 
 #pragma once
 

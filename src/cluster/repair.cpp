@@ -49,8 +49,8 @@ ReplicationRepairer::~ReplicationRepairer() {
 }
 
 bool ReplicationRepairer::Eligible(const Node& node) const {
-  // A dead machine holds nothing usable; a kDown node may be alive behind
-  // a partition but the fleet cannot reach its copies either way.
+  // A dead machine holds nothing usable; a kDown node may have booted, but
+  // its copies count only once the heartbeat hears it rejoin.
   return node.alive() && node.membership() != NodeState::kDown;
 }
 

@@ -15,8 +15,8 @@
 // heartbeat parked, every model at its target and nothing in flight. Every
 // change that can lower a copy count or raise the target pokes it: an
 // engine entering or leaving kRunning, a snapshot payload dropping to
-// kRemote or being removed, and a heartbeat wake (a node power change,
-// partition or fault plan). Without a heartbeat it scans every interval.
+// kRemote or being removed, and a heartbeat wake (a node power change or
+// fault plan). Without a heartbeat it scans every interval.
 //
 // One deliberate gap: if the only surviving copy is a running engine,
 // there is no snapshot payload to stream, and the repairer will not force

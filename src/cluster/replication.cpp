@@ -42,11 +42,9 @@ std::optional<SnapshotReplicator::Source> SnapshotReplicator::FindSource(
   std::optional<Source> nvme_fallback;
   for (Node* node : nodes_) {
     if (node->id() == dst) continue;
-    // A dead machine serves nothing and a blackholed pair moves nothing:
-    // both make this copy invisible until the fault heals (crash detection
-    // and partition behaviour share this path with the heartbeats).
+    // A dead machine serves nothing: its copies are invisible until it
+    // boots again.
     if (!node->alive()) continue;
-    if (!fabric_.Reachable(node->id(), dst)) continue;
     const ckpt::Snapshot* found =
         node->serve().snapshot_store().FindByOwner(owner);
     if (found == nullptr) continue;

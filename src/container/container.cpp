@@ -9,8 +9,6 @@ std::string_view ContainerStateName(ContainerState s) {
     case ContainerState::kCreated: return "created";
     case ContainerState::kRunning: return "running";
     case ContainerState::kPaused: return "paused";
-    case ContainerState::kStopped: return "stopped";
-    case ContainerState::kRemoved: return "removed";
   }
   return "unknown";
 }
@@ -79,22 +77,6 @@ sim::Task<Status> Container::Unpause() {
   Status s = co_await freezer_.Thaw();
   if (!s.ok()) co_return s;
   EnterState(ContainerState::kRunning);
-  co_return Status::Ok();
-}
-
-sim::Task<Status> Container::Stop() {
-  if (state_ != ContainerState::kRunning &&
-      state_ != ContainerState::kPaused) {
-    co_return FailedPrecondition("stop: container " + name_ + " is " +
-                                 std::string(ContainerStateName(state_)));
-  }
-  if (freezer_.frozen()) {
-    // A frozen cgroup must be thawed before the process can handle SIGTERM.
-    Status s = co_await freezer_.Thaw();
-    if (!s.ok()) co_return s;
-  }
-  co_await sim_.Delay(sim::Millis(300));  // graceful shutdown
-  EnterState(ContainerState::kStopped);
   co_return Status::Ok();
 }
 

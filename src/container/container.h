@@ -22,8 +22,6 @@ enum class ContainerState {
   kCreated,   // exists, process not started
   kRunning,   // process executing
   kPaused,    // cgroup frozen
-  kStopped,   // process exited
-  kRemoved,   // gone
 };
 
 std::string_view ContainerStateName(ContainerState s);
@@ -67,8 +65,6 @@ class Container {
   sim::Task<Status> Pause();
   // Paused -> Running (thaws the cgroup).
   sim::Task<Status> Unpause();
-  // Running|Paused -> Stopped (SIGTERM with grace period).
-  sim::Task<Status> Stop();
   // Created -> Paused, instantly and without booting: the container is a
   // cluster standby adopting a replicated checkpoint, so its process image
   // arrives already frozen. The boot cost was paid once on the home node;
@@ -92,8 +88,6 @@ class Container {
 
   sim::SimTime running_since_;
   sim::SimDuration total_running_;
-
-  friend class ContainerRuntime;  // for Remove()
 };
 
 }  // namespace swapserve::container

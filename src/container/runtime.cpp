@@ -32,20 +32,6 @@ Result<Container*> ContainerRuntime::Find(const std::string& name) {
   return it->second.get();
 }
 
-Status ContainerRuntime::Remove(const std::string& name) {
-  auto it = containers_.find(name);
-  if (it == containers_.end()) return NotFound("container " + name);
-  Container& c = *it->second;
-  if (c.state() == ContainerState::kRunning ||
-      c.state() == ContainerState::kPaused) {
-    return FailedPrecondition("remove: container " + name + " is " +
-                              std::string(ContainerStateName(c.state())));
-  }
-  c.EnterState(ContainerState::kRemoved);
-  containers_.erase(it);
-  return Status::Ok();
-}
-
 std::vector<const Container*> ContainerRuntime::List() const {
   std::vector<const Container*> out;
   out.reserve(containers_.size());

@@ -23,14 +23,11 @@ class ContainerRuntime {
   ContainerRuntime& operator=(const ContainerRuntime&) = delete;
 
   // Create a container from a registered image; assigns a unique id, a
-  // 10.88.0.0/16 address, and a host port. Names must be unique among
-  // non-removed containers.
+  // 10.88.0.0/16 address, and a host port. Names must be unique.
   Result<Container*> Create(const std::string& name,
                             const std::string& image_name);
 
   Result<Container*> Find(const std::string& name);
-  // Remove a stopped or created container.
-  Status Remove(const std::string& name);
 
   std::vector<const Container*> List() const;
   std::size_t count() const { return containers_.size(); }

@@ -115,9 +115,9 @@ struct ClusterConfig {
   // "random" (uniform over eligible nodes; the bench baseline).
   std::string placement = "locality";
   // --- fleet failover (multi-node only; inert with nodes == 1) ----------
-  // Heartbeat cadence of the health monitor; every node.crash /
-  // node.partition fault point is also evaluated once per beat. 0 disables
-  // the monitor, membership detection, and failover entirely.
+  // Heartbeat cadence of the health monitor; the node.crash fault point is
+  // also evaluated once per beat. 0 disables the monitor, membership
+  // detection, and failover entirely.
   double heartbeat_interval_s = 0.5;
   // Phi-accrual-style suspicion thresholds: a node unheard for
   // suspect_after_s turns kSuspect (placement stops routing to it); unheard

@@ -11,9 +11,11 @@
 //     (IsRegisteredFaultPoint below), so a typo in a config file is a
 //     startup error instead of a chaos run that quietly tests nothing.
 //   * swaplint's fault-point-name rule cross-checks every "ns.point"
-//     literal at Evaluate()/fires()/`point =` sites against this list, and
-//     its fault-point-coverage check reports registered points no chaos
-//     table arms (see tools/swaplint/lint.h).
+//     literal at Evaluate()/NextArmed()/fires()/`point =` sites against
+//     this list; its fault-point-coverage check reports registered points
+//     no chaos table arms, and its fault-point-dead check registered
+//     points no Evaluate()/NextArmed() call names, so an entry goes with
+//     its last injection site (see tools/swaplint/lint.h).
 //
 // swaplint parses the initializer of kFaultPointRegistry straight out of
 // this header's source text, so keep the array literal-only: no macros, no
@@ -52,10 +54,6 @@
 //                    evaluated once per heartbeat on the node's own
 //                    injector); stall_s is the *outage duration* before
 //                    the reboot starts, not a pre-delay
-//   node.partition   a node pair's fabric path fails (owner =
-//                    "nodeA:nodeB", evaluated on the lower node's
-//                    injector); a failing rule blackholes the pair for
-//                    stall_s, a stall-only rule degrades its bandwidth
 //   node.restart     a node reboot fails to come back up; each failure
 //                    waits another node_restart_s and retries, so a
 //                    probability below 1 recovers eventually
@@ -84,7 +82,6 @@ inline constexpr std::string_view kFaultPointRegistry[] = {
     "engine.restart",
     "cluster.fetch",
     "node.crash",
-    "node.partition",
     "node.restart",
     "request.admit",
 };

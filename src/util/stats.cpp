@@ -3,49 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 #include "util/status.h"
 
 namespace swapserve {
-
-void OnlineStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::Merge(const OnlineStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 void Samples::Add(double x) {
   values_.push_back(x);
@@ -94,49 +55,6 @@ double Samples::Percentile(double q) const {
   const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  SWAP_CHECK_MSG(hi > lo && buckets > 0, "invalid histogram bounds");
-  bucket_width_ = (hi - lo) / static_cast<double>(buckets);
-}
-
-void Histogram::Add(double x) {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / bucket_width_);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::BucketLow(std::size_t i) const {
-  return lo_ + bucket_width_ * static_cast<double>(i);
-}
-
-double Histogram::BucketHigh(std::size_t i) const {
-  return lo_ + bucket_width_ * static_cast<double>(i + 1);
-}
-
-std::string Histogram::ToAscii(std::size_t width) const {
-  std::uint64_t max_count = 0;
-  for (auto c : counts_) max_count = std::max(max_count, c);
-  std::string out;
-  char buf[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = max_count == 0
-                         ? std::size_t{0}
-                         : static_cast<std::size_t>(
-                               static_cast<double>(counts_[i]) * width /
-                               static_cast<double>(max_count));
-    std::snprintf(buf, sizeof(buf), "[%8.2f, %8.2f) %8llu |",
-                  BucketLow(i), BucketHigh(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += buf;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 namespace {

@@ -1,42 +1,16 @@
 // Statistics helpers used by benchmarks and the metrics subsystem.
 //
-// OnlineStats uses Welford's algorithm so long simulations can accumulate
-// millions of samples without storing them; Samples keeps raw values for
-// exact percentiles where the sample count is bounded.
+// Samples keeps raw values for exact percentiles where the sample count is
+// bounded; TimeSeries keeps a run-length step series for the time-weighted
+// GPU utilization and memory means.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace swapserve {
-
-// Streaming mean / variance / min / max.
-class OnlineStats {
- public:
-  void Add(double x);
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const;  // population variance
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  // Combine two accumulators (parallel reduction friendly).
-  void Merge(const OnlineStats& other);
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 // Exact-percentile sample set. O(n log n) on first percentile query after a
 // mutation; queries are cached between mutations.
@@ -64,30 +38,6 @@ class Samples {
   std::vector<double> values_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-// Fixed-bucket linear histogram over [lo, hi); out-of-range samples clamp to
-// the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  double BucketLow(std::size_t i) const;
-  double BucketHigh(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
-  // Render as a fixed-width ASCII bar chart (for bench output).
-  std::string ToAscii(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bucket_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 // Step series sampled on a fixed grid, used for GPU utilization and memory

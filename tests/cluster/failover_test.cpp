@@ -1,4 +1,4 @@
-// Node-level fault domains: crash/partition injection, heartbeat failure
+// Node-level fault domains: crash injection, heartbeat failure
 // detection, failover re-dispatch, standby promotion, replication repair,
 // rejoin, and the placement membership gate.
 
@@ -141,60 +141,6 @@ TEST(FailoverTest, MonitorWalksCrashedNodeThroughSuspectDownAndBack) {
     EXPECT_EQ(cluster.node(0).boots(), 1u);
     cluster.Shutdown();
   });
-}
-
-TEST(FailoverTest, PartitionedNodeIsDeclaredDownWhileAliveAndRejoins) {
-  Bed bed;
-  core::Config cfg = FastDetectConfig(/*nodes=*/3, /*replicate=*/2);
-  ClusterServe cluster(bed.sim, cfg, bed.catalog);
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await cluster.Initialize()).ok());
-    co_await bed.sim.Delay(sim::Minutes(2));
-
-    // Cut node2 off from both peers: alive, but nobody can hear it.
-    cluster.PartitionNodes(0, 2, sim::Seconds(8));
-    cluster.PartitionNodes(1, 2, sim::Seconds(8));
-    EXPECT_FALSE(cluster.fabric()->Reachable(0, 2));
-    EXPECT_FALSE(cluster.fabric()->Reachable(2, 1));
-    EXPECT_TRUE(cluster.fabric()->Reachable(0, 1));
-    co_await bed.sim.Delay(sim::Seconds(4.5));
-    EXPECT_EQ(cluster.node(2).membership(), NodeState::kDown);
-    EXPECT_TRUE(cluster.node(2).alive());
-    EXPECT_EQ(cluster.node(2).crashes(), 0u);
-    EXPECT_GE(cluster.failovers(), 1u);
-
-    // The partition heals at +8s; the node is heard again and rejoins
-    // without ever having rebooted.
-    co_await bed.sim.Delay(sim::Seconds(6));
-    EXPECT_TRUE(cluster.fabric()->Reachable(0, 2));
-    EXPECT_EQ(cluster.node(2).membership(), NodeState::kHealthy);
-    EXPECT_GE(cluster.monitor()->rejoins(), 1u);
-    EXPECT_EQ(cluster.node(2).boots(), 0u);
-    cluster.Shutdown();
-  });
-  EXPECT_EQ(cluster.fabric()->partitions(), 2u);
-}
-
-// A degraded (not blackholed) pair stays reachable: heartbeats cross, the
-// node keeps its membership, only transfers slow down.
-TEST(FailoverTest, DegradedPartitionSlowsTransfersButStaysReachable) {
-  Bed bed;
-  core::Config cfg = FastDetectConfig(/*nodes=*/2, /*replicate=*/2);
-  ClusterServe cluster(bed.sim, cfg, bed.catalog);
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await cluster.Initialize()).ok());
-    co_await bed.sim.Delay(sim::Minutes(2));
-    cluster.PartitionNodes(0, 1, sim::Seconds(30), /*degrade=*/8.0);
-    EXPECT_TRUE(cluster.fabric()->Reachable(0, 1));
-    EXPECT_EQ(cluster.fabric()->DegradeFactor(0, 1), 8.0);
-    co_await bed.sim.Delay(sim::Seconds(10));
-    EXPECT_EQ(cluster.node(0).membership(), NodeState::kHealthy);
-    EXPECT_EQ(cluster.node(1).membership(), NodeState::kHealthy);
-    co_await bed.sim.Delay(sim::Seconds(25));
-    EXPECT_EQ(cluster.fabric()->DegradeFactor(0, 1), 1.0);  // healed
-    cluster.Shutdown();
-  });
-  EXPECT_EQ(cluster.failovers(), 0u);
 }
 
 // --- failover mechanics -------------------------------------------------

@@ -1,7 +1,7 @@
 // The fleet heartbeat's parking: a healthy fleet schedules no beats, a
-// power change, partition or plan change wakes it, a node.* rule that arms
-// later fires on the beat a loop beating every interval would have used,
-// and Stop()/Start() never leaves a stale loop beating. Also covers the
+// power change or plan change wakes it, a node.* rule that arms later
+// fires on the beat a loop beating every interval would have used, and
+// Stop()/Start() never leaves a stale loop beating. Also covers the
 // repairer's restart generation.
 
 #include <gtest/gtest.h>
@@ -145,25 +145,6 @@ TEST(HealthParkingTest, ConfigureOnParkedFleetArmsTheNextBeat) {
     EXPECT_FALSE(cluster.node(0).alive());
     co_await bed.sim.Delay(sim::Seconds(3.5));
     EXPECT_EQ(cluster.node(0).membership(), NodeState::kDown);
-    cluster.Shutdown();
-  });
-}
-
-// A blackhole that silences a node on a parked fleet is detected too.
-TEST(HealthParkingTest, PartitionOnParkedFleetIsDetected) {
-  Bed bed;
-  ClusterServe cluster(bed.sim, FastDetectConfig(3), bed.catalog);
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await cluster.Initialize()).ok());
-    co_await bed.sim.Delay(sim::Minutes(2) + sim::Millis(123));
-    EXPECT_TRUE(cluster.monitor()->parked());
-    cluster.PartitionNodes(0, 2, sim::Seconds(8));
-    cluster.PartitionNodes(1, 2, sim::Seconds(8));
-    co_await bed.sim.Delay(sim::Seconds(3.5));
-    EXPECT_EQ(cluster.node(2).membership(), NodeState::kDown);
-    co_await bed.sim.Delay(sim::Seconds(6));
-    EXPECT_EQ(cluster.node(2).membership(), NodeState::kHealthy);
-    EXPECT_TRUE(cluster.monitor()->parked());
     cluster.Shutdown();
   });
 }

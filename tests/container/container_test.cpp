@@ -74,23 +74,6 @@ TEST_F(ContainerTest, UnpauseRequiresPaused) {
   });
 }
 
-TEST_F(ContainerTest, StopFromPausedThawsFirst) {
-  Run([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await c.Start()).ok());
-    EXPECT_TRUE((co_await c.Pause()).ok());
-    EXPECT_TRUE((co_await c.Stop()).ok());
-    EXPECT_EQ(c.state(), ContainerState::kStopped);
-    EXPECT_FALSE(c.freezer().frozen());
-  });
-}
-
-TEST_F(ContainerTest, StopFromCreatedFails) {
-  Run([&]() -> sim::Task<> {
-    Status s = co_await c.Stop();
-    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  });
-}
-
 TEST_F(ContainerTest, RunningTimeExcludesPaused) {
   Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await c.Start()).ok());  // running at t=5
@@ -119,7 +102,7 @@ TEST_F(ContainerTest, FreezerDoubleFreezeFails) {
 TEST_F(ContainerTest, StateNames) {
   EXPECT_EQ(ContainerStateName(ContainerState::kCreated), "created");
   EXPECT_EQ(ContainerStateName(ContainerState::kPaused), "paused");
-  EXPECT_EQ(ContainerStateName(ContainerState::kRemoved), "removed");
+  EXPECT_EQ(ContainerStateName(ContainerState::kRunning), "running");
 }
 
 }  // namespace

@@ -59,24 +59,6 @@ TEST_F(RuntimeTest, FindByName) {
   EXPECT_EQ(runtime.Find("y").status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(RuntimeTest, RemoveRequiresStoppedOrCreated) {
-  Container* c = runtime.Create("x", "ollama/ollama:v0.9.6").value();
-  sim::Spawn([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await c->Start()).ok());
-    EXPECT_EQ(runtime.Remove("x").code(), StatusCode::kFailedPrecondition);
-    EXPECT_TRUE((co_await c->Stop()).ok());
-    EXPECT_TRUE(runtime.Remove("x").ok());
-  });
-  sim.Run();
-  EXPECT_EQ(runtime.count(), 0u);
-  EXPECT_EQ(runtime.Remove("x").code(), StatusCode::kNotFound);
-}
-
-TEST_F(RuntimeTest, RemoveCreatedContainerDirectly) {
-  ASSERT_TRUE(runtime.Create("x", "ollama/ollama:v0.9.6").ok());
-  EXPECT_TRUE(runtime.Remove("x").ok());
-}
-
 TEST_F(RuntimeTest, ListReturnsAll) {
   ASSERT_TRUE(runtime.Create("a", "ollama/ollama:v0.9.6").ok());
   ASSERT_TRUE(runtime.Create("b", "vllm/vllm-openai:v0.9.2").ok());

@@ -202,19 +202,21 @@ TEST_F(ValidateTest, RejectsMonitorIntervalBelowOneNanosecond) {
 }
 
 TEST_F(ValidateTest, RejectsFaultRuleOnRemovedMigratePoint) {
-  // cluster.migrate is not a registered point: a plan naming it fails
-  // to load instead of arming nothing.
-  Config cfg = Valid();
-  fault::FaultRule rule;
-  rule.point = "cluster.migrate";
-  cfg.fault.plan.rules.push_back(rule);
-  Status s = cfg.Validate(catalog, 1);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("unregistered point \"cluster.migrate\""),
-            std::string::npos)
-      << s;
-  cfg.fault.plan.rules[0].point = "cluster.fetch";
-  EXPECT_TRUE(cfg.Validate(catalog, 1).ok());
+  // Removed points are not registered: a plan naming one fails to load
+  // instead of arming nothing.
+  for (const std::string point : {"cluster.migrate", "node.partition"}) {
+    Config cfg = Valid();
+    fault::FaultRule rule;
+    rule.point = point;
+    cfg.fault.plan.rules.push_back(rule);
+    Status s = cfg.Validate(catalog, 1);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << point;
+    EXPECT_NE(s.message().find("unregistered point \"" + point + "\""),
+              std::string::npos)
+        << s;
+    cfg.fault.plan.rules[0].point = "cluster.fetch";
+    EXPECT_TRUE(cfg.Validate(catalog, 1).ok());
+  }
 }
 
 TEST(ConfigTest, ParsesClusterSection) {

@@ -144,7 +144,7 @@ TEST(FaultInjectorTest, NextArmedIsTheFirstInstantARuleCanFire) {
   EXPECT_LT((at - sim::Nanos(1)).ToSeconds(), 2000.3);
   EXPECT_EQ(injector.NextArmed("node.crash", "node1"),
             sim::SimTime(sim::Seconds(10).ns()));
-  EXPECT_EQ(injector.NextArmed("node.partition", "node0"), sim::kNever);
+  EXPECT_EQ(injector.NextArmed("node.restart", "node0"), sim::kNever);
 
   bool fired = false;
   sim.ScheduleAt(at - sim::Nanos(1), [&] {

@@ -167,12 +167,28 @@ TEST(SwaplintFixtureTest, StaleStateSilentWithRecheckHelperOrTailCall) {
 
 TEST(SwaplintFixtureTest, FaultPointNameCatchesSeededTypo) {
   auto diags = LintFixture("fault_point_name_bad.cc");
-  // "ckpt.swap_uot" at the Evaluate site, "engine.crsh" at the assignment.
-  EXPECT_EQ(CountRule(diags, "fault-point-name"), 2) << Render(diags);
+  // "ckpt.swap_uot" at the Evaluate site, "engine.crahs" at the NextArmed
+  // site, "engine.crsh" at the assignment.
+  EXPECT_EQ(CountRule(diags, "fault-point-name"), 3) << Render(diags);
 }
 
 TEST(SwaplintFixtureTest, FaultPointNameSilentOnRegisteredAndNonPointShapes) {
   auto diags = LintFixture("fault_point_name_ok.cc");
+  EXPECT_TRUE(diags.empty()) << Render(diags);
+}
+
+TEST(SwaplintFixtureTest, FaultPointDeadFiresOnPointNoInjectorCallNames) {
+  auto diags = LintFixture("fault_point_dead_bad.cc");
+  // "node.partition": a plan arms it and fires() reads it, but no
+  // Evaluate()/NextArmed() call names it.
+  ASSERT_EQ(CountRule(diags, "fault-point-dead"), 1) << Render(diags);
+  EXPECT_EQ(diags.size(), 1u) << Render(diags);
+  EXPECT_EQ(diags[0].line, 8);
+  EXPECT_NE(diags[0].message.find("node.partition"), std::string::npos);
+}
+
+TEST(SwaplintFixtureTest, FaultPointDeadSilentOnCalledAndAnnotatedPoints) {
+  auto diags = LintFixture("fault_point_dead_ok.cc");
   EXPECT_TRUE(diags.empty()) << Render(diags);
 }
 
@@ -277,8 +293,12 @@ TEST(SwaplintRegistryTest, LinterEmitsCoverageDiagnosticForUnarmedPoint) {
                                   "rule.point = \"engine.crash\";\n");
   auto diags = linter.Run();
   ASSERT_EQ(CountRule(diags, "fault-point-coverage"), 1) << Render(diags);
-  EXPECT_NE(diags[0].message.find("ghost.point"), std::string::npos);
-  EXPECT_EQ(diags[0].file, "fault_points.h");
+  const auto coverage =
+      std::find_if(diags.begin(), diags.end(), [](const Diagnostic& d) {
+        return d.rule == "fault-point-coverage";
+      });
+  EXPECT_NE(coverage->message.find("ghost.point"), std::string::npos);
+  EXPECT_EQ(coverage->file, "fault_points.h");
 }
 
 TEST(SwaplintRegistryTest, NoCoverageDiagnosticsWithoutChaosFiles) {
@@ -293,7 +313,7 @@ TEST(SwaplintRegistryTest, RealRegistryMatchesRuntimeHeader) {
   // drifting the two is a build error here.
   const std::string content = ReadFixture("../../../src/fault/fault_points.h");
   std::vector<std::string> names = ExtractFaultPointNames(content);
-  EXPECT_EQ(names.size(), 15u);
+  EXPECT_EQ(names.size(), 14u);
   for (const std::string& n : names) {
     EXPECT_TRUE(n.find('.') != std::string::npos) << n;
   }
@@ -333,17 +353,18 @@ TEST(SwaplintBaselineTest, ParserIgnoresCommentsAndBlankLines) {
 
 // --- Rule catalog / docs sync -----------------------------------------------
 
-TEST(SwaplintFixtureTest, RuleListCoversAllFifteenRules) {
+TEST(SwaplintFixtureTest, RuleListCoversAllSixteenRules) {
   const std::vector<RuleInfo>& rules = Rules();
-  ASSERT_EQ(rules.size(), 15u);
+  ASSERT_EQ(rules.size(), 16u);
   std::vector<std::string> names;
   for (const RuleInfo& r : rules) names.emplace_back(r.name);
   for (const char* expected :
        {"coro-ref-param", "spawn-ref-capture", "stale-state-after-await",
         "unawaited-task", "discarded-status", "guard-across-await",
-        "borrow-across-await", "lock-order", "fault-point-name", "fault-point-coverage",
-        "unordered-iteration", "nondeterministic-source", "pointer-order",
-        "eager-trace-format", "polling-loop"}) {
+        "borrow-across-await", "lock-order", "fault-point-name",
+        "fault-point-coverage", "fault-point-dead", "unordered-iteration",
+        "nondeterministic-source", "pointer-order", "eager-trace-format",
+        "polling-loop"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

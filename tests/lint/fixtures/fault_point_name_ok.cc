@@ -12,6 +12,9 @@ Status Checkpoint(FaultInjector* fault) {
   fault::FaultDecision f = fault::Evaluate(fault, "ckpt.swap_out", "model-a");
   if (!f.status.ok()) return f.status;
   if (fault->fires("engine.crash") > 0) return Status::Ok();
+  if (fault->NextArmed("engine.crash", "model-a") == sim::kNever) {
+    return Status::Ok();
+  }
   return Status::Ok();
 }
 

@@ -63,20 +63,6 @@ fault::FaultPlan FleetChaos(sim::Rng& rng, int nodes, double start_s,
     rule.code = StatusCode::kUnavailable;
     plan.rules.push_back(std::move(rule));
   }
-  const int partitions = static_cast<int>(rng.UniformInt(0, 3));
-  for (int i = 0; i < partitions; ++i) {
-    const std::int64_t a = rng.UniformInt(0, nodes - 2);
-    const std::int64_t b = rng.UniformInt(a + 1, nodes - 1);
-    fault::FaultRule rule;
-    rule.point = "node.partition";
-    rule.owner = "node" + std::to_string(a) + ":node" + std::to_string(b);
-    rule.arm_after_s = start_s + rng.Uniform(0.0, window_s);
-    rule.max_fires = 1;
-    rule.fail = rng.Bernoulli(0.5);  // blackhole, else degrade
-    rule.stall_s = rng.Uniform(2.0, 10.0);
-    rule.code = StatusCode::kUnavailable;
-    plan.rules.push_back(std::move(rule));
-  }
   if (rng.Bernoulli(0.3)) {
     fault::FaultRule rule;
     rule.point = "node.crash";

@@ -1,8 +1,7 @@
 // Node-failure chaos suite: random seeded schedules of whole-node faults —
-// node.crash (power loss + delayed reboot), node.partition (fabric
-// blackhole / degrade), node.restart (reboots that fail) — pushed through
-// a 3-node fleet with replication and repair enabled,
-// checked against the fleet invariants:
+// node.crash (power loss + delayed reboot) and node.restart (reboots that
+// fail) — pushed through a 3-node fleet with replication and repair
+// enabled, checked against the fleet invariants:
 //   - every accepted request reaches exactly one terminal outcome, even
 //     when its node dies with the request queued and failover re-dispatches
 //     it to a survivor;
@@ -43,11 +42,10 @@ constexpr const char* kPool[] = {
 };
 constexpr int kPoolSize = 3;
 
-// Node-fault chaos plan. For node.crash and node.partition the rule's
-// stall_s is the fault's *duration* (outage length / partition length) and
-// the probability is rolled once per heartbeat per node (or per pair), so
-// per-beat probabilities stay low: a 0.5s beat over a ~2 minute active
-// phase is ~240 rolls per point. The aggressive variant (coverage sweep)
+// Node-fault chaos plan. For node.crash the rule's stall_s is the
+// *outage length* and the probability is rolled once per heartbeat per
+// node, so per-beat probabilities stay low: a 0.5s beat over a ~2 minute
+// active phase is ~240 rolls per node. The aggressive variant (coverage sweep)
 // raises them so every point demonstrably fires within a few seeds.
 fault::FaultPlan NodeChaosPlan(sim::Rng& rng, bool aggressive) {
   const double boost = aggressive ? 4.0 : 1.0;
@@ -58,16 +56,6 @@ fault::FaultPlan NodeChaosPlan(sim::Rng& rng, bool aggressive) {
     rule.probability = rng.Uniform(0.001, 0.006) * boost;
     rule.fail = true;
     rule.stall_s = rng.Uniform(3.0, 15.0);  // outage before reboot starts
-    rule.code = StatusCode::kUnavailable;
-    plan.rules.push_back(std::move(rule));
-  }
-  {
-    fault::FaultRule rule;
-    rule.point = "node.partition";
-    // fail=true blackholes the pair; a stall-only rule degrades it 8x.
-    rule.probability = rng.Uniform(0.001, 0.006) * boost;
-    rule.fail = rng.Bernoulli(0.5);
-    rule.stall_s = rng.Uniform(2.0, 10.0);  // partition length
     rule.code = StatusCode::kUnavailable;
     plan.rules.push_back(std::move(rule));
   }
@@ -94,14 +82,12 @@ struct FleetOutcome {
   std::uint64_t redispatch_dropped = 0;
   std::uint64_t standby_promotions = 0;
   std::uint64_t node_restart_failures = 0;
-  std::uint64_t partitions = 0;
   std::uint64_t crashes = 0;
   std::uint64_t boots = 0;
   std::uint64_t repairs_launched = 0;
   std::uint64_t repairs_completed = 0;
   std::uint64_t repairs_failed = 0;
   std::uint64_t crash_fires = 0;
-  std::uint64_t partition_fires = 0;
   std::uint64_t restart_fires = 0;
 
   bool operator==(const FleetOutcome&) const = default;
@@ -192,7 +178,6 @@ FleetOutcome RunNodeChaos(std::uint64_t seed, int n_requests,
     for (int i = 0; i < cluster.nodes(); ++i) {
       fault::FaultInjector& inj = cluster.node(i).serve().fault_injector();
       out.crash_fires += inj.fires("node.crash");
-      out.partition_fires += inj.fires("node.partition");
       out.restart_fires += inj.fires("node.restart");
       inj.Configure(fault::FaultPlan{});
     }
@@ -246,8 +231,6 @@ FleetOutcome RunNodeChaos(std::uint64_t seed, int n_requests,
   out.redispatch_dropped = cluster.redispatch_dropped();
   out.standby_promotions = cluster.standby_promotions();
   out.node_restart_failures = cluster.node_restart_failures();
-  SWAP_CHECK(cluster.fabric() != nullptr);
-  out.partitions = cluster.fabric()->partitions();
   out.repairs_launched = cluster.repairer()->launched();
   out.repairs_completed = cluster.repairer()->completed();
   out.repairs_failed = cluster.repairer()->failed();
@@ -266,14 +249,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range(std::uint64_t{0}, std::uint64_t{100}));
 
 // Guard against a sweep of quiet runs: across an aggressive prefix of the
-// seed range all three node.* points must actually fire, crashes must walk
+// seed range both node.* points must actually fire, crashes must walk
 // through detection to failover, and repair must restore copies.
 TEST(NodeChaosSweepSummary, NodeFaultPointsActuallyFire) {
   FleetOutcome totals;
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     FleetOutcome out = RunNodeChaos(seed, 20, /*aggressive=*/true);
     totals.crash_fires += out.crash_fires;
-    totals.partition_fires += out.partition_fires;
     totals.restart_fires += out.restart_fires;
     totals.crashes += out.crashes;
     totals.boots += out.boots;
@@ -281,17 +263,14 @@ TEST(NodeChaosSweepSummary, NodeFaultPointsActuallyFire) {
     totals.redispatched += out.redispatched;
     totals.standby_promotions += out.standby_promotions;
     totals.node_restart_failures += out.node_restart_failures;
-    totals.partitions += out.partitions;
     totals.repairs_launched += out.repairs_launched;
     totals.repairs_completed += out.repairs_completed;
   }
   EXPECT_GT(totals.crash_fires, 0u);
-  EXPECT_GT(totals.partition_fires, 0u);
   EXPECT_GT(totals.restart_fires, 0u);
   EXPECT_GT(totals.crashes, 0u);
   EXPECT_EQ(totals.crashes, totals.boots);
   EXPECT_GT(totals.failovers, 0u);
-  EXPECT_GT(totals.partitions, 0u);
   EXPECT_GT(totals.node_restart_failures, 0u);
   EXPECT_GT(totals.repairs_launched, 0u);
   EXPECT_GT(totals.repairs_completed, 0u);

@@ -11,53 +11,6 @@
 namespace swapserve {
 namespace {
 
-TEST(OnlineStatsTest, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(OnlineStatsTest, MeanAndVariance) {
-  OnlineStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStatsTest, MergeMatchesSequential) {
-  OnlineStats a;
-  OnlineStats b;
-  OnlineStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = i * 0.37 - 3.0;
-    (i % 2 == 0 ? a : b).Add(v);
-    all.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStatsTest, MergeWithEmpty) {
-  OnlineStats a;
-  a.Add(1.0);
-  OnlineStats empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  OnlineStats b;
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(SamplesTest, PercentilesInterpolate) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.Add(i);
@@ -113,31 +66,6 @@ TEST(SamplesTest, SummaryStats) {
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 4.0);
   EXPECT_NEAR(s.stddev(), std::sqrt(1.25), 1e-12);
-}
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);    // bucket 0
-  h.Add(3.0);    // bucket 1
-  h.Add(9.99);   // bucket 4
-  h.Add(-5.0);   // clamps to bucket 0
-  h.Add(100.0);  // clamps to bucket 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 0u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.BucketLow(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.BucketHigh(1), 4.0);
-}
-
-TEST(HistogramTest, AsciiRenderingHasOneLinePerBucket) {
-  Histogram h(0.0, 4.0, 4);
-  h.Add(1.0);
-  h.Add(1.5);
-  const std::string art = h.ToAscii(10);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 4);
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 constexpr std::int64_t kSecondNs = 1'000'000'000;

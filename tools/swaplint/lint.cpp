@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <sstream>
@@ -425,6 +426,25 @@ std::vector<RegistryEntry> ExtractRegistryEntries(
   return out;
 }
 
+// Every string literal among the arguments of a call to one of `callees`
+// (an injector call site when the callees are Evaluate/NextArmed/fires).
+template <typename Fn>
+void ForEachCallLiteral(const std::vector<Token>& t,
+                        std::initializer_list<std::string_view> callees,
+                        Fn&& fn) {
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != TokKind::kIdent || !IsTok(t, i + 1, "(")) continue;
+    if (std::find(callees.begin(), callees.end(), t[i].text) ==
+        callees.end()) {
+      continue;
+    }
+    const std::size_t close = SkipBalanced(t, i + 1, "(", ")");
+    for (std::size_t j = i + 2; j + 1 < close; ++j) {
+      if (t[j].kind == TokKind::kString) fn(t[j]);
+    }
+  }
+}
+
 // Shared index built by pass 1 over every added file.
 struct TreeIndex {
   std::set<std::string> task_fns;
@@ -437,6 +457,8 @@ struct TreeIndex {
   }();
   std::vector<RegistryEntry> registry;
   std::set<std::string, std::less<>> registry_names;
+  // String literals at Evaluate()/NextArmed() calls anywhere in the tree.
+  std::set<std::string, std::less<>> injected_points;
   std::string registry_file;
   const std::vector<Annotation>* registry_annotations = nullptr;
 };
@@ -833,8 +855,8 @@ class RuleRunner {
   }
 
   // Rule: fault-point-name. Every `"ns.point"` literal at an injector
-  // Evaluate()/fires() call or a `point = "..."` assignment must be a
-  // registered fault point: a typo here silently never fires.
+  // Evaluate()/NextArmed()/fires() call or a `point = "..."` assignment
+  // must be a registered fault point: a typo here silently never fires.
   void CheckFaultPointNames() {
     if (index_.registry_names.empty()) return;
     auto check_literal = [&](const Token& tok) {
@@ -846,18 +868,11 @@ class RuleRunner {
                "\" is not a registered fault point "
                "(src/fault/fault_points.h); a typo'd point never fires");
     };
-    for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
-      if (toks_[i].kind != TokKind::kIdent) continue;
-      const std::string& name = toks_[i].text;
-      if ((name == "Evaluate" || name == "fires") &&
-          IsTok(toks_, i + 1, "(")) {
-        std::size_t close = SkipBalanced(toks_, i + 1, "(", ")");
-        for (std::size_t j = i + 2; j + 1 < close; ++j) {
-          if (toks_[j].kind == TokKind::kString) check_literal(toks_[j]);
-        }
-      } else if (name == "point" && IsTok(toks_, i + 1, "=") &&
-                 i + 2 < toks_.size() &&
-                 toks_[i + 2].kind == TokKind::kString) {
+    ForEachCallLiteral(toks_, {"Evaluate", "NextArmed", "fires"},
+                       check_literal);
+    for (std::size_t i = 0; i + 2 < toks_.size(); ++i) {
+      if (toks_[i].kind == TokKind::kIdent && toks_[i].text == "point" &&
+          IsTok(toks_, i + 1, "=") && toks_[i + 2].kind == TokKind::kString) {
         check_literal(toks_[i + 2]);
       }
     }
@@ -1101,6 +1116,9 @@ const std::vector<RuleInfo>& Rules() {
        "fault point"},
       {"fault-point-coverage",
        "every registered fault point is armed by some chaos table"},
+      {"fault-point-dead",
+       "every registered fault point is named at some Evaluate/NextArmed "
+       "call in the linted tree"},
       {"unordered-iteration",
        "no range-for over unordered containers outside allowlisted "
        "debug code"},
@@ -1205,6 +1223,12 @@ std::vector<Diagnostic> Linter::Run() {
     }
     CollectOtherReturns(f.lexed.tokens, other_fns);
     CollectUnorderedNames(f.lexed.tokens, index.unordered_names);
+    // The calls that inject a fault: a point none of them names never
+    // fires.
+    ForEachCallLiteral(f.lexed.tokens, {"Evaluate", "NextArmed"},
+                       [&](const Token& tok) {
+                         index.injected_points.insert(StripQuotes(tok.text));
+                       });
     for (const Annotation& a : f.lexed.recheck_helpers) {
       index.recheck_names.insert(a.rule);
     }
@@ -1237,6 +1261,20 @@ std::vector<Diagnostic> Linter::Run() {
     RuleRunner(f.path, f.lexed, index, out).Run();
   }
 
+  // A finding on a registry entry, unless annotated on its line or the
+  // line above.
+  auto emit_registry = [&](const RegistryEntry& e, const char* rule,
+                           std::string message) {
+    if (index.registry_annotations != nullptr) {
+      for (const Annotation& a : *index.registry_annotations) {
+        if (a.rule == rule && (a.line == e.line || a.line == e.line - 1)) {
+          return;
+        }
+      }
+    }
+    out.push_back({index.registry_file, e.line, rule, std::move(message)});
+  };
+
   // Registry <-> chaos-table coverage: a point nothing arms means a whole
   // failure mode the 100-seed suites never exercise.
   if (!chaos_contents_.empty() && !index.registry.empty()) {
@@ -1244,27 +1282,26 @@ std::vector<Diagnostic> Linter::Run() {
                                         chaos_contents_.end());
     std::vector<std::string> reg;
     for (const RegistryEntry& e : index.registry) reg.push_back(e.name);
-    for (const std::string& point : UnarmedFaultPoints(reg, views)) {
-      int line = 0;
-      for (const RegistryEntry& e : index.registry) {
-        if (e.name == point) line = e.line;
+    const std::vector<std::string> unarmed = UnarmedFaultPoints(reg, views);
+    for (const RegistryEntry& e : index.registry) {
+      if (std::find(unarmed.begin(), unarmed.end(), e.name) == unarmed.end()) {
+        continue;
       }
-      bool suppressed = false;
-      if (index.registry_annotations != nullptr) {
-        for (const Annotation& a : *index.registry_annotations) {
-          if (a.rule == "fault-point-coverage" &&
-              (a.line == line || a.line == line - 1)) {
-            suppressed = true;
-          }
-        }
-      }
-      if (!suppressed) {
-        out.push_back({index.registry_file, line, "fault-point-coverage",
-                       "fault point \"" + point +
-                           "\" is registered but no chaos table arms it; "
-                           "the failure mode is never exercised"});
-      }
+      emit_registry(e, "fault-point-coverage",
+                    "fault point \"" + e.name +
+                        "\" is registered but no chaos table arms it; the "
+                        "failure mode is never exercised");
     }
+  }
+
+  // Registry <-> injector call sites: a point no Evaluate/NextArmed names
+  // is a failure mode the program cannot produce, however a plan arms it.
+  for (const RegistryEntry& e : index.registry) {
+    if (index.injected_points.count(e.name) > 0) continue;
+    emit_registry(e, "fault-point-dead",
+                  "fault point \"" + e.name +
+                      "\" is registered but no Evaluate/NextArmed call "
+                      "names it; a rule arming it can never fire");
   }
 
   std::sort(out.begin(), out.end(), [](const Diagnostic& a,

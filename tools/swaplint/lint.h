@@ -53,6 +53,10 @@
 //                       Registry entries no chaos-suite file arms (only
 //                       emitted when chaos tables are supplied via
 //                       AddChaosFile / --coverage).
+//   fault-point-dead    Registry entries no Evaluate()/NextArmed() call in
+//                       the linted tree names: the program can never
+//                       produce that failure, so the point is deleted
+//                       with its last call site.
 //
 // Determinism (golden traces are byte-identical across runs):
 //   unordered-iteration Range-for over a std::unordered_{map,set}:
