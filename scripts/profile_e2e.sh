@@ -16,7 +16,10 @@
 #     std::string code or a string-keyed std::map/_Rb_tree walk (copies,
 #     compares, and the allocations they make);
 #   - the top owning functions, with their string-work part;
-# and the top owning functions of the setup and report windows.
+# and the top owning functions of the setup and report windows. Last, from
+# the RSS high-water mark (ru_maxrss) the sampler records with each sample,
+# how much it rose in each rep's setup, run and report window, and the
+# window where it reached its final value (bench_e2e's peak_rss_mib).
 # Each rep (e2e::RunRep) sets up, runs and reports:
 #   - run: every sample under sim::Simulation::Run. The fleet's Initialize
 #     runs there too, but is a few hundred events of the run's hundreds of
@@ -67,7 +70,9 @@ from symbolize import qualified, read_dump, symbolize, under_run
 
 path, top = sys.argv[1], int(sys.argv[2])
 maps, _, rows = read_dump(path)
-chains = symbolize(maps, [[int(v, 16) for v in row] for row in rows],
+# Each row: the RSS high-water mark in KiB, then the PC and the stack.
+max_rss = [int(row[0]) for row in rows]
+chains = symbolize(maps, [[int(v, 16) for v in row[1:]] for row in rows],
                    pc_first=True)
 
 
@@ -174,4 +179,38 @@ for window, counts in window_self.items():
           f"{window} window's {n_window} samples)")
     for owner, n in counts.most_common(top):
         print(f"  {100.0 * n / n_window:5.1f} %  ({n})  {owner}")
+
+# The high-water mark only rises. A rise between two samples is charged to
+# the later sample's window, so a window's figure can include the end of
+# the window before it (at most one sampling interval of CPU time).
+rises = []  # per rep: KiB by window
+rep_of = []  # each sample's rep (-1: before the first rep)
+outside_rise = 0
+previous_kib = max_rss[0] if max_rss else 0
+previous_window = None
+for window, kib in zip(windows, max_rss):
+    if (window == "setup" and previous_window != "setup") or \
+            (window == "run" and previous_window not in ("setup", "run")):
+        rises.append(collections.Counter())
+    rep_of.append(len(rises) - 1)
+    if window == "outside" or not rises:
+        outside_rise += kib - previous_kib
+    else:
+        rises[-1][window] += kib - previous_kib
+    previous_kib = kib
+    previous_window = window
+if max_rss:
+    peak = max(max_rss)
+    at = max_rss.index(peak)
+    where = (f"rep {rep_of[at] + 1}'s {windows[at]} window"
+             if windows[at] != "outside" and rep_of[at] >= 0
+             else "outside any rep")
+    mib = 1024.0
+    print(f"\nRSS high-water mark {peak / mib:.1f} MiB, reached in {where}")
+    print(f"  rise in MiB   {'setup':>7} {'run':>7} {'report':>7}")
+    for rep, rise in enumerate(rises):
+        print(f"  rep {rep + 1:<9} " + " ".join(
+            f"{rise[w] / mib:7.2f}" for w in ("setup", "run", "report")))
+    print(f"  at the first sample {max_rss[0] / mib:.2f}, outside any rep "
+          f"{outside_rise / mib:.2f}")
 PY

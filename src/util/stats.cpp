@@ -1,65 +1,157 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cmath>
+#include <ranges>
+#include <utility>
 
 #include "util/status.h"
 
 namespace swapserve {
 
+namespace {
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+// Order-preserving key of a non-NaN double: a < b iff Key(a) < Key(b), and
+// +0.0 and -0.0 share the key of +0.0.
+std::uint64_t Key(double x) {
+  const std::uint64_t bits = x == 0.0 ? 0 : std::bit_cast<std::uint64_t>(x);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+double FromKey(std::uint64_t key) {
+  return std::bit_cast<double>((key & kSignBit) != 0 ? key ^ kSignBit : ~key);
+}
+
+}  // namespace
+
+Samples::Samples(Samples&& other) noexcept
+    : chunks_(std::exchange(other.chunks_, {})),
+      tail_(std::exchange(other.tail_, nullptr)),
+      tail_end_(std::exchange(other.tail_end_, nullptr)),
+      count_(std::exchange(other.count_, 0)) {}
+
 void Samples::Add(double x) {
-  values_.push_back(x);
-  sorted_valid_ = false;
+  SWAP_CHECK_MSG(!std::isnan(x), "Samples::Add: NaN has no rank");
+  if (tail_ == tail_end_) {
+    const std::size_t capacity = ChunkCapacity(chunks_.size());
+    chunks_.emplace_back(new double[capacity]);
+    tail_ = chunks_.back().get();
+    tail_end_ = tail_ + capacity;
+  }
+  *tail_++ = x;
+  ++count_;
+}
+
+std::ranges::subrange<SamplesIterator> Samples::values() const {
+  SamplesIterator first;
+  if (count_ != 0) {
+    first.chunk_ = chunks_.data();
+    first.at_ = chunks_.front().get();
+    first.chunk_end_ = first.at_ + ChunkCapacity(0);
+    first.left_ = count_;
+  }
+  return {first, SamplesIterator()};
 }
 
 double Samples::mean() const {
-  if (values_.empty()) return 0.0;
+  if (count_ == 0) return 0.0;
   double sum = 0.0;
-  for (double v : values_) sum += v;
-  return sum / static_cast<double>(values_.size());
+  for (double v : values()) sum += v;
+  return sum / static_cast<double>(count_);
 }
 
 double Samples::min() const {
-  if (values_.empty()) return 0.0;
-  return *std::min_element(values_.begin(), values_.end());
+  if (count_ == 0) return 0.0;
+  return *std::ranges::min_element(values());
 }
 
 double Samples::max() const {
-  if (values_.empty()) return 0.0;
-  return *std::max_element(values_.begin(), values_.end());
+  if (count_ == 0) return 0.0;
+  return *std::ranges::max_element(values());
 }
 
 double Samples::stddev() const {
-  if (values_.size() < 2) return 0.0;
+  if (count_ < 2) return 0.0;
   const double m = mean();
   double acc = 0.0;
-  for (double v : values_) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values_.size()));
+  for (double v : values()) acc += (v - m) * (v - m);
+  return std::sqrt(acc / static_cast<double>(count_));
 }
 
-void Samples::EnsureSorted() const {
-  if (sorted_valid_) return;
-  sorted_ = values_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
+// The k-th smallest key (0-based), and how many keys lie below it and
+// equal it.
+struct Samples::Rank {
+  std::uint64_t key;
+  std::size_t below;
+  std::size_t equal;
+};
+
+// Radix select, most significant digit first: each pass counts the keys
+// that share the digits fixed so far by their next digit, and fixes the
+// digit whose bucket holds rank k. The histogram lives on the stack.
+Samples::Rank Samples::Select(std::size_t k) const {
+  constexpr int kDigitBits = 11;
+  std::array<std::size_t, std::size_t{1} << kDigitBits> hist;
+  std::uint64_t prefix = 0;
+  std::uint64_t mask = 0;
+  std::size_t below = 0;
+  std::size_t in_bucket = count_;
+  for (int high = 64; high > 0;) {
+    const int width = std::min(kDigitBits, high);
+    const int shift = high - width;
+    const std::uint64_t digit_mask = (std::uint64_t{1} << width) - 1;
+    hist.fill(0);
+    for (double v : values()) {
+      const std::uint64_t key = Key(v);
+      if ((key & mask) == prefix) ++hist[(key >> shift) & digit_mask];
+    }
+    std::uint64_t digit = 0;
+    while (below + hist[digit] <= k) below += hist[digit++];
+    in_bucket = hist[digit];
+    prefix |= digit << shift;
+    mask |= digit_mask << shift;
+    high = shift;
+  }
+  return {prefix, below, in_bucket};
+}
+
+// The smallest key above `key`, as a value; one pass.
+double Samples::Above(std::uint64_t key) const {
+  std::uint64_t best = UINT64_MAX;
+  for (double v : values()) {
+    const std::uint64_t other = Key(v);
+    if (other > key && other < best) best = other;
+  }
+  return FromKey(best);
 }
 
 double Samples::Percentile(double q) const {
   SWAP_CHECK_MSG(q >= 0.0 && q <= 1.0, "percentile out of range");
-  if (values_.empty()) return 0.0;
-  EnsureSorted();
-  if (sorted_.size() == 1) return sorted_[0];
-  const double rank = q * static_cast<double>(sorted_.size() - 1);
+  if (count_ == 0) return 0.0;
+  if (count_ == 1) return chunks_.front()[0];
+  const double rank = q * static_cast<double>(count_ - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
+  const std::size_t hi = std::min(lo + 1, count_ - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
+  const Rank at = Select(lo);
+  const double lo_value = FromKey(at.key);
+  const double hi_value =
+      hi < at.below + at.equal ? lo_value : Above(at.key);
+  return lo_value + frac * (hi_value - lo_value);
 }
 
 namespace {
 
 double NsToSeconds(std::int64_t ns) { return static_cast<double>(ns) / 1e9; }
+
+// Run arrays of a chunk holding `capacity` runs.
+double* Values(std::byte* chunk) { return reinterpret_cast<double*>(chunk); }
+std::uint32_t* Counts(std::byte* chunk, std::size_t capacity) {
+  return reinterpret_cast<std::uint32_t*>(chunk + capacity * sizeof(double));
+}
 
 }  // namespace
 
@@ -67,70 +159,142 @@ TimeSeries::TimeSeries(std::int64_t interval_ns) : interval_ns_(interval_ns) {
   SWAP_CHECK_MSG(interval_ns_ > 0, "TimeSeries interval must be positive");
 }
 
+TimeSeries::TimeSeries(TimeSeries&& other) noexcept
+    : interval_ns_(other.interval_ns_),
+      chunks_(std::exchange(other.chunks_, {})),
+      segments_(std::exchange(other.segments_, {})),
+      value_tail_(std::exchange(other.value_tail_, nullptr)),
+      count_tail_(std::exchange(other.count_tail_, nullptr)),
+      chunk_left_(std::exchange(other.chunk_left_, 0)),
+      runs_(std::exchange(other.runs_, 0)),
+      size_(std::exchange(other.size_, 0)),
+      next_ns_(std::exchange(other.next_ns_, 0)) {}
+
+void TimeSeries::PushRun(double value, std::uint32_t count) {
+  if (chunk_left_ == 0) {
+    const std::size_t capacity = ChunkCapacity(chunks_.size());
+    chunks_.emplace_back(
+        new std::byte[capacity * (sizeof(double) + sizeof(std::uint32_t))]);
+    value_tail_ = Values(chunks_.back().get());
+    count_tail_ = Counts(chunks_.back().get(), capacity);
+    chunk_left_ = capacity;
+  }
+  *value_tail_++ = value;
+  *count_tail_++ = count;
+  --chunk_left_;
+  ++runs_;
+}
+
 void TimeSeries::Append(std::int64_t at_ns, double value, std::size_t count) {
   if (count == 0) return;
+  const std::int64_t next_ns =
+      at_ns + static_cast<std::int64_t>(count) * interval_ns_;
   size_ += count;
-  if (!runs_.empty()) {
-    Run& last = runs_.back();
-    const std::int64_t next_ns =
-        last.first_ns +
-        static_cast<std::int64_t>(last.count) * interval_ns_;
-    SWAP_CHECK_MSG(at_ns > next_ns - interval_ns_,
+  if (runs_ == 0 || at_ns != next_ns_) {
+    SWAP_CHECK_MSG(runs_ == 0 || at_ns > next_ns_ - interval_ns_,
                    "TimeSeries samples must be appended in time order");
-    if (at_ns == next_ns && std::bit_cast<std::uint64_t>(value) ==
-                                std::bit_cast<std::uint64_t>(last.value)) {
-      last.count += count;
-      return;
+    segments_.push_back({at_ns, runs_});
+  } else if (std::bit_cast<std::uint64_t>(value) ==
+             std::bit_cast<std::uint64_t>(value_tail_[-1])) {
+    const std::size_t extend =
+        std::min<std::size_t>(count, kMaxRunCount - count_tail_[-1]);
+    count_tail_[-1] += static_cast<std::uint32_t>(extend);
+    count -= extend;
+  }
+  for (; count > 0;) {
+    const std::size_t run = std::min(count, kMaxRunCount);
+    PushRun(value, static_cast<std::uint32_t>(run));
+    count -= run;
+  }
+  next_ns_ = next_ns;
+}
+
+template <class Fn>
+void TimeSeries::ForEachRun(Fn&& fn) const {
+  std::size_t chunk = 0;
+  std::size_t at = 0;  // run r's slot in `chunk`
+  std::size_t r = 0;
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    const bool more_segments = s + 1 < segments_.size();
+    const std::size_t end = more_segments ? segments_[s + 1].first_run : runs_;
+    std::int64_t first_ns = segments_[s].anchor_ns;
+    for (; r < end; ++r, ++at) {
+      std::size_t capacity = ChunkCapacity(chunk);
+      if (at == capacity) {
+        capacity = ChunkCapacity(++chunk);
+        at = 0;
+      }
+      std::byte* base = chunks_[chunk].get();
+      const std::uint32_t count = Counts(base, capacity)[at];
+      const std::int64_t after_ns =
+          first_ns + static_cast<std::int64_t>(count) * interval_ns_;
+      const bool last = r + 1 == end && !more_segments;
+      if (!fn(first_ns, count, Values(base)[at],
+              r + 1 < end ? after_ns : last ? 0 : segments_[s + 1].anchor_ns,
+              last)) {
+        return;
+      }
+      first_ns = after_ns;
     }
   }
-  runs_.push_back({at_ns, count, value});
 }
 
 std::vector<TimeSeries::Point> TimeSeries::Points() const {
   std::vector<Point> out;
   out.reserve(size_);
-  for (const Run& run : runs_) {
-    for (std::size_t j = 0; j < run.count; ++j) {
+  ForEachRun([&](std::int64_t first_ns, std::uint32_t count, double value,
+                 std::int64_t, bool) {
+    for (std::uint32_t j = 0; j < count; ++j) {
       out.push_back(
-          {NsToSeconds(run.first_ns +
-                       static_cast<std::int64_t>(j) * interval_ns_),
-           run.value});
+          {NsToSeconds(first_ns + static_cast<std::int64_t>(j) * interval_ns_),
+           value});
     }
-  }
+    return true;
+  });
   return out;
 }
 
 double TimeSeries::TimeWeightedMean(double t0, double t1) const {
-  if (runs_.empty() || t1 <= t0) return 0.0;
+  if (runs_ == 0 || t1 <= t0) return 0.0;
   double acc = 0.0;
   double covered = 0.0;
-  double time = NsToSeconds(runs_.front().first_ns);
-  // Samples at or after t1 contribute nothing, so the walk stops there.
-  for (std::size_t r = 0; r < runs_.size() && time < t1; ++r) {
-    const Run& run = runs_[r];
-    for (std::size_t j = 0; j < run.count && time < t1; ++j) {
-      double next = t1;
-      if (j + 1 < run.count) {
-        next = NsToSeconds(run.first_ns +
-                           static_cast<std::int64_t>(j + 1) * interval_ns_);
-      } else if (r + 1 < runs_.size()) {
-        next = NsToSeconds(runs_[r + 1].first_ns);
-      }
+  ForEachRun([&](std::int64_t first_ns, std::uint32_t count, double value,
+                 std::int64_t after_ns, bool last) {
+    const auto at = [&](std::size_t j) {
+      return NsToSeconds(first_ns +
+                         static_cast<std::int64_t>(j) * interval_ns_);
+    };
+    // The end of the run's last sample.
+    const double run_end = last ? t1 : NsToSeconds(after_ns);
+    if (run_end <= t0) return true;
+    // Start at the first sample that ends after t0.
+    std::size_t j = *std::ranges::partition_point(
+        std::views::iota(std::size_t{0}, std::size_t{count} - 1),
+        [&](std::size_t i) { return at(i + 1) <= t0; });
+    // Samples at or after t1 contribute nothing, so the walk stops there.
+    for (double time = at(j); j < count; ++j) {
+      if (time >= t1) return false;
+      const double next = j + 1 < count ? at(j + 1) : run_end;
       const double start = std::max(time, t0);
       const double end = std::min(next, t1);
       if (end > start) {
-        acc += run.value * (end - start);
+        acc += value * (end - start);
         covered += end - start;
       }
       time = next;
     }
-  }
+    return true;
+  });
   return covered > 0 ? acc / covered : 0.0;
 }
 
 double TimeSeries::MaxValue() const {
   double m = 0.0;
-  for (const Run& run : runs_) m = std::max(m, run.value);
+  ForEachRun([&](std::int64_t, std::uint32_t, double value, std::int64_t,
+                 bool) {
+    m = std::max(m, value);
+    return true;
+  });
   return m;
 }
 

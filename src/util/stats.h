@@ -1,55 +1,150 @@
 // Statistics helpers used by benchmarks and the metrics subsystem.
 //
-// Samples keeps raw values for exact percentiles where the sample count is
-// bounded; TimeSeries keeps a run-length step series for the time-weighted
-// GPU utilization and memory means.
+// Samples keeps raw values for exact percentiles; TimeSeries keeps a
+// run-length step series for the time-weighted GPU utilization and memory
+// means. Both store their data in append-only chunks: chunks 0 and 1 hold
+// kFirstChunk elements and each later chunk doubles, up to kMaxChunk, so
+// the capacity grows through the same sizes a doubling vector would, but
+// nothing is ever copied or freed on the way. A near-empty store costs a
+// few hundred bytes; a long one wastes at most one partly filled chunk.
+// Samples costs 8 bytes per value, TimeSeries 12 bytes per run.
 
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
+#include <ranges>
 #include <vector>
 
 namespace swapserve {
 
-// Exact-percentile sample set. O(n log n) on first percentile query after a
-// mutation; queries are cached between mutations.
+namespace stats_detail {
+
+// Elements in chunk k of a store whose chunks 0 and 1 hold `first` and
+// whose later chunks double up to `cap` (both powers of two): the total
+// after chunk k is first << k until a chunk reaches the cap.
+constexpr std::size_t ChunkCapacity(std::size_t k, std::size_t first,
+                                    std::size_t cap) {
+  if (k == 0) return first;
+  const auto doublings =
+      static_cast<std::size_t>(std::countr_zero(cap / first));
+  return k - 1 >= doublings ? cap : first << (k - 1);
+}
+
+}  // namespace stats_detail
+
+class Samples;
+
+// Forward iterator over a Samples' values in insertion order.
+class SamplesIterator {
+ public:
+  using iterator_concept = std::forward_iterator_tag;
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = double;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const double*;
+  using reference = const double&;
+
+  const double& operator*() const { return *at_; }
+  SamplesIterator& operator++();
+  SamplesIterator operator++(int) {
+    SamplesIterator old = *this;
+    ++*this;
+    return old;
+  }
+  friend bool operator==(const SamplesIterator& a, const SamplesIterator& b) {
+    return a.left_ == b.left_;
+  }
+
+ private:
+  friend class Samples;
+  const std::unique_ptr<double[]>* chunk_ = nullptr;
+  std::size_t index_ = 0;  // chunk_'s position in the chunk list
+  const double* at_ = nullptr;
+  const double* chunk_end_ = nullptr;
+  std::size_t left_ = 0;  // values from at_ to the end, at_ included
+};
+
+// Exact-percentile sample set. Adding a value writes it at the end of the
+// last chunk. A percentile query finds the two order statistics it
+// interpolates by radix select over the values in place: O(n) per query,
+// no sorted copy, no cache and no allocation.
 class Samples {
  public:
-  void Add(double x);
-  void Reserve(std::size_t n) { values_.reserve(n); }
+  static constexpr std::size_t kFirstChunk = 16;
+  static constexpr std::size_t kMaxChunk = 4096;  // 32 KiB of doubles
 
-  std::size_t count() const { return values_.size(); }
-  bool empty() const { return values_.empty(); }
+  Samples() = default;
+  // A moved-from set is empty.
+  Samples(Samples&& other) noexcept;
+
+  // Aborts on NaN, which has no rank.
+  void Add(double x);
+
+  std::size_t count() const { return count_; }
+  bool empty() const { return count_ == 0; }
   double mean() const;
   double min() const;
   double max() const;
   double stddev() const;
 
-  // q in [0, 1]; linear interpolation between closest ranks.
+  // q in [0, 1]; linear interpolation between closest ranks, the values a
+  // sorted copy would hold at those ranks (+0.0 and -0.0 rank as equal).
   double Percentile(double q) const;
   double Median() const { return Percentile(0.5); }
   double P99() const { return Percentile(0.99); }
 
-  const std::vector<double>& values() const { return values_; }
+  // The values in insertion order, as a forward range.
+  std::ranges::subrange<SamplesIterator> values() const;
 
  private:
-  void EnsureSorted() const;
-  std::vector<double> values_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+  friend class SamplesIterator;
+  static constexpr std::size_t ChunkCapacity(std::size_t k) {
+    return stats_detail::ChunkCapacity(k, kFirstChunk, kMaxChunk);
+  }
+  struct Rank;
+  Rank Select(std::size_t k) const;
+  double Above(std::uint64_t key) const;
+
+  std::vector<std::unique_ptr<double[]>> chunks_;
+  double* tail_ = nullptr;      // next free slot of the last chunk
+  double* tail_end_ = nullptr;  // end of the last chunk
+  std::size_t count_ = 0;
 };
+
+inline SamplesIterator& SamplesIterator::operator++() {
+  --left_;
+  if (++at_ == chunk_end_ && left_ != 0) {
+    ++chunk_;
+    at_ = chunk_->get();
+    chunk_end_ = at_ + Samples::ChunkCapacity(++index_);
+  }
+  return *this;
+}
 
 // Step series sampled on a fixed grid, used for GPU utilization and memory
 // traces (Fig. 3). Sample instants are integer nanoseconds, reported in
 // seconds as ns / 1e9 (what sim::SimTime::ToSeconds() returns), and a value
 // holds until the next sample. Storage is run-length: a run is `count`
 // consecutive grid samples of one value, `interval_ns` apart, so an idle
-// stretch of any length costs one run. A new run starts when the value
-// changes or the grid is re-anchored (a monitor restart).
+// stretch of any length costs one run. A run is 12 bytes, its value and a
+// 32-bit count in parallel arrays; instants are implicit. A segment is a
+// stretch of runs that each start where the previous one ends, and only
+// its first instant is stored. A new run starts when the value changes or
+// the count would pass 2^32 - 1; a new segment starts when a sample lands
+// off the grid (a monitor restart re-anchors it).
 class TimeSeries {
  public:
+  static constexpr std::size_t kFirstChunk = 16;
+  static constexpr std::size_t kMaxChunk = 4096;  // 48 KiB of runs
+  static constexpr std::size_t kMaxRunCount = UINT32_MAX;
+
   explicit TimeSeries(std::int64_t interval_ns);
+  // A moved-from series is empty, on the same grid.
+  TimeSeries(TimeSeries&& other) noexcept;
 
   // Append `count` samples of `value` at at_ns, at_ns + interval, ...;
   // at_ns must lie after the last sample.
@@ -57,7 +152,7 @@ class TimeSeries {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::size_t runs() const { return runs_.size(); }
+  std::size_t runs() const { return runs_; }
 
   struct Point {
     double time_s;
@@ -69,20 +164,37 @@ class TimeSeries {
   // Time-weighted average over [t0, t1] assuming the value holds until the
   // next sample (step function). Walks the samples one by one in time
   // order, so the sums are those of the same series stored point by
-  // point. Returns 0 for an empty series.
+  // point; samples that end by t0 add nothing and are skipped. Returns 0
+  // for an empty series.
   double TimeWeightedMean(double t0, double t1) const;
 
   double MaxValue() const;
 
  private:
-  struct Run {
-    std::int64_t first_ns;
-    std::size_t count;
-    double value;
+  static constexpr std::size_t ChunkCapacity(std::size_t k) {
+    return stats_detail::ChunkCapacity(k, kFirstChunk, kMaxChunk);
+  }
+  // Calls fn(first_ns, count, value, after_ns, last) on each run in time
+  // order, where after_ns is the first instant of the next run (0 for the
+  // last run, whose `last` is true); stops when fn returns false.
+  template <class Fn>
+  void ForEachRun(Fn&& fn) const;
+  void PushRun(double value, std::uint32_t count);
+
+  struct Segment {
+    std::int64_t anchor_ns;  // the first run's first instant
+    std::size_t first_run;
   };
   std::int64_t interval_ns_;
-  std::vector<Run> runs_;
+  // Chunk k: ChunkCapacity(k) values, then as many 32-bit counts.
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  std::vector<Segment> segments_;
+  double* value_tail_ = nullptr;  // next free run of the last chunk
+  std::uint32_t* count_tail_ = nullptr;
+  std::size_t chunk_left_ = 0;  // free runs in the last chunk
+  std::size_t runs_ = 0;
   std::size_t size_ = 0;
+  std::int64_t next_ns_ = 0;  // the grid instant after the last sample
 };
 
 }  // namespace swapserve

@@ -8,7 +8,8 @@
 // channel and nothing else: every name is borrowed and read once, at
 // RequestHandler::Accept, and only the request's numbers are queued; the
 // queue, the relay and the completion record borrow the backend. The only
-// other growth is amortized: the per-model Samples vectors doubling.
+// other growth is amortized: a new chunk of a per-model Samples, whose
+// capacity doubles with each chunk up to 4096 values.
 //
 // Under asan/tsan the counting shim is compiled out (the sanitizer runtime
 // owns operator new), as in tests/sim/alloc_test.cpp, and so is the frame
@@ -66,9 +67,9 @@ constexpr int kWarm = 1000;
 constexpr int kRequests = 1000;
 const std::string kModel = "deepseek-r1-7b-fp16";
 
-// One response channel per request; the two per-model Samples vectors
-// (TTFT, swap wait) each double at most once between 1000 and 2000
-// entries.
+// One response channel per request; the two per-model Samples (TTFT, swap
+// wait) each add one chunk between 1000 and 2000 entries (capacity 1024 to
+// 2048).
 void ExpectOnlyResponseChannels(std::uint64_t counted) {
 #if SWAPSERVE_COUNTING_NEW && SWAPSERVE_FRAME_POOL && !SWAPSERVE_LOCK_DEBUG
   EXPECT_LE(counted, static_cast<std::uint64_t>(kRequests) + 2)

@@ -11,16 +11,16 @@
 // groups are borrowed spans, per-device lists sit in the swap frames, and
 // the snapshot, tier, GPU-allocation and reservation tables are flat arrays
 // that reached their size during warm-up. The window is sized so that no
-// Samples vector doubles inside it (each model's TTFT and swap-wait vectors
-// go from ~150 to ~250 entries under a capacity of 256, the swap-latency
-// vectors from ~300 to ~500 under 512). The one amortized growth left is
-// the GPU monitor's sample series: its TimeSeries run vector doubles about
-// once per few hundred cycles.
+// Samples adds a chunk inside it (each model's TTFT and swap-wait samples
+// go from ~150 to ~250 entries under a capacity of 256, the swap latencies
+// from ~300 to ~500 under 512; capacity doubles with each chunk). The one
+// amortized growth left is the GPU monitor's sample series: a TimeSeries
+// adds a chunk of runs about once per few hundred cycles.
 //
 // Fleet routing: a 2-node ClusterServe routes every request through
 // placement (PlacementPolicy::Pick) to the resident home node. A warm
-// request allocates its response channel; the only other growth is the
-// per-model Samples vectors doubling once, as in request_alloc_test.
+// request allocates its response channel; the only other growth is one
+// new chunk of each per-model Samples, as in request_alloc_test.
 //
 // Under asan/tsan the counting shim is compiled out (the sanitizer runtime
 // owns operator new), and so is the frame pool; the cases then check only
@@ -115,8 +115,8 @@ TEST(SwapAllocTest, WarmSwapCycleAllocatesOnlyItsResponseChannel) {
   // Every counted request swapped its model in (and the other out).
   EXPECT_EQ(swaps_counted, static_cast<std::uint64_t>(kCycles));
   if (kCounting) {
-    // One response channel per request, plus at most two doublings of the
-    // GPU monitor's run vector.
+    // One response channel per request, plus at most two new chunks of the
+    // GPU monitor's runs.
     EXPECT_LE(counted, static_cast<std::uint64_t>(kCycles) + 2)
         << "heap allocations over " << kCycles << " warm swap cycles";
   }
@@ -161,8 +161,7 @@ TEST(SwapAllocTest, RoutedClusterRequestAllocatesOnlyItsResponseChannel) {
   EXPECT_EQ(fleet.routed(), static_cast<std::uint64_t>(kWarm + kRequests));
   if (kCounting) {
     // One response channel per request; the per-model TTFT and swap-wait
-    // Samples vectors each double at most once between 1000 and 2000
-    // entries.
+    // Samples each add at most one chunk between 1000 and 2000 entries.
     EXPECT_LE(counted, static_cast<std::uint64_t>(kRequests) + 2)
         << "heap allocations over " << kRequests << " routed requests";
   }

@@ -1,8 +1,12 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
+#include <ranges>
 #include <utility>
 #include <vector>
 
@@ -57,6 +61,142 @@ TEST(SamplesTest, PercentileAfterMutationRecomputes) {
   EXPECT_DOUBLE_EQ(s.Median(), 10.0);
   s.Add(20.0);
   EXPECT_DOUBLE_EQ(s.Median(), 15.0);
+}
+
+// What a sorted copy gives: the reference the radix select must match bit
+// for bit.
+double SortedPercentile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  if (v.size() == 1) return v[0];
+  const double rank = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return v[lo] + frac * (v[hi] - v[lo]);
+}
+
+// Bitwise equality, except that +0.0 and -0.0 (which a sort leaves in
+// either order) count as equal.
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (a == 0.0 && b == 0.0);
+}
+
+// One random value of distribution `kind`.
+double Draw(int kind, std::mt19937_64& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  switch (kind) {
+    case 0:  // latencies
+      return unit(rng) * 10.0;
+    case 1:  // heavy duplicates
+      return static_cast<double>(rng() % 7) * 0.25;
+    case 2:  // heavy tail, both signs
+      return (rng() % 2 == 0 ? 1.0 : -1.0) *
+             std::pow(1.0 - unit(rng), -3.0);
+    case 3: {  // zeros of both signs, infinities, negatives, denormals
+      switch (rng() % 8) {
+        case 0: return 0.0;
+        case 1: return -0.0;
+        case 2: return kInf;
+        case 3: return -kInf;
+        case 4: return std::numeric_limits<double>::denorm_min();
+        case 5: return -std::numeric_limits<double>::denorm_min();
+        default: return unit(rng) - 0.5;
+      }
+    }
+    default:  // every bit pattern but NaN
+      for (;;) {
+        const double x = std::bit_cast<double>(rng());
+        if (!std::isnan(x)) return x;
+      }
+  }
+}
+
+TEST(SamplesTest, PercentileMatchesSortedCopyBitForBit) {
+  std::mt19937_64 rng(20240537);
+  // Sizes 0, 1, 2 and one either side of every chunk boundary.
+  std::vector<std::size_t> sizes = {0, 1, 2, 3};
+  std::size_t total = 0;
+  for (std::size_t k = 0; total < 20'000; ++k) {
+    total += stats_detail::ChunkCapacity(k, Samples::kFirstChunk,
+                                         Samples::kMaxChunk);
+    sizes.insert(sizes.end(), {total - 1, total, total + 1});
+  }
+  sizes.push_back(100'000);
+  // The rest log-uniform up to 100k.
+  std::uniform_real_distribution<double> log_size(0.0, std::log(100'000.0));
+  while (sizes.size() < 240) {
+    sizes.push_back(static_cast<std::size_t>(std::exp(log_size(rng))));
+  }
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int checked = 0;
+  for (std::size_t set = 0; set < sizes.size(); ++set) {
+    const int kind = static_cast<int>(set % 5);
+    Samples s;
+    std::vector<double> values;
+    for (std::size_t i = 0; i < sizes[set]; ++i) {
+      values.push_back(Draw(kind, rng));
+      s.Add(values.back());
+    }
+    std::vector<double> qs = {0.0, 0.01, 0.5, 0.99, 1.0};
+    for (int i = 0; i < 4; ++i) qs.push_back(unit(rng));
+    for (double q : qs) {
+      const double want = SortedPercentile(values, q);
+      const double got = s.Percentile(q);
+      ASSERT_TRUE(SameBits(got, want))
+          << "set " << set << " (kind " << kind << ", " << values.size()
+          << " values), q " << q << ": " << got << " vs " << want;
+      ++checked;
+    }
+    EXPECT_EQ(s.count(), values.size());
+  }
+  EXPECT_GE(checked, 200 * 9);
+}
+
+TEST(SamplesTest, ValuesKeepInsertionOrderAcrossChunks) {
+  static_assert(std::ranges::forward_range<decltype(Samples().values())>);
+  std::mt19937_64 rng(7);
+  Samples s;
+  std::vector<double> want;
+  EXPECT_TRUE(std::ranges::equal(s.values(), want));
+  for (int i = 0; i < 20'000; ++i) {
+    want.push_back(Draw(i % 4, rng));
+    s.Add(want.back());
+    if (i == 15 || i == 16 || i == 4095 || i == 8191 || i == 12'287) {
+      EXPECT_TRUE(std::ranges::equal(s.values(), want, SameBits)) << i;
+    }
+  }
+  EXPECT_TRUE(std::ranges::equal(s.values(), want, [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  }));
+  // Post-increment and a second pass see the same values.
+  auto it = s.values().begin();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*it++),
+            std::bit_cast<std::uint64_t>(want[0]));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*it),
+            std::bit_cast<std::uint64_t>(want[1]));
+  EXPECT_EQ(std::ranges::distance(s.values()),
+            static_cast<std::ptrdiff_t>(want.size()));
+}
+
+TEST(SamplesTest, MovedFromSetIsEmpty) {
+  Samples a;
+  for (int i = 0; i < 100; ++i) a.Add(i);
+  Samples b = std::move(a);
+  EXPECT_EQ(b.count(), 100u);
+  EXPECT_DOUBLE_EQ(b.Median(), 49.5);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  a.Add(3.0);
+  EXPECT_DOUBLE_EQ(a.Median(), 3.0);
+  EXPECT_EQ(b.count(), 100u);
+}
+
+// std::sort over a NaN breaks strict weak ordering; a NaN has no rank.
+TEST(SamplesDeathTest, AddRejectsNaN) {
+  Samples s;
+  EXPECT_DEATH(s.Add(std::numeric_limits<double>::quiet_NaN()), "NaN");
 }
 
 TEST(SamplesTest, SummaryStats) {
@@ -136,6 +276,174 @@ TEST(TimeSeriesTest, TimeWeightedMeanMatchesPointByPointSum) {
     EXPECT_EQ(ts.TimeWeightedMean(t0, t1), covered > 0 ? acc / covered : 0.0)
         << "[" << t0 << ", " << t1 << "]";
   }
+}
+
+// A point-by-point series: every sample's instant and value, and the runs
+// the run-length store should hold.
+struct ReferenceSeries {
+  std::int64_t interval_ns;
+  std::vector<std::int64_t> at_ns;
+  std::vector<double> values;
+  std::size_t runs = 0;
+  std::uint64_t run_count = 0;  // samples in the last run
+
+  void Append(std::int64_t at, double value, std::size_t count) {
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::int64_t t = at + static_cast<std::int64_t>(j) * interval_ns;
+      const bool extends =
+          !at_ns.empty() && t == at_ns.back() + interval_ns &&
+          std::bit_cast<std::uint64_t>(value) ==
+              std::bit_cast<std::uint64_t>(values.back()) &&
+          run_count < TimeSeries::kMaxRunCount;
+      if (extends) {
+        ++run_count;
+      } else {
+        ++runs;
+        run_count = 1;
+      }
+      at_ns.push_back(t);
+      values.push_back(value);
+    }
+  }
+
+  // The step integral over every sample, in time order.
+  double TimeWeightedMean(double t0, double t1) const {
+    if (at_ns.empty() || t1 <= t0) return 0.0;
+    double acc = 0.0;
+    double covered = 0.0;
+    for (std::size_t i = 0; i < at_ns.size(); ++i) {
+      const double time = static_cast<double>(at_ns[i]) / 1e9;
+      const double next = i + 1 < at_ns.size()
+                              ? static_cast<double>(at_ns[i + 1]) / 1e9
+                              : t1;
+      const double start = std::max(time, t0);
+      const double end = std::min(next, t1);
+      if (end <= start) continue;
+      acc += values[i] * (end - start);
+      covered += end - start;
+    }
+    return covered > 0 ? acc / covered : 0.0;
+  }
+};
+
+// Random appends on and off the grid (re-anchors), long idle stretches and
+// runs of equal values, checked against the point-by-point reference.
+TEST(TimeSeriesTest, MatchesPointByPointReference) {
+  std::mt19937_64 rng(99);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::int64_t interval = 1'000'000 + static_cast<std::int64_t>(
+                                                  rng() % 400'000'000);
+    TimeSeries ts(interval);
+    ReferenceSeries ref{interval, {}, {}};
+    std::int64_t next = static_cast<std::int64_t>(rng() % 1'000'000'000);
+    const int appends =
+        trial % 3 == 0 ? 20'000 : 1 + static_cast<int>(rng() % 400);
+    const double values[] = {0.0, 0.25, 0.3, 1.0 / 3, 71.5, 80.0};
+    for (int i = 0; i < appends; ++i) {
+      std::int64_t at = next;
+      const std::uint64_t roll = rng() % 100;
+      if (roll < 3 && !ref.at_ns.empty()) {
+        // Off the grid, as a restarted monitor appends: anywhere after
+        // the last sample.
+        at = ref.at_ns.back() + 1 +
+             static_cast<std::int64_t>(rng() % (3 * interval));
+      }
+      std::size_t count = 1 + rng() % 3;
+      if (roll >= 97) count = 1 + rng() % 5'000;  // an idle stretch
+      const double value = values[rng() % (trial % 2 == 0 ? 2 : 6)];
+      ts.Append(at, value, count);
+      ref.Append(at, value, count);
+      next = at + static_cast<std::int64_t>(count) * interval;
+    }
+    ASSERT_EQ(ts.size(), ref.at_ns.size()) << trial;
+    EXPECT_EQ(ts.runs(), ref.runs) << trial;
+    const std::vector<TimeSeries::Point> pts = ts.Points();
+    ASSERT_EQ(pts.size(), ref.at_ns.size());
+    double max = 0.0;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      ASSERT_EQ(pts[i].time_s, static_cast<double>(ref.at_ns[i]) / 1e9)
+          << trial << " point " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(pts[i].value),
+                std::bit_cast<std::uint64_t>(ref.values[i]));
+      max = std::max(max, ref.values[i]);
+    }
+    EXPECT_EQ(ts.MaxValue(), max);
+    const double first = static_cast<double>(ref.at_ns.front()) / 1e9;
+    const double last = static_cast<double>(ref.at_ns.back()) / 1e9;
+    for (int w = 0; w < 12; ++w) {
+      double t0 = first - 1.0 + unit(rng) * (last - first + 2.0);
+      double t1 = first - 1.0 + unit(rng) * (last - first + 2.0);
+      if (w == 0) t0 = 0.0, t1 = last + 10.0;
+      if (t1 < t0) std::swap(t0, t1);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ts.TimeWeightedMean(t0, t1)),
+                std::bit_cast<std::uint64_t>(ref.TimeWeightedMean(t0, t1)))
+          << trial << " [" << t0 << ", " << t1 << "]";
+    }
+  }
+}
+
+// A run holds at most 2^32 - 1 samples; a longer one is split in two, and
+// the samples keep their instants.
+TEST(TimeSeriesTest, RunLongerThanItsCountSplits) {
+  constexpr std::int64_t kInterval = 1'000'000;  // 1 ms
+  constexpr std::size_t kLong = std::size_t{1} << 32;  // 2^32 + 4 below
+  // One append longer than two runs.
+  TimeSeries whole(kInterval);
+  whole.Append(0, 2.0, 2 * kLong + 1);
+  EXPECT_EQ(whole.runs(), 3u);
+  EXPECT_EQ(whole.size(), 2 * kLong + 1);
+  // An append that fills the last run and starts the next.
+  TimeSeries ts(kInterval);
+  ts.Append(0, 1.5, kLong - 3);
+  EXPECT_EQ(ts.runs(), 1u);
+  ts.Append(static_cast<std::int64_t>(kLong - 3) * kInterval, 1.5, 7);
+  EXPECT_EQ(ts.size(), kLong + 4);
+  EXPECT_EQ(ts.runs(), 2u);
+  // Extends the second run, then a new value starts a third.
+  ts.Append(static_cast<std::int64_t>(kLong + 4) * kInterval, 1.5, 2);
+  EXPECT_EQ(ts.runs(), 2u);
+  ts.Append(static_cast<std::int64_t>(kLong + 6) * kInterval, 4.0, 3);
+  EXPECT_EQ(ts.runs(), 3u);
+  EXPECT_EQ(ts.size(), kLong + 9);
+  EXPECT_EQ(ts.MaxValue(), 4.0);
+
+  // Around the split and around the value change, the mean is that of
+  // the samples near the window; earlier samples add nothing.
+  const auto value_at = [](std::size_t i) { return i < kLong + 6 ? 1.5 : 4.0; };
+  for (const auto& [first, last] :
+       {std::pair{kLong - 40, kLong + 30}, std::pair{kLong - 3, kLong + 9}}) {
+    const double t0 = static_cast<double>(first * kInterval) / 1e9 + 1e-4;
+    const double t1 = static_cast<double>(last * kInterval) / 1e9 - 2e-4;
+    double acc = 0.0;
+    double covered = 0.0;
+    for (std::size_t i = first - 2; i < kLong + 9; ++i) {
+      const double time = static_cast<double>(i * kInterval) / 1e9;
+      const double next = i + 1 < kLong + 9
+                              ? static_cast<double>((i + 1) * kInterval) / 1e9
+                              : t1;
+      const double start = std::max(time, t0);
+      const double end = std::min(next, t1);
+      if (end <= start) continue;
+      acc += value_at(i) * (end - start);
+      covered += end - start;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ts.TimeWeightedMean(t0, t1)),
+              std::bit_cast<std::uint64_t>(acc / covered))
+        << "[" << t0 << ", " << t1 << "]";
+  }
+}
+
+TEST(TimeSeriesTest, MovedFromSeriesIsEmpty) {
+  TimeSeries a(kSecondNs);
+  a.Append(0, 2.0, 5);
+  TimeSeries b = std::move(a);
+  EXPECT_EQ(b.size(), 5u);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  a.Append(kSecondNs, 3.0);
+  EXPECT_EQ(a.runs(), 1u);
+  EXPECT_EQ(a.Points()[0].time_s, 1.0);
+  EXPECT_EQ(b.runs(), 1u);
 }
 
 }  // namespace

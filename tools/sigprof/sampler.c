@@ -6,9 +6,12 @@
  * On load it arms ITIMER_PROF (SIGPROF_HZ samples per CPU second, default
  * 1000). Each SIGPROF writes the interrupted PC and the stack above the
  * signal frame into a buffer mapped up front, so the handler neither
- * allocates nor locks. At exit it writes SIGPROF_OUT (default
- * sigprof.out) in tools/common/stack_dump.h's format: a "# samples" header,
- * then one line per sample, the interrupted PC first.
+ * allocates nor locks. Each sample also records the process's RSS
+ * high-water mark so far (getrusage's ru_maxrss, in KiB), so the
+ * report can say in which window the peak was set. At exit it writes
+ * SIGPROF_OUT (default sigprof.out) in tools/common/stack_dump.h's format:
+ * a "# samples" header, then one line per sample: the high-water mark in
+ * decimal, then the interrupted PC and the stack.
  * scripts/profile_e2e.sh symbolizes and summarizes that file.
  *
  * glibc's backtrace() is not on the async-signal-safe list: its first
@@ -18,6 +21,7 @@
 #define _GNU_SOURCE
 #include <signal.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -37,7 +41,9 @@ static uintptr_t InterruptedPc(const ucontext_t* uc) {
 
 enum { kMaxDepth = 64, kBufferWords = 1 << 21 };
 
-static uintptr_t* g_buf;          /* [depth, pc, frames...] per sample */
+/* [depth, max_rss_kib, pc, frames...] per sample; depth counts pc and
+ * frames. */
+static uintptr_t* g_buf;
 static volatile size_t g_used;    /* words written */
 static volatile size_t g_dropped; /* samples that did not fit */
 
@@ -59,15 +65,20 @@ static void OnProf(int sig, siginfo_t* info, void* context) {
   }
   int depth = n - first;
   if (depth > kMaxDepth - 1) depth = kMaxDepth - 1;
-  const size_t need = (size_t)depth + 2;
+  const size_t need = (size_t)depth + 3;
   if (g_buf == NULL || g_used + need > kBufferWords) {
     ++g_dropped;
     return;
   }
+  /* getrusage is a plain system call: it neither allocates nor locks. */
+  struct rusage usage;
+  memset(&usage, 0, sizeof usage);
+  getrusage(RUSAGE_SELF, &usage);
   uintptr_t* out = g_buf + g_used;
   out[0] = (uintptr_t)depth + 1;
-  out[1] = pc;
-  for (int i = 0; i < depth; ++i) out[2 + i] = (uintptr_t)frames[first + i];
+  out[1] = (uintptr_t)usage.ru_maxrss;
+  out[2] = pc;
+  for (int i = 0; i < depth; ++i) out[3 + i] = (uintptr_t)frames[first + i];
   g_used += need;
 }
 
@@ -82,8 +93,9 @@ static void Dump(void) {
   fprintf(out, "# samples dropped=%zu\n", (size_t)g_dropped);
   for (size_t at = 0; at < g_used;) {
     const size_t depth = g_buf[at];
-    StackDumpFrames(out, g_buf + at + 1, depth);
-    at += depth + 1;
+    fprintf(out, "%lu", (unsigned long)g_buf[at + 1]);
+    StackDumpFrames(out, g_buf + at + 2, depth);
+    at += depth + 2;
   }
   fclose(out);
 }
