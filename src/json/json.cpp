@@ -177,6 +177,9 @@ void Value::DumpTo(std::string& out, int indent, int depth) const {
 std::string Value::Dump() const {
   std::string out;
   DumpTo(out, 0, 0);
+  // Appending grows the buffer by doubling; a caller that keeps the text
+  // (bench bodies live for a whole run) holds exactly its bytes instead.
+  out.shrink_to_fit();
   return out;
 }
 

@@ -82,7 +82,9 @@ class Value {
 
   bool operator==(const Value& other) const;
 
-  // Compact serialization; Pretty adds 2-space indentation.
+  // Compact serialization, in a string whose capacity is its size. Pretty
+  // adds 2-space indentation and keeps the appending's slack: its one
+  // caller writes a trace export out and drops it.
   std::string Dump() const;
   std::string Pretty() const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <ranges>
 #include <utility>
 
@@ -25,6 +26,10 @@ double FromKey(std::uint64_t key) {
   return std::bit_cast<double>((key & kSignBit) != 0 ? key ^ kSignBit : ~key);
 }
 
+const double* Doubles(const std::byte* data) {
+  return reinterpret_cast<const double*>(data);
+}
+
 }  // namespace
 
 Samples::Samples(Samples&& other) noexcept
@@ -35,22 +40,90 @@ Samples::Samples(Samples&& other) noexcept
 
 void Samples::Add(double x) {
   SWAP_CHECK_MSG(!std::isnan(x), "Samples::Add: NaN has no rank");
-  if (tail_ == tail_end_) {
-    const std::size_t capacity = ChunkCapacity(chunks_.size());
-    chunks_.emplace_back(new double[capacity]);
-    tail_ = chunks_.back().get();
-    tail_end_ = tail_ + capacity;
-  }
+  if (tail_ == tail_end_) Grow();
   *tail_++ = x;
   ++count_;
+}
+
+void Samples::Grow() {
+  const std::size_t capacity = ChunkCapacity(chunks_.size());
+  std::unique_ptr<std::byte[]> buffer;
+  if (!chunks_.empty() && ChunkCapacity(chunks_.size() - 1) == kMaxChunk) {
+    buffer = Seal();
+  }
+  if (buffer == nullptr) {
+    buffer = std::make_unique_for_overwrite<std::byte[]>(capacity *
+                                                         sizeof(double));
+  }
+  tail_ = reinterpret_cast<double*>(buffer.get());
+  tail_end_ = tail_ + capacity;
+  chunks_.push_back({std::move(buffer), 0});
+}
+
+std::unique_ptr<std::byte[]> Samples::Seal() {
+  // Open addressing, linear probing: a slot holds a dictionary index + 1
+  // (0 is free), and the table stays at most half full.
+  constexpr int kTableBits = 13;
+  static_assert(2 * kMaxDistinct <= std::size_t{1} << kTableBits);
+  constexpr std::size_t kTableMask = (std::size_t{1} << kTableBits) - 1;
+  std::array<std::uint16_t, std::size_t{1} << kTableBits> table{};
+  std::array<std::uint64_t, kMaxDistinct> dictionary{};
+  std::array<std::uint16_t, kMaxChunk> codes{};
+  std::size_t distinct = 0;
+  Chunk& chunk = chunks_.back();
+  const double* values = Doubles(chunk.data.get());
+  // Keyed by bit pattern, so -0.0 is not +0.0. A run of one pattern (most
+  // swap waits are 0) skips the table.
+  std::uint64_t last = ~std::bit_cast<std::uint64_t>(values[0]);
+  std::uint16_t last_code = 0;
+  for (std::size_t i = 0; i < kMaxChunk; ++i) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(values[i]);
+    if (bits != last) {
+      std::size_t slot = (bits * 0x9E3779B97F4A7C15) >> (64 - kTableBits);
+      while (table[slot] != 0 && dictionary[table[slot] - 1] != bits) {
+        slot = (slot + 1) & kTableMask;
+      }
+      if (table[slot] == 0) {
+        // Past kMaxDistinct, packing cannot pay.
+        if (distinct == kMaxDistinct) return nullptr;
+        dictionary[distinct] = bits;
+        table[slot] = static_cast<std::uint16_t>(++distinct);
+      }
+      last = bits;
+      last_code = static_cast<std::uint16_t>(table[slot] - 1);
+    }
+    codes[i] = last_code;
+  }
+  const unsigned width = stats_detail::CodeWidth(distinct);
+  const std::size_t bytes = stats_detail::PackedBytes(distinct, kMaxChunk);
+  auto packed = std::make_unique_for_overwrite<std::byte[]>(bytes);
+  std::memcpy(packed.get(), dictionary.data(), distinct * sizeof(double));
+  // Codes fill each word from its low bits; one that straddles leaves its
+  // high bits at the bottom of the next word, where
+  // SamplesIterator::Code reads them. The codes fill whole words, and the
+  // spare words after them stay 0.
+  auto* word = reinterpret_cast<std::uint64_t*>(packed.get() +
+                                                distinct * sizeof(double));
+  std::memset(word, 0, bytes - distinct * sizeof(double));
+  std::uint64_t pending = 0;
+  unsigned filled = 0;
+  for (const std::uint16_t code : codes) {
+    pending |= std::uint64_t{code} << filled;
+    filled += width;
+    if (filled >= 64) {
+      *word++ = pending;
+      filled -= 64;
+      pending = std::uint64_t{code} >> (width - filled);
+    }
+  }
+  chunk.distinct = static_cast<std::uint32_t>(distinct);
+  return std::exchange(chunk.data, std::move(packed));
 }
 
 std::ranges::subrange<SamplesIterator> Samples::values() const {
   SamplesIterator first;
   if (count_ != 0) {
-    first.chunk_ = chunks_.data();
-    first.at_ = chunks_.front().get();
-    first.chunk_end_ = first.at_ + ChunkCapacity(0);
+    first.Enter(chunks_.data(), 0);
     first.left_ = count_;
   }
   return {first, SamplesIterator()};
@@ -131,7 +204,7 @@ double Samples::Above(std::uint64_t key) const {
 double Samples::Percentile(double q) const {
   SWAP_CHECK_MSG(q >= 0.0 && q <= 1.0, "percentile out of range");
   if (count_ == 0) return 0.0;
-  if (count_ == 1) return chunks_.front()[0];
+  if (count_ == 1) return Doubles(chunks_.front().data.get())[0];
   const double rank = q * static_cast<double>(count_ - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const std::size_t hi = std::min(lo + 1, count_ - 1);

@@ -1,13 +1,19 @@
 // Statistics helpers used by benchmarks and the metrics subsystem.
 //
-// Samples keeps raw values for exact percentiles; TimeSeries keeps a
+// Samples keeps every value for exact percentiles; TimeSeries keeps a
 // run-length step series for the time-weighted GPU utilization and memory
 // means. Both store their data in append-only chunks: chunks 0 and 1 hold
 // kFirstChunk elements and each later chunk doubles, up to kMaxChunk, so
 // the capacity grows through the same sizes a doubling vector would, but
-// nothing is ever copied or freed on the way. A near-empty store costs a
-// few hundred bytes; a long one wastes at most one partly filled chunk.
-// Samples costs 8 bytes per value, TimeSeries 12 bytes per run.
+// growth never copies or frees. A near-empty store costs a few hundred
+// bytes; a long one wastes at most one partly filled chunk.
+// TimeSeries costs 12 bytes per run. Samples costs 8 bytes per value until
+// a kMaxChunk chunk fills; a full one is then sealed, packed against its
+// own dictionary when that is smaller: each distinct bit pattern once,
+// and a bit_width(D - 1)-bit code per value for D distinct patterns. The
+// simulator is deterministic, so its latencies repeat: a chunk of 300
+// distinct values packs to under 2 bytes per value, a chunk of zeros to
+// 24 bytes in all. A chunk of more than kMaxDistinct patterns stays raw.
 
 #pragma once
 
@@ -34,11 +40,48 @@ constexpr std::size_t ChunkCapacity(std::size_t k, std::size_t first,
   return k - 1 >= doublings ? cap : first << (k - 1);
 }
 
+// Bits per code in a chunk packed against `distinct` bit patterns: 0 for
+// one pattern, 1 for two, 9 for 257.
+constexpr unsigned CodeWidth(std::size_t distinct) {
+  return static_cast<unsigned>(std::bit_width(distinct - 1));
+}
+
+// Bytes of a `chunk`-value chunk packed against `distinct` bit patterns:
+// the dictionary, then chunk * CodeWidth(distinct) bits of codes in whole
+// 64-bit words and one spare word, at least two words in all, so that a
+// code (even a 0-bit one) is always read from two words in bounds.
+constexpr std::size_t PackedBytes(std::size_t distinct, std::size_t chunk) {
+  const std::size_t words = (chunk * CodeWidth(distinct) + 63) / 64 + 1;
+  return (distinct + (words < 2 ? 2 : words)) * sizeof(double);
+}
+
+// The most distinct patterns a `chunk`-value chunk can pack against and
+// still take fewer bytes than its raw doubles.
+constexpr std::size_t MaxDistinct(std::size_t chunk) {
+  std::size_t distinct = 1;
+  while (PackedBytes(distinct + 1, chunk) < chunk * sizeof(double)) {
+    ++distinct;
+  }
+  return distinct;
+}
+
+// A Samples chunk. Raw, `data` holds the chunk's doubles. Packed
+// (`distinct` > 0), it holds the chunk's distinct bit patterns as doubles
+// in first-seen order, then its codes: value i's index in that dictionary
+// is CodeWidth(distinct) bits wide and starts at bit i * width of the
+// 64-bit code words.
+struct SamplesChunk {
+  std::unique_ptr<std::byte[]> data;
+  std::uint32_t distinct = 0;
+};
+
 }  // namespace stats_detail
 
 class Samples;
 
-// Forward iterator over a Samples' values in insertion order.
+// Forward iterator over a Samples' values in insertion order. A raw
+// chunk's values are read in place; a packed chunk's are its dictionary
+// entries, so every reference points at a double the set holds.
 class SamplesIterator {
  public:
   using iterator_concept = std::forward_iterator_tag;
@@ -61,21 +104,48 @@ class SamplesIterator {
 
  private:
   friend class Samples;
-  const std::unique_ptr<double[]>* chunk_ = nullptr;
-  std::size_t index_ = 0;  // chunk_'s position in the chunk list
-  const double* at_ = nullptr;
-  const double* chunk_end_ = nullptr;
+  // Points at the first value of chunk `index`.
+  void Enter(const stats_detail::SamplesChunk* chunk, std::size_t index);
+  // The dictionary index of the packed chunk's value at slot pos_: the
+  // code's low bits from its word, its high bits (none unless it straddles)
+  // from the next, with no branch.
+  std::size_t Code() const {
+    const std::size_t bit = pos_ * width_;
+    const std::uint64_t* word = codes_ + bit / 64;
+    const unsigned shift = bit % 64;
+    const std::uint64_t code =
+        (word[0] >> shift) | ((word[1] << 1) << (63 - shift));
+    return code & ((std::uint64_t{1} << width_) - 1);
+  }
+
+  const stats_detail::SamplesChunk* chunk_ = nullptr;
+  std::size_t index_ = 0;       // chunk_'s position in the chunk list
+  const double* at_ = nullptr;  // the current value
+  const double* base_ = nullptr;  // the raw values, or the dictionary
+  const std::uint64_t* codes_ = nullptr;  // null in a raw chunk
+  unsigned width_ = 0;   // bits per code
+  std::size_t pos_ = 0;  // at_'s slot in the chunk
+  std::size_t size_ = 0;  // slots in the chunk
   std::size_t left_ = 0;  // values from at_ to the end, at_ included
 };
 
 // Exact-percentile sample set. Adding a value writes it at the end of the
-// last chunk. A percentile query finds the two order statistics it
-// interpolates by radix select over the values in place: O(n) per query,
-// no sorted copy, no cache and no allocation.
+// last chunk; the first Add past a full kMaxChunk chunk seals it. Sealing
+// costs one allocation, as a new chunk does: a packed chunk allocates its
+// block and hands its raw buffer on as the next chunk, and a chunk that
+// stays raw leaves a new one to be allocated. The seal's working memory (a
+// hash table, the dictionary and the codes, about 50 KiB) is on the stack,
+// and it gives up once the dictionary passes kMaxDistinct. A percentile
+// query finds the two order statistics it interpolates by radix select
+// over the values in place: O(n) per query, no sorted copy, no cache and
+// no allocation.
 class Samples {
  public:
   static constexpr std::size_t kFirstChunk = 16;
   static constexpr std::size_t kMaxChunk = 4096;  // 32 KiB of doubles
+  // 3326: with 12-bit codes, 3327 patterns take 32 KiB packed.
+  static constexpr std::size_t kMaxDistinct =
+      stats_detail::MaxDistinct(kMaxChunk);
 
   Samples() = default;
   // A moved-from set is empty.
@@ -97,30 +167,56 @@ class Samples {
   double Median() const { return Percentile(0.5); }
   double P99() const { return Percentile(0.99); }
 
-  // The values in insertion order, as a forward range.
+  // The values in insertion order, bit for bit, as a forward range.
   std::ranges::subrange<SamplesIterator> values() const;
 
  private:
   friend class SamplesIterator;
+  using Chunk = stats_detail::SamplesChunk;
   static constexpr std::size_t ChunkCapacity(std::size_t k) {
     return stats_detail::ChunkCapacity(k, kFirstChunk, kMaxChunk);
   }
+  // Appends a chunk, sealing the last one first if it is a full kMaxChunk.
+  void Grow();
+  // Packs the full last chunk if that takes fewer bytes and returns its
+  // raw buffer; returns null, leaving the chunk raw, otherwise.
+  std::unique_ptr<std::byte[]> Seal();
   struct Rank;
   Rank Select(std::size_t k) const;
   double Above(std::uint64_t key) const;
 
-  std::vector<std::unique_ptr<double[]>> chunks_;
+  std::vector<Chunk> chunks_;
   double* tail_ = nullptr;      // next free slot of the last chunk
   double* tail_end_ = nullptr;  // end of the last chunk
   std::size_t count_ = 0;
 };
 
+inline void SamplesIterator::Enter(const stats_detail::SamplesChunk* chunk,
+                                   std::size_t index) {
+  chunk_ = chunk;
+  index_ = index;
+  pos_ = 0;
+  size_ = Samples::ChunkCapacity(index);
+  base_ = reinterpret_cast<const double*>(chunk->data.get());
+  if (chunk->distinct == 0) {
+    codes_ = nullptr;
+    width_ = 0;
+    at_ = base_;
+  } else {
+    codes_ = reinterpret_cast<const std::uint64_t*>(base_ + chunk->distinct);
+    width_ = stats_detail::CodeWidth(chunk->distinct);
+    at_ = base_ + Code();
+  }
+}
+
 inline SamplesIterator& SamplesIterator::operator++() {
-  --left_;
-  if (++at_ == chunk_end_ && left_ != 0) {
-    ++chunk_;
-    at_ = chunk_->get();
-    chunk_end_ = at_ + Samples::ChunkCapacity(++index_);
+  if (--left_ == 0) return *this;
+  if (++pos_ == size_) {
+    Enter(chunk_ + 1, index_ + 1);
+  } else if (codes_ == nullptr) {
+    ++at_;
+  } else {
+    at_ = base_ + Code();
   }
   return *this;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/status.h"
 
@@ -17,6 +18,9 @@ RequestProfile::RequestProfile(std::string name, double prompt_median,
       output_sigma_(output_sigma),
       max_tokens_(max_tokens) {
   SWAP_CHECK_MSG(prompt_median >= 1 && output_median >= 0, "bad medians");
+  // A trace event stores its token counts in 32 bits.
+  SWAP_CHECK_MSG(max_tokens_ <= INT32_MAX,
+                 "RequestProfile: max_tokens must fit in 32 bits");
 }
 
 RequestProfile RequestProfile::Coding() {

@@ -47,8 +47,10 @@ std::vector<TraceEvent> GenerateTrace(const std::vector<ModelWorkload>& mix,
     }
     ++next[best];
     const TokenSample tokens = mix[best].profile->Sample(lengths_rngs[best]);
-    trace.emplace_back(best_t, names[best], tokens.prompt_tokens,
-                       tokens.output_tokens);
+    // RequestProfile keeps both counts within max_tokens <= INT32_MAX.
+    trace.emplace_back(best_t, names[best],
+                       static_cast<std::int32_t>(tokens.prompt_tokens),
+                       static_cast<std::int32_t>(tokens.output_tokens));
   }
   return trace;
 }

@@ -32,15 +32,17 @@ namespace swapserve::workload {
 // trace holds each model id once, not once per event.
 using ModelName = Name;
 
+// Token counts are 32-bit: RequestProfile clips lengths to a max_tokens
+// that must fit (its constructor rejects a larger one).
 struct TraceEvent {
   double time_s = 0;
   ModelName model_id;
-  std::int64_t prompt_tokens = 0;
-  std::int64_t output_tokens = 0;
+  std::int32_t prompt_tokens = 0;
+  std::int32_t output_tokens = 0;
 };
 // The trace is the largest structure a long run holds (260k events for a
-// simulated year): keep an event at four words with no heap memory.
-static_assert(sizeof(TraceEvent) == 32);
+// simulated year): keep an event at three words with no heap memory.
+static_assert(sizeof(TraceEvent) == 24);
 
 struct ModelWorkload {
   std::string model_id;

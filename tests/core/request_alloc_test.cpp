@@ -9,7 +9,10 @@
 // RequestHandler::Accept, and only the request's numbers are queued; the
 // queue, the relay and the completion record borrow the backend. The only
 // other growth is amortized: a new chunk of a per-model Samples, whose
-// capacity doubles with each chunk up to 4096 values.
+// capacity doubles with each chunk up to 4096 values. Past that, a full
+// chunk is sealed when the next value arrives, and a seal also makes one
+// allocation: the packed block (its raw buffer becomes the next chunk), or
+// the next chunk when the full one stays raw.
 //
 // Under asan/tsan the counting shim is compiled out (the sanitizer runtime
 // owns operator new), as in tests/sim/alloc_test.cpp, and so is the frame
@@ -69,7 +72,8 @@ const std::string kModel = "deepseek-r1-7b-fp16";
 
 // One response channel per request; the two per-model Samples (TTFT, swap
 // wait) each add one chunk between 1000 and 2000 entries (capacity 1024 to
-// 2048).
+// 2048). A seal would count the same one allocation, but none falls in the
+// window: sealing starts past 8192 values.
 void ExpectOnlyResponseChannels(std::uint64_t counted) {
 #if SWAPSERVE_COUNTING_NEW && SWAPSERVE_FRAME_POOL && !SWAPSERVE_LOCK_DEBUG
   EXPECT_LE(counted, static_cast<std::uint64_t>(kRequests) + 2)

@@ -13,14 +13,16 @@
 // that reached their size during warm-up. The window is sized so that no
 // Samples adds a chunk inside it (each model's TTFT and swap-wait samples
 // go from ~150 to ~250 entries under a capacity of 256, the swap latencies
-// from ~300 to ~500 under 512; capacity doubles with each chunk). The one
-// amortized growth left is the GPU monitor's sample series: a TimeSeries
+// from ~300 to ~500 under 512; capacity doubles with each chunk, and a
+// Samples past 8192 values seals a full chunk with one allocation where it
+// would otherwise add one). The one amortized growth left is the GPU monitor's sample series: a TimeSeries
 // adds a chunk of runs about once per few hundred cycles.
 //
 // Fleet routing: a 2-node ClusterServe routes every request through
 // placement (PlacementPolicy::Pick) to the resident home node. A warm
 // request allocates its response channel; the only other growth is one
-// new chunk of each per-model Samples, as in request_alloc_test.
+// new chunk (or, past 8192 values, one seal) of each per-model Samples, as
+// in request_alloc_test.
 //
 // Under asan/tsan the counting shim is compiled out (the sanitizer runtime
 // owns operator new), and so is the frame pool; the cases then check only

@@ -1,5 +1,7 @@
 #include "json/json.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace swapserve::json {
@@ -98,6 +100,17 @@ TEST(JsonDumpTest, PrettyIndents) {
   v["a"] = Value(1);
   const std::string pretty = v.Pretty();
   EXPECT_NE(pretty.find("\n  \"a\": 1"), std::string::npos);
+}
+
+// Dump's text is kept (a bench holds thousands of request bodies), so it
+// carries no slack from the doubling that built it: a 400-character body
+// takes 400 bytes.
+TEST(JsonDumpTest, DumpCapacityIsItsSize) {
+  Value body = Value::MakeObject();
+  body["content"] = Value(std::string(386, 'x'));
+  const std::string text = body.Dump();
+  ASSERT_EQ(text.size(), 400u);
+  EXPECT_EQ(text.capacity(), text.size());
 }
 
 TEST(JsonDumpTest, DeterministicKeyOrder) {

@@ -6,10 +6,15 @@
 //   - a TimeSeries run is 12 bytes (a vector of 24-byte runs that doubles
 //     allocates about 50 bytes per run over its growth);
 //   - a Samples value is 8 bytes (a doubling vector of doubles: about 16);
+//   - a Samples value drawn from few distinct values costs what its code
+//     does once its chunk is sealed: under 2 bytes for 300 distinct values
+//     (9-bit codes and a 2.4 KB dictionary per 4,096 values), and almost
+//     nothing for a run of zeros (0-bit codes, one 24-byte block per
+//     chunk);
 //   - chunks are never copied, so no single allocation is larger than one
 //     chunk (a doubling vector's last block holds everything);
-//   - a percentile query allocates nothing (a sorted copy: 8 bytes per
-//     value).
+//   - a percentile query allocates nothing, packed chunks included (a
+//     sorted copy: 8 bytes per value).
 //
 // Under asan/tsan the counting shim is compiled out (the sanitizer runtime
 // owns operator new), as in tests/workload/trace_alloc_test.cpp, and the
@@ -108,21 +113,70 @@ TEST(StatsMemoryTest, SamplesValueCostsEightBytes) {
       << "largest allocation: " << a.largest << " bytes";
 }
 
-TEST(StatsMemoryTest, PercentilesAllocateNothing) {
+// Value i of a 300-value cycle, in a scrambled order.
+double FewDistinct(std::size_t i) {
+  return static_cast<double>((i * 7919) % 300) * 1e-3;
+}
+
+TEST(StatsMemoryTest, FewDistinctValuesPackUnderTwoBytes) {
   Samples s;
+  const Allocated a = Count([&] {
+    for (std::size_t i = 0; i < kElements; ++i) s.Add(FewDistinct(i));
+  });
+  ASSERT_EQ(s.count(), kElements);
+  if (!SWAPSERVE_COUNTING_NEW) return;
+  const double per_value = static_cast<double>(a.bytes) / kElements;
+  EXPECT_LE(per_value, 2.0) << a.bytes << " bytes for " << kElements
+                            << " values";
+  EXPECT_LE(a.largest, Samples::kMaxChunk * sizeof(double))
+      << "largest allocation: " << a.largest << " bytes";
+}
+
+TEST(StatsMemoryTest, ZerosPackToAlmostNothing) {
+  Samples s;
+  const Allocated a = Count([&] {
+    for (std::size_t i = 0; i < kElements; ++i) s.Add(0.0);
+  });
+  ASSERT_EQ(s.count(), kElements);
+  if (!SWAPSERVE_COUNTING_NEW) return;
+  const double per_value = static_cast<double>(a.bytes) / kElements;
+  EXPECT_LE(per_value, 0.1) << a.bytes << " bytes for " << kElements
+                            << " zeros";
+}
+
+TEST(StatsMemoryTest, PercentilesAllocateNothing) {
+  Samples distinct;
+  Samples few;
+  Samples zeros;
   for (std::size_t i = 0; i < kElements; ++i) {
-    s.Add(static_cast<double>((i * 7919) % kElements) * 1e-3);
+    distinct.Add(static_cast<double>((i * 7919) % kElements) * 1e-3);
+    few.Add(FewDistinct(i));
+    zeros.Add(0.0);
   }
   double median = 0.0;
   double p99 = 0.0;
+  double few_median = 0.0;
+  double few_p99 = 0.0;
+  double zeros_median = 1.0;
+  double zeros_p99 = 1.0;
   const Allocated a = Count([&] {
-    median = s.Median();
-    p99 = s.P99();
+    median = distinct.Median();
+    p99 = distinct.P99();
+    few_median = few.Median();
+    few_p99 = few.P99();
+    zeros_median = zeros.Median();
+    zeros_p99 = zeros.P99();
   });
   EXPECT_DOUBLE_EQ(median, 499.9995);
   EXPECT_DOUBLE_EQ(p99, 989.99901);
+  // 1M values cycle through 0.000 ... 0.299, 3,333 or 3,334 of each.
+  EXPECT_NEAR(few_median, 0.15, 1e-12);
+  EXPECT_NEAR(few_p99, 0.29601, 1e-12);
+  EXPECT_EQ(zeros_median, 0.0);
+  EXPECT_EQ(zeros_p99, 0.0);
   if (!SWAPSERVE_COUNTING_NEW) return;
-  EXPECT_EQ(a.bytes, 0u) << "Median() + P99() on " << kElements << " values";
+  EXPECT_EQ(a.bytes, 0u) << "Median() + P99() on three sets of " << kElements
+                         << " values";
 }
 
 }  // namespace

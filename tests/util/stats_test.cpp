@@ -4,9 +4,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <random>
 #include <ranges>
+#include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -65,15 +69,18 @@ TEST(SamplesTest, PercentileAfterMutationRecomputes) {
 
 // What a sorted copy gives: the reference the radix select must match bit
 // for bit.
-double SortedPercentile(std::vector<double> v, double q) {
+double PercentileOfSorted(const std::vector<double>& v, double q) {
   if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
   if (v.size() == 1) return v[0];
   const double rank = q * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const std::size_t hi = std::min(lo + 1, v.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return v[lo] + frac * (v[hi] - v[lo]);
+}
+double SortedPercentile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return PercentileOfSorted(v, q);
 }
 
 // Bitwise equality, except that +0.0 and -0.0 (which a sort leaves in
@@ -191,6 +198,155 @@ TEST(SamplesTest, MovedFromSetIsEmpty) {
   a.Add(3.0);
   EXPECT_DOUBLE_EQ(a.Median(), 3.0);
   EXPECT_EQ(b.count(), 100u);
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Distinct bit patterns per 4,096-value window of a low-cardinality set:
+// 0-, 1-, 2-, 8- and 9-bit codes, the most a packed chunk holds
+// (kMaxDistinct, 12-bit codes straddling words) and one more, and two
+// windows too varied to pack. Window 0 is the chunk ramp, which stays raw.
+constexpr std::size_t kWindowDistinct[] = {1,    2,    3,    255,  256,
+                                           257,  3326, 3327, 4095, 4096};
+static_assert(Samples::kMaxDistinct == 3326);
+
+// `d` distinct non-NaN bit patterns: zeros of both signs, infinities and
+// denormals first (rotated by `window`, so a 1-pattern window is sometimes
+// -0.0), then random latencies.
+std::vector<double> Palette(std::size_t d, std::size_t window,
+                            std::mt19937_64& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {0.0,     -0.0, kInf,          -kInf,
+                             kDenorm, -kDenorm, 3 * kDenorm, -1.5};
+  constexpr std::size_t kSpecials = std::size(specials);
+  std::vector<double> palette;
+  std::unordered_set<std::uint64_t> seen;
+  for (std::size_t j = 0; j < kSpecials && palette.size() < d; ++j) {
+    palette.push_back(specials[(j + window) % kSpecials]);
+    seen.insert(Bits(palette.back()));
+  }
+  std::uniform_real_distribution<double> unit(0.0, 10.0);
+  while (palette.size() < d) {
+    const double x = unit(rng);
+    if (seen.insert(Bits(x)).second) palette.push_back(x);
+  }
+  return palette;
+}
+
+// `n` values whose 4,096-value window w holds exactly
+// kWindowDistinct[(w + offset) % 10] distinct bit patterns, each first seen
+// in a shuffled order, so one set mixes packed and raw chunks.
+std::vector<double> LowCardinality(std::size_t n, std::size_t offset,
+                                   std::mt19937_64& rng) {
+  std::vector<double> out;
+  out.reserve(n);
+  for (std::size_t window = 0; out.size() < n; ++window) {
+    const std::size_t d =
+        kWindowDistinct[(window + offset) % std::size(kWindowDistinct)];
+    std::vector<double> palette = Palette(d, window, rng);
+    std::shuffle(palette.begin(), palette.end(), rng);
+    for (std::size_t i = 0; i < Samples::kMaxChunk && out.size() < n; ++i) {
+      out.push_back(i < d ? palette[i] : palette[rng() % d]);
+    }
+  }
+  return out;
+}
+
+// The observables of `s` against the vector it was filled from: values in
+// order bit for bit and count; if `all`, also mean, min, max and stddev
+// bit for bit (they fold the values in insertion order) and percentiles
+// against a sorted copy.
+void ExpectMatchesReference(const Samples& s, const std::vector<double>& want,
+                            const std::string& where, bool all) {
+  ASSERT_EQ(s.count(), want.size()) << where;
+  ASSERT_TRUE(std::ranges::equal(s.values(), want, [](double a, double b) {
+    return Bits(a) == Bits(b);
+  })) << where;
+  if (want.empty() || !all) return;
+  double sum = 0.0;
+  for (double v : want) sum += v;
+  const double mean = sum / static_cast<double>(want.size());
+  double acc = 0.0;
+  for (double v : want) acc += (v - mean) * (v - mean);
+  EXPECT_EQ(Bits(s.mean()), Bits(mean)) << where;
+  EXPECT_EQ(Bits(s.min()), Bits(*std::ranges::min_element(want))) << where;
+  EXPECT_EQ(Bits(s.max()), Bits(*std::ranges::max_element(want))) << where;
+  if (want.size() > 1) {
+    EXPECT_EQ(Bits(s.stddev()),
+              Bits(std::sqrt(acc / static_cast<double>(want.size()))))
+        << where;
+  }
+  std::vector<double> sorted = want;
+  std::sort(sorted.begin(), sorted.end());
+  for (double q : {0.0, 0.5, 0.99, 1.0}) {
+    const double got = s.Percentile(q);
+    const double ref = PercentileOfSorted(sorted, q);
+    EXPECT_TRUE(SameBits(got, ref))
+        << where << ", q " << q << ": " << got << " vs " << ref;
+  }
+}
+
+// Packed chunks give back exactly the inserted bits. Each set is filled one
+// value at a time and checked one either side of every chunk boundary (the
+// first Add past a full 4,096-value chunk seals it) up to 100k values, and
+// moved to a new set half way. The summary statistics and percentiles, the
+// slow checks, run just after every fourth seal and at the end.
+TEST(SamplesTest, PackedChunksMatchVectorBitForBit) {
+  std::vector<std::size_t> checkpoints;
+  std::size_t total = 0;
+  for (std::size_t k = 0; total < 100'000; ++k) {
+    total += stats_detail::ChunkCapacity(k, Samples::kFirstChunk,
+                                         Samples::kMaxChunk);
+    checkpoints.insert(checkpoints.end(), {total - 1, total, total + 1});
+  }
+  checkpoints.push_back(100'000);
+  std::mt19937_64 rng(39);
+  for (std::size_t offset : {0, 5}) {
+    const std::vector<double> all = LowCardinality(100'000, offset, rng);
+    auto s = std::make_unique<Samples>();
+    std::vector<double> want;
+    bool moved = false;
+    for (std::size_t checkpoint : checkpoints) {
+      if (checkpoint > all.size()) break;
+      while (want.size() < checkpoint) {
+        want.push_back(all[want.size()]);
+        s->Add(want.back());
+      }
+      ExpectMatchesReference(
+          *s, want,
+          "offset " + std::to_string(offset) + ", " +
+              std::to_string(checkpoint) + " values",
+          /*all=*/checkpoint == 100'000 || checkpoint % 16'384 == 1);
+      if (!moved && checkpoint > 50'000) {
+        // A moved set keeps its packed chunks and its tail.
+        auto next = std::make_unique<Samples>(std::move(*s));
+        EXPECT_TRUE(s->empty());
+        EXPECT_TRUE(std::ranges::empty(s->values()));
+        s = std::move(next);
+        moved = true;
+      }
+    }
+    EXPECT_TRUE(moved);
+  }
+}
+
+// One pattern per window: every window after the ramp packs to a 0-bit
+// code, and the dictionary tells +0.0 from -0.0.
+TEST(SamplesTest, SignedZerosPackAsTwoPatterns) {
+  Samples s;
+  std::vector<double> want;
+  for (std::size_t i = 0; i < 10 * Samples::kMaxChunk + 3; ++i) {
+    want.push_back((i / Samples::kMaxChunk) % 2 == 0 ? 0.0 : -0.0);
+    s.Add(want.back());
+  }
+  // A window mixing both zeros packs to 1-bit codes.
+  for (std::size_t i = 0; i < 2 * Samples::kMaxChunk; ++i) {
+    want.push_back(i % 3 == 0 ? -0.0 : 0.0);
+    s.Add(want.back());
+  }
+  ExpectMatchesReference(s, want, "signed zeros", /*all=*/true);
+  EXPECT_EQ(Bits(s.Median()), Bits(0.0));
 }
 
 // std::sort over a NaN breaks strict weak ordering; a NaN has no rank.

@@ -1,5 +1,7 @@
 #include "workload/request_gen.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace swapserve::workload {
@@ -43,6 +45,16 @@ TEST(RequestProfileTest, SamplesWithinBounds) {
     EXPECT_GE(s.output_tokens, 1);
     EXPECT_LE(s.output_tokens, 512);
   }
+}
+
+// A trace event holds its token counts in 32 bits: a bound past that would
+// let a clipped length wrap silently, so the constructor rejects it.
+TEST(RequestProfileDeathTest, MaxTokensMustFitInt32) {
+  const std::int64_t past = std::int64_t{INT32_MAX} + 1;
+  EXPECT_DEATH(RequestProfile("huge", 100, 0.5, 100, 0.5, past), "32 bits");
+  RequestProfile widest("widest", 100, 0.5, 100, 0.5, INT32_MAX);
+  sim::Rng rng(3);
+  EXPECT_GE(widest.Sample(rng).prompt_tokens, 1);
 }
 
 TEST(RequestProfileTest, DeterministicPerSeed) {

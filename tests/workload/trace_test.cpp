@@ -64,8 +64,10 @@ std::vector<TraceEvent> ReferenceTrace(const std::vector<ModelWorkload>& mix,
       const TokenSample tokens = w.profile->Sample(lengths_rng);
       trace.push_back(TraceEvent{.time_s = t,
                                  .model_id = ModelName(w.model_id),
-                                 .prompt_tokens = tokens.prompt_tokens,
-                                 .output_tokens = tokens.output_tokens});
+                                 .prompt_tokens = static_cast<std::int32_t>(
+                                     tokens.prompt_tokens),
+                                 .output_tokens = static_cast<std::int32_t>(
+                                     tokens.output_tokens)});
     }
   }
   std::stable_sort(trace.begin(), trace.end(),
