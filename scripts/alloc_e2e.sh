@@ -17,13 +17,16 @@
 #     gross figure follows in parentheses);
 #   - the top allocating call sites in the run window: the innermost
 #     function in namespace swapserve, and the swapserve function that
-#     called it.
+#     called it;
+#   - the same call sites ranked by the bytes they requested in the run
+#     window (what a store that grows with the run costs, before the
+#     allocator's own overhead).
 # Defaults: --seed 1 --seconds 0 --reps 3 --trace 0 (later arguments
 # override them). Environment: ALLOCCOUNT_EVERY (record the stack of one
-# allocation in N, default 1: every one; counts are scaled back by N),
-# ALLOC_TOP (call sites listed, default 25). The raw stacks stay in
-# build/alloccount/<workload>.txt. Not a gate: a tool for finding where a
-# layer allocates.
+# allocation in N, default 1: every one; counts and bytes are scaled back
+# by N), ALLOC_TOP (call sites listed in each ranking, default 25). The raw
+# stacks stay in build/alloccount/<workload>.txt. Not a gate: a tool for
+# finding where a layer allocates.
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
@@ -63,9 +66,12 @@ path, log, traced_log, top = sys.argv[1], sys.argv[2], sys.argv[3], \
 maps, header, rows = read_dump(path)
 fields = dict(kv.split("=") for kv in header.split())
 total, every = int(fields["total"]), int(fields["every"])
+total_bytes = int(fields["bytes"])
 dropped = int(fields["dropped"])
+# Each stack line: its count, its bytes, then its frames.
 counts = [int(row[0]) for row in rows]
-chains = symbolize(maps, [[int(v, 16) for v in row[1:]] for row in rows])
+sizes = [int(row[1]) for row in rows]
+chains = symbolize(maps, [[int(v, 16) for v in row[2:]] for row in rows])
 
 reps = 0
 sent = 0
@@ -95,12 +101,17 @@ def Site(chain):
 
 
 run_total = 0
+run_bytes = 0
 sites = collections.Counter()
-for count, chain in zip(counts, chains):
+site_bytes = collections.Counter()
+for count, size, chain in zip(counts, sizes, chains):
     if not under_run(chain):
         continue
+    site = Site([fn for fn, _ in chain])
     run_total += count * every
-    sites[Site([fn for fn, _ in chain])] += count * every
+    run_bytes += size * every
+    sites[site] += count * every
+    site_bytes[site] += size * every
 
 reps = max(reps, 1)
 per_rep = total / reps
@@ -111,6 +122,8 @@ print(f"heap allocations: {total} over {reps} rep(s): {per_rep:,.0f} per rep, "
       + (f" (stacks recorded for 1 in {every})" if every > 1 else "")
       + (f"; {dropped} recorded stacks did not fit the table" if dropped
          else ""))
+print(f"heap bytes requested: {total_bytes / reps / 2**20:,.2f} MiB per rep, "
+      f"{approx}{run_bytes / reps / 2**20:,.2f} MiB of them in the run window")
 if sent:
     print(f"  per request: {run_per_rep / sent:.2f} "
           f"({sent} requests per rep)")
@@ -127,4 +140,10 @@ if run_total:
     for (site, caller), n in sites.most_common(top):
         print(f"  {n / reps:10,.0f}  {100.0 * n / run_total:5.1f} %  {site}"
               + (f"  <- {caller}" if caller else ""))
+if run_bytes:
+    print(f"\ntop {top} call sites by bytes requested in the run window "
+          f"(KiB per rep, share)")
+    for (site, caller), n in site_bytes.most_common(top):
+        print(f"  {n / reps / 1024:10,.1f}  {100.0 * n / run_bytes:5.1f} %  "
+              f"{site}" + (f"  <- {caller}" if caller else ""))
 PY

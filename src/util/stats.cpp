@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <ranges>
 #include <utility>
 
@@ -220,10 +221,91 @@ namespace {
 
 double NsToSeconds(std::int64_t ns) { return static_cast<double>(ns) / 1e9; }
 
-// Run arrays of a chunk holding `capacity` runs.
-double* Values(std::byte* chunk) { return reinterpret_cast<double*>(chunk); }
-std::uint32_t* Counts(std::byte* chunk, std::size_t capacity) {
-  return reinterpret_cast<std::uint32_t*>(chunk + capacity * sizeof(double));
+// A run's value kinds, the low 2 bits of its first varint.
+enum RunKind : std::uint8_t { kZero, kOne, kGrid, kRaw };
+
+std::byte* PutVarint(std::byte* out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) {
+    *out++ = static_cast<std::byte>(v | 0x80);
+  }
+  *out++ = static_cast<std::byte>(v);
+  return out;
+}
+
+const std::byte* GetVarint(const std::byte* in, std::uint64_t& v) {
+  v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const auto b = static_cast<std::uint64_t>(*in++);
+    v |= (b & 0x7f) << shift;
+    if (b < 0x80) return in;
+  }
+}
+
+// The k of a grid fraction v = k / interval_ns, if v is one: |k| < 2^53
+// and the division gives back v's exact bits. (A double below 2^53 rounds
+// to an integer below it: doubles from 2^52 on are integers.)
+std::optional<std::int64_t> GridNumerator(double v, double interval_ns) {
+  const double scaled = v * interval_ns;
+  if (!(std::abs(scaled) < 0x1p53)) return std::nullopt;  // NaN, inf, huge
+  const std::int64_t k = std::llround(scaled);
+  if (std::bit_cast<std::uint64_t>(static_cast<double>(k) / interval_ns) !=
+      std::bit_cast<std::uint64_t>(v)) {
+    return std::nullopt;
+  }
+  return k;
+}
+
+// Writes one run (the varint of count - 1 and kind, then the payload) at
+// `out`, which has at least kMaxRunBytes free; returns the end.
+std::byte* EncodeRun(std::byte* out, double value, std::uint32_t count,
+                     double interval_ns) {
+  std::optional<std::int64_t> k;
+  RunKind kind = kRaw;
+  if (std::bit_cast<std::uint64_t>(value) == 0) {
+    kind = kZero;
+  } else if (value == 1.0) {
+    kind = kOne;
+  } else if ((k = GridNumerator(value, interval_ns))) {
+    kind = kGrid;
+  }
+  out = PutVarint(out, std::uint64_t{count - 1} << 2 | kind);
+  if (kind == kGrid) {
+    // Zigzag: small magnitudes of either sign take few bytes.
+    out = PutVarint(out, (static_cast<std::uint64_t>(*k) << 1) ^
+                             static_cast<std::uint64_t>(*k >> 63));
+  } else if (kind == kRaw) {
+    std::memcpy(out, &value, sizeof value);
+    out += sizeof value;
+  }
+  return out;
+}
+
+// Reads the run EncodeRun wrote at `in`; returns its end.
+const std::byte* DecodeRun(const std::byte* in, double interval_ns,
+                           double& value, std::uint32_t& count) {
+  std::uint64_t head = 0;
+  in = GetVarint(in, head);
+  count = static_cast<std::uint32_t>(head >> 2) + 1;
+  switch (head & 3) {
+    case kZero:
+      value = 0.0;
+      break;
+    case kOne:
+      value = 1.0;
+      break;
+    case kGrid: {
+      std::uint64_t zigzag = 0;
+      in = GetVarint(in, zigzag);
+      const auto k = static_cast<std::int64_t>(zigzag >> 1) ^
+                     -static_cast<std::int64_t>(zigzag & 1);
+      value = static_cast<double>(k) / interval_ns;
+      break;
+    }
+    default:
+      std::memcpy(&value, in, sizeof value);
+      in += sizeof value;
+  }
+  return in;
 }
 
 }  // namespace
@@ -236,25 +318,30 @@ TimeSeries::TimeSeries(TimeSeries&& other) noexcept
     : interval_ns_(other.interval_ns_),
       chunks_(std::exchange(other.chunks_, {})),
       segments_(std::exchange(other.segments_, {})),
-      value_tail_(std::exchange(other.value_tail_, nullptr)),
-      count_tail_(std::exchange(other.count_tail_, nullptr)),
+      tail_(std::exchange(other.tail_, nullptr)),
       chunk_left_(std::exchange(other.chunk_left_, 0)),
+      last_value_(std::exchange(other.last_value_, 0.0)),
+      last_count_(std::exchange(other.last_count_, 0)),
       runs_(std::exchange(other.runs_, 0)),
       size_(std::exchange(other.size_, 0)),
       next_ns_(std::exchange(other.next_ns_, 0)) {}
 
 void TimeSeries::PushRun(double value, std::uint32_t count) {
-  if (chunk_left_ == 0) {
+  // Chunk 0 comes with the first run, though that run stays unencoded.
+  if (chunk_left_ < kMaxRunBytes) {
     const std::size_t capacity = ChunkCapacity(chunks_.size());
-    chunks_.emplace_back(
-        new std::byte[capacity * (sizeof(double) + sizeof(std::uint32_t))]);
-    value_tail_ = Values(chunks_.back().get());
-    count_tail_ = Counts(chunks_.back().get(), capacity);
+    chunks_.emplace_back(new std::byte[capacity]);
+    tail_ = chunks_.back().get();
     chunk_left_ = capacity;
   }
-  *value_tail_++ = value;
-  *count_tail_++ = count;
-  --chunk_left_;
+  if (runs_ > 0) {
+    std::byte* end = EncodeRun(tail_, last_value_, last_count_,
+                               static_cast<double>(interval_ns_));
+    chunk_left_ -= static_cast<std::size_t>(end - tail_);
+    tail_ = end;
+  }
+  last_value_ = value;
+  last_count_ = count;
   ++runs_;
 }
 
@@ -268,10 +355,10 @@ void TimeSeries::Append(std::int64_t at_ns, double value, std::size_t count) {
                    "TimeSeries samples must be appended in time order");
     segments_.push_back({at_ns, runs_});
   } else if (std::bit_cast<std::uint64_t>(value) ==
-             std::bit_cast<std::uint64_t>(value_tail_[-1])) {
+             std::bit_cast<std::uint64_t>(last_value_)) {
     const std::size_t extend =
-        std::min<std::size_t>(count, kMaxRunCount - count_tail_[-1]);
-    count_tail_[-1] += static_cast<std::uint32_t>(extend);
+        std::min<std::size_t>(count, kMaxRunCount - last_count_);
+    last_count_ += static_cast<std::uint32_t>(extend);
     count -= extend;
   }
   for (; count > 0;) {
@@ -284,25 +371,31 @@ void TimeSeries::Append(std::int64_t at_ns, double value, std::size_t count) {
 
 template <class Fn>
 void TimeSeries::ForEachRun(Fn&& fn) const {
+  const auto interval = static_cast<double>(interval_ns_);
   std::size_t chunk = 0;
-  std::size_t at = 0;  // run r's slot in `chunk`
+  const std::byte* at = runs_ > 0 ? chunks_[0].get() : nullptr;
+  std::size_t left = ChunkCapacity(0);  // bytes from `at` to the chunk end
   std::size_t r = 0;
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const bool more_segments = s + 1 < segments_.size();
     const std::size_t end = more_segments ? segments_[s + 1].first_run : runs_;
     std::int64_t first_ns = segments_[s].anchor_ns;
-    for (; r < end; ++r, ++at) {
-      std::size_t capacity = ChunkCapacity(chunk);
-      if (at == capacity) {
-        capacity = ChunkCapacity(++chunk);
-        at = 0;
+    for (; r < end; ++r) {
+      const bool last = r + 1 == end && !more_segments;
+      double value = last_value_;
+      std::uint32_t count = last_count_;
+      if (!last) {
+        if (left < kMaxRunBytes) {
+          at = chunks_[++chunk].get();
+          left = ChunkCapacity(chunk);
+        }
+        const std::byte* next = DecodeRun(at, interval, value, count);
+        left -= static_cast<std::size_t>(next - at);
+        at = next;
       }
-      std::byte* base = chunks_[chunk].get();
-      const std::uint32_t count = Counts(base, capacity)[at];
       const std::int64_t after_ns =
           first_ns + static_cast<std::int64_t>(count) * interval_ns_;
-      const bool last = r + 1 == end && !more_segments;
-      if (!fn(first_ns, count, Values(base)[at],
+      if (!fn(first_ns, count, value,
               r + 1 < end ? after_ns : last ? 0 : segments_[s + 1].anchor_ns,
               last)) {
         return;

@@ -3,11 +3,12 @@
 // Samples keeps every value for exact percentiles; TimeSeries keeps a
 // run-length step series for the time-weighted GPU utilization and memory
 // means. Both store their data in append-only chunks: chunks 0 and 1 hold
-// kFirstChunk elements and each later chunk doubles, up to kMaxChunk, so
-// the capacity grows through the same sizes a doubling vector would, but
-// growth never copies or frees. A near-empty store costs a few hundred
-// bytes; a long one wastes at most one partly filled chunk.
-// TimeSeries costs 12 bytes per run. Samples costs 8 bytes per value until
+// kFirstChunk elements (TimeSeries: bytes) and each later chunk doubles,
+// up to kMaxChunk, so the capacity grows through the same sizes a doubling
+// vector would, but growth never copies or frees. A near-empty store costs
+// a few hundred bytes; a long one wastes at most one partly filled chunk.
+// TimeSeries encodes each run in 1 to 13 bytes (see below); 6 bytes for a
+// utilization on a 1 s grid. Samples costs 8 bytes per value until
 // a kMaxChunk chunk fills; a full one is then sealed, packed against its
 // own dictionary when that is smaller: each distinct bit pattern once,
 // and a bit_width(D - 1)-bit code per value for D distinct patterns. The
@@ -226,16 +227,35 @@ inline SamplesIterator& SamplesIterator::operator++() {
 // seconds as ns / 1e9 (what sim::SimTime::ToSeconds() returns), and a value
 // holds until the next sample. Storage is run-length: a run is `count`
 // consecutive grid samples of one value, `interval_ns` apart, so an idle
-// stretch of any length costs one run. A run is 12 bytes, its value and a
-// 32-bit count in parallel arrays; instants are implicit. A segment is a
-// stretch of runs that each start where the previous one ends, and only
+// stretch of any length costs one run; instants are implicit. A segment is
+// a stretch of runs that each start where the previous one ends, and only
 // its first instant is stored. A new run starts when the value changes or
 // the count would pass 2^32 - 1; a new segment starts when a sample lands
 // off the grid (a monitor restart re-anchors it).
+//
+// A run is stored at the size of what it holds. The last run stays a plain
+// value and count, so Append can extend it; a completed run is appended to
+// a byte stream as the varint (7 bits a byte, low bits first) of
+// (count - 1) << 2 | kind, then its payload:
+//   - kind says what the value is: +0.0, 1.0, a grid fraction, or raw; the
+//     varint is 1 byte for a count of 1 to 32 and 2 bytes up to 4096;
+//   - a grid fraction is v = k / interval_ns for an integer |k| < 2^53, and
+//     is stored as the zigzag varint of k. It qualifies only when
+//     double(k) / double(interval_ns) gives back v's exact bits, so a
+//     busy-ns / interval-ns utilization on a 1 s grid takes 5 bytes;
+//   - every other value is stored raw, as its 8 bytes (-0.0, NaN payloads,
+//     infinities and denormals included), so every value round-trips bit
+//     for bit.
+// A utilization run thus costs 1 byte (idle or saturated, up to 32
+// samples), 6 bytes (a fraction on a 1 s grid) or 9 bytes (raw), against
+// 12 for a double and a 32-bit count. The stream lives in byte chunks that
+// double from kFirstChunk to kMaxChunk bytes and are never copied; a run
+// never straddles two chunks, so a chunk with fewer than kMaxRunBytes left
+// is closed and the next run starts the next chunk.
 class TimeSeries {
  public:
-  static constexpr std::size_t kFirstChunk = 16;
-  static constexpr std::size_t kMaxChunk = 4096;  // 48 KiB of runs
+  static constexpr std::size_t kFirstChunk = 256;     // bytes
+  static constexpr std::size_t kMaxChunk = 16 * 1024;  // bytes
   static constexpr std::size_t kMaxRunCount = UINT32_MAX;
 
   explicit TimeSeries(std::int64_t interval_ns);
@@ -267,6 +287,9 @@ class TimeSeries {
   double MaxValue() const;
 
  private:
+  // The longest encoded run: a 5-byte varint of a 2^32 - 1 count and its
+  // kind, and an 8-byte raw value (or an 8-byte varint of k).
+  static constexpr std::size_t kMaxRunBytes = 13;
   static constexpr std::size_t ChunkCapacity(std::size_t k) {
     return stats_detail::ChunkCapacity(k, kFirstChunk, kMaxChunk);
   }
@@ -275,6 +298,7 @@ class TimeSeries {
   // last run, whose `last` is true); stops when fn returns false.
   template <class Fn>
   void ForEachRun(Fn&& fn) const;
+  // Encodes the last run into the stream and makes (value, count) the last.
   void PushRun(double value, std::uint32_t count);
 
   struct Segment {
@@ -282,12 +306,12 @@ class TimeSeries {
     std::size_t first_run;
   };
   std::int64_t interval_ns_;
-  // Chunk k: ChunkCapacity(k) values, then as many 32-bit counts.
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   std::vector<Segment> segments_;
-  double* value_tail_ = nullptr;  // next free run of the last chunk
-  std::uint32_t* count_tail_ = nullptr;
-  std::size_t chunk_left_ = 0;  // free runs in the last chunk
+  std::byte* tail_ = nullptr;   // next free byte of the last chunk
+  std::size_t chunk_left_ = 0;  // free bytes in the last chunk
+  double last_value_ = 0.0;     // the last run, not yet encoded
+  std::uint32_t last_count_ = 0;
   std::size_t runs_ = 0;
   std::size_t size_ = 0;
   std::int64_t next_ns_ = 0;  // the grid instant after the last sample

@@ -3,8 +3,11 @@
 // The binary replaces the global allocator with a shim that counts the
 // bytes of every allocation and the largest single one. It pins the
 // stores' cost per element, counting every byte allocated, freed or not:
-//   - a TimeSeries run is 12 bytes (a vector of 24-byte runs that doubles
-//     allocates about 50 bytes per run over its growth);
+//   - a TimeSeries run is at most 12 bytes (a vector of 24-byte runs that
+//     doubles allocates about 50 bytes per run over its growth), and what
+//     its encoding takes: about 4 bytes for utilization-like runs (a
+//     6-byte grid fraction, then a 1- to 3-byte run of zeros), 9 for a raw
+//     double;
 //   - a Samples value is 8 bytes (a doubling vector of doubles: about 16);
 //   - a Samples value drawn from few distinct values costs what its code
 //     does once its chunk is sealed: under 2 bytes for 300 distinct values
@@ -21,9 +24,11 @@
 // cases only run the stores.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -93,7 +98,53 @@ TEST(StatsMemoryTest, TimeSeriesRunCostsTwelveBytes) {
   if (!SWAPSERVE_COUNTING_NEW) return;
   const double per_run = static_cast<double>(a.bytes) / kElements;
   EXPECT_LE(per_run, 12.5) << a.bytes << " bytes for " << kElements << " runs";
-  EXPECT_LE(a.largest, TimeSeries::kMaxChunk * 12)
+  EXPECT_LE(a.largest, TimeSeries::kMaxChunk)
+      << "largest allocation: " << a.largest << " bytes";
+}
+
+// GPU utilization as the monitor records it on a 1 s grid: busy ns over
+// interval ns (k / 1e9 for k in [1, 1e9)), alternating with idle stretches
+// of 1-200 zero samples.
+TEST(StatsMemoryTest, UtilizationRunsCostUnderFourAndAHalfBytes) {
+  constexpr std::int64_t kInterval = 1'000'000'000;
+  std::mt19937_64 rng(7);
+  TimeSeries ts(kInterval);
+  const Allocated a = Count([&] {
+    std::int64_t at = 0;
+    for (std::size_t i = 0; i < kElements / 2; ++i) {
+      const auto k = static_cast<double>(1 + rng() % (kInterval - 1));
+      ts.Append(at, k / static_cast<double>(kInterval));
+      const std::size_t idle = 1 + rng() % 200;
+      ts.Append(at + kInterval, 0.0, idle);
+      at += static_cast<std::int64_t>(1 + idle) * kInterval;
+    }
+  });
+  ASSERT_EQ(ts.runs(), kElements);
+  if (!SWAPSERVE_COUNTING_NEW) return;
+  const double per_run = static_cast<double>(a.bytes) / kElements;
+  EXPECT_LE(per_run, 4.5) << a.bytes << " bytes for " << kElements << " runs";
+  EXPECT_LE(a.largest, TimeSeries::kMaxChunk)
+      << "largest allocation: " << a.largest << " bytes";
+}
+
+// Doubles that are no grid fraction: 1 + a random 52-bit mantissa.
+TEST(StatsMemoryTest, RawRunsCostUnderNineAndAHalfBytes) {
+  constexpr std::int64_t kInterval = 1'000'000'000;
+  std::mt19937_64 rng(11);
+  TimeSeries ts(kInterval);
+  const Allocated a = Count([&] {
+    for (std::size_t i = 0; i < kElements; ++i) {
+      const std::uint64_t mantissa = rng() >> 12;
+      ts.Append(static_cast<std::int64_t>(i) * kInterval,
+                std::bit_cast<double>(std::bit_cast<std::uint64_t>(1.0) |
+                                      mantissa));
+    }
+  });
+  ASSERT_EQ(ts.runs(), kElements);
+  if (!SWAPSERVE_COUNTING_NEW) return;
+  const double per_run = static_cast<double>(a.bytes) / kElements;
+  EXPECT_LE(per_run, 9.5) << a.bytes << " bytes for " << kElements << " runs";
+  EXPECT_LE(a.largest, TimeSeries::kMaxChunk)
       << "largest allocation: " << a.largest << " bytes";
 }
 

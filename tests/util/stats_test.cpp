@@ -482,21 +482,86 @@ struct ReferenceSeries {
   }
 };
 
+// Values aimed at every run encoding on a grid of `interval` ns: +-0.0 and
+// 1.0; grid fractions k / interval at k = 1, 2^28 +- 1, 2^30, 2^32 + 1 and
+// 2^53 - 1 (which only a 1 ns grid holds exactly), of either sign; a
+// near-fraction one ulp above each; values above 1, negatives and
+// denormals; and values whose k would reach 2^53, which must stay raw.
+// With `special`, infinities and NaN payloads too.
+std::vector<double> EncodingValues(std::int64_t interval, bool special) {
+  const auto iv = static_cast<double>(interval);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> out = {0.0,     -0.0,   1.0,   0.25,   1.0 / 3,
+                             71.5,    80.0,   -0.25, -7.0,   1e300,
+                             0x1p54 / iv, -0x1p60 / iv,
+                             std::numeric_limits<double>::denorm_min(),
+                             -1e-310, 0x1p-1022};
+  for (const std::int64_t k :
+       {std::int64_t{1}, (std::int64_t{1} << 28) - 1, std::int64_t{1} << 28,
+        (std::int64_t{1} << 28) + 1, std::int64_t{1} << 30,
+        (std::int64_t{1} << 32) + 1, (std::int64_t{1} << 53) - 1}) {
+    for (const std::int64_t sign : {1, -1}) {
+      const double v = static_cast<double>(sign * k) / iv;
+      out.push_back(v);
+      out.push_back(std::nextafter(v, inf));
+    }
+  }
+  if (special) {
+    out.insert(out.end(),
+               {inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+                std::bit_cast<double>(std::uint64_t{0x7ff8'0000'0000'0123}),
+                std::bit_cast<double>(std::uint64_t{0xfff4'0000'0000'0001})});
+  }
+  return out;
+}
+
+// Bit-equal, or both NaN: a NaN's payload after arithmetic depends on
+// operand order, which the store does not decide.
+bool SameMean(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
 // Random appends on and off the grid (re-anchors), long idle stretches and
-// runs of equal values, checked against the point-by-point reference.
+// runs of equal values, checked against the point-by-point reference. Every
+// fourth trial draws from a palette on a random 1 ms to 401 ms grid, two
+// values or all six in turn; the others draw EncodingValues() on a 1 ns,
+// 1 s, 300 s, 1 day or random grid, with run counts where the varint of
+// count and kind grows a byte and around 64 (RunLongerThanItsCountSplits
+// has counts of 2^32 - 1). Half way through, the series is moved and
+// appended to in its new home.
 TEST(TimeSeriesTest, MatchesPointByPointReference) {
   std::mt19937_64 rng(99);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  for (int trial = 0; trial < 24; ++trial) {
-    const std::int64_t interval = 1'000'000 + static_cast<std::int64_t>(
-                                                  rng() % 400'000'000);
-    TimeSeries ts(interval);
+  // 0 stands for a random grid.
+  constexpr std::int64_t kGrids[] = {1, kSecondNs, 300 * kSecondNs,
+                                     86'400 * kSecondNs, 0};
+  // Where (count - 1) << 2 | kind needs a second (33) and a third (4097)
+  // varint byte, and around 64.
+  constexpr std::size_t kCounts[] = {1,  2,  32,  33,   62,   63,
+                                     64, 65, 200, 4096, 4097, 16448};
+  const std::vector<double> palette = {0.0, 0.25, 0.3, 1.0 / 3, 71.5, 80.0};
+  for (int trial = 0; trial < 48; ++trial) {
+    const bool encodings = trial % 4 != 0;
+    const std::int64_t grid = encodings ? kGrids[(trial / 4) % 5] : 0;
+    const std::int64_t interval =
+        grid != 0 ? grid
+                  : 1'000'000 + static_cast<std::int64_t>(rng() % 400'000'000);
+    const std::vector<double> values =
+        encodings ? EncodingValues(interval, trial % 4 == 3) : palette;
+    auto ts = std::make_unique<TimeSeries>(interval);
     ReferenceSeries ref{interval, {}, {}};
     std::int64_t next = static_cast<std::int64_t>(rng() % 1'000'000'000);
-    const int appends =
-        trial % 3 == 0 ? 20'000 : 1 + static_cast<int>(rng() % 400);
-    const double values[] = {0.0, 0.25, 0.3, 1.0 / 3, 71.5, 80.0};
+    // A day grid keeps to 400 appends of at most 200 samples, inside int64
+    // nanoseconds.
+    const bool day = interval == kGrids[3];
+    const int appends = trial % 6 == 0 && !day
+                            ? 20'000
+                            : 1 + static_cast<int>(rng() % 400);
     for (int i = 0; i < appends; ++i) {
+      if (i == appends / 2) {
+        ts = std::make_unique<TimeSeries>(std::move(*ts));
+      }
       std::int64_t at = next;
       const std::uint64_t roll = rng() % 100;
       if (roll < 3 && !ref.at_ns.empty()) {
@@ -507,24 +572,35 @@ TEST(TimeSeriesTest, MatchesPointByPointReference) {
       }
       std::size_t count = 1 + rng() % 3;
       if (roll >= 97) count = 1 + rng() % 5'000;  // an idle stretch
-      const double value = values[rng() % (trial % 2 == 0 ? 2 : 6)];
-      ts.Append(at, value, count);
+      if (encodings && roll >= 80 && roll < 97) {
+        // The long trials leave out the counts from 4096 on, for time.
+        count = kCounts[rng() % (std::size(kCounts) - (appends > 400 ? 3 : 0))];
+      }
+      if (day) count = std::min<std::size_t>(count, 200);
+      const std::size_t choices =
+          encodings || (trial / 4) % 2 == 1 ? values.size() : 2;
+      const double value = values[rng() % choices];
+      ts->Append(at, value, count);
       ref.Append(at, value, count);
       next = at + static_cast<std::int64_t>(count) * interval;
     }
-    ASSERT_EQ(ts.size(), ref.at_ns.size()) << trial;
-    EXPECT_EQ(ts.runs(), ref.runs) << trial;
-    const std::vector<TimeSeries::Point> pts = ts.Points();
+    ASSERT_EQ(ts->size(), ref.at_ns.size()) << trial;
+    EXPECT_EQ(ts->runs(), ref.runs) << trial;
+    const std::vector<TimeSeries::Point> pts = ts->Points();
     ASSERT_EQ(pts.size(), ref.at_ns.size());
     double max = 0.0;
     for (std::size_t i = 0; i < pts.size(); ++i) {
       ASSERT_EQ(pts[i].time_s, static_cast<double>(ref.at_ns[i]) / 1e9)
           << trial << " point " << i;
       ASSERT_EQ(std::bit_cast<std::uint64_t>(pts[i].value),
-                std::bit_cast<std::uint64_t>(ref.values[i]));
+                std::bit_cast<std::uint64_t>(ref.values[i]))
+          << trial << " point " << i << ": " << pts[i].value << " for "
+          << ref.values[i];
       max = std::max(max, ref.values[i]);
     }
-    EXPECT_EQ(ts.MaxValue(), max);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ts->MaxValue()),
+              std::bit_cast<std::uint64_t>(max))
+        << trial;
     const double first = static_cast<double>(ref.at_ns.front()) / 1e9;
     const double last = static_cast<double>(ref.at_ns.back()) / 1e9;
     for (int w = 0; w < 12; ++w) {
@@ -532,23 +608,59 @@ TEST(TimeSeriesTest, MatchesPointByPointReference) {
       double t1 = first - 1.0 + unit(rng) * (last - first + 2.0);
       if (w == 0) t0 = 0.0, t1 = last + 10.0;
       if (t1 < t0) std::swap(t0, t1);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ts.TimeWeightedMean(t0, t1)),
-                std::bit_cast<std::uint64_t>(ref.TimeWeightedMean(t0, t1)))
+      EXPECT_TRUE(SameMean(ts->TimeWeightedMean(t0, t1),
+                           ref.TimeWeightedMean(t0, t1)))
           << trial << " [" << t0 << ", " << t1 << "]";
     }
   }
 }
 
+// The mean over a window from just after sample `first` to just before
+// sample `last` of a series whose sample i (of n) is value_at(i), `interval`
+// ns apart from 0: the step integral over the samples from first - 2 on.
+template <class ValueAt>
+void ExpectWindowMean(const TimeSeries& ts, std::int64_t interval,
+                      std::size_t n, ValueAt value_at, std::size_t first,
+                      std::size_t last) {
+  const auto at = [&](std::size_t i) {
+    return static_cast<double>(static_cast<std::int64_t>(i) * interval) / 1e9;
+  };
+  const double t0 = at(first) + 1e-4;
+  const double t1 = at(last) - 2e-4;
+  double acc = 0.0;
+  double covered = 0.0;
+  for (std::size_t i = first - 2; i < n; ++i) {
+    const double start = std::max(at(i), t0);
+    const double end = std::min(i + 1 < n ? at(i + 1) : t1, t1);
+    if (end <= start) continue;
+    acc += value_at(i) * (end - start);
+    covered += end - start;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ts.TimeWeightedMean(t0, t1)),
+            std::bit_cast<std::uint64_t>(acc / covered))
+      << "[" << t0 << ", " << t1 << "]";
+}
+
 // A run holds at most 2^32 - 1 samples; a longer one is split in two, and
-// the samples keep their instants.
+// the samples keep their instants. A full run's count takes a 5-byte
+// varint.
 TEST(TimeSeriesTest, RunLongerThanItsCountSplits) {
   constexpr std::int64_t kInterval = 1'000'000;  // 1 ms
   constexpr std::size_t kLong = std::size_t{1} << 32;  // 2^32 + 4 below
-  // One append longer than two runs.
+  // One append longer than two runs, then a raw value: the mean across the
+  // change holds only if both full runs decode their counts.
   TimeSeries whole(kInterval);
   whole.Append(0, 2.0, 2 * kLong + 1);
   EXPECT_EQ(whole.runs(), 3u);
   EXPECT_EQ(whole.size(), 2 * kLong + 1);
+  whole.Append(static_cast<std::int64_t>(2 * kLong + 1) * kInterval, 1.0 / 3,
+               2);
+  EXPECT_EQ(whole.runs(), 4u);
+  EXPECT_EQ(whole.MaxValue(), 2.0);
+  ExpectWindowMean(
+      whole, kInterval, 2 * kLong + 3,
+      [](std::size_t i) { return i < 2 * kLong + 1 ? 2.0 : 1.0 / 3; },
+      2 * kLong - 5, 2 * kLong + 3);
   // An append that fills the last run and starts the next.
   TimeSeries ts(kInterval);
   ts.Append(0, 1.5, kLong - 3);
@@ -567,27 +679,8 @@ TEST(TimeSeriesTest, RunLongerThanItsCountSplits) {
   // Around the split and around the value change, the mean is that of
   // the samples near the window; earlier samples add nothing.
   const auto value_at = [](std::size_t i) { return i < kLong + 6 ? 1.5 : 4.0; };
-  for (const auto& [first, last] :
-       {std::pair{kLong - 40, kLong + 30}, std::pair{kLong - 3, kLong + 9}}) {
-    const double t0 = static_cast<double>(first * kInterval) / 1e9 + 1e-4;
-    const double t1 = static_cast<double>(last * kInterval) / 1e9 - 2e-4;
-    double acc = 0.0;
-    double covered = 0.0;
-    for (std::size_t i = first - 2; i < kLong + 9; ++i) {
-      const double time = static_cast<double>(i * kInterval) / 1e9;
-      const double next = i + 1 < kLong + 9
-                              ? static_cast<double>((i + 1) * kInterval) / 1e9
-                              : t1;
-      const double start = std::max(time, t0);
-      const double end = std::min(next, t1);
-      if (end <= start) continue;
-      acc += value_at(i) * (end - start);
-      covered += end - start;
-    }
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ts.TimeWeightedMean(t0, t1)),
-              std::bit_cast<std::uint64_t>(acc / covered))
-        << "[" << t0 << ", " << t1 << "]";
-  }
+  ExpectWindowMean(ts, kInterval, kLong + 9, value_at, kLong - 40, kLong + 30);
+  ExpectWindowMean(ts, kInterval, kLong + 9, value_at, kLong - 3, kLong + 9);
 }
 
 TEST(TimeSeriesTest, MovedFromSeriesIsEmpty) {

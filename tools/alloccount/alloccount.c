@@ -5,13 +5,14 @@
  *
  * It wraps malloc, calloc, realloc, memalign, aligned_alloc and
  * posix_memalign (operator new reaches malloc through libstdc++) and counts
- * every call that returns a block. Every ALLOCCOUNT_EVERY-th allocation
- * (default 1: all of them) also records its call stack into a table of
- * distinct stacks with a count each, so a run that allocates millions of
- * times keeps a few thousand stacks, not millions. At exit it writes
- * ALLOCCOUNT_OUT (default alloccount.out) in tools/common/stack_dump.h's
- * format: a "# total" header, then one line per distinct stack, its count
- * first. scripts/alloc_e2e.sh symbolizes and summarizes that file.
+ * every call that returns a block and the bytes it asked for. Every
+ * ALLOCCOUNT_EVERY-th allocation (default 1: all of them) also records its
+ * call stack into a table of distinct stacks with a count and a byte sum
+ * each, so a run that allocates millions of times keeps a few thousand
+ * stacks, not millions. At exit it writes ALLOCCOUNT_OUT (default
+ * alloccount.out) in tools/common/stack_dump.h's format: a "# total"
+ * header, then one line per distinct stack, its count and its bytes first.
+ * scripts/alloc_e2e.sh symbolizes and summarizes that file.
  *
  * The table and its frame arena are mapped up front, so recording never
  * allocates. The constructor warms the unwinder, and a per-thread flag
@@ -38,6 +39,7 @@ enum {
 struct Slot {
   uint64_t hash;
   uint64_t count;
+  uint64_t bytes;  /* requested by the recorded allocations */
   uint32_t offset; /* into g_arena */
   uint32_t depth;  /* 0: empty slot */
 };
@@ -46,6 +48,7 @@ static struct Slot* g_slots;
 static uintptr_t* g_arena;
 static size_t g_arena_used;
 static uint64_t g_total;    /* every allocation */
+static uint64_t g_total_bytes;  /* requested by every allocation */
 static uint64_t g_sampled;  /* allocations whose stack was looked at */
 static uint64_t g_dropped;  /* sampled stacks that did not fit */
 static uint64_t g_every = 1;
@@ -70,7 +73,7 @@ static uint64_t Hash(void* const* frames, int n) {
 }
 
 /* Frames 0 and 1 are this function and the wrapper that called it. */
-__attribute__((noinline)) static void Record(void) {
+__attribute__((noinline)) static void Record(size_t size) {
   void* frames[kMaxDepth + 2];
   const int n = backtrace(frames, kMaxDepth + 2) - 2;
   if (n <= 0) return;
@@ -82,6 +85,7 @@ __attribute__((noinline)) static void Record(void) {
       if (g_arena_used + (size_t)n > kArenaWords) break;
       s->hash = h;
       s->count = 1;
+      s->bytes = size;
       s->offset = (uint32_t)g_arena_used;
       s->depth = (uint32_t)n;
       for (int i = 0; i < n; ++i) g_arena[g_arena_used++] = (uintptr_t)stack[i];
@@ -90,49 +94,51 @@ __attribute__((noinline)) static void Record(void) {
     if (s->hash == h && s->depth == (uint32_t)n &&
         memcmp(g_arena + s->offset, stack, sizeof(uintptr_t) * n) == 0) {
       ++s->count;
+      s->bytes += size;
       return;
     }
   }
   ++g_dropped;
 }
 
-static void* Counted(void* p) {
+static void* Counted(void* p, size_t size) {
   if (p == NULL || !g_ready || t_in_hook) return p;
   t_in_hook = 1;
   Lock();
   ++g_total;
+  g_total_bytes += size;
   if (--g_countdown == 0) {
     g_countdown = g_every;
     ++g_sampled;
-    Record();
+    Record(size);
   }
   Unlock();
   t_in_hook = 0;
   return p;
 }
 
-void* malloc(size_t size) { return Counted(__libc_malloc(size)); }
+void* malloc(size_t size) { return Counted(__libc_malloc(size), size); }
 void* calloc(size_t n, size_t size) {
-  return Counted(__libc_calloc(n, size));
+  return Counted(__libc_calloc(n, size), n * size);
 }
 /* realloc to a new size counts as an allocation (it may move the block);
  * realloc(p, 0) frees and is not counted. */
 void* realloc(void* p, size_t size) {
   void* q = __libc_realloc(p, size);
-  return size == 0 ? q : Counted(q);
+  return size == 0 ? q : Counted(q, size);
 }
 void* memalign(size_t alignment, size_t size) {
-  return Counted(__libc_memalign(alignment, size));
+  return Counted(__libc_memalign(alignment, size), size);
 }
 void* aligned_alloc(size_t alignment, size_t size) {
-  return Counted(__libc_memalign(alignment, size));
+  return Counted(__libc_memalign(alignment, size), size);
 }
 int posix_memalign(void** out, size_t alignment, size_t size) {
   if (alignment % sizeof(void*) != 0 ||
       (alignment & (alignment - 1)) != 0) {
     return EINVAL;
   }
-  void* p = Counted(__libc_memalign(alignment, size));
+  void* p = Counted(__libc_memalign(alignment, size), size);
   if (p == NULL) return ENOMEM;
   *out = p;
   return 0;
@@ -144,13 +150,16 @@ static void Dump(void) {
   Unlock();
   FILE* out = StackDumpOpen("ALLOCCOUNT_OUT", "alloccount.out");
   if (out == NULL) return;
-  fprintf(out, "# total=%llu sampled=%llu every=%llu dropped=%llu\n",
-          (unsigned long long)g_total, (unsigned long long)g_sampled,
-          (unsigned long long)g_every, (unsigned long long)g_dropped);
+  fprintf(out,
+          "# total=%llu bytes=%llu sampled=%llu every=%llu dropped=%llu\n",
+          (unsigned long long)g_total, (unsigned long long)g_total_bytes,
+          (unsigned long long)g_sampled, (unsigned long long)g_every,
+          (unsigned long long)g_dropped);
   for (size_t i = 0; i < kSlots; ++i) {
     const struct Slot* s = &g_slots[i];
     if (s->depth == 0) continue;
-    fprintf(out, "%llu", (unsigned long long)s->count);
+    fprintf(out, "%llu %llu", (unsigned long long)s->count,
+            (unsigned long long)s->bytes);
     StackDumpFrames(out, g_arena + s->offset, s->depth);
   }
   fclose(out);
