@@ -81,7 +81,7 @@ Outcome RunDedicated(int n_models) {
   std::vector<baseline::DedicatedServing::Assignment> assignments;
   for (int i = 0; i < n_models; ++i) {
     assignments.push_back({bed.catalog.Find(kPool[i]).value(),
-                           engine::EngineKind::kOllama,
+                           model::EngineKind::kOllama,
                            bed.gpus[static_cast<std::size_t>(i)].get()});
   }
   baseline::DedicatedServing dedicated(bed.sim, std::move(assignments),

@@ -8,18 +8,19 @@
 #include <map>
 
 #include "bench/common.h"
-#include "engine/factory.h"
+#include "engine/engine.h"
 
 namespace swapserve::bench {
 namespace {
 
-double MeasureColdStart(engine::EngineKind kind,
+double MeasureColdStart(model::EngineKind kind,
                         const std::string& model_id) {
   Bed bed(Machine::kH100);
   model::ModelSpec spec = bed.catalog.Find(model_id).value();
-  auto eng = engine::CreateEngine(
-      kind, bed.env(), spec, engine::EngineOptions{},
-      std::string(engine::EngineKindName(kind)) + "-" + model_id);
+  const model::EngineProfile& profile = model::ProfileFor(kind);
+  auto eng = std::make_unique<engine::InferenceEngine>(
+      profile, bed.env(), spec, engine::EngineOptions{},
+      std::string(profile.name) + "-" + model_id);
   double total = 0;
   bed.RunTask([&]() -> sim::Task<> {
     const sim::SimTime t0 = bed.sim.Now();
@@ -40,11 +41,11 @@ void Run() {
       "llama-3.2-1b-fp16",    "llama-3.2-3b-fp16",   "llama-3.1-8b-fp16",
       "deepseek-r1-7b-fp16",  "deepseek-r1-14b-fp16", "gemma-3-12b-fp16",
   };
-  const std::vector<std::pair<engine::EngineKind, const char*>> engines = {
-      {engine::EngineKind::kOllama, "Ollama"},
-      {engine::EngineKind::kSglang, "SGLang"},
-      {engine::EngineKind::kVllm, "vLLM"},
-      {engine::EngineKind::kTrtllm, "TensorRT-LLM"},
+  const std::vector<std::pair<model::EngineKind, const char*>> engines = {
+      {model::EngineKind::kOllama, "Ollama"},
+      {model::EngineKind::kSglang, "SGLang"},
+      {model::EngineKind::kVllm, "vLLM"},
+      {model::EngineKind::kTrtllm, "TensorRT-LLM"},
   };
 
   std::vector<std::string> headers = {"Model"};

@@ -8,7 +8,7 @@
 #include <fstream>
 
 #include "bench/common.h"
-#include "engine/factory.h"
+#include "engine/engine.h"
 
 namespace swapserve::bench {
 namespace {
@@ -62,9 +62,9 @@ void Run() {
     // Cold-start comparison on a fresh machine.
     Bed cold(Machine::kH100);
     model::ModelSpec spec = cold.catalog.Find(row.model_id).value();
-    auto eng = engine::CreateEngine(engine::EngineKind::kVllm, cold.env(),
-                                    spec, engine::EngineOptions{},
-                                    std::string("cold-") + row.model_id);
+    auto eng = std::make_unique<engine::InferenceEngine>(
+        model::ProfileFor(model::EngineKind::kVllm), cold.env(), spec,
+        engine::EngineOptions{}, std::string("cold-") + row.model_id);
     double cold_s = 0;
     cold.RunTask([&]() -> sim::Task<> {
       const sim::SimTime t0 = cold.sim.Now();

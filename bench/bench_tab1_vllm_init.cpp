@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "engine/vllm_engine.h"
+#include "engine/engine.h"
 #include "model/calibration.h"
 
 namespace swapserve::bench {
@@ -41,8 +41,9 @@ void Run() {
   for (const PaperRow& row : kPaper) {
     Bed bed(Machine::kH100);
     model::ModelSpec spec = bed.catalog.Find(row.model_id).value();
-    engine::VllmEngine engine(bed.env(), spec, engine::EngineOptions{},
-                              std::string("tab1-") + row.model_id);
+    engine::InferenceEngine engine(model::ProfileFor(model::EngineKind::kVllm),
+                                   bed.env(), spec, engine::EngineOptions{},
+                                   std::string("tab1-") + row.model_id);
     engine::InitBreakdown breakdown;
     bed.RunTask([&]() -> sim::Task<> {
       Result<engine::InitBreakdown> init = co_await engine.ColdStart();

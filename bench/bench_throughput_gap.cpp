@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "engine/factory.h"
+#include "engine/engine.h"
 #include "sim/combinators.h"
 
 namespace swapserve::bench {
@@ -18,15 +18,15 @@ struct EngineThroughput {
   double ttft_ms = 0;           // 512-token prompt
 };
 
-EngineThroughput Measure(engine::EngineKind kind,
+EngineThroughput Measure(model::EngineKind kind,
                          const std::string& model_id) {
   EngineThroughput result;
   // Single stream.
   {
     Bed bed(Machine::kH100);
-    auto eng = engine::CreateEngine(kind, bed.env(),
-                                    bed.catalog.Find(model_id).value(),
-                                    engine::EngineOptions{}, "tput-b1");
+    auto eng = std::make_unique<engine::InferenceEngine>(
+        model::ProfileFor(kind), bed.env(), bed.catalog.Find(model_id).value(),
+        engine::EngineOptions{}, "tput-b1");
     bed.RunTask([&]() -> sim::Task<> {
       SWAP_CHECK((co_await eng->ColdStart()).ok());
       Result<engine::GenerationResult> r = co_await eng->Generate(
@@ -42,9 +42,9 @@ EngineThroughput Measure(engine::EngineKind kind,
   // 16 concurrent streams (continuous batching).
   {
     Bed bed(Machine::kH100);
-    auto eng = engine::CreateEngine(kind, bed.env(),
-                                    bed.catalog.Find(model_id).value(),
-                                    engine::EngineOptions{}, "tput-b16");
+    auto eng = std::make_unique<engine::InferenceEngine>(
+        model::ProfileFor(kind), bed.env(), bed.catalog.Find(model_id).value(),
+        engine::EngineOptions{}, "tput-b16");
     bed.RunTask([&]() -> sim::Task<> {
       SWAP_CHECK((co_await eng->ColdStart()).ok());
       const sim::SimTime t0 = bed.sim.Now();
@@ -78,17 +78,17 @@ void Run() {
                       "Decode tok/s (16 streams)", "TTFT 512-tok (ms)",
                       "Cold start (s)"});
   for (auto [kind, label] :
-       {std::pair{engine::EngineKind::kOllama, "Ollama"},
-        std::pair{engine::EngineKind::kSglang, "SGLang"},
-        std::pair{engine::EngineKind::kVllm, "vLLM"},
-        std::pair{engine::EngineKind::kTrtllm, "TensorRT-LLM"}}) {
+       {std::pair{model::EngineKind::kOllama, "Ollama"},
+        std::pair{model::EngineKind::kSglang, "SGLang"},
+        std::pair{model::EngineKind::kVllm, "vLLM"},
+        std::pair{model::EngineKind::kTrtllm, "TensorRT-LLM"}}) {
     EngineThroughput t = Measure(kind, "llama-3.1-8b-fp16");
     // Cold start for context (same numbers as Fig. 2).
     Bed bed(Machine::kH100);
-    auto eng = engine::CreateEngine(kind, bed.env(),
-                                    bed.catalog.Find("llama-3.1-8b-fp16")
-                                        .value(),
-                                    engine::EngineOptions{}, "cold");
+    auto eng = std::make_unique<engine::InferenceEngine>(
+        model::ProfileFor(kind), bed.env(),
+        bed.catalog.Find("llama-3.1-8b-fp16").value(),
+        engine::EngineOptions{}, "cold");
     double cold_s = 0;
     bed.RunTask([&]() -> sim::Task<> {
       const sim::SimTime t0 = bed.sim.Now();

@@ -86,7 +86,7 @@ Fig3Run RunDedicated(const std::vector<TraceEvent>& trace) {
   std::vector<baseline::DedicatedServing::Assignment> assignments;
   for (std::size_t i = 0; i < std::size(kModels); ++i) {
     assignments.push_back({bed.catalog.Find(kModels[i]).value(),
-                           engine::EngineKind::kOllama,
+                           model::EngineKind::kOllama,
                            bed.gpus[i].get()});
   }
   baseline::DedicatedServing dedicated(bed.sim, std::move(assignments),

@@ -14,6 +14,7 @@
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
 #include "hw/link.h"
+#include "model/calibration.h"
 #include "model/catalog.h"
 #include "sim/simulation.h"
 #include "util/table.h"
@@ -80,7 +81,9 @@ int main() {
   double total_resident_gib = 0;
   for (const ModelRole& m : kFleet) {
     total_resident_gib +=
-        model::OllamaResidentBytes(catalog.Find(m.model_id).value()).AsGiB();
+        model::ProfileFor(model::EngineKind::kOllama)
+            .ResidentBytes(catalog.Find(m.model_id).value())
+            .AsGiB();
   }
   std::printf("fleet footprint: %.1f GiB across 6 models; GPU: 80 GiB\n",
               total_resident_gib);

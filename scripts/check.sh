@@ -3,9 +3,12 @@
 # CMakePresets.json preset, then run ctest in its tree. Exits non-zero on
 # any configure, build, or test failure.
 #
-# Usage: scripts/check.sh <default|asan|tsan|ubsan|tidy> [ctest args...]
+# Usage: scripts/check.sh <default|release|asan|tsan|ubsan|tidy>
+#                         [ctest args...]
 #
 #   default  RelWithDebInfo, build/
+#   release  Release (-O3; GCC's optimizer-driven warnings fire only here,
+#            and -Werror stays on), build-release/
 #   asan     Debug + address,undefined sanitizers, build-asan/
 #   tsan     Debug + thread sanitizer, build-tsan/
 #   ubsan    Debug + undefined sanitizer alone, plus float-cast-overflow
@@ -29,7 +32,7 @@ cd "$(dirname "$0")/.."
 PRESET="${1:-}"
 case "$PRESET" in
   default) BUILD_DIR=build ;;
-  asan | tsan | ubsan) BUILD_DIR="build-$PRESET" ;;
+  release | asan | tsan | ubsan) BUILD_DIR="build-$PRESET" ;;
   tidy)
     shift
     TIDY="$(command -v clang-tidy || true)"
@@ -45,7 +48,7 @@ case "$PRESET" in
     exec "$TIDY" -p build --quiet "$@" "${FILES[@]}"
     ;;
   *)
-    echo "usage: scripts/check.sh <default|asan|tsan|ubsan|tidy>" \
+    echo "usage: scripts/check.sh <default|release|asan|tsan|ubsan|tidy>" \
       "[ctest args...]" >&2
     exit 2
     ;;

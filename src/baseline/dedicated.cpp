@@ -23,9 +23,9 @@ sim::Task<Status> DedicatedServing::Initialize() {
         .runtime = &runtime_,
         .tp_group = {},
     };
-    auto eng = engine::CreateEngine(a.kind, env, a.model,
-                                    engine::EngineOptions{},
-                                    "dedicated-" + a.model.id);
+    auto eng = std::make_unique<engine::InferenceEngine>(
+        model::ProfileFor(a.kind), env, a.model, engine::EngineOptions{},
+        "dedicated-" + a.model.id);
     Result<engine::InitBreakdown> init = co_await eng->ColdStart();
     if (!init.ok()) co_return init.status();
     engines_.emplace(a.model.id, std::move(eng));

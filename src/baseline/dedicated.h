@@ -14,7 +14,7 @@
 #include "container/runtime.h"
 #include "core/metrics.h"
 #include "core/types.h"
-#include "engine/factory.h"
+#include "engine/engine.h"
 #include "hw/gpu_device.h"
 #include "hw/link.h"
 #include "model/model_spec.h"
@@ -28,7 +28,7 @@ class DedicatedServing {
  public:
   struct Assignment {
     model::ModelSpec model;
-    engine::EngineKind kind = engine::EngineKind::kVllm;
+    model::EngineKind kind = model::EngineKind::kVllm;
     hw::GpuDevice* gpu = nullptr;
   };
 

@@ -20,8 +20,9 @@ sim::Task<Status> OllamaLruServing::Initialize(
         .tp_group = {},
     };
     Runner runner;
-    runner.engine = std::make_unique<engine::OllamaEngine>(
-        env, m, engine::EngineOptions{}, "ollama-" + m.id);
+    runner.engine = std::make_unique<engine::InferenceEngine>(
+        model::ProfileFor(model::EngineKind::kOllama), env, m,
+        engine::EngineOptions{}, "ollama-" + m.id);
     runner.loading = std::make_unique<sim::SimMutex>(sim_, "ollama-load:" + m.id);
     Result<engine::InitBreakdown> init = co_await runner.engine->ColdStart();
     if (!init.ok()) co_return init.status();
@@ -57,7 +58,8 @@ sim::Task<Status> OllamaLruServing::EnsureLoaded(std::string model_id) {
   if (runner.engine->model_loaded()) co_return Status::Ok();
 
   // The Ollama scheduler unloads LRU runners until the model fits (§2.3).
-  const Bytes want = model::OllamaResidentBytes(runner.engine->model());
+  const Bytes want =
+      runner.engine->profile().ResidentBytes(runner.engine->model());
   while (gpu_.free() < want) {
     Runner* lru = LruLoadedExcept(model_id);
     if (lru == nullptr) {

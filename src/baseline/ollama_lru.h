@@ -13,7 +13,7 @@
 #include <string>
 
 #include "container/runtime.h"
-#include "engine/ollama_engine.h"
+#include "engine/engine.h"
 #include "hw/gpu_device.h"
 #include "hw/link.h"
 #include "model/model_spec.h"
@@ -48,7 +48,7 @@ class OllamaLruServing {
 
  private:
   struct Runner {
-    std::unique_ptr<engine::OllamaEngine> engine;
+    std::unique_ptr<engine::InferenceEngine> engine;
     sim::SimTime last_used;
     std::unique_ptr<sim::SimMutex> loading;
   };

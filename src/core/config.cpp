@@ -3,8 +3,8 @@
 #include <set>
 #include <span>
 
-#include "engine/factory.h"
 #include "fault/fault_points.h"
+#include "model/calibration.h"
 #include "sim/time.h"
 
 namespace swapserve::core {
@@ -409,7 +409,9 @@ Status Config::Validate(const model::ModelCatalog& catalog,
     if (!catalog.Contains(m.model_id)) {
       return NotFound("config: model " + m.model_id + " not in catalog");
     }
-    SWAP_RETURN_IF_ERROR(engine::ParseEngineKind(m.engine).status());
+    if (model::FindEngineProfile(m.engine) == nullptr) {
+      return InvalidArgument("unknown engine kind: " + m.engine);
+    }
     if (m.gpu_memory_utilization <= 0 || m.gpu_memory_utilization > 1.0) {
       return InvalidArgument("config: model " + m.model_id +
                              ": gpu_memory_utilization out of (0, 1]");

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/sse.h"
-#include "engine/factory.h"
+#include "model/calibration.h"
 #include "util/log.h"
 
 namespace swapserve::core {
@@ -123,13 +123,15 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
     engine::EngineOptions eng_options{
         .gpu_memory_utilization = entry.gpu_memory_utilization,
         .sleep_mode = entry.sleep_mode,
-        .enforce_eager = false,
     };
-    const engine::EngineKind kind =
-        engine::ParseEngineKind(entry.engine).value();
+    // Config::Validate rejected unknown engine names.
+    const model::EngineProfile* profile =
+        model::FindEngineProfile(entry.engine);
+    SWAP_CHECK(profile != nullptr);
     auto backend = std::make_unique<Backend>(
         sim_, entry, spec,
-        engine::CreateEngine(kind, env, spec, eng_options, entry.model_id),
+        std::make_unique<engine::InferenceEngine>(*profile, env, spec,
+                                                  eng_options, entry.model_id),
         config_.global.queue_capacity, config_.recovery);
     backend->engine->BindFaultInjector(&fault_injector_);
     backend->breaker.BindObservability(&obs_, entry.model_id);

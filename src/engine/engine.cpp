@@ -3,29 +3,17 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/combinators.h"
 #include "util/log.h"
 
 namespace swapserve::engine {
+namespace {
 
-std::string_view EngineKindName(EngineKind k) {
-  switch (k) {
-    case EngineKind::kVllm: return "vllm";
-    case EngineKind::kOllama: return "ollama";
-    case EngineKind::kSglang: return "sglang";
-    case EngineKind::kTrtllm: return "trtllm";
-  }
-  return "?";
+bool IsA100(const hw::GpuSpec& spec) {
+  return spec.name.find("A100") != std::string::npos;
 }
 
-std::string EngineImageName(EngineKind k) {
-  switch (k) {
-    case EngineKind::kVllm: return "vllm/vllm-openai:v0.9.2";
-    case EngineKind::kOllama: return "ollama/ollama:v0.9.6";
-    case EngineKind::kSglang: return "lmsysorg/sglang:v0.4.9";
-    case EngineKind::kTrtllm: return "nvcr.io/nvidia/tensorrt-llm:v1.0rc0";
-  }
-  return "?";
-}
+}  // namespace
 
 std::string_view BackendStateName(BackendState s) {
   switch (s) {
@@ -40,19 +28,18 @@ std::string_view BackendStateName(BackendState s) {
   return "?";
 }
 
-InferenceEngine::InferenceEngine(EngineKind kind, EngineEnv env,
-                                 model::ModelSpec model, EngineOptions options,
+InferenceEngine::InferenceEngine(const model::EngineProfile& profile,
+                                 EngineEnv env, model::ModelSpec model,
+                                 EngineOptions options,
                                  std::string backend_name)
-    : kind_(kind),
+    : profile_(profile),
       env_(std::move(env)),
       model_(std::move(model)),
       options_(options),
       name_(backend_name),
       process_(*env_.sim, name()),
-      prefill_efficiency_(
-          model::EnginePrefillEfficiency(std::string(EngineKindName(kind)))),
-      decode_efficiency_(
-          model::EngineDecodeEfficiency(std::string(EngineKindName(kind)))) {
+      swap_models_(IsA100(env_.gpu->spec()) ? profile.a100 : profile.h100),
+      weights_loaded_(!profile.unload.has_value()) {
   SWAP_CHECK(env_.sim != nullptr && env_.gpu != nullptr &&
              env_.storage != nullptr && env_.runtime != nullptr);
   if (env_.tp_group.empty()) {
@@ -91,7 +78,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::ColdStart() {
   SetState(BackendState::kInitializing);
 
   Result<container::Container*> created =
-      env_.runtime->Create(name(), EngineImageName(kind()));
+      env_.runtime->Create(name(), std::string(profile_.image));
   if (!created.ok()) {
     SetState(BackendState::kStopped);
     co_return created.status();
@@ -126,7 +113,7 @@ Status InferenceEngine::AdoptCheckpoint() {
                               std::string(BackendStateName(state_)));
   }
   Result<container::Container*> created =
-      env_.runtime->Create(name(), EngineImageName(kind()));
+      env_.runtime->Create(name(), std::string(profile_.image));
   if (!created.ok()) {
     SetState(BackendState::kStopped);
     return created.status();
@@ -142,7 +129,11 @@ Status InferenceEngine::AdoptCheckpoint() {
     SetState(BackendState::kStopped);
     return s;
   }
-  AdoptEngineState();
+  // The replicated checkpoint was taken after PrepareForCheckpoint on the
+  // home node: replay the accounting it left behind.
+  kv_arena_ = KvArenaBytes();
+  sleeping_ = profile_.sleep_mode.has_value() && options_.sleep_mode;
+  weights_loaded_ = true;
   SetState(BackendState::kSwappedOut);
   SWAP_LOG(kInfo, "engine")
       << name_ << " adopted a replicated checkpoint ("
@@ -195,7 +186,7 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
       static_cast<double>(req.prompt_tokens);
   const double prefill_s =
       prefill_flops * tp_comm_derate /
-      (tp * gpu().spec().fp16_tflops * 1e12 * prefill_efficiency_);
+      (tp * gpu().spec().fp16_tflops * 1e12 * profile_.prefill_efficiency);
   {
     const hw::GpuDevice::BusyScope busy(gpus);
     co_await sim().Delay(sim::Seconds(prefill_s));
@@ -212,7 +203,7 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
   const double token_s =
       static_cast<double>(model_.WeightBytes().count()) * tp_comm_derate /
       (tp * gpu().spec().hbm_bandwidth.bytes_per_sec() *
-       decode_efficiency_);
+       profile_.decode_efficiency);
   if (req.output_tokens > 0) {
     const hw::GpuDevice::BusyScope busy(gpus);
     if (!req.on_tokens) {
@@ -246,6 +237,153 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
       .time_to_first_token = ttft,
       .total_time = sim().Now() - start,
   };
+}
+
+sim::Task<Result<InitBreakdown>> InferenceEngine::InitializeEngine() {
+  const model::InitPhases phases =
+      profile_.init_phases(model_, storage().link().bandwidth());
+  Result<sim::SimDuration> load = co_await LoadWeights(phases);
+  if (!load.ok()) co_return load.status();
+
+  co_await sim().Delay(phases.compile);
+  co_await sim().Delay(phases.cuda_graphs);
+  co_await sim().Delay(phases.other);
+
+  // Claim the KV arena on every GPU in the tensor-parallel group.
+  if (profile_.kv_utilization_cap) {
+    const Bytes arena = KvArenaBytes();
+    Status kv = AllocateSharded(arena, profile_.kv_purpose);
+    if (!kv.ok()) co_return kv;
+    kv_arena_ = arena;
+  }
+
+  co_return InitBreakdown{
+      .container_start = sim::SimDuration(0),  // filled by ColdStart
+      .weight_load = *load,
+      .compile = phases.compile,
+      .cuda_graphs = phases.cuda_graphs,
+      .other = phases.setup + phases.other,
+  };
+}
+
+sim::Task<Result<sim::SimDuration>> InferenceEngine::LoadWeights(
+    model::InitPhases phases) {
+  co_await sim().Delay(phases.setup);
+  const sim::SimTime start = sim().Now();
+  sim::SimDuration reported;
+  switch (profile_.weight_path) {
+    case model::WeightPath::kReadThenCalibrated: {
+      // The physical read uses the storage link (so concurrent cold starts
+      // contend); the calibrated duration covers H2D + dequant cost.
+      co_await storage().ReadSharded(model_.WeightBytes(),
+                                     model_.ShardCount());
+      const sim::SimDuration read_time = sim().Now() - start;
+      if (phases.weight_load > read_time) {
+        co_await sim().Delay(phases.weight_load - read_time);
+      }
+      reported = phases.weight_load;
+      break;
+    }
+    case model::WeightPath::kReadThenH2d:
+      co_await storage().ReadSharded(model_.WeightBytes(),
+                                     model_.ShardCount());
+      co_await sim().Delay(phases.weight_load);
+      reported = sim().Now() - start;
+      break;
+    case model::WeightPath::kPipelined: {
+      // Total time is the slower of the two paths. The copy estimate is
+      // queue-aware: setup latency and bytes already in flight on the H2D
+      // channel delay us too.
+      const sim::SimDuration h2d_time =
+          gpu().pcie().h2d().EstimatedTransferTime(model_.WeightBytes());
+      co_await sim::WhenAll(
+          sim(),
+          storage().ReadSharded(model_.WeightBytes(), model_.ShardCount()),
+          sim::DelayFor(sim(), h2d_time) /* copy engine */);
+      reported = sim().Now() - start;
+      break;
+    }
+  }
+  Status alloc = AllocateSharded(profile_.ResidentBytes(model_),
+                                 profile_.weights_purpose);
+  if (!alloc.ok()) co_return alloc;
+  weights_loaded_ = true;
+  co_return reported;
+}
+
+Bytes InferenceEngine::KvArenaBytes() const {
+  if (!profile_.kv_utilization_cap) return Bytes(0);
+  const double utilization = std::min(options_.gpu_memory_utilization,
+                                      *profile_.kv_utilization_cap);
+  const auto target = Bytes(static_cast<std::int64_t>(
+      static_cast<double>(gpu().capacity().count()) * utilization *
+      tp_degree()));
+  return std::max(Bytes(0), target - model_.WeightBytes());
+}
+
+Bytes InferenceEngine::DirtyBytes() const {
+  const Bytes weights =
+      weights_loaded_ ? profile_.ResidentBytes(model_) : Bytes(0);
+  // Asleep: only the weights hold state. Awake: the KV arena contents
+  // (paged blocks + CUDA graph pools) must be checkpointed too.
+  return sleeping_ ? weights : weights + kv_arena_;
+}
+
+Bytes InferenceEngine::CleanBytes() const {
+  return sleeping_ ? kv_arena_ : Bytes(0);
+}
+
+sim::Task<Status> InferenceEngine::PrepareForCheckpoint() {
+  if (!profile_.sleep_mode || !options_.sleep_mode || sleeping_) {
+    co_return Status::Ok();
+  }
+  // In-flight requests have already drained (the controller write-locks
+  // first).
+  co_await sim().Delay(profile_.sleep_mode->sleep);
+  sleeping_ = true;
+  co_return Status::Ok();
+}
+
+sim::Task<Status> InferenceEngine::AfterRestore() {
+  if (!sleeping_) co_return Status::Ok();
+  co_await sim().Delay(profile_.sleep_mode->wake);
+  sleeping_ = false;
+  co_return Status::Ok();
+}
+
+sim::Task<Status> InferenceEngine::UnloadModel() {
+  if (!profile_.unload) {
+    co_return FailedPrecondition("unload: " + std::string(profile_.name) +
+                                 " cannot unload its model");
+  }
+  if (state() != BackendState::kRunning) {
+    co_return FailedPrecondition("unload: backend " + name() + " is " +
+                                 std::string(BackendStateName(state())));
+  }
+  if (!weights_loaded_) co_return Status::Ok();
+  if (active_requests_ > 0) {
+    co_return FailedPrecondition("unload: backend " + name() +
+                                 " has active requests");
+  }
+  co_await sim().Delay(*profile_.unload);
+  for (hw::GpuDevice* dev : Gpus()) dev->FreeAllOwnedBy(name_);
+  weights_loaded_ = false;
+  co_return Status::Ok();
+}
+
+sim::Task<Status> InferenceEngine::LoadModel() {
+  if (!profile_.unload) {
+    co_return FailedPrecondition("load: " + std::string(profile_.name) +
+                                 " cannot unload its model");
+  }
+  if (state() != BackendState::kRunning) {
+    co_return FailedPrecondition("load: backend " + name() + " is " +
+                                 std::string(BackendStateName(state())));
+  }
+  if (weights_loaded_) co_return Status::Ok();
+  Result<sim::SimDuration> load = co_await LoadWeights(
+      profile_.init_phases(model_, storage().link().bandwidth()));
+  co_return load.status();
 }
 
 void InferenceEngine::SetState(BackendState to) {

@@ -1,11 +1,12 @@
-// Inference-engine backend interface.
+// Inference-engine backend.
 //
 // A backend is one (engine, model) pair running in its own container — the
-// unit SwapServeLLM hot-swaps. The base class owns the container, the
-// cuda-checkpoint process handle, and the GPU allocation bookkeeping;
-// concrete engines (vLLM, Ollama, SGLang, TensorRT-LLM) supply their
-// initialization pipeline, memory policy, token-generation timing, and
-// checkpoint characteristics.
+// unit SwapServeLLM hot-swaps. The class owns the container, the
+// cuda-checkpoint process handle, and the GPU allocation bookkeeping. The
+// engines (vLLM, Ollama, SGLang, TensorRT-LLM) differ only in data: each
+// reads its model::EngineProfile row (src/model/calibration.h) for its
+// initialization pipeline, memory policy, sleep mode, token-generation
+// efficiency and checkpoint characteristics.
 
 #pragma once
 
@@ -29,11 +30,6 @@
 #include "util/status.h"
 
 namespace swapserve::engine {
-
-enum class EngineKind { kVllm, kOllama, kSglang, kTrtllm };
-
-std::string_view EngineKindName(EngineKind k);   // "vllm", "ollama", ...
-std::string EngineImageName(EngineKind k);       // default container image
 
 enum class BackendState {
   kUninitialized,  // container created, nothing started
@@ -64,9 +60,6 @@ struct EngineOptions {
   double gpu_memory_utilization = 0.9;
   // Enable the engine's pre-checkpoint optimization (vLLM sleep mode).
   bool sleep_mode = true;
-  // Skip torch.compile / CUDA-graph capture (vLLM eager mode; trades
-  // cold-start latency for throughput — the §2.2 tradeoff).
-  bool enforce_eager = false;
 };
 
 // Cold-start phase breakdown (Fig. 2 / Table 1 structure).
@@ -105,16 +98,19 @@ struct GenerationResult {
   sim::SimDuration total_time;
 };
 
-class InferenceEngine {
+class InferenceEngine final {
  public:
-  InferenceEngine(EngineKind kind, EngineEnv env, model::ModelSpec model,
-                  EngineOptions options, std::string backend_name);
-  virtual ~InferenceEngine() = default;
+  // A backend named `backend_name` (unique per container runtime) that
+  // reads `profile`, one of the static rows in model/calibration.cpp. Does
+  // not start anything; call ColdStart() or AdoptCheckpoint().
+  InferenceEngine(const model::EngineProfile& profile, EngineEnv env,
+                  model::ModelSpec model, EngineOptions options,
+                  std::string backend_name);
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  EngineKind kind() const { return kind_; }
-  std::string_view kind_name() const { return EngineKindName(kind()); }
+  const model::EngineProfile& profile() const { return profile_; }
+  std::string_view kind_name() const { return profile_.name; }
 
   const model::ModelSpec& model() const { return model_; }
   const std::string& name() const { return name_.str(); }
@@ -182,21 +178,33 @@ class InferenceEngine {
 
   // --- hot-swap interface (driven by the engine controller) -------------
   // GPU pages whose contents must round-trip through host RAM, vs pages a
-  // restore may simply re-reserve. Sleep-mode engines shrink the former.
-  virtual Bytes DirtyBytes() const = 0;
-  virtual Bytes CleanBytes() const = 0;
+  // restore may simply re-reserve. Sleep mode moves the KV arena from the
+  // former to the latter.
+  Bytes DirtyBytes() const;
+  Bytes CleanBytes() const;
   Bytes GpuResidentBytes() const { return DirtyBytes() + CleanBytes(); }
 
-  // Engine-specific pre-checkpoint optimization (§4.2): vLLM's sleep API
-  // discards the KV arena and pins weights, shrinking the snapshot.
-  virtual sim::Task<Status> PrepareForCheckpoint() {
-    co_return Status::Ok();
-  }
-  virtual sim::Task<Status> AfterRestore() { co_return Status::Ok(); }
+  // Pre-checkpoint optimization (§4.2): with sleep mode on, a row that has
+  // it discards the KV arena and pins the weights, shrinking the snapshot;
+  // AfterRestore wakes it.
+  sim::Task<Status> PrepareForCheckpoint();
+  sim::Task<Status> AfterRestore();
+  bool sleeping() const { return sleeping_; }
 
-  // Checkpoint/restore timing characteristics for this engine on this GPU.
-  virtual model::CheckpointModel CheckpointCharacteristics() const = 0;
-  virtual model::RestoreModel RestoreCharacteristics() const = 0;
+  // Checkpoint/restore timing for this engine on this GPU's family.
+  model::CheckpointModel CheckpointCharacteristics() const {
+    return swap_models_.checkpoint;
+  }
+  model::RestoreModel RestoreCharacteristics() const {
+    return swap_models_.restore;
+  }
+
+  // Unload the model from GPU memory, keeping the server alive (Ollama's
+  // own idle eviction); loading again pays the setup and weight path.
+  // FailedPrecondition for a row that cannot unload.
+  sim::Task<Status> UnloadModel();
+  sim::Task<Status> LoadModel();
+  bool model_loaded() const { return weights_loaded_; }
 
   // State transitions used by the controller. MarkSwapping guards against
   // double-swaps; the controller owns the locking discipline above this.
@@ -211,18 +219,17 @@ class InferenceEngine {
   std::span<hw::GpuDevice* const> Gpus() const { return env_.tp_group; }
   int tp_degree() const { return static_cast<int>(env_.tp_group.size()); }
 
- protected:
-  // Engine-specific initialization after the container is up. Must
-  // allocate GPU memory (owner = name()) and fill the breakdown fields
-  // other than container_start.
-  virtual sim::Task<Result<InitBreakdown>> InitializeEngine() = 0;
-
-  // Replay the host-side accounting (KV arena size, sleep flag, load
-  // markers) a checkpointed instance of this engine carries, without
-  // touching device memory. Called by AdoptCheckpoint; must leave
-  // DirtyBytes/CleanBytes matching what a home-node swap-out of the same
-  // model produced, so the adopted snapshot's byte counts line up.
-  virtual void AdoptEngineState() {}
+ private:
+  // Runs the row's init phases after the container is up: allocates GPU
+  // memory (owner = name()) and fills the breakdown fields other than
+  // container_start.
+  sim::Task<Result<InitBreakdown>> InitializeEngine();
+  // The row's setup phase, weight path and resident-set allocation, shared
+  // by cold start and LoadModel. Returns the weight-load time to report.
+  sim::Task<Result<sim::SimDuration>> LoadWeights(model::InitPhases phases);
+  // The KV arena the row claims on this device group; initialize and adopt
+  // both size it here.
+  Bytes KvArenaBytes() const;
 
   sim::Simulation& sim() { return *env_.sim; }
   hw::GpuDevice& gpu() { return *env_.gpu; }
@@ -236,7 +243,7 @@ class InferenceEngine {
   // rolls back partial shard allocations on failure).
   Status AllocateSharded(Bytes total, std::string_view purpose);
 
-  const EngineKind kind_;
+  const model::EngineProfile& profile_;
   EngineEnv env_;
   model::ModelSpec model_;
   EngineOptions options_;
@@ -246,9 +253,13 @@ class InferenceEngine {
   ckpt::CudaCheckpointProcess process_;
   fault::FaultInjector* fault_ = nullptr;
   std::function<void()> on_residency_;
-  // model::Engine{Prefill,Decode}Efficiency for kind_, resolved once.
-  const double prefill_efficiency_;
-  const double decode_efficiency_;
+  const model::SwapModels& swap_models_;  // the row's, for this GPU family
+  Bytes kv_arena_{0};  // preallocated KV arena; 0 for a row without one
+  bool sleeping_ = false;
+  // A row that cannot unload counts its weights as loaded from
+  // construction on, so a backend that crashes mid-boot still re-reserves
+  // them; Ollama's counts them only once they are in HBM.
+  bool weights_loaded_;
 
   int active_requests_ = 0;
   std::uint64_t total_requests_ = 0;

@@ -13,9 +13,9 @@ TEST(DedicatedTest, InitializesOneEnginePerGpu) {
   BaselineBed bed(2);
   std::vector<DedicatedServing::Assignment> assignments = {
       {bed.catalog.Find("llama-3.2-1b-fp16").value(),
-       engine::EngineKind::kOllama, bed.gpus[0].get()},
+       model::EngineKind::kOllama, bed.gpus[0].get()},
       {bed.catalog.Find("deepseek-r1-7b-fp16").value(),
-       engine::EngineKind::kOllama, bed.gpus[1].get()},
+       model::EngineKind::kOllama, bed.gpus[1].get()},
   };
   DedicatedServing serving(bed.sim, std::move(assignments), bed.storage,
                            bed.runtime);
@@ -32,7 +32,7 @@ TEST(DedicatedTest, ChatServedImmediatelyNoSwapWait) {
   BaselineBed bed;
   std::vector<DedicatedServing::Assignment> assignments = {
       {bed.catalog.Find("llama-3.2-1b-fp16").value(),
-       engine::EngineKind::kOllama, bed.gpus[0].get()},
+       model::EngineKind::kOllama, bed.gpus[0].get()},
   };
   DedicatedServing serving(bed.sim, std::move(assignments), bed.storage,
                            bed.runtime);

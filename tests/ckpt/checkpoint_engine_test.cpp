@@ -102,8 +102,9 @@ TEST_F(CheckpointEngineTest, SwapInTimeMatchesRestoreModel) {
 
     auto in = co_await engine.SwapIn(out->snapshot, *c, proc, gpu_vec);
     EXPECT_TRUE(in.ok());
-    // VllmRestoreH100: 2.45 + 70/25 + 2/13, plus unlock/thaw overheads.
-    const double expected = 2.45 + 70.0 / 25.0 + 2.0 / 13.0;
+    // VllmRestoreH100 (2.45 + 70/25 + 2/8.9 s), plus unlock/thaw overheads.
+    const double expected =
+        model::VllmRestoreH100().RestoreTime(GB(70), GB(2)).ToSeconds();
     EXPECT_NEAR(in->elapsed.ToSeconds(), expected, 0.1);
   });
 }

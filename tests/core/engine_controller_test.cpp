@@ -6,7 +6,7 @@
 
 #include "ckpt/snapshot_tier.h"
 #include "core/scheduler.h"
-#include "engine/factory.h"
+#include "engine/engine.h"
 #include "fixture.h"
 #include "sim/combinators.h"
 
@@ -42,8 +42,9 @@ struct ControllerBed {
                           .tp_group = {}};
     auto backend = std::make_unique<Backend>(
         bed.sim, entry, spec,
-        engine::CreateEngine(engine::ParseEngineKind(engine).value(), env,
-                             spec, engine::EngineOptions{}, model_id),
+        std::make_unique<engine::InferenceEngine>(
+            *model::FindEngineProfile(engine), env, spec,
+            engine::EngineOptions{}, model_id),
         16, RecoveryConfig{});
     controller.RegisterBackend(backend.get());
     return backend;

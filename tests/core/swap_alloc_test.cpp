@@ -59,16 +59,24 @@ std::uint64_t g_alloc_count = 0;
 }  // namespace
 
 #if SWAPSERVE_COUNTING_NEW
-void* operator new(std::size_t n) {
+// The replacements stay out of line: GCC 12 at -O3 inlines one side of a
+// new/delete pair into a caller, then reports -Wmismatched-new-delete for
+// malloc() meeting operator delete (or operator new meeting free()), though
+// this file replaces both.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_alloc_count;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 #endif
 
 namespace swapserve::core {

@@ -1,9 +1,10 @@
-// Cross-engine behaviour: factory, cold-start ordering (Fig. 2's shape),
-// memory policies, and concurrent generation batching.
+// Cross-engine behaviour: profile rows, cold-start ordering (Fig. 2's
+// shape), memory policies, adopted standbys, and concurrent generation
+// batching.
 
 #include <gtest/gtest.h>
 
-#include "engine/factory.h"
+#include "engine/engine.h"
 #include "engine_env.h"
 #include "sim/combinators.h"
 
@@ -12,45 +13,114 @@ namespace {
 
 using testing::EngineBed;
 
-TEST(EngineFactoryTest, ParseKind) {
-  EXPECT_EQ(*ParseEngineKind("vllm"), EngineKind::kVllm);
-  EXPECT_EQ(*ParseEngineKind("ollama"), EngineKind::kOllama);
-  EXPECT_EQ(*ParseEngineKind("sglang"), EngineKind::kSglang);
-  EXPECT_EQ(*ParseEngineKind("trtllm"), EngineKind::kTrtllm);
-  EXPECT_EQ(*ParseEngineKind("tensorrt-llm"), EngineKind::kTrtllm);
-  EXPECT_FALSE(ParseEngineKind("llamafile").ok());
-}
+using model::EngineKind;
 
-TEST(EngineFactoryTest, CreatesEveryKind) {
+constexpr EngineKind kAllKinds[] = {EngineKind::kVllm, EngineKind::kOllama,
+                                    EngineKind::kSglang, EngineKind::kTrtllm};
+
+TEST(EngineProfileTest, ConstructsEveryKind) {
   EngineBed bed;
   model::ModelSpec spec = bed.catalog.Find("llama-3.2-1b-fp16").value();
-  for (EngineKind kind : {EngineKind::kVllm, EngineKind::kOllama,
-                          EngineKind::kSglang, EngineKind::kTrtllm}) {
-    auto eng = CreateEngine(kind, bed.env(), spec, EngineOptions{},
-                            std::string("f-") +
-                                std::string(EngineKindName(kind)));
-    ASSERT_NE(eng, nullptr);
-    EXPECT_EQ(eng->kind(), kind);
-    EXPECT_EQ(eng->state(), BackendState::kUninitialized);
+  for (EngineKind kind : kAllKinds) {
+    const model::EngineProfile& row = model::ProfileFor(kind);
+    InferenceEngine eng(row, bed.env(), spec, EngineOptions{},
+                        "f-" + std::string(row.name));
+    EXPECT_EQ(eng.kind_name(), row.name);
+    EXPECT_EQ(eng.state(), BackendState::kUninitialized);
   }
 }
 
-TEST(EngineKindTest, NamesAndImages) {
-  EXPECT_EQ(EngineKindName(EngineKind::kVllm), "vllm");
-  EXPECT_EQ(EngineImageName(EngineKind::kVllm), "vllm/vllm-openai:v0.9.2");
-  EXPECT_EQ(EngineImageName(EngineKind::kTrtllm),
+TEST(EngineProfileTest, NamesAndImages) {
+  EXPECT_EQ(model::ProfileFor(EngineKind::kVllm).name, "vllm");
+  EXPECT_EQ(model::ProfileFor(EngineKind::kVllm).image,
+            "vllm/vllm-openai:v0.9.2");
+  EXPECT_EQ(model::ProfileFor(EngineKind::kTrtllm).image,
             "nvcr.io/nvidia/tensorrt-llm:v1.0rc0");
   EXPECT_EQ(BackendStateName(BackendState::kSwappedOut), "swapped-out");
 }
 
+// Only a row with the capability may unload; the others refuse before
+// touching any state.
+TEST(EngineProfileTest, LoadAndUnloadNeedTheCapability) {
+  for (EngineKind kind : {EngineKind::kVllm, EngineKind::kSglang,
+                          EngineKind::kTrtllm}) {
+    EngineBed bed;
+    InferenceEngine eng(model::ProfileFor(kind), bed.env(),
+                        bed.catalog.Find("llama-3.2-1b-fp16").value(),
+                        EngineOptions{}, "no-unload");
+    bed.Run([&]() -> sim::Task<> {
+      EXPECT_TRUE((co_await eng.ColdStart()).ok());
+      const Bytes used = bed.gpu.used();
+      EXPECT_EQ((co_await eng.UnloadModel()).code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ((co_await eng.LoadModel()).code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(bed.gpu.used(), used);
+      EXPECT_TRUE(eng.model_loaded());
+    });
+  }
+}
+
+// A standby that adopts a replicated checkpoint must carry the bytes a
+// home-node swap-out of the same model produced: the snapshot's clean and
+// dirty counts line up on both nodes. Cold start and adopt size the KV
+// arena through one function; this pins them together for every row, TP
+// degree and sleep setting.
+TEST(EngineAdoptTest, AdoptedStandbyMatchesHomeSwapOut) {
+  const model::ModelSpec spec = model::ModelCatalog::Default()
+                                    .Find("llama-3.2-1b-fp16")
+                                    .value();
+  for (EngineKind kind : kAllKinds) {
+    for (int tp : {1, 2}) {
+      for (bool sleep_mode : {true, false}) {
+        const std::string label = std::string(model::ProfileFor(kind).name) +
+                                  " tp=" + std::to_string(tp) +
+                                  " sleep=" + std::to_string(sleep_mode);
+        const EngineOptions options{.gpu_memory_utilization = 0.9,
+                                    .sleep_mode = sleep_mode};
+        auto make_env = [tp](EngineBed& bed, hw::GpuDevice& second) {
+          EngineEnv env = bed.env();
+          if (tp == 2) env.tp_group = {&bed.gpu, &second};
+          return env;
+        };
+
+        EngineBed home;
+        hw::GpuDevice home_second(home.sim, 1, home.gpu.spec());
+        InferenceEngine cold(model::ProfileFor(kind),
+                             make_env(home, home_second), spec, options,
+                             "home");
+        home.Run([&]() -> sim::Task<> {
+          EXPECT_TRUE((co_await cold.ColdStart()).ok()) << label;
+          EXPECT_TRUE((co_await cold.PrepareForCheckpoint()).ok()) << label;
+        });
+
+        EngineBed standby;
+        hw::GpuDevice standby_second(standby.sim, 1, standby.gpu.spec());
+        InferenceEngine adopted(model::ProfileFor(kind),
+                                make_env(standby, standby_second), spec,
+                                options, "standby");
+        ASSERT_TRUE(adopted.AdoptCheckpoint().ok()) << label;
+
+        EXPECT_EQ(adopted.state(), BackendState::kSwappedOut) << label;
+        EXPECT_EQ(adopted.DirtyBytes(), cold.DirtyBytes()) << label;
+        EXPECT_EQ(adopted.CleanBytes(), cold.CleanBytes()) << label;
+        EXPECT_EQ(adopted.sleeping(), cold.sleeping()) << label;
+        // Nothing moved on the standby's devices: the restore pays for it.
+        EXPECT_EQ(standby.gpu.used(), Bytes(0)) << label;
+        EXPECT_GT(cold.GpuResidentBytes(), Bytes(0)) << label;
+      }
+    }
+  }
+}
+
 double ColdStartSeconds(EngineKind kind, const std::string& model_id) {
   EngineBed bed;
-  auto eng = CreateEngine(kind, bed.env(),
-                          bed.catalog.Find(model_id).value(),
-                          EngineOptions{}, "order-test");
+  InferenceEngine eng(model::ProfileFor(kind), bed.env(),
+                      bed.catalog.Find(model_id).value(), EngineOptions{},
+                      "order-test");
   double total = 0;
   bed.Run([&]() -> sim::Task<> {
-    Result<InitBreakdown> init = co_await eng->ColdStart();
+    Result<InitBreakdown> init = co_await eng.ColdStart();
     EXPECT_TRUE(init.ok()) << init.status();
     total = init->Total().ToSeconds();
   });
@@ -76,11 +146,10 @@ TEST(EngineOrderingTest, ColdStartOrderMatchesFig2) {
 }
 
 TEST(EngineOrderingTest, ColdStartGrowsWithModelSize) {
-  for (EngineKind kind : {EngineKind::kVllm, EngineKind::kOllama,
-                          EngineKind::kSglang, EngineKind::kTrtllm}) {
+  for (EngineKind kind : kAllKinds) {
     const double small = ColdStartSeconds(kind, "llama-3.2-1b-fp16");
     const double large = ColdStartSeconds(kind, "deepseek-r1-14b-fp16");
-    EXPECT_LT(small, large) << EngineKindName(kind);
+    EXPECT_LT(small, large) << model::ProfileFor(kind).name;
   }
 }
 
@@ -88,21 +157,22 @@ TEST(EngineMemoryTest, PreallocatingEnginesClaimMostOfHbm) {
   for (EngineKind kind :
        {EngineKind::kVllm, EngineKind::kSglang, EngineKind::kTrtllm}) {
     EngineBed bed;
-    auto eng = CreateEngine(kind, bed.env(),
-                            bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                            EngineOptions{}, "mem-test");
+    InferenceEngine eng(model::ProfileFor(kind), bed.env(),
+                        bed.catalog.Find("llama-3.2-1b-fp16").value(),
+                        EngineOptions{}, "mem-test");
     bed.Run([&]() -> sim::Task<> {
-      EXPECT_TRUE((co_await eng->ColdStart()).ok());
+      EXPECT_TRUE((co_await eng.ColdStart()).ok());
     });
-    EXPECT_GT(bed.gpu.used().AsGiB(), 65.0) << EngineKindName(kind);
+    EXPECT_GT(bed.gpu.used().AsGiB(), 65.0) << model::ProfileFor(kind).name;
   }
 }
 
 TEST(EngineMemoryTest, OllamaClaimsOnlyModelFootprint) {
   EngineBed bed;
-  auto eng = CreateEngine(EngineKind::kOllama, bed.env(),
-                          bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                          EngineOptions{}, "mem-ollama");
+  auto eng = std::make_unique<InferenceEngine>(
+      model::ProfileFor(EngineKind::kOllama), bed.env(),
+      bed.catalog.Find("llama-3.2-1b-fp16").value(), EngineOptions{},
+      "mem-ollama");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng->ColdStart()).ok());
   });
@@ -111,9 +181,10 @@ TEST(EngineMemoryTest, OllamaClaimsOnlyModelFootprint) {
 
 TEST(EngineBatchingTest, ConcurrentGenerationsShareTheDevice) {
   EngineBed bed;
-  auto eng = CreateEngine(EngineKind::kVllm, bed.env(),
-                          bed.catalog.Find("llama-3.1-8b-fp16").value(),
-                          EngineOptions{}, "batch-test");
+  auto eng = std::make_unique<InferenceEngine>(
+      model::ProfileFor(EngineKind::kVllm), bed.env(),
+      bed.catalog.Find("llama-3.1-8b-fp16").value(), EngineOptions{},
+      "batch-test");
   std::vector<double> totals;
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng->ColdStart()).ok());
@@ -138,9 +209,10 @@ TEST(EngineBatchingTest, ConcurrentGenerationsShareTheDevice) {
 
 TEST(EngineBatchingTest, BusyTimeRecordedOnGpu) {
   EngineBed bed;
-  auto eng = CreateEngine(EngineKind::kOllama, bed.env(),
-                          bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                          EngineOptions{}, "busy-test");
+  auto eng = std::make_unique<InferenceEngine>(
+      model::ProfileFor(EngineKind::kOllama), bed.env(),
+      bed.catalog.Find("llama-3.2-1b-fp16").value(), EngineOptions{},
+      "busy-test");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng->ColdStart()).ok());
     const sim::SimDuration busy0 = bed.gpu.TotalBusy();

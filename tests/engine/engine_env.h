@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "container/runtime.h"
-#include "engine/factory.h"
+#include "engine/engine.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
 #include "hw/link.h"

@@ -1,4 +1,4 @@
-#include "engine/ollama_engine.h"
+#include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
@@ -10,10 +10,15 @@ namespace {
 
 using testing::EngineBed;
 
+const model::EngineProfile& Ollama() {
+  return model::ProfileFor(model::EngineKind::kOllama);
+}
+
 TEST(OllamaEngineTest, ColdStartIsFast) {
   EngineBed bed;
-  OllamaEngine eng(bed.env(), bed.catalog.Find("llama-3.1-8b-fp16").value(),
-                   EngineOptions{}, "ollama-8b");
+  InferenceEngine eng(Ollama(), bed.env(),
+                      bed.catalog.Find("llama-3.1-8b-fp16").value(),
+                      EngineOptions{}, "ollama-8b");
   bed.Run([&]() -> sim::Task<> {
     Result<InitBreakdown> init = co_await eng.ColdStart();
     EXPECT_TRUE(init.ok());
@@ -27,19 +32,20 @@ TEST(OllamaEngineTest, ColdStartIsFast) {
 TEST(OllamaEngineTest, ResidentBytesMatchCalibration) {
   EngineBed bed;
   model::ModelSpec spec = bed.catalog.Find("deepseek-r1-14b-fp16").value();
-  OllamaEngine eng(bed.env(), spec, EngineOptions{}, "ollama-14b");
+  InferenceEngine eng(Ollama(), bed.env(), spec, EngineOptions{}, "ollama-14b");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng.ColdStart()).ok());
   });
-  EXPECT_EQ(bed.gpu.used(), model::OllamaResidentBytes(spec));
-  EXPECT_EQ(eng.DirtyBytes(), model::OllamaResidentBytes(spec));
+  EXPECT_EQ(bed.gpu.used(), Ollama().ResidentBytes(spec));
+  EXPECT_EQ(eng.DirtyBytes(), Ollama().ResidentBytes(spec));
   EXPECT_EQ(eng.CleanBytes(), Bytes(0));  // no sleep-mode equivalent
 }
 
 TEST(OllamaEngineTest, UnloadAndReloadModel) {
   EngineBed bed;
-  OllamaEngine eng(bed.env(), bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                   EngineOptions{}, "ollama-1b");
+  InferenceEngine eng(Ollama(), bed.env(),
+                      bed.catalog.Find("llama-3.2-1b-fp16").value(),
+                      EngineOptions{}, "ollama-1b");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng.ColdStart()).ok());
     EXPECT_TRUE(eng.model_loaded());
@@ -60,8 +66,9 @@ TEST(OllamaEngineTest, UnloadAndReloadModel) {
 
 TEST(OllamaEngineTest, UnloadIdempotentAndGuarded) {
   EngineBed bed;
-  OllamaEngine eng(bed.env(), bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                   EngineOptions{}, "ollama-guard");
+  InferenceEngine eng(Ollama(), bed.env(),
+                      bed.catalog.Find("llama-3.2-1b-fp16").value(),
+                      EngineOptions{}, "ollama-guard");
   bed.Run([&]() -> sim::Task<> {
     // Unload before cold start: engine not running.
     EXPECT_EQ((co_await eng.UnloadModel()).code(),
@@ -85,7 +92,8 @@ TEST(OllamaEngineTest, LoadTimePipelinesDiskAndH2d) {
     hw::StorageDevice slow(bed.sim, "src", read_bw, sim::Seconds(0.05));
     EngineEnv env = bed.env();
     env.storage = &slow;
-    OllamaEngine eng(env, spec, EngineOptions{}, "ollama-pipeline");
+    InferenceEngine eng(Ollama(), env, spec, EngineOptions{},
+                        "ollama-pipeline");
     double total = 0;
     bed.Run([&]() -> sim::Task<> {
       const sim::SimTime t0 = bed.sim.Now();
@@ -106,7 +114,8 @@ TEST(OllamaEngineTest, GenerateSlowerThanVllmPerToken) {
   // The Red Hat benchmark gap: same model, same GPU, fewer tokens/s.
   EngineBed bed;
   model::ModelSpec spec = bed.catalog.Find("llama-3.2-1b-fp16").value();
-  OllamaEngine eng(bed.env(), spec, EngineOptions{}, "ollama-slow");
+  InferenceEngine eng(Ollama(), bed.env(), spec, EngineOptions{},
+                      "ollama-slow");
   double decode_s = 0;
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng.ColdStart()).ok());
@@ -127,8 +136,8 @@ TEST(OllamaEngineTest, RestoreCharacteristicsDependOnGpu) {
   EngineBed a100(hw::GpuSpec::A100Sxm4_80GB());
   model::ModelSpec spec =
       h100.catalog.Find("llama-3.2-1b-fp16").value();
-  OllamaEngine on_h100(h100.env(), spec, EngineOptions{}, "h");
-  OllamaEngine on_a100(a100.env(), spec, EngineOptions{}, "a");
+  InferenceEngine on_h100(Ollama(), h100.env(), spec, EngineOptions{}, "h");
+  InferenceEngine on_a100(Ollama(), a100.env(), spec, EngineOptions{}, "a");
   EXPECT_NE(on_h100.RestoreCharacteristics().copy_bw.AsGBps(),
             on_a100.RestoreCharacteristics().copy_bw.AsGBps());
 }

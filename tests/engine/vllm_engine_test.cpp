@@ -1,4 +1,4 @@
-#include "engine/vllm_engine.h"
+#include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
@@ -10,10 +10,15 @@ namespace {
 
 using testing::EngineBed;
 
+const model::EngineProfile& Vllm() {
+  return model::ProfileFor(model::EngineKind::kVllm);
+}
+
 TEST(VllmEngineTest, ColdStartMatchesTable1PlusContainer) {
   EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.1-8b-fp16").value(),
-                 EngineOptions{}, "vllm-8b");
+  InferenceEngine eng(Vllm(), bed.env(),
+                      bed.catalog.Find("llama-3.1-8b-fp16").value(),
+                      EngineOptions{}, "vllm-8b");
   bed.Run([&]() -> sim::Task<> {
     Result<InitBreakdown> init = co_await eng.ColdStart();
     EXPECT_TRUE(init.ok()) << init.status();
@@ -28,11 +33,11 @@ TEST(VllmEngineTest, ColdStartMatchesTable1PlusContainer) {
 
 TEST(VllmEngineTest, ClaimsGpuMemoryUtilizationFraction) {
   EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                 EngineOptions{.gpu_memory_utilization = 0.9,
-                               .sleep_mode = true,
-                               .enforce_eager = false},
-                 "vllm-1b");
+  InferenceEngine eng(Vllm(), bed.env(),
+                      bed.catalog.Find("llama-3.2-1b-fp16").value(),
+                      EngineOptions{.gpu_memory_utilization = 0.9,
+                                    .sleep_mode = true},
+                      "vllm-1b");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng.ColdStart()).ok());
   });
@@ -43,8 +48,9 @@ TEST(VllmEngineTest, ClaimsGpuMemoryUtilizationFraction) {
 
 TEST(VllmEngineTest, SleepModeSplitsCleanAndDirty) {
   EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.1-8b-fp16").value(),
-                 EngineOptions{}, "vllm-sleep");
+  InferenceEngine eng(Vllm(), bed.env(),
+                      bed.catalog.Find("llama-3.1-8b-fp16").value(),
+                      EngineOptions{}, "vllm-sleep");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng.ColdStart()).ok());
     // Awake: everything dirty.
@@ -63,11 +69,11 @@ TEST(VllmEngineTest, SleepModeSplitsCleanAndDirty) {
 
 TEST(VllmEngineTest, SleepModeDisabledKeepsEverythingDirty) {
   EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.1-8b-fp16").value(),
-                 EngineOptions{.gpu_memory_utilization = 0.9,
-                               .sleep_mode = false,
-                               .enforce_eager = false},
-                 "vllm-nosleep");
+  InferenceEngine eng(Vllm(), bed.env(),
+                      bed.catalog.Find("llama-3.1-8b-fp16").value(),
+                      EngineOptions{.gpu_memory_utilization = 0.9,
+                                    .sleep_mode = false},
+                      "vllm-nosleep");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng.ColdStart()).ok());
     EXPECT_TRUE((co_await eng.PrepareForCheckpoint()).ok());
@@ -77,27 +83,11 @@ TEST(VllmEngineTest, SleepModeDisabledKeepsEverythingDirty) {
   });
 }
 
-TEST(VllmEngineTest, EnforceEagerSkipsCompileAndGraphs) {
-  EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.1-8b-fp16").value(),
-                 EngineOptions{.gpu_memory_utilization = 0.9,
-                               .sleep_mode = true,
-                               .enforce_eager = true},
-                 "vllm-eager");
-  bed.Run([&]() -> sim::Task<> {
-    Result<InitBreakdown> init = co_await eng.ColdStart();
-    EXPECT_TRUE(init.ok());
-    EXPECT_EQ(init->compile.ns(), 0);
-    EXPECT_EQ(init->cuda_graphs.ns(), 0);
-    // Still pays load + misc, so ~10 s engine-side instead of 55.
-    EXPECT_LT((init->Total() - init->container_start).ToSeconds(), 15.0);
-  });
-}
-
 TEST(VllmEngineTest, GenerateProducesTimedTokens) {
   EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.1-8b-fp16").value(),
-                 EngineOptions{}, "vllm-gen");
+  InferenceEngine eng(Vllm(), bed.env(),
+                      bed.catalog.Find("llama-3.1-8b-fp16").value(),
+                      EngineOptions{}, "vllm-gen");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng.ColdStart()).ok());
     Result<GenerationResult> r = co_await eng.Generate(
@@ -117,8 +107,9 @@ TEST(VllmEngineTest, GenerateProducesTimedTokens) {
 
 TEST(VllmEngineTest, GenerateWhileNotRunningFails) {
   EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                 EngineOptions{}, "vllm-cold");
+  InferenceEngine eng(Vllm(), bed.env(),
+                      bed.catalog.Find("llama-3.2-1b-fp16").value(),
+                      EngineOptions{}, "vllm-cold");
   bed.Run([&]() -> sim::Task<> {
     Result<GenerationResult> r = co_await eng.Generate(
         GenerationRequest{.prompt_tokens = 8, .output_tokens = 8});
@@ -128,8 +119,9 @@ TEST(VllmEngineTest, GenerateWhileNotRunningFails) {
 
 TEST(VllmEngineTest, DoubleColdStartRejected) {
   EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                 EngineOptions{}, "vllm-double");
+  InferenceEngine eng(Vllm(), bed.env(),
+                      bed.catalog.Find("llama-3.2-1b-fp16").value(),
+                      EngineOptions{}, "vllm-double");
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await eng.ColdStart()).ok());
     Result<InitBreakdown> again = co_await eng.ColdStart();
@@ -139,8 +131,9 @@ TEST(VllmEngineTest, DoubleColdStartRejected) {
 
 TEST(VllmEngineTest, StateTransitionGuards) {
   EngineBed bed;
-  VllmEngine eng(bed.env(), bed.catalog.Find("llama-3.2-1b-fp16").value(),
-                 EngineOptions{}, "vllm-state");
+  InferenceEngine eng(Vllm(), bed.env(),
+                      bed.catalog.Find("llama-3.2-1b-fp16").value(),
+                      EngineOptions{}, "vllm-state");
   // Cannot mark swapping before running.
   EXPECT_EQ(eng.MarkSwapping().code(), StatusCode::kFailedPrecondition);
   bed.Run([&]() -> sim::Task<> {

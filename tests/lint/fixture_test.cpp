@@ -134,6 +134,34 @@ TEST(SwaplintFixtureTest, LockOrderSilentWithNameOrderedSwap) {
   EXPECT_TRUE(diags.empty()) << Render(diags);
 }
 
+// engine-kind-layer is path-scoped: the test supplies the path each
+// fixture is linted under.
+TEST(SwaplintFixtureTest, EngineKindLayerFiresUnderSwapPathLayers) {
+  const std::string bad = ReadFixture("engine_kind_layer_bad.cc");
+  for (const char* path :
+       {"src/core/engine_kind.cc", "src/ckpt/engine_kind.cc",
+        "src/cluster/engine_kind.cc", "core/engine_kind.cc"}) {
+    auto diags = LintSource(path, bad);
+    EXPECT_EQ(CountRule(diags, "engine-kind-layer"), 3)
+        << path << "\n" << Render(diags);
+    EXPECT_EQ(diags.size(), 3u) << path << "\n" << Render(diags);
+  }
+}
+
+TEST(SwaplintFixtureTest, EngineKindLayerSilentElsewhereAndOnProfileLookup) {
+  const std::string bad = ReadFixture("engine_kind_layer_bad.cc");
+  for (const char* path : {"src/engine/engine_kind.cc",
+                           "src/baseline/engine_kind.cc",
+                           "src/score/engine_kind.cc",
+                           "bench/engine_kind.cc"}) {
+    auto diags = LintSource(path, bad);
+    EXPECT_TRUE(diags.empty()) << path << "\n" << Render(diags);
+  }
+  auto diags = LintSource("src/core/engine_kind.cc",
+                          ReadFixture("engine_kind_layer_ok.cc"));
+  EXPECT_TRUE(diags.empty()) << Render(diags);
+}
+
 TEST(SwaplintFixtureTest, AnnotationsSuppressTheNamedRule) {
   auto diags = LintFixture("suppression.cc");
   EXPECT_TRUE(diags.empty()) << Render(diags);
@@ -353,9 +381,9 @@ TEST(SwaplintBaselineTest, ParserIgnoresCommentsAndBlankLines) {
 
 // --- Rule catalog / docs sync -----------------------------------------------
 
-TEST(SwaplintFixtureTest, RuleListCoversAllSixteenRules) {
+TEST(SwaplintFixtureTest, RuleListCoversAllSeventeenRules) {
   const std::vector<RuleInfo>& rules = Rules();
-  ASSERT_EQ(rules.size(), 16u);
+  ASSERT_EQ(rules.size(), 17u);
   std::vector<std::string> names;
   for (const RuleInfo& r : rules) names.emplace_back(r.name);
   for (const char* expected :
@@ -364,7 +392,7 @@ TEST(SwaplintFixtureTest, RuleListCoversAllSixteenRules) {
         "borrow-across-await", "lock-order", "fault-point-name",
         "fault-point-coverage", "fault-point-dead", "unordered-iteration",
         "nondeterministic-source", "pointer-order", "eager-trace-format",
-        "polling-loop"}) {
+        "polling-loop", "engine-kind-layer"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

@@ -24,7 +24,7 @@ TEST_F(CalibrationTest, Table1ModelsAreCalibrated) {
 }
 
 TEST_F(CalibrationTest, CalibratedPhasesMatchPaperTable) {
-  VllmInitPhases p =
+  InitPhases p =
       VllmInitModel(catalog.Find("deepseek-r1-14b-fp16").value(), h100_disk);
   EXPECT_DOUBLE_EQ(p.compile.ToSeconds(), 43.18);
   EXPECT_DOUBLE_EQ(p.cuda_graphs.ToSeconds(), 21.00);
@@ -40,16 +40,16 @@ TEST_F(CalibrationTest, CalibratedTotalsNearPaper) {
   for (const Expect& e : {Expect{"deepseek-r1-14b-fp16", 82.39},
                           Expect{"gemma-3-27b-fp16", 160.30},
                           Expect{"llama-3.2-1b-fp16", 34.14}}) {
-    VllmInitPhases p = VllmInitModel(catalog.Find(e.id).value(), h100_disk);
+    InitPhases p = VllmInitModel(catalog.Find(e.id).value(), h100_disk);
     EXPECT_NEAR(p.Total().ToSeconds(), e.total, 1.0) << e.id;
   }
 }
 
 TEST_F(CalibrationTest, FallbackFormulaMonotoneInSize) {
-  VllmInitPhases small =
+  InitPhases small =
       VllmInitModel(catalog.Find("deepseek-coder-6.7b-fp16").value(),
                     h100_disk);
-  VllmInitPhases big =
+  InitPhases big =
       VllmInitModel(catalog.Find("llama-3.3-70b-fp8").value(), h100_disk);
   EXPECT_LT(small.compile, big.compile);
   EXPECT_LT(small.cuda_graphs, big.cuda_graphs);
@@ -77,12 +77,14 @@ TEST_F(CalibrationTest, OllamaRestoreReproducesFig6bEndpoints) {
 }
 
 TEST_F(CalibrationTest, OllamaResidentMatchesFig6bMemory) {
+  const EngineProfile& ollama = ProfileFor(EngineKind::kOllama);
   EXPECT_NEAR(
-      OllamaResidentBytes(catalog.Find("llama-3.2-1b-fp16").value()).AsGB(),
+      ollama.ResidentBytes(catalog.Find("llama-3.2-1b-fp16").value()).AsGB(),
       3.6, 0.5);
-  EXPECT_NEAR(OllamaResidentBytes(catalog.Find("deepseek-r1-14b-fp16").value())
-                  .AsGB(),
-              30.5, 0.8);
+  EXPECT_NEAR(
+      ollama.ResidentBytes(catalog.Find("deepseek-r1-14b-fp16").value())
+          .AsGB(),
+      30.5, 0.8);
 }
 
 TEST_F(CalibrationTest, CheckpointModelsHaveSaneBandwidth) {
@@ -93,19 +95,35 @@ TEST_F(CalibrationTest, CheckpointModelsHaveSaneBandwidth) {
             DefaultCheckpointH100().d2h_bw.AsGBps());
 }
 
+constexpr EngineKind kAllKinds[] = {EngineKind::kVllm, EngineKind::kOllama,
+                                    EngineKind::kSglang, EngineKind::kTrtllm};
+
 TEST_F(CalibrationTest, EngineEfficienciesOrdered) {
   // Red Hat's benchmarking (cited by the paper): llama.cpp kernels reach a
   // much smaller fraction of peak than vLLM/TRT.
-  EXPECT_LT(EngineDecodeEfficiency("ollama"),
-            EngineDecodeEfficiency("vllm"));
-  EXPECT_LE(EngineDecodeEfficiency("vllm"),
-            EngineDecodeEfficiency("trtllm"));
-  EXPECT_GT(EnginePrefillEfficiency("vllm"),
-            EnginePrefillEfficiency("ollama"));
-  for (const char* kind : {"vllm", "ollama", "sglang", "trtllm", "other"}) {
-    EXPECT_GT(EngineDecodeEfficiency(kind), 0.0);
-    EXPECT_LE(EngineDecodeEfficiency(kind), 1.0);
+  const EngineProfile& vllm = ProfileFor(EngineKind::kVllm);
+  const EngineProfile& ollama = ProfileFor(EngineKind::kOllama);
+  const EngineProfile& trtllm = ProfileFor(EngineKind::kTrtllm);
+  EXPECT_LT(ollama.decode_efficiency, vllm.decode_efficiency);
+  EXPECT_LE(vllm.decode_efficiency, trtllm.decode_efficiency);
+  EXPECT_GT(vllm.prefill_efficiency, ollama.prefill_efficiency);
+  for (EngineKind kind : kAllKinds) {
+    const EngineProfile& row = ProfileFor(kind);
+    EXPECT_GT(row.decode_efficiency, 0.0) << row.name;
+    EXPECT_LE(row.decode_efficiency, 1.0) << row.name;
   }
+}
+
+TEST_F(CalibrationTest, EngineProfilesFoundByNameAndAlias) {
+  for (EngineKind kind : kAllKinds) {
+    const EngineProfile& row = ProfileFor(kind);
+    EXPECT_EQ(row.kind, kind);
+    EXPECT_EQ(FindEngineProfile(row.name), &row);
+  }
+  EXPECT_EQ(FindEngineProfile("tensorrt-llm"),
+            &ProfileFor(EngineKind::kTrtllm));
+  EXPECT_EQ(FindEngineProfile("llamafile"), nullptr);
+  EXPECT_EQ(FindEngineProfile(""), nullptr);
 }
 
 TEST_F(CalibrationTest, DefaultGpuMemoryUtilization) {

@@ -1,5 +1,6 @@
 // Property sweep: for every (engine, model) pair, repeated swap cycles
-// preserve all resource-accounting invariants.
+// preserve all resource-accounting invariants, and every swap-in takes the
+// time the engine's profile row gives for the bytes it restores.
 
 #include <tuple>
 
@@ -7,11 +8,16 @@
 
 #include "../core/fixture.h"
 #include "core/swap_serve.h"
+#include "model/calibration.h"
 
 namespace swapserve::core {
 namespace {
 
 using testing::TestBed;
+
+// What a swap-in may spend beyond the restore model: the unlock and thaw
+// overheads (the bound the checkpoint engine's own tests use).
+constexpr double kSwapInOverheadS = 0.1;
 
 class SwapCycleProperty
     : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
@@ -24,6 +30,9 @@ TEST_P(SwapCycleProperty, RepeatedCyclesPreserveInvariants) {
                   bed.catalog, bed.hardware());
   Backend* backend = serve.backend(model_id);
   ASSERT_NE(backend, nullptr);
+  const model::EngineProfile* row = model::FindEngineProfile(engine_kind);
+  ASSERT_NE(row, nullptr);
+  ASSERT_NE(bed.gpus[0]->spec().name.find("H100"), std::string::npos);
 
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serve.Initialize()).ok());
@@ -32,6 +41,15 @@ TEST_P(SwapCycleProperty, RepeatedCyclesPreserveInvariants) {
       // Swapped out: GPU empty, exactly one snapshot for this backend.
       EXPECT_EQ(backend->engine->state(),
                 engine::BackendState::kSwappedOut);
+      // The swap-in restores these bytes, then wakes a sleeping engine.
+      const double expected_swap_in_s =
+          row->h100.restore
+              .RestoreTime(backend->engine->CleanBytes(),
+                           backend->engine->DirtyBytes())
+              .ToSeconds() +
+          (backend->engine->sleeping() ? row->sleep_mode->wake.ToSeconds()
+                                        : 0.0);
+      const std::size_t swap_ins = serve.metrics().swap_ins;
       EXPECT_TRUE(backend->has_snapshot);
       EXPECT_EQ(bed.gpus[0]->used().count(), 0) << "cycle " << cycle;
       EXPECT_EQ(serve.snapshot_store().count(), 1u);
@@ -40,6 +58,13 @@ TEST_P(SwapCycleProperty, RepeatedCyclesPreserveInvariants) {
       ChatResult r = co_await serve.ChatAndWait(model_id, 64, 16);
       EXPECT_TRUE(r.ok) << r.error;
       EXPECT_EQ(backend->engine->state(), engine::BackendState::kRunning);
+      EXPECT_EQ(serve.metrics().swap_ins, swap_ins + 1);
+      // Every swap-in so far took the same time; max() is this one's.
+      const double swap_in_s = serve.metrics().swap_in_latency_s.max();
+      EXPECT_GE(swap_in_s, expected_swap_in_s) << "cycle " << cycle;
+      EXPECT_LE(swap_in_s, expected_swap_in_s + kSwapInOverheadS)
+          << "cycle " << cycle;
+      EXPECT_EQ(serve.metrics().swap_in_latency_s.min(), swap_in_s);
       EXPECT_FALSE(backend->has_snapshot);
       EXPECT_EQ(serve.snapshot_store().count(), 0u);
       EXPECT_EQ(serve.snapshot_store().used().count(), 0);
@@ -89,12 +114,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Swap-in latency must be monotone in dirty snapshot bytes for a fixed
 // engine (the Fig. 6 relationship), checked across the whole catalog.
+// vLLM's sleep mode and Ollama's weights-only footprint make the dirty
+// bytes track the weights; SGLang and TRT-LLM checkpoint their whole
+// preallocated claim, the same at every model size, so their swap-ins
+// take the same time.
 class SwapLatencyMonotone : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SwapLatencyMonotone, LatencyGrowsWithFootprint) {
   const std::string engine_kind = GetParam();
   struct Point {
-    double resident_gb;
+    Bytes dirty;
     double swap_in_s;
   };
   std::vector<Point> points;
@@ -105,26 +134,38 @@ TEST_P(SwapLatencyMonotone, LatencyGrowsWithFootprint) {
     SwapServe serve(bed.sim,
                     bed.MakeConfig({{model_id, engine_kind}}),
                     bed.catalog, bed.hardware());
+    Bytes dirty{0};
     bed.RunTask([&]() -> sim::Task<> {
       EXPECT_TRUE((co_await serve.Initialize()).ok());
+      dirty = serve.backend(model_id)->engine->DirtyBytes();
       ChatResult r = co_await serve.ChatAndWait(model_id, 32, 8);
       EXPECT_TRUE(r.ok) << r.error;
       serve.Shutdown();
     });
-    // Dirty snapshot bytes track the weights for both engines.
-    points.push_back(
-        {serve.backend(model_id)->model.WeightBytes().AsGB(),
-         serve.metrics().swap_in_latency_s.max()});
+    points.push_back({dirty, serve.metrics().swap_in_latency_s.max()});
   }
+  const bool fixed_claim = engine_kind == "sglang" || engine_kind == "trtllm";
   for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GT(points[i].resident_gb, points[i - 1].resident_gb);
-    EXPECT_GT(points[i].swap_in_s, points[i - 1].swap_in_s)
-        << "swap-in latency not monotone at index " << i;
+    if (!fixed_claim) {
+      EXPECT_GT(points[i].dirty, points[i - 1].dirty) << "index " << i;
+      EXPECT_GT(points[i].swap_in_s, points[i - 1].swap_in_s)
+          << "swap-in latency not monotone at index " << i;
+      continue;
+    }
+    EXPECT_GE(points[i].dirty, points[i - 1].dirty) << "index " << i;
+    if (points[i].dirty > points[i - 1].dirty) {
+      EXPECT_GT(points[i].swap_in_s, points[i - 1].swap_in_s)
+          << "swap-in latency not monotone at index " << i;
+    } else {
+      EXPECT_EQ(points[i].swap_in_s, points[i - 1].swap_in_s)
+          << "same dirty bytes, different swap-in at index " << i;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, SwapLatencyMonotone,
-                         ::testing::Values("vllm", "ollama"));
+                         ::testing::Values("vllm", "ollama", "sglang",
+                                           "trtllm"));
 
 }  // namespace
 }  // namespace swapserve::core

@@ -53,6 +53,10 @@ const char* const kUnorderedIterationAllowlist[] = {"sim/lock_debug"};
 // looks only at the simulated system.
 const char* const kPollingLoopExempt[] = {"bench/", "examples/"};
 
+// The swap path's layers: they reach an engine through its profile row by
+// name, never by kind (engine-kind-layer).
+const char* const kEngineAgnosticDirs[] = {"core/", "ckpt/", "cluster/"};
+
 // The identifier whose brace initializer in src/fault/fault_points.h is
 // the canonical fault-point registry.
 constexpr std::string_view kRegistryIdent = "kFaultPointRegistry";
@@ -494,6 +498,7 @@ class RuleRunner {
     CheckPointerOrder();
     CheckEagerTraceFormat();
     CheckPollingLoop();
+    CheckEngineKindLayer();
   }
 
  private:
@@ -1021,6 +1026,29 @@ class RuleRunner {
     }
   }
 
+  // Rule: engine-kind-layer. The swap path does not care which engine
+  // runs (the paper's title claim): code under src/core, src/ckpt and
+  // src/cluster names no EngineKind. It looks engines up by their config
+  // name (model::FindEngineProfile) and reads the row it gets back.
+  void CheckEngineKindLayer() {
+    bool in_layer = false;
+    for (const char* dir : kEngineAgnosticDirs) {
+      const std::size_t at = path_.find(dir);
+      if (at != std::string::npos && (at == 0 || path_[at - 1] == '/')) {
+        in_layer = true;
+      }
+    }
+    if (!in_layer) return;
+    for (const Token& tok : toks_) {
+      if (tok.kind == TokKind::kIdent && tok.text == "EngineKind") {
+        Emit("engine-kind-layer", tok.line,
+             "EngineKind named in an engine-agnostic layer; look the engine "
+             "up by name (model::FindEngineProfile) and read its profile "
+             "row");
+      }
+    }
+  }
+
   // Rule: polling-loop. A `while` loop whose first statement is
   // `co_await <x>.Delay(...)` wakes on a fixed cadence whether or not
   // anything changed; in a long, mostly idle run those wake-ups dominate
@@ -1132,6 +1160,9 @@ const std::vector<RuleInfo>& Rules() {
       {"polling-loop",
        "no while loop that starts by awaiting a fixed Delay() outside "
        "bench/ and examples/"},
+      {"engine-kind-layer",
+       "no EngineKind named under core/, ckpt/ or cluster/: engines are "
+       "reached through their profile rows by name"},
   };
   return kRules;
 }

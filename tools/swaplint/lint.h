@@ -88,6 +88,11 @@
 //                       instant. Workload drivers under bench/ and
 //                       examples/ are exempt.
 //
+// Engine agnosticism (the swap path does not care which engine runs):
+//   engine-kind-layer   EngineKind named in a file under core/, ckpt/ or
+//                       cluster/. Those layers look an engine up by its
+//                       config name and read its model::EngineProfile row.
+//
 // Lock discipline (unchanged from v1):
 //   guard-across-await  A SimMutex::Guard obtained via `co_await
 //                       x.Acquire()` is still live at a later co_await.
