@@ -95,7 +95,7 @@ Measurement Measure(const std::string& placement) {
   for (int i = 0; i < fleet.nodes(); ++i) {
     const core::Metrics& metrics = fleet.node(i).serve().metrics();
     m.completed += metrics.TotalCompleted();
-    m.failed += metrics.TotalFailed();
+    m.failed += metrics.TotalFailed() + metrics.TotalExpired();
     for (const auto& [model, per_model] : metrics.per_model()) {
       for (double wait : per_model.swap_wait_s.values()) {
         if (wait > 0) cold.Add(wait);

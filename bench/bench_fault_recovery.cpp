@@ -89,7 +89,7 @@ Measurement Measure(double fault_rate) {
 
   const core::Metrics& metrics = serve.metrics();
   m.completed = metrics.TotalCompleted();
-  m.failed = metrics.TotalFailed();
+  m.failed = metrics.TotalFailed() + metrics.TotalExpired();
   m.goodput_rps = makespan_s > 0 ? static_cast<double>(m.completed) / makespan_s
                                  : 0;
   m.p50_s = latency.Median();

@@ -9,6 +9,7 @@
 
 #include "bench/common.h"
 #include "engine/engine.h"
+#include "obs/exporters.h"
 
 namespace swapserve::bench {
 namespace {
@@ -123,11 +124,11 @@ void EmitArtifacts() {
   const char* prom_path = "fig6a_metrics.prom";
   {
     std::ofstream trace(trace_path);
-    serve.admin().WriteTraceJson(trace);
+    obs::WriteChromeTrace(serve.obs().trace, trace);
   }
   {
     std::ofstream prom(prom_path);
-    prom << serve.admin().PrometheusMetrics();
+    obs::WritePrometheusText(serve.obs().metrics, prom);
   }
   std::printf(
       "\nTelemetry artifacts:\n"

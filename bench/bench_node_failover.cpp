@@ -140,8 +140,9 @@ Measurement Measure(double kill_rate, int repair_concurrency) {
   sim.Run();
 
   for (int i = 0; i < fleet.nodes(); ++i) {
-    m.completed += fleet.node(i).serve().metrics().TotalCompleted();
-    m.failed += fleet.node(i).serve().metrics().TotalFailed();
+    const core::Metrics& metrics = fleet.node(i).serve().metrics();
+    m.completed += metrics.TotalCompleted();
+    m.failed += metrics.TotalFailed() + metrics.TotalExpired();
     m.crashes += fleet.node(i).crashes();
   }
   m.dropped = fleet.redispatch_dropped();

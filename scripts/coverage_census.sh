@@ -89,10 +89,17 @@ for objroot in sys.argv[2:]:
                 capture_output=True, text=True, check=True).stdout
             for doc in map(json.loads, filter(None, out.splitlines())):
                 cwd = doc["current_working_directory"]
-                for f in doc["files"]:
-                    path = os.path.realpath(os.path.join(cwd, f["file"]))
-                    # An object left over from a deleted source still
-                    # has its notes file in a reused tree; skip it.
+                paths = [os.path.realpath(os.path.join(cwd, f["file"]))
+                         for f in doc["files"]]
+                # An object left over from a deleted source still has its
+                # notes file in a reused tree. Its own source (the file
+                # the notes file is named after) is gone; skip the whole
+                # object, or its copies of header functions would count.
+                own = [p for p in paths
+                       if os.path.basename(p) == name[:-len(".gcno")]]
+                if own and not any(map(os.path.exists, own)):
+                    continue
+                for f, path in zip(doc["files"], paths):
                     if not path.startswith(src) or not os.path.exists(path):
                         continue
                     rel = os.path.relpath(path, root)

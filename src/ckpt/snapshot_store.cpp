@@ -5,15 +5,6 @@
 
 namespace swapserve::ckpt {
 
-std::string_view SnapshotTierName(SnapshotTier tier) {
-  switch (tier) {
-    case SnapshotTier::kHost: return "host";
-    case SnapshotTier::kNvme: return "nvme";
-    case SnapshotTier::kRemote: return "remote";
-  }
-  return "?";
-}
-
 std::uint64_t SnapshotChecksum(const Snapshot& snapshot) {
   std::uint64_t h = fault::StableHash(snapshot.owner);
   h = fault::StableHashCombine(

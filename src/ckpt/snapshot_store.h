@@ -12,7 +12,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,8 +33,6 @@ using SnapshotId = std::uint64_t;
 // resides on another node and must be fetched over the fabric before the
 // snapshot is restorable.
 enum class SnapshotTier { kHost, kNvme, kRemote };
-
-std::string_view SnapshotTierName(SnapshotTier tier);
 
 struct Snapshot {
   SnapshotId id = 0;

@@ -20,7 +20,6 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
     const int gpu_count = config_.NodeGpuCount(id);
     core::Config node_config;
     node_config.global = config_.global;
-    node_config.recovery = config_.recovery;
     node_config.fault.plan = config_.fault.plan;
     // Each node gets its own deterministic fault stream; the single-node
     // seed stays underived so existing chaos runs replay unchanged.
@@ -51,8 +50,7 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
   }
   backends_ = BackendTable(node_ptrs_, config_.models);
   if (n > 1) {
-    fabric_ = std::make_unique<Fabric>(sim_, n, config_.cluster.fabric_gbps,
-                                       config_.cluster.fabric_latency_us);
+    fabric_ = std::make_unique<Fabric>(sim_, n);
     replicator_ = std::make_unique<SnapshotReplicator>(sim_, node_ptrs_,
                                                        *fabric_, backends_);
     const PlacementMode mode = config_.cluster.placement == "random"
@@ -112,14 +110,13 @@ Status ClusterServe::InstallPlaceholders() {
   for (const core::ModelEntry& m : config_.models) {
     Node& home = *nodes_[m.node];
     core::Backend* home_backend = home.serve().backend(m.model_id);
-    const ckpt::Snapshot* snap =
-        home_backend == nullptr
-            ? nullptr
-            : home.serve().snapshot_store().FindByOwner(
-                  home_backend->owner());
-    // No home snapshot (keep_resident_after_init): standbys stay empty and
-    // placement falls back to the home node until one exists.
-    if (snap == nullptr || home_backend == nullptr) continue;
+    const ckpt::Snapshot* snap = home.serve().snapshot_store().FindByOwner(
+        home_backend->owner());
+    // Initialize left every home backend snapshotted. Only a request served
+    // through the home node's own SwapServe while a later node was still
+    // initializing can have restored it, consuming the snapshot; its
+    // standbys then stay empty and placement falls back to the home node.
+    if (snap == nullptr) continue;
     for (auto& node : nodes_) {
       if (node->id() == m.node) continue;
       core::Backend* standby = node->serve().backend(m.model_id);

@@ -14,11 +14,9 @@ constexpr Bytes kFabricChunk = MiB(256);
 
 }  // namespace
 
-Fabric::Fabric(sim::Simulation& sim, int nodes, double gbps,
-               double latency_us)
+Fabric::Fabric(sim::Simulation& sim, int nodes)
     : nodes_(nodes), links_(static_cast<std::size_t>(nodes) * nodes) {
-  const BytesPerSecond bandwidth = GBps(gbps / 8.0);  // gigabits -> bytes
-  const sim::SimDuration setup = sim::Micros(latency_us);
+  const BytesPerSecond bandwidth = GBps(kGbps / 8.0);  // gigabits -> bytes
   for (int src = 0; src < nodes; ++src) {
     for (int dst = 0; dst < nodes; ++dst) {
       if (src == dst) continue;
@@ -27,7 +25,7 @@ Fabric::Fabric(sim::Simulation& sim, int nodes, double gbps,
               sim,
               "fabric:node" + std::to_string(src) + "->node" +
                   std::to_string(dst),
-              bandwidth, setup);
+              bandwidth, kSetupLatency);
     }
   }
 }

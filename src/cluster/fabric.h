@@ -19,9 +19,12 @@ namespace swapserve::cluster {
 
 class Fabric {
  public:
-  // `gbps` is per-direction channel bandwidth in gigabits/s (NIC units);
-  // `latency_us` is the per-transfer setup latency.
-  Fabric(sim::Simulation& sim, int nodes, double gbps, double latency_us);
+  // Every node-pair channel: per-direction bandwidth in gigabits/s (NIC
+  // units) and per-transfer setup latency.
+  static constexpr double kGbps = 100.0;
+  static constexpr sim::SimDuration kSetupLatency = sim::Micros(10);
+
+  Fabric(sim::Simulation& sim, int nodes);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 

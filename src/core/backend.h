@@ -24,9 +24,14 @@
 namespace swapserve::core {
 
 struct Backend {
+  // The circuit breaker opens after this many consecutive swap-in failures
+  // and stays open this long before a half-open probe.
+  static constexpr int kBreakerFailureThreshold = 3;
+  static constexpr sim::SimDuration kBreakerCooldown = sim::Seconds(10);
+
   Backend(sim::Simulation& sim, ModelEntry entry, model::ModelSpec spec,
           std::unique_ptr<engine::InferenceEngine> eng,
-          std::size_t queue_capacity, const RecoveryConfig& recovery)
+          std::size_t queue_capacity)
       : config(std::move(entry)),
         model(std::move(spec)),
         engine(std::move(eng)),
@@ -34,15 +39,13 @@ struct Backend {
                                                             queue_capacity)),
         lock(sim, "backend:" + config.model_id),
         swap_done(sim),
-        breaker(sim, recovery.breaker_failure_threshold,
-                sim::Seconds(recovery.breaker_cooldown_s)),
+        breaker(sim, kBreakerFailureThreshold, kBreakerCooldown),
         owner_(config.model_id) {}
 
   const std::string& name() const { return config.model_id; }
   // name(), interned once at construction: the owner handle of the
   // backend's reservations, GPU allocations and snapshots.
   Name owner() const { return owner_; }
-  hw::GpuId gpu() const { return config.gpu; }
   // Device ids the backend's tensor-parallel group occupies:
   // [gpu, gpu + tp).
   std::ranges::iota_view<hw::GpuId, hw::GpuId> GpuIds() const {

@@ -25,6 +25,13 @@ constexpr const char* kNoSupervisor =
 constexpr const char* kNoMigration =
     "live migration is gone; a model moves between nodes only through "
     "placement and failover";
+constexpr const char* kRecoveryConstant =
+    "the recovery stack is constant: 3 swap-in tries with 50 ms to 2 s "
+    "backoff, 2 request requeues, and a breaker that opens after 3 "
+    "failures for 10 s";
+constexpr const char* kFabricConstant =
+    "the fabric is constant: 100 Gbit/s per direction with a 10 us setup "
+    "latency";
 
 constexpr RemovedKey kRemovedGlobal[] = {
     {"pipelined_swap", kSerialSwap},
@@ -36,6 +43,8 @@ constexpr RemovedKey kRemovedCluster[] = {
     {"migration", kNoMigration},
     {"migrate_interval_s", kNoMigration},
     {"migrate_hysteresis", kNoMigration},
+    {"fabric_gbps", kFabricConstant},
+    {"fabric_latency_us", kFabricConstant},
 };
 
 constexpr RemovedKey kRemovedModel[] = {
@@ -50,6 +59,12 @@ constexpr RemovedKey kRemovedRecovery[] = {
     {"rejuvenate_after_s",
      "the engine supervisor is gone; global.idle_swap_out_s swaps out idle "
      "backends"},
+    {"swap_retry_attempts", kRecoveryConstant},
+    {"backoff_initial_s", kRecoveryConstant},
+    {"backoff_max_s", kRecoveryConstant},
+    {"request_retry_attempts", kRecoveryConstant},
+    {"breaker_failure_threshold", kRecoveryConstant},
+    {"breaker_cooldown_s", kRecoveryConstant},
 };
 
 Status RejectRemoved(const json::Value& section, std::string_view name,
@@ -168,18 +183,6 @@ Result<Config> Config::FromJson(const json::Value& doc) {
       return InvalidArgument("config: \"recovery\" must be an object");
     }
     SWAP_RETURN_IF_ERROR(RejectRemoved(*rec, "recovery", kRemovedRecovery));
-    RecoveryConfig& r = cfg.recovery;
-    r.swap_retry_attempts = static_cast<int>(
-        rec->GetInt("swap_retry_attempts", r.swap_retry_attempts));
-    r.backoff_initial_s = rec->GetDouble("backoff_initial_s",
-                                         r.backoff_initial_s);
-    r.backoff_max_s = rec->GetDouble("backoff_max_s", r.backoff_max_s);
-    r.request_retry_attempts = static_cast<int>(
-        rec->GetInt("request_retry_attempts", r.request_retry_attempts));
-    r.breaker_failure_threshold = static_cast<int>(
-        rec->GetInt("breaker_failure_threshold", r.breaker_failure_threshold));
-    r.breaker_cooldown_s = rec->GetDouble("breaker_cooldown_s",
-                                          r.breaker_cooldown_s);
   }
 
   if (const json::Value* cluster = doc.Find("cluster"); cluster != nullptr) {
@@ -203,9 +206,6 @@ Result<Config> Config::FromJson(const json::Value& doc) {
         c.node_gpus.push_back(static_cast<int>(n.AsInt()));
       }
     }
-    c.fabric_gbps = cluster->GetDouble("fabric_gbps", c.fabric_gbps);
-    c.fabric_latency_us =
-        cluster->GetDouble("fabric_latency_us", c.fabric_latency_us);
     c.replicate = static_cast<int>(cluster->GetInt("replicate", c.replicate));
     c.placement = cluster->GetString("placement", c.placement);
     c.heartbeat_interval_s =
@@ -324,19 +324,6 @@ Status Config::Validate(const model::ModelCatalog& catalog,
                              ": negative duration");
     }
   }
-  if (recovery.swap_retry_attempts < 1 ||
-      recovery.request_retry_attempts < 0) {
-    return InvalidArgument("config: retry attempts out of range");
-  }
-  if (recovery.backoff_initial_s <= 0 ||
-      recovery.backoff_max_s < recovery.backoff_initial_s) {
-    return InvalidArgument("config: backoff bounds must be positive and "
-                           "ordered");
-  }
-  if (recovery.breaker_failure_threshold < 1 ||
-      recovery.breaker_cooldown_s <= 0) {
-    return InvalidArgument("config: circuit-breaker parameters out of range");
-  }
   if (cluster.nodes < 1) {
     return InvalidArgument("config: cluster.nodes must be >= 1 (got " +
                            std::to_string(cluster.nodes) + ")");
@@ -355,15 +342,6 @@ Status Config::Validate(const model::ModelCatalog& catalog,
                              std::to_string(i) +
                              "] must be >= 1 (every node needs a GPU)");
     }
-  }
-  if (cluster.fabric_gbps <= 0) {
-    return InvalidArgument(
-        "config: cluster.fabric_gbps must be positive (got " +
-        std::to_string(cluster.fabric_gbps) +
-        "); the inter-node fabric cannot have zero bandwidth");
-  }
-  if (cluster.fabric_latency_us < 0) {
-    return InvalidArgument("config: cluster.fabric_latency_us must be >= 0");
   }
   if (cluster.replicate < 1 || cluster.replicate > cluster.nodes) {
     return InvalidArgument(

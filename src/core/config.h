@@ -25,22 +25,6 @@ struct FaultConfig {
   bool enabled() const { return !plan.empty(); }
 };
 
-// Self-healing knobs: bounded retries around swap operations, per-request
-// requeue, and the per-backend circuit breaker.
-struct RecoveryConfig {
-  // The scheduler's swap-in retry policy (crashed backends included).
-  int swap_retry_attempts = 3;
-  double backoff_initial_s = 0.05;
-  double backoff_max_s = 2.0;
-  // Failed requests re-enter their backend queue this many extra times
-  // before the failure is terminal.
-  int request_retry_attempts = 2;
-  // Circuit breaker: consecutive failures before quarantine, and how long
-  // quarantine lasts before a half-open probe.
-  int breaker_failure_threshold = 3;
-  double breaker_cooldown_s = 10.0;
-};
-
 // Engine-wide parameters ("global parameters ... such as response timeout,
 // KV cache type, and authentication tokens"; the simulator models no KV
 // cache precision, so that one has no key).
@@ -104,10 +88,6 @@ struct ClusterConfig {
   int nodes = 1;
   // GPUs per node. Empty = one GPU per node; otherwise one entry per node.
   std::vector<int> node_gpus;
-  // Inter-node fabric: per-direction bandwidth of each node-pair channel
-  // (gigabits/s, like the NICs it models) and per-transfer setup latency.
-  double fabric_gbps = 100.0;
-  double fabric_latency_us = 10.0;
   // Payload copies per snapshot, home node included. Nodes beyond this get
   // metadata-only placeholders served by on-demand remote fetch.
   int replicate = 1;
@@ -159,7 +139,6 @@ struct Config {
   GlobalConfig global;
   std::vector<ModelEntry> models;
   FaultConfig fault;
-  RecoveryConfig recovery;
   ClusterConfig cluster;
   AdmissionConfig admission;
 
@@ -167,7 +146,6 @@ struct Config {
   //   {"global": {...}, "models": [{...}, ...],
   //    "fault": {"seed": N, "rules": [{"point": "ckpt.swap_in",
   //              "probability": 0.05, "code": "UNAVAILABLE", ...}]},
-  //    "recovery": {...},
   //    "cluster": {"nodes": N, "node_gpus": [...], ...},
   //    "admission": {"enabled": true, "default_budget_s": 2,
   //                  "class_budget_s": {"interactive": 0.5}, ...}}.

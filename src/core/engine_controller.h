@@ -84,8 +84,6 @@ class EngineController final : public TaskManager::ReclaimDelegate {
   std::span<Backend* const> PreemptionCandidates(hw::GpuId gpu,
                                                  Name requester);
 
-  PreemptionPolicy policy() const { return policy_; }
-
   // Emit swap spans and preemption-decision instants (nullable).
   void BindObservability(obs::Observability* obs) { obs_ = obs; }
 

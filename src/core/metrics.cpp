@@ -188,7 +188,7 @@ std::uint64_t Metrics::TotalShed() const {
 
 std::uint64_t Metrics::TotalFailed() const {
   std::uint64_t total = 0;
-  for (const auto& [model, m] : per_model_) total += m.failed + m.expired;
+  for (const auto& [model, m] : per_model_) total += m.failed;
   return total;
 }
 

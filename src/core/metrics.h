@@ -3,7 +3,7 @@
 // Metrics is the single write path for request/swap outcomes: callers use
 // the Record* helpers, which update both the exact-percentile Samples the
 // bench tables print and — when BindObservability() was called — the
-// labeled registry in src/obs/ the Prometheus/JSON exporters read. Routing
+// labeled registry in src/obs/ the Prometheus exporter reads. Routing
 // both sinks through one call site is what keeps the old tables and the new
 // exporters from drifting apart.
 
@@ -142,7 +142,8 @@ class Metrics {
   std::uint64_t quarantines = 0;
   Samples recovery_latency_s;
 
-  // Aggregates across models.
+  // Aggregates across models. Each counts one outcome: a request that did
+  // not complete after it was queued is TotalFailed() + TotalExpired().
   std::uint64_t TotalCompleted() const;
   std::uint64_t TotalRejected() const;
   std::uint64_t TotalShed() const;

@@ -28,7 +28,7 @@ sim::Task<> ModelWorker::FailOrRequeue(QueuedRequest item, Status status,
   const bool deadline_ok =
       item.request.deadline_s <= 0 ||
       sim_.Now().ToSeconds() < item.request.deadline_s;
-  if (fault::IsRetryable(status) && item.attempt < request_retries_ &&
+  if (fault::IsRetryable(status) && item.attempt < kRequestRetries &&
       deadline_ok) {
     ++item.attempt;
     metrics_.RecordRequeue(MetricsHandle());
@@ -36,7 +36,7 @@ sim::Task<> ModelWorker::FailOrRequeue(QueuedRequest item, Status status,
     SWAP_LOG(kWarning, "worker")
         << backend_.name() << ": request " << item.request.id
         << " failed, requeueing (attempt " << item.attempt << "/"
-        << request_retries_ << ") in " << backoff.ToString() << ": "
+        << kRequestRetries << ") in " << backoff.ToString() << ": "
         << status;
     obs::Instant(obs_, "requeue", "worker", backend_.name(),
                  {{"request_id", item.request.id},

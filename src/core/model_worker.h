@@ -60,16 +60,14 @@ class ModelWorker {
     backend_.queue_depth_gauge = nullptr;
   }
 
-  // Requeue-with-backoff on retryable relay failures: a failed request
-  // re-enters the backend queue up to `request_retries` extra attempts
-  // before the error turns terminal. The rng is only drawn from on a
+  // Extra attempts a failed request gets: it re-enters the backend queue
+  // up to this many times before the error turns terminal.
+  static constexpr int kRequestRetries = 2;
+
+  // Requeue-with-backoff on retryable relay failures, with
+  // fault::RetryPolicy's default backoff. The rng is only drawn from on a
   // failed attempt, so fault-free schedules are unaffected by the seed.
-  void ConfigureRecovery(const fault::RetryPolicy& backoff,
-                         int request_retries, std::uint64_t seed) {
-    backoff_ = backoff;
-    request_retries_ = request_retries;
-    rng_ = sim::Rng(seed);
-  }
+  void ConfigureRecovery(std::uint64_t seed) { rng_ = sim::Rng(seed); }
 
   // SSE-style token streaming (§16): when enabled and the request asked
   // for a stream, the engine's decode is split into chunk_tokens-sized
@@ -133,7 +131,6 @@ class ModelWorker {
   sim::SimEvent resumed_;
   int active_relays_ = 0;
   fault::RetryPolicy backoff_;
-  int request_retries_ = 2;
   sim::Rng rng_{0x5eedu};
   bool stream_enabled_ = false;
   std::int64_t stream_chunk_tokens_ = 16;

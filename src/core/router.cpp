@@ -159,21 +159,4 @@ Result<ResponseChannelPtr> OpenAiRouter::ChatCompletions(
   return accepted;
 }
 
-json::Value OpenAiRouter::ListModels() const {
-  json::Value out = json::Value::MakeObject();
-  out["object"] = json::Value("list");
-  out["data"] = json::Value::MakeArray();
-  for (const auto& [name, backend] : handler_.backends()) {
-    json::Value entry = json::Value::MakeObject();
-    entry["id"] = json::Value(name);
-    entry["object"] = json::Value("model");
-    entry["owned_by"] = json::Value("swapserve");
-    entry["engine"] = json::Value(std::string(backend->engine->kind_name()));
-    entry["state"] = json::Value(
-        std::string(engine::BackendStateName(backend->engine->state())));
-    out["data"].PushBack(std::move(entry));
-  }
-  return out;
-}
-
 }  // namespace swapserve::core

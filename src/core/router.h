@@ -14,7 +14,6 @@
 #include "core/request_handler.h"
 #include "core/types.h"
 #include "json/document.h"
-#include "json/json.h"
 #include "util/status.h"
 
 namespace swapserve::core {
@@ -37,9 +36,6 @@ class OpenAiRouter {
   // time, which matches the simulator's synchronous dispatch.
   [[nodiscard]] Result<ResponseChannelPtr> ChatCompletions(
       const std::string& body_json, const std::string& bearer_token = "");
-
-  // GET /v1/models.
-  json::Value ListModels() const;
 
   // Rough BPE estimate used when the payload does not carry token counts:
   // ~4 characters per token, plus a small per-message overhead. Accepts

@@ -49,14 +49,10 @@ class Scheduler {
     }
   }
 
-  // Bounded retries with jittered backoff around reservation + swap-in
-  // failures. The rng is only drawn from on a failed attempt, so fault-free
-  // schedules are unaffected by the seed.
-  void ConfigureRecovery(const fault::RetryPolicy& policy,
-                         std::uint64_t seed) {
-    retry_policy_ = policy;
-    rng_ = sim::Rng(seed);
-  }
+  // Bounded retries with jittered backoff (fault::RetryPolicy's defaults)
+  // around reservation + swap-in failures. The rng is only drawn from on a
+  // failed attempt, so fault-free schedules are unaffected by the seed.
+  void ConfigureRecovery(std::uint64_t seed) { rng_ = sim::Rng(seed); }
 
   // Count retry attempts into the serving metrics (nullable).
   void BindMetrics(Metrics* metrics) { metrics_ = metrics; }

@@ -10,16 +10,6 @@
 namespace swapserve::core {
 namespace {
 
-// Swap-in retries and request requeues share one backoff shape derived
-// from the recovery config.
-fault::RetryPolicy MakeRetryPolicy(const RecoveryConfig& recovery) {
-  fault::RetryPolicy policy;
-  policy.max_attempts = recovery.swap_retry_attempts;
-  policy.initial_backoff = sim::Seconds(recovery.backoff_initial_s);
-  policy.max_backoff = sim::Seconds(recovery.backoff_max_s);
-  return policy;
-}
-
 // Per-component retry seeds derive from the fault seed, so one config knob
 // reproduces the whole chaos run (and fault-free runs never draw).
 std::uint64_t DeriveSeed(std::uint64_t seed, std::string_view component) {
@@ -41,7 +31,6 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
     : sim_(sim),
       config_(std::move(config)),
       hardware_(hardware),
-      options_(options),
       obs_(sim),
       fault_injector_(sim, config_.fault.seed),
       snapshot_store_(GiB(config_.global.snapshot_budget_gib)),
@@ -54,16 +43,14 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
                   options.preemption_policy),
       scheduler_(sim, task_manager_, controller_),
       handler_(sim, config_.global, metrics_),
-      router_(handler_),
-      admin_(sim, scheduler_, controller_, metrics_) {
+      router_(handler_) {
   SWAP_CHECK(hardware_.runtime != nullptr);
   SWAP_CHECK_MSG(
       config_.Validate(catalog, static_cast<int>(hardware_.gpus.size()))
           .ok(),
       "SwapServe constructed with invalid config; call Config::Validate");
   task_manager_.set_delegate(&controller_);
-  scheduler_.ConfigureRecovery(MakeRetryPolicy(config_.recovery),
-                               DeriveSeed(config_.fault.seed, "scheduler"));
+  scheduler_.ConfigureRecovery(DeriveSeed(config_.fault.seed, "scheduler"));
   scheduler_.BindMetrics(&metrics_);
 
   // Fault injection: the injector is always constructed and bound (an
@@ -101,7 +88,6 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
   scheduler_.BindObservability(&obs_);
   handler_.BindObservability(&obs_);
   router_.BindObservability(&obs_);
-  admin_.set_observability(&obs_);
   for (hw::GpuDevice* gpu : hardware_.gpus) gpu->BindObservability(&obs_);
   hardware_.storage->BindObservability(&obs_);
 
@@ -132,7 +118,7 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
         sim_, entry, spec,
         std::make_unique<engine::InferenceEngine>(*profile, env, spec,
                                                   eng_options, entry.model_id),
-        config_.global.queue_capacity, config_.recovery);
+        config_.global.queue_capacity);
     backend->engine->BindFaultInjector(&fault_injector_);
     backend->breaker.BindObservability(&obs_, entry.model_id);
     controller_.RegisterBackend(backend.get());
@@ -195,15 +181,11 @@ sim::Task<Status> SwapServe::Initialize() {
           std::to_string(backend->config.init_timeout_s) + "s)");
     }
 
-    if (!options_.keep_resident_after_init) {
-      SWAP_CO_RETURN_IF_ERROR(
-          co_await controller_.SwapOut(*backend, /*preemption=*/false));
-    }
+    SWAP_CO_RETURN_IF_ERROR(
+        co_await controller_.SwapOut(*backend, /*preemption=*/false));
     SWAP_LOG(kInfo, "swapserve")
         << backend->name() << " initialized in "
-        << breakdown->Total().ToString() << " and "
-        << (options_.keep_resident_after_init ? "kept resident"
-                                              : "snapshotted");
+        << breakdown->Total().ToString() << " and snapshotted";
   }
 
   for (const std::unique_ptr<Backend>& backend : backends_) {
@@ -211,8 +193,6 @@ sim::Task<Status> SwapServe::Initialize() {
         sim_, *backend, scheduler_, metrics_));
     workers_.back()->BindObservability(&obs_);
     workers_.back()->ConfigureRecovery(
-        MakeRetryPolicy(config_.recovery),
-        config_.recovery.request_retry_attempts,
         DeriveSeed(config_.fault.seed, "worker." + backend->name()));
     workers_.back()->ConfigureStreaming(config_.global.stream_tokens,
                                         config_.global.stream_chunk_tokens);
@@ -339,6 +319,22 @@ sim::Task<ChatResult> SwapServe::ChatAndStream(
   }
   if (sse_events != nullptr) sse_events->push_back(SseEncoder::Done());
   co_return result;
+}
+
+sim::Task<Status> SwapServe::SwapIn(std::string model_id) {
+  Backend* b = backend(model_id);
+  if (b == nullptr) co_return ModelNotServed(model_id);
+  Result<sim::SimRwLock::SharedGuard> pin =
+      co_await scheduler_.EnsureRunningAndPin(*b);
+  if (!pin.ok()) co_return pin.status();
+  pin->Release();
+  co_return Status::Ok();
+}
+
+sim::Task<Status> SwapServe::SwapOut(std::string model_id) {
+  Backend* b = backend(model_id);
+  if (b == nullptr) co_return ModelNotServed(model_id);
+  co_return co_await controller_.SwapOut(*b, /*preemption=*/false);
 }
 
 Backend* SwapServe::backend(const std::string& model_id) {

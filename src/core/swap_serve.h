@@ -17,7 +17,6 @@
 #include "ckpt/checkpoint_engine.h"
 #include "ckpt/snapshot_store.h"
 #include "ckpt/snapshot_tier.h"
-#include "core/admin.h"
 #include "core/admission.h"
 #include "core/backend.h"
 #include "core/config.h"
@@ -49,9 +48,6 @@ struct Hardware {
 
 struct SwapServeOptions {
   PreemptionPolicy preemption_policy = PreemptionPolicy::kDemandAware;
-  // Keep every backend resident after Initialize() instead of snapshotting
-  // and swapping out (useful for ablations; fails if they don't all fit).
-  bool keep_resident_after_init = false;
 };
 
 // The result of a request refused before it reached a queue.
@@ -76,8 +72,13 @@ class SwapServe {
   // --- serving entry points ---------------------------------------------
   OpenAiRouter& router() { return router_; }
   RequestHandler& handler() { return handler_; }
-  // Explicit swap control + status + CSV export (§4.2's explicit API path).
-  AdminApi& admin() { return admin_; }
+
+  // §4.2's explicit swap calls. SwapIn brings `model_id` onto its GPU
+  // through the scheduler's reservation path and releases the pin (it only
+  // warms the backend); SwapOut parks it, draining in-flight requests
+  // first. An unknown name gets the request path's ModelNotServed.
+  sim::Task<Status> SwapIn(std::string model_id);
+  sim::Task<Status> SwapOut(std::string model_id);
 
   // Convenience for examples/benches: submit and await the full response.
   // The name is resolved here, before the task starts (a pure lookup);
@@ -144,7 +145,6 @@ class SwapServe {
   sim::Simulation& sim_;
   Config config_;
   Hardware hardware_;
-  SwapServeOptions options_;
 
   obs::Observability obs_;
   Metrics metrics_;
@@ -157,7 +157,6 @@ class SwapServe {
   Scheduler scheduler_;
   RequestHandler handler_;
   OpenAiRouter router_;
-  AdminApi admin_;
   std::unique_ptr<SnapshotPrefetcher> prefetcher_;  // null unless prefetch on
   std::unique_ptr<hw::GpuMonitor> monitor_;
   std::unique_ptr<IdleReaper> idle_reaper_;  // null unless configured

@@ -22,6 +22,8 @@ namespace swapserve::fault {
 // kFailedPrecondition, kDataLoss, ...) are not.
 bool IsRetryable(const Status& status);
 
+// The defaults are the serving system's one policy: the scheduler's
+// swap-in retries and the model worker's requeue backoff both use them.
 struct RetryPolicy {
   int max_attempts = 3;  // total tries, including the first
   sim::SimDuration initial_backoff = sim::Millis(50);

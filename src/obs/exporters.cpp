@@ -171,52 +171,4 @@ void WritePrometheusText(const MetricsRegistry& registry, std::ostream& os) {
   os << ToPrometheusText(registry);
 }
 
-json::Value MetricsToJson(const MetricsRegistry& registry) {
-  json::Value families = json::Value::MakeArray();
-  for (const auto& [name, family] : registry.families()) {
-    json::Value fam = json::Value::MakeObject();
-    fam["name"] = json::Value(name);
-    fam["type"] = json::Value(std::string(MetricTypeName(family.type)));
-    if (!family.help.empty()) fam["help"] = json::Value(family.help);
-    json::Value series_arr = json::Value::MakeArray();
-    for (const auto& [key, series] : family.series) {
-      json::Value s = json::Value::MakeObject();
-      json::Value labels = json::Value::MakeObject();
-      for (const auto& [k, v] : series.labels) labels[k] = json::Value(v);
-      s["labels"] = std::move(labels);
-      switch (family.type) {
-        case MetricType::kCounter:
-          s["value"] = json::Value(series.counter->value());
-          break;
-        case MetricType::kGauge:
-          s["value"] = json::Value(series.gauge->value());
-          break;
-        case MetricType::kHistogram: {
-          const HistogramMetric& h = *series.histogram;
-          s["count"] = json::Value(static_cast<std::int64_t>(h.count()));
-          s["sum"] = json::Value(h.sum());
-          json::Value buckets = json::Value::MakeArray();
-          for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
-            json::Value b = json::Value::MakeObject();
-            b["le"] = json::Value(h.upper_bounds()[i]);
-            b["count"] = json::Value(
-                static_cast<std::int64_t>(h.CumulativeCount(i)));
-            buckets.PushBack(std::move(b));
-          }
-          s["buckets"] = std::move(buckets);
-          break;
-        }
-      }
-      series_arr.PushBack(std::move(s));
-    }
-    fam["series"] = std::move(series_arr);
-    families.PushBack(std::move(fam));
-  }
-  json::Value doc = json::Value::MakeObject();
-  doc["series_count"] =
-      json::Value(static_cast<std::int64_t>(registry.series_count()));
-  doc["families"] = std::move(families);
-  return doc;
-}
-
 }  // namespace swapserve::obs

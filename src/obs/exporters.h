@@ -4,8 +4,6 @@
 //    chrome://tracing; each distinct span track becomes a named thread.
 //  * Prometheus text exposition — counters/gauges/histograms with # HELP /
 //    # TYPE headers, cumulative `le` buckets, `_sum` and `_count`.
-//  * JSON metrics snapshot — the same data as a structured document, for
-//    the bench harness to diff across PRs.
 
 #pragma once
 
@@ -28,8 +26,5 @@ void WriteChromeTrace(const TraceRecorder& recorder, std::ostream& os);
 // Prometheus text exposition format (version 0.0.4).
 std::string ToPrometheusText(const MetricsRegistry& registry);
 void WritePrometheusText(const MetricsRegistry& registry, std::ostream& os);
-
-// {"series_count": N, "families": [{name, type, help, series: [...]}]}.
-json::Value MetricsToJson(const MetricsRegistry& registry);
 
 }  // namespace swapserve::obs

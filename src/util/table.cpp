@@ -7,20 +7,6 @@
 #include "util/status.h"
 
 namespace swapserve {
-namespace {
-
-std::string CsvEscape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
@@ -72,18 +58,6 @@ std::string TablePrinter::ToString() const {
   std::ostringstream oss;
   Print(oss);
   return oss.str();
-}
-
-void TablePrinter::WriteCsv(std::ostream& os) const {
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) os << ",";
-      os << CsvEscape(row[i]);
-    }
-    os << "\n";
-  };
-  write_row(headers_);
-  for (const auto& row : rows_) write_row(row);
 }
 
 }  // namespace swapserve

@@ -1,8 +1,7 @@
-// ASCII table and CSV rendering for benchmark output.
+// ASCII table rendering for benchmark output.
 //
 // Every bench binary prints the same rows the paper reports; TablePrinter
-// gives those rows aligned columns, and WriteCsv mirrors the artifact's CSV
-// output format.
+// gives those rows aligned columns.
 
 #pragma once
 
@@ -25,9 +24,6 @@ class TablePrinter {
 
   void Print(std::ostream& os) const;
   std::string ToString() const;
-
-  // RFC-4180-ish CSV (quotes fields containing comma/quote/newline).
-  void WriteCsv(std::ostream& os) const;
 
   std::size_t row_count() const { return rows_.size(); }
 

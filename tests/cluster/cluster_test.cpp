@@ -122,7 +122,7 @@ TEST(ClusterTest, QuarantinedHomeRoutesToStandbyViaOnDemandFetch) {
         cluster.node(0).serve().backend("llama-3.2-1b-fp16");
     SWAP_CHECK(home != nullptr);
     // Trip the home's breaker: quarantined until its cooldown elapses.
-    for (int i = 0; i < cfg.recovery.breaker_failure_threshold; ++i) {
+    for (int i = 0; i < core::Backend::kBreakerFailureThreshold; ++i) {
       home->breaker.RecordFailure();
     }
     SWAP_CHECK(home->breaker.CoolingDown());

@@ -190,8 +190,9 @@ TEST(FailoverTest, QueuedRequestsAreRedispatchedToSurvivors) {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   for (int i = 0; i < cluster.nodes(); ++i) {
-    completed += cluster.node(i).serve().metrics().TotalCompleted();
-    failed += cluster.node(i).serve().metrics().TotalFailed();
+    const core::Metrics& m = cluster.node(i).serve().metrics();
+    completed += m.TotalCompleted();
+    failed += m.TotalFailed() + m.TotalExpired();
   }
   EXPECT_EQ(accepted, completed + failed + cluster.redispatch_dropped());
   // The survivor actually served: replication had landed its payload, so

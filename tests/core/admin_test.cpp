@@ -1,8 +1,5 @@
-// Admin API (explicit swap control, status, CSV export) and idle reaper.
-
-#include "core/admin.h"
-
-#include <sstream>
+// §4.2's explicit swap calls (SwapServe::SwapIn/SwapOut) and the idle
+// reaper.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +12,7 @@ namespace {
 
 using testing::TestBed;
 
-TEST(AdminApiTest, ExplicitSwapInWarmsBackend) {
+TEST(ExplicitSwapTest, SwapInWarmsBackend) {
   TestBed bed;
   SwapServe serve(bed.sim,
                   bed.MakeConfig({{"llama-3.2-1b-fp16", "ollama"}}),
@@ -24,7 +21,7 @@ TEST(AdminApiTest, ExplicitSwapInWarmsBackend) {
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serve.Initialize()).ok());
     // Warm the backend explicitly (e.g. ahead of a known traffic spike).
-    EXPECT_TRUE((co_await serve.admin().SwapIn("llama-3.2-1b-fp16")).ok());
+    EXPECT_TRUE((co_await serve.SwapIn("llama-3.2-1b-fp16")).ok());
     EXPECT_EQ(serve.backend("llama-3.2-1b-fp16")->engine->state(),
               engine::BackendState::kRunning);
     // The next request is then served resident — no swap wait.
@@ -35,7 +32,7 @@ TEST(AdminApiTest, ExplicitSwapInWarmsBackend) {
   EXPECT_EQ(r.swap_wait_s, 0.0);
 }
 
-TEST(AdminApiTest, ExplicitSwapOutParksBackend) {
+TEST(ExplicitSwapTest, SwapOutParksBackend) {
   TestBed bed;
   SwapServe serve(bed.sim,
                   bed.MakeConfig({{"llama-3.2-1b-fp16", "ollama"}}),
@@ -45,7 +42,7 @@ TEST(AdminApiTest, ExplicitSwapOutParksBackend) {
     (void)co_await serve.ChatAndWait("llama-3.2-1b-fp16", 32, 8);
     EXPECT_EQ(serve.backend("llama-3.2-1b-fp16")->engine->state(),
               engine::BackendState::kRunning);
-    EXPECT_TRUE((co_await serve.admin().SwapOut("llama-3.2-1b-fp16")).ok());
+    EXPECT_TRUE((co_await serve.SwapOut("llama-3.2-1b-fp16")).ok());
     EXPECT_EQ(serve.backend("llama-3.2-1b-fp16")->engine->state(),
               engine::BackendState::kSwappedOut);
     EXPECT_EQ(bed.gpus[0]->used().count(), 0);
@@ -53,70 +50,21 @@ TEST(AdminApiTest, ExplicitSwapOutParksBackend) {
   });
 }
 
-TEST(AdminApiTest, UnknownModelRejected) {
+TEST(ExplicitSwapTest, UnknownModelRejected) {
   TestBed bed;
   SwapServe serve(bed.sim,
                   bed.MakeConfig({{"llama-3.2-1b-fp16", "ollama"}}),
                   bed.catalog, bed.hardware());
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serve.Initialize()).ok());
-    EXPECT_EQ((co_await serve.admin().SwapIn("ghost")).code(),
-              StatusCode::kNotFound);
-    EXPECT_EQ((co_await serve.admin().SwapOut("ghost")).code(),
-              StatusCode::kNotFound);
-    serve.Shutdown();
-  });
-}
-
-TEST(AdminApiTest, SystemStatusReflectsState) {
-  TestBed bed;
-  SwapServe serve(bed.sim, bed.MakeConfig({
-                      {"llama-3.2-1b-fp16", "ollama"},
-                      {"deepseek-r1-7b-fp16", "ollama"},
-                  }),
-                  bed.catalog, bed.hardware());
-  bed.RunTask([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await serve.Initialize()).ok());
-    (void)co_await serve.ChatAndWait("llama-3.2-1b-fp16", 32, 8);
-    json::Value status = serve.admin().SystemStatus();
-    EXPECT_EQ(status.GetInt("swap_ins", -1), 1);
-    EXPECT_EQ(status.GetString("preemption_policy", ""), "demand-aware");
-    const auto& backends = status.Find("backends")->AsArray();
-    EXPECT_EQ(backends.size(), 2u);
-    for (const json::Value& b : backends) {
-      const std::string model = b.GetString("model", "");
-      const std::string state = b.GetString("state", "");
-      if (model == "llama-3.2-1b-fp16") {
-        EXPECT_EQ(state, "running");
-        EXPECT_GT(b.GetDouble("resident_gib", 0), 0.0);
-      } else {
-        EXPECT_EQ(state, "swapped-out");
-        EXPECT_EQ(b.GetDouble("resident_gib", -1), 0.0);
-      }
+    const Status in = co_await serve.SwapIn("ghost");
+    const Status out = co_await serve.SwapOut("ghost");
+    for (const Status& status : {in, out}) {
+      EXPECT_EQ(status.code(), StatusCode::kNotFound);
+      EXPECT_EQ(status.message(), "model ghost is not served");
     }
     serve.Shutdown();
   });
-}
-
-TEST(AdminApiTest, MetricsCsvHasRowPerModel) {
-  TestBed bed;
-  SwapServe serve(bed.sim, bed.MakeConfig({
-                      {"llama-3.2-1b-fp16", "ollama"},
-                      {"deepseek-r1-7b-fp16", "ollama"},
-                  }),
-                  bed.catalog, bed.hardware());
-  bed.RunTask([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await serve.Initialize()).ok());
-    (void)co_await serve.ChatAndWait("llama-3.2-1b-fp16", 32, 8);
-    (void)co_await serve.ChatAndWait("deepseek-r1-7b-fp16", 32, 8);
-    serve.Shutdown();
-  });
-  std::ostringstream csv;
-  serve.admin().WriteMetricsCsv(csv);
-  const std::string out = csv.str();
-  EXPECT_NE(out.find("model,completed,rejected"), std::string::npos);
-  EXPECT_NE(out.find("llama-3.2-1b-fp16,1,"), std::string::npos);
-  EXPECT_NE(out.find("deepseek-r1-7b-fp16,1,"), std::string::npos);
 }
 
 TEST(IdleReaperTest, ParksIdleBackendAfterThreshold) {

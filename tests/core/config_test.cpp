@@ -89,9 +89,17 @@ TEST(ConfigTest, RemovedKeysFailLoudly) {
       {"recovery", "health_check_interval_s", "1", "next request"},
       {"recovery", "hang_deadline_s", "30", "next request"},
       {"recovery", "rejuvenate_after_s", "60", "idle_swap_out_s"},
+      {"recovery", "swap_retry_attempts", "5", "constant"},
+      {"recovery", "backoff_initial_s", "0.1", "constant"},
+      {"recovery", "backoff_max_s", "4", "constant"},
+      {"recovery", "request_retry_attempts", "0", "constant"},
+      {"recovery", "breaker_failure_threshold", "5", "constant"},
+      {"recovery", "breaker_cooldown_s", "30", "constant"},
       {"cluster", "migration", "true", "placement and failover"},
       {"cluster", "migrate_interval_s", "5", "placement and failover"},
       {"cluster", "migrate_hysteresis", "2", "placement and failover"},
+      {"cluster", "fabric_gbps", "200", "constant"},
+      {"cluster", "fabric_latency_us", "5", "constant"},
       {"models[]", "image", "\"no-such-image:latest\"", "never read"},
   };
   for (const Case& c : cases) {
@@ -225,8 +233,6 @@ TEST(ConfigTest, ParsesClusterSection) {
     "cluster": {
       "nodes": 3,
       "node_gpus": [2, 1, 1],
-      "fabric_gbps": 200,
-      "fabric_latency_us": 5,
       "replicate": 2,
       "placement": "random"
     }
@@ -235,8 +241,6 @@ TEST(ConfigTest, ParsesClusterSection) {
   EXPECT_EQ(cfg->cluster.nodes, 3);
   ASSERT_EQ(cfg->cluster.node_gpus.size(), 3u);
   EXPECT_EQ(cfg->cluster.node_gpus[0], 2);
-  EXPECT_DOUBLE_EQ(cfg->cluster.fabric_gbps, 200);
-  EXPECT_DOUBLE_EQ(cfg->cluster.fabric_latency_us, 5);
   EXPECT_EQ(cfg->cluster.replicate, 2);
   EXPECT_EQ(cfg->cluster.placement, "random");
   EXPECT_EQ(cfg->models[0].node, 1);
@@ -285,20 +289,8 @@ TEST_F(ValidateTest, RejectsBadClusterTopology) {
   EXPECT_FALSE(cfg.Validate(catalog, 1).ok());
 }
 
-TEST_F(ValidateTest, RejectsBadFabricAndPolicy) {
+TEST_F(ValidateTest, RejectsBadReplicationAndPolicy) {
   Config cfg = Valid();
-  cfg.cluster.nodes = 2;
-  cfg.cluster.fabric_gbps = 0;
-  EXPECT_FALSE(cfg.Validate(catalog, 1).ok());
-  cfg.cluster.fabric_gbps = -1;
-  EXPECT_FALSE(cfg.Validate(catalog, 1).ok());
-
-  cfg = Valid();
-  cfg.cluster.nodes = 2;
-  cfg.cluster.fabric_latency_us = -1;
-  EXPECT_FALSE(cfg.Validate(catalog, 1).ok());
-
-  cfg = Valid();
   cfg.cluster.nodes = 2;
   cfg.cluster.replicate = 0;
   EXPECT_FALSE(cfg.Validate(catalog, 1).ok());
@@ -421,10 +413,22 @@ TEST(MetricsTest, Aggregations) {
   m.ForModel("b").ttft_s.Add(3.0);
   EXPECT_EQ(m.TotalCompleted(), 7u);
   EXPECT_EQ(m.TotalRejected(), 1u);
-  EXPECT_EQ(m.TotalFailed(), 3u);
+  EXPECT_EQ(m.TotalFailed(), 2u);
+  EXPECT_EQ(m.TotalExpired(), 1u);
   Samples all = m.AllTtft();
   EXPECT_EQ(all.count(), 2u);
   EXPECT_DOUBLE_EQ(all.mean(), 2.0);
+}
+
+// A request that failed and one that expired are two outcomes: neither
+// total counts the other, so a ledger that adds both counts each once.
+TEST(MetricsTest, FailedAndExpiredCountSeparately) {
+  Metrics m;
+  Metrics::ModelHandle& handle = m.Handle("a");
+  m.RecordFailed(handle);
+  m.RecordExpired(handle);
+  EXPECT_EQ(m.TotalFailed(), 1u);
+  EXPECT_EQ(m.TotalExpired(), 1u);
 }
 
 }  // namespace

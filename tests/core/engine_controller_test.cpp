@@ -45,7 +45,7 @@ struct ControllerBed {
         std::make_unique<engine::InferenceEngine>(
             *model::FindEngineProfile(engine), env, spec,
             engine::EngineOptions{}, model_id),
-        16, RecoveryConfig{});
+        16);
     controller.RegisterBackend(backend.get());
     return backend;
   }

@@ -96,13 +96,13 @@ TEST(RequestAllocTest, ResidentRequestAllocatesOnlyItsResponseChannel) {
   ASSERT_GT(kModel.size(), std::string().capacity())
       << "the name must not fit the string's inline buffer";
   SwapServe serve(bed.sim, bed.MakeConfig({{kModel, "ollama"}}), bed.catalog,
-                  bed.hardware(),
-                  SwapServeOptions{.keep_resident_after_init = true});
+                  bed.hardware());
   int ok = 0;
   std::uint64_t counted = 0;
 
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serve.Initialize()).ok());
+    EXPECT_TRUE((co_await serve.SwapIn(kModel)).ok());
     // The caller keeps its name; ChatAndWait borrows it.
     const std::string& name = kModel;
     for (int i = 0; i < kWarm + kRequests; ++i) {
@@ -127,8 +127,7 @@ TEST(RequestAllocTest, RoutedRequestAllocatesOnlyItsResponseChannel) {
   cfg.admission.enabled = true;
   cfg.admission.default_budget_s = 1e6;
   cfg.admission.class_budget_s["interactive-tier"] = 1e6;
-  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware(),
-                  SwapServeOptions{.keep_resident_after_init = true});
+  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
   const std::string body =
       R"({"model":")" + kModel +
       R"(","messages":[{"role":"user","content":"hello there"}],)"
@@ -139,6 +138,7 @@ TEST(RequestAllocTest, RoutedRequestAllocatesOnlyItsResponseChannel) {
 
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serve.Initialize()).ok());
+    EXPECT_TRUE((co_await serve.SwapIn(kModel)).ok());
     for (int i = 0; i < kWarm + kRequests; ++i) {
       const std::uint64_t before = g_alloc_count;
       Result<ResponseChannelPtr> ch = serve.router().ChatCompletions(body);

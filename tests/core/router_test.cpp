@@ -196,23 +196,6 @@ TEST(RouterTest, TokenEstimationSumsContentParts) {
             104);
 }
 
-TEST(RouterTest, ListModelsReflectsState) {
-  TestBed bed;
-  RouterBed rb(bed);
-  bed.RunTask([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await rb.serve.Initialize()).ok());
-    json::Value models = rb.serve.router().ListModels();
-    EXPECT_EQ(models.GetString("object", ""), "list");
-    const auto& data = models.Find("data")->AsArray();
-    EXPECT_EQ(data.size(), 1u);
-    if (data.size() != 1u) { rb.serve.Shutdown(); co_return; }
-    EXPECT_EQ(data[0].GetString("id", ""), "llama-3.2-1b-fp16");
-    EXPECT_EQ(data[0].GetString("engine", ""), "ollama");
-    EXPECT_EQ(data[0].GetString("state", ""), "swapped-out");
-    rb.serve.Shutdown();
-  });
-}
-
 TEST(RouterTest, DefaultsApplied) {
   TestBed bed;
   RouterBed rb(bed);

@@ -83,7 +83,8 @@ TEST(SchedulerCrashRecoveryTest, RequestsSurviveACrashViaRequeue) {
   EXPECT_EQ(serve.fault_injector().fires("engine.crash"), 1u);
   EXPECT_EQ(serve.metrics().requeues, 1u);
   EXPECT_EQ(serve.metrics().recoveries, 1u);
-  EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
+  EXPECT_EQ(serve.metrics().TotalFailed() + serve.metrics().TotalExpired(),
+            0u);
 }
 
 fault::FaultPlan HangOnce(double stall_s) {
@@ -168,7 +169,8 @@ TEST(SchedulerCrashRecoveryTest, CrashDuringAHangFailsTheAttemptThenRestores) {
   EXPECT_EQ(serve.backend(kModel)->engine->crash_count(), 1u);
   EXPECT_EQ(serve.metrics().requeues, 1u);
   EXPECT_EQ(serve.metrics().recoveries, 1u);
-  EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
+  EXPECT_EQ(serve.metrics().TotalFailed() + serve.metrics().TotalExpired(),
+            0u);
 }
 
 // One H100, two vLLM backends that cannot share it (each claims ~72 GB).
@@ -201,7 +203,8 @@ TEST(SchedulerCrashRecoveryTest, CrashedBackendPreemptsTheGpuHolder) {
   EXPECT_EQ(serve.metrics().quarantines, 0u);
   EXPECT_EQ(serve.metrics().recoveries, 1u);
   EXPECT_EQ(serve.metrics().preemptions, 1u);
-  EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
+  EXPECT_EQ(serve.metrics().TotalFailed() + serve.metrics().TotalExpired(),
+            0u);
 }
 
 // Restores that keep failing ride the scheduler's retry/backoff, trip the
@@ -209,9 +212,8 @@ TEST(SchedulerCrashRecoveryTest, CrashedBackendPreemptsTheGpuHolder) {
 // half-open probe brings the backend back once the fault clears.
 TEST(SchedulerCrashRecoveryTest, FailedRestoresTripTheBreakerThenProbeHeals) {
   TestBed bed;
-  Config cfg = bed.MakeConfig({{kModel, "ollama"}});
-  cfg.recovery.breaker_cooldown_s = 30.0;
-  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
+  SwapServe serve(bed.sim, bed.MakeConfig({{kModel, "ollama"}}), bed.catalog,
+                  bed.hardware());
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serve.Initialize()).ok());
     EXPECT_TRUE((co_await serve.ChatAndWait(kModel, 64, 16)).ok);
@@ -236,7 +238,7 @@ TEST(SchedulerCrashRecoveryTest, FailedRestoresTripTheBreakerThenProbeHeals) {
 
     // The fault clears; after the cooldown one probe restores the backend.
     serve.fault_injector().Configure({});
-    co_await bed.sim.Delay(sim::Seconds(30));
+    co_await bed.sim.Delay(Backend::kBreakerCooldown);
     EXPECT_FALSE(b->breaker.CoolingDown());
     ChatResult probe = co_await serve.ChatAndWait(kModel, 64, 16);
     EXPECT_TRUE(probe.ok) << probe.error;

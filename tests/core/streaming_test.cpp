@@ -169,7 +169,6 @@ TEST(StreamingTest, StreamingDoesNotChangeCompletionTiming) {
 TEST(StreamingTest, TerminalErrorTextReachesResultAndErrorFrame) {
   TestBed bed;
   Config cfg = StreamingConfig(bed, true);
-  cfg.recovery.request_retry_attempts = 0;
   fault::FaultRule crash;
   crash.point = "engine.crash";
   crash.code = StatusCode::kInternal;

@@ -143,13 +143,13 @@ TEST(SwapAllocTest, RoutedClusterRequestAllocatesOnlyItsResponseChannel) {
   entry.engine = "vllm";
   cfg.models.push_back(entry);
   cfg.cluster.nodes = 2;
-  cluster::ClusterServe fleet(
-      sim, cfg, catalog, SwapServeOptions{.keep_resident_after_init = true});
+  cluster::ClusterServe fleet(sim, cfg, catalog);
   int ok = 0;
   std::uint64_t counted = 0;
 
   sim::Spawn([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await fleet.Initialize()).ok());
+    EXPECT_TRUE((co_await fleet.node(0).serve().SwapIn(kModelA)).ok());
     InferenceRequest request;
     request.model = kModelA;
     request.prompt_tokens = 128;

@@ -32,12 +32,11 @@ TEST(TensorParallelTest, ConfigValidatesGroupBounds) {
 
 TEST(TensorParallelTest, VllmShardsClaimEveryGroupMember) {
   TestBed bed(2);
-  SwapServeOptions options;
-  options.keep_resident_after_init = true;
   SwapServe serve(bed.sim, TpConfig(bed, "llama-3.3-70b-fp8", "vllm", 0, 2),
-                  bed.catalog, bed.hardware(), options);
+                  bed.catalog, bed.hardware());
   bed.RunTask([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serve.Initialize()).ok());
+    EXPECT_TRUE((co_await serve.SwapIn("llama-3.3-70b-fp8")).ok());
     serve.Shutdown();
   });
   // 0.9 * 80 GiB claimed on EACH GPU (weights + arena shards).
@@ -98,14 +97,13 @@ TEST(TensorParallelTest, RestoreParallelizesAcrossShards) {
 TEST(TensorParallelTest, TpDecodeFasterThanSingleGpu) {
   auto decode_time = [](int tp) {
     TestBed bed(2);
-    SwapServeOptions options;
-    options.keep_resident_after_init = true;
     SwapServe serve(
         bed.sim, TpConfig(bed, "llama-3.3-70b-fp8", "ollama", 0, tp),
-        bed.catalog, bed.hardware(), options);
+        bed.catalog, bed.hardware());
     double total = 0;
     bed.RunTask([&]() -> sim::Task<> {
       EXPECT_TRUE((co_await serve.Initialize()).ok());
+      EXPECT_TRUE((co_await serve.SwapIn("llama-3.3-70b-fp8")).ok());
       ChatResult r =
           co_await serve.ChatAndWait("llama-3.3-70b-fp8", 64, 200);
       EXPECT_TRUE(r.ok) << r.error;

@@ -89,7 +89,8 @@ std::string RunFig6aScenario(double host_cache_mib, bool prefetch) {
   for (const obs::TraceEvent& e : events) AppendEvent(out, e);
   out << "# totals\n";
   out << "completed=" << serve.metrics().TotalCompleted()
-      << " failed=" << serve.metrics().TotalFailed()
+      << " failed="
+      << serve.metrics().TotalFailed() + serve.metrics().TotalExpired()
       << " swap_outs=" << serve.ckpt_engine().swap_out_count()
       << " swap_ins=" << serve.ckpt_engine().swap_in_count() << '\n';
   for (std::size_t g = 0; g < bed.gpus.size(); ++g) {
@@ -140,7 +141,8 @@ std::string RunFig6aCluster() {
   for (const obs::TraceEvent& e : events) AppendEvent(out, e);
   out << "# totals\n";
   out << "completed=" << serve.metrics().TotalCompleted()
-      << " failed=" << serve.metrics().TotalFailed()
+      << " failed="
+      << serve.metrics().TotalFailed() + serve.metrics().TotalExpired()
       << " swap_outs=" << serve.ckpt_engine().swap_out_count()
       << " swap_ins=" << serve.ckpt_engine().swap_in_count() << '\n';
   const auto& gpus = fleet.node(0).gpus();

@@ -125,35 +125,5 @@ TEST(PrometheusExportTest, LabelValuesAreEscaped) {
             std::string::npos);
 }
 
-TEST(MetricsJsonExportTest, SnapshotStructure) {
-  MetricsRegistry reg;
-  reg.GetCounter("requests", {{"model", "m1"}}).Increment(2);
-  reg.GetHistogram("lat", {}, {1.0}).Observe(0.5);
-
-  const json::Value doc = MetricsToJson(reg);
-  EXPECT_EQ(doc.GetInt("series_count", -1), 2);
-  const auto& families = doc.Find("families")->AsArray();
-  ASSERT_EQ(families.size(), 2u);
-  // Name-ordered: "lat" then "requests".
-  EXPECT_EQ(families[0].GetString("name", ""), "lat");
-  EXPECT_EQ(families[0].GetString("type", ""), "histogram");
-  const auto& lat_series = families[0].Find("series")->AsArray();
-  ASSERT_EQ(lat_series.size(), 1u);
-  EXPECT_EQ(lat_series[0].GetInt("count", -1), 1);
-  EXPECT_DOUBLE_EQ(lat_series[0].GetDouble("sum", -1), 0.5);
-  ASSERT_EQ(lat_series[0].Find("buckets")->AsArray().size(), 1u);
-
-  EXPECT_EQ(families[1].GetString("name", ""), "requests");
-  const auto& req_series = families[1].Find("series")->AsArray();
-  ASSERT_EQ(req_series.size(), 1u);
-  EXPECT_DOUBLE_EQ(req_series[0].GetDouble("value", -1), 2.0);
-  EXPECT_EQ(req_series[0].Find("labels")->GetString("model", ""), "m1");
-
-  // The snapshot itself serializes to valid JSON.
-  Result<json::Value> reparsed = json::Parse(doc.Dump());
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-  EXPECT_EQ(reparsed->GetInt("series_count", -1), 2);
-}
-
 }  // namespace
 }  // namespace swapserve::obs

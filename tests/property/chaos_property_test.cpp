@@ -175,7 +175,8 @@ ChaosOutcome RunChaosWorkload(std::uint64_t seed, int n_models,
   // --- invariants ---------------------------------------------------------
   const Metrics& m = serve.metrics();
   // Nothing lost: every accepted request is accounted for exactly once.
-  EXPECT_EQ(out.accepted, m.TotalCompleted() + m.TotalFailed())
+  EXPECT_EQ(out.accepted,
+            m.TotalCompleted() + m.TotalFailed() + m.TotalExpired())
       << "requests lost or double-counted (seed " << seed << ")";
   EXPECT_EQ(out.terminal_done, m.TotalCompleted());
   EXPECT_EQ(out.terminal_done + out.terminal_error, out.accepted);
@@ -297,7 +298,8 @@ TEST(ChaosDemoTest, FivePercentRestoreFailureCompletesAllRequests) {
       }
       serve.Shutdown();
     });
-    EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
+    EXPECT_EQ(
+        serve.metrics().TotalFailed() + serve.metrics().TotalExpired(), 0u);
     std::sort(latencies.begin(), latencies.end());
     return latencies[latencies.size() * 99 / 100];
   };
@@ -338,7 +340,8 @@ TEST(ChaosTierTest, PromotionFailureDegradesToDirectReadsWithoutLoss) {
   });
   ckpt::SnapshotTierManager* tier = serve.tier_manager();
   ASSERT_NE(tier, nullptr);
-  EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
+  EXPECT_EQ(serve.metrics().TotalFailed() + serve.metrics().TotalExpired(),
+            0u);
   EXPECT_GT(tier->demotions(), 0u);
   EXPECT_GT(tier->promotion_failures(), 0u);
   EXPECT_GT(tier->direct_reads(), 0u);
@@ -379,7 +382,8 @@ TEST(ChaosTierTest, PromotionCorruptionIsDataLossNeverSilent) {
   ASSERT_NE(tier, nullptr);
   // The corrupted promotions were caught by the checksum and absorbed as
   // cold-restore recoveries; nothing failed and nothing leaked.
-  EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
+  EXPECT_EQ(serve.metrics().TotalFailed() + serve.metrics().TotalExpired(),
+            0u);
   EXPECT_GE(serve.metrics().recoveries, 1u);
   EXPECT_EQ(tier->committed(), Bytes(0));
   EXPECT_EQ(tier->pinned_count(), 0u);

@@ -195,8 +195,9 @@ FleetOutcome RunNodeChaos(std::uint64_t seed, int n_requests,
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   for (int i = 0; i < cluster.nodes(); ++i) {
-    completed += cluster.node(i).serve().metrics().TotalCompleted();
-    failed += cluster.node(i).serve().metrics().TotalFailed();
+    const core::Metrics& m = cluster.node(i).serve().metrics();
+    completed += m.TotalCompleted();
+    failed += m.TotalFailed() + m.TotalExpired();
   }
   EXPECT_EQ(out.accepted, completed + failed + cluster.redispatch_dropped())
       << "fleet balance broken (seed " << seed << ")";

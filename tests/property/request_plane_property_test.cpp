@@ -257,7 +257,7 @@ AdmissionOutcome RunAdmissionWorkload(std::uint64_t seed, double budget_s,
 
   const Metrics& m = serve.metrics();
   out.completed = m.TotalCompleted();
-  out.failed = m.TotalFailed();
+  out.failed = m.TotalFailed() + m.TotalExpired();
   out.metric_shed = m.TotalShed();
   out.fault_fires = serve.fault_injector().total_fires();
 

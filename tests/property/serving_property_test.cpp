@@ -86,7 +86,7 @@ RunOutcome RunRandomWorkload(std::uint64_t seed, int n_models,
   // Post-run invariants.
   const Metrics& m = serve.metrics();
   EXPECT_EQ(out.accepted,
-            m.TotalCompleted() + m.TotalFailed())
+            m.TotalCompleted() + m.TotalFailed() + m.TotalExpired())
       << "requests lost or double-counted";
   EXPECT_EQ(out.terminal_done, m.TotalCompleted());
   EXPECT_EQ(m.TotalRejected(), out.rejected);

@@ -91,7 +91,8 @@ TEST_P(SwapCycleProperty, RepeatedCyclesPreserveInvariants) {
   EXPECT_EQ(serve.metrics().swap_ins, 5u);
   EXPECT_EQ(serve.metrics().swap_outs, 6u);  // init + 5 cycles
   EXPECT_EQ(serve.metrics().TotalCompleted(), 5u);
-  EXPECT_EQ(serve.metrics().TotalFailed(), 0u);
+  EXPECT_EQ(serve.metrics().TotalFailed() + serve.metrics().TotalExpired(),
+            0u);
   // No reservation leaked.
   EXPECT_EQ(serve.task_manager().OutstandingReserved(0).count(), 0);
   EXPECT_EQ(serve.task_manager().PendingRequests(0), 0u);

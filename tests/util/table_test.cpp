@@ -1,7 +1,5 @@
 #include "util/table.h"
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 namespace swapserve {
@@ -22,20 +20,6 @@ TEST(TablePrinterTest, NumFormatsPrecision) {
   EXPECT_EQ(TablePrinter::Num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Num(3.0, 0), "3");
   EXPECT_EQ(TablePrinter::Num(0.5, 3), "0.500");
-}
-
-TEST(TablePrinterTest, CsvOutput) {
-  TablePrinter t({"a", "b"});
-  t.AddRow({"1", "plain"});
-  t.AddRow({"2", "has,comma"});
-  t.AddRow({"3", "has\"quote"});
-  std::ostringstream oss;
-  t.WriteCsv(oss);
-  EXPECT_EQ(oss.str(),
-            "a,b\n"
-            "1,plain\n"
-            "2,\"has,comma\"\n"
-            "3,\"has\"\"quote\"\n");
 }
 
 TEST(TablePrinterTest, EmptyTableStillPrintsHeader) {
