@@ -85,7 +85,7 @@ Outcome RunDedicated(int n_models) {
                            bed.gpus[static_cast<std::size_t>(i)].get()});
   }
   baseline::DedicatedServing dedicated(bed.sim, std::move(assignments),
-                                       bed.storage, bed.runtime);
+                                       bed.storage);
   std::vector<workload::TraceEvent> trace = DayTrace(n_models);
 
   bed.RunTask([&]() -> sim::Task<> {

@@ -28,8 +28,7 @@ constexpr const char* kModels[] = {
 double MeasureOllamaLoad(const std::string& model_id, bool tmpfs,
                          double disk_bw_scale) {
   Bed bed(Machine::kA100, /*gpu_count=*/1, tmpfs, disk_bw_scale);
-  baseline::OllamaLruServing ollama(bed.sim, *bed.gpus[0], bed.storage,
-                                    bed.runtime);
+  baseline::OllamaLruServing ollama(bed.sim, *bed.gpus[0], bed.storage);
   double load_s = 0;
   bed.RunTask([&]() -> sim::Task<> {
     std::vector<model::ModelSpec> specs = {

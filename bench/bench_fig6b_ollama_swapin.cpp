@@ -58,8 +58,7 @@ void Run() {
 
     // Ollama on-demand load path.
     Bed obed(Machine::kH100);
-    baseline::OllamaLruServing ollama(obed.sim, *obed.gpus[0], obed.storage,
-                                      obed.runtime);
+    baseline::OllamaLruServing ollama(obed.sim, *obed.gpus[0], obed.storage);
     double load_s = 0;
     obed.RunTask([&]() -> sim::Task<> {
       std::vector<model::ModelSpec> specs = {

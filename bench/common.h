@@ -17,7 +17,6 @@
 
 #include "json/json.h"
 
-#include "container/runtime.h"
 #include "core/config.h"
 #include "core/swap_serve.h"
 #include "hw/gpu_device.h"
@@ -35,7 +34,7 @@ namespace swapserve::bench {
 
 enum class Machine { kA100, kH100 };
 
-// One simulated server (GPU(s) + host storage + container runtime).
+// One simulated server (GPU(s) + host storage).
 struct Bed {
   explicit Bed(Machine machine, int gpu_count = 1, bool tmpfs = false,
                double disk_bw_scale = 1.0)
@@ -45,8 +44,7 @@ struct Bed {
         storage(sim, tmpfs ? "tmpfs" : "nvme",
                 Scale(tmpfs ? host.tmpfs_read : host.disk_read,
                       disk_bw_scale),
-                tmpfs ? sim::Seconds(0.02) : sim::Seconds(0.1)),
-        runtime(sim, container::ImageRegistry::WithDefaultImages()) {
+                tmpfs ? sim::Seconds(0.02) : sim::Seconds(0.1)) {
     const hw::GpuSpec spec = machine == Machine::kA100
                                  ? hw::GpuSpec::A100Sxm4_80GB()
                                  : hw::GpuSpec::H100Hbm3_80GB();
@@ -63,7 +61,6 @@ struct Bed {
     core::Hardware hw;
     for (auto& gpu : gpus) hw.gpus.push_back(gpu.get());
     hw.storage = &storage;
-    hw.runtime = &runtime;
     return hw;
   }
 
@@ -72,7 +69,6 @@ struct Bed {
         .sim = &sim,
         .gpu = gpus[static_cast<std::size_t>(gpu)].get(),
         .storage = &storage,
-        .runtime = &runtime,
         .tp_group = {},
     };
   }
@@ -88,7 +84,6 @@ struct Bed {
   hw::HostSpec host;
   std::vector<std::unique_ptr<hw::GpuDevice>> gpus;
   hw::StorageDevice storage;
-  container::ContainerRuntime runtime;
 };
 
 // Machine-readable bench output: one {benchmark -> metric} object, written

@@ -90,7 +90,7 @@ Fig3Run RunDedicated(const std::vector<TraceEvent>& trace) {
                            bed.gpus[i].get()});
   }
   baseline::DedicatedServing dedicated(bed.sim, std::move(assignments),
-                                       bed.storage, bed.runtime);
+                                       bed.storage);
   hw::GpuMonitor monitor(bed.sim,
                          {bed.gpus[0].get(), bed.gpus[1].get(),
                           bed.gpus[2].get(), bed.gpus[3].get(),

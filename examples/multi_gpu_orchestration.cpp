@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "container/runtime.h"
 #include "core/swap_serve.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
@@ -41,8 +40,6 @@ int main() {
   }
   hw::StorageDevice nvme(sim, "nvme", hw::HostSpec::H100Host().disk_read,
                          sim::Seconds(0.1));
-  container::ContainerRuntime podman(
-      sim, container::ImageRegistry::WithDefaultImages());
   model::ModelCatalog catalog = model::ModelCatalog::Default();
 
   core::Config config;
@@ -59,7 +56,6 @@ int main() {
   core::Hardware hardware;
   for (auto& gpu : gpus) hardware.gpus.push_back(gpu.get());
   hardware.storage = &nvme;
-  hardware.runtime = &podman;
   core::SwapServe serve(sim, config, catalog, hardware);
 
   sim::Spawn([&]() -> sim::Task<> {

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "container/runtime.h"
 #include "core/swap_serve.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
@@ -46,8 +45,6 @@ int main() {
   hw::GpuDevice gpu(sim, 0, hw::GpuSpec::H100Hbm3_80GB());
   hw::StorageDevice nvme(sim, "nvme", hw::HostSpec::H100Host().disk_read,
                          sim::Seconds(0.1));
-  container::ContainerRuntime podman(
-      sim, container::ImageRegistry::WithDefaultImages());
   model::ModelCatalog catalog = model::ModelCatalog::Default();
 
   core::Config config;
@@ -59,8 +56,7 @@ int main() {
   }
   SWAP_CHECK(config.Validate(catalog, 1).ok());
 
-  core::Hardware hardware{.gpus = {&gpu}, .storage = &nvme,
-                          .runtime = &podman};
+  core::Hardware hardware{.gpus = {&gpu}, .storage = &nvme};
   core::SwapServe serve(sim, config, catalog, hardware);
 
   // Two hours of bursty traffic: overlapping MMPP bursts per model.

@@ -11,7 +11,6 @@
 
 #include <cstdio>
 
-#include "container/runtime.h"
 #include "core/swap_serve.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
@@ -27,8 +26,6 @@ int main() {
   hw::HostSpec host = hw::HostSpec::H100Host();
   hw::GpuDevice gpu(sim, 0, hw::GpuSpec::H100Hbm3_80GB());
   hw::StorageDevice nvme(sim, "nvme", host.disk_read, sim::Seconds(0.1));
-  container::ContainerRuntime podman(
-      sim, container::ImageRegistry::WithDefaultImages());
 
   // --- 2. Configuration (normally loaded from JSON; see §3.2) ------------
   auto config = core::Config::FromJsonText(R"({
@@ -46,7 +43,6 @@ int main() {
   core::Hardware hardware;
   hardware.gpus = {&gpu};
   hardware.storage = &nvme;
-  hardware.runtime = &podman;
   core::SwapServe serve(sim, *config, catalog, hardware);
 
   // --- 3. Drive the server inside the simulation -------------------------

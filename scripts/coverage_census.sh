@@ -9,7 +9,8 @@
 # edited). Runs every figure, ablation, fault and cluster bench except the
 # wall-clock bench_sim_micro, then `bench_e2e --smoke` on all four
 # workloads, untraced and traced. Prints the share of executable src/ lines
-# that ran and the src/ functions no run called, by file.
+# that ran, the src/ functions no run called, by file, and the files with
+# the most executable lines no run reached (top 15).
 #
 # Informational, not a gate. Counts from both trees are merged per source
 # line; a function counts as called when any tree called it. An inline
@@ -130,4 +131,12 @@ for rel in sorted(funcs):
         print(f"  {rel}")
         for line, label in dead:
             print(f"    {line:5d}  {label}")
+
+top = 15
+print(f"unexecuted src/ lines, top {top} files:")
+missed = sorted(((len(v) - sum(v.values()), len(v), rel)
+                 for rel, v in lines.items()), key=lambda m: (-m[0], m[2]))
+for unrun, executable, rel in missed[:top]:
+    if unrun:
+        print(f"  {unrun:5d} of {executable:5d}  {rel}")
 EOF

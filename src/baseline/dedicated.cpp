@@ -6,12 +6,8 @@ namespace swapserve::baseline {
 
 DedicatedServing::DedicatedServing(sim::Simulation& sim,
                                    std::vector<Assignment> assignments,
-                                   hw::StorageDevice& storage,
-                                   container::ContainerRuntime& runtime)
-    : sim_(sim),
-      assignments_(std::move(assignments)),
-      storage_(storage),
-      runtime_(runtime) {}
+                                   hw::StorageDevice& storage)
+    : sim_(sim), assignments_(std::move(assignments)), storage_(storage) {}
 
 sim::Task<Status> DedicatedServing::Initialize() {
   for (const Assignment& a : assignments_) {
@@ -20,7 +16,6 @@ sim::Task<Status> DedicatedServing::Initialize() {
         .sim = &sim_,
         .gpu = a.gpu,
         .storage = &storage_,
-        .runtime = &runtime_,
         .tp_group = {},
     };
     auto eng = std::make_unique<engine::InferenceEngine>(

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "container/runtime.h"
 #include "core/metrics.h"
 #include "core/types.h"
 #include "engine/engine.h"
@@ -33,8 +32,7 @@ class DedicatedServing {
   };
 
   DedicatedServing(sim::Simulation& sim, std::vector<Assignment> assignments,
-                   hw::StorageDevice& storage,
-                   container::ContainerRuntime& runtime);
+                   hw::StorageDevice& storage);
 
   // Cold-start every engine; they stay resident forever.
   sim::Task<Status> Initialize();
@@ -51,7 +49,6 @@ class DedicatedServing {
   sim::Simulation& sim_;
   std::vector<Assignment> assignments_;
   hw::StorageDevice& storage_;
-  container::ContainerRuntime& runtime_;
   core::Metrics metrics_;
   std::map<std::string, std::unique_ptr<engine::InferenceEngine>> engines_;
 };

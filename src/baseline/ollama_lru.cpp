@@ -5,9 +5,8 @@
 namespace swapserve::baseline {
 
 OllamaLruServing::OllamaLruServing(sim::Simulation& sim, hw::GpuDevice& gpu,
-                                   hw::StorageDevice& model_storage,
-                                   container::ContainerRuntime& runtime)
-    : sim_(sim), gpu_(gpu), storage_(model_storage), runtime_(runtime) {}
+                                   hw::StorageDevice& model_storage)
+    : sim_(sim), gpu_(gpu), storage_(model_storage) {}
 
 sim::Task<Status> OllamaLruServing::Initialize(
     std::vector<model::ModelSpec> models) {
@@ -16,7 +15,6 @@ sim::Task<Status> OllamaLruServing::Initialize(
         .sim = &sim_,
         .gpu = &gpu_,
         .storage = &storage_,
-        .runtime = &runtime_,
         .tp_group = {},
     };
     Runner runner;

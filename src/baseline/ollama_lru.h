@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 
-#include "container/runtime.h"
 #include "engine/engine.h"
 #include "hw/gpu_device.h"
 #include "hw/link.h"
@@ -27,8 +26,7 @@ namespace swapserve::baseline {
 class OllamaLruServing {
  public:
   OllamaLruServing(sim::Simulation& sim, hw::GpuDevice& gpu,
-                   hw::StorageDevice& model_storage,
-                   container::ContainerRuntime& runtime);
+                   hw::StorageDevice& model_storage);
 
   // Spawn a runner for each model (server start + first load + unload, so
   // the measurement below is a pure on-demand load).
@@ -58,7 +56,6 @@ class OllamaLruServing {
   sim::Simulation& sim_;
   hw::GpuDevice& gpu_;
   hw::StorageDevice& storage_;
-  container::ContainerRuntime& runtime_;
   std::map<std::string, Runner> runners_;
   std::uint64_t evictions_ = 0;
 };

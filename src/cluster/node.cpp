@@ -29,8 +29,7 @@ Node::Node(sim::Simulation& sim, int id, int gpu_count, core::Config config,
       host_(hw::HostSpec::H100Host()),
       // Same device name and open overhead as the single-machine fixture:
       // a one-node fleet must schedule identical storage events.
-      storage_(sim, "nvme", host_.disk_read, sim::Seconds(0.1)),
-      runtime_(sim, container::ImageRegistry::WithDefaultImages()) {
+      storage_(sim, "nvme", host_.disk_read, sim::Seconds(0.1)) {
   for (int i = 0; i < gpu_count; ++i) {
     gpus_.push_back(
         std::make_unique<hw::GpuDevice>(sim, i, hw::GpuSpec::H100Hbm3_80GB()));
@@ -38,7 +37,6 @@ Node::Node(sim::Simulation& sim, int id, int gpu_count, core::Config config,
   core::Hardware hardware;
   for (auto& gpu : gpus_) hardware.gpus.push_back(gpu.get());
   hardware.storage = &storage_;
-  hardware.runtime = &runtime_;
   serve_ = std::make_unique<core::SwapServe>(sim, std::move(config), catalog,
                                              hardware, options);
 }

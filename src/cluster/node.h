@@ -1,11 +1,11 @@
 // One machine of a simulated fleet.
 //
 // A Node owns the hardware a single-machine SwapServe deployment owns —
-// GPUs with their PCIe links, an NVMe volume, a container runtime — plus
-// the SwapServe instance assembled on top of them. Construction mirrors
-// the single-machine test fixture exactly (same device names, same
-// ordering), so a one-node cluster schedules the same events as a plain
-// SwapServe and the golden traces stay byte-identical.
+// GPUs with their PCIe links and an NVMe volume — plus the SwapServe
+// instance assembled on top of them. Construction mirrors the
+// single-machine test fixture exactly (same device names, same ordering),
+// so a one-node cluster schedules the same events as a plain SwapServe and
+// the golden traces stay byte-identical.
 //
 // A node is also the fleet's fault domain: Crash() powers the machine off
 // (engines crash, host-RAM snapshot payloads degrade to placeholders,
@@ -24,7 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include "container/runtime.h"
 #include "core/swap_serve.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
@@ -95,7 +94,6 @@ class Node {
   std::string name_;
   hw::HostSpec host_;
   hw::StorageDevice storage_;
-  container::ContainerRuntime runtime_;
   std::vector<std::unique_ptr<hw::GpuDevice>> gpus_;
   std::unique_ptr<core::SwapServe> serve_;
   bool alive_ = true;

@@ -28,33 +28,23 @@ sim::Task<Status> CgroupFreezer::Thaw() {
   co_return Status::Ok();
 }
 
-Container::Container(sim::Simulation& sim, std::uint64_t id, std::string name,
-                     ImageSpec image, std::string ip, int port)
+Container::Container(sim::Simulation& sim, std::string name,
+                     sim::SimDuration create_start,
+                     sim::SimDuration entrypoint_boot)
     : sim_(sim),
-      id_(id),
       name_(std::move(name)),
-      image_(std::move(image)),
-      ip_(std::move(ip)),
-      port_(port),
+      create_start_(create_start),
+      entrypoint_boot_(entrypoint_boot),
       freezer_(sim) {}
-
-void Container::EnterState(ContainerState next) {
-  if (state_ == ContainerState::kRunning &&
-      next != ContainerState::kRunning) {
-    total_running_ += sim_.Now() - running_since_;
-  }
-  if (next == ContainerState::kRunning) running_since_ = sim_.Now();
-  state_ = next;
-}
 
 sim::Task<Status> Container::Start() {
   if (state_ != ContainerState::kCreated) {
     co_return FailedPrecondition("start: container " + name_ + " is " +
                                  std::string(ContainerStateName(state_)));
   }
-  co_await sim_.Delay(image_.create_start);
-  co_await sim_.Delay(image_.entrypoint_boot);
-  EnterState(ContainerState::kRunning);
+  co_await sim_.Delay(create_start_);
+  co_await sim_.Delay(entrypoint_boot_);
+  state_ = ContainerState::kRunning;
   co_return Status::Ok();
 }
 
@@ -65,7 +55,7 @@ sim::Task<Status> Container::Pause() {
   }
   Status s = co_await freezer_.Freeze();
   if (!s.ok()) co_return s;
-  EnterState(ContainerState::kPaused);
+  state_ = ContainerState::kPaused;
   co_return Status::Ok();
 }
 
@@ -76,7 +66,7 @@ sim::Task<Status> Container::Unpause() {
   }
   Status s = co_await freezer_.Thaw();
   if (!s.ok()) co_return s;
-  EnterState(ContainerState::kRunning);
+  state_ = ContainerState::kRunning;
   co_return Status::Ok();
 }
 
@@ -86,14 +76,8 @@ Status Container::AdoptPaused() {
                               std::string(ContainerStateName(state_)));
   }
   freezer_.AdoptFrozen();
-  EnterState(ContainerState::kPaused);
+  state_ = ContainerState::kPaused;
   return Status::Ok();
-}
-
-sim::SimDuration Container::TotalRunning() const {
-  sim::SimDuration total = total_running_;
-  if (state_ == ContainerState::kRunning) total += sim_.Now() - running_since_;
-  return total;
 }
 
 }  // namespace swapserve::container

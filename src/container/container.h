@@ -1,17 +1,17 @@
 // Container lifecycle with cgroup-freezer pause/resume.
 //
 // Mirrors the podman semantics SwapServeLLM depends on: a container is
-// created, started (paying image boot overheads), and can be paused —
+// created, started (paying its engine's boot cost), and can be paused —
 // which freezes its cgroup, stopping CPU execution instantly without
 // killing the process. The paper's hot-swap path is exactly
-// freeze -> cuda-checkpoint -> [idle] -> restore -> thaw.
+// freeze -> cuda-checkpoint -> [idle] -> restore -> thaw. Each engine owns
+// its one container; the boot cost is a column of the engine's
+// model::EngineProfile row.
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 
-#include "container/image.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
 #include "util/status.h"
@@ -46,16 +46,13 @@ class CgroupFreezer {
 
 class Container {
  public:
-  Container(sim::Simulation& sim, std::uint64_t id, std::string name,
-            ImageSpec image, std::string ip, int port);
+  // Start() pays `create_start` (podman create+start: rootfs, netns), then
+  // `entrypoint_boot` (interpreter and framework imports).
+  Container(sim::Simulation& sim, std::string name,
+            sim::SimDuration create_start, sim::SimDuration entrypoint_boot);
   Container(const Container&) = delete;
   Container& operator=(const Container&) = delete;
 
-  std::uint64_t id() const { return id_; }
-  const std::string& name() const { return name_; }
-  const ImageSpec& image() const { return image_; }
-  const std::string& ip() const { return ip_; }
-  int port() const { return port_; }
   ContainerState state() const { return state_; }
   CgroupFreezer& freezer() { return freezer_; }
 
@@ -71,23 +68,13 @@ class Container {
   // the restore cost is paid later, at swap-in.
   [[nodiscard]] Status AdoptPaused();
 
-  // Total virtual time this container has spent in kRunning.
-  sim::SimDuration TotalRunning() const;
-
  private:
-  void EnterState(ContainerState next);
-
   sim::Simulation& sim_;
-  std::uint64_t id_;
   std::string name_;
-  ImageSpec image_;
-  std::string ip_;
-  int port_;
+  sim::SimDuration create_start_;
+  sim::SimDuration entrypoint_boot_;
   ContainerState state_ = ContainerState::kCreated;
   CgroupFreezer freezer_;
-
-  sim::SimTime running_since_;
-  sim::SimDuration total_running_;
 };
 
 }  // namespace swapserve::container

@@ -117,8 +117,8 @@ struct ClusterConfig {
 };
 
 // Per-model parameters ("model name, container image, GPU memory
-// utilization, and initialization timeout"; every engine kind runs its own
-// default image, so that one has no key).
+// utilization, and initialization timeout"; an engine's container is part
+// of its model::EngineProfile row, so the image has no key).
 struct ModelEntry {
   std::string model_id;     // catalog key, also the API-visible name
   std::string engine;       // "vllm" | "ollama" | "sglang" | "trtllm"

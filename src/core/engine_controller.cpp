@@ -67,7 +67,7 @@ sim::Task<Status> EngineController::SwapOut(Backend& backend,
   }
 
   ckpt::SwapOutRequest req{
-      .container = backend.engine->container(),
+      .container = &backend.engine->container(),
       .process = &backend.engine->process(),
       .gpu = nullptr,
       .gpus = backend.engine->Gpus(),
@@ -130,7 +130,7 @@ sim::Task<Status> EngineController::SwapIn(Backend& backend) {
   SWAP_CO_RETURN_IF_ERROR(backend.engine->MarkSwapping());
 
   Result<ckpt::SwapInResult> result = co_await ckpt_.SwapIn(
-      backend.snapshot, *backend.engine->container(),
+      backend.snapshot, backend.engine->container(),
       backend.engine->process(), backend.engine->Gpus());
   if (backend.engine->state() == engine::BackendState::kCrashed) {
     // A node crash landed while the restore was on the wire. A restore

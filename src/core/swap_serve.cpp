@@ -44,7 +44,6 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
       scheduler_(sim, task_manager_, controller_),
       handler_(sim, config_.global, metrics_),
       router_(handler_) {
-  SWAP_CHECK(hardware_.runtime != nullptr);
   SWAP_CHECK_MSG(
       config_.Validate(catalog, static_cast<int>(hardware_.gpus.size()))
           .ok(),
@@ -97,7 +96,6 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
         .sim = &sim_,
         .gpu = hardware_.gpus[static_cast<std::size_t>(entry.gpu)],
         .storage = hardware_.storage,
-        .runtime = hardware_.runtime,
         .tp_group = {},
     };
     if (entry.tp > 1) {

@@ -43,7 +43,6 @@ namespace swapserve::core {
 struct Hardware {
   std::vector<hw::GpuDevice*> gpus;     // not owned
   hw::StorageDevice* storage = nullptr;  // not owned
-  container::ContainerRuntime* runtime = nullptr;  // not owned
 };
 
 struct SwapServeOptions {

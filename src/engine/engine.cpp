@@ -37,11 +37,13 @@ InferenceEngine::InferenceEngine(const model::EngineProfile& profile,
       model_(std::move(model)),
       options_(options),
       name_(backend_name),
+      container_(*env_.sim, name(), profile.boot.create_start,
+                 profile.boot.entrypoint_boot),
       process_(*env_.sim, name()),
       swap_models_(IsA100(env_.gpu->spec()) ? profile.a100 : profile.h100),
       weights_loaded_(!profile.unload.has_value()) {
   SWAP_CHECK(env_.sim != nullptr && env_.gpu != nullptr &&
-             env_.storage != nullptr && env_.runtime != nullptr);
+             env_.storage != nullptr);
   if (env_.tp_group.empty()) {
     env_.tp_group.push_back(env_.gpu);
   } else {
@@ -77,16 +79,8 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::ColdStart() {
   }
   SetState(BackendState::kInitializing);
 
-  Result<container::Container*> created =
-      env_.runtime->Create(name(), std::string(profile_.image));
-  if (!created.ok()) {
-    SetState(BackendState::kStopped);
-    co_return created.status();
-  }
-  container_ = *created;
-
   const sim::SimTime t0 = sim().Now();
-  Status s = co_await container_->Start();
+  Status s = co_await container_.Start();
   if (!s.ok()) {
     SetState(BackendState::kStopped);
     co_return s;
@@ -112,14 +106,7 @@ Status InferenceEngine::AdoptCheckpoint() {
     return FailedPrecondition("adopt: backend " + name() + " is " +
                               std::string(BackendStateName(state_)));
   }
-  Result<container::Container*> created =
-      env_.runtime->Create(name(), std::string(profile_.image));
-  if (!created.ok()) {
-    SetState(BackendState::kStopped);
-    return created.status();
-  }
-  container_ = *created;
-  Status s = container_->AdoptPaused();
+  Status s = container_.AdoptPaused();
   if (!s.ok()) {
     SetState(BackendState::kStopped);
     return s;
@@ -413,7 +400,6 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
     co_return FailedPrecondition("restart: backend " + name() + " is " +
                                  std::string(BackendStateName(state_)));
   }
-  SWAP_CHECK(container_ != nullptr);
   SetState(BackendState::kInitializing);
   // engine.restart: the replacement process can itself fail to come up
   // (bad node, wedged driver); repeated failures trip the breaker.
@@ -430,8 +416,8 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
   }
   // A crash while swapped out leaves the cgroup frozen; thaw it so the
   // replacement process can boot.
-  if (container_->state() == container::ContainerState::kPaused) {
-    Status s = co_await container_->Unpause();
+  if (container_.state() == container::ContainerState::kPaused) {
+    Status s = co_await container_.Unpause();
     if (state_ != BackendState::kInitializing) {
       co_return Unavailable("restart: " + name() + " crashed mid-restart");
     }
@@ -465,7 +451,7 @@ sim::Task<Result<InitBreakdown>> InferenceEngine::Restart() {
 
 Status InferenceEngine::ReadoptCheckpoint() {
   if (state_ != BackendState::kCrashed ||
-      container_->state() != container::ContainerState::kPaused) {
+      container_.state() != container::ContainerState::kPaused) {
     return FailedPrecondition("readopt: backend " + name() + " is " +
                               std::string(BackendStateName(state_)));
   }

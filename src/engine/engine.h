@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "ckpt/cuda_checkpoint.h"
-#include "container/runtime.h"
+#include "container/container.h"
 #include "fault/fault_injector.h"
 #include "hw/gpu_device.h"
 #include "hw/link.h"
@@ -48,7 +48,6 @@ struct EngineEnv {
   sim::Simulation* sim = nullptr;
   hw::GpuDevice* gpu = nullptr;
   hw::StorageDevice* storage = nullptr;  // where model weights live
-  container::ContainerRuntime* runtime = nullptr;
   // Tensor-parallel group (§6). Empty = single-GPU backend on `gpu` (the
   // engine stores it as a one-element group); otherwise must contain `gpu`
   // as rank 0, and weights/KV shard evenly across the group.
@@ -100,9 +99,10 @@ struct GenerationResult {
 
 class InferenceEngine final {
  public:
-  // A backend named `backend_name` (unique per container runtime) that
-  // reads `profile`, one of the static rows in model/calibration.cpp. Does
-  // not start anything; call ColdStart() or AdoptCheckpoint().
+  // A backend named `backend_name` that reads `profile`, one of the static
+  // rows in model/calibration.cpp, and owns its container (created, not yet
+  // booted). Does not start anything; call ColdStart() or
+  // AdoptCheckpoint().
   InferenceEngine(const model::EngineProfile& profile, EngineEnv env,
                   model::ModelSpec model, EngineOptions options,
                   std::string backend_name);
@@ -118,17 +118,17 @@ class InferenceEngine final {
   // allocations and snapshots, compared by handle.
   Name owner() const { return name_; }
   BackendState state() const { return state_; }
-  container::Container* container() { return container_; }
+  container::Container& container() { return container_; }
   ckpt::CudaCheckpointProcess& process() { return process_; }
   const EngineOptions& options() const { return options_; }
 
-  // Create the container and run the full cold start. Valid once, from
+  // Boot the container and run the full cold start. Valid once, from
   // kUninitialized.
   sim::Task<Result<InitBreakdown>> ColdStart();
 
   // Cluster standby bring-up: instead of cold-starting, adopt a checkpoint
-  // replicated from this model's home node. Creates the container in the
-  // paused state, marks the process checkpointed, and replays the memory
+  // replicated from this model's home node. Moves the container straight to
+  // the paused state, marks the process checkpointed, and replays the memory
   // accounting InitializeEngine + PrepareForCheckpoint would have left
   // behind, ending in kSwappedOut. Costs zero virtual time — the boot was
   // paid on the home node, the restore is paid at swap-in. Valid once,
@@ -249,7 +249,7 @@ class InferenceEngine final {
   EngineOptions options_;
   Name name_;
   BackendState state_ = BackendState::kUninitialized;
-  container::Container* container_ = nullptr;  // owned by the runtime
+  container::Container container_;
   ckpt::CudaCheckpointProcess process_;
   fault::FaultInjector* fault_ = nullptr;
   std::function<void()> on_residency_;

@@ -175,7 +175,10 @@ const std::array<EngineProfile, 4>& Profiles() {
           // re-initializes the paged-KV pool over the remapped arena.
           .kind = EngineKind::kVllm,
           .name = "vllm",
-          .image = "vllm/vllm-openai:v0.9.2",
+          // vllm/vllm-openai:v0.9.2: ~30 s importing torch/flash-attn and
+          // spinning up the engine core before weight loading (Fig. 2).
+          .boot = {.create_start = sim::Seconds(1.4),
+                   .entrypoint_boot = sim::Seconds(28.5)},
           .decode_efficiency = 0.60,
           .prefill_efficiency = 0.55,
           .init_phases = &VllmInitModel,
@@ -196,7 +199,9 @@ const std::array<EngineProfile, 4>& Profiles() {
           // 6b's endpoints to within ~0.15 GB.
           .kind = EngineKind::kOllama,
           .name = "ollama",
-          .image = "ollama/ollama:v0.9.6",
+          // ollama/ollama:v0.9.6: the Go binary is up in ~1 s.
+          .boot = {.create_start = sim::Seconds(0.7),
+                   .entrypoint_boot = sim::Seconds(0.9)},
           .decode_efficiency = 0.33,
           .prefill_efficiency = 0.30,
           .init_phases = &OllamaInitPhases,
@@ -212,7 +217,9 @@ const std::array<EngineProfile, 4>& Profiles() {
           // mem-fraction-static, default 0.87.
           .kind = EngineKind::kSglang,
           .name = "sglang",
-          .image = "lmsysorg/sglang:v0.4.9",
+          // lmsysorg/sglang:v0.4.9
+          .boot = {.create_start = sim::Seconds(1.3),
+                   .entrypoint_boot = sim::Seconds(12.0)},
           .decode_efficiency = 0.58,
           .prefill_efficiency = 0.52,
           .init_phases = &SglangInitPhases,
@@ -228,7 +235,9 @@ const std::array<EngineProfile, 4>& Profiles() {
           .kind = EngineKind::kTrtllm,
           .name = "trtllm",
           .alias = "tensorrt-llm",
-          .image = "nvcr.io/nvidia/tensorrt-llm:v1.0rc0",
+          // nvcr.io/nvidia/tensorrt-llm:v1.0rc0
+          .boot = {.create_start = sim::Seconds(1.6),
+                   .entrypoint_boot = sim::Seconds(22.0)},
           .decode_efficiency = 0.66,
           .prefill_efficiency = 0.60,
           .init_phases = &TrtllmInitPhases,

@@ -3,9 +3,9 @@
 // Every latency the simulator produces traces back to a constant in this
 // file, each annotated with the paper table/figure it was fitted against.
 // Every per-engine constant lives here too: one EngineProfile row per
-// engine kind holds its name, image, efficiencies, init phases, memory
-// policy, sleep-mode costs and checkpoint/restore models, and the one
-// engine class in src/engine/ reads that row. We reproduce the paper's
+// engine kind holds its name, container boot, efficiencies, init phases,
+// memory policy, sleep-mode costs and checkpoint/restore models, and the
+// one engine class in src/engine/ reads that row. We reproduce the paper's
 // *shape* (orderings, ratios, crossovers); exact wall-clock equality is
 // neither expected nor required (DESIGN.md §4).
 
@@ -130,11 +130,21 @@ struct SleepCosts {
   sim::SimDuration wake;
 };
 
+// Booting the engine's container, Fig. 2's container_start: podman
+// create+start (rootfs, netns), then the entrypoint (interpreter, framework
+// imports, engine process spin-up) before model initialization proper.
+struct ContainerBoot {
+  sim::SimDuration create_start;
+  sim::SimDuration entrypoint_boot;
+};
+
 struct EngineProfile {
   EngineKind kind;
   std::string_view name;        // config spelling, e.g. "vllm"
   std::string_view alias = "";  // second accepted spelling, or empty
-  std::string_view image;       // default container image
+  // Paid once per container, by a cold start; a standby adopting a
+  // replicated checkpoint never boots (the home node paid it).
+  ContainerBoot boot;
 
   // Decode is memory-bandwidth-bound: tokens/s ~ hbm_bw / weight_bytes,
   // derated by this factor (vLLM/SGLang/TRT run fused paged kernels;

@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "container/runtime.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
 #include "hw/link.h"
@@ -16,8 +15,7 @@ namespace swapserve::baseline::testing {
 struct BaselineBed {
   explicit BaselineBed(int gpu_count = 1)
       : catalog(model::ModelCatalog::Default()),
-        storage(sim, "nvme", GBps(6), sim::Seconds(0.1)),
-        runtime(sim, container::ImageRegistry::WithDefaultImages()) {
+        storage(sim, "nvme", GBps(6), sim::Seconds(0.1)) {
     for (int i = 0; i < gpu_count; ++i) {
       gpus.push_back(std::make_unique<hw::GpuDevice>(
           sim, i, hw::GpuSpec::H100Hbm3_80GB()));
@@ -34,7 +32,6 @@ struct BaselineBed {
   model::ModelCatalog catalog;
   std::vector<std::unique_ptr<hw::GpuDevice>> gpus;
   hw::StorageDevice storage;
-  container::ContainerRuntime runtime;
 };
 
 }  // namespace swapserve::baseline::testing

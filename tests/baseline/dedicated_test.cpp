@@ -17,8 +17,7 @@ TEST(DedicatedTest, InitializesOneEnginePerGpu) {
       {bed.catalog.Find("deepseek-r1-7b-fp16").value(),
        model::EngineKind::kOllama, bed.gpus[1].get()},
   };
-  DedicatedServing serving(bed.sim, std::move(assignments), bed.storage,
-                           bed.runtime);
+  DedicatedServing serving(bed.sim, std::move(assignments), bed.storage);
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serving.Initialize()).ok());
   });
@@ -34,8 +33,7 @@ TEST(DedicatedTest, ChatServedImmediatelyNoSwapWait) {
       {bed.catalog.Find("llama-3.2-1b-fp16").value(),
        model::EngineKind::kOllama, bed.gpus[0].get()},
   };
-  DedicatedServing serving(bed.sim, std::move(assignments), bed.storage,
-                           bed.runtime);
+  DedicatedServing serving(bed.sim, std::move(assignments), bed.storage);
   core::ChatResult r;
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serving.Initialize()).ok());
@@ -50,7 +48,7 @@ TEST(DedicatedTest, ChatServedImmediatelyNoSwapWait) {
 
 TEST(DedicatedTest, UnknownModelErrors) {
   BaselineBed bed;
-  DedicatedServing serving(bed.sim, {}, bed.storage, bed.runtime);
+  DedicatedServing serving(bed.sim, {}, bed.storage);
   core::ChatResult r;
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serving.Initialize()).ok());

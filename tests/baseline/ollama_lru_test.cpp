@@ -20,7 +20,7 @@ std::vector<model::ModelSpec> Specs(BaselineBed& bed,
 
 TEST(OllamaLruTest, InitializeStartsRunnersUnloaded) {
   BaselineBed bed;
-  OllamaLruServing serving(bed.sim, *bed.gpus[0], bed.storage, bed.runtime);
+  OllamaLruServing serving(bed.sim, *bed.gpus[0], bed.storage);
   const auto specs =
       Specs(bed, {"llama-3.2-1b-fp16", "deepseek-r1-7b-fp16"});
   bed.Run([&]() -> sim::Task<> {
@@ -33,7 +33,7 @@ TEST(OllamaLruTest, InitializeStartsRunnersUnloaded) {
 
 TEST(OllamaLruTest, MeasureLoadIsPureOnDemandLoad) {
   BaselineBed bed;
-  OllamaLruServing serving(bed.sim, *bed.gpus[0], bed.storage, bed.runtime);
+  OllamaLruServing serving(bed.sim, *bed.gpus[0], bed.storage);
   const auto specs = Specs(bed, {"llama-3.1-8b-fp16"});
   double load_s = 0;
   bed.Run([&]() -> sim::Task<> {
@@ -56,7 +56,7 @@ TEST(OllamaLruTest, LruEvictionWhenMemoryShort) {
   hw::GpuSpec small = hw::GpuSpec::H100Hbm3_80GB();
   small.memory = GiB(40);
   hw::GpuDevice gpu(bed.sim, 7, small);
-  OllamaLruServing serving(bed.sim, gpu, bed.storage, bed.runtime);
+  OllamaLruServing serving(bed.sim, gpu, bed.storage);
   const auto specs =
       Specs(bed, {"deepseek-r1-14b-fp16", "deepseek-r1-7b-fp16",
                   "llama-3.2-1b-fp16"});
@@ -80,7 +80,7 @@ TEST(OllamaLruTest, EvictionPicksLeastRecentlyUsed) {
   hw::GpuSpec small = hw::GpuSpec::H100Hbm3_80GB();
   small.memory = GiB(24);
   hw::GpuDevice gpu(bed.sim, 8, small);
-  OllamaLruServing serving(bed.sim, gpu, bed.storage, bed.runtime);
+  OllamaLruServing serving(bed.sim, gpu, bed.storage);
   const auto specs =
       Specs(bed, {"llama-3.2-1b-fp16", "llama-3.2-3b-fp16",
                   "deepseek-r1-7b-fp16"});
@@ -104,7 +104,7 @@ TEST(OllamaLruTest, CannotFitErrorsWhenNothingEvictable) {
   hw::GpuSpec small = hw::GpuSpec::H100Hbm3_80GB();
   small.memory = GiB(4);  // fits the 1B model alone
   hw::GpuDevice gpu(bed.sim, 9, small);
-  OllamaLruServing serving(bed.sim, gpu, bed.storage, bed.runtime);
+  OllamaLruServing serving(bed.sim, gpu, bed.storage);
   const auto specs = Specs(bed, {"llama-3.2-1b-fp16"});
   bed.Run([&]() -> sim::Task<> {
     EXPECT_TRUE((co_await serving.Initialize(specs)).ok());
@@ -117,7 +117,7 @@ TEST(OllamaLruTest, CannotFitErrorsWhenNothingEvictable) {
 
 TEST(OllamaLruTest, UnknownModelErrors) {
   BaselineBed bed;
-  OllamaLruServing serving(bed.sim, *bed.gpus[0], bed.storage, bed.runtime);
+  OllamaLruServing serving(bed.sim, *bed.gpus[0], bed.storage);
   bed.Run([&]() -> sim::Task<> {
     Status s = co_await serving.EnsureLoaded("ghost");
     EXPECT_EQ(s.code(), StatusCode::kNotFound);

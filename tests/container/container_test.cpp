@@ -7,19 +7,10 @@
 namespace swapserve::container {
 namespace {
 
-ImageSpec TestImage() {
-  return ImageSpec{
-      .name = "test:latest",
-      .size = GiB(2),
-      .create_start = sim::Seconds(1),
-      .entrypoint_boot = sim::Seconds(4),
-  };
-}
-
 class ContainerTest : public ::testing::Test {
  protected:
   sim::Simulation sim;
-  Container c{sim, 1, "backend-a", TestImage(), "10.88.0.1", 40000};
+  Container c{sim, "backend-a", sim::Seconds(1), sim::Seconds(4)};
 
   template <typename F>
   void Run(F body) {
@@ -28,7 +19,7 @@ class ContainerTest : public ::testing::Test {
   }
 };
 
-TEST_F(ContainerTest, StartPaysImageOverheads) {
+TEST_F(ContainerTest, StartPaysBothBootPhases) {
   double started_at = -1;
   Run([&]() -> sim::Task<> {
     Status s = co_await c.Start();
@@ -72,19 +63,6 @@ TEST_F(ContainerTest, UnpauseRequiresPaused) {
     Status s = co_await c.Unpause();
     EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
   });
-}
-
-TEST_F(ContainerTest, RunningTimeExcludesPaused) {
-  Run([&]() -> sim::Task<> {
-    EXPECT_TRUE((co_await c.Start()).ok());  // running at t=5
-    co_await sim.Delay(sim::Seconds(10));
-    EXPECT_TRUE((co_await c.Pause()).ok());
-    co_await sim.Delay(sim::Seconds(100));   // paused: not counted
-    EXPECT_TRUE((co_await c.Unpause()).ok());
-    co_await sim.Delay(sim::Seconds(5));
-  });
-  // 10s before pause + freeze latency margin + 5s after thaw.
-  EXPECT_NEAR(c.TotalRunning().ToSeconds(), 15.0, 0.1);
 }
 
 TEST_F(ContainerTest, FreezerDoubleFreezeFails) {

@@ -38,7 +38,6 @@ struct ControllerBed {
     engine::EngineEnv env{.sim = &bed.sim,
                           .gpu = bed.gpus[0].get(),
                           .storage = &bed.storage,
-                          .runtime = &bed.runtime,
                           .tp_group = {}};
     auto backend = std::make_unique<Backend>(
         bed.sim, entry, spec,

@@ -1,5 +1,5 @@
-// Shared test fixture: a simulated H100 server with storage, container
-// runtime, catalog, and a SwapServe instance built from a config.
+// Shared test fixture: a simulated H100 server with storage and a catalog,
+// plus the config a SwapServe instance is built from.
 
 #pragma once
 
@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "container/runtime.h"
 #include "core/swap_serve.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
@@ -21,8 +20,7 @@ struct TestBed {
   explicit TestBed(int gpu_count = 1)
       : catalog(model::ModelCatalog::Default()),
         host(hw::HostSpec::H100Host()),
-        storage(sim, "nvme", host.disk_read, sim::Seconds(0.1)),
-        runtime(sim, container::ImageRegistry::WithDefaultImages()) {
+        storage(sim, "nvme", host.disk_read, sim::Seconds(0.1)) {
     for (int i = 0; i < gpu_count; ++i) {
       gpus.push_back(std::make_unique<hw::GpuDevice>(
           sim, i, hw::GpuSpec::H100Hbm3_80GB()));
@@ -33,7 +31,6 @@ struct TestBed {
     Hardware hw;
     for (auto& gpu : gpus) hw.gpus.push_back(gpu.get());
     hw.storage = &storage;
-    hw.runtime = &runtime;
     return hw;
   }
 
@@ -62,7 +59,6 @@ struct TestBed {
   hw::HostSpec host;
   std::vector<std::unique_ptr<hw::GpuDevice>> gpus;
   hw::StorageDevice storage;
-  container::ContainerRuntime runtime;
 };
 
 }  // namespace swapserve::core::testing

@@ -1,6 +1,6 @@
-// Cross-engine behaviour: profile rows, cold-start ordering (Fig. 2's
-// shape), memory policies, adopted standbys, and concurrent generation
-// batching.
+// Cross-engine behaviour: profile rows, container boot, cold-start ordering
+// (Fig. 2's shape), memory policies, adopted standbys, and concurrent
+// generation batching.
 
 #include <gtest/gtest.h>
 
@@ -30,13 +30,45 @@ TEST(EngineProfileTest, ConstructsEveryKind) {
   }
 }
 
-TEST(EngineProfileTest, NamesAndImages) {
+TEST(EngineProfileTest, Names) {
   EXPECT_EQ(model::ProfileFor(EngineKind::kVllm).name, "vllm");
-  EXPECT_EQ(model::ProfileFor(EngineKind::kVllm).image,
-            "vllm/vllm-openai:v0.9.2");
-  EXPECT_EQ(model::ProfileFor(EngineKind::kTrtllm).image,
-            "nvcr.io/nvidia/tensorrt-llm:v1.0rc0");
   EXPECT_EQ(BackendStateName(BackendState::kSwappedOut), "swapped-out");
+}
+
+// The row's boot cost is what a cold start's container phase takes, to the
+// nanosecond. A standby that adopts a replicated checkpoint pays none of
+// it: its container is paused from the start, so it can never boot.
+TEST(EngineProfileTest, ColdStartPaysTheRowsBootAndAdoptPaysNone) {
+  const model::ModelSpec spec = model::ModelCatalog::Default()
+                                    .Find("llama-3.2-1b-fp16")
+                                    .value();
+  for (EngineKind kind : kAllKinds) {
+    const model::EngineProfile& row = model::ProfileFor(kind);
+    EngineBed home;
+    InferenceEngine cold(row, home.env(), spec, EngineOptions{}, "home");
+    home.Run([&]() -> sim::Task<> {
+      Result<InitBreakdown> init = co_await cold.ColdStart();
+      EXPECT_TRUE(init.ok()) << row.name;
+      if (!init.ok()) co_return;
+      EXPECT_EQ(init->container_start,
+                row.boot.create_start + row.boot.entrypoint_boot)
+          << row.name;
+    });
+    EXPECT_GT(row.boot.entrypoint_boot, sim::SimDuration(0)) << row.name;
+
+    EngineBed standby;
+    InferenceEngine adopted(row, standby.env(), spec, EngineOptions{},
+                            "standby");
+    ASSERT_TRUE(adopted.AdoptCheckpoint().ok()) << row.name;
+    EXPECT_EQ(adopted.container().state(), container::ContainerState::kPaused)
+        << row.name;
+    standby.Run([&]() -> sim::Task<> {
+      EXPECT_EQ((co_await adopted.container().Start()).code(),
+                StatusCode::kFailedPrecondition)
+          << row.name;
+    });
+    EXPECT_EQ(standby.sim.Now(), sim::SimTime()) << row.name;
+  }
 }
 
 // Only a row with the capability may unload; the others refuse before

@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "container/runtime.h"
 #include "engine/engine.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
@@ -18,14 +17,12 @@ struct EngineBed {
   explicit EngineBed(hw::GpuSpec spec = hw::GpuSpec::H100Hbm3_80GB())
       : catalog(model::ModelCatalog::Default()),
         gpu(sim, 0, std::move(spec)),
-        storage(sim, "nvme", GBps(6), sim::Seconds(0.1)),
-        runtime(sim, container::ImageRegistry::WithDefaultImages()) {}
+        storage(sim, "nvme", GBps(6), sim::Seconds(0.1)) {}
 
   EngineEnv env() {
     return EngineEnv{.sim = &sim,
                      .gpu = &gpu,
                      .storage = &storage,
-                     .runtime = &runtime,
                      .tp_group = {}};
   }
 
@@ -39,7 +36,6 @@ struct EngineBed {
   model::ModelCatalog catalog;
   hw::GpuDevice gpu;
   hw::StorageDevice storage;
-  container::ContainerRuntime runtime;
 };
 
 }  // namespace swapserve::engine::testing

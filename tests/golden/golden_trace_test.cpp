@@ -4,7 +4,8 @@
 // share one H100, each request forcing a full eviction + restore — and
 // serializes the complete observability event stream (span phases, names,
 // categories, tracks, timestamps, args) plus the end-of-run transfer and
-// swap totals into a canonical text form. The result is diffed against a
+// swap totals into a canonical text form, after checking that every layer
+// that counts swaps counts the same number. The result is diffed against a
 // checked-in golden file, so ANY change to the simulator's event ordering
 // or byte accounting shows up as a reviewable textual diff instead of a
 // silent drift.
@@ -58,6 +59,63 @@ void AppendEvent(std::ostringstream& out, const obs::TraceEvent& e) {
   out << '\n';
 }
 
+// One `swapserve_swaps_total` series' count, read without creating it
+// (0 when the run never wrote it).
+std::uint64_t SwapsTotal(const obs::MetricsRegistry& registry,
+                         std::string_view direction,
+                         std::string_view trigger) {
+  const auto family = registry.families().find("swapserve_swaps_total");
+  if (family == registry.families().end()) return 0;
+  const auto series = family->second.series.find(obs::MetricsRegistry::LabelKey(
+      {{"direction", direction}, {"trigger", trigger}}));
+  if (series == family->second.series.end()) return 0;
+  return static_cast<std::uint64_t>(series->second.counter->value());
+}
+
+// The canonical text of a finished run: its event stream, then its
+// completion, swap and transfer totals. Both fig6a scenarios serialize
+// through here. Every swap is counted three times, by core::Metrics, by the
+// checkpoint engine and by the registry's swapserve_swaps_total series;
+// the three must agree on swap-ins, swap-outs and preemptions before the
+// totals are written.
+std::string SerializeGolden(
+    SwapServe& serve, const std::vector<std::unique_ptr<hw::GpuDevice>>& gpus,
+    const hw::StorageDevice& storage) {
+  const Metrics& metrics = serve.metrics();
+  const ckpt::CheckpointEngine& ckpt = serve.ckpt_engine();
+  const obs::MetricsRegistry& registry = serve.obs().metrics;
+  const std::uint64_t preemptions =
+      SwapsTotal(registry, "out", "preemption");
+  EXPECT_EQ(metrics.swap_ins, ckpt.swap_in_count());
+  EXPECT_EQ(metrics.swap_ins, SwapsTotal(registry, "in", "demand"));
+  EXPECT_EQ(metrics.swap_outs, ckpt.swap_out_count());
+  EXPECT_EQ(metrics.swap_outs,
+            SwapsTotal(registry, "out", "explicit") + preemptions);
+  EXPECT_EQ(metrics.preemptions, preemptions);
+
+  std::ostringstream out;
+  out << "# swapserve golden trace v1\n";
+  out << "# scenario: fig6a two-model vllm contention, 2 rounds\n";
+  const std::vector<obs::TraceEvent> events = serve.obs().trace.Snapshot();
+  SWAP_CHECK_MSG(serve.obs().trace.dropped() == 0,
+                 "trace ring wrapped; golden stream is incomplete");
+  for (const obs::TraceEvent& e : events) AppendEvent(out, e);
+  out << "# totals\n";
+  out << "completed=" << metrics.TotalCompleted()
+      << " failed=" << metrics.TotalFailed() + metrics.TotalExpired()
+      << " swap_outs=" << ckpt.swap_out_count()
+      << " swap_ins=" << ckpt.swap_in_count() << '\n';
+  for (std::size_t g = 0; g < gpus.size(); ++g) {
+    out << "gpu" << g << ".h2d="
+        << gpus[g]->pcie().h2d().total_transferred().count() << " gpu" << g
+        << ".d2h=" << gpus[g]->pcie().d2h().total_transferred().count()
+        << '\n';
+  }
+  out << "nvme.read=" << storage.total_read().count()
+      << " nvme.write=" << storage.total_written().count() << '\n';
+  return out.str();
+}
+
 // The fig6a contention scenario, optionally with the snapshot tier armed.
 std::string RunFig6aScenario(double host_cache_mib, bool prefetch) {
   TestBed bed;
@@ -80,28 +138,7 @@ std::string RunFig6aScenario(double host_cache_mib, bool prefetch) {
     serve.Shutdown();
   });
 
-  std::ostringstream out;
-  out << "# swapserve golden trace v1\n";
-  out << "# scenario: fig6a two-model vllm contention, 2 rounds\n";
-  const std::vector<obs::TraceEvent> events = serve.obs().trace.Snapshot();
-  SWAP_CHECK_MSG(serve.obs().trace.dropped() == 0,
-                 "trace ring wrapped; golden stream is incomplete");
-  for (const obs::TraceEvent& e : events) AppendEvent(out, e);
-  out << "# totals\n";
-  out << "completed=" << serve.metrics().TotalCompleted()
-      << " failed="
-      << serve.metrics().TotalFailed() + serve.metrics().TotalExpired()
-      << " swap_outs=" << serve.ckpt_engine().swap_out_count()
-      << " swap_ins=" << serve.ckpt_engine().swap_in_count() << '\n';
-  for (std::size_t g = 0; g < bed.gpus.size(); ++g) {
-    out << "gpu" << g << ".h2d="
-        << bed.gpus[g]->pcie().h2d().total_transferred().count() << " gpu"
-        << g << ".d2h="
-        << bed.gpus[g]->pcie().d2h().total_transferred().count() << '\n';
-  }
-  out << "nvme.read=" << bed.storage.total_read().count()
-      << " nvme.write=" << bed.storage.total_written().count() << '\n';
-  return out.str();
+  return SerializeGolden(serve, bed.gpus, bed.storage);
 }
 
 // The same fig6a scenario, but assembled through the cluster layer with
@@ -131,31 +168,8 @@ std::string RunFig6aCluster() {
   });
   sim.Run();
 
-  SwapServe& serve = fleet.node(0).serve();
-  std::ostringstream out;
-  out << "# swapserve golden trace v1\n";
-  out << "# scenario: fig6a two-model vllm contention, 2 rounds\n";
-  const std::vector<obs::TraceEvent> events = serve.obs().trace.Snapshot();
-  SWAP_CHECK_MSG(serve.obs().trace.dropped() == 0,
-                 "trace ring wrapped; golden stream is incomplete");
-  for (const obs::TraceEvent& e : events) AppendEvent(out, e);
-  out << "# totals\n";
-  out << "completed=" << serve.metrics().TotalCompleted()
-      << " failed="
-      << serve.metrics().TotalFailed() + serve.metrics().TotalExpired()
-      << " swap_outs=" << serve.ckpt_engine().swap_out_count()
-      << " swap_ins=" << serve.ckpt_engine().swap_in_count() << '\n';
-  const auto& gpus = fleet.node(0).gpus();
-  for (std::size_t g = 0; g < gpus.size(); ++g) {
-    out << "gpu" << g << ".h2d="
-        << gpus[g]->pcie().h2d().total_transferred().count() << " gpu" << g
-        << ".d2h=" << gpus[g]->pcie().d2h().total_transferred().count()
-        << '\n';
-  }
-  out << "nvme.read=" << fleet.node(0).storage().total_read().count()
-      << " nvme.write=" << fleet.node(0).storage().total_written().count()
-      << '\n';
-  return out.str();
+  return SerializeGolden(fleet.node(0).serve(), fleet.node(0).gpus(),
+                         fleet.node(0).storage());
 }
 
 std::string ReadFileOrEmpty(const std::string& path) {
