@@ -1,7 +1,11 @@
 #include "core/config.h"
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "fault/fault_points.h"
 #include "model/calibration.h"
@@ -78,59 +82,161 @@ Status RejectRemoved(const json::Value& section, std::string_view name,
   return Status::Ok();
 }
 
+// Levenshtein distance, for suggesting the key a typo meant.
+std::size_t EditDistance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t up = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
+// One JSON object of the config, read key by key. Each read checks the
+// value's type (null reads as absent); Finish() returns the first type
+// error, else rejects the first key nothing read — a typo, or a setting
+// this build does not have — naming the nearest known key within edit
+// distance 2.
+class Section {
+ public:
+  // `path` names the object in errors ("global", "models[0]"); the root's
+  // is empty.
+  Section(const json::Value& object, std::string path)
+      : object_(object), path_(std::move(path)) {}
+
+  bool Bool(std::string_view key, bool fallback) {
+    const json::Value* v = Read(key, json::Type::kBool, "a boolean");
+    return v != nullptr ? v->AsBool() : fallback;
+  }
+  double Double(std::string_view key, double fallback) {
+    const json::Value* v = Read(key, json::Type::kNumber, "a number");
+    return v != nullptr ? v->AsDouble() : fallback;
+  }
+  std::int64_t Int(std::string_view key, std::int64_t fallback) {
+    const json::Value* v = Read(key, json::Type::kNumber, "an integer");
+    if (v == nullptr) return fallback;
+    if (v->AsDouble() != std::trunc(v->AsDouble())) {
+      Fail(Path(key) + " must be an integer");
+      return fallback;
+    }
+    return v->AsInt();
+  }
+  std::string String(std::string_view key, std::string fallback) {
+    const json::Value* v = Read(key, json::Type::kString, "a string");
+    return v != nullptr ? v->AsString() : std::move(fallback);
+  }
+  // A nested object or array; nullptr when absent or of the wrong type.
+  const json::Value* Object(std::string_view key) {
+    return Read(key, json::Type::kObject, "an object");
+  }
+  const json::Value* Array(std::string_view key) {
+    return Read(key, json::Type::kArray, "an array");
+  }
+
+  std::string Path(std::string_view key) const {
+    return path_.empty() ? std::string(key) : path_ + "." + std::string(key);
+  }
+
+  Status Finish() const {
+    if (!status_.ok()) return status_;
+    for (const auto& [key, value] : object_.AsObject()) {
+      if (std::find(known_.begin(), known_.end(), key) != known_.end()) {
+        continue;
+      }
+      std::string message = "config: unknown " +
+                             std::string(path_.empty() ? "section" : "key") +
+                             " \"" + Path(key) + "\"";
+      std::string_view nearest;
+      std::size_t best = 3;
+      for (std::string_view k : known_) {
+        const std::size_t d = EditDistance(key, k);
+        if (d < best) {
+          best = d;
+          nearest = k;
+        }
+      }
+      if (!nearest.empty()) {
+        message += " (did you mean \"" + Path(nearest) + "\"?)";
+      }
+      return InvalidArgument(message);
+    }
+    return Status::Ok();
+  }
+
+ private:
+  const json::Value* Read(std::string_view key, json::Type type,
+                          std::string_view what) {
+    known_.push_back(key);
+    const json::Value* v = object_.Find(key);
+    if (v == nullptr || v->is_null()) return nullptr;
+    if (v->type() != type) {
+      Fail(Path(key) + " must be " + std::string(what));
+      return nullptr;
+    }
+    return v;
+  }
+  void Fail(std::string message) {
+    if (status_.ok()) status_ = InvalidArgument("config: " + message);
+  }
+
+  const json::Value& object_;
+  std::string path_;
+  std::vector<std::string_view> known_;
+  Status status_ = Status::Ok();
+};
+
 }  // namespace
 
 Result<Config> Config::FromJson(const json::Value& doc) {
   if (!doc.is_object()) return InvalidArgument("config: not a JSON object");
   Config cfg;
+  Section root(doc, "");
+  // Owned by bench_e2e, which reads its workload from the same file;
+  // passed through unread.
+  (void)root.Object("bench");
 
-  if (const json::Value* global = doc.Find("global"); global != nullptr) {
-    if (!global->is_object()) {
-      return InvalidArgument("config: \"global\" must be an object");
-    }
-    SWAP_RETURN_IF_ERROR(RejectRemoved(*global, "global", kRemovedGlobal));
-    cfg.global.response_timeout_s =
-        global->GetDouble("response_timeout_s", cfg.global.response_timeout_s);
-    cfg.global.auth_token =
-        global->GetString("auth_token", cfg.global.auth_token);
-    const std::int64_t queue_capacity = global->GetInt(
-        "queue_capacity", static_cast<std::int64_t>(cfg.global.queue_capacity));
+  if (const json::Value* global_doc = root.Object("global")) {
+    SWAP_RETURN_IF_ERROR(RejectRemoved(*global_doc, "global", kRemovedGlobal));
+    Section global(*global_doc, "global");
+    GlobalConfig& g = cfg.global;
+    g.response_timeout_s =
+        global.Double("response_timeout_s", g.response_timeout_s);
+    g.auth_token = global.String("auth_token", g.auth_token);
+    const std::int64_t queue_capacity = global.Int(
+        "queue_capacity", static_cast<std::int64_t>(g.queue_capacity));
     if (queue_capacity < 0) {
       return InvalidArgument("config: global.queue_capacity must be positive "
                              "(got " + std::to_string(queue_capacity) + ")");
     }
-    cfg.global.queue_capacity = static_cast<std::size_t>(queue_capacity);
-    cfg.global.snapshot_budget_gib =
-        global->GetDouble("snapshot_budget_gib", cfg.global.snapshot_budget_gib);
-    cfg.global.monitor_interval_s =
-        global->GetDouble("monitor_interval_s", cfg.global.monitor_interval_s);
-    cfg.global.idle_swap_out_s =
-        global->GetDouble("idle_swap_out_s", cfg.global.idle_swap_out_s);
-    cfg.global.host_cache_mib =
-        global->GetDouble("host_cache_mib", cfg.global.host_cache_mib);
-    cfg.global.snapshot_prefetch =
-        global->GetBool("snapshot_prefetch", cfg.global.snapshot_prefetch);
-    cfg.global.stream_tokens =
-        global->GetBool("stream_tokens", cfg.global.stream_tokens);
-    cfg.global.stream_chunk_tokens = global->GetInt(
-        "stream_chunk_tokens", cfg.global.stream_chunk_tokens);
+    g.queue_capacity = static_cast<std::size_t>(queue_capacity);
+    g.snapshot_budget_gib =
+        global.Double("snapshot_budget_gib", g.snapshot_budget_gib);
+    g.monitor_interval_s =
+        global.Double("monitor_interval_s", g.monitor_interval_s);
+    g.idle_swap_out_s = global.Double("idle_swap_out_s", g.idle_swap_out_s);
+    g.host_cache_mib = global.Double("host_cache_mib", g.host_cache_mib);
+    g.snapshot_prefetch =
+        global.Bool("snapshot_prefetch", g.snapshot_prefetch);
+    g.stream_tokens = global.Bool("stream_tokens", g.stream_tokens);
+    g.stream_chunk_tokens =
+        global.Int("stream_chunk_tokens", g.stream_chunk_tokens);
+    SWAP_RETURN_IF_ERROR(global.Finish());
   }
 
-  if (const json::Value* adm = doc.Find("admission"); adm != nullptr) {
-    if (!adm->is_object()) {
-      return InvalidArgument("config: \"admission\" must be an object");
-    }
+  if (const json::Value* adm_doc = root.Object("admission")) {
+    Section adm(*adm_doc, "admission");
     AdmissionConfig& a = cfg.admission;
-    a.enabled = adm->GetBool("enabled", a.enabled);
-    a.default_budget_s = adm->GetDouble("default_budget_s",
-                                        a.default_budget_s);
-    if (const json::Value* budgets = adm->Find("class_budget_s");
-        budgets != nullptr) {
-      if (!budgets->is_object()) {
-        return InvalidArgument(
-            "config: \"admission.class_budget_s\" must be an object mapping "
-            "SLO class to seconds");
-      }
+    a.enabled = adm.Bool("enabled", a.enabled);
+    a.default_budget_s = adm.Double("default_budget_s", a.default_budget_s);
+    // SLO class -> seconds: the keys are the operator's class names.
+    if (const json::Value* budgets = adm.Object("class_budget_s")) {
       for (const auto& [cls, budget] : budgets->AsObject()) {
         if (!budget.is_number()) {
           return InvalidArgument("config: admission budget for class \"" +
@@ -139,65 +245,57 @@ Result<Config> Config::FromJson(const json::Value& doc) {
         a.class_budget_s[cls] = budget.AsDouble();
       }
     }
-    a.ewma_alpha = adm->GetDouble("ewma_alpha", a.ewma_alpha);
-    a.initial_service_s = adm->GetDouble("initial_service_s",
-                                         a.initial_service_s);
-    a.swap_penalty_s = adm->GetDouble("swap_penalty_s", a.swap_penalty_s);
+    a.ewma_alpha = adm.Double("ewma_alpha", a.ewma_alpha);
+    a.initial_service_s = adm.Double("initial_service_s", a.initial_service_s);
+    a.swap_penalty_s = adm.Double("swap_penalty_s", a.swap_penalty_s);
+    SWAP_RETURN_IF_ERROR(adm.Finish());
   }
 
-  if (const json::Value* fault = doc.Find("fault"); fault != nullptr) {
-    if (!fault->is_object()) {
-      return InvalidArgument("config: \"fault\" must be an object");
-    }
+  if (const json::Value* fault_doc = root.Object("fault")) {
+    Section fault(*fault_doc, "fault");
     cfg.fault.seed = static_cast<std::uint64_t>(
-        fault->GetInt("seed", static_cast<std::int64_t>(cfg.fault.seed)));
-    if (const json::Value* rules = fault->Find("rules"); rules != nullptr) {
-      if (!rules->is_array()) {
-        return InvalidArgument("config: \"fault.rules\" must be an array");
-      }
-      for (const json::Value& entry : rules->AsArray()) {
+        fault.Int("seed", static_cast<std::int64_t>(cfg.fault.seed)));
+    if (const json::Value* rules = fault.Array("rules")) {
+      for (std::size_t i = 0; i < rules->AsArray().size(); ++i) {
+        const json::Value& entry = rules->AsArray()[i];
         if (!entry.is_object()) {
           return InvalidArgument("config: fault rule must be an object");
         }
+        Section rule(entry, "fault.rules[" + std::to_string(i) + "]");
         fault::FaultRule r;
-        r.point = entry.GetString("point", "");
+        r.point = rule.String("point", "");
         if (r.point.empty()) {
           return InvalidArgument("config: fault rule missing \"point\"");
         }
-        r.probability = entry.GetDouble("probability", r.probability);
+        r.probability = rule.Double("probability", r.probability);
         SWAP_ASSIGN_OR_RETURN(
-            r.code, ParseStatusCode(entry.GetString("code", "UNAVAILABLE")));
-        r.message = entry.GetString("message", "");
-        r.stall_s = entry.GetDouble("stall_s", r.stall_s);
-        r.fail = entry.GetBool("fail", r.fail);
-        r.max_fires = entry.GetInt("max_fires", r.max_fires);
-        r.owner = entry.GetString("owner", "");
-        r.arm_after_s = entry.GetDouble("arm_after_s", r.arm_after_s);
+            r.code, ParseStatusCode(rule.String("code", "UNAVAILABLE")));
+        r.message = rule.String("message", "");
+        r.stall_s = rule.Double("stall_s", r.stall_s);
+        r.fail = rule.Bool("fail", r.fail);
+        r.max_fires = rule.Int("max_fires", r.max_fires);
+        r.owner = rule.String("owner", "");
+        r.arm_after_s = rule.Double("arm_after_s", r.arm_after_s);
+        SWAP_RETURN_IF_ERROR(rule.Finish());
         cfg.fault.plan.rules.push_back(std::move(r));
       }
     }
+    SWAP_RETURN_IF_ERROR(fault.Finish());
   }
 
-  if (const json::Value* rec = doc.Find("recovery"); rec != nullptr) {
-    if (!rec->is_object()) {
-      return InvalidArgument("config: \"recovery\" must be an object");
-    }
+  if (const json::Value* rec = root.Object("recovery")) {
     SWAP_RETURN_IF_ERROR(RejectRemoved(*rec, "recovery", kRemovedRecovery));
+    // Every recovery setting is a constant now: any other key is unknown.
+    SWAP_RETURN_IF_ERROR(Section(*rec, "recovery").Finish());
   }
 
-  if (const json::Value* cluster = doc.Find("cluster"); cluster != nullptr) {
-    if (!cluster->is_object()) {
-      return InvalidArgument("config: \"cluster\" must be an object");
-    }
-    SWAP_RETURN_IF_ERROR(RejectRemoved(*cluster, "cluster", kRemovedCluster));
+  if (const json::Value* cluster_doc = root.Object("cluster")) {
+    SWAP_RETURN_IF_ERROR(
+        RejectRemoved(*cluster_doc, "cluster", kRemovedCluster));
+    Section cluster(*cluster_doc, "cluster");
     ClusterConfig& c = cfg.cluster;
-    c.nodes = static_cast<int>(cluster->GetInt("nodes", c.nodes));
-    if (const json::Value* gpus = cluster->Find("node_gpus");
-        gpus != nullptr) {
-      if (!gpus->is_array()) {
-        return InvalidArgument("config: \"cluster.node_gpus\" must be an "
-                               "array of per-node GPU counts");
-      }
+    c.nodes = static_cast<int>(cluster.Int("nodes", c.nodes));
+    if (const json::Value* gpus = cluster.Array("node_gpus")) {
       for (const json::Value& n : gpus->AsArray()) {
         if (!n.is_number()) {
           return InvalidArgument("config: \"cluster.node_gpus\" must be an "
@@ -206,43 +304,46 @@ Result<Config> Config::FromJson(const json::Value& doc) {
         c.node_gpus.push_back(static_cast<int>(n.AsInt()));
       }
     }
-    c.replicate = static_cast<int>(cluster->GetInt("replicate", c.replicate));
-    c.placement = cluster->GetString("placement", c.placement);
+    c.replicate = static_cast<int>(cluster.Int("replicate", c.replicate));
+    c.placement = cluster.String("placement", c.placement);
     c.heartbeat_interval_s =
-        cluster->GetDouble("heartbeat_interval_s", c.heartbeat_interval_s);
-    c.suspect_after_s =
-        cluster->GetDouble("suspect_after_s", c.suspect_after_s);
-    c.down_after_s = cluster->GetDouble("down_after_s", c.down_after_s);
-    c.node_restart_s =
-        cluster->GetDouble("node_restart_s", c.node_restart_s);
+        cluster.Double("heartbeat_interval_s", c.heartbeat_interval_s);
+    c.suspect_after_s = cluster.Double("suspect_after_s", c.suspect_after_s);
+    c.down_after_s = cluster.Double("down_after_s", c.down_after_s);
+    c.node_restart_s = cluster.Double("node_restart_s", c.node_restart_s);
     c.repair_concurrency = static_cast<int>(
-        cluster->GetInt("repair_concurrency", c.repair_concurrency));
+        cluster.Int("repair_concurrency", c.repair_concurrency));
     c.repair_interval_s =
-        cluster->GetDouble("repair_interval_s", c.repair_interval_s);
+        cluster.Double("repair_interval_s", c.repair_interval_s);
+    SWAP_RETURN_IF_ERROR(cluster.Finish());
   }
 
-  const json::Value* models = doc.Find("models");
-  if (models == nullptr || !models->is_array()) {
+  const json::Value* models = root.Array("models");
+  SWAP_RETURN_IF_ERROR(root.Finish());
+  if (models == nullptr) {
     return InvalidArgument("config: missing \"models\" array");
   }
-  for (const json::Value& entry : models->AsArray()) {
+  for (std::size_t i = 0; i < models->AsArray().size(); ++i) {
+    const json::Value& entry = models->AsArray()[i];
     if (!entry.is_object()) {
       return InvalidArgument("config: model entry must be an object");
     }
     SWAP_RETURN_IF_ERROR(RejectRemoved(entry, "models[]", kRemovedModel));
+    Section section(entry, "models[" + std::to_string(i) + "]");
     ModelEntry m;
-    m.model_id = entry.GetString("model", "");
+    m.model_id = section.String("model", "");
     if (m.model_id.empty()) {
       return InvalidArgument("config: model entry missing \"model\"");
     }
-    m.engine = entry.GetString("engine", "vllm");
+    m.engine = section.String("engine", "vllm");
     m.gpu_memory_utilization =
-        entry.GetDouble("gpu_memory_utilization", m.gpu_memory_utilization);
-    m.init_timeout_s = entry.GetDouble("init_timeout_s", m.init_timeout_s);
-    m.sleep_mode = entry.GetBool("sleep_mode", m.sleep_mode);
-    m.gpu = static_cast<int>(entry.GetInt("gpu", 0));
-    m.tp = static_cast<int>(entry.GetInt("tp", 1));
-    m.node = static_cast<int>(entry.GetInt("node", 0));
+        section.Double("gpu_memory_utilization", m.gpu_memory_utilization);
+    m.init_timeout_s = section.Double("init_timeout_s", m.init_timeout_s);
+    m.sleep_mode = section.Bool("sleep_mode", m.sleep_mode);
+    m.gpu = static_cast<int>(section.Int("gpu", 0));
+    m.tp = static_cast<int>(section.Int("tp", 1));
+    m.node = static_cast<int>(section.Int("node", 0));
+    SWAP_RETURN_IF_ERROR(section.Finish());
     cfg.models.push_back(std::move(m));
   }
   return cfg;

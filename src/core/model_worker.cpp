@@ -90,23 +90,6 @@ sim::Task<> ModelWorker::Run() {
   }
 }
 
-void ModelWorker::StreamRelay::Send(std::int64_t tokens) {
-  ResponseChunk chunk;
-  chunk.kind = streamed_tokens == 0 ? ResponseChunk::Kind::kFirstToken
-                                    : ResponseChunk::Kind::kTokens;
-  chunk.token_count = tokens;
-  streamed_tokens += tokens;
-  (void)item->response->TrySend(std::move(chunk));
-  if (worker->obs_ != nullptr) {
-    if (worker->stream_chunks_ == nullptr) {
-      worker->stream_chunks_ = &worker->obs_->metrics.GetCounter(
-          "swapserve_stream_chunks_total",
-          {{"model", worker->backend_.name()}});
-    }
-    worker->stream_chunks_->Increment();
-  }
-}
-
 sim::Task<> ModelWorker::Relay(QueuedRequest item) {
   // Run() counted this relay; it ends when the frame does, whichever way
   // it returns.
@@ -148,18 +131,14 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
       .temperature = item.request.temperature,
       .seed = item.request.seed,
   };
-  // SSE streaming (§16): relay each decode chunk to the client as it is
-  // produced. Only wired when both the server and the request opted in —
-  // an unset callback keeps the engine on its single-delay decode, so
-  // non-streaming schedules are byte-identical to the pre-streaming code.
-  // The callback captures one pointer to this frame's relay state, which
-  // fits std::function's inline buffer: relaying does not allocate.
-  StreamRelay stream{.worker = this, .item = &item};
+  // SSE streaming (§16): the engine hands the response channel its chunk
+  // schedule, and the client reads each chunk as it falls due. Only wired
+  // when both the server and the request opted in.
+  ResponseChannel& response = *item.response;
   if (stream_enabled_ && item.request.stream) {
+    gen.stream = &response;
     gen.stream_chunk_tokens = stream_chunk_tokens_;
-    gen.on_tokens = [relay = &stream](std::int64_t tokens) {
-      relay->Send(tokens);
-    };
+    response.CountChunksIn(&stream_chunks_);
   }
   const double serve_start_s = sim_.Now().ToSeconds();
   Result<engine::GenerationResult> result =
@@ -167,7 +146,7 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
   pin->Release();
 
   if (!result.ok()) {
-    if (stream.streamed_tokens > 0) {
+    if (response.streamed_tokens() > 0) {
       // Tokens already reached the client; a retry would replay them.
       // The failure is terminal for this request, exactly like a real
       // server that cannot un-send part of an SSE stream.
@@ -190,7 +169,7 @@ sim::Task<> ModelWorker::Relay(QueuedRequest item) {
                         result->time_to_first_token.ToSeconds();
   const double total_s = sim_.Now().ToSeconds() - arrival;
 
-  if (stream.streamed_tokens == 0) {
+  if (response.streamed_tokens() == 0) {
     ResponseChunk first;
     first.kind = ResponseChunk::Kind::kFirstToken;
     first.token_count = 1;

@@ -56,7 +56,7 @@ class ModelWorker {
   void BindObservability(obs::Observability* obs) {
     obs_ = obs;
     queue_wait_ = nullptr;
-    stream_chunks_ = nullptr;
+    stream_chunks_ = {.obs = obs, .model = backend_.name()};
     backend_.queue_depth_gauge = nullptr;
   }
 
@@ -70,11 +70,11 @@ class ModelWorker {
   void ConfigureRecovery(std::uint64_t seed) { rng_ = sim::Rng(seed); }
 
   // SSE-style token streaming (§16): when enabled and the request asked
-  // for a stream, the engine's decode is split into chunk_tokens-sized
-  // slices and each slice is relayed to the response channel as it is
-  // produced, instead of one burst at completion. Default off — the
-  // non-streaming schedule (one decode delay, three chunks at the end)
-  // is the golden-trace baseline.
+  // for a stream, the engine hands the response channel its decode's
+  // schedule in chunk_tokens-sized slices, which the client reads as each
+  // falls due, instead of one burst at completion. Default off — the
+  // non-streaming schedule (three chunks at the end) is the golden-trace
+  // baseline.
   void ConfigureStreaming(bool enabled, std::int64_t chunk_tokens) {
     stream_enabled_ = enabled;
     stream_chunk_tokens_ = chunk_tokens;
@@ -87,16 +87,6 @@ class ModelWorker {
   }
 
  private:
-  // One request's token stream, on its Relay coroutine's frame: the
-  // engine's on_tokens callback holds only a pointer to it.
-  struct StreamRelay {
-    ModelWorker* worker = nullptr;
-    QueuedRequest* item = nullptr;
-    std::int64_t streamed_tokens = 0;
-    // Forward one decode chunk of `tokens` to the client.
-    void Send(std::int64_t tokens);
-  };
-
   sim::Task<> Run();
   sim::Task<> Relay(QueuedRequest item);
   // Requeue `item` after a jittered backoff when `status` is retryable and
@@ -125,7 +115,7 @@ class ModelWorker {
   obs::Observability* obs_ = nullptr;
   // Per-request instruments, resolved on first write.
   obs::HistogramMetric* queue_wait_ = nullptr;
-  obs::Counter* stream_chunks_ = nullptr;
+  ChunkCounter stream_chunks_;
   bool running_ = false;
   bool paused_ = false;
   sim::SimEvent resumed_;

@@ -64,7 +64,7 @@ Result<ResponseChannelPtr> RequestHandler::Accept(
 
   // Metadata stamps (§4.1): arrival time and backend utilization tracking.
   // Only the numbers are queued; the names stay with the caller.
-  auto channel = std::make_shared<ResponseChannel>(sim_, /*capacity=*/128);
+  auto channel = std::make_shared<ResponseChannel>(sim_);
   QueuedRequest item{.request = request, .response = channel};
   RequestParams& params = item.request;
   if (params.id == 0) params.id = NextRequestId();

@@ -8,7 +8,7 @@
 #include <string_view>
 #include <type_traits>
 
-#include "sim/channel.h"
+#include "core/response_channel.h"
 #include "sim/time.h"
 
 namespace swapserve::core {
@@ -43,30 +43,8 @@ struct InferenceRequest : RequestParams {
   std::string_view slo_class;
 };
 
-struct ResponseChunk {
-  enum class Kind { kFirstToken, kTokens, kDone, kError };
-  Kind kind = Kind::kTokens;
-  std::int64_t token_count = 0;
-
-  // Completion summary, carried on kDone.
-  double ttft_s = 0;        // arrival -> first token (incl. queue + swap)
-  double total_s = 0;       // arrival -> last token
-  double swap_wait_s = 0;   // part of ttft spent waiting for swap-in
-};
-
-// Both travel by copy through channels on every hop.
+// Travels by copy through channels on every hop.
 static_assert(std::is_trivially_copyable_v<RequestParams>);
-static_assert(std::is_trivially_copyable_v<ResponseChunk>);
-
-// Streamed back to the client; closed after kDone/kError. The one
-// kError chunk a stream can end with carries no text: whoever sends it
-// sets `error` first, and the reader takes the text from the channel.
-class ResponseChannel : public sim::Channel<ResponseChunk> {
- public:
-  using Channel::Channel;
-  std::string error;
-};
-using ResponseChannelPtr = std::shared_ptr<ResponseChannel>;
 
 // What the request handler enqueues per backend (§3.1: "encapsulates the
 // inference request, response channel, and relevant metadata").

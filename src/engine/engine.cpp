@@ -174,44 +174,43 @@ sim::Task<Result<GenerationResult>> InferenceEngine::Generate(
   const double prefill_s =
       prefill_flops * tp_comm_derate /
       (tp * gpu().spec().fp16_tflops * 1e12 * profile_.prefill_efficiency);
-  {
-    const hw::GpuDevice::BusyScope busy(gpus);
-    co_await sim().Delay(sim::Seconds(prefill_s));
-  }
-  if (restart_epoch_ != epoch) {
-    co_return Internal("backend " + name() + " crashed mid-request");
-  }
-  const sim::SimDuration ttft = sim().Now() - start;
+  const sim::SimTime first_token_at = sim().Now() + sim::Seconds(prefill_s);
+  const sim::SimDuration ttft = first_token_at - start;
 
   // Decode: memory-bandwidth-bound. Each step streams the (sharded)
   // weights once; concurrent requests share the pass (continuous
   // batching), so per-request token latency stays ~constant while
-  // aggregate throughput scales with the batch.
+  // aggregate throughput scales with the batch. One sleep covers prefill
+  // and decode, ending where a prefill Delay followed by one decode Delay
+  // (or one Delay per streamed chunk) would.
   const double token_s =
       static_cast<double>(model_.WeightBytes().count()) * tp_comm_derate /
       (tp * gpu().spec().hbm_bandwidth.bytes_per_sec() *
        profile_.decode_efficiency);
+  sim::SimTime end = first_token_at;
   if (req.output_tokens > 0) {
-    const hw::GpuDevice::BusyScope busy(gpus);
-    if (!req.on_tokens) {
-      // Non-streaming: one event for the whole decode, exactly the
-      // schedule older builds produced.
-      co_await sim().Delay(
-          sim::Seconds(token_s * static_cast<double>(req.output_tokens)));
+    if (req.stream == nullptr) {
+      end += sim::Seconds(token_s * static_cast<double>(req.output_tokens));
     } else {
-      const std::int64_t chunk = std::max<std::int64_t>(
-          1, req.stream_chunk_tokens);
-      std::int64_t remaining = req.output_tokens;
-      while (remaining > 0) {
-        const std::int64_t n = std::min(chunk, remaining);
-        co_await sim().Delay(sim::Seconds(token_s * static_cast<double>(n)));
-        if (restart_epoch_ != epoch) {
-          co_return Internal("backend " + name() + " crashed mid-request");
-        }
-        remaining -= n;
-        req.on_tokens(n);
-      }
+      const TokenSchedule schedule{
+          .first_token_at = first_token_at,
+          .token_s = token_s,
+          .chunk_tokens = std::max<std::int64_t>(1, req.stream_chunk_tokens),
+          .total_tokens = req.output_tokens,
+      };
+      end = schedule.End();
+      req.stream->Begin(schedule);
     }
+  }
+  {
+    const hw::GpuDevice::BusyScope busy(gpus);
+    sim::Simulation::DelayAwaiter timer = sim().WaitUntil(end);
+    Sleeper sleeper{&timer, first_token_at, end, req.stream};
+    const bool sleeps = timer.delay.ns() > 0;
+    if (sleeps) Track(sleeper);
+    co_await timer;
+    // A crash unlinked every sleeper it moved.
+    if (sleeps && restart_epoch_ == epoch) Untrack(sleeper);
   }
   if (restart_epoch_ != epoch) {
     co_return Internal("backend " + name() + " crashed mid-request");
@@ -380,8 +379,31 @@ void InferenceEngine::SetState(BackendState to) {
   if (residency_changed && on_residency_) on_residency_();
 }
 
+void InferenceEngine::Track(Sleeper& s) {
+  s.prev = sleepers_tail_;
+  s.next = nullptr;
+  (sleepers_tail_ != nullptr ? sleepers_tail_->next : sleepers_head_) = &s;
+  sleepers_tail_ = &s;
+}
+
+void InferenceEngine::Untrack(Sleeper& s) {
+  (s.prev != nullptr ? s.prev->next : sleepers_head_) = s.next;
+  (s.next != nullptr ? s.next->prev : sleepers_tail_) = s.prev;
+}
+
 void InferenceEngine::MarkCrashed(std::string_view reason) {
   if (state_ == BackendState::kCrashed) return;
+  // Wake every sleeping request where its epoch check used to be, before
+  // anything else is queued at this instant. A crash at the prefill end
+  // itself counts as before it.
+  for (Sleeper* s = sleepers_head_; s != nullptr; s = s->next) {
+    const sim::SimTime wake =
+        s->stream != nullptr               ? s->stream->Cut()
+        : sim().Now() <= s->first_token_at ? s->first_token_at
+                                           : s->end;
+    if (wake != s->end) sim().Reschedule(*s->timer, wake);
+  }
+  sleepers_head_ = sleepers_tail_ = nullptr;
   // The driver releases every device allocation of a dead process.
   Bytes freed(0);
   for (hw::GpuDevice* dev : Gpus()) freed += dev->FreeAllOwnedBy(name_);

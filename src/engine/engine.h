@@ -19,6 +19,7 @@
 
 #include "ckpt/cuda_checkpoint.h"
 #include "container/container.h"
+#include "engine/token_stream.h"
 #include "fault/fault_injector.h"
 #include "hw/gpu_device.h"
 #include "hw/link.h"
@@ -79,14 +80,10 @@ struct GenerationRequest {
   std::int64_t output_tokens = 0;  // pre-sampled ground-truth length
   double temperature = 0.0;        // paper sets 0 for determinism
   std::uint64_t seed = 0;
-  // SSE token streaming (§16): when set, the decode phase is split into
-  // chunks of `stream_chunk_tokens` tokens and the callback fires after
-  // each chunk's delay elapses. When null (the default) decode stays one
-  // event, so non-streaming schedules are byte-identical to older builds.
-  // Callers keep the callable to one pointer of captures, so it fits
-  // std::function's inline buffer and a streamed request does not
-  // allocate for it.
-  std::function<void(std::int64_t tokens)> on_tokens = nullptr;
+  // SSE token streaming (§16): when set, the decode's schedule in chunks
+  // of `stream_chunk_tokens` goes to this sink once, and its reader walks
+  // it. The engine sleeps once per request either way.
+  TokenSink* stream = nullptr;
   std::int64_t stream_chunk_tokens = 16;
 };
 
@@ -142,9 +139,13 @@ class InferenceEngine final {
   // The engine process died (injected crash, declared-dead hang, or node
   // power loss). Frees all device memory the driver held for it, aborts
   // in-flight Generate coroutines via the restart epoch, and resets the
-  // checkpoint handle. The engine controller brings it back on its next
-  // request, under the scheduler's reservation: from the snapshot if one
-  // survived (ReadoptCheckpoint), else by Restart.
+  // checkpoint handle. Each sleeping Generate is moved to where a
+  // per-phase, per-chunk decode would have found the epoch changed: its
+  // prefill end if that has not passed, else its first streamed chunk not
+  // yet out (the stream is cut there), else its end. The engine
+  // controller brings it back on its next request, under the scheduler's
+  // reservation: from the snapshot if one survived (ReadoptCheckpoint),
+  // else by Restart.
   void MarkCrashed(std::string_view reason);
 
   // Re-initialize after a crash (weights reload inside the existing
@@ -236,6 +237,19 @@ class InferenceEngine final {
   const hw::GpuDevice& gpu() const { return *env_.gpu; }
   hw::StorageDevice& storage() { return *env_.storage; }
 
+  // One Generate asleep on its single timer, linked while it sleeps:
+  // what MarkCrashed moves.
+  struct Sleeper {
+    sim::Simulation::DelayAwaiter* timer;
+    sim::SimTime first_token_at;
+    sim::SimTime end;
+    TokenSink* stream;
+    Sleeper* prev = nullptr;
+    Sleeper* next = nullptr;
+  };
+  void Track(Sleeper& s);
+  void Untrack(Sleeper& s);
+
   // The only writer of state_: calls the residency handler.
   void SetState(BackendState to);
 
@@ -265,6 +279,9 @@ class InferenceEngine final {
   std::uint64_t total_requests_ = 0;
   std::uint64_t restart_epoch_ = 0;
   std::uint64_t crash_count_ = 0;
+  // Sleeping Generates, oldest first.
+  Sleeper* sleepers_head_ = nullptr;
+  Sleeper* sleepers_tail_ = nullptr;
 };
 
 }  // namespace swapserve::engine

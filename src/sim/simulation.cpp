@@ -90,6 +90,56 @@ void Simulation::Redistribute() {
   }
 }
 
+void Simulation::Reschedule(DelayAwaiter& sleeper, SimTime at) {
+  SWAP_CHECK_MSG(at >= now_, "cannot reschedule before Now()");
+  Unlink(&sleeper.entry);
+  Enqueue(at.ns(), &sleeper.entry);
+}
+
+void Simulation::Cancel(DelayAwaiter& sleeper) { Unlink(&sleeper.entry); }
+
+void Simulation::Unlink(detail::TimerEntry* e) {
+  const std::uint64_t diff = static_cast<std::uint64_t>(e->at_ns ^ ref_ns_);
+  Bucket* bucket = &current_;
+  Slot* slot = nullptr;
+  int level = 0;
+  int digit = 0;
+  if (diff != 0) {
+    level = (63 - std::countl_zero(diff)) / kDigitBits;
+    digit = static_cast<int>(
+        (static_cast<std::uint64_t>(e->at_ns) >> (level * kDigitBits)) &
+        (kDigits - 1));
+    slot = &slots_[level][digit];
+    bucket = &slot->bucket;
+  }
+  detail::TimerEntry* prev = nullptr;
+  detail::TimerEntry* cur = bucket->head;
+  while (cur != e) {
+    SWAP_CHECK_MSG(cur != nullptr, "timer is not queued");
+    prev = cur;
+    cur = cur->next;
+  }
+  if (prev == nullptr) {
+    bucket->head = e->next;
+  } else {
+    prev->next = e->next;
+  }
+  if (bucket->tail == e) bucket->tail = prev;
+  e->next = nullptr;
+  if (slot == nullptr) return;
+  if (bucket->head == nullptr) {
+    digit_occ_[level] &= ~(std::uint64_t{1} << digit);
+    if (digit_occ_[level] == 0) level_occ_ &= ~(1u << level);
+  } else if (e->at_ns == slot->min) {
+    // Redistribute makes the minimum the current instant: it must be a
+    // timestamp still in the bucket.
+    slot->min = bucket->head->at_ns;
+    for (cur = bucket->head->next; cur != nullptr; cur = cur->next) {
+      if (cur->at_ns < slot->min) slot->min = cur->at_ns;
+    }
+  }
+}
+
 void Simulation::DispatchHead() {
   detail::TimerEntry* e = current_.head;
   const auto next = e->next;

@@ -233,6 +233,17 @@ class Simulation {
 
   // Suspend the current coroutine for `delay` of virtual time.
   DelayAwaiter Delay(SimDuration delay) { return DelayAwaiter{this, delay}; }
+
+  // Move a suspended Delay/WaitUntil (the awaiter its coroutine is parked
+  // on, which must still be queued) to `at` >= Now(). It lands behind every
+  // event already queued for `at`, as if first filed now. An O(bucket)
+  // unlink (DESIGN.md §13): only a crash moves a sleeper, so no timer pays
+  // for a back link.
+  void Reschedule(DelayAwaiter& sleeper, SimTime at);
+  // Take a suspended Delay/WaitUntil off the queue without resuming it;
+  // its owner resumes the coroutine some other way (or re-arms the
+  // awaiter). Same cost as Reschedule.
+  void Cancel(DelayAwaiter& sleeper);
   // Suspend until the absolute virtual time `at`. A deadline already in the
   // past means "resume now": the clamp happens here, at construction, so a
   // negative SimDuration is never formed.
@@ -371,6 +382,11 @@ class Simulation {
       bucket.tail = e;
     }
   }
+
+  // Unlink a queued entry from the list holding it (found from its at_ns,
+  // as FileEntry filed it), keeping the bucket's cached minimum and the
+  // occupancy bits true.
+  void Unlink(detail::TimerEntry* e);
 
   // Move the lowest non-empty bucket's events down, making its minimum
   // timestamp the new current instant. Pre: current_ empty, level_occ_ != 0.

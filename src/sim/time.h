@@ -62,6 +62,10 @@ class SimTime {
   friend constexpr SimDuration operator-(SimTime a, SimTime b) {
     return SimDuration(a.ns() - b.ns());
   }
+  constexpr SimTime& operator+=(SimDuration d) {
+    ns_ += d.ns();
+    return *this;
+  }
 
   std::string ToString() const;
 

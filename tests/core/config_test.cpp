@@ -119,6 +119,75 @@ TEST(ConfigTest, RemovedKeysFailLoudly) {
   }
 }
 
+// A misspelled key or section, or a value of the wrong type, fails at load
+// naming its path, instead of loading as the default. Each row is one
+// config and the text its error must contain.
+TEST(ConfigTest, TyposAndWrongTypesFailAtLoad) {
+  struct Case {
+    std::string config, error;
+  };
+  const Case cases[] = {
+      // The four probes that used to load as the defaults.
+      {R"({"global": {"snapshot_prefech": true}, "models": [{"model": "m"}]})",
+       R"(unknown key "global.snapshot_prefech" (did you mean )"
+       R"("global.snapshot_prefetch"?))"},
+      {R"({"globl": {"snapshot_prefetch": true}, "models": [{"model": "m"}]})",
+       R"(unknown section "globl" (did you mean "global"?))"},
+      {R"({"global": {"snapshot_prefetch": "yes"},)"
+       R"( "models": [{"model": "m"}]})",
+       "global.snapshot_prefetch must be a boolean"},
+      {R"({"global": {"host_cache_mib": "lots"}, "models": [{"model": "m"}]})",
+       "global.host_cache_mib must be a number"},
+      // Every section and list entry is closed.
+      {R"({"models": [{"model": "m", "engnie": "vllm"}]})",
+       R"(unknown key "models[0].engnie" (did you mean "models[0].engine"?))"},
+      {R"({"models": [{"model": "m"}, {"model": "n", "gpu": 1.5}]})",
+       "models[1].gpu must be an integer"},
+      {R"({"cluster": {"nodse": 2}, "models": [{"model": "m"}]})",
+       R"(unknown key "cluster.nodse" (did you mean "cluster.nodes"?))"},
+      {R"({"fault": {"rules": [{"point": "engine.crash", "probabilty": 1}]},
+           "models": [{"model": "m"}]})",
+       R"(unknown key "fault.rules[0].probabilty" (did you mean )"
+       R"("fault.rules[0].probability"?))"},
+      {R"({"admission": {"enabled": 1}, "models": [{"model": "m"}]})",
+       "admission.enabled must be a boolean"},
+      {R"({"recovery": {"retries": 3}, "models": [{"model": "m"}]})",
+       R"(unknown key "recovery.retries")"},
+      // No known key within edit distance 2: no suggestion.
+      {R"({"global": {"colour": "blue"}, "models": [{"model": "m"}]})",
+       R"(unknown key "global.colour")"},
+      {R"({"global": 3, "models": [{"model": "m"}]})",
+       "global must be an object"},
+      {R"({"models": {}})", "models must be an array"},
+  };
+  for (const Case& c : cases) {
+    auto cfg = Config::FromJsonText(c.config);
+    ASSERT_FALSE(cfg.ok()) << c.config;
+    EXPECT_EQ(cfg.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(cfg.status().message().find(c.error), std::string::npos)
+        << cfg.status() << "\n  want: " << c.error;
+  }
+  auto far = Config::FromJsonText(
+      R"({"global": {"colour": "blue"}, "models": [{"model": "m"}]})");
+  EXPECT_EQ(far.status().message().find("did you mean"), std::string::npos)
+      << far.status();
+}
+
+// The top-level "bench" section belongs to bench_e2e, which reads the
+// file: the server passes it through unread, whatever it holds.
+TEST(ConfigTest, BenchSectionPassesThroughUnread) {
+  auto cfg = Config::FromJsonText(R"({
+    "bench": {"name": "w", "entry": "router", "anything": [1, {"x": 2}]},
+    "global": {"stream_tokens": true},
+    "models": [{"model": "m"}]
+  })");
+  ASSERT_TRUE(cfg.ok()) << cfg.status();
+  EXPECT_TRUE(cfg->global.stream_tokens);
+  EXPECT_FALSE(Config::FromJsonText(
+                   R"({"bench": 1, "models": [{"model": "m"}]})")
+                   .ok());
+}
+
 class ValidateTest : public ::testing::Test {
  protected:
   model::ModelCatalog catalog = model::ModelCatalog::Default();

@@ -2,17 +2,18 @@
 //
 // The binary replaces the global allocator with a counting shim. A warm
 // SwapServe serves a resident model, whose name is too long for the
-// string's inline buffer, through two entry points: ChatAndWait with a
-// borrowed name, and the OpenAI router with a tenant and an SLO class
-// under admission control. Once warm, a request may allocate its response
-// channel and nothing else: every name is borrowed and read once, at
-// RequestHandler::Accept, and only the request's numbers are queued; the
-// queue, the relay and the completion record borrow the backend. The only
-// other growth is amortized: a new chunk of a per-model Samples, whose
-// capacity doubles with each chunk up to 4096 values. Past that, a full
-// chunk is sealed when the next value arrives, and a seal also makes one
-// allocation: the packed block (its raw buffer becomes the next chunk), or
-// the next chunk when the full one stays raw.
+// string's inline buffer, through three entry points: ChatAndWait with a
+// borrowed name, RequestHandler::Accept with a streamed reply, and the
+// OpenAI router with a tenant and an SLO class under admission control.
+// Once warm, a request may allocate its response channel and nothing else:
+// every name is borrowed and read once, at RequestHandler::Accept, and only
+// the request's numbers are queued; the queue, the relay and the
+// completion record borrow the backend. The only other growth is
+// amortized: a new chunk of a per-model Samples, whose capacity doubles
+// with each chunk up to 4096 values. Past that, a full chunk is sealed
+// when the next value arrives, and a seal also makes one allocation: the
+// packed block (its raw buffer becomes the next chunk), or the next chunk
+// when the full one stays raw.
 //
 // Under asan/tsan the counting shim is compiled out (the sanitizer runtime
 // owns operator new), as in tests/sim/alloc_test.cpp, and so is the frame
@@ -118,6 +119,51 @@ TEST(RequestAllocTest, ResidentRequestAllocatesOnlyItsResponseChannel) {
   EXPECT_EQ(ok, kWarm + kRequests);
   EXPECT_EQ(serve.metrics().ForModel(kModel).completed,
             static_cast<std::uint64_t>(kWarm + kRequests));
+  ExpectOnlyResponseChannels(counted);
+}
+
+// A streamed reply in 16-token chunks: its chunk schedule and the timer the
+// client's reader sleeps on live in the response channel, so streaming
+// allocates nothing beyond the channel either.
+TEST(RequestAllocTest, StreamedRequestAllocatesOnlyItsResponseChannel) {
+  TestBed bed;
+  Config cfg = bed.MakeConfig({{kModel, "ollama"}});
+  cfg.global.stream_tokens = true;
+  cfg.global.stream_chunk_tokens = 16;
+  SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
+  int ok = 0;
+  std::int64_t tokens = 0;
+  std::uint64_t counted = 0;
+
+  bed.RunTask([&]() -> sim::Task<> {
+    EXPECT_TRUE((co_await serve.Initialize()).ok());
+    EXPECT_TRUE((co_await serve.SwapIn(kModel)).ok());
+    for (int i = 0; i < kWarm + kRequests; ++i) {
+      const std::uint64_t before = g_alloc_count;
+      InferenceRequest request;
+      request.model = kModel;
+      request.prompt_tokens = 128;
+      request.max_tokens = 64;
+      request.stream = true;
+      Result<ResponseChannelPtr> ch = serve.handler().Accept(request);
+      EXPECT_TRUE(ch.ok()) << ch.status();
+      if (!ch.ok()) break;
+      ChatResult r = co_await SwapServe::CollectResponse(std::move(*ch));
+      if (r.ok) ++ok;
+      tokens += r.output_tokens;
+      if (i >= kWarm) counted += g_alloc_count - before;
+    }
+    serve.Shutdown();
+  });
+
+  EXPECT_EQ(ok, kWarm + kRequests);
+  EXPECT_EQ(tokens, 64 * (kWarm + kRequests));
+  // Four 16-token chunks per reply reached the client.
+  const obs::MetricsRegistry::Family& chunks =
+      serve.obs().metrics.families().at("swapserve_stream_chunks_total");
+  ASSERT_EQ(chunks.series.size(), 1u);
+  EXPECT_DOUBLE_EQ(chunks.series.begin()->second.counter->value(),
+                   4.0 * (kWarm + kRequests));
   ExpectOnlyResponseChannels(counted);
 }
 

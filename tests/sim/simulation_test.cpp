@@ -189,5 +189,137 @@ TEST(SimulationTest, ZeroDelayFiresAtCurrentTime) {
   EXPECT_DOUBLE_EQ(fire_time, 2.0);
 }
 
+// --- Moving a suspended sleeper (Reschedule / Cancel) ----------------------
+
+// A coroutine asleep on a named awaiter, so a test can move or cancel it;
+// it logs `id` when it wakes.
+struct Sleeper {
+  Simulation::DelayAwaiter* timer = nullptr;
+  std::int64_t woke_ns = -1;
+};
+
+Task<> SleepFor(Simulation* sim, SimDuration d, Sleeper* s,
+                std::vector<int>* order, int id) {
+  Simulation::DelayAwaiter timer = sim->Delay(d);
+  s->timer = &timer;
+  co_await timer;
+  s->timer = nullptr;
+  s->woke_ns = sim->Now().ns();
+  order->push_back(id);
+}
+
+TEST(RescheduleTest, EarlierInstantInALowerBucket) {
+  Simulation sim;
+  std::vector<int> order;
+  Sleeper s;
+  sim.Go(SleepFor(&sim, Seconds(1000), &s, &order, 1));
+  sim.Schedule(Seconds(500), [&] { order.push_back(2); });
+  sim.Schedule(Seconds(1), [&] {
+    // From a top-level bucket down to one 1 s away.
+    sim.Reschedule(*s.timer, sim.Now() + Seconds(1));
+  });
+  sim.Run();
+  EXPECT_EQ(s.woke_ns, Seconds(2).ns());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.Now(), SimTime(Seconds(500).ns()));
+}
+
+TEST(RescheduleTest, ToNowLandsBehindEventsQueuedForNow) {
+  Simulation sim;
+  std::vector<int> order;
+  Sleeper s;
+  sim.Go(SleepFor(&sim, Seconds(10), &s, &order, 9));
+  sim.Schedule(Seconds(1), [&] {
+    order.push_back(0);
+    sim.Schedule(SimDuration(0), [&] { order.push_back(2); });
+    sim.Reschedule(*s.timer, sim.Now());
+    sim.Schedule(SimDuration(0), [&] { order.push_back(3); });
+  });
+  // Already queued for the instant before the move.
+  sim.Schedule(Seconds(1), [&] { order.push_back(1); });
+  sim.Run();
+  EXPECT_EQ(s.woke_ns, Seconds(1).ns());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9, 3}));
+}
+
+TEST(RescheduleTest, MovingABucketMinimumKeepsTheBucketDispatchable) {
+  // 1000 ns and 1010 ns share the level-1 bucket of digit 15; the first is
+  // its minimum. Moving it away must leave the bucket's cached minimum on
+  // an entry it still holds, or Redistribute would open an empty instant.
+  Simulation sim;
+  std::vector<int> order;
+  Sleeper min;
+  Sleeper other;
+  sim.Go(SleepFor(&sim, SimDuration(1000), &min, &order, 1));
+  sim.Go(SleepFor(&sim, SimDuration(1010), &other, &order, 2));
+  sim.Reschedule(*min.timer, SimTime(5000));
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(other.woke_ns, 1010);
+  EXPECT_EQ(min.woke_ns, 5000);
+
+  // The same bucket with its minimum moved earlier, into a lower level.
+  Simulation sim2;
+  std::vector<int> order2;
+  Sleeper a;
+  Sleeper b;
+  sim2.Go(SleepFor(&sim2, SimDuration(1000), &a, &order2, 1));
+  sim2.Go(SleepFor(&sim2, SimDuration(1010), &b, &order2, 2));
+  sim2.Reschedule(*a.timer, SimTime(3));
+  sim2.Run();
+  EXPECT_EQ(order2, (std::vector<int>{1, 2}));
+  EXPECT_EQ(a.woke_ns, 3);
+  EXPECT_EQ(b.woke_ns, 1010);
+}
+
+TEST(RescheduleTest, MovingABucketsLastEntryClearsItsOccupancy) {
+  Simulation sim;
+  std::vector<int> order;
+  Sleeper s;
+  sim.Go(SleepFor(&sim, SimDuration(1000), &s, &order, 1));
+  sim.Schedule(SimDuration(1 << 20), [&] { order.push_back(2); });
+  // The only entry of its bucket moves to another level: a stale
+  // occupancy bit would make Redistribute open the emptied bucket.
+  sim.Reschedule(*s.timer, SimTime(70000));
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(s.woke_ns, 70000);
+}
+
+TEST(RescheduleTest, CancelLeavesTheSleeperToItsOwner) {
+  Simulation sim;
+  std::vector<int> order;
+  Sleeper s;
+  sim.Go(SleepFor(&sim, SimDuration(1000), &s, &order, 1));
+  sim.Cancel(*s.timer);
+  EXPECT_FALSE(sim.HasPendingEvents());
+  sim.Run();
+  EXPECT_TRUE(order.empty());
+  // Its owner resumes it some other way.
+  sim.Post(std::coroutine_handle<>::from_address(s.timer->entry.handle));
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(s.woke_ns, 0);
+}
+
+TEST(RescheduleTest, CancelTakesATimerOffTheCurrentInstant) {
+  // A sleeper due now but not yet dispatched sits in the current-instant
+  // list; cancelling it there must keep that list's tail right.
+  Simulation sim;
+  std::vector<int> order;
+  Sleeper s;
+  sim.Schedule(Seconds(1), [&] {
+    order.push_back(0);
+    sim.Cancel(*s.timer);
+    sim.Schedule(SimDuration(0), [&] { order.push_back(2); });
+  });
+  sim.Go(SleepFor(&sim, Seconds(1), &s, &order, 1));
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(s.woke_ns, -1);
+  sim.Post(std::coroutine_handle<>::from_address(s.timer->entry.handle));
+  sim.Run();
+}
+
 }  // namespace
 }  // namespace swapserve::sim
