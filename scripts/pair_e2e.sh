@@ -12,7 +12,8 @@
 # and one traced run per side. Prints each run, then for both sides the
 # median and q1-q3 of run_wall_s, setup_s and peak_rss_mib, the pairs the
 # working tree won, whether the median gap exceeds the base's q1-q3 (the
-# choosing-metrics rule), and sim.events_per_req from the traced run.
+# choosing-metrics rule), and sim.events_per_req, obs.export_s and
+# workload.gen_s from each side's traced run.
 # Build output goes to stderr.
 set -euo pipefail
 
@@ -136,7 +137,8 @@ for metric in ("run_wall_s", "setup_s", "peak_rss_mib"):
           f"work {wm:.4g} [{wq1:.4g}-{wq3:.4g}]  {change:+.1f} %")
     print(f"  work lower in {wins}/{len(pairs)} pairs; median gap "
           f"{'exceeds' if gap else 'within'} the base's q1-q3")
-for side in ("base", "work"):
-    value = traced.get(side, {}).get("sim.events_per_req")
-    print(f"\nsim.events_per_req ({side}, traced): {value}")
+print()
+for metric in ("sim.events_per_req", "obs.export_s", "workload.gen_s"):
+    values = [traced.get(side, {}).get(metric) for side in ("base", "work")]
+    print(f"{metric} (traced): base {values[0]}  work {values[1]}")
 EOF

@@ -1,10 +1,5 @@
 #include "json/json.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
-
 #include "json/text.h"
 
 namespace swapserve::json {

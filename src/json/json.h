@@ -84,7 +84,8 @@ class Value {
 
   // Compact serialization, in a string whose capacity is its size. Pretty
   // adds 2-space indentation and keeps the appending's slack: its one
-  // caller writes a trace export out and drops it.
+  // caller writes a trace export out and drops it. Both write a non-finite
+  // number as null, so Parse accepts everything they write.
   std::string Dump() const;
   std::string Pretty() const;
 

@@ -1,19 +1,22 @@
 // Shared lexical helpers for the two JSON parsers (the DOM in json.h and the
-// in-situ Document in document.h).
+// in-situ Document in document.h) and for every writer.
 //
-// Both speak exactly the same dialect — RFC 8259 with the full \u escape
-// set including surrogate pairs beyond the BMP — because they share these
-// routines: the string-run scanner, the escape decoder, the strict number
-// grammar, the hex/UTF-8 codecs, the surrogate-pair combination rules, and
-// the number -> int64 conversion. A behavior change here changes both
-// parsers at once, which is what the conformance suite (tests/json) pins.
+// Both parsers speak exactly the same dialect — RFC 8259 with the full \u
+// escape set including surrogate pairs beyond the BMP — because they share
+// these routines: the string-run scanner, the escape decoder, the strict
+// number grammar, the hex/UTF-8 codecs, the surrogate-pair combination
+// rules, and the number -> int64 conversion. A behavior change here changes
+// both parsers at once, which is what the conformance suite (tests/json)
+// pins. The writers at the end reuse the same scanner for escaping, and
+// FormatNumber is the number format of both Value::Dump and the Prometheus
+// exporter.
 
 #pragma once
 
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -296,12 +299,22 @@ inline std::int64_t SaturatingInt64(double d) {
   return std::numeric_limits<std::int64_t>::min();
 }
 
-// Serialization helpers for Value::Dump (the golden traces compare
-// serialized bytes, not parsed values).
+// The writers. One lexical rule serves both directions: the bytes
+// ScanStringRun stops at are exactly the bytes a JSON string must escape,
+// so the escaper copies each clean run the scanner finds with one append
+// and escapes only the byte it stopped at. Short forms for the five named
+// controls, \u00xx (lowercase hex) for the rest; '/', DEL and bytes >= 0x80
+// pass through. The golden traces compare serialized bytes, so this output
+// is a contract, pinned byte for byte by tests/json/writer_test.cpp.
 inline void AppendJsonEscaped(std::string_view s, std::string& out) {
   out += '"';
-  for (char c : s) {
-    switch (c) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (true) {
+    const char* const stop = ScanStringRun(p, end);
+    out.append(p, static_cast<std::size_t>(stop - p));
+    if (stop == end) break;
+    switch (*stop) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
@@ -309,31 +322,50 @@ inline void AppendJsonEscaped(std::string_view s, std::string& out) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const auto c = static_cast<unsigned char>(*stop);  // < 0x20
+        const char hex[] = {'\\', 'u', '0', '0', "0123456789abcdef"[c >> 4],
+                            "0123456789abcdef"[c & 0xF]};
+        out.append(hex, sizeof(hex));
+      }
     }
+    p = stop + 1;
   }
   out += '"';
 }
 
-// Integral doubles below 1e15 print without a decimal point ("3", not
-// "3.0"); everything else uses %.17g (round-trippable shortest-ish form).
-inline void AppendJsonNumber(double d, std::string& out) {
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
+// Room for any number FormatNumber writes: %.17g of a finite double is at
+// most 24 bytes ("-2.2250738585072014e-308"), %lld below 1e15 at most 16.
+inline constexpr std::size_t kMaxNumberChars = 32;
+
+// The one number format behind every JSON and Prometheus number: an
+// integral value below 1e15 in magnitude prints as %lld ("3", not "3.0";
+// -0 prints "0"), anything else as %.<precision>g. std::to_chars with a
+// precision is specified "as if by printf", so these are printf's bytes
+// without its format parse or locale. `d` must be finite: each format
+// spells the non-finite values itself. Writes into `buf` (at least
+// kMaxNumberChars bytes) and returns the end of the text.
+inline char* FormatNumber(double d, int precision, char* buf) {
+  char* const last = buf + kMaxNumberChars;
+  if (std::fabs(d) < 1e15) {
+    const auto whole = static_cast<long long>(d);
+    if (static_cast<double>(whole) == d) {
+      return std::to_chars(buf, last, whole).ptr;
+    }
   }
+  return std::to_chars(buf, last, d, std::chars_format::general, precision)
+      .ptr;
+}
+
+// A JSON number, round-trippable (%.17g). JSON has no spelling for
+// infinities or NaN, so they write `null`: the output always parses.
+inline void AppendJsonNumber(double d, std::string& out) {
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
+  char buf[kMaxNumberChars];
+  out.append(buf, FormatNumber(d, 17, buf));
 }
 
 }  // namespace swapserve::json

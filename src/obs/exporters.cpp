@@ -1,26 +1,22 @@
 #include "obs/exporters.h"
 
 #include <cmath>
-#include <cstdio>
 #include <map>
+
+#include "json/text.h"
 
 namespace swapserve::obs {
 namespace {
 
-// Shortest-ish decimal form: integers print without a fraction so counter
-// output stays diff-friendly; everything else keeps enough digits to
-// round-trip typical latencies.
+// The exposition's number format: json::FormatNumber at %.9g, enough
+// digits to round-trip typical latencies, with integers printed without a
+// fraction so counter output stays diff-friendly. The non-finite values
+// take the format's own spellings.
 std::string FormatNumber(double v) {
+  if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+  char buf[json::kMaxNumberChars];
+  return std::string(buf, json::FormatNumber(v, 9, buf));
 }
 
 std::string EscapeLabelValue(const std::string& v) {

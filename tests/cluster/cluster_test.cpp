@@ -154,5 +154,67 @@ TEST(ClusterTest, QuarantinedHomeRoutesToStandbyViaOnDemandFetch) {
   EXPECT_EQ(home_copy->tier, ckpt::SnapshotTier::kHost);
 }
 
+// The fleet entry drops the `admission` section: ClusterServe copies
+// `global`, `fault` and `models` into each node's config, never
+// `admission`. So a config whose budget sheds every request through one
+// SwapServe sheds none through a fleet. This row names that defect; it goes
+// when admission itself is deleted.
+TEST(ClusterTest, FleetEntryDropsAdmissionThatOneSwapServeEnforces) {
+  core::Config cfg;
+  cfg.models.push_back(Entry("llama-3.2-1b-fp16", 0));
+  cfg.cluster.nodes = 2;
+  cfg.admission.enabled = true;
+  // The smallest budget Validate accepts is above 0. After Initialize the
+  // model is swapped out, so the penalty alone blows a 1 ms budget: every
+  // request is shed while the backend stays cold.
+  cfg.admission.default_budget_s = 1e-3;
+  cfg.admission.swap_penalty_s = 5.0;
+  ASSERT_TRUE(
+      cfg.Validate(model::ModelCatalog::Default(), cfg.NodeGpuCount(0)).ok());
+  constexpr int kRequests = 4;
+  core::InferenceRequest request;
+  request.model = "llama-3.2-1b-fp16";
+  request.prompt_tokens = 16;
+  request.max_tokens = 16;
+
+  ClusterBed fleet_bed;
+  ClusterServe fleet(fleet_bed.sim, cfg, fleet_bed.catalog);
+  int fleet_shed = 0;
+  fleet_bed.RunTask([&]() -> sim::Task<> {
+    SWAP_CHECK((co_await fleet.Initialize()).ok());
+    std::vector<core::ResponseChannelPtr> channels;
+    for (int i = 0; i < kRequests; ++i) {
+      Result<core::ResponseChannelPtr> r = fleet.Accept(request);
+      if (r.ok()) {
+        channels.push_back(*r);
+      } else {
+        ++fleet_shed;
+      }
+    }
+    fleet.Shutdown();
+  });
+  EXPECT_EQ(fleet_shed, 0);
+  for (int i = 0; i < fleet.nodes(); ++i) {
+    EXPECT_EQ(fleet.node(i).serve().admission(), nullptr) << "node" << i;
+    EXPECT_EQ(fleet.node(i).serve().metrics().TotalShed(), 0u);
+  }
+
+  // The same config through one SwapServe (node 0's machine, alone).
+  ClusterBed solo_bed;
+  Node solo(solo_bed.sim, 0, cfg.NodeGpuCount(0), cfg, solo_bed.catalog, {});
+  int solo_shed = 0;
+  solo_bed.RunTask([&]() -> sim::Task<> {
+    SWAP_CHECK((co_await solo.serve().Initialize()).ok());
+    for (int i = 0; i < kRequests; ++i) {
+      if (!solo.serve().handler().Accept(request).ok()) ++solo_shed;
+    }
+    solo.serve().Shutdown();
+  });
+  EXPECT_EQ(solo_shed, kRequests);
+  ASSERT_NE(solo.serve().admission(), nullptr);
+  EXPECT_EQ(solo.serve().metrics().TotalShed(),
+            static_cast<std::uint64_t>(kRequests));
+}
+
 }  // namespace
 }  // namespace swapserve::cluster

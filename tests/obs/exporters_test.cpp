@@ -3,7 +3,15 @@
 
 #include "obs/exporters.h"
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +131,72 @@ TEST(PrometheusExportTest, LabelValuesAreEscaped) {
   const std::string text = ToPrometheusText(reg);
   EXPECT_NE(text.find("weird{path=\"a\\\\b\\\"c\\nd\"} 1\n"),
             std::string::npos);
+}
+
+// The snprintf format the exporter's numbers match byte for byte: integral
+// values below 1e15 as %lld, everything else as %.9g.
+std::string ReferencePromNumber(double d) {
+  char buf[64];
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.9g", d);
+  }
+  return buf;
+}
+
+// Each sample line's value, in series order ("g{i=\"000\"} <value>").
+std::vector<std::string> SampleValues(const std::string& text) {
+  std::vector<std::string> values;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    values.push_back(line.substr(line.rfind(' ') + 1));
+  }
+  return values;
+}
+
+TEST(PrometheusExportTest, NumbersMatchPrintfReference) {
+  constexpr int kSeries = 1000;
+  MetricsRegistry reg;
+  std::vector<Gauge*> gauges;
+  for (int i = 0; i < kSeries; ++i) {
+    char label[8];
+    std::snprintf(label, sizeof(label), "%03d", i);  // series sort by label
+    gauges.push_back(&reg.GetGauge("g", {{"i", label}}));
+  }
+  std::vector<double> values = {
+      0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15,
+      std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX, -DBL_MAX,
+      0.1, 1.0 / 3, 10.55, 1.5e9};
+  std::mt19937_64 rng(20251020);
+  while (values.size() < 100 * kSeries) {
+    const double d = std::bit_cast<double>(rng());
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (std::size_t base = 0; base < values.size(); base += kSeries) {
+    for (int i = 0; i < kSeries; ++i) {
+      gauges[i]->Set(values[base + i]);
+    }
+    const std::vector<std::string> got = SampleValues(ToPrometheusText(reg));
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kSeries));
+    for (int i = 0; i < kSeries; ++i) {
+      ASSERT_EQ(got[i], ReferencePromNumber(values[base + i]))
+          << "value " << base + i;
+    }
+  }
+}
+
+TEST(PrometheusExportTest, NonFiniteValuesUseExpositionSpellings) {
+  MetricsRegistry reg;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  reg.GetGauge("g", {{"v", "a"}}).Set(kInf);
+  reg.GetGauge("g", {{"v", "b"}}).Set(-kInf);
+  reg.GetGauge("g", {{"v", "c"}}).Set(nan);
+  reg.GetGauge("g", {{"v", "d"}}).Set(-nan);
+  EXPECT_EQ(SampleValues(ToPrometheusText(reg)),
+            (std::vector<std::string>{"+Inf", "-Inf", "NaN", "NaN"}));
 }
 
 }  // namespace
