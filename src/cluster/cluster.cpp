@@ -15,34 +15,36 @@ ClusterServe::ClusterServe(sim::Simulation& sim, core::Config config,
                            core::SwapServeOptions options)
     : sim_(sim),
       config_(std::move(config)) {
+  SWAP_CHECK_MSG(
+      config_.Validate(catalog, config_.NodeGpuCount(0)).ok(),
+      "ClusterServe constructed with invalid config; call Config::Validate");
   const int n = config_.cluster.nodes;
   for (int id = 0; id < n; ++id) {
     const int gpu_count = config_.NodeGpuCount(id);
-    core::Config node_config;
-    node_config.global = config_.global;
-    node_config.fault.plan = config_.fault.plan;
+    // A node runs the fleet's config; each scope below is the exception.
+    core::Config node_config = config_;
+    // Fleet-only: the topology is read here, and each node is one machine.
+    node_config.cluster = {};
+    // Dropped at the fleet entry: only a lone SwapServe sheds (ROADMAP
+    // item 1, which deletes admission).
+    node_config.admission = {};
     // Each node gets its own deterministic fault stream; the single-node
     // seed stays underived so existing chaos runs replay unchanged.
-    node_config.fault.seed =
-        n == 1 ? config_.fault.seed
-               : fault::StableHashCombine(
-                     config_.fault.seed,
-                     fault::StableHash("node" + std::to_string(id)));
-    for (const core::ModelEntry& m : config_.models) {
-      if (m.node == id) {
-        // Within a node's own config the home-node field is meaningless
-        // (and would fail the node's single-machine validation).
-        core::ModelEntry home = m;
-        home.node = 0;
-        node_config.models.push_back(std::move(home));
-      } else if (n > 1 && m.gpu + m.tp <= gpu_count) {
-        // Standby replica: adopts a replicated checkpoint at Initialize
-        // instead of cold-starting (skipped where the model cannot fit).
-        core::ModelEntry standby = m;
-        standby.node = 0;
-        standby.standby = true;
-        node_config.models.push_back(std::move(standby));
-      }
+    if (n > 1) {
+      node_config.fault.seed = fault::StableHashCombine(
+          config_.fault.seed, fault::StableHash("node" + std::to_string(id)));
+    }
+    // Per node: each model homed here, and a standby replica of each
+    // other model that fits, which adopts a replicated checkpoint at
+    // Initialize instead of cold-starting.
+    std::erase_if(node_config.models, [&](const core::ModelEntry& m) {
+      return m.node != id && (n == 1 || m.gpu + m.tp > gpu_count);
+    });
+    for (core::ModelEntry& m : node_config.models) {
+      m.standby = m.node != id;
+      // Within a node's own config the home-node field is meaningless (and
+      // would fail the node's single-machine validation).
+      m.node = 0;
     }
     nodes_.push_back(std::make_unique<Node>(
         sim_, id, gpu_count, std::move(node_config), catalog, options));

@@ -2,9 +2,11 @@
 //
 // Each node is a full single-machine deployment (GPUs, NVMe, engines in
 // their containers, scheduler). The fleet layer adds:
-//   - per-node config slicing: every model cold-starts once on its home
-//     node; other nodes that can fit it get a *standby* entry whose engine
-//     adopts a replicated checkpoint instead of initializing (zero time);
+//   - per-node configs: each node runs a copy of the fleet's config with
+//     `cluster` reset, `admission` dropped, its own fault seed and its own
+//     model list. Every model cold-starts once on its home node; other
+//     nodes that can fit it get a *standby* entry whose engine adopts a
+//     replicated checkpoint instead of initializing (zero time);
 //   - metadata placeholders (tier kRemote) + a SnapshotReplicator that
 //     streams payloads over the hw::Link fabric, eagerly up to
 //     cluster.replicate copies and on demand at swap-in;
@@ -48,8 +50,8 @@ namespace swapserve::cluster {
 
 class ClusterServe {
  public:
-  // `config` must already be Validate()d; `catalog` must outlive the
-  // cluster (nodes keep references).
+  // `config` must pass Validate() (checked here); `catalog` must outlive
+  // the cluster (nodes keep references).
   ClusterServe(sim::Simulation& sim, core::Config config,
                const model::ModelCatalog& catalog,
                core::SwapServeOptions options = {});

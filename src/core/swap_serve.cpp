@@ -56,7 +56,7 @@ SwapServe::SwapServe(sim::Simulation& sim, Config config,
   // unarmed one never draws from its stream, so fault-free runs are
   // byte-identical), and armed only when the config carries rules.
   if (config_.fault.enabled()) {
-    fault_injector_.Configure(config_.fault.plan);
+    fault_injector_.Configure({config_.fault.rules});
   }
   fault_injector_.BindObservability(&obs_);
 

@@ -71,6 +71,8 @@ class SwapServe {
   // --- serving entry points ---------------------------------------------
   OpenAiRouter& router() { return router_; }
   RequestHandler& handler() { return handler_; }
+  // The validated config this server runs.
+  const Config& config() const { return config_; }
 
   // §4.2's explicit swap calls. SwapIn brings `model_id` onto its GPU
   // through the scheduler's reservation path and releases the pin (it only

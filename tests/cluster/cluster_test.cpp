@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "../core/config_rows.h"
 #include "ckpt/snapshot_store.h"
 #include "core/backend.h"
 #include "model/catalog.h"
@@ -154,11 +155,10 @@ TEST(ClusterTest, QuarantinedHomeRoutesToStandbyViaOnDemandFetch) {
   EXPECT_EQ(home_copy->tier, ckpt::SnapshotTier::kHost);
 }
 
-// The fleet entry drops the `admission` section: ClusterServe copies
-// `global`, `fault` and `models` into each node's config, never
-// `admission`. So a config whose budget sheds every request through one
-// SwapServe sheds none through a fleet. This row names that defect; it goes
-// when admission itself is deleted.
+// The fleet entry drops the `admission` section: ClusterServe resets it by
+// name in each node's config. So a config whose budget sheds every request
+// through one SwapServe sheds none through a fleet. This row names that
+// defect; it goes when admission itself is deleted.
 TEST(ClusterTest, FleetEntryDropsAdmissionThatOneSwapServeEnforces) {
   core::Config cfg;
   cfg.models.push_back(Entry("llama-3.2-1b-fp16", 0));
@@ -214,6 +214,73 @@ TEST(ClusterTest, FleetEntryDropsAdmissionThatOneSwapServeEnforces) {
   ASSERT_NE(solo.serve().admission(), nullptr);
   EXPECT_EQ(solo.serve().metrics().TotalShed(),
             static_cast<std::uint64_t>(kRequests));
+}
+
+
+// A node's config is the fleet's config with its scopes named: every
+// `global` and `fault.rules` setting reaches each node unchanged, `cluster`
+// is reset (the fleet alone reads it), `admission` is the one dropped
+// section, and `fault.seed` and `models` are derived per node.
+TEST(ClusterTest, NodeConfigIsTheFleetConfigWithItsScopesNamed) {
+  using core::testing::ForEachLeafRow;
+  using core::testing::NonDefault;
+  core::Config cfg;
+  cfg.models.push_back(Entry("llama-3.2-1b-fp16", 0));
+  cfg.models.push_back(Entry("llama-3.2-3b-fp16", 1));
+  cfg.cluster.nodes = 2;
+  cfg.cluster.replicate = 2;
+  cfg.admission.enabled = true;
+  ForEachLeafRow<core::GlobalConfig>([&](const auto& row, auto member) {
+    cfg.global.*member = NonDefault(row.range, cfg.global.*member);
+  });
+  fault::FaultRule rule;
+  ForEachLeafRow<fault::FaultRule>([&](const auto& row, auto member) {
+    rule.*member = NonDefault(row.range, rule.*member);
+  });
+  rule.point = "engine.crash";  // a registered point, and not the default
+  cfg.fault.rules.push_back(rule);
+  ASSERT_TRUE(
+      cfg.Validate(model::ModelCatalog::Default(), cfg.NodeGpuCount(0)).ok())
+      << cfg.Validate(model::ModelCatalog::Default(), cfg.NodeGpuCount(0));
+
+  ClusterBed bed;
+  ClusterServe fleet(bed.sim, cfg, bed.catalog);
+  const core::Config defaults;
+  const fault::FaultRule default_rule;
+  for (int i = 0; i < fleet.nodes(); ++i) {
+    const core::Config& node = fleet.node(i).serve().config();
+    ForEachLeafRow<core::GlobalConfig>([&](const auto& row, auto member) {
+      EXPECT_EQ(node.global.*member, cfg.global.*member)
+          << "node" << i << " global." << row.key;
+      EXPECT_NE(node.global.*member, defaults.global.*member)
+          << "node" << i << " global." << row.key;
+    });
+    ASSERT_EQ(node.fault.rules.size(), 1u);
+    ForEachLeafRow<fault::FaultRule>([&](const auto& row, auto member) {
+      EXPECT_EQ(node.fault.rules[0].*member, rule.*member)
+          << "node" << i << " fault.rules[0]." << row.key;
+      EXPECT_NE(node.fault.rules[0].*member, default_rule.*member)
+          << "node" << i << " fault.rules[0]." << row.key;
+    });
+    ForEachLeafRow<core::ClusterConfig>([&](const auto& row, auto member) {
+      EXPECT_EQ(node.cluster.*member, defaults.cluster.*member)
+          << "node" << i << " cluster." << row.key;
+    });
+    ForEachLeafRow<core::AdmissionConfig>([&](const auto& row, auto member) {
+      EXPECT_EQ(node.admission.*member, defaults.admission.*member)
+          << "node" << i << " admission." << row.key;
+    });
+    EXPECT_NE(node.fault.seed, cfg.fault.seed) << "node" << i;
+    // Node i homes model i and holds a standby of the other.
+    ASSERT_EQ(node.models.size(), 2u);
+    for (int m = 0; m < 2; ++m) {
+      EXPECT_EQ(node.models[m].model_id, cfg.models[m].model_id);
+      EXPECT_EQ(node.models[m].node, 0);
+      EXPECT_EQ(node.models[m].standby, m != i) << "node" << i;
+    }
+  }
+  EXPECT_NE(fleet.node(0).serve().config().fault.seed,
+            fleet.node(1).serve().config().fault.seed);
 }
 
 }  // namespace

@@ -83,11 +83,15 @@ TEST(ReplicaRingOrderTest, DeterministicPerModel) {
   EXPECT_EQ(ReplicaRingOrder("m", 0, 7), ReplicaRingOrder("m", 0, 7));
 }
 
-// replicate >= node count: the eager spread walks the whole ring and every
-// node ends up with a payload; the repairer sees zero deficit.
-TEST(ReplicationEdgeTest, ReplicateBeyondNodeCountSaturatesTheFleet) {
+// replicate == node count: the eager spread walks the whole ring and every
+// node ends up with a payload; the repairer sees zero deficit. A replicate
+// beyond the node count fails Validate, which ClusterServe checks.
+TEST(ReplicationEdgeTest, ReplicateAtNodeCountSaturatesTheFleet) {
   Bed bed;
-  core::Config cfg = FastDetectConfig(/*nodes=*/3, /*replicate=*/5);
+  EXPECT_FALSE(FastDetectConfig(/*nodes=*/3, /*replicate=*/5)
+                   .Validate(bed.catalog, 1)
+                   .ok());
+  core::Config cfg = FastDetectConfig(/*nodes=*/3, /*replicate=*/3);
   ClusterServe cluster(bed.sim, cfg, bed.catalog);
   bed.RunTask([&]() -> sim::Task<> {
     SWAP_CHECK((co_await cluster.Initialize()).ok());

@@ -83,7 +83,7 @@ TEST(HealthParkingTest, ArmedCrashRuleFiresOnThePollingBeat) {
   Bed bed;
   core::Config cfg = FastDetectConfig(2);
   const double arm_s = 5000.3;
-  cfg.fault.plan.rules.push_back(CrashRule("node1", arm_s));
+  cfg.fault.rules.push_back(CrashRule("node1", arm_s));
   ClusterServe cluster(bed.sim, cfg, bed.catalog);
   const sim::SimDuration beat = sim::Seconds(0.5);
   bed.RunTask([&]() -> sim::Task<> {
@@ -152,7 +152,7 @@ TEST(HealthParkingTest, ConfigureOnParkedFleetArmsTheNextBeat) {
 TEST(HealthParkingTest, StopReleasesTheParkedLoop) {
   Bed bed;
   core::Config cfg = FastDetectConfig(2);
-  cfg.fault.plan.rules.push_back(CrashRule("node1", 1e6));  // arms later
+  cfg.fault.rules.push_back(CrashRule("node1", 1e6));  // arms later
   ClusterServe cluster(bed.sim, cfg, bed.catalog);
   bed.RunTask([&]() -> sim::Task<> {
     SWAP_CHECK((co_await cluster.Initialize()).ok());

@@ -1,14 +1,38 @@
 #include "core/config.h"
 
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "config_rows.h"
 #include "core/metrics.h"
 
 namespace swapserve::core {
 namespace {
+
+// Every field of a section is one row: a field added without a row fails
+// to compile here.
+using testing::FieldCount;
+using testing::SettingCount;
+static_assert(FieldCount<Config>() == SettingCount<Config>());
+static_assert(FieldCount<GlobalConfig>() == SettingCount<GlobalConfig>());
+static_assert(FieldCount<AdmissionConfig>() ==
+              SettingCount<AdmissionConfig>());
+static_assert(FieldCount<FaultConfig>() == SettingCount<FaultConfig>());
+static_assert(FieldCount<fault::FaultRule>() ==
+              SettingCount<fault::FaultRule>());
+static_assert(FieldCount<ClusterConfig>() == SettingCount<ClusterConfig>());
+// ModelEntry::standby is the one field no key sets: the cluster assembly
+// marks standby replicas.
+static_assert(FieldCount<ModelEntry>() == SettingCount<ModelEntry>() + 1);
 
 const char* kFullConfig = R"({
   "global": {
@@ -100,12 +124,12 @@ TEST(ConfigTest, RemovedKeysFailLoudly) {
       {"cluster", "migrate_hysteresis", "2", "placement and failover"},
       {"cluster", "fabric_gbps", "200", "constant"},
       {"cluster", "fabric_latency_us", "5", "constant"},
-      {"models[]", "image", "\"no-such-image:latest\"", "never read"},
+      {"models[0]", "image", "\"no-such-image:latest\"", "never read"},
   };
   for (const Case& c : cases) {
     const std::string key = "\"" + c.key + "\": " + c.value;
     auto cfg = Config::FromJsonText(
-        c.section == "models[]"
+        c.section == "models[0]"
             ? R"({"models": [{"model": "m", )" + key + "}]}"
             : R"({")" + c.section + R"(": {)" + key +
                   R"(}, "models": [{"model": "m"}]})");
@@ -159,6 +183,19 @@ TEST(ConfigTest, TyposAndWrongTypesFailAtLoad) {
       {R"({"global": 3, "models": [{"model": "m"}]})",
        "global must be an object"},
       {R"({"models": {}})", "models must be an array"},
+      // An integer that does not fit its field used to wrap silently.
+      {R"({"cluster": {"nodes": 4294967297}, "models": [{"model": "m"}]})",
+       "cluster.nodes must be an integer in [-2147483648, 2147483647] "
+       "(got 4294967297)"},
+      {R"({"cluster": {"replicate": 4294967297},)"
+       R"( "models": [{"model": "m"}]})",
+       "cluster.replicate must be an integer in ["},
+      {R"({"models": [{"model": "m", "gpu": 4294967296}]})",
+       "models[0].gpu must be an integer in ["},
+      {R"({"models": [{"model": "m", "tp": 4294967297}]})",
+       "models[0].tp must be an integer in ["},
+      {R"({"fault": {"seed": -1}, "models": [{"model": "m"}]})",
+       "fault.seed must be an integer in [0, 18446744073709551615] (got -1)"},
   };
   for (const Case& c : cases) {
     auto cfg = Config::FromJsonText(c.config);
@@ -285,13 +322,13 @@ TEST_F(ValidateTest, RejectsFaultRuleOnRemovedMigratePoint) {
     Config cfg = Valid();
     fault::FaultRule rule;
     rule.point = point;
-    cfg.fault.plan.rules.push_back(rule);
+    cfg.fault.rules.push_back(rule);
     Status s = cfg.Validate(catalog, 1);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << point;
     EXPECT_NE(s.message().find("unregistered point \"" + point + "\""),
               std::string::npos)
         << s;
-    cfg.fault.plan.rules[0].point = "cluster.fetch";
+    cfg.fault.rules[0].point = "cluster.fetch";
     EXPECT_TRUE(cfg.Validate(catalog, 1).ok());
   }
 }
@@ -469,6 +506,209 @@ TEST(ConfigTest, AdmissionParseAndValidateErrors) {
   cfg.admission.swap_penalty_s = 0;
 
   EXPECT_TRUE(cfg.Validate(catalog, 1).ok());
+}
+
+// Every setting row: its key, set in JSON to a value other than the
+// default, lands in its field.
+class RowRoundTripTest : public ::testing::Test {
+ protected:
+  // `wrap` places one object of the section in a whole config; `base`
+  // holds the keys that object needs; `locate` finds the section in the
+  // parsed config.
+  template <typename S>
+  void RoundTrip(std::map<std::string, std::string> base,
+                 const std::function<std::string(std::string)>& wrap,
+                 const std::function<const S&(const Config&)>& locate) {
+    const S defaults{};
+    testing::ForEachLeafRow<S>([&](const schema::Row<S>& row, auto member) {
+      const auto want = testing::NonDefault(row.range, defaults.*member);
+      std::map<std::string, std::string> keys = base;
+      keys[std::string(row.key)] = testing::ToJson(want);
+      std::string object = "{";
+      for (const auto& [key, value] : keys) {
+        object += (object.size() > 1 ? ", \"" : "\"") + key + "\": " + value;
+      }
+      const std::string text = wrap(object + "}");
+      auto cfg = Config::FromJsonText(text);
+      ASSERT_TRUE(cfg.ok()) << text << "\n" << cfg.status();
+      EXPECT_EQ(locate(*cfg).*member, want) << text;
+      ++rows;
+    });
+  }
+  int rows = 0;
+};
+
+TEST_F(RowRoundTripTest, EveryKeyLandsInItsField) {
+  const std::string model = R"([{"model": "m"}])";
+  RoundTrip<GlobalConfig>(
+      {}, [&](std::string o) { return R"({"global": )" + o +
+                                      R"(, "models": )" + model + "}"; },
+      [](const Config& c) -> const GlobalConfig& { return c.global; });
+  RoundTrip<AdmissionConfig>(
+      {}, [&](std::string o) { return R"({"admission": )" + o +
+                                      R"(, "models": )" + model + "}"; },
+      [](const Config& c) -> const AdmissionConfig& { return c.admission; });
+  RoundTrip<FaultConfig>(
+      {}, [&](std::string o) { return R"({"fault": )" + o +
+                                      R"(, "models": )" + model + "}"; },
+      [](const Config& c) -> const FaultConfig& { return c.fault; });
+  RoundTrip<fault::FaultRule>(
+      {{"point", R"("engine.crash")"}},
+      [&](std::string o) { return R"({"fault": {"rules": [)" + o +
+                                  R"(]}, "models": )" + model + "}"; },
+      [](const Config& c) -> const fault::FaultRule& {
+        return c.fault.rules.at(0);
+      });
+  RoundTrip<ClusterConfig>(
+      {}, [&](std::string o) { return R"({"cluster": )" + o +
+                                      R"(, "models": )" + model + "}"; },
+      [](const Config& c) -> const ClusterConfig& { return c.cluster; });
+  RoundTrip<ModelEntry>(
+      {{"model", R"("m")"}},
+      [](std::string o) { return R"({"models": [)" + o + "]}"; },
+      [](const Config& c) -> const ModelEntry& { return c.models.at(0); });
+  // 10 global, 6 admission, 1 fault, 9 rule, 10 cluster and 8 model keys.
+  EXPECT_EQ(rows, 44);
+}
+
+// Every row with a range: the first value outside it fails Validate naming
+// the row's path, and the boundary value inside passes.
+class RowRangeTest : public ::testing::Test {
+ protected:
+  model::ModelCatalog catalog = model::ModelCatalog::Default();
+
+  // Valid, with one element in every list and map a row ranges over.
+  static Config Base() {
+    Config cfg;
+    ModelEntry m;
+    m.model_id = "llama-3.2-1b-fp16";
+    cfg.models.push_back(m);
+    fault::FaultRule rule;
+    rule.point = "engine.crash";
+    cfg.fault.rules.push_back(rule);
+    cfg.admission.class_budget_s["gold"] = 1;
+    cfg.cluster.node_gpus = {1};
+    return cfg;
+  }
+
+  template <typename T>
+  static T Below(double bound) {
+    if constexpr (std::is_integral_v<T>) return static_cast<T>(bound) - 1;
+    return std::nextafter(bound, -schema::kInf);
+  }
+  template <typename T>
+  static T Above(double bound) {
+    if constexpr (std::is_integral_v<T>) return static_cast<T>(bound) + 1;
+    return std::nextafter(bound, schema::kInf);
+  }
+
+  // Sets the value `v` through `set` and validates.
+  template <typename V>
+  void Expect(bool valid, const std::string& path, V v,
+              const std::function<void(Config&, V)>& set) {
+    Config cfg = Base();
+    set(cfg, v);
+    const Status s = cfg.Validate(catalog, 1);
+    if (valid) {
+      EXPECT_TRUE(s.ok()) << path << " = " << testing::ToJson(v) << ": " << s;
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+          << path << " = " << testing::ToJson(v);
+      EXPECT_NE(s.message().find(path + " must be"), std::string::npos)
+          << path << ": " << s;
+    }
+  }
+
+  template <typename S>
+  void CheckSection(const std::string& prefix,
+                    const std::function<S&(Config&)>& locate) {
+    testing::ForEachLeafRow<S>([&](const schema::Row<S>& row, auto member) {
+      const schema::Range& r = row.range;
+      if (!testing::Bounded(r)) return;
+      ++rows;
+      using T = std::remove_cvref_t<decltype(std::declval<S&>().*member)>;
+      std::string path = prefix + "." + std::string(row.key);
+      if constexpr (std::is_same_v<T, std::string>) {
+        const std::function<void(Config&, std::string)> set =
+            [&](Config& c, std::string v) { locate(c).*member = v; };
+        Expect<std::string>(false, path, "", set);
+        for (std::string_view choice : r.choices) {
+          Expect(true, path, std::string(choice), set);
+        }
+      } else if constexpr (std::is_same_v<T, bool> ||
+                           std::is_same_v<T, StatusCode>) {
+        ADD_FAILURE() << path << ": a range on a value with no order";
+      } else {
+        // A list's range holds per element, a map's per value.
+        using V = std::conditional_t<
+            std::is_same_v<T, std::vector<int>>, int,
+            std::conditional_t<std::is_same_v<T, ClassBudgets>, double, T>>;
+        if constexpr (std::is_same_v<T, std::vector<int>>) path += "[0]";
+        if constexpr (std::is_same_v<T, ClassBudgets>) path += ".gold";
+        const std::function<void(Config&, V)> set = [&](Config& c, V v) {
+          if constexpr (std::is_same_v<T, std::vector<int>>) {
+            (locate(c).*member)[0] = v;
+          } else if constexpr (std::is_same_v<T, ClassBudgets>) {
+            (locate(c).*member)["gold"] = v;
+          } else {
+            locate(c).*member = v;
+          }
+        };
+        if (r.lo > -schema::kInf) {
+          Expect<V>(false, path, r.lo_open ? static_cast<V>(r.lo)
+                                           : Below<V>(r.lo), set);
+          Expect<V>(true, path, r.lo_open ? Above<V>(r.lo)
+                                          : static_cast<V>(r.lo), set);
+        }
+        if (r.hi < schema::kInf) {
+          Expect<V>(false, path, r.hi_open ? static_cast<V>(r.hi)
+                                           : Above<V>(r.hi), set);
+          Expect<V>(true, path, r.hi_open ? Below<V>(r.hi)
+                                          : static_cast<V>(r.hi), set);
+        }
+      }
+    });
+  }
+  int rows = 0;
+};
+
+TEST_F(RowRangeTest, FirstValueOutsideFailsAndBoundaryInsidePasses) {
+  ASSERT_TRUE(Base().Validate(catalog, 1).ok()) << Base().Validate(catalog, 1);
+  CheckSection<GlobalConfig>(
+      "global", [](Config& c) -> GlobalConfig& { return c.global; });
+  CheckSection<AdmissionConfig>(
+      "admission", [](Config& c) -> AdmissionConfig& { return c.admission; });
+  CheckSection<FaultConfig>(
+      "fault", [](Config& c) -> FaultConfig& { return c.fault; });
+  CheckSection<fault::FaultRule>(
+      "fault.rules[0]",
+      [](Config& c) -> fault::FaultRule& { return c.fault.rules[0]; });
+  CheckSection<ClusterConfig>(
+      "cluster", [](Config& c) -> ClusterConfig& { return c.cluster; });
+  CheckSection<ModelEntry>(
+      "models[0]", [](Config& c) -> ModelEntry& { return c.models[0]; });
+  // 6 global, 5 admission, 3 rule, 8 cluster and 2 model rows.
+  EXPECT_EQ(rows, 24);
+}
+
+// The benchmark's workload files load and validate, so a schema change
+// that breaks one fails here rather than in a benchmark run.
+TEST(ConfigTest, BenchmarkWorkloadsLoadAndValidate) {
+  const model::ModelCatalog catalog = model::ModelCatalog::Default();
+  int loaded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SWAPSERVE_WORKLOADS_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    auto cfg = Config::FromJsonText(text.str());
+    ASSERT_TRUE(cfg.ok()) << entry.path() << ": " << cfg.status();
+    EXPECT_TRUE(cfg->Validate(catalog, cfg->NodeGpuCount(0)).ok())
+        << entry.path() << ": " << cfg->Validate(catalog, cfg->NodeGpuCount(0));
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 4);
 }
 
 TEST(MetricsTest, Aggregations) {

@@ -177,7 +177,7 @@ TEST(StreamingTest, TerminalErrorTextReachesResultAndErrorFrame) {
   crash.point = "engine.crash";
   crash.code = StatusCode::kInternal;
   crash.message = "armed by the test";
-  cfg.fault.plan.rules.push_back(crash);
+  cfg.fault.rules.push_back(crash);
   SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
   ChatResult result;
   std::vector<std::string> events;

@@ -242,7 +242,7 @@ TEST(TelemetryHandlesTest, FleetStopsLookingUpAfterWarmUp) {
   crash.max_fires = 1;
   crash.stall_s = 60;
   crash.code = StatusCode::kUnavailable;
-  cfg.fault.plan.rules.push_back(crash);
+  cfg.fault.rules.push_back(crash);
   ASSERT_TRUE(cfg.Validate(bed.catalog, 1).ok());
   cluster::ClusterServe fleet(bed.sim, cfg, bed.catalog);
   const auto lookups = [&fleet] {

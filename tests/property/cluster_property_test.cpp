@@ -123,7 +123,7 @@ ClusterOutcome RunClusterChaos(std::uint64_t seed, int n_requests) {
   fault::FaultPlan plan = RandomPlan(rng);
   for (const fault::FaultRule& rule : plan.rules) {
     if (rule.point.rfind("cluster.", 0) == 0) {
-      cfg.fault.plan.rules.push_back(rule);
+      cfg.fault.rules.push_back(rule);
     }
   }
   ClusterServe cluster(sim, cfg, catalog);
