@@ -6,110 +6,10 @@
 
 #include <cstdio>
 
-#include "baseline/dedicated.h"
-#include "bench/common.h"
-#include "workload/trace.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
-
-constexpr const char* kPool[] = {
-    "llama-3.2-1b-fp16",    "llama-3.2-3b-fp16",
-    "deepseek-coder-6.7b-fp16", "deepseek-r1-7b-fp16",
-    "llama-3.1-8b-fp16",    "gemma-7b-fp16",
-    "deepseek-r1-8b-fp16",  "deepseek-r1-14b-q8",
-    "deepseek-r1-7b-q8",    "deepseek-r1-14b-q4",
-    "llama-3.2-1b-q8",      "llama-3.2-3b-q8",
-};
-
-std::vector<workload::TraceEvent> DayTrace(int n_models) {
-  const double horizon = 24 * 3600.0;
-  workload::DiurnalRate rate = workload::DiurnalRate::CodingPreset(0.02);
-  workload::RequestProfile profile = workload::RequestProfile::ShortQa();
-  std::vector<workload::ModelWorkload> mix;
-  for (int i = 0; i < n_models; ++i) {
-    mix.push_back({kPool[i], &rate, &profile});
-  }
-  return workload::GenerateTrace(mix, horizon, 0xab4);
-}
-
-struct Outcome {
-  double p50 = 0;
-  double p99 = 0;
-  std::uint64_t completed = 0;
-  double gpu_hours = 0;
-};
-
-Outcome RunSwapServe(int n_models) {
-  Bed bed(Machine::kH100);
-  core::Config cfg;
-  for (int i = 0; i < n_models; ++i) {
-    core::ModelEntry entry;
-    entry.model_id = kPool[i];
-    entry.engine = "ollama";
-    cfg.models.push_back(entry);
-  }
-  core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
-  std::vector<workload::TraceEvent> trace = DayTrace(n_models);
-
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await serve.Initialize()).ok());
-    const double start = bed.sim.Now().ToSeconds();
-    for (const workload::TraceEvent& ev : trace) {
-      co_await bed.sim.WaitUntil(sim::SimTime(
-          static_cast<std::int64_t>((start + ev.time_s) * 1e9)));
-      sim::Spawn([&serve, ev]() -> sim::Task<> {
-        (void)co_await serve.ChatAndWait(ev.model_id, ev.prompt_tokens,
-                                         ev.output_tokens);
-      });
-    }
-    co_await bed.sim.Delay(sim::Minutes(30));
-    serve.Shutdown();
-  });
-
-  Outcome out;
-  Samples ttft = serve.metrics().AllTtft();
-  out.p50 = ttft.Median();
-  out.p99 = ttft.P99();
-  out.completed = serve.metrics().TotalCompleted();
-  out.gpu_hours = 24.0;
-  return out;
-}
-
-Outcome RunDedicated(int n_models) {
-  Bed bed(Machine::kH100, n_models);
-  std::vector<baseline::DedicatedServing::Assignment> assignments;
-  for (int i = 0; i < n_models; ++i) {
-    assignments.push_back({bed.catalog.Find(kPool[i]).value(),
-                           model::EngineKind::kOllama,
-                           bed.gpus[static_cast<std::size_t>(i)].get()});
-  }
-  baseline::DedicatedServing dedicated(bed.sim, std::move(assignments),
-                                       bed.storage);
-  std::vector<workload::TraceEvent> trace = DayTrace(n_models);
-
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await dedicated.Initialize()).ok());
-    const double start = bed.sim.Now().ToSeconds();
-    for (const workload::TraceEvent& ev : trace) {
-      co_await bed.sim.WaitUntil(sim::SimTime(
-          static_cast<std::int64_t>((start + ev.time_s) * 1e9)));
-      sim::Spawn([&dedicated, ev]() -> sim::Task<> {
-        (void)co_await dedicated.Chat(ev.model_id, ev.prompt_tokens,
-                                      ev.output_tokens);
-      });
-    }
-    co_await bed.sim.Delay(sim::Minutes(30));
-  });
-
-  Outcome out;
-  Samples ttft = dedicated.metrics().AllTtft();
-  out.p50 = ttft.Median();
-  out.p99 = ttft.P99();
-  out.completed = dedicated.metrics().TotalCompleted();
-  out.gpu_hours = 24.0 * n_models;
-  return out;
-}
 
 void Run() {
   PrintHeader(
@@ -120,15 +20,18 @@ void Run() {
   TablePrinter table({"Models", "Deployment", "GPU-hours", "p50 TTFT (s)",
                       "p99 TTFT (s)", "Completed", "GPU-hour saving"});
   for (int n : {2, 4, 6, 8, 12}) {
-    Outcome ded = RunDedicated(n);
-    Outcome swp = RunSwapServe(n);
+    const Consolidation run = RunConsolidation(n);
+    const TraceRun& ded = run.dedicated;
+    const TraceRun& swp = run.swapserve;
     table.AddRow({std::to_string(n), "dedicated",
                   TablePrinter::Num(ded.gpu_hours, 0),
-                  TablePrinter::Num(ded.p50), TablePrinter::Num(ded.p99),
+                  TablePrinter::Num(ded.p50_ttft_s),
+                  TablePrinter::Num(ded.p99_ttft_s),
                   std::to_string(ded.completed), "-"});
     table.AddRow({std::to_string(n), "swapserve",
                   TablePrinter::Num(swp.gpu_hours, 0),
-                  TablePrinter::Num(swp.p50), TablePrinter::Num(swp.p99),
+                  TablePrinter::Num(swp.p50_ttft_s),
+                  TablePrinter::Num(swp.p99_ttft_s),
                   std::to_string(swp.completed),
                   TablePrinter::Num(
                       (1.0 - swp.gpu_hours / ded.gpu_hours) * 100.0, 0) +

@@ -8,75 +8,10 @@
 
 #include <cstdio>
 
-#include "bench/common.h"
-#include "workload/trace.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
-
-constexpr const char* kModels[] = {
-    "deepseek-r1-14b-fp16", "deepseek-r1-8b-fp16",  "gemma-7b-fp16",
-    "deepseek-r1-7b-fp16",  "deepseek-coder-6.7b-fp16", "llama-3.2-3b-fp16",
-};
-
-struct ReaperResult {
-  double mean_mem_gib = 0;
-  double p99_ttft = 0;
-  std::uint64_t swap_ins = 0;
-  std::uint64_t preemptions = 0;
-  std::uint64_t completed = 0;
-};
-
-ReaperResult RunWith(double idle_swap_out_s) {
-  Bed bed(Machine::kH100);
-  core::Config cfg;
-  cfg.global.idle_swap_out_s = idle_swap_out_s;
-  cfg.global.monitor_interval_s = 30;
-  for (const char* m : kModels) {
-    core::ModelEntry entry;
-    entry.model_id = m;
-    entry.engine = "ollama";
-    cfg.models.push_back(entry);
-  }
-  core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
-
-  const double horizon = 4 * 3600.0;
-  workload::RequestProfile profile = workload::RequestProfile::ShortQa();
-  std::vector<std::unique_ptr<workload::MmppRate>> rates;
-  std::vector<workload::ModelWorkload> mix;
-  std::uint64_t seed = 0xab6;
-  for (const char* m : kModels) {
-    rates.push_back(std::make_unique<workload::MmppRate>(
-        0.0008, 0.05, 2400, 300, seed++, horizon));
-    mix.push_back({m, rates.back().get(), &profile});
-  }
-  std::vector<workload::TraceEvent> trace =
-      workload::GenerateTrace(mix, horizon, 0xab6);
-
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await serve.Initialize()).ok());
-    const double start = bed.sim.Now().ToSeconds();
-    for (const workload::TraceEvent& ev : trace) {
-      co_await bed.sim.WaitUntil(sim::SimTime(
-          static_cast<std::int64_t>((start + ev.time_s) * 1e9)));
-      sim::Spawn([&serve, ev]() -> sim::Task<> {
-        (void)co_await serve.ChatAndWait(ev.model_id, ev.prompt_tokens,
-                                         ev.output_tokens);
-      });
-    }
-    co_await bed.sim.Delay(sim::Minutes(15));
-    serve.Shutdown();
-  });
-
-  ReaperResult r;
-  r.mean_mem_gib = serve.monitor().MemorySeries(0).TimeWeightedMean(
-      0, horizon);
-  r.p99_ttft = serve.metrics().AllTtft().P99();
-  r.swap_ins = serve.metrics().swap_ins;
-  r.preemptions = serve.metrics().preemptions;
-  r.completed = serve.metrics().TotalCompleted();
-  return r;
-}
 
 void Run() {
   PrintHeader(
@@ -88,11 +23,11 @@ void Run() {
                       "p99 TTFT (s)", "Swap-ins", "On-path preemptions",
                       "Completed"});
   for (double idle_s : {0.0, 1800.0, 600.0, 120.0}) {
-    ReaperResult r = RunWith(idle_s);
+    const TraceRun r = RunIdleReaper(idle_s);
     table.AddRow({idle_s == 0 ? "off (paper)"
                               : TablePrinter::Num(idle_s, 0) + "s",
                   TablePrinter::Num(r.mean_mem_gib, 1),
-                  TablePrinter::Num(r.p99_ttft),
+                  TablePrinter::Num(r.p99_ttft_s),
                   std::to_string(r.swap_ins),
                   std::to_string(r.preemptions),
                   std::to_string(r.completed)});

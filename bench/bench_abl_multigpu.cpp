@@ -8,65 +8,10 @@
 
 #include <cstdio>
 
-#include "bench/common.h"
-#include "sim/combinators.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
-
-constexpr const char* kModels[] = {
-    "llama-3.2-1b-fp16", "deepseek-r1-7b-fp16",
-    "llama-3.2-3b-fp16", "deepseek-r1-8b-fp16",
-    "llama-3.1-8b-fp16", "deepseek-r1-14b-fp16",
-    "gemma-3-4b-fp16",   "gemma-3-12b-fp16",
-};
-
-struct Outcome {
-  double makespan_s = 0;
-  std::uint64_t swap_ins = 0;
-  std::uint64_t preemptions = 0;
-  double mean_swap_in = 0;
-};
-
-// `gpus` GPUs; model i pinned to gpu i % gpus. Each model is hit `rounds`
-// times round-robin, forcing a swap every time its partner ran last.
-Outcome RunPingPong(int gpus, int rounds) {
-  Bed bed(Machine::kH100, gpus);
-  core::Config cfg;
-  for (std::size_t i = 0; i < std::size(kModels); ++i) {
-    core::ModelEntry entry;
-    entry.model_id = kModels[i];
-    entry.engine = "vllm";
-    entry.gpu = static_cast<int>(i) % gpus;
-    cfg.models.push_back(entry);
-  }
-  core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
-
-  Outcome out;
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await serve.Initialize()).ok());
-    const sim::SimTime t0 = bed.sim.Now();
-    for (int round = 0; round < rounds; ++round) {
-      // All models fire simultaneously: with 4 GPUs, four swap-ins can
-      // proceed in parallel; with 1 GPU they serialize on the device.
-      std::vector<sim::Task<>> wave;
-      for (const char* m : kModels) {
-        wave.push_back([](core::SwapServe& s, const char* model)
-                           -> sim::Task<> {
-          core::ChatResult r = co_await s.ChatAndWait(model, 64, 16);
-          SWAP_CHECK_MSG(r.ok, r.error);
-        }(serve, m));
-      }
-      co_await sim::WhenAll(bed.sim, wave);
-    }
-    out.makespan_s = (bed.sim.Now() - t0).ToSeconds();
-    serve.Shutdown();
-  });
-  out.swap_ins = serve.metrics().swap_ins;
-  out.preemptions = serve.metrics().preemptions;
-  out.mean_swap_in = serve.metrics().swap_in_latency_s.mean();
-  return out;
-}
 
 void Run() {
   PrintHeader(
@@ -77,16 +22,16 @@ void Run() {
 
   TablePrinter table({"GPUs", "Backends/GPU", "Makespan (s)", "Swap-ins",
                       "Preemptions", "Mean swap-in (s)"});
-  Outcome one = RunPingPong(1, 3);
-  Outcome four = RunPingPong(4, 3);
+  const MultiGpu one = RunMultiGpu(1);
+  const MultiGpu four = RunMultiGpu(4);
   table.AddRow({"1", "8", TablePrinter::Num(one.makespan_s),
                 std::to_string(one.swap_ins),
                 std::to_string(one.preemptions),
-                TablePrinter::Num(one.mean_swap_in)});
+                TablePrinter::Num(one.mean_swap_in_s)});
   table.AddRow({"4", "2", TablePrinter::Num(four.makespan_s),
                 std::to_string(four.swap_ins),
                 std::to_string(four.preemptions),
-                TablePrinter::Num(four.mean_swap_in)});
+                TablePrinter::Num(four.mean_swap_in_s)});
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\nChecks: the 4-GPU run cuts makespan by roughly the device "

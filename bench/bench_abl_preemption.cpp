@@ -7,85 +7,10 @@
 
 #include <cstdio>
 
-#include "bench/common.h"
-#include "workload/trace.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
-
-constexpr const char* kModels[] = {
-    "deepseek-r1-14b-fp16",     // 30 GiB, hottest
-    "deepseek-r1-8b-fp16",      // 17 GiB
-    "gemma-7b-fp16",            // 19 GiB
-    "deepseek-r1-7b-fp16",      // 17 GiB
-    "deepseek-coder-6.7b-fp16", // 15 GiB
-    "llama-3.2-3b-fp16",        // 8 GiB, coldest
-};
-// Zipf-ish popularity: the busy models should never be preferred victims.
-constexpr double kWeights[] = {8.0, 5.0, 3.0, 2.0, 1.0, 0.5};
-
-struct PolicyResult {
-  double p50_ttft = 0;
-  double p99_ttft = 0;
-  std::uint64_t preemptions = 0;
-  std::uint64_t completed = 0;
-  double mean_swap_wait = 0;
-};
-
-PolicyResult RunPolicy(core::PreemptionPolicy policy) {
-  Bed bed(Machine::kH100);
-  core::Config cfg;
-  for (const char* m : kModels) {
-    core::ModelEntry entry;
-    entry.model_id = m;
-    entry.engine = "ollama";
-    cfg.models.push_back(entry);
-  }
-  core::SwapServeOptions options;
-  options.preemption_policy = policy;
-  core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware(), options);
-
-  // 2-hour popularity-skewed Poisson workload, same seed for all policies.
-  const double horizon = 2 * 3600.0;
-  workload::RequestProfile profile = workload::RequestProfile::ShortQa();
-  std::vector<std::unique_ptr<workload::ConstantRate>> rates;
-  std::vector<workload::ModelWorkload> mix;
-  for (std::size_t i = 0; i < std::size(kModels); ++i) {
-    rates.push_back(
-        std::make_unique<workload::ConstantRate>(kWeights[i] * 0.01));
-    mix.push_back({kModels[i], rates.back().get(), &profile});
-  }
-  std::vector<workload::TraceEvent> trace =
-      workload::GenerateTrace(mix, horizon, 0xab1);
-
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await serve.Initialize()).ok());
-    const double start = bed.sim.Now().ToSeconds();
-    for (const workload::TraceEvent& ev : trace) {
-      co_await bed.sim.WaitUntil(sim::SimTime(
-          static_cast<std::int64_t>((start + ev.time_s) * 1e9)));
-      sim::Spawn([&serve, ev]() -> sim::Task<> {
-        (void)co_await serve.ChatAndWait(ev.model_id, ev.prompt_tokens,
-                                         ev.output_tokens);
-      });
-    }
-    co_await bed.sim.Delay(sim::Minutes(10));
-    serve.Shutdown();
-  });
-
-  PolicyResult result;
-  Samples ttft = serve.metrics().AllTtft();
-  result.p50_ttft = ttft.Median();
-  result.p99_ttft = ttft.P99();
-  result.preemptions = serve.metrics().preemptions;
-  result.completed = serve.metrics().TotalCompleted();
-  Samples waits;
-  for (const auto& [m, mm] : serve.metrics().per_model()) {
-    for (double v : mm.swap_wait_s.values()) waits.Add(v);
-  }
-  result.mean_swap_wait = waits.mean();
-  return result;
-}
 
 void Run() {
   PrintHeader(
@@ -100,11 +25,11 @@ void Run() {
        {core::PreemptionPolicy::kDemandAware,
         core::PreemptionPolicy::kLruOnly, core::PreemptionPolicy::kRandom,
         core::PreemptionPolicy::kLargestFirst}) {
-    PolicyResult r = RunPolicy(policy);
+    const TraceRun r = RunPreemption(policy);
     table.AddRow({std::string(core::PreemptionPolicyName(policy)),
-                  TablePrinter::Num(r.p50_ttft),
-                  TablePrinter::Num(r.p99_ttft),
-                  TablePrinter::Num(r.mean_swap_wait),
+                  TablePrinter::Num(r.p50_ttft_s),
+                  TablePrinter::Num(r.p99_ttft_s),
+                  TablePrinter::Num(r.mean_swap_wait_s),
                   std::to_string(r.preemptions),
                   std::to_string(r.completed)});
   }

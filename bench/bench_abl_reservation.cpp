@@ -11,10 +11,19 @@
 
 #include <cstdio>
 
-#include "bench/common.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
+
+// What the timeline says when each ReservationRequest is issued and served.
+constexpr const char* kIssued[] = {
+    "gemma-7b request issued", "deepseek-coder request issued",
+    "llama-3.3-70b request issued",
+    "gemma-7b follow-up issued (behind 70B in the queue)"};
+constexpr const char* kServed[] = {"gemma-7b served", "deepseek-coder served",
+                                   "llama-3.3-70b served",
+                                   "gemma-7b follow-up served"};
 
 void Run() {
   PrintHeader(
@@ -22,75 +31,16 @@ void Run() {
       "Scoped acquire-release reservations, FIFO grants, demand-aware "
       "reclaim.");
 
-  Bed bed(Machine::kA100);
-  core::Config cfg;
-  for (const char* m : {"gemma-7b-fp16", "deepseek-coder-6.7b-fp16",
-                        "llama-3.3-70b-fp8"}) {
-    core::ModelEntry entry;
-    entry.model_id = m;
-    entry.engine = "ollama";
-    cfg.models.push_back(entry);
-  }
-  core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
-
-  struct Event {
-    double t;
-    std::string what;
-  };
-  std::vector<Event> timeline;
-  auto note = [&](const std::string& what) {
-    timeline.push_back({bed.sim.Now().ToSeconds(), what});
-  };
-
-  double t_init_done = 0;
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await serve.Initialize()).ok());
-    t_init_done = bed.sim.Now().ToSeconds();
-
-    // Phase 1: simultaneous requests for the two small models.
-    sim::Spawn([&]() -> sim::Task<> {
-      note("gemma-7b request issued");
-      core::ChatResult r =
-          co_await serve.ChatAndWait("gemma-7b-fp16", 64, 16);
-      note("gemma-7b served (swap wait " +
-           TablePrinter::Num(r.swap_wait_s) + "s)");
-    });
-    sim::Spawn([&]() -> sim::Task<> {
-      note("deepseek-coder request issued");
-      core::ChatResult r =
-          co_await serve.ChatAndWait("deepseek-coder-6.7b-fp16", 64, 16);
-      note("deepseek-coder served (swap wait " +
-           TablePrinter::Num(r.swap_wait_s) + "s)");
-    });
-    co_await bed.sim.Delay(sim::Seconds(60));
-
-    // Phase 2: the 75 GiB model arrives; both residents must be evicted.
-    sim::Spawn([&]() -> sim::Task<> {
-      note("llama-3.3-70b request issued");
-      core::ChatResult r =
-          co_await serve.ChatAndWait("llama-3.3-70b-fp8", 64, 16);
-      note("llama-3.3-70b served (swap wait " +
-           TablePrinter::Num(r.swap_wait_s) + "s)");
-    });
-    // Phase 3: once gemma has been evicted for the 70B, a follow-up gemma
-    // request needs a fresh reservation — it must queue behind the
-    // outstanding 70B reservation, not bypass it (FIFO).
-    co_await bed.sim.Delay(sim::Seconds(6));
-    sim::Spawn([&]() -> sim::Task<> {
-      note("gemma-7b follow-up issued (behind 70B in the queue)");
-      core::ChatResult r =
-          co_await serve.ChatAndWait("gemma-7b-fp16", 64, 16);
-      note("gemma-7b follow-up served (swap wait " +
-           TablePrinter::Num(r.swap_wait_s) + "s)");
-    });
-
-    co_await bed.sim.Delay(sim::Minutes(10));
-    serve.Shutdown();
-  });
-
+  const Reservation run = RunReservation();
   std::printf("Timeline (t=0 at end of initialization):\n");
-  for (const Event& ev : timeline) {
-    std::printf("  t=%8.2fs  %s\n", ev.t - t_init_done, ev.what.c_str());
+  for (const ReservationStep& step : run.timeline) {
+    const auto i = static_cast<std::size_t>(step.request);
+    if (step.served) {
+      std::printf("  t=%8.2fs  %s (swap wait %ss)\n", step.t_s, kServed[i],
+                  TablePrinter::Num(step.swap_wait_s).c_str());
+    } else {
+      std::printf("  t=%8.2fs  %s\n", step.t_s, kIssued[i]);
+    }
   }
   std::printf(
       "\nChecks: the two small swap-ins overlap (served within ~the same "
@@ -98,7 +48,7 @@ void Run() {
       "%llu); the\nfollow-up gemma request queues behind the outstanding "
       "70B reservation (FIFO,\nno bypass) and is served only after the 70B "
       "ran — by evicting it in turn.\n",
-      static_cast<unsigned long long>(serve.metrics().preemptions));
+      static_cast<unsigned long long>(run.preemptions));
 }
 
 }  // namespace

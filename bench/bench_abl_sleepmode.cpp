@@ -7,41 +7,10 @@
 
 #include <cstdio>
 
-#include "bench/common.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
-
-struct ModeResult {
-  double snapshot_gib = 0;
-  double swap_out_s = 0;
-  double swap_in_s = 0;
-};
-
-ModeResult RunMode(const std::string& model_id, bool sleep_mode) {
-  Bed bed(Machine::kH100);
-  core::Config cfg;
-  core::ModelEntry entry;
-  entry.model_id = model_id;
-  entry.engine = "vllm";
-  entry.sleep_mode = sleep_mode;
-  cfg.models.push_back(entry);
-  core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
-
-  ModeResult result;
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await serve.Initialize()).ok());
-    // Snapshot size observed while parked.
-    result.snapshot_gib =
-        serve.snapshot_store().All().front().dirty_bytes.AsGiB();
-    core::ChatResult r = co_await serve.ChatAndWait(model_id, 64, 16);
-    SWAP_CHECK_MSG(r.ok, r.error);
-    serve.Shutdown();
-  });
-  result.swap_out_s = serve.metrics().swap_out_latency_s.mean();
-  result.swap_in_s = serve.metrics().swap_in_latency_s.mean();
-  return result;
-}
 
 void Run() {
   PrintHeader(
@@ -54,7 +23,8 @@ void Run() {
   for (const char* model : {"llama-3.2-1b-fp16", "llama-3.1-8b-fp16",
                             "deepseek-r1-14b-fp16"}) {
     for (bool sleep : {true, false}) {
-      ModeResult r = RunMode(model, sleep);
+      const SwapIn r = MeasureSwapIn(Machine::kH100, model,
+                                     model::EngineKind::kVllm, sleep);
       table.AddRow({model, sleep ? "on" : "off",
                     TablePrinter::Num(r.snapshot_gib, 1),
                     TablePrinter::Num(r.swap_out_s),

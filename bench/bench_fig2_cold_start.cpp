@@ -7,29 +7,10 @@
 #include <cstdio>
 #include <map>
 
-#include "bench/common.h"
-#include "engine/engine.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
-
-double MeasureColdStart(model::EngineKind kind,
-                        const std::string& model_id) {
-  Bed bed(Machine::kH100);
-  model::ModelSpec spec = bed.catalog.Find(model_id).value();
-  const model::EngineProfile& profile = model::ProfileFor(kind);
-  auto eng = std::make_unique<engine::InferenceEngine>(
-      profile, bed.env(), spec, engine::EngineOptions{},
-      std::string(profile.name) + "-" + model_id);
-  double total = 0;
-  bed.RunTask([&]() -> sim::Task<> {
-    const sim::SimTime t0 = bed.sim.Now();
-    Result<engine::InitBreakdown> init = co_await eng->ColdStart();
-    SWAP_CHECK_MSG(init.ok(), init.status().ToString());
-    total = (bed.sim.Now() - t0).ToSeconds();
-  });
-  return total;
-}
 
 void Run() {
   PrintHeader(
@@ -58,7 +39,7 @@ void Run() {
   for (const std::string& model : models) {
     std::vector<std::string> row = {model};
     for (const auto& [kind, label] : engines) {
-      const double t = MeasureColdStart(kind, model);
+      const double t = MeasureColdStart(kind, model).seconds;
       row.push_back(TablePrinter::Num(t));
       if (model == "llama-3.1-8b-fp16") llama8b[label] = t;
     }

@@ -8,8 +8,7 @@
 
 #include <cstdio>
 
-#include "bench/common.h"
-#include "bench/fig3_month.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {

@@ -5,11 +5,8 @@
 // GB resident; cold starts 1m41s to 2m53s; headline speedup ~18-31x.
 
 #include <cstdio>
-#include <fstream>
 
-#include "bench/common.h"
-#include "engine/engine.h"
-#include "obs/exporters.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
@@ -39,45 +36,16 @@ void Run() {
   double max_speedup = 0;
 
   for (const Row& row : kModels) {
-    // Swap-in measurement through the full stack.
-    Bed bed(Machine::kH100);
-    core::Config cfg;
-    core::ModelEntry entry;
-    entry.model_id = row.model_id;
-    entry.engine = "vllm";
-    cfg.models.push_back(entry);
-    core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
-    double swap_in_s = 0;
-    double resident_gib = 0;
-    bed.RunTask([&]() -> sim::Task<> {
-      SWAP_CHECK((co_await serve.Initialize()).ok());
-      resident_gib =
-          serve.backend(row.model_id)->resident_bytes.AsGiB();
-      core::ChatResult r =
-          co_await serve.ChatAndWait(row.model_id, 64, 16);
-      SWAP_CHECK_MSG(r.ok, r.error);
-      serve.Shutdown();
-    });
-    swap_in_s = serve.metrics().swap_in_latency_s.max();
-
-    // Cold-start comparison on a fresh machine.
-    Bed cold(Machine::kH100);
-    model::ModelSpec spec = cold.catalog.Find(row.model_id).value();
-    auto eng = std::make_unique<engine::InferenceEngine>(
-        model::ProfileFor(model::EngineKind::kVllm), cold.env(), spec,
-        engine::EngineOptions{}, std::string("cold-") + row.model_id);
-    double cold_s = 0;
-    cold.RunTask([&]() -> sim::Task<> {
-      const sim::SimTime t0 = cold.sim.Now();
-      Result<engine::InitBreakdown> init = co_await eng->ColdStart();
-      SWAP_CHECK_MSG(init.ok(), init.status().ToString());
-      cold_s = (cold.sim.Now() - t0).ToSeconds();
-    });
-
+    const SwapIn swap = MeasureSwapIn(Machine::kH100, row.model_id,
+                                      model::EngineKind::kVllm,
+                                      /*sleep_mode=*/true);
+    const double swap_in_s = swap.swap_in_s;
+    const double cold_s =
+        MeasureColdStart(model::EngineKind::kVllm, row.model_id).seconds;
     const double speedup = cold_s / swap_in_s;
     min_speedup = std::min(min_speedup, speedup);
     max_speedup = std::max(max_speedup, speedup);
-    table.AddRow({row.model_id, TablePrinter::Num(resident_gib, 1),
+    table.AddRow({row.model_id, TablePrinter::Num(swap.resident_gib, 1),
                   TablePrinter::Num(swap_in_s),
                   TablePrinter::Num(row.paper_swapin_s, 1),
                   TablePrinter::Num(cold_s),
@@ -97,39 +65,9 @@ void Run() {
 // full swap-in sub-span ladder (reserve -> h2d -> remap -> unlock -> thaw)
 // and whose metrics carry per-model TTFT histograms.
 void EmitArtifacts() {
-  Bed bed(Machine::kH100);
-  core::Config cfg;
-  for (const char* id : {"llama-3.2-1b-fp16", "llama-3.1-8b-fp16"}) {
-    core::ModelEntry entry;
-    entry.model_id = id;
-    entry.engine = "vllm";
-    cfg.models.push_back(entry);
-  }
-  core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
-  bed.RunTask([&]() -> sim::Task<> {
-    SWAP_CHECK((co_await serve.Initialize()).ok());
-    // Alternate models so every request forces a swap-in (both are ~72 GiB
-    // resident; one H100 holds only one at a time).
-    for (int round = 0; round < 2; ++round) {
-      for (const core::ModelEntry& entry : cfg.models) {
-        core::ChatResult r =
-            co_await serve.ChatAndWait(entry.model_id, 64, 16);
-        SWAP_CHECK_MSG(r.ok, r.error);
-      }
-    }
-    serve.Shutdown();
-  });
-
   const char* trace_path = "fig6a_trace.json";
   const char* prom_path = "fig6a_metrics.prom";
-  {
-    std::ofstream trace(trace_path);
-    obs::WriteChromeTrace(serve.obs().trace, trace);
-  }
-  {
-    std::ofstream prom(prom_path);
-    obs::WritePrometheusText(serve.obs().metrics, prom);
-  }
+  WriteFig6aArtifacts(trace_path, prom_path);
   std::printf(
       "\nTelemetry artifacts:\n"
       "  %s  (Chrome trace JSON; open in https://ui.perfetto.dev)\n"

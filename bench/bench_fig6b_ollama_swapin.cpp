@@ -7,8 +7,7 @@
 
 #include <cstdio>
 
-#include "baseline/ollama_lru.h"
-#include "bench/common.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
@@ -38,39 +37,14 @@ void Run() {
                       "Improvement"});
 
   for (const Row& row : kModels) {
-    // SwapServeLLM path.
-    Bed bed(Machine::kH100);
-    core::Config cfg;
-    core::ModelEntry entry;
-    entry.model_id = row.model_id;
-    entry.engine = "ollama";
-    cfg.models.push_back(entry);
-    core::SwapServe serve(bed.sim, cfg, bed.catalog, bed.hardware());
-    double resident_gib = 0;
-    bed.RunTask([&]() -> sim::Task<> {
-      SWAP_CHECK((co_await serve.Initialize()).ok());
-      resident_gib = serve.backend(row.model_id)->resident_bytes.AsGiB();
-      core::ChatResult r = co_await serve.ChatAndWait(row.model_id, 64, 16);
-      SWAP_CHECK_MSG(r.ok, r.error);
-      serve.Shutdown();
-    });
-    const double swap_in_s = serve.metrics().swap_in_latency_s.max();
-
-    // Ollama on-demand load path.
-    Bed obed(Machine::kH100);
-    baseline::OllamaLruServing ollama(obed.sim, *obed.gpus[0], obed.storage);
-    double load_s = 0;
-    obed.RunTask([&]() -> sim::Task<> {
-      std::vector<model::ModelSpec> specs = {
-          obed.catalog.Find(row.model_id).value()};
-      SWAP_CHECK((co_await ollama.Initialize(specs)).ok());
-      Result<sim::SimDuration> t = co_await ollama.MeasureLoad(row.model_id);
-      SWAP_CHECK_MSG(t.ok(), t.status().ToString());
-      load_s = t->ToSeconds();
-    });
-
+    const SwapIn swap = MeasureSwapIn(Machine::kH100, row.model_id,
+                                      model::EngineKind::kOllama,
+                                      /*sleep_mode=*/true);
+    const double swap_in_s = swap.swap_in_s;
+    const double load_s = MeasureOllamaLoad(Machine::kH100, row.model_id,
+                                            /*tmpfs=*/false, 1.0);
     const double improvement = (load_s - swap_in_s) / load_s * 100.0;
-    table.AddRow({row.model_id, TablePrinter::Num(resident_gib, 1),
+    table.AddRow({row.model_id, TablePrinter::Num(swap.resident_gib, 1),
                   TablePrinter::Num(swap_in_s),
                   TablePrinter::Num(row.paper_swapin_s),
                   TablePrinter::Num(load_s),

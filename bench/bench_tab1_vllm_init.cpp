@@ -4,9 +4,7 @@
 
 #include <cstdio>
 
-#include "bench/common.h"
-#include "engine/engine.h"
-#include "model/calibration.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
@@ -39,17 +37,8 @@ void Run() {
                       "Paper CG"});
 
   for (const PaperRow& row : kPaper) {
-    Bed bed(Machine::kH100);
-    model::ModelSpec spec = bed.catalog.Find(row.model_id).value();
-    engine::InferenceEngine engine(model::ProfileFor(model::EngineKind::kVllm),
-                                   bed.env(), spec, engine::EngineOptions{},
-                                   std::string("tab1-") + row.model_id);
-    engine::InitBreakdown breakdown;
-    bed.RunTask([&]() -> sim::Task<> {
-      Result<engine::InitBreakdown> init = co_await engine.ColdStart();
-      SWAP_CHECK_MSG(init.ok(), init.status().ToString());
-      breakdown = *init;
-    });
+    const engine::InitBreakdown breakdown =
+        MeasureColdStart(model::EngineKind::kVllm, row.model_id).breakdown;
     const double engine_total =
         (breakdown.Total() - breakdown.container_start).ToSeconds();
     table.AddRow({row.label, TablePrinter::Num(engine_total),

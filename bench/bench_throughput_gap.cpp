@@ -5,66 +5,10 @@
 
 #include <cstdio>
 
-#include "bench/common.h"
-#include "engine/engine.h"
-#include "sim/combinators.h"
+#include "bench/scenarios.h"
 
 namespace swapserve::bench {
 namespace {
-
-struct EngineThroughput {
-  double tokens_per_s_b1 = 0;   // single stream
-  double tokens_per_s_b16 = 0;  // 16-way continuous batch
-  double ttft_ms = 0;           // 512-token prompt
-};
-
-EngineThroughput Measure(model::EngineKind kind,
-                         const std::string& model_id) {
-  EngineThroughput result;
-  // Single stream.
-  {
-    Bed bed(Machine::kH100);
-    auto eng = std::make_unique<engine::InferenceEngine>(
-        model::ProfileFor(kind), bed.env(), bed.catalog.Find(model_id).value(),
-        engine::EngineOptions{}, "tput-b1");
-    bed.RunTask([&]() -> sim::Task<> {
-      SWAP_CHECK((co_await eng->ColdStart()).ok());
-      Result<engine::GenerationResult> r = co_await eng->Generate(
-          engine::GenerationRequest{.prompt_tokens = 512,
-                                    .output_tokens = 256});
-      SWAP_CHECK(r.ok());
-      result.ttft_ms = r->time_to_first_token.ToMillis();
-      result.tokens_per_s_b1 =
-          256.0 /
-          (r->total_time - r->time_to_first_token).ToSeconds();
-    });
-  }
-  // 16 concurrent streams (continuous batching).
-  {
-    Bed bed(Machine::kH100);
-    auto eng = std::make_unique<engine::InferenceEngine>(
-        model::ProfileFor(kind), bed.env(), bed.catalog.Find(model_id).value(),
-        engine::EngineOptions{}, "tput-b16");
-    bed.RunTask([&]() -> sim::Task<> {
-      SWAP_CHECK((co_await eng->ColdStart()).ok());
-      const sim::SimTime t0 = bed.sim.Now();
-      std::vector<sim::Task<>> batch;
-      for (int i = 0; i < 16; ++i) {
-        batch.push_back(
-            [](engine::InferenceEngine& e) -> sim::Task<> {
-              Result<engine::GenerationResult> r = co_await e.Generate(
-                  engine::GenerationRequest{.prompt_tokens = 512,
-                                            .output_tokens = 256});
-              SWAP_CHECK(r.ok());
-            }(*eng));
-      }
-      co_await sim::WhenAll(bed.sim, batch);
-      result.tokens_per_s_b16 =
-          16.0 * 256.0 / (bed.sim.Now() - t0).ToSeconds();
-    });
-  }
-  return result;
-}
 
 void Run() {
   PrintHeader(
@@ -82,19 +26,10 @@ void Run() {
         std::pair{model::EngineKind::kSglang, "SGLang"},
         std::pair{model::EngineKind::kVllm, "vLLM"},
         std::pair{model::EngineKind::kTrtllm, "TensorRT-LLM"}}) {
-    EngineThroughput t = Measure(kind, "llama-3.1-8b-fp16");
+    const Throughput t = MeasureThroughput(kind, "llama-3.1-8b-fp16");
     // Cold start for context (same numbers as Fig. 2).
-    Bed bed(Machine::kH100);
-    auto eng = std::make_unique<engine::InferenceEngine>(
-        model::ProfileFor(kind), bed.env(),
-        bed.catalog.Find("llama-3.1-8b-fp16").value(),
-        engine::EngineOptions{}, "cold");
-    double cold_s = 0;
-    bed.RunTask([&]() -> sim::Task<> {
-      const sim::SimTime t0 = bed.sim.Now();
-      SWAP_CHECK((co_await eng->ColdStart()).ok());
-      cold_s = (bed.sim.Now() - t0).ToSeconds();
-    });
+    const double cold_s =
+        MeasureColdStart(kind, "llama-3.1-8b-fp16").seconds;
     table.AddRow({label, TablePrinter::Num(t.tokens_per_s_b1, 0),
                   TablePrinter::Num(t.tokens_per_s_b16, 0),
                   TablePrinter::Num(t.ttft_ms, 0),

@@ -1,10 +1,10 @@
 // Shared benchmark scaffolding: simulated servers matching the paper's two
-// evaluation machines, plus small run helpers.
+// evaluation machines, the JSON document the perf gates read, and the
+// header every bench prints.
 //
-// Each bench binary reproduces one paper table/figure: it builds fresh
-// simulations, runs the experiment in virtual time, and prints the same
-// rows/series the paper reports, with the paper's measured values alongside
-// where applicable (EXPERIMENTS.md records the comparison).
+// The paper's tables, figures and ablations run in scenarios.cpp; their
+// bench mains print what it returns, with the paper's measured values
+// alongside where applicable (EXPERIMENTS.md records the comparison).
 
 #pragma once
 
@@ -17,18 +17,14 @@
 
 #include "json/json.h"
 
-#include "core/config.h"
 #include "core/swap_serve.h"
 #include "hw/gpu_device.h"
 #include "hw/gpu_spec.h"
 #include "hw/link.h"
 #include "model/catalog.h"
-#include "sim/combinators.h"
 #include "sim/simulation.h"
 #include "util/log.h"
 #include "util/table.h"
-
-#include <cstdlib>
 
 namespace swapserve::bench {
 
@@ -103,13 +99,6 @@ inline void WriteBenchJson(
 }
 
 inline void PrintHeader(const std::string& title, const std::string& note) {
-  // Opt-in diagnostics: SWAPSERVE_LOG=debug|info|warning.
-  if (const char* level = std::getenv("SWAPSERVE_LOG"); level != nullptr) {
-    const std::string l(level);
-    if (l == "debug") Logger::Global().set_level(LogLevel::kDebug);
-    if (l == "info") Logger::Global().set_level(LogLevel::kInfo);
-    if (l == "trace") Logger::Global().set_level(LogLevel::kTrace);
-  }
   std::printf("\n=== %s ===\n%s\n\n", title.c_str(), note.c_str());
 }
 

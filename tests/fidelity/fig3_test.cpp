@@ -3,7 +3,7 @@
 // moves a row outside its band fails here; widening a band is a change to
 // this gate and must say why.
 
-#include "bench/fig3_month.h"
+#include "bench/scenarios.h"
 
 #include <gtest/gtest.h>
 
